@@ -43,7 +43,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments import (run_figure7, run_figure8, run_figure9,
                                run_figure10a, run_figure10b, run_figure11,
@@ -55,46 +55,116 @@ from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.extensions import (run_node_cache_sweep,
                                           run_prefetch_extension,
                                           run_priority_extension)
+from repro.errors import ReproError, StorageError, VisibilityError
 from repro.experiments.config import get_scale
 
-#: Experiment id -> (description, runner taking a scale).
+#: Experiment id -> (description, runner taking a scale).  The two
+#: lambdas adapt drivers that size their own dataset series.
 EXPERIMENTS: Dict[str, tuple] = {
-    "table2": ("storage space of the three schemes",
-               lambda scale: run_table2(scale)),
-    "fig7": ("search time vs eta (all schemes + naive)",
-             lambda scale: run_figure7(scale)),
-    "fig8": ("disk I/Os vs eta (total and light-weight)",
-             lambda scale: run_figure8(scale)),
+    "table2": ("storage space of the three schemes", run_table2),
+    "fig7": ("search time vs eta (all schemes + naive)", run_figure7),
+    "fig8": ("disk I/Os vs eta (total and light-weight)", run_figure8),
     "fig9": ("scalability over the 400MB-1.6GB dataset series",
              lambda scale: run_figure9(num_queries=30, dov_resolution=16,
                                        cell_size=120.0)),
-    "fig10a": ("frame time: VISUAL vs REVIEW",
-               lambda scale: run_figure10a(scale)),
-    "fig10b": ("frame time: VISUAL at two thresholds",
-               lambda scale: run_figure10b(scale)),
-    "fig11": ("visual fidelity (missed objects)",
-              lambda scale: run_figure11(scale)),
-    "fig12": ("search performance across motion patterns",
-              lambda scale: run_figure12(scale)),
-    "table3": ("frame time and variance vs eta",
-               lambda scale: run_table3(scale)),
-    "memory": ("peak memory: VISUAL vs REVIEW",
-               lambda scale: run_memory_comparison(scale)),
+    "fig10a": ("frame time: VISUAL vs REVIEW", run_figure10a),
+    "fig10b": ("frame time: VISUAL at two thresholds", run_figure10b),
+    "fig11": ("visual fidelity (missed objects)", run_figure11),
+    "fig12": ("search performance across motion patterns", run_figure12),
+    "table3": ("frame time and variance vs eta", run_table3),
+    "memory": ("peak memory: VISUAL vs REVIEW", run_memory_comparison),
     "ablation-nvo": ("eq.4 NVO termination heuristic on/off",
-                     lambda scale: run_nvo_ablation(scale)),
+                     run_nvo_ablation),
     "ablation-split": ("Ang-Tan vs Guttman node splitting",
-                       lambda scale: run_split_ablation(scale)),
+                       run_split_ablation),
     "ablation-flip": ("cell-flip I/O vs tree size",
                       lambda scale: run_flip_scaling()),
     "baselines": ("VISUAL vs REVIEW vs LoD-R-tree across sessions",
-                  lambda scale: run_baseline_comparison(scale)),
+                  run_baseline_comparison),
     "ext-priority": ("frustum-prioritized traversal response time",
-                     lambda scale: run_priority_extension(scale)),
+                     run_priority_extension),
     "ext-prefetch": ("cell prefetching: warm-hit flip costs",
-                     lambda scale: run_prefetch_extension(scale)),
-    "ext-nodecache": ("tree-node cache-size sweep",
-                      lambda scale: run_node_cache_sweep(scale)),
+                     run_prefetch_extension),
+    "ext-nodecache": ("tree-node cache-size sweep", run_node_cache_sweep),
 }
+
+
+def _add_scale(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--scale", default=default,
+                        choices=["small", "medium", "large"],
+                        help=f"environment scale (default: {default})")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--output", default=None, metavar="FILE",
+                        help="write the JSON report to FILE, not stdout")
+
+
+def _add_walk_options(parser: argparse.ArgumentParser, *,
+                      session: Optional[int] = None,
+                      frames: Optional[int] = None,
+                      scheme: bool = True) -> None:
+    """Options shared by the verbs that walk sessions through a world.
+
+    ``session`` is the default motion pattern of the single-session
+    verbs (``None``: the verb draws its own patterns and has no such
+    flag); ``frames`` overrides the scale's session length as default.
+    """
+    _add_scale(parser, "small")
+    if session is not None:
+        parser.add_argument("--session", type=int, default=session,
+                            choices=[1, 2, 3, 4],
+                            help="motion pattern: 1 normal walk, 2 turns, "
+                                 "3 back-and-forth, 4 the loop circuit "
+                                 f"(default: {session})")
+    parser.add_argument("--eta", type=float, default=0.001,
+                        help="DoV threshold (default: 0.001)")
+    parser.add_argument("--frames", type=int, default=frames,
+                        help="frames per session (default: "
+                             f"{frames or 'set by the scale'})")
+    if scheme:
+        parser.add_argument("--scheme", default=None,
+                            help="storage scheme (default: the scale's)")
+    _add_output(parser)
+
+
+def _add_serving_options(parser: argparse.ArgumentParser, *,
+                         sessions: int, workers: int, seed: int,
+                         max_active: Optional[int]) -> None:
+    """Options shared by the two multi-session verbs."""
+    parser.add_argument("--sessions", type=int, default=sessions,
+                        help="walkthrough sessions served or offered "
+                             f"(default: {sessions})")
+    parser.add_argument("--workers", type=int, default=workers,
+                        help=f"worker threads (default: {workers}); never "
+                             "changes a deterministic byte of the report")
+    parser.add_argument("--seed", type=int, default=seed,
+                        help="motion-pattern (and arrival) seed (default: "
+                             f"{seed}); the same seed reproduces the report")
+    parser.add_argument("--max-active", type=int, default=max_active,
+                        help="admission-control slots (default: "
+                             f"{max_active or 'no limit'})")
+    parser.add_argument("--frame-budget-ms", type=float, default=None,
+                        help="simulated per-frame deadline; sessions over "
+                             "budget shed their next query to the root LoD")
+    parser.add_argument("--pool-pages", type=int, default=256,
+                        help="shared buffer-pool capacity in pages "
+                             "(default: 256; 0 serves unpooled)")
+    parser.add_argument("--plan", default=None,
+                        help="optional fault plan to serve under "
+                             "(see 'repro chaos --list-plans')")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="fault-injector seed (default: 0)")
+
+
+def _run_kwargs(args: argparse.Namespace,
+                serving: bool = False) -> Dict[str, object]:
+    """The ``run_*`` keywords of the shared option groups' flags."""
+    keys = ["scale", "session", "eta", "frames", "scheme"]
+    if serving:
+        keys += ["sessions", "workers", "seed", "max_active",
+                 "frame_budget_ms", "pool_pages", "plan", "fault_seed"]
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,47 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one or more experiments")
     run.add_argument("experiments", nargs="+",
                      help="experiment ids (or 'all')")
-    run.add_argument("--scale", default="medium",
-                     choices=["small", "medium", "large"],
-                     help="environment scale (default: medium)")
+    _add_scale(run, "medium")
 
     profile = sub.add_parser(
         "profile",
         help="run an instrumented walkthrough; emit a JSON I/O report")
-    profile.add_argument("--scale", default="small",
-                         choices=["small", "medium", "large"],
-                         help="environment scale (default: small)")
-    profile.add_argument("--session", type=int, default=1,
-                         choices=[1, 2, 3, 4],
-                         help="motion pattern (default: 1, normal walk)")
-    profile.add_argument("--eta", type=float, default=0.001,
-                         help="DoV threshold (default: 0.001)")
-    profile.add_argument("--frames", type=int, default=None,
-                         help="frame count (default: the scale's)")
-    profile.add_argument("--scheme", default=None,
-                         help="storage scheme (default: the scale's)")
+    _add_walk_options(profile, session=1)
     profile.add_argument("--compress", action="store_true",
                          help="build with the packed delta V-page codec")
     profile.add_argument("--spans", action="store_true",
                          help="embed the full span list in the report")
-    profile.add_argument("--output", default=None, metavar="FILE",
-                         help="write the report to FILE (default: stdout)")
 
     chaos = sub.add_parser(
         "chaos",
         help="replay a walkthrough under a fault plan; emit a JSON report")
-    chaos.add_argument("--scale", default="small",
-                       choices=["small", "medium", "large"],
-                       help="environment scale (default: small)")
-    chaos.add_argument("--session", type=int, default=1,
-                       choices=[1, 2, 3, 4],
-                       help="motion pattern (default: 1, normal walk)")
-    chaos.add_argument("--eta", type=float, default=0.001,
-                       help="DoV threshold (default: 0.001)")
-    chaos.add_argument("--frames", type=int, default=None,
-                       help="frame count (default: the scale's)")
-    chaos.add_argument("--scheme", default=None,
-                       help="storage scheme (default: the scale's)")
+    _add_walk_options(chaos, session=1)
     chaos.add_argument("--compress", action="store_true",
                        help="build with the packed delta V-page codec "
                             "(faults then hit compressed records too)")
@@ -158,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault-injector seed (default: 0); the "
                             "same seed reproduces the same report")
-    chaos.add_argument("--output", default=None, metavar="FILE",
-                       help="write the report to FILE (default: stdout)")
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the built-in fault plans and exit")
 
@@ -167,23 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         "layout",
         help="rewrite the V-page disk layout along the walkthrough tour "
              "and report before/after seeks and compression")
-    layout.add_argument("--scale", default="small",
-                        choices=["small", "medium", "large"],
-                        help="environment scale (default: small)")
-    layout.add_argument("--session", type=int, default=4,
-                        choices=[1, 2, 3, 4],
-                        help="motion pattern (default: 4, the loop "
-                             "circuit the rewriter targets)")
-    layout.add_argument("--eta", type=float, default=0.001,
-                        help="DoV threshold (default: 0.001)")
-    layout.add_argument("--frames", type=int, default=None,
-                        help="frame count (default: the scale's)")
+    # Session 4 is the loop circuit the rewriter targets.
+    _add_walk_options(layout, session=4, scheme=False)
     layout.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                        default=None,
                         help="schemes to rewrite (default: vertical and "
                              "indexed-vertical)")
-    layout.add_argument("--output", default=None, metavar="FILE",
-                        help="write the report to FILE (default: stdout)")
 
     crash = sub.add_parser(
         "crash",
@@ -191,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
              "emit a byte-deterministic JSON report")
     crash.add_argument("--seed", type=int, default=0,
                        help="workload/injector seed (default: 0); the "
-                            "same seed reproduces the report byte-for-"
-                            "byte")
+                            "same seed reproduces the report bytes")
     crash.add_argument("--pages", type=int, default=8,
                        help="pages in the journaled file (default: 8)")
     crash.add_argument("--page-size", type=int, default=128,
@@ -208,16 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--cache-stride", type=int, default=7,
                        help="byte stride of interior cache truncation "
                             "points (default: 7)")
-    crash.add_argument("--output", default=None, metavar="FILE",
-                       help="write the report to FILE (default: stdout)")
+    _add_output(crash)
 
     precompute = sub.add_parser(
         "precompute",
         help="run the per-cell DoV precompute pipeline; emit a JSON "
              "summary with the table's content digest")
-    precompute.add_argument("--scale", default="small",
-                            choices=["small", "medium", "large"],
-                            help="environment scale (default: small)")
+    _add_scale(precompute, "small")
     precompute.add_argument("--resolution", type=int, default=None,
                             help="cube-map resolution (default: the "
                                  "scale's)")
@@ -240,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument("--table", default=None, metavar="FILE",
                             help="write the visibility table to "
                                  "FILE (.npz)")
-    precompute.add_argument("--output", default=None, metavar="FILE",
-                            help="write the JSON summary to FILE "
-                                 "(default: stdout)")
+    _add_output(precompute)
     precompute.add_argument("--quiet", action="store_true",
                             help="suppress the progress line on stderr")
 
@@ -250,31 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve N concurrent walkthrough sessions through a shared "
              "buffer pool; emit a deterministic JSON report")
-    serve.add_argument("--sessions", type=int, default=8,
-                       help="concurrent walkthrough sessions (default: 8)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="fidelity-scoring worker threads (default: 4; "
-                            "never changes a byte of the report)")
-    serve.add_argument("--seed", type=int, default=7,
-                       help="session motion-pattern seed (default: 7); "
-                            "the same seed reproduces the same report")
-    serve.add_argument("--scale", default="small",
-                       choices=["small", "medium", "large"],
-                       help="environment scale (default: small)")
-    serve.add_argument("--eta", type=float, default=0.001,
-                       help="DoV threshold (default: 0.001)")
-    serve.add_argument("--frames", type=int, default=None,
-                       help="frames per session (default: the scale's)")
-    serve.add_argument("--scheme", default=None,
-                       help="storage scheme (default: the scale's)")
-    serve.add_argument("--max-active", type=int, default=None,
-                       help="admission-control slots (default: no limit)")
-    serve.add_argument("--frame-budget-ms", type=float, default=None,
-                       help="simulated per-frame deadline; sessions over "
-                            "budget shed their next query to the root LoD")
-    serve.add_argument("--pool-pages", type=int, default=256,
-                       help="shared buffer-pool capacity in pages "
-                            "(default: 256; 0 serves unpooled)")
+    _add_walk_options(serve)
+    _add_serving_options(serve, sessions=8, workers=4, seed=7,
+                         max_active=None)
     serve.add_argument("--policy", default=None, choices=["lru", "2q"],
                        help="pool replacement policy (default: the "
                             "scale's, normally lru)")
@@ -282,63 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable cross-session predictive pool "
                             "prefetch (default: the scale's, normally "
                             "off)")
-    serve.add_argument("--plan", default=None,
-                       help="optional fault plan to serve under "
-                            "(see 'repro chaos --list-plans')")
-    serve.add_argument("--fault-seed", type=int, default=0,
-                       help="fault-injector seed (default: 0)")
-    serve.add_argument("--output", default=None, metavar="FILE",
-                       help="write the report to FILE (default: stdout)")
 
     traffic = sub.add_parser(
         "traffic",
         help="offer a seeded Poisson stream of walkthrough sessions to "
              "the HTTP front-end; emit a traffic/latency JSON report")
-    traffic.add_argument("--sessions", type=int, default=200,
-                         help="sessions offered (default: 200)")
-    traffic.add_argument("--seed", type=int, default=0,
-                         help="arrival/pattern seed (default: 0); the "
-                              "same seed reproduces the deterministic "
-                              "report sections byte-for-byte")
-    traffic.add_argument("--workers", type=int, default=1,
-                         help="echoed for symmetry with serve (default: "
-                              "1; never changes a deterministic byte)")
-    traffic.add_argument("--scale", default="small",
-                         choices=["small", "medium", "large"],
-                         help="environment scale (default: small)")
-    traffic.add_argument("--eta", type=float, default=0.001,
-                         help="DoV threshold (default: 0.001)")
-    traffic.add_argument("--frames", type=int, default=30,
-                         help="frames per session (default: 30 — many "
-                              "short sessions, not a few long ones)")
-    traffic.add_argument("--scheme", default=None,
-                         help="storage scheme (default: the scale's)")
+    # 30 frames: traffic wants many short sessions, not a few long ones.
+    _add_walk_options(traffic, frames=30)
+    # Arrivals past 32 live sessions are shed (503); workers is echoed.
+    _add_serving_options(traffic, sessions=200, workers=1, seed=0,
+                         max_active=32)
     traffic.add_argument("--arrival-rate", type=float, default=50.0,
                          help="offered load in sessions per virtual "
                               "second (default: 50)")
     traffic.add_argument("--hot-fraction", type=float, default=0.5,
                          help="fraction of arrivals replaying the hot "
                               "path, pattern 1 (default: 0.5)")
-    traffic.add_argument("--max-active", type=int, default=32,
-                         help="admission slots; arrivals past this are "
-                              "shed with a 503 (default: 32)")
-    traffic.add_argument("--frame-budget-ms", type=float, default=None,
-                         help="simulated per-frame deadline; sessions "
-                              "over budget degrade their next query")
-    traffic.add_argument("--pool-pages", type=int, default=256,
-                         help="shared buffer-pool capacity in pages "
-                              "(default: 256; 0 serves unpooled)")
-    traffic.add_argument("--plan", default=None,
-                         help="optional fault plan to serve under "
-                              "(see 'repro chaos --list-plans')")
-    traffic.add_argument("--fault-seed", type=int, default=0,
-                         help="fault-injector seed (default: 0)")
     traffic.add_argument("--deterministic-only", action="store_true",
                          help="emit only the machine-independent "
                               "sections (what the CI job diffs)")
-    traffic.add_argument("--output", default=None, metavar="FILE",
-                         help="write the report to FILE (default: "
-                              "stdout)")
 
     lint = sub.add_parser(
         "lint",
@@ -361,20 +325,33 @@ def build_parser() -> argparse.ArgumentParser:
     locks.add_argument("paths", nargs="*", metavar="PATH",
                        help="files/directories to analyse statically "
                             "(default: src)")
-    locks.add_argument("--output", default=None, metavar="FILE",
-                       help="write the JSON report to FILE (default: "
-                            "stdout)")
+    _add_output(locks)
     return parser
 
 
-def cmd_list() -> int:
+def _emit(report: Dict[str, object], output: Optional[str], summary: str,
+          ok: bool = True) -> int:
+    """Print ``report`` as JSON — or write it to ``output`` and print a
+    one-line ``summary`` — and turn ``ok`` into the exit code."""
+    text = json.dumps(report, indent=2, sort_keys=False)
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {output} ({summary})")
+    else:
+        print(text)
+    return 0 if ok else 1
+
+
+def cmd_list(args) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name, (description, _runner) in EXPERIMENTS.items():
         print(f"  {name:<{width}}  {description}")
     return 0
 
 
-def cmd_run(names, scale_name: str) -> int:
+def cmd_run(args) -> int:
+    names = args.experiments
     if "all" in names:
         names = list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -383,7 +360,7 @@ def cmd_run(names, scale_name: str) -> int:
               file=sys.stderr)
         print("use 'python -m repro list'", file=sys.stderr)
         return 2
-    scale = get_scale(scale_name)
+    scale = get_scale(args.scale)
     for name in names:
         _description, runner = EXPERIMENTS[name]
         # perf_counter, not time.time(): wall-clock can jump (NTP, DST)
@@ -394,26 +371,18 @@ def cmd_run(names, scale_name: str) -> int:
         print()
         print(result.format_table())
         print(f"[{name} completed in {elapsed:.1f}s wall-clock "
-              f"at scale {scale_name!r}]")
+              f"at scale {args.scale!r}]")
     return 0
 
 
 def cmd_profile(args) -> int:
     from repro.obs.profile import run_profile
 
-    report = run_profile(scale=args.scale, session=args.session,
-                         eta=args.eta, frames=args.frames,
-                         scheme=args.scheme, compress=args.compress,
+    report = run_profile(**_run_kwargs(args), compress=args.compress,
                          include_spans=args.spans)
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        reconciled = report["io"]["reconciled"]
-        print(f"wrote {args.output} (reconciled={reconciled})")
-    else:
-        print(text)
-    return 0 if report["io"]["reconciled"] else 1
+    reconciled = report["io"]["reconciled"]
+    return _emit(report, args.output, f"reconciled={reconciled}",
+                 reconciled)
 
 
 def cmd_chaos(args) -> int:
@@ -427,90 +396,48 @@ def cmd_chaos(args) -> int:
             kinds = ", ".join(sorted({r.kind for r in rules}))
             print(f"  {name:<{width}}  {len(rules)} rule(s): {kinds}")
         return 0
-    from repro.errors import StorageError
-
-    try:
-        report = run_chaos(scale=args.scale, session=args.session,
-                           eta=args.eta, frames=args.frames,
-                           scheme=args.scheme, plan=args.plan,
-                           seed=args.seed, compress=args.compress)
-    except StorageError as exc:
-        # An unknown plan name is a usage error, not a crash.
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        outcome = report["outcome"]
-        print(f"wrote {args.output} (completed={outcome['completed']}, "
-              f"survived {outcome['frames_survived']}"
-              f"/{outcome['frames_total']} frames)")
-    else:
-        print(text)
+    report = run_chaos(**_run_kwargs(args), plan=args.plan,
+                       seed=args.seed, compress=args.compress)
+    outcome = report["outcome"]
     # Nonzero on any violated invariant — not just an aborted replay; a
     # completed run whose accounting is inconsistent must fail CI too.
-    return 0 if report["invariants"]["ok"] else 1
+    return _emit(report, args.output,
+                 f"completed={outcome['completed']}, survived "
+                 f"{outcome['frames_survived']}/{outcome['frames_total']} "
+                 f"frames", report["invariants"]["ok"])
 
 
 def cmd_layout(args) -> int:
-    from repro.errors import ReproError
     from repro.obs.layout import DEFAULT_SCHEMES, run_layout
 
     schemes = tuple(args.schemes) if args.schemes else DEFAULT_SCHEMES
-    try:
-        report = run_layout(scale=args.scale, session=args.session,
-                            eta=args.eta, frames=args.frames,
-                            schemes=schemes)
-    except ReproError as exc:
-        # An unsupported scheme name is a usage error, not a crash.
-        print(f"repro layout: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        back = {name: (sr["baseline"]["light"]["back_seeks"],
-                       sr["rewritten"]["light"]["back_seeks"])
-                for name, sr in report["schemes"].items()}
-        print(f"wrote {args.output} (ok={report['ok']}, "
-              f"back_seeks before/after: {back})")
-    else:
-        print(text)
-    return 0 if report["ok"] else 1
+    report = run_layout(**_run_kwargs(args), schemes=schemes)
+    back = {name: (sr["baseline"]["light"]["back_seeks"],
+                   sr["rewritten"]["light"]["back_seeks"])
+            for name, sr in report["schemes"].items()}
+    return _emit(report, args.output,
+                 f"ok={report['ok']}, back_seeks before/after: {back}",
+                 report["ok"])
 
 
 def cmd_crash(args) -> int:
-    from repro.errors import ReproError
     from repro.obs.crash import run_crash_sweep
 
-    try:
-        report = run_crash_sweep(seed=args.seed, pages=args.pages,
-                                 page_size=args.page_size, txns=args.txns,
-                                 writes_per_txn=args.writes,
-                                 cache_cells=args.cache_cells,
-                                 cache_stride=args.cache_stride)
-    except ReproError as exc:
-        print(f"repro crash: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        summary = report["summary"]
-        print(f"wrote {args.output} (points={summary['points']}, "
-              f"recovery_points={summary['recovery_points']}, "
-              f"violations={summary['violations']})")
-    else:
-        print(text)
-    return 0 if report["summary"]["ok"] else 1
+    report = run_crash_sweep(seed=args.seed, pages=args.pages,
+                             page_size=args.page_size, txns=args.txns,
+                             writes_per_txn=args.writes,
+                             cache_cells=args.cache_cells,
+                             cache_stride=args.cache_stride)
+    summary = report["summary"]
+    return _emit(report, args.output,
+                 f"points={summary['points']}, "
+                 f"recovery_points={summary['recovery_points']}, "
+                 f"violations={summary['violations']}", summary["ok"])
 
 
 def cmd_precompute(args) -> int:
-    from repro.errors import VisibilityError
     from repro.obs.metrics import use_registry
-    from repro.scene.city import generate_city
-    from repro.visibility.cells import CellGrid
+    from repro.obs.replay import build_scene
     from repro.visibility.persist import save_visibility, visibility_digest
     from repro.visibility.precompute import (DEFAULT_BATCH_CELLS,
                                              precompute_visibility)
@@ -520,8 +447,7 @@ def cmd_precompute(args) -> int:
                   else scale.hdov.dov_resolution)
     batch_cells = (args.batch_cells if args.batch_cells is not None
                    else DEFAULT_BATCH_CELLS)
-    scene = generate_city(scale.city)
-    grid = CellGrid.covering(scene.bounds(), scale.cell_size)
+    scene, grid = build_scene(scale)
 
     def progress(done: int, total: int) -> None:
         if not args.quiet:
@@ -538,14 +464,11 @@ def cmd_precompute(args) -> int:
                 cache_dir=args.cache_dir, resume=args.resume,
                 progress=progress)
             counters = registry.collect()
-    except VisibilityError as exc:
+    finally:
+        # Terminate the progress line, error or not.
         if not args.quiet:
             print(file=sys.stderr)
-        print(f"repro precompute: {exc}", file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - started
-    if not args.quiet:
-        print(file=sys.stderr)
     if args.table is not None:
         save_visibility(table, args.table)
     summary = {
@@ -564,81 +487,41 @@ def cmd_precompute(args) -> int:
         "table": args.table,
         "digest": visibility_digest(table),
     }
-    text = json.dumps(summary, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output} (digest={summary['digest'][:16]}...)")
-    else:
-        print(text)
-    return 0
+    return _emit(summary, args.output,
+                 f"digest={summary['digest'][:16]}...")
 
 
 def cmd_serve(args) -> int:
-    from repro.errors import ReproError
     from repro.serving import run_serve
 
-    try:
-        report = run_serve(sessions=args.sessions, workers=args.workers,
-                           seed=args.seed, scale=args.scale, eta=args.eta,
-                           frames=args.frames, scheme=args.scheme,
-                           max_active=args.max_active,
-                           frame_budget_ms=args.frame_budget_ms,
-                           pool_pages=args.pool_pages,
-                           policy=args.policy, prefetch=args.prefetch,
-                           plan=args.plan,
-                           fault_seed=args.fault_seed)
-    except ReproError as exc:
-        # Bad arguments or an unknown plan name: a usage error.
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        outcome = report["outcome"]
-        print(f"wrote {args.output} (completed={outcome['completed']}, "
-              f"{outcome['frames_served']} frames in "
-              f"{outcome['rounds']} rounds)")
-    else:
-        print(text)
-    return 0 if report["outcome"]["completed"] else 1
+    report = run_serve(**_run_kwargs(args, serving=True),
+                       policy=args.policy, prefetch=args.prefetch)
+    outcome = report["outcome"]
+    return _emit(report, args.output,
+                 f"completed={outcome['completed']}, "
+                 f"{outcome['frames_served']} frames in "
+                 f"{outcome['rounds']} rounds", outcome["completed"])
 
 
 def cmd_traffic(args) -> int:
-    from repro.errors import ReproError
     from repro.serving.loadgen import run_traffic
 
-    try:
-        report = run_traffic(sessions=args.sessions, seed=args.seed,
-                             workers=args.workers, scale=args.scale,
-                             eta=args.eta, frames=args.frames,
-                             scheme=args.scheme,
-                             arrival_rate=args.arrival_rate,
-                             hot_fraction=args.hot_fraction,
-                             max_active=args.max_active,
-                             frame_budget_ms=args.frame_budget_ms,
-                             pool_pages=args.pool_pages, plan=args.plan,
-                             fault_seed=args.fault_seed)
-    except ReproError as exc:
-        # Bad arguments or an unknown plan name: a usage error.
-        print(f"repro traffic: {exc}", file=sys.stderr)
-        return 2
+    report = run_traffic(**_run_kwargs(args, serving=True),
+                         arrival_rate=args.arrival_rate,
+                         hot_fraction=args.hot_fraction)
     if args.deterministic_only:
         report = {key: report[key] for key in ("traffic", "deterministic")}
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        det = report["deterministic"]
-        print(f"wrote {args.output} "
-              f"(offered={det['sessions']['offered']}, "
-              f"shed_rate={det['sessions']['shed_rate']:.3f}, "
-              f"frames={det['frames']['served']})")
-    else:
-        print(text)
-    unexpected = report["deterministic"]["requests"]["unexpected"]
-    return 0 if not unexpected else 1
+    det = report["deterministic"]
+    return _emit(report, args.output,
+                 f"offered={det['sessions']['offered']}, "
+                 f"shed_rate={det['sessions']['shed_rate']:.3f}, "
+                 f"frames={det['frames']['served']}",
+                 not det["requests"]["unexpected"])
+
+
+def _default_paths(paths) -> list:
+    """The paths to analyse: as given, else ``src`` (or the cwd)."""
+    return paths or (["src"] if os.path.isdir("src") else ["."])
 
 
 def cmd_lint(args) -> int:
@@ -650,12 +533,8 @@ def cmd_lint(args) -> int:
         for rule in rules:
             print(f"  {rule.code:<{width}}  {rule.name}: {rule.summary}")
         return 0
-    paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
-    try:
-        result = lint_paths(paths, baseline_path=args.baseline)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    result = lint_paths(_default_paths(args.paths),
+                        baseline_path=args.baseline)
     if args.write_baseline is not None:
         save_baseline(args.write_baseline, result.before_baseline)
         print(f"wrote baseline {args.write_baseline} "
@@ -703,12 +582,8 @@ def cmd_locks(args) -> int:
     from repro.storage.buffer import BufferPool
     from repro.storage.pagedfile import PagedFile
 
-    paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
-    try:
-        static = build_lock_graph(load_contexts(paths)).summary()
-    except FileNotFoundError as exc:
-        print(f"repro locks: {exc}", file=sys.stderr)
-        return 2
+    static = build_lock_graph(
+        load_contexts(_default_paths(args.paths))).summary()
 
     witness = LockOrderWitness()
     with installed(witness), use_registry():
@@ -726,44 +601,39 @@ def cmd_locks(args) -> int:
             pool.flush()
     witnessed = witness.report()
 
-    report = {"static": static, "witnessed": witnessed}
-    text = json.dumps(report, indent=2)
     failed = bool(static["violations"]) or bool(witnessed["violations"])
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output} "
-              f"(static_edges={len(static['edges'])}, "
-              f"witnessed_edges={len(witnessed['edges'])}, "
-              f"violations={'yes' if failed else 'no'})")
-    else:
-        print(text)
-    return 1 if failed else 0
+    return _emit({"static": static, "witnessed": witnessed}, args.output,
+                 f"static_edges={len(static['edges'])}, "
+                 f"witnessed_edges={len(witnessed['edges'])}, "
+                 f"violations={'yes' if failed else 'no'}", not failed)
+
+
+#: Verb -> (handler, the errors that are the user's: bad arguments, an
+#: unknown plan or scheme name — reported on stderr with exit code 2;
+#: anything else is a crash and keeps its traceback).
+COMMANDS: Dict[str, Tuple[Callable[..., int], Tuple[type, ...]]] = {
+    "list": (cmd_list, ()),
+    "run": (cmd_run, ()),
+    "profile": (cmd_profile, ()),
+    "chaos": (cmd_chaos, (StorageError,)),
+    "layout": (cmd_layout, (ReproError,)),
+    "crash": (cmd_crash, (ReproError,)),
+    "precompute": (cmd_precompute, (VisibilityError,)),
+    "serve": (cmd_serve, (ReproError,)),
+    "traffic": (cmd_traffic, (ReproError,)),
+    "lint": (cmd_lint, (FileNotFoundError,)),
+    "locks": (cmd_locks, (FileNotFoundError,)),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "profile":
-        return cmd_profile(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "layout":
-        return cmd_layout(args)
-    if args.command == "crash":
-        return cmd_crash(args)
-    if args.command == "precompute":
-        return cmd_precompute(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "traffic":
-        return cmd_traffic(args)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "locks":
-        return cmd_locks(args)
-    return cmd_run(args.experiments, args.scale)
+    handler, usage_errors = COMMANDS[args.command]
+    try:
+        return handler(args)
+    except usage_errors as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":       # pragma: no cover

@@ -153,6 +153,15 @@ class HDoVEnvironment:
     def total_ios(self) -> int:
         return self.light_stats.total_ios + self.heavy_stats.total_ios
 
+    def files(self) -> List[PagedFile]:
+        """Every paged file the environment charges I/O through."""
+        files = [self.node_store.pfile, self.object_store.pfile]
+        for scheme in self.schemes.values():
+            files.append(scheme.vpage_file)
+            if scheme.index_file is not None:
+                files.append(scheme.index_file)
+        return files
+
     def reset_stats(self) -> None:
         self.light_stats.reset()
         self.heavy_stats.reset()

@@ -18,9 +18,9 @@ from typing import Dict, List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import session_path
 from repro.walkthrough.lodrtree_driver import LodRTreeWalkthrough
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
 SESSION_LABELS = {1: "session 1 (normal)", 2: "session 2 (turning)",
@@ -60,9 +60,7 @@ def run_baseline_comparison(scale: ExperimentScale = MEDIUM, *,
     env = build_experiment_environment(scale)
     rows: Dict[int, Dict[str, List[float]]] = {}
     for number in (1, 2, 3):
-        session = make_session(number, env.scene.bounds(),
-                               num_frames=scale.session_frames,
-                               street_pitch=scale.city.pitch)
+        session = session_path(scale, env, number)
         per_system: Dict[str, List[float]] = {}
 
         visual = VisualSystem(

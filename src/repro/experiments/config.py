@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.hdov_tree import HDoVConfig, HDoVEnvironment, build_environment
+from repro.core.hdov_tree import HDoVConfig, HDoVEnvironment
 from repro.errors import ExperimentError
-from repro.scene.city import CityParams, generate_city
-from repro.visibility.cells import CellGrid
+from repro.obs.replay import build_world
+from repro.scene.city import CityParams
 
 #: The eta values the paper reports (Table 3 plus the Figure 7/8 sweep),
 #: extended by two larger values: our city is ~25x smaller than the
@@ -117,14 +117,8 @@ def build_experiment_environment(scale: ExperimentScale,
     key = (scale.name, scheme_key, compress_vpages)
     env = _ENV_CACHE.get(key)
     if env is None:
-        effective = scale.with_schemes(scheme_key)
-        if compress_vpages:
-            effective = replace(
-                effective,
-                hdov=replace(effective.hdov, compress_vpages=True))
-        scene = generate_city(effective.city)
-        grid = CellGrid.covering(scene.bounds(), effective.cell_size)
-        env = build_environment(scene, grid, effective.hdov)
+        env = build_world(scale, schemes=scheme_key,
+                          compress=compress_vpages)
         _ENV_CACHE[key] = env
     env.reset_stats()
     return env

@@ -20,10 +20,11 @@ from repro.core.search import HDoVSearch
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import session_path
 from repro.geometry.frustum import Camera
 from repro.rtree.cached import CachedNodeStore
 from repro.walkthrough.prefetch import CellPrefetcher
-from repro.walkthrough.session import make_session, street_viewpoints
+from repro.walkthrough.session import street_viewpoints
 
 
 @dataclass
@@ -133,9 +134,7 @@ def run_prefetch_extension(scale: ExperimentScale = MEDIUM
     costs by warm-hit vs miss."""
     env = build_experiment_environment(scale)
     scheme = env.scheme()
-    session = make_session(1, env.scene.bounds(),
-                           num_frames=scale.session_frames,
-                           street_pitch=scale.city.pitch)
+    session = session_path(scale, env, 1)
 
     scheme.current_cell = None
     scheme.drop_prefetches()

@@ -17,8 +17,8 @@ from typing import List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import session_path
 from repro.walkthrough.metrics import FrameTimeStats, frame_time_stats
-from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import (ReviewWalkthrough, VisualSystem,
                                       WalkthroughReport)
 
@@ -55,9 +55,7 @@ def run_figure10a(scale: ExperimentScale = MEDIUM, *,
                   eta: float = 0.001) -> Figure10Result:
     """VISUAL(eta) vs REVIEW(comparable boxes) on session 1."""
     env = build_experiment_environment(scale)
-    session = make_session(1, env.scene.bounds(),
-                           num_frames=scale.session_frames,
-                           street_pitch=scale.city.pitch)
+    session = session_path(scale, env, 1)
     visual = VisualSystem(
         env, eta=eta,
         cache_budget_bytes=scale.visual_cache_budget_bytes)
@@ -75,9 +73,7 @@ def run_figure10b(scale: ExperimentScale = MEDIUM, *,
                   eta_fine: float = 0.0003) -> Figure10Result:
     """VISUAL at two thresholds on session 1."""
     env = build_experiment_environment(scale)
-    session = make_session(1, env.scene.bounds(),
-                           num_frames=scale.session_frames,
-                           street_pitch=scale.city.pitch)
+    session = session_path(scale, env, 1)
     reports = []
     for eta in (eta_fast, eta_fine):
         system = VisualSystem(

@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.walkthrough.session import make_session
+from repro.obs.replay import session_path
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
 SESSION_NUMBERS = (1, 2, 3)
@@ -59,9 +59,7 @@ def run_figure12(scale: ExperimentScale = MEDIUM, *,
     search_ms: Dict[int, List[float]] = {}
     ios: Dict[int, List[float]] = {}
     for number in SESSION_NUMBERS:
-        session = make_session(number, env.scene.bounds(),
-                               num_frames=scale.session_frames,
-                               street_pitch=scale.city.pitch)
+        session = session_path(scale, env, number)
         visual = VisualSystem(
             env, eta=eta, evaluate_fidelity=False,
             cache_budget_bytes=scale.visual_cache_budget_bytes)

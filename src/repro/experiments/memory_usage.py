@@ -15,8 +15,8 @@ from typing import List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import session_path
 from repro.walkthrough.memory import MemoryReport, memory_report
-from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
 
@@ -42,9 +42,7 @@ def run_memory_comparison(scale: ExperimentScale = MEDIUM, *,
                           review_box: float = 400.0
                           ) -> MemoryComparisonResult:
     env = build_experiment_environment(scale)
-    session = make_session(1, env.scene.bounds(),
-                           num_frames=scale.session_frames,
-                           street_pitch=scale.city.pitch)
+    session = session_path(scale, env, 1)
     reports: List[MemoryReport] = []
     for eta in etas:
         system = VisualSystem(

@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence
 from repro.experiments.config import (ETA_SWEEP, ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import session_path
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
 
@@ -53,9 +53,7 @@ class Table3Result:
 def run_table3(scale: ExperimentScale = MEDIUM,
                etas: Sequence[float] = ETA_SWEEP) -> Table3Result:
     env = build_experiment_environment(scale)
-    session = make_session(1, env.scene.bounds(),
-                           num_frames=scale.session_frames,
-                           street_pitch=scale.city.pitch)
+    session = session_path(scale, env, 1)
     rows: List[Table3Row] = []
     for eta in etas:
         system = VisualSystem(

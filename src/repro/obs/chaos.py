@@ -18,17 +18,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.hdov_tree import build_environment
 from repro.errors import ReproError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import _environment_files
-from repro.scene.city import generate_city
-from repro.storage.faults import FaultInjector, named_plan
+from repro.obs.replay import (build_world, injected_faults, load_scale,
+                              replay, session_path)
+from repro.storage.faults import named_plan
 from repro.storage.pagedfile import PagedFile
-from repro.visibility.cells import CellGrid
-from repro.walkthrough.session import make_session
-from repro.walkthrough.visual import VisualSystem, WalkthroughReport
+from repro.walkthrough.visual import WalkthroughReport
 
 
 def _per_file_values(files: List[PagedFile],
@@ -76,58 +73,38 @@ def run_chaos(*, scale: str = "small", session: int = 1,
         and torn writes land on compressed records (which must degrade,
         never decode garbage).
     """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from dataclasses import replace
-
-    from repro.experiments.config import get_scale
-
     fault_plan = named_plan(plan)
-    experiment = get_scale(scale)
-    hdov = experiment.hdov
-    if compress:
-        hdov = replace(hdov, compress_vpages=True)
+    experiment = load_scale(scale)
     registry = MetricsRegistry()
     with use_registry(registry):
-        scene = generate_city(experiment.city)
-        grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-        env = build_environment(scene, grid, hdov)
-        num_frames = frames if frames is not None \
-            else experiment.session_frames
-        path = make_session(session, scene.bounds(), num_frames=num_frames,
-                            street_pitch=experiment.city.pitch)
+        env = build_world(experiment, compress=compress)
+        path = session_path(experiment, env, session, frames)
 
         # Clean replay first: the fidelity baseline, and — because it
         # runs before the injector exists — it cannot consume injector
         # randomness, so the fault sequence depends only on the seed
         # and the (deterministic) faulted workload.
-        clean_system = VisualSystem(
-            env, eta=eta, scheme=scheme,
-            cache_budget_bytes=experiment.visual_cache_budget_bytes)
-        clean = clean_system.run(path)
+        clean_system, clean = replay(experiment, env, path, eta=eta,
+                                     scheme=scheme)
 
         # The faulted replay starts from the same cold state.
         active = clean_system.delta.search.scheme
         active.reset_runtime_state()
         env.reset_stats()
 
-        files = _environment_files(env)
-        injector = FaultInjector(fault_plan, seed=seed)
-        injector.install(*files)
+        files = env.files()
         error: Optional[str] = None
         faulted: Optional[WalkthroughReport] = None
-        try:
-            faulted_system = VisualSystem(
-                env, eta=eta, scheme=scheme,
-                cache_budget_bytes=experiment.visual_cache_budget_bytes)
-            faulted = faulted_system.run(path)
-        except ReproError as exc:
-            # Only a fault the degradation ladder cannot absorb (an
-            # unreadable R-tree node, a give-up outside a V-page read)
-            # lands here; the report says so instead of crashing.
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            injector.uninstall()
+        with injected_faults(env, fault_plan, seed) as injector:
+            try:
+                _, faulted = replay(experiment, env, path, eta=eta,
+                                    scheme=scheme)
+            except ReproError as exc:
+                # Only a fault the degradation ladder cannot absorb (an
+                # unreadable R-tree node, a give-up outside a V-page
+                # read) lands here; the report says so instead of
+                # crashing.
+                error = f"{type(exc).__name__}: {exc}"
 
         completed = faulted is not None
         frames_survived = len(faulted.frames) if faulted is not None else 0
@@ -141,7 +118,7 @@ def run_chaos(*, scale: str = "small", session: int = 1,
                 "session": path.name,
                 "eta": eta,
                 "scheme": active.name,
-                "frames": num_frames,
+                "frames": path.num_frames,
                 "plan": fault_plan.name,
                 "seed": seed,
                 "compress": compress,
@@ -149,7 +126,7 @@ def run_chaos(*, scale: str = "small", session: int = 1,
             "outcome": {
                 "completed": completed,
                 "error": error,
-                "frames_total": num_frames,
+                "frames_total": path.num_frames,
                 "frames_survived": frames_survived,
             },
             "faults": {

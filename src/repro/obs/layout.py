@@ -26,20 +26,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.hdov_tree import HDoVEnvironment, build_environment
+from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.search import HDoVSearch
 from repro.errors import ExperimentError
-from repro.scene.city import generate_city
+from repro.obs.replay import build_world, load_scale, session_path
 from repro.storage.disk import IOStats
 from repro.storage.layout import (RewriteReport, affinity_graph,
                                   rewrite_scheme, tour_order)
-from repro.visibility.cells import CellGrid
 from repro.visibility.persist import visibility_digest
-from repro.visibility.precompute import precompute_visibility
-from repro.walkthrough.session import Session, make_session
 
 #: Schemes the rewriter supports end to end.  The horizontal scheme can
 #: carry a layout remap too, but its all-cells-interleaved page formula
@@ -68,52 +66,39 @@ def _selection_signature(result: object) -> List[object]:
     return [objects, internals]
 
 
-def _replay(env: HDoVEnvironment, scheme_name: str, path: Session,
-            eta: float) -> ReplayResult:
-    """Walk ``path`` once, querying on cell change, from cold state."""
+def _replay(env: HDoVEnvironment, scheme_name: str,
+            cell_trace: Sequence[int], eta: float) -> ReplayResult:
+    """Walk the per-frame ``cell_trace`` once, from cold state, with a
+    full (not delta) query at every cell change."""
     scheme = env.scheme(scheme_name)
     scheme.reset_runtime_state()
     env.reset_stats()
     searcher = HDoVSearch(env, scheme_name)
     signatures: List[object] = []
-    back_seeks_per_frame: List[int] = []
-    queries = 0
-    last_cell: Optional[int] = None
-    for waypoint in path:
-        cell_id = env.grid.cell_of_point(waypoint.position_array())
-        snap = env.snapshot()
-        if cell_id != last_cell:
-            result = searcher.query_cell(cell_id, eta)
-            queries += 1
-            signatures.append([cell_id, _selection_signature(result)])
-            last_cell = cell_id
-        light, heavy = env.delta(snap)
-        back_seeks_per_frame.append(light.back_seeks + heavy.back_seeks)
+    for cell_id, _frames in groupby(cell_trace):
+        result = searcher.query_cell(cell_id, eta)
+        signatures.append([cell_id, _selection_signature(result)])
     digest = hashlib.sha256(
         json.dumps(signatures, separators=(",", ":")).encode()).hexdigest()
-    light_total = env.light_stats.snapshot()
-    heavy_total = env.heavy_stats.snapshot()
+    light = env.light_stats.snapshot()
+    heavy = env.heavy_stats.snapshot()
     return ReplayResult(
-        frames=path.num_frames, queries=queries,
-        light=light_total, heavy=heavy_total,
-        selection_digest=digest,
-        per_frame_back_seeks=(
-            sum(back_seeks_per_frame) / len(back_seeks_per_frame)
-            if back_seeks_per_frame else 0.0),
+        frames=len(cell_trace), queries=len(signatures),
+        light=light, heavy=heavy, selection_digest=digest,
+        # No I/O happens between queries, so the mean of the per-frame
+        # deltas is the total over the frame count.
+        per_frame_back_seeks=((light.back_seeks + heavy.back_seeks)
+                              / len(cell_trace)),
     )
 
 
 def _replay_dict(replay: ReplayResult) -> Dict[str, object]:
     def stats(io: IOStats) -> Dict[str, float]:
-        return {
-            "reads": io.reads,
-            "seeks": io.seeks,
-            "back_seeks": io.back_seeks,
-            "forward_seeks": io.forward_seeks,
-            "sequential_reads": io.sequential_reads,
-            "bytes_read": io.bytes_read,
-            "simulated_ms": round(io.simulated_ms, 6),
-        }
+        # Replays only read; the write counters would be constant zeros.
+        fields = io.to_dict()
+        del fields["writes"], fields["bytes_written"]
+        fields["simulated_ms"] = round(io.simulated_ms, 6)
+        return fields
     return {
         "frames": replay.frames,
         "queries": replay.queries,
@@ -141,27 +126,22 @@ def run_layout(*, scale: str = "small", session: int = 4,
     Returns the JSON-ready report; ``report["ok"]`` is the conjunction
     of every structural check.
     """
-    # Imported here: the library layers must not depend on the
-    # experiment drivers at import time.
-    from repro.experiments.config import get_scale
-
     for name in schemes:
         if name not in DEFAULT_SCHEMES:
             raise ExperimentError(
                 f"layout rewriting measures {DEFAULT_SCHEMES}, "
                 f"not {name!r}")
 
-    experiment = get_scale(scale)
-    scene = generate_city(experiment.city)
-    grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-    visibility = precompute_visibility(
-        scene, grid, resolution=experiment.hdov.dov_resolution,
-        samples_per_cell=experiment.hdov.samples_per_cell)
-    vis_digest = visibility_digest(visibility)
+    if not schemes:
+        raise ExperimentError("layout rewriting needs a scheme to measure")
 
-    num_frames = frames if frames is not None else experiment.session_frames
-    path = make_session(session, scene.bounds(), num_frames=num_frames,
-                        street_pitch=experiment.city.pitch)
+    experiment = load_scale(scale)
+    # One dataset: the first measured world also supplies the scene,
+    # grid and visibility table that every later variant is built
+    # `like`, so the variants provably share their ground truth.
+    dataset = build_world(experiment, schemes=(schemes[0],))
+    grid = dataset.grid
+    path = session_path(experiment, dataset, session, frames)
     cell_trace = [grid.cell_of_point(wp.position_array())
                   for wp in path]
     neighbors = {cid: grid.neighbors(cid) for cid in grid.cell_ids()}
@@ -169,25 +149,25 @@ def run_layout(*, scale: str = "small", session: int = 4,
                       affinity_graph(cell_trace, neighbors))
 
     def fresh_env(scheme_name: str, compress: bool) -> HDoVEnvironment:
-        hdov = replace(experiment.hdov, schemes=(scheme_name,),
-                       compress_vpages=compress)
-        return build_environment(scene, grid, hdov, visibility=visibility)
+        return build_world(experiment, schemes=(scheme_name,),
+                           compress=compress, like=dataset)
 
     scheme_reports: Dict[str, Dict[str, object]] = {}
     all_ok = True
-    for scheme_name in schemes:
-        env = fresh_env(scheme_name, compress=False)
-        baseline = _replay(env, scheme_name, path, eta)
+    for index, scheme_name in enumerate(schemes):
+        env = (dataset if index == 0
+               else fresh_env(scheme_name, compress=False))
+        baseline = _replay(env, scheme_name, cell_trace, eta)
         rewrite = rewrite_scheme(env.scheme(scheme_name), tour)
-        rewritten = _replay(env, scheme_name, path, eta)
+        rewritten = _replay(env, scheme_name, cell_trace, eta)
 
         env_packed = fresh_env(scheme_name, compress=True)
-        compressed = _replay(env_packed, scheme_name, path, eta)
+        compressed = _replay(env_packed, scheme_name, cell_trace, eta)
         compression = env_packed.scheme(scheme_name).codec \
             .compression_stats()
         rewrite_packed = rewrite_scheme(env_packed.scheme(scheme_name),
                                         tour)
-        compressed_rewritten = _replay(env_packed, scheme_name, path, eta)
+        compressed_rewritten = _replay(env_packed, scheme_name, cell_trace, eta)
 
         variants = (baseline, rewritten, compressed, compressed_rewritten)
         checks = {
@@ -229,11 +209,11 @@ def run_layout(*, scale: str = "small", session: int = 4,
             "scale": scale,
             "session": path.name,
             "eta": eta,
-            "frames": num_frames,
+            "frames": path.num_frames,
             "cells": grid.num_cells,
             "tour_head": list(tour[:16]),
         },
-        "visibility_digest": vis_digest,
+        "visibility_digest": visibility_digest(dataset.visibility),
         "schemes": scheme_reports,
         "ok": all_ok,
     }

@@ -23,49 +23,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.hdov_tree import HDoVEnvironment, build_environment
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.replay import (build_world, load_scale, replay,
+                              session_path, unbalanced_fields)
 from repro.obs.trace import TraceRecorder, span, use_tracer
-from repro.scene.city import generate_city
 from repro.storage.disk import IOStats
 from repro.storage.pagedfile import PagedFile
-from repro.visibility.cells import CellGrid
-from repro.walkthrough.session import make_session
-from repro.walkthrough.visual import VisualSystem
-
-#: Relative tolerance for reconciling floating simulated-ms sums;
-#: integer counters must match exactly.
-_MS_RTOL = 1e-9
-
-
-def _iostats_dict(stats: IOStats) -> Dict[str, float]:
-    return {
-        "reads": stats.reads,
-        "writes": stats.writes,
-        "seeks": stats.seeks,
-        "back_seeks": stats.back_seeks,
-        "forward_seeks": stats.forward_seeks,
-        "sequential_reads": stats.sequential_reads,
-        "bytes_read": stats.bytes_read,
-        "bytes_written": stats.bytes_written,
-        "simulated_ms": stats.simulated_ms,
-    }
 
 
 def _metric_sum(registry: MetricsRegistry, name: str) -> float:
     """Total of one counter across all its label series (0.0 if none)."""
     return sum(inst.value for inst in registry.series(name).values())
-
-
-def _environment_files(env: HDoVEnvironment) -> List[PagedFile]:
-    """Every paged file the environment charges I/O through."""
-    files = [env.node_store.pfile, env.object_store.pfile]
-    for scheme in env.schemes.values():
-        files.append(scheme.vpage_file)
-        if scheme.index_file is not None:
-            files.append(scheme.index_file)
-    return files
 
 
 def _per_file_io(registry: MetricsRegistry, baseline: Dict[str, float],
@@ -108,23 +77,15 @@ def reconcile(per_file: Dict[str, Dict[str, float]],
         group = groups.setdefault(id(pfile.stats), {
             "stats": name_of_stats.get(id(pfile.stats), "unknown"),
             "files": [],
-            "counted": {k: 0.0 for k in _iostats_dict(IOStats())},
-            "expected": _iostats_dict(pfile.stats),
+            "counted": dict.fromkeys(IOStats().to_dict(), 0.0),
+            "expected": pfile.stats.to_dict(),
         })
         group["files"].append(pfile.name)
         for field, value in per_file[pfile.name].items():
             group["counted"][field] += value
 
-    ok = True
-    for group in groups.values():
-        for field, expected in group["expected"].items():
-            counted = group["counted"][field]
-            if field == "simulated_ms":
-                tolerance = _MS_RTOL * max(abs(expected), 1.0)
-                if abs(counted - expected) > tolerance:
-                    ok = False
-            elif counted != expected:
-                ok = False
+    ok = not any(unbalanced_fields(group["counted"], group["expected"])
+                 for group in groups.values())
     return {"ok": ok, "groups": list(groups.values())}
 
 
@@ -156,23 +117,13 @@ def run_profile(*, scale: str = "small", session: int = 1,
         Also embed the full span list (one record per frame/query) in
         the report, not just the per-name summary.
     """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from dataclasses import replace
-
-    from repro.experiments.config import get_scale
-
-    experiment = get_scale(scale)
-    hdov = experiment.hdov
-    if compress:
-        hdov = replace(hdov, compress_vpages=True)
+    experiment = load_scale(scale)
     registry = MetricsRegistry()
     tracer = TraceRecorder(enabled=True)
     with use_registry(registry), use_tracer(tracer):
         with span("build") as build_span:
-            scene = generate_city(experiment.city)
-            grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-            env = build_environment(scene, grid, hdov)
+            env = build_world(experiment, compress=compress)
+            scene, grid = env.scene, env.grid
             if build_span is not None:
                 build_span.attrs.update(objects=len(scene),
                                         nodes=env.node_store.num_nodes,
@@ -182,17 +133,12 @@ def run_profile(*, scale: str = "small", session: int = 1,
         # exactly the walkthrough that follows.
         baseline = registry.snapshot()
 
-        num_frames = frames if frames is not None \
-            else experiment.session_frames
-        path = make_session(session, scene.bounds(), num_frames=num_frames,
-                            street_pitch=experiment.city.pitch)
-        system = VisualSystem(
-            env, eta=eta, scheme=scheme,
-            cache_budget_bytes=experiment.visual_cache_budget_bytes)
+        path = session_path(experiment, env, session, frames)
         with span("walkthrough", session=path.name):
-            report = system.run(path)
+            system, report = replay(experiment, env, path, eta=eta,
+                                    scheme=scheme)
 
-        files = _environment_files(env)
+        files = env.files()
         per_file = _per_file_io(registry, baseline, files)
         reconciliation = reconcile(per_file, files, {
             "light": env.light_stats, "heavy": env.heavy_stats})
@@ -208,7 +154,7 @@ def run_profile(*, scale: str = "small", session: int = 1,
                 "session": path.name,
                 "eta": eta,
                 "scheme": active_scheme.name,
-                "frames": num_frames,
+                "frames": path.num_frames,
                 "compress": compress,
             },
             "scene": {
@@ -239,8 +185,8 @@ def run_profile(*, scale: str = "small", session: int = 1,
             "io": {
                 "files": per_file,
                 "totals": {
-                    "light": _iostats_dict(env.light_stats),
-                    "heavy": _iostats_dict(env.heavy_stats),
+                    "light": env.light_stats.to_dict(),
+                    "heavy": env.heavy_stats.to_dict(),
                 },
                 "reconciled": reconciliation["ok"],
                 "reconciliation": reconciliation["groups"],

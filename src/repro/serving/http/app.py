@@ -44,6 +44,7 @@ from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, ServiceOverloadedError, WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.replay import build_world, load_scale
 from repro.serving.service import session_env, session_report
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
@@ -372,21 +373,11 @@ def build_service(*, scale: str = "small", eta: float = 0.001,
     Build I/O is reset out of the serving ledger, exactly as
     ``run_serve`` does, so the first session's frames start from zero.
     """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from repro.core.hdov_tree import build_environment
-    from repro.experiments.config import get_scale
-    from repro.scene.city import generate_city
-    from repro.visibility.cells import CellGrid
-
     if pool_pages < 0:
         raise WalkthroughError(
             f"pool_pages must be >= 0, got {pool_pages}")
-    experiment = get_scale(scale)
-    scene = generate_city(experiment.city)
-    grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-    env = build_environment(scene, grid, experiment.hdov)
-    env.reset_stats()
+    experiment = load_scale(scale)
+    env = build_world(experiment)
     pool = (BufferPool(pool_pages, name="http")
             if pool_pages > 0 else None)
     num_frames = (frames if frames is not None

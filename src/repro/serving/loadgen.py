@@ -38,11 +38,11 @@ import numpy as np
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
-from repro.obs.profile import _environment_files
+from repro.obs.replay import injected_faults
 from repro.serving.http.app import (HttpRequest, WalkthroughApp,
                                     build_service)
 from repro.serving.http.stats import latency_summary
-from repro.storage.faults import FaultInjector, named_plan
+from repro.storage.faults import named_plan
 
 #: Virtual milliseconds between steps when a frame reports a simulated
 #: time of zero (nothing re-queried, no I/O): a client still renders at
@@ -107,19 +107,13 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
             pool_pages=pool_pages, max_active=max_active,
             frame_budget_ms=frame_budget_ms)
         app = WalkthroughApp(service)
-        injector: Optional[FaultInjector] = None
-        if fault_plan is not None:
-            injector = FaultInjector(fault_plan, seed=fault_seed)
-            injector.install(*_environment_files(service.env))
         started = time.perf_counter()
-        try:
+        with injected_faults(service.env, fault_plan,
+                             fault_seed) as injector:
             outcome = asyncio.run(_drive(app, sessions=sessions,
                                          seed=seed,
                                          arrival_rate=arrival_rate,
                                          hot_fraction=hot_fraction))
-        finally:
-            if injector is not None:
-                injector.uninstall()
         elapsed_s = time.perf_counter() - started
 
         report: Dict[str, object] = {
@@ -150,7 +144,7 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
                 "http_latency_ms": app.collector.wall_latency(),
             },
         }
-        if injector is not None:
+        if fault_plan is not None:
             report["faults"] = {
                 "injected": dict(sorted(injector.injected.items())),
                 "total_injected": injector.total_injected(),

@@ -138,8 +138,8 @@ class ServingPrefetcher:
                 self._issue_cell(cell_id, scheme)
         finally:
             light, heavy = self.env.delta(snap)
-            self._accumulate(self.light_total, light)
-            self._accumulate(self.heavy_total, heavy)
+            self.light_total += light
+            self.heavy_total += heavy
 
     def _issue_cell(self, cell_id: int, scheme: StorageScheme) -> None:
         index_file = scheme.index_file
@@ -171,18 +171,6 @@ class ServingPrefetcher:
                                   reader=_prefetch_reader):
                 self.vpages_issued += 1
                 issued += 1
-
-    @staticmethod
-    def _accumulate(total: IOStats, delta: IOStats) -> None:
-        total.reads += delta.reads
-        total.writes += delta.writes
-        total.seeks += delta.seeks
-        total.back_seeks += delta.back_seeks
-        total.forward_seeks += delta.forward_seeks
-        total.sequential_reads += delta.sequential_reads
-        total.bytes_read += delta.bytes_read
-        total.bytes_written += delta.bytes_written
-        total.simulated_ms += delta.simulated_ms
 
     # -- reporting ------------------------------------------------------------
 

@@ -23,28 +23,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.hdov_tree import HDoVEnvironment, build_environment
+from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import _environment_files
-from repro.scene.city import generate_city
+from repro.obs.replay import (build_world, injected_faults, load_scale,
+                              session_path, unbalanced_fields)
 from repro.serving.pooled import PooledNodeStore
 from repro.serving.prefetch import ServingPrefetcher
 from repro.serving.scheduler import SessionScheduler
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
-from repro.storage.faults import FaultInjector, named_plan
-from repro.visibility.cells import CellGrid
+from repro.storage.faults import named_plan
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.session import make_session
-
-#: Relative tolerance for simulated-ms reconciliation: per-session ms
-#: are telescoping float differences of the shared clock, so their sum
-#: can drift from the total by rounding ulps (the integer I/O counts
-#: must balance exactly).
-_MS_RTOL = 1e-9
 
 
 def session_env(env: HDoVEnvironment,
@@ -64,23 +56,6 @@ def session_env(env: HDoVEnvironment,
     node_store = (PooledNodeStore(env.node_store, pool)
                   if pool is not None else env.node_store)
     return replace(env, schemes=schemes, node_store=node_store)
-
-
-def _stats_dict(stats: IOStats) -> Dict[str, object]:
-    return {
-        "reads": stats.reads,
-        "writes": stats.writes,
-        "seeks": stats.seeks,
-        "sequential_reads": stats.sequential_reads,
-        "bytes_read": stats.bytes_read,
-        "bytes_written": stats.bytes_written,
-        "simulated_ms": stats.simulated_ms,
-    }
-
-
-def _ms_close(total: float, parts: float) -> bool:
-    scale = max(abs(total), abs(parts), 1.0)
-    return abs(total - parts) <= _MS_RTOL * scale
 
 
 def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
@@ -136,17 +111,13 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         Emit the full per-session ``frame_ms`` series (the CI diff
         wants maximum surface; benchmarks may turn it off).
     """
-    # Imported here: repro.experiments pulls in every experiment driver,
-    # which the library layers must not depend on at import time.
-    from repro.experiments.config import get_scale
-
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
     if pool_pages < 0:
         raise WalkthroughError(
             f"pool_pages must be >= 0, got {pool_pages}")
     fault_plan = named_plan(plan) if plan is not None else None
-    experiment = get_scale(scale)
+    experiment = load_scale(scale)
     effective_policy = (policy if policy is not None
                         else experiment.serving_policy)
     effective_prefetch = (prefetch if prefetch is not None
@@ -160,11 +131,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                 "prefetch needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
-        scene = generate_city(experiment.city)
-        grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-        env = build_environment(scene, grid, experiment.hdov)
-        num_frames = (frames if frames is not None
-                      else experiment.session_frames)
+        env = build_world(experiment)
         pool = (BufferPool(pool_pages, name="serving",
                            policy=effective_policy)
                 if pool_pages > 0 else None)
@@ -179,9 +146,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         served: List[ServingSession] = []
         for session_id in range(sessions):
             pattern = int(rng.integers(1, 4))
-            path = make_session(pattern, scene.bounds(),
-                                num_frames=num_frames,
-                                street_pitch=experiment.city.pitch)
+            path = session_path(experiment, env, pattern, frames)
             view = session_env(env, pool)
             served.append(ServingSession(
                 session_id, path, view, eta=eta, scheme=scheme,
@@ -192,25 +157,18 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         # Build I/O stays out of the serving ledger.
         env.reset_stats()
 
-        files = _environment_files(env)
-        injector: Optional[FaultInjector] = None
-        if fault_plan is not None:
-            injector = FaultInjector(fault_plan, seed=fault_seed)
-            injector.install(*files)
         scheduler = SessionScheduler(served, workers=workers,
                                      max_active=max_active,
                                      frame_budget_ms=frame_budget_ms,
                                      prefetcher=prefetcher)
         error: Optional[str] = None
-        try:
-            scheduler.run()
-        except ReproError as exc:
-            # Only a fault the degradation ladder cannot absorb lands
-            # here; the report says so instead of crashing.
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if injector is not None:
-                injector.uninstall()
+        with injected_faults(env, fault_plan, fault_seed) as injector:
+            try:
+                scheduler.run()
+            except ReproError as exc:
+                # Only a fault the degradation ladder cannot absorb
+                # lands here; the report says so instead of crashing.
+                error = f"{type(exc).__name__}: {exc}"
 
         completed = error is None
         report: Dict[str, object] = {
@@ -221,7 +179,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                 "seed": seed,
                 "eta": eta,
                 "scheme": served[0].delta.search.scheme.name,
-                "frames": num_frames,
+                "frames": served[0].path.num_frames,
                 "max_active": scheduler.max_active,
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
@@ -243,7 +201,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                          if prefetcher is not None else None),
             "reconciliation": _reconcile(env, served, pool, prefetcher),
         }
-        if injector is not None:
+        if fault_plan is not None:
             report["faults"] = {
                 "injected": dict(sorted(injector.injected.items())),
                 "total_injected": injector.total_injected(),
@@ -263,8 +221,8 @@ def session_report(session: ServingSession,
         "degraded_frames": session.degraded_frames(),
         "overload_degraded": session.overload_degraded,
         "admission_wait_rounds": session.admission_wait_rounds,
-        "light": _stats_dict(session.light_total),
-        "heavy": _stats_dict(session.heavy_total),
+        "light": session.light_total.to_dict(),
+        "heavy": session.heavy_total.to_dict(),
         "pool": {
             "hits": session.pool_hits,
             "misses": session.pool_misses,
@@ -316,46 +274,29 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     """
     sum_light = IOStats()
     sum_heavy = IOStats()
-    parts_light = [session.light_total for session in served]
-    parts_heavy = [session.heavy_total for session in served]
+    for session in served:
+        sum_light += session.light_total
+        sum_heavy += session.heavy_total
     if prefetcher is not None:
-        parts_light.append(prefetcher.light_total)
-        parts_heavy.append(prefetcher.heavy_total)
-    for total, parts in ((sum_light, parts_light),
-                         (sum_heavy, parts_heavy)):
-        for part in parts:
-            total.reads += part.reads
-            total.writes += part.writes
-            total.seeks += part.seeks
-            total.sequential_reads += part.sequential_reads
-            total.bytes_read += part.bytes_read
-            total.bytes_written += part.bytes_written
-            total.simulated_ms += part.simulated_ms
-    light_ok = (sum_light.reads == env.light_stats.reads
-                and sum_light.writes == env.light_stats.writes
-                and sum_light.seeks == env.light_stats.seeks
-                and sum_light.sequential_reads
-                == env.light_stats.sequential_reads
-                and sum_light.bytes_read == env.light_stats.bytes_read)
-    heavy_ok = (sum_heavy.reads == env.heavy_stats.reads
-                and sum_heavy.writes == env.heavy_stats.writes
-                and sum_heavy.bytes_read == env.heavy_stats.bytes_read)
-    ms_ok = (_ms_close(env.light_stats.simulated_ms,
-                       sum_light.simulated_ms)
-             and _ms_close(env.heavy_stats.simulated_ms,
-                           sum_heavy.simulated_ms))
+        sum_light += prefetcher.light_total
+        sum_heavy += prefetcher.heavy_total
+    light_off = unbalanced_fields(sum_light.to_dict(),
+                                  env.light_stats.to_dict())
+    heavy_off = unbalanced_fields(sum_heavy.to_dict(),
+                                  env.heavy_stats.to_dict())
     result: Dict[str, object] = {
-        "light_sessions": _stats_dict(sum_light),
-        "light_environment": _stats_dict(env.light_stats),
-        "heavy_sessions": _stats_dict(sum_heavy),
-        "heavy_environment": _stats_dict(env.heavy_stats),
-        "light_ios_balanced": light_ok,
-        "heavy_ios_balanced": heavy_ok,
-        "simulated_ms_balanced": ms_ok,
+        "light_sessions": sum_light.to_dict(),
+        "light_environment": env.light_stats.to_dict(),
+        "heavy_sessions": sum_heavy.to_dict(),
+        "heavy_environment": env.heavy_stats.to_dict(),
+        "light_ios_balanced": set(light_off) <= {"simulated_ms"},
+        "heavy_ios_balanced": set(heavy_off) <= {"simulated_ms"},
+        "simulated_ms_balanced":
+            "simulated_ms" not in light_off + heavy_off,
     }
     if prefetcher is not None:
-        result["prefetch_light"] = _stats_dict(prefetcher.light_total)
-        result["prefetch_heavy"] = _stats_dict(prefetcher.heavy_total)
+        result["prefetch_light"] = prefetcher.light_total.to_dict()
+        result["prefetch_heavy"] = prefetcher.heavy_total.to_dict()
     if pool is not None:
         result["pool_balanced"] = (
             sum(s.pool_hits for s in served) == pool.hits

@@ -1,9 +1,10 @@
 """One served walkthrough session, advanced frame by frame.
 
-:class:`ServingSession` mirrors the frame body of
+:class:`ServingSession` runs the frame body of
 :class:`~repro.walkthrough.visual.VisualSystem` (query on cell change,
-delta fetch, frame-time model) but exposes it as a ``step()`` the
-scheduler drives one frame at a time, in *two phases*:
+delta fetch, frame-time model) — the same method, not a copy — but
+exposes it as a ``step()`` the scheduler drives one frame at a time, in
+*two phases*:
 
 * **phase 1 — query + accounting** (``step``): runs serialized by the
   scheduler, in ascending session id.  All I/O, all shared-clock
@@ -25,39 +26,19 @@ at full quality.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from typing import TYPE_CHECKING
-
-from repro.core.delta import DeltaSearch
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.core.search import HDoVSearch, SearchResult
+from repro.storage.buffer import BufferPool
+from repro.walkthrough.frame import FrameModel
+from repro.walkthrough.session import Session
+from repro.walkthrough.visual import VisualSystem
 
 if TYPE_CHECKING:
     from repro.serving.prefetch import ServingPrefetcher
-from repro.obs import names
-from repro.obs.metrics import get_registry
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import IOStats
-from repro.walkthrough.frame import FrameModel, FrameRecord
-from repro.walkthrough.metrics import FidelityMetric
-from repro.walkthrough.session import Session
 
 
-def _accumulate(total: IOStats, delta: IOStats) -> None:
-    total.reads += delta.reads
-    total.writes += delta.writes
-    total.seeks += delta.seeks
-    total.back_seeks += delta.back_seeks
-    total.forward_seeks += delta.forward_seeks
-    total.sequential_reads += delta.sequential_reads
-    total.bytes_read += delta.bytes_read
-    total.bytes_written += delta.bytes_written
-    total.simulated_ms += delta.simulated_ms
-
-
-class ServingSession:
+class ServingSession(VisualSystem):
     """A recorded path replayed one frame per scheduler round.
 
     Parameters
@@ -82,35 +63,19 @@ class ServingSession:
                  cache_budget_bytes: Optional[int] = None,
                  evaluate_fidelity: bool = True,
                  prefetcher: Optional["ServingPrefetcher"] = None) -> None:
+        super().__init__(env, eta=eta, scheme=scheme,
+                         frame_model=frame_model,
+                         evaluate_fidelity=evaluate_fidelity,
+                         cache_budget_bytes=cache_budget_bytes)
         self.session_id = session_id
         self.path = path
-        self.env = env
-        self.eta = eta
         self.pool = pool
         self.prefetcher = prefetcher
-        self.frame_model = frame_model or FrameModel()
-        self.evaluate_fidelity = evaluate_fidelity
-        searcher = HDoVSearch(env, scheme, fetch_models=False)
-        self.delta = DeltaSearch(searcher,
-                                 cache_budget_bytes=cache_budget_bytes)
-        self._fidelity = FidelityMetric(env)
-        self.frames: List[FrameRecord] = []
         self.next_frame = 0
-        self.queries = 0
-        self.overload_degraded = 0
         self.admission_wait_rounds = 0
-        self.last_frame_ms = 0.0
-        #: Per-session I/O attribution, exact: deltas of the shared
-        #: stats taken around this session's serialized phase 1.
-        self.light_total = IOStats()
-        self.heavy_total = IOStats()
         self.pool_hits = 0
         self.pool_misses = 0
         self.pool_coalesced = 0
-        self._last_cell: Optional[int] = None
-        self._last_result: Optional[SearchResult] = None
-        self._last_fidelity = float("nan")
-        self._last_degraded = 0
 
     @property
     def done(self) -> bool:
@@ -126,75 +91,26 @@ class ServingSession:
         shared-clock and shared-pool deltas taken here attribute every
         charge of this frame to this session.
         """
-        if self.done:
+        waypoints = self.path.waypoints
+        if self.next_frame >= len(waypoints):
             return None
-        waypoint = self.path.waypoints[self.next_frame]
-        position = waypoint.position_array()
-        cell_id = self.env.grid.cell_of_point(position)
-        snap = self.env.snapshot()
+        position = waypoints[self.next_frame].position_array()
         pool = self.pool
         if pool is not None:
             hits0, misses0 = pool.hits, pool.misses
             coalesced0 = pool.coalesced
-        queried = cell_id != self._last_cell or self._last_result is None
-        thunk: Optional[Callable[[], float]] = None
-        if queried:
-            self.queries += 1
-            if shed_load and self._last_result is not None:
-                # Over budget: answer from the root's internal LoD and
-                # force a full re-query next frame.  (The very first
-                # frame always runs a full query — there is nothing
-                # coarser to show yet.)
-                result = self.delta.query_cell_degraded(cell_id, self.eta)
-                self.overload_degraded += 1
-                get_registry().counter(
-                    names.SERVING_OVERLOAD_DEGRADED).inc()
-                self._last_cell = None
-            else:
-                result = self.delta.query_cell(cell_id, self.eta)
-                self._last_cell = cell_id
-            self._last_result = result
-            self._last_degraded = result.degraded
-            if self.evaluate_fidelity:
-                thunk = partial(self._fidelity.score_hdov, result)
-        light, heavy = self.env.delta(snap)
-        _accumulate(self.light_total, light)
-        _accumulate(self.heavy_total, heavy)
+        thunk = self._frame(self.next_frame, position,
+                            shed_load=shed_load, defer_scoring=True)
         if pool is not None:
             self.pool_hits += pool.hits - hits0
             self.pool_misses += pool.misses - misses0
             self.pool_coalesced += pool.coalesced - coalesced0
-        io_ms = light.simulated_ms + heavy.simulated_ms
-        assert self._last_result is not None
-        polygons = self._last_result.total_polygons
-        if self._last_degraded:
-            # Created lazily (and fetched per call, not cached):
-            # degradation-free runs register no series, and registry
-            # swaps by `repro serve` / `repro profile` stay safe.
-            get_registry().counter(names.FRAMES_DEGRADED).inc()
-        frame_ms = self.frame_model.frame_ms(io_ms, polygons)
-        self.frames.append(FrameRecord(
-            frame_index=self.next_frame,
-            cell_id=cell_id,
-            io_ms=io_ms,
-            light_ios=light.total_ios,
-            heavy_ios=heavy.total_ios,
-            polygons=polygons,
-            frame_ms=frame_ms,
-            search_ms=io_ms,
-            fidelity=self._last_fidelity,
-            resident_bytes=(self.delta.resident_bytes
-                            + self.delta.search.scheme.resident_bytes()),
-            degraded=self._last_degraded,
-            back_seeks=light.back_seeks + heavy.back_seeks,
-            forward_seeks=light.forward_seeks + heavy.forward_seeks,
-        ))
-        self.last_frame_ms = frame_ms
         self.next_frame += 1
         if self.prefetcher is not None:
             # Planning only (no I/O): runs after the accounting window
             # closes, so the session's ledger never sees prefetch work.
-            self.prefetcher.observe(self.session_id, cell_id, position,
+            self.prefetcher.observe(self.session_id,
+                                    self.frames[-1].cell_id, position,
                                     self.delta.search.scheme)
         return thunk
 

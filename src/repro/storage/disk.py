@@ -26,8 +26,8 @@ are new information, not a re-pricing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
 
 @dataclass
@@ -78,6 +78,23 @@ class IOStats:
             back_seeks=self.back_seeks - since.back_seeks,
             forward_seeks=self.forward_seeks - since.forward_seeks,
         )
+
+    def __iadd__(self, other: "IOStats") -> "IOStats":
+        """Accumulate another ledger (or a ``delta()``) into this one."""
+        self.reads += other.reads
+        self.writes += other.writes
+        self.seeks += other.seeks
+        self.sequential_reads += other.sequential_reads
+        self.bytes_read += other.bytes_read
+        self.bytes_written += other.bytes_written
+        self.simulated_ms += other.simulated_ms
+        self.back_seeks += other.back_seeks
+        self.forward_seeks += other.forward_seeks
+        return self
+
+    def to_dict(self) -> Dict[str, float]:
+        """Every counter by field name — the JSON form of all reports."""
+        return asdict(self)
 
     def reset(self) -> None:
         self.reads = 0

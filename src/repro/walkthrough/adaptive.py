@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.core.search import HDoVSearch
-from repro.core.delta import DeltaSearch
 from repro.errors import WalkthroughError
-from repro.walkthrough.frame import FrameModel, FrameRecord
+from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.session import Session
-from repro.walkthrough.visual import WalkthroughReport
+from repro.walkthrough.visual import VisualSystem, WalkthroughReport
 
 
 @dataclass
@@ -66,7 +64,7 @@ class EtaController:
         return float(min(max(eta * factor, self.eta_min), self.eta_max))
 
 
-class AdaptiveVisualSystem:
+class AdaptiveVisualSystem(VisualSystem):
     """VISUAL with per-frame eta adaptation."""
 
     def __init__(self, env: HDoVEnvironment, controller: EtaController, *,
@@ -74,48 +72,27 @@ class AdaptiveVisualSystem:
                  scheme: Optional[str] = None,
                  frame_model: Optional[FrameModel] = None,
                  cache_budget_bytes: Optional[int] = None) -> None:
-        self.env = env
+        super().__init__(env, eta=initial_eta, scheme=scheme,
+                         frame_model=frame_model, evaluate_fidelity=False,
+                         cache_budget_bytes=cache_budget_bytes)
         self.controller = controller
-        self.eta = initial_eta
-        self.frame_model = frame_model or FrameModel()
-        searcher = HDoVSearch(env, scheme, fetch_models=False)
-        self.delta = DeltaSearch(searcher,
-                                 cache_budget_bytes=cache_budget_bytes)
         #: eta value used at each frame (for analysis).
         self.eta_trace: List[float] = []
 
     def run(self, session: Session) -> WalkthroughReport:
-        frames: List[FrameRecord] = []
         self.delta.clear()
+        self._begin_replay()
         self.eta_trace = []
-        last_cell = None
-        last_result = None
         for index, waypoint in enumerate(session):
-            position = waypoint.position_array()
-            cell_id = self.env.grid.cell_of_point(position)
-            snap = self.env.snapshot()
-            if cell_id != last_cell or last_result is None:
-                last_result = self.delta.query_cell(cell_id, self.eta)
-                last_cell = cell_id
-            light, heavy = self.env.delta(snap)
-            io_ms = light.simulated_ms + heavy.simulated_ms
-            polygons = last_result.total_polygons
-            frame_ms = self.frame_model.frame_ms(io_ms, polygons)
-            frames.append(FrameRecord(
-                frame_index=index, cell_id=cell_id, io_ms=io_ms,
-                light_ios=light.total_ios, heavy_ios=heavy.total_ios,
-                polygons=polygons, frame_ms=frame_ms, search_ms=io_ms,
-                fidelity=float("nan"),
-                resident_bytes=self.delta.resident_bytes,
-            ))
+            self._frame(index, waypoint.position_array())
             self.eta_trace.append(self.eta)
-            new_eta = self.controller.update(self.eta, frame_ms)
+            new_eta = self.controller.update(self.eta, self.last_frame_ms)
             # Change detection, not numeric comparison: the controller
             # returns self.eta unchanged (same object) when it makes no
             # adjustment, so exact inequality is the right test here.
             if new_eta != self.eta:  # repro: ignore[RPR005]
                 self.eta = new_eta
                 # The cached cell result was computed at the old eta.
-                last_cell = None
+                self._last_cell = None
         return WalkthroughReport(system="VISUAL(adaptive)",
-                                 session=session.name, frames=frames)
+                                 session=session.name, frames=self.frames)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.storage.disk import IOStats
+
 
 @dataclass(frozen=True)
 class FrameModel:
@@ -37,6 +39,32 @@ class FrameModel:
         if io_ms < 0:
             raise ValueError(f"negative io time: {io_ms}")
         return io_ms + self.render_ms(polygons)
+
+    def record(self, frame_index: int, cell_id: Optional[int],
+               light: IOStats, heavy: IOStats, polygons: int,
+               fidelity: float, resident_bytes: int,
+               degraded: int = 0) -> "FrameRecord":
+        """The one place a frame's I/O deltas become a record.
+
+        ``light``/``heavy`` are the ``env.delta()`` of the frame's
+        accounting window; search time is the query's simulated I/O.
+        """
+        io_ms = light.simulated_ms + heavy.simulated_ms
+        return FrameRecord(
+            frame_index=frame_index,
+            cell_id=cell_id,
+            io_ms=io_ms,
+            light_ios=light.total_ios,
+            heavy_ios=heavy.total_ios,
+            polygons=polygons,
+            frame_ms=self.frame_ms(io_ms, polygons),
+            search_ms=io_ms,
+            fidelity=fidelity,
+            resident_bytes=resident_bytes,
+            degraded=degraded,
+            back_seeks=light.back_seeks + heavy.back_seeks,
+            forward_seeks=light.forward_seeks + heavy.forward_seeks,
+        )
 
 
 @dataclass(frozen=True)

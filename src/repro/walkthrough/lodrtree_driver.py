@@ -44,7 +44,6 @@ class LodRTreeWalkthrough:
             snap = self.env.snapshot()
             result, _queried = self.system.frame(position, direction)
             light, heavy = self.env.delta(snap)
-            io_ms = light.simulated_ms + heavy.simulated_ms
             cell_id = self.env.grid.cell_of_point(position)
             if self.evaluate_fidelity:
                 rendered: Dict[int, int] = {}
@@ -63,15 +62,9 @@ class LodRTreeWalkthrough:
                         .interpolated_polygons(fraction)
                 last_fidelity = self._fidelity.score_rendered(cell_id,
                                                               rendered)
-            frames.append(FrameRecord(
-                frame_index=index, cell_id=cell_id, io_ms=io_ms,
-                light_ios=light.total_ios, heavy_ios=heavy.total_ios,
-                polygons=result.total_polygons,
-                frame_ms=self.frame_model.frame_ms(
-                    io_ms, result.total_polygons),
-                search_ms=io_ms, fidelity=last_fidelity,
-                resident_bytes=self.system.resident_bytes,
-            ))
+            frames.append(self.frame_model.record(
+                index, cell_id, light, heavy, result.total_polygons,
+                last_fidelity, self.system.resident_bytes))
         return WalkthroughReport(
             system=f"LoD-R-tree(depth={self.system.depth:g}m)",
             session=session.name, frames=frames)

@@ -20,7 +20,10 @@ Query cadence matters for the frame-time *shape*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.core.delta import DeltaSearch
 from repro.core.hdov_tree import HDoVEnvironment
@@ -29,7 +32,8 @@ from repro.baselines.review import ReviewSystem
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import get_registry
-from repro.obs.trace import span
+from repro.obs.trace import SpanRecord, span
+from repro.storage.disk import IOStats
 from repro.walkthrough.frame import FrameModel, FrameRecord
 from repro.walkthrough.metrics import FidelityMetric
 from repro.walkthrough.session import Session
@@ -113,59 +117,101 @@ class VisualSystem:
         self.delta = DeltaSearch(searcher,
                                  cache_budget_bytes=cache_budget_bytes)
         self._fidelity = FidelityMetric(env)
+        self._begin_replay()
+
+    def _begin_replay(self) -> None:
+        """Forget the previous replay's frames, ledgers and last answer."""
+        self.frames: List[FrameRecord] = []
+        self.queries = 0
+        self.overload_degraded = 0
+        self.last_frame_ms = 0.0
+        #: This replay's I/O attribution, exact: deltas of the
+        #: environment's ledgers taken around each frame.
+        self.light_total = IOStats()
+        self.heavy_total = IOStats()
+        self._last_cell: Optional[int] = None
+        self._last_result: Optional[SearchResult] = None
+        self._last_fidelity = float("nan")
+        self._last_degraded = 0
 
     def run(self, session: Session) -> WalkthroughReport:
         """Replay a session; returns the per-frame records."""
-        frames: List[FrameRecord] = []
         self.delta.clear()
-        last_cell: Optional[int] = None
-        last_result: Optional[SearchResult] = None
-        last_fidelity = float("nan")
-        last_degraded = 0
+        self._begin_replay()
         for index, waypoint in enumerate(session):
-            position = waypoint.position_array()
-            cell_id = self.env.grid.cell_of_point(position)
-            snap = self.env.snapshot()
-            with span("frame", index=index, cell=cell_id) as sp:
-                queried = cell_id != last_cell or last_result is None
-                if queried:
-                    last_result = self.delta.query_cell(cell_id, self.eta)
-                    last_cell = cell_id
-                    last_degraded = last_result.degraded
-                    if self.evaluate_fidelity:
-                        last_fidelity = self._fidelity.score_hdov(last_result)
-                light, heavy = self.env.delta(snap)
-                if sp is not None:
-                    sp.attrs.update(queried=queried,
-                                    light_ios=light.total_ios,
-                                    heavy_ios=heavy.total_ios,
-                                    light_ms=light.simulated_ms,
-                                    heavy_ms=heavy.simulated_ms)
-            io_ms = light.simulated_ms + heavy.simulated_ms
-            polygons = last_result.total_polygons
-            if last_degraded:
-                # Created lazily (and fetched per call, not cached):
-                # fault-free runs register no series, and registry swaps
-                # by `repro chaos` / `repro profile` stay safe.
-                get_registry().counter(names.FRAMES_DEGRADED).inc()
-            frames.append(FrameRecord(
-                frame_index=index,
-                cell_id=cell_id,
-                io_ms=io_ms,
-                light_ios=light.total_ios,
-                heavy_ios=heavy.total_ios,
-                polygons=polygons,
-                frame_ms=self.frame_model.frame_ms(io_ms, polygons),
-                search_ms=io_ms,
-                fidelity=last_fidelity,
-                resident_bytes=(self.delta.resident_bytes
-                                + self.delta.search.scheme.resident_bytes()),
-                degraded=last_degraded,
-                back_seeks=light.back_seeks + heavy.back_seeks,
-                forward_seeks=light.forward_seeks + heavy.forward_seeks,
-            ))
+            with span("frame", index=index) as sp:
+                self._frame(index, waypoint.position_array(), sp=sp)
         return WalkthroughReport(system=f"VISUAL(eta={self.eta})",
-                                 session=session.name, frames=frames)
+                                 session=session.name, frames=self.frames)
+
+    def _frame(self, index: int, position: np.ndarray, *,
+               shed_load: bool = False, defer_scoring: bool = False,
+               sp: Optional[SpanRecord] = None
+               ) -> Optional[Callable[[], float]]:
+        """The VISUAL frame body: query on cell change, delta fetch,
+        frame-time model, record.
+
+        ``run`` above and :class:`~repro.serving.session.ServingSession`
+        both execute exactly this, which is what makes a single
+        unpooled served session equal the sequential replay.  All I/O
+        happens inside the ``env.snapshot()``/``env.delta()`` window,
+        so ``light_total``/``heavy_total`` attribute every charge of
+        the frame to this replay.
+
+        ``shed_load`` answers a frame that would query from the root's
+        internal LoD instead and forces a full re-query next frame
+        (the very first frame always runs a full query — there is
+        nothing coarser to show yet).  With ``defer_scoring`` the
+        fidelity score is not computed here but returned as a thunk —
+        pure read-only math the serving scheduler fans out — and the
+        record carries the previous score until it is installed.
+        """
+        cell_id = self.env.grid.cell_of_point(position)
+        snap = self.env.snapshot()
+        queried = cell_id != self._last_cell or self._last_result is None
+        thunk: Optional[Callable[[], float]] = None
+        if queried:
+            self.queries += 1
+            if shed_load and self._last_result is not None:
+                result = self.delta.query_cell_degraded(cell_id, self.eta)
+                self.overload_degraded += 1
+                get_registry().counter(
+                    names.SERVING_OVERLOAD_DEGRADED).inc()
+                self._last_cell = None
+            else:
+                result = self.delta.query_cell(cell_id, self.eta)
+                self._last_cell = cell_id
+            self._last_result = result
+            self._last_degraded = result.degraded
+            if self.evaluate_fidelity:
+                if defer_scoring:
+                    thunk = partial(self._fidelity.score_hdov, result)
+                else:
+                    self._last_fidelity = self._fidelity.score_hdov(result)
+        light, heavy = self.env.delta(snap)
+        self.light_total += light
+        self.heavy_total += heavy
+        if sp is not None:
+            sp.attrs.update({"cell": cell_id, "queried": queried,
+                             "light_ios": light.total_ios,
+                             "heavy_ios": heavy.total_ios,
+                             "light_ms": light.simulated_ms,
+                             "heavy_ms": heavy.simulated_ms})
+        assert self._last_result is not None
+        if self._last_degraded:
+            # Created lazily (and fetched per call, not cached):
+            # fault-free runs register no series, and registry swaps by
+            # `repro chaos` / `repro profile` / `repro serve` stay safe.
+            get_registry().counter(names.FRAMES_DEGRADED).inc()
+        record = self.frame_model.record(
+            index, cell_id, light, heavy,
+            self._last_result.total_polygons, self._last_fidelity,
+            self.delta.resident_bytes
+            + self.delta.search.scheme.resident_bytes(),
+            self._last_degraded)
+        self.frames.append(record)
+        self.last_frame_ms = record.frame_ms
+        return thunk
 
 
 class ReviewWalkthrough:
@@ -193,7 +239,6 @@ class ReviewWalkthrough:
             snap = self.env.snapshot()
             result, queried = self.review.frame(position)
             light, heavy = self.env.delta(snap)
-            io_ms = light.simulated_ms + heavy.simulated_ms
             cell_id = self.env.grid.cell_of_point(position)
             if self.evaluate_fidelity:
                 # Fidelity is against the *current* cell's ground truth,
@@ -209,21 +254,9 @@ class ReviewWalkthrough:
                         .interpolated_polygons(fraction)
                 last_fidelity = self._fidelity.score_rendered(cell_id,
                                                               rendered)
-            frames.append(FrameRecord(
-                frame_index=index,
-                cell_id=cell_id,
-                io_ms=io_ms,
-                light_ios=light.total_ios,
-                heavy_ios=heavy.total_ios,
-                polygons=result.total_polygons,
-                frame_ms=self.frame_model.frame_ms(io_ms,
-                                                   result.total_polygons),
-                search_ms=io_ms,
-                fidelity=last_fidelity,
-                resident_bytes=self.review.resident_bytes,
-                back_seeks=light.back_seeks + heavy.back_seeks,
-                forward_seeks=light.forward_seeks + heavy.forward_seeks,
-            ))
+            frames.append(self.frame_model.record(
+                index, cell_id, light, heavy, result.total_polygons,
+                last_fidelity, self.review.resident_bytes))
         return WalkthroughReport(
             system=f"REVIEW(box={self.review.box_size:g}m)",
             session=session.name, frames=frames)

@@ -7,7 +7,6 @@ report.
 """
 
 import json
-import os
 
 import pytest
 
@@ -97,17 +96,6 @@ def test_chaos_node_store_fault_is_reported_not_raised(monkeypatch):
 
 
 # -- CLI ---------------------------------------------------------------------
-
-
-def test_cli_chaos_writes_report(tmp_path, capsys):
-    out = os.path.join(tmp_path, "chaos.json")
-    code = main(["chaos", "--frames", "10", "--seed", "7",
-                 "--output", out])
-    assert code == 0
-    with open(out) as fh:
-        report = json.load(fh)
-    assert report["outcome"]["completed"] is True
-    assert "survived 10/10 frames" in capsys.readouterr().out
 
 
 def test_cli_chaos_unknown_plan_is_usage_error(capsys):

@@ -1,5 +1,7 @@
 """CLI and visibility persistence tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,55 @@ def test_run_table2_small(capsys):
     assert main(["run", "table2", "--scale", "small"]) == 0
     out = capsys.readouterr().out
     assert "Table 2" in out
+
+
+#: Every report verb: its (small) arguments, a fragment of the summary
+#: line ``--output`` prints, and where its report says "this run is
+#: sound" — the value the exit code is derived from.
+REPORT_VERBS = {
+    "profile": (["--scale", "small", "--frames", "10"],
+                "reconciled=True", ("io", "reconciled")),
+    "chaos": (["--frames", "10", "--seed", "7"],
+              "survived 10/10 frames", ("outcome", "completed")),
+    "layout": (["--frames", "40"],
+               "back_seeks before/after", ("ok",)),
+    "crash": (["--seed", "1", "--pages", "4", "--page-size", "64",
+               "--txns", "2", "--writes", "2", "--cache-cells", "3",
+               "--cache-stride", "11"],
+              "violations=0", ("summary", "ok")),
+    "serve": (["--sessions", "2", "--workers", "1", "--frames", "4"],
+              "8 frames in", ("outcome", "completed")),
+    "traffic": (["--sessions", "4", "--frames", "3",
+                 "--deterministic-only"],
+                "offered=4", None),
+    "precompute": (["--resolution", "4", "--quiet"], "digest=", None),
+    "locks": (["src"], "violations=no", None),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(REPORT_VERBS))
+def test_report_verb_output_and_exit_code(verb, tmp_path, capsys):
+    """``--output`` writes the JSON stdout would have carried and prints
+    one summary line; a sound report exits 0."""
+    args, summary, ok_path = REPORT_VERBS[verb]
+    out = tmp_path / f"{verb}.json"
+    assert main([verb, *args, "--output", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"wrote {out} (")
+    assert summary in printed
+    report = json.loads(out.read_text())
+    if ok_path is not None:
+        for key in ok_path:
+            report = report[key]
+        assert report is True
+
+
+def test_report_verb_prints_json_and_fails_on_unsound_report(
+        monkeypatch, capsys):
+    import repro.obs.crash as crash
+
+    unsound = {"summary": {"ok": False, "points": 1,
+                           "recovery_points": 0, "violations": 1}}
+    monkeypatch.setattr(crash, "run_crash_sweep", lambda **kw: unsound)
+    assert main(["crash"]) == 1
+    assert json.loads(capsys.readouterr().out) == unsound

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.cli import main
 from repro.obs.crash import run_crash_sweep
 
 #: Small but complete: two transactions (one checkpoints), two writes
@@ -78,17 +77,6 @@ def test_cache_torn_tail_sweep(sweep):
     assert cache["cells"] == SMALL["cache_cells"]
     # Interior truncation points exist, so torn tails were observed.
     assert cache["torn_tails"] > 0
-
-
-def test_cli_crash_writes_report_and_exits_zero(tmp_path, capsys):
-    out = str(tmp_path / "crash.json")
-    code = main(["crash", "--seed", "1", "--pages", "4", "--page-size",
-                 "64", "--txns", "2", "--writes", "2", "--cache-cells",
-                 "3", "--cache-stride", "11", "--output", out])
-    assert code == 0
-    report = json.load(open(out))
-    assert report["summary"]["ok"] is True
-    assert "wrote" in capsys.readouterr().out
 
 
 def test_different_seed_different_payloads_same_invariants():

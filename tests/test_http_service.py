@@ -17,7 +17,6 @@ import pytest
 
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.profile import _environment_files
 from repro.serving import run_serve
 from repro.serving.http import (HttpRequest, HttpServer, WalkthroughApp,
                                 build_service, percentile)
@@ -201,7 +200,7 @@ def test_health_degrades_under_faults_instead_of_erroring():
         assert dispatch(app, "GET", "/healthz").body["status"] == "ok"
 
         injector = FaultInjector(named_plan("aggressive"), seed=3)
-        injector.install(*_environment_files(service.env))
+        injector.install(*service.env.files())
         try:
             for pattern in (1, 2, 3):
                 created = dispatch(app, "POST", "/sessions",

@@ -5,7 +5,6 @@ search-equivalence and corruption-degradation contracts over the
 shared small environment."""
 
 import json
-import os
 
 import pytest
 
@@ -67,16 +66,6 @@ def test_layout_rejects_unsupported_scheme():
 
 
 # -- CLI ---------------------------------------------------------------------
-
-
-def test_cli_layout_writes_report(tmp_path, capsys):
-    out = os.path.join(tmp_path, "layout.json")
-    code = main(["layout", "--frames", str(FRAMES), "--output", out])
-    assert code == 0
-    with open(out) as fh:
-        written = json.load(fh)
-    assert written["ok"] is True
-    assert "back_seeks before/after" in capsys.readouterr().out
 
 
 def test_cli_layout_bad_scheme_is_usage_error(capsys):

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.cli import main
 from repro.obs.profile import run_profile
 
 
@@ -49,18 +48,6 @@ def test_search_decision_counters(report):
 def test_report_is_json_serialisable(report):
     text = json.dumps(report)
     assert "reconciled" in text
-
-
-def test_cli_profile_writes_report(tmp_path, capsys):
-    out = tmp_path / "profile.json"
-    code = main(["profile", "--scale", "small", "--frames", "10",
-                 "--output", str(out)])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "reconciled=True" in captured.out
-    data = json.loads(out.read_text())
-    assert data["io"]["reconciled"] is True
-    assert data["profile"]["frames"] == 10
 
 
 def test_include_spans_embeds_records():

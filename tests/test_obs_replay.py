@@ -1,0 +1,63 @@
+"""The replay kernel: world building, fault scoping, ledger comparison."""
+
+import pytest
+
+from repro.experiments.config import get_scale
+from repro.obs.replay import (MS_RTOL, build_world, injected_faults,
+                              session_path, unbalanced_fields)
+from repro.storage.disk import IOStats
+from repro.storage.faults import named_plan
+
+
+@pytest.fixture(scope="module")
+def world():
+    return build_world(get_scale("small"))
+
+
+def test_build_world_like_shares_the_dataset(world):
+    experiment = get_scale("small")
+    packed = build_world(experiment, schemes=("vertical",), compress=True,
+                         like=world)
+    assert packed.scene is world.scene
+    assert packed.grid is world.grid
+    assert packed.visibility is world.visibility
+    assert list(packed.schemes) == ["vertical"]
+    assert packed.scheme().codec.packed
+    assert not world.scheme().codec.packed
+
+
+def test_session_path_defaults_to_the_scale_length(world):
+    experiment = get_scale("small")
+    assert session_path(experiment, world, 1).num_frames \
+        == experiment.session_frames
+    assert session_path(experiment, world, 2, 7).num_frames == 7
+
+
+def test_injected_faults_cover_every_file_for_the_block_only(world):
+    plan = named_plan("aggressive")
+    with injected_faults(world, plan, seed=3) as injector:
+        assert all(pfile.faults is injector for pfile in world.files())
+        with pytest.raises(RuntimeError):
+            with injected_faults(world, None, seed=0) as idle:
+                # No plan: nothing installed, the first injector stays.
+                assert all(pfile.faults is injector
+                           for pfile in world.files())
+                assert idle.total_injected() == 0
+                raise RuntimeError("leave through the error path")
+        assert all(pfile.faults is injector for pfile in world.files())
+    assert all(pfile.faults is None for pfile in world.files())
+
+
+def test_unbalanced_fields_integers_exact_ms_within_tolerance():
+    ledger = IOStats(reads=5, seeks=3, back_seeks=1, forward_seeks=2,
+                     sequential_reads=2, bytes_read=4096,
+                     simulated_ms=1000.0)
+    same = ledger.to_dict()
+    assert unbalanced_fields(same, ledger.to_dict()) == []
+    drifted = dict(same, simulated_ms=1000.0 * (1 + MS_RTOL / 2))
+    assert unbalanced_fields(drifted, same) == []
+    assert unbalanced_fields(same, drifted) == []
+    off = dict(same, simulated_ms=1000.0 * (1 + 10 * MS_RTOL),
+               back_seeks=2, forward_seeks=1)
+    assert sorted(unbalanced_fields(off, same)) \
+        == ["back_seeks", "forward_seeks", "simulated_ms"]

@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.hdov_tree import build_environment
 from repro.errors import WalkthroughError
 from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.scene.city import generate_city
-from repro.serving import run_serve
-from repro.visibility.cells import CellGrid
-from repro.walkthrough.session import make_session
+from repro.obs.replay import build_world, session_path
+from repro.serving import ServingSession, SessionScheduler, run_serve
+from repro.serving.service import session_env
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -55,6 +53,23 @@ def test_serve_reconciliation_balances(serve_report):
     assert reconciliation["pool_balanced"] is True
 
 
+def test_serve_reconciliation_covers_seek_direction_split(serve_report):
+    """The ledgers compare every counter, back/forward seeks included
+    (they used to be dropped from the sums and from the comparison)."""
+    reconciliation = serve_report["reconciliation"]
+    for side in ("light", "heavy"):
+        sessions = reconciliation[f"{side}_sessions"]
+        environment = reconciliation[f"{side}_environment"]
+        assert set(sessions) == set(environment)
+        for field in ("back_seeks", "forward_seeks"):
+            assert sessions[field] == environment[field]
+        assert sessions["back_seeks"] + sessions["forward_seeks"] \
+            == sessions["seeks"]
+    assert sum(entry["light"]["back_seeks"]
+               for entry in serve_report["sessions"]) \
+        == reconciliation["light_environment"]["back_seeks"] > 0
+
+
 def test_serve_report_shape(serve_report):
     assert serve_report["outcome"]["completed"] is True
     assert serve_report["outcome"]["error"] is None
@@ -77,36 +92,41 @@ def test_serve_shared_pool_hit_rate_grows_with_sessions(serve_report):
 
 
 def test_serve_unpooled_single_session_matches_sequential_path():
-    """sessions=1, workers=1, pool off == the VisualSystem replay."""
+    """sessions=1, workers=1, pool off == the VisualSystem replay.
+
+    Whole-``FrameRecord`` equality (fidelity, resident bytes, degraded,
+    seek direction split included) is what licenses running one frame
+    body for both paths.
+    """
     frames = 12
     served = run_serve(sessions=1, workers=1, seed=7, frames=frames,
                        pool_pages=0)
     assert served["pool"] is None
 
     experiment = get_scale("small")
+    budget = experiment.visual_cache_budget_bytes
+    pattern = int(np.random.default_rng(7).integers(1, 4))
     with use_registry(MetricsRegistry()):
-        scene = generate_city(experiment.city)
-        grid = CellGrid.covering(scene.bounds(), experiment.cell_size)
-        env = build_environment(scene, grid, experiment.hdov)
-        pattern = int(np.random.default_rng(7).integers(1, 4))
-        path = make_session(pattern, scene.bounds(), num_frames=frames,
-                            street_pitch=experiment.city.pitch)
-        env.reset_stats()
-        visual = VisualSystem(
-            env, eta=0.001,
-            cache_budget_bytes=experiment.visual_cache_budget_bytes)
+        env = build_world(experiment)
+        path = session_path(experiment, env, pattern, frames)
+        visual = VisualSystem(env, eta=0.001, cache_budget_bytes=budget)
         report = visual.run(path)
+
+        twin = build_world(experiment)
+        session = ServingSession(0, path, session_env(twin, None),
+                                 eta=0.001, cache_budget_bytes=budget)
+        SessionScheduler([session], workers=1).run()
+
+    assert session.frames == report.frames
+    assert any(f.back_seeks for f in report.frames)
+    assert session.light_total == env.light_stats == twin.light_stats
+    assert session.heavy_total == env.heavy_stats == twin.heavy_stats
 
     entry = served["sessions"][0]
     assert entry["path"] == path.name
     assert entry["frame_times"] == [f.frame_ms for f in report.frames]
-    assert entry["light"]["reads"] == env.light_stats.reads
-    assert entry["light"]["seeks"] == env.light_stats.seeks
-    assert entry["light"]["sequential_reads"] \
-        == env.light_stats.sequential_reads
-    assert entry["light"]["simulated_ms"] == env.light_stats.simulated_ms
-    assert entry["heavy"]["reads"] == env.heavy_stats.reads
-    assert entry["heavy"]["simulated_ms"] == env.heavy_stats.simulated_ms
+    assert entry["light"] == env.light_stats.to_dict()
+    assert entry["heavy"] == env.heavy_stats.to_dict()
 
 
 def test_serve_overload_sheds_to_degraded_frames():
@@ -205,8 +225,6 @@ def test_scheduler_zeroes_active_gauge_after_run():
     gauge at the last round's count, so post-run scrapes showed phantom
     active sessions."""
     from repro.obs import names
-    from repro.serving import SessionScheduler
-
     with use_registry(MetricsRegistry()) as registry:
         sessions = [_StubSession(i, frames=2 + i) for i in range(3)]
         scheduler = SessionScheduler(sessions, workers=1)
@@ -218,8 +236,6 @@ def test_scheduler_zeroes_active_gauge_after_run():
 def test_scheduler_zeroes_active_gauge_on_error():
     from repro.errors import ReproError
     from repro.obs import names
-    from repro.serving import SessionScheduler
-
     class _ExplodingSession(_StubSession):
         def step(self, *, shed_load=False):
             raise ReproError("boom")

@@ -1,5 +1,6 @@
 """PagedFile and disk model tests."""
 
+import dataclasses
 import os
 
 import pytest
@@ -346,3 +347,24 @@ def test_iostats_delta():
     assert delta.writes == 1
     assert delta.bytes_written == 50
     assert delta.simulated_ms == pytest.approx(disk.transfer_ms)
+
+
+def test_iostats_arithmetic_covers_every_field():
+    """snapshot/delta/reset/+=/to_dict are spelled out per field for
+    speed; a field added later must not be forgotten by any of them."""
+    names = [f.name for f in dataclasses.fields(IOStats)]
+    # Distinct non-zero values, so a dropped or swapped field shows.
+    one = IOStats(**{name: i + 1 for i, name in enumerate(names)})
+    two = IOStats(**{name: 10 * (i + 1) for i, name in enumerate(names)})
+
+    assert one.to_dict() == {name: i + 1 for i, name in enumerate(names)}
+    snap = one.snapshot()
+    assert snap == one and snap is not one
+    total = one.snapshot()
+    total += two
+    assert total.to_dict() == {name: 11 * (i + 1)
+                               for i, name in enumerate(names)}
+    assert total.delta(one) == two
+    total.reset()
+    assert total == IOStats()
+    assert snap == one  # snapshots are independent copies
