@@ -166,6 +166,18 @@ class HDoVEnvironment:
         self.light_stats.reset()
         self.heavy_stats.reset()
 
+    def reset_runtime_state(self) -> None:
+        """Back to *cold*: empty ledgers, no current cell or warm
+        buffer in any scheme, and every file head forgotten — tree and
+        model files included — so the next access to each file is a
+        first access.  The state a replay must start from for two
+        replays of one path to charge identical I/O."""
+        self.reset_stats()
+        for scheme in self.schemes.values():
+            scheme.reset_runtime_state()
+        self.node_store.pfile.reset_head()
+        self.object_store.pfile.reset_head()
+
     def snapshot(self) -> Tuple[IOStats, IOStats]:
         return (self.light_stats.snapshot(), self.heavy_stats.snapshot())
 
@@ -276,8 +288,9 @@ def build_environment(scene: Scene, grid: CellGrid,
         schemes=schemes, light_stats=light_stats, heavy_stats=heavy_stats,
         descendants=descendants,
     )
-    # Build I/O is preprocessing, not measurement.
-    env.reset_stats()
+    # Build I/O is preprocessing, not measurement — neither its charges
+    # nor where its last write left each file's head.
+    env.reset_runtime_state()
     return env
 
 

@@ -86,12 +86,10 @@ def run_chaos(*, scale: str = "small", session: int = 1,
         # and the (deterministic) faulted workload.
         clean_system, clean = replay(experiment, env, path, eta=eta,
                                      scheme=scheme)
-
-        # The faulted replay starts from the same cold state.
         active = clean_system.delta.search.scheme
-        active.reset_runtime_state()
-        env.reset_stats()
 
+        # The faulted replay starts from the same cold state (``replay``
+        # resets the environment's run-time state first).
         files = env.files()
         error: Optional[str] = None
         faulted: Optional[WalkthroughReport] = None

@@ -70,9 +70,7 @@ def _replay(env: HDoVEnvironment, scheme_name: str,
             cell_trace: Sequence[int], eta: float) -> ReplayResult:
     """Walk the per-frame ``cell_trace`` once, from cold state, with a
     full (not delta) query at every cell change."""
-    scheme = env.scheme(scheme_name)
-    scheme.reset_runtime_state()
-    env.reset_stats()
+    env.reset_runtime_state()
     searcher = HDoVSearch(env, scheme_name)
     signatures: List[object] = []
     for cell_id, _frames in groupby(cell_trace):

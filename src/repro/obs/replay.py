@@ -9,8 +9,8 @@ configurations of the pieces here rather than copies of them:
 * :func:`build_world` — scale → city → cell grid → environment, with
   the scheme / V-page codec overrides;
 * :func:`session_path` — a scale's recorded session over that world;
-* :func:`replay` — one VISUAL walkthrough of a path (the frame body
-  itself lives in :class:`~repro.walkthrough.visual.VisualSystem`,
+* :func:`replay` — one cold VISUAL walkthrough of a path (the frame
+  body itself lives in :class:`~repro.walkthrough.visual.VisualSystem`,
   which the serving sessions execute too);
 * :func:`injected_faults` — a fault plan installed beneath every file
   of the environment for exactly the duration of a run;
@@ -98,9 +98,14 @@ def session_path(experiment: "ExperimentScale", env: HDoVEnvironment,
 def replay(experiment: "ExperimentScale", env: HDoVEnvironment,
            path: Session, *, eta: float, scheme: Optional[str] = None
            ) -> Tuple[VisualSystem, WalkthroughReport]:
-    """Walk ``path`` through the VISUAL system under the scale's model
-    cache budget; returns the system (search and ledger state) and the
-    per-frame report."""
+    """Walk ``path`` through the VISUAL system, from cold state, under
+    the scale's model cache budget; returns the system (search and
+    ledger state) and the per-frame report.
+
+    Cold is :meth:`HDoVEnvironment.reset_runtime_state`: two replays of
+    one path on one environment charge field-for-field equal I/O.
+    """
+    env.reset_runtime_state()
     system = VisualSystem(
         env, eta=eta, scheme=scheme,
         cache_budget_bytes=experiment.visual_cache_budget_bytes)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.config import get_scale
 from repro.obs.replay import (MS_RTOL, build_world, injected_faults,
-                              session_path, unbalanced_fields)
+                              replay, session_path, unbalanced_fields)
 from repro.storage.disk import IOStats
 from repro.storage.faults import named_plan
 
@@ -61,3 +61,28 @@ def test_unbalanced_fields_integers_exact_ms_within_tolerance():
                back_seeks=2, forward_seeks=1)
     assert sorted(unbalanced_fields(off, same)) \
         == ["back_seeks", "forward_seeks", "simulated_ms"]
+
+
+@pytest.mark.parametrize("scheme", ["horizontal", "vertical",
+                                    "indexed-vertical"])
+def test_two_replays_of_one_path_charge_identical_io(scheme):
+    """A replay starts cold — tree and model file heads included — so a
+    second replay on the same environment repeats the first's ledgers
+    field for field, seek direction split included; and the first one
+    after a build is no different (the build's head positions used to
+    leak into its back/forward split)."""
+    experiment = get_scale("small")
+    env = build_world(experiment, schemes=(scheme,))
+    path = session_path(experiment, env, 4)
+
+    def ledgers():
+        system, report = replay(experiment, env, path, eta=0.001)
+        return (env.light_stats.snapshot(), env.heavy_stats.snapshot(),
+                system.light_total, system.heavy_total, report.frames)
+
+    first, second = ledgers(), ledgers()
+    assert first == second
+    light, heavy = first[0], first[1]
+    assert light.back_seeks + light.forward_seeks == light.seeks > 0
+    assert heavy.back_seeks + heavy.forward_seeks == heavy.seeks > 0
+    assert (light, heavy) == first[2:4]
