@@ -54,10 +54,9 @@ def _per_file_io(registry: MetricsRegistry, baseline: Dict[str, float],
     }
     out: Dict[str, Dict[str, float]] = {}
     for pfile in files:
-        row = {field: 0.0 for field in metric_of.values()}
-        for metric, field in metric_of.items():
-            row[field] = delta.get(f'{metric}{{file="{pfile.name}"}}', 0.0)
-        out[pfile.name] = row
+        out[pfile.name] = {
+            field: delta.get(f'{metric}{{file="{pfile.name}"}}', 0.0)
+            for metric, field in metric_of.items()}
     return out
 
 

@@ -154,9 +154,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                 cache_budget_bytes=experiment.visual_cache_budget_bytes))
             m_sessions.inc()
 
-        # Build I/O stays out of the serving ledger.
-        env.reset_stats()
-
         scheduler = SessionScheduler(served, workers=workers,
                                      max_active=max_active,
                                      frame_budget_ms=frame_budget_ms,
@@ -280,15 +277,18 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     if prefetcher is not None:
         sum_light += prefetcher.light_total
         sum_heavy += prefetcher.heavy_total
-    light_off = unbalanced_fields(sum_light.to_dict(),
-                                  env.light_stats.to_dict())
-    heavy_off = unbalanced_fields(sum_heavy.to_dict(),
-                                  env.heavy_stats.to_dict())
-    result: Dict[str, object] = {
+    ledgers = {
         "light_sessions": sum_light.to_dict(),
         "light_environment": env.light_stats.to_dict(),
         "heavy_sessions": sum_heavy.to_dict(),
         "heavy_environment": env.heavy_stats.to_dict(),
+    }
+    light_off = unbalanced_fields(ledgers["light_sessions"],
+                                  ledgers["light_environment"])
+    heavy_off = unbalanced_fields(ledgers["heavy_sessions"],
+                                  ledgers["heavy_environment"])
+    result: Dict[str, object] = {
+        **ledgers,
         "light_ios_balanced": set(light_off) <= {"simulated_ms"},
         "heavy_ios_balanced": set(heavy_off) <= {"simulated_ms"},
         "simulated_ms_balanced":

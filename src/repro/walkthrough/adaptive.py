@@ -80,7 +80,6 @@ class AdaptiveVisualSystem(VisualSystem):
         self.eta_trace: List[float] = []
 
     def run(self, session: Session) -> WalkthroughReport:
-        self.delta.clear()
         self._begin_replay()
         self.eta_trace = []
         for index, waypoint in enumerate(session):

@@ -120,7 +120,9 @@ class VisualSystem:
         self._begin_replay()
 
     def _begin_replay(self) -> None:
-        """Forget the previous replay's frames, ledgers and last answer."""
+        """Forget the previous replay: resident models, frames, ledgers
+        and the last answer."""
+        self.delta.clear()
         self.frames: List[FrameRecord] = []
         self.queries = 0
         self.overload_degraded = 0
@@ -136,7 +138,6 @@ class VisualSystem:
 
     def run(self, session: Session) -> WalkthroughReport:
         """Replay a session; returns the per-frame records."""
-        self.delta.clear()
         self._begin_replay()
         for index, waypoint in enumerate(session):
             with span("frame", index=index) as sp:
