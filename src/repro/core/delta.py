@@ -68,6 +68,9 @@ class DeltaSearch:
         self.cache_budget_bytes = cache_budget_bytes
         self._objects: Dict[int, _Resident] = {}
         self._internals: Dict[int, _Resident] = {}
+        #: Running byte total of ``_objects`` + ``_internals``: the frame
+        #: loop reads it every frame, the sets change only on a query.
+        self._resident_bytes = 0
         self.fetches = 0
         self.skipped = 0
         self.evictions = 0
@@ -94,6 +97,9 @@ class DeltaSearch:
     def _integrate(self, result: SearchResult) -> SearchResult:
         """Fetch the result's non-resident models and update the cache."""
         env = self.search.env
+        #: Net growth of the resident set if nothing is dropped: bytes
+        #: fetched minus the coarser copies they replace.
+        grown = 0
 
         new_objects: Dict[int, _Resident] = {}
         for obj in result.objects:
@@ -107,6 +113,8 @@ class DeltaSearch:
             env.object_store.fetch_prefix(record.blob_id, obj.bytes)
             self.fetches += 1
             new_objects[obj.object_id] = _Resident(obj.fraction, obj.bytes)
+            grown += obj.bytes - (
+                resident.bytes if resident is not None else 0)
 
         new_internals: Dict[int, _Resident] = {}
         for internal in result.internals:
@@ -120,6 +128,8 @@ class DeltaSearch:
             self.fetches += 1
             new_internals[internal.node_offset] = _Resident(
                 internal.fraction, internal.bytes)
+            grown += internal.bytes - (
+                resident.bytes if resident is not None else 0)
 
         if self.keep_offscreen:
             # Merge, oldest entries first so dict order is LRU-ish:
@@ -133,10 +143,14 @@ class DeltaSearch:
             merged_internals.update(new_internals)
             self._objects = merged_objects
             self._internals = merged_internals
+            self._resident_bytes += grown
             self._apply_budget(set(new_objects), set(new_internals))
         else:
             self._objects = new_objects
             self._internals = new_internals
+            self._resident_bytes = (
+                sum(r.bytes for r in new_objects.values())
+                + sum(r.bytes for r in new_internals.values()))
         return result
 
     def _apply_budget(self, live_objects: Set[int],
@@ -144,22 +158,19 @@ class DeltaSearch:
         """Evict least-recently-used off-screen entries over budget."""
         if self.cache_budget_bytes is None:
             return
-        total = self.resident_bytes
-        if total <= self.cache_budget_bytes:
-            return
         for oid in list(self._objects):
-            if total <= self.cache_budget_bytes:
+            if self._resident_bytes <= self.cache_budget_bytes:
                 return
             if oid in live_objects:
                 continue
-            total -= self._objects.pop(oid).bytes
+            self._resident_bytes -= self._objects.pop(oid).bytes
             self.evictions += 1
         for offset in list(self._internals):
-            if total <= self.cache_budget_bytes:
+            if self._resident_bytes <= self.cache_budget_bytes:
                 return
             if offset in live_internals:
                 continue
-            total -= self._internals.pop(offset).bytes
+            self._resident_bytes -= self._internals.pop(offset).bytes
             self.evictions += 1
 
     # -- memory accounting -------------------------------------------------------
@@ -167,8 +178,7 @@ class DeltaSearch:
     @property
     def resident_bytes(self) -> int:
         """Bytes of model data currently held in memory."""
-        return (sum(r.bytes for r in self._objects.values())
-                + sum(r.bytes for r in self._internals.values()))
+        return self._resident_bytes
 
     @property
     def resident_count(self) -> int:
@@ -177,6 +187,7 @@ class DeltaSearch:
     def clear(self) -> None:
         self._objects.clear()
         self._internals.clear()
+        self._resident_bytes = 0
 
     def __repr__(self) -> str:
         return (f"DeltaSearch(resident={self.resident_count}, "

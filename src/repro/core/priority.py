@@ -31,7 +31,7 @@ from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.search import HDoVSearch, SearchResult
 from repro.errors import HDoVError
 from repro.geometry.frustum import Camera, Frustum
-from repro.rtree.node import Node
+from repro.rtree.persist import PersistedNode
 
 
 @dataclass
@@ -113,8 +113,8 @@ class PrioritizedSearch:
         self._walk(root, eta, frustum, inside, result)
         return result
 
-    def _walk(self, node: Node, eta: float, frustum: Frustum, inside: bool,
-              result: SearchResult) -> None:
+    def _walk(self, node: PersistedNode, eta: float, frustum: Frustum,
+              inside: bool, result: SearchResult) -> None:
         """One phase over one node.
 
         Partition rules (which make phase-1 ∪ phase-2 exactly the plain
@@ -138,11 +138,11 @@ class PrioritizedSearch:
             raise HDoVError(
                 f"node {node.node_offset} has no V-page but was traversed")
         result.vpages_read += 1
-        for (mbr, target, _lod_ptr), (dov, nvo) in zip(node.entries,
-                                                       ventries):
+        for index, (target, (dov, nvo)) in enumerate(zip(node.targets,
+                                                         ventries)):
             if dov == 0.0:
                 continue
-            in_view = frustum.intersects_aabb(mbr)
+            in_view = frustum.intersects_aabb(node.mbr(index))
             if inside and not in_view:
                 continue                      # phase 2's work
             terminates = (not node.is_leaf and dov <= eta

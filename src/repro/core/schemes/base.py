@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.vpage import CellVPages, VEntry
 from repro.errors import SchemeError
@@ -27,6 +27,8 @@ from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.pagedfile import PagedFile
 from repro.storage.vpagecodec import RawVPageCodec, VPageCodec
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,22 @@ class StorageScheme(abc.ABC):
             del self._vpage_read_cache[oldest]
         return data
 
+    def vpage_decoded(self, page_id: int,
+                      decoder: Callable[[bytes], T]) -> T:
+        """Codec decoded-page source
+        (:class:`~repro.storage.vpagecodec.PageReader`): one accounted
+        read per call, like :meth:`vpage_page` under the raw codec.
+        When serving, the decoded page rides on the shared cache's
+        frame, so only the first reader of a resident page decodes it.
+        """
+        if self.page_cache is not None:
+            return self.page_cache.get(self.vpage_file, page_id,
+                                       reader=_scheme_reader,
+                                       decoder=decoder)
+        return decoder(self._read_vpage(page_id))
+
     def _decode_vpage_at(self, pointer: int,
-                         node_offset: int) -> List[VEntry]:
+                         node_offset: int) -> Sequence[VEntry]:
         """Read and decode one V-page through the codec, checking that
         the stored node offset matches the requested one."""
         stored_offset, ventries = self.codec.read(pointer, self)
@@ -320,9 +336,10 @@ class StorageScheme(abc.ABC):
                    for state in self._warm.values())
 
     @abc.abstractmethod
-    def ventries(self, node_offset: int) -> Optional[List[VEntry]]:
+    def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
         """Current cell's V-page of a node; ``None`` if invisible.
-        Charges the V-page read through the backing file."""
+        Charges the V-page read through the backing file.  The entries
+        may be shared with other sessions: read-only."""
 
     def _require_cell(self) -> int:
         if self.current_cell is None:

@@ -14,7 +14,7 @@ reserves space regardless.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schemes.base import (DEFAULT_WARM_CAPACITY,
                                      StorageBreakdown, StorageScheme)
@@ -86,14 +86,12 @@ class HorizontalScheme(StorageScheme):
             raise SchemeError(f"cell {cell_id} out of range")
         # No per-cell structure: flipping is free.
 
-    def ventries(self, node_offset: int) -> Optional[List[VEntry]]:
+    def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
         cell_id = self._require_cell()
         if not 0 <= node_offset < self.num_nodes:
             raise SchemeError(f"node offset {node_offset} out of range")
-        data = self._read_vpage(self._page_id(node_offset, cell_id))
-        stored_offset, ventries = self._raw_codec.decode_page(data)
-        if stored_offset != node_offset:
-            raise SchemeError("V-page node-offset mismatch")
+        ventries = self._decode_vpage_at(
+            self._page_id(node_offset, cell_id), node_offset)
         if not any(d > 0.0 for d, _ in ventries):
             return None
         return ventries

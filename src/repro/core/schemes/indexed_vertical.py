@@ -13,7 +13,7 @@ Storage cost:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import SIZE_INTEGER, SIZE_POINTER
 from repro.core.schemes.base import (DEFAULT_WARM_CAPACITY,
@@ -130,7 +130,7 @@ class IndexedVerticalScheme(StorageScheme):
         return ((SIZE_POINTER + SIZE_INTEGER) * len(state)
                 if state is not None else 0)
 
-    def ventries(self, node_offset: int) -> Optional[List[VEntry]]:
+    def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
         self._require_cell()
         if not 0 <= node_offset < self.num_nodes:
             raise SchemeError(f"node offset {node_offset} out of range")

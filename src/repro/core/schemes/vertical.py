@@ -20,7 +20,7 @@ Storage cost: ``size_pointer * N_node * c + size_vpage * N_vnode * c``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import SIZE_POINTER
 from repro.core.schemes.base import (DEFAULT_WARM_CAPACITY,
@@ -134,7 +134,7 @@ class VerticalScheme(StorageScheme):
         assert state is None or isinstance(state, list)
         return SIZE_POINTER * len(state) if state is not None else 0
 
-    def ventries(self, node_offset: int) -> Optional[List[VEntry]]:
+    def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
         self._require_cell()
         if not 0 <= node_offset < self.num_nodes:
             raise SchemeError(f"node offset {node_offset} out of range")

@@ -34,7 +34,7 @@ from repro.core.schemes.base import StorageScheme
 from repro.errors import HDoVError, PageCorruptError, TransientIOError
 from repro.geometry.vec import PointLike
 from repro.lod.selection import internal_lod_fraction, leaf_lod_fraction
-from repro.rtree.node import Node
+from repro.rtree.persist import PersistedNode
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -234,7 +234,7 @@ class HDoVSearch:
 
     # -- figure 3 -------------------------------------------------------------
 
-    def _search_node(self, node: Node, eta: float,
+    def _search_node(self, node: PersistedNode, eta: float,
                      result: SearchResult) -> None:
         try:
             ventries = self._scheme.ventries(node.node_offset)
@@ -256,9 +256,9 @@ class HDoVSearch:
             raise HDoVError(
                 f"node {node.node_offset} has no V-page but was traversed")
         result.vpages_read += 1
-        if len(ventries) != len(node.entries):
+        if len(ventries) != len(node.targets):
             raise HDoVError("V-page does not match node entry count")
-        for (mbr, target, lod_ptr), (dov, nvo) in zip(node.entries, ventries):
+        for target, (dov, nvo) in zip(node.targets, ventries):
             if dov == 0.0:
                 result.pruned += 1
                 continue                                   # line 3: prune

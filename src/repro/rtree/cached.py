@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.rtree.persist import NodeStore, PersistedNode
+from repro.rtree.persist import NodeStore, PersistedNode, persisted_node
 from repro.storage.buffer import BufferPool
 from repro.storage.serializer import decode_node
 
@@ -42,10 +42,10 @@ class CachedNodeStore:
         return self.store.root_page
 
     def read_node(self, node_offset: int) -> PersistedNode:
-        page_id = self.store.offset_to_page[node_offset]
-        data = self.pool.get(self.store.pfile, page_id)
-        kind, level, stored_offset, entries = decode_node(data)
-        return PersistedNode(page_id, kind, level, stored_offset, entries)
+        page_id = self.store.page_of(node_offset)
+        decoded = self.pool.get(self.store.pfile, page_id,
+                                decoder=decode_node)
+        return persisted_node(page_id, node_offset, decoded)
 
     def read_root(self) -> PersistedNode:
         return self.read_node(0)

@@ -20,32 +20,67 @@ from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 from repro.storage import pageio
 from repro.storage.pagedfile import PagedFile
-from repro.storage.serializer import NIL, decode_node, encode_node
+from repro.storage.serializer import (NIL, NodeEntries, decode_node,
+                                      encode_node)
 
 KIND_LEAF = 0
 KIND_INTERNAL = 1
 
 
 class PersistedNode:
-    """Decoded on-page node."""
+    """Decoded on-page node, entries held as columns.
 
-    __slots__ = ("page_id", "kind", "level", "node_offset", "entries")
+    ``targets`` (child node offsets, or object ids in a leaf) and
+    ``lod_ptrs`` are tuples of ``int``; ``mbrs`` is the read-only
+    float64 ``(n, 6)`` array of ``lo.xyz, hi.xyz`` rows.  The columns
+    are shared with every other reader of the same pooled page and must
+    not be mutated.
+    """
+
+    __slots__ = ("page_id", "kind", "level", "node_offset", "mbrs",
+                 "targets", "lod_ptrs")
 
     def __init__(self, page_id: int, kind: int, level: int, node_offset: int,
-                 entries: List[Tuple[AABB, int, int]]) -> None:
+                 entries: NodeEntries) -> None:
         self.page_id = page_id
         self.kind = kind
         self.level = level
         self.node_offset = node_offset
-        self.entries = entries
+        self.mbrs = entries.mbrs
+        self.targets = entries.targets
+        self.lod_ptrs = entries.lod_ptrs
 
     @property
     def is_leaf(self) -> bool:
         return self.kind == KIND_LEAF
 
+    def mbr(self, index: int) -> AABB:
+        """Entry ``index``'s MBR as an :class:`AABB`, built on request."""
+        row = self.mbrs[index]
+        return AABB(row[:3], row[3:])
+
+    @property
+    def entries(self) -> NodeEntries:
+        """Row view ``(mbr row, target, lod pointer)`` over the columns."""
+        return NodeEntries(self.mbrs, self.targets, self.lod_ptrs)
+
     def __repr__(self) -> str:
         return (f"PersistedNode(page={self.page_id}, offset={self.node_offset}, "
-                f"level={self.level}, entries={len(self.entries)})")
+                f"level={self.level}, entries={len(self.targets)})")
+
+
+def persisted_node(page_id: int, node_offset: int,
+                   decoded: Tuple[int, int, int, NodeEntries]
+                   ) -> PersistedNode:
+    """The node a store hands out for ``node_offset``, from the decoded
+    page it fetched: every store checks here, per read, that the page
+    holds the node that was asked for."""
+    kind, level, stored_offset, entries = decoded
+    if stored_offset != node_offset:
+        raise RTreeError(
+            f"node offset mismatch: page says {stored_offset}, "
+            f"asked for {node_offset}")
+    return PersistedNode(page_id, kind, level, node_offset, entries)
 
 
 class NodeStore:
@@ -98,19 +133,18 @@ class NodeStore:
         self.root_page = pages[0]
         return self.root_page
 
-    def read_node(self, node_offset: int) -> PersistedNode:
-        """Fetch and decode the node at ``node_offset`` (one page read)."""
+    def page_of(self, node_offset: int) -> int:
+        """Page id holding the node at ``node_offset``."""
         try:
-            page_id = self.offset_to_page[node_offset]
+            return self.offset_to_page[node_offset]
         except KeyError:
             raise RTreeError(f"unknown node offset {node_offset}") from None
+
+    def read_node(self, node_offset: int) -> PersistedNode:
+        """Fetch and decode the node at ``node_offset`` (one page read)."""
+        page_id = self.page_of(node_offset)
         data = pageio.read_page(self.pfile, page_id, component="rtree")
-        kind, level, stored_offset, entries = decode_node(data)
-        if stored_offset != node_offset:
-            raise RTreeError(
-                f"node offset mismatch: page says {stored_offset}, "
-                f"asked for {node_offset}")
-        return PersistedNode(page_id, kind, level, node_offset, entries)
+        return persisted_node(page_id, node_offset, decode_node(data))
 
     def read_root(self) -> PersistedNode:
         if self.root_page is None:

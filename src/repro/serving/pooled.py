@@ -13,8 +13,7 @@ charged to the simulated clock exactly like unpooled node reads.
 
 from __future__ import annotations
 
-from repro.errors import RTreeError
-from repro.rtree.persist import NodeStore, PersistedNode
+from repro.rtree.persist import NodeStore, PersistedNode, persisted_node
 from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.pagedfile import PagedFile
@@ -44,14 +43,7 @@ class PooledNodeStore(NodeStore):
 
     def read_node(self, node_offset: int) -> PersistedNode:
         """Fetch and decode a node, through the shared pool."""
-        try:
-            page_id = self.offset_to_page[node_offset]
-        except KeyError:
-            raise RTreeError(f"unknown node offset {node_offset}") from None
-        data = self.pool.get(self.pfile, page_id, reader=_rtree_reader)
-        kind, level, stored_offset, entries = decode_node(data)
-        if stored_offset != node_offset:
-            raise RTreeError(
-                f"node offset mismatch: page says {stored_offset}, "
-                f"asked for {node_offset}")
-        return PersistedNode(page_id, kind, level, node_offset, entries)
+        page_id = self.page_of(node_offset)
+        decoded = self.pool.get(self.pfile, page_id, reader=_rtree_reader,
+                                decoder=decode_node)
+        return persisted_node(page_id, node_offset, decoded)

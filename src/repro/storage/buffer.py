@@ -33,13 +33,21 @@ is counted ``prefetch_useful`` the first time a demand ``get`` consumes
 it (including by coalescing onto the in-flight latch) and
 ``prefetch_wasted`` if it is evicted untouched — so demand hit/miss
 accounting stays comparable with prefetch on or off.
+
+Decoded payloads (:meth:`BufferPool.get` with a ``decoder``): a frame
+can carry the decoded form of its bytes next to them, so a hot page is
+decoded once per residency instead of once per read.  The payload is
+valid exactly as long as the frame's ``bytes`` object is — ``put``
+clears it, eviction and ``clear`` drop it with the frame — and is
+assigned only under the pool lock; the decode itself runs outside it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Optional, Tuple, TypeVar, Union,
+                    overload)
 
 from repro.concurrency.witness import wrap_lock
 from repro.errors import BufferPoolError, BufferPoolExhaustedError
@@ -54,6 +62,9 @@ from repro.storage.replacement import ReplacementPolicy, make_policy
 #: like every other sanctioned page access.
 PageReader = Callable[[PagedFile, int], bytes]
 
+#: Result type of a ``get`` decoder.
+T = TypeVar("T")
+
 
 @dataclass
 class _Frame:
@@ -62,6 +73,9 @@ class _Frame:
     dirty: bool = False
     #: True while the frame holds unconsumed prefetched bytes.
     speculative: bool = False
+    #: Decoded form of ``data`` (``None``: not decoded yet).  Shared by
+    #: every reader of the frame, so decoders return immutable values.
+    payload: Any = None
 
 
 @dataclass
@@ -213,8 +227,18 @@ class BufferPool:
 
     # -- public API -------------------------------------------------------------
 
+    @overload
+    def get(self, pfile: PagedFile, page_id: int, *, pin: bool = ...,
+            reader: Optional[PageReader] = ...) -> bytes: ...
+
+    @overload
+    def get(self, pfile: PagedFile, page_id: int, *, pin: bool = ...,
+            reader: Optional[PageReader] = ...,
+            decoder: Callable[[bytes], T]) -> T: ...
+
     def get(self, pfile: PagedFile, page_id: int, *, pin: bool = False,
-            reader: Optional[PageReader] = None) -> bytes:
+            reader: Optional[PageReader] = None,
+            decoder: Optional[Callable[[bytes], Any]] = None) -> Any:
         """Return page contents, reading through the file on a miss.
 
         ``reader`` overrides how a miss fetches bytes (default
@@ -225,6 +249,14 @@ class BufferPool:
         counts a hit plus ``coalesced``.  A demand hit on a prefetched
         frame (or a demand fault coalescing onto an in-flight prefetch)
         additionally consumes the prefetch: ``prefetch_useful``.
+
+        With a ``decoder`` the call returns ``decoder(page bytes)``
+        instead of the bytes, decoded at most once per frame residency:
+        the result rides on the frame and later calls share it, so it
+        must be immutable, and every caller of one file's pages must
+        pass the same decoder.  Counters, pins and prefetch attribution
+        move exactly as without one.  A decoder that raises caches
+        nothing and the error propagates.
         """
         with self._lock:
             # Under the lock: _key registers pfile in the _files map, and
@@ -238,35 +270,66 @@ class BufferPool:
                 self._consume_frame_locked(frame)
                 if pin:
                     self._pin_locked(frame)
-                return frame.data
-            latch = self._latches.get(key)
-            owner = latch is None
-            if owner:
-                # Count the miss and free a frame *before* the read
-                # (matching the sequential pool's eviction-then-read I/O
-                # order), then read with the lock released.
-                self.misses += 1
-                self._m_misses.inc()
-                if len(self._frames) >= self.capacity:
-                    self._evict_one()
-                latch = _Latch()
-                self._latches[key] = latch
+                if decoder is None:
+                    return frame.data
+                if frame.payload is not None:
+                    return frame.payload
+                data = frame.data
             else:
-                # Another thread is already reading this page; its bytes
-                # will be shared, so no disk read is charged to us.
-                self.hits += 1
-                self.coalesced += 1
-                self._m_hits.inc()
-                self._m_coalesced.inc()
-                if latch.speculative and not latch.consumed:
-                    latch.consumed = True
-                    self.prefetch_useful += 1
-                    self._m_prefetch_useful.inc()
-        assert latch is not None
-        if owner:
-            return self._read_as_owner(key, pfile, page_id, latch,
-                                       pin=pin, reader=reader)
-        return self._wait_as_waiter(key, latch, pin=pin)
+                latch = self._latches.get(key)
+                owner = latch is None
+                if owner:
+                    # Count the miss and free a frame *before* the read
+                    # (matching the sequential pool's eviction-then-read
+                    # I/O order), then read with the lock released.
+                    self.misses += 1
+                    self._m_misses.inc()
+                    if len(self._frames) >= self.capacity:
+                        self._evict_one()
+                    latch = _Latch()
+                    self._latches[key] = latch
+                else:
+                    # Another thread is already reading this page; its
+                    # bytes will be shared, so no disk read is charged
+                    # to us.
+                    self.hits += 1
+                    self.coalesced += 1
+                    self._m_hits.inc()
+                    self._m_coalesced.inc()
+                    if latch.speculative and not latch.consumed:
+                        latch.consumed = True
+                        self.prefetch_useful += 1
+                        self._m_prefetch_useful.inc()
+        if frame is None:
+            assert latch is not None
+            if owner:
+                data = self._read_as_owner(key, pfile, page_id, latch,
+                                           pin=pin, reader=reader)
+            else:
+                data = self._wait_as_waiter(key, latch, pin=pin)
+            if decoder is None:
+                return data
+        return self._decode_onto_frame(key, data, decoder)
+
+    def _decode_onto_frame(self, key: Tuple[int, int], data: bytes,
+                           decoder: Callable[[bytes], Any]) -> Any:
+        """Decode ``data`` with the lock released, then leave the result
+        on the frame if it still holds these very bytes.
+
+        Two threads racing here decode the same bytes to equal payloads;
+        the first to re-take the lock wins and the other adopts its
+        result.  A frame that was evicted or overwritten meanwhile gets
+        nothing: a payload never outlives the bytes it was decoded from.
+        """
+        payload = decoder(data)
+        with self._lock:
+            frame = self._frames.get(key)
+            if frame is not None and frame.data is data:
+                if frame.payload is None:
+                    frame.payload = payload
+                else:
+                    payload = frame.payload
+        return payload
 
     def prefetch(self, pfile: PagedFile, page_id: int, *,
                  reader: Optional[PageReader] = None) -> bool:
@@ -327,11 +390,19 @@ class BufferPool:
                 latch.done.set()
             raise
         with self._lock:
-            # A demand waiter may have consumed the prefetch while the
-            # read was in flight; the frame then lands non-speculative.
-            frame = _Frame(data, speculative=speculative
-                           and not latch.consumed)
-            self._install(key, frame)
+            frame = self._frames.get(key)
+            if frame is not None:
+                # A put landed while the read was in flight: its bytes
+                # are newer than the disk's, and installing over it
+                # would lose the write.
+                data = frame.data
+            else:
+                # A demand waiter may have consumed the prefetch while
+                # the read was in flight; the frame then lands
+                # non-speculative.
+                frame = _Frame(data, speculative=speculative
+                               and not latch.consumed)
+                self._install(key, frame)
             if pin:
                 self._pin_locked(frame)
             latch.data = data
@@ -374,6 +445,7 @@ class BufferPool:
                 frame = _Frame(data=b"")
                 self._install(key, frame)
             frame.data = bytes(data)
+            frame.payload = None
             frame.dirty = True
             # Overwriting speculative bytes ends the speculation without
             # attributing usefulness: the prefetched contents were never

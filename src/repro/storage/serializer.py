@@ -8,11 +8,11 @@ and object-store headers.  Layouts use little-endian fixed-width fields.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import GeometryError, SerializationError
 from repro.geometry.aabb import AABB
 
 #: MBR: 6 float32 (lo.xyz, hi.xyz)
@@ -21,6 +21,10 @@ _MBR = struct.Struct("<6f")
 _NODE_HEADER = struct.Struct("<BHBI")
 #: Node entry: MBR + child/object id (u32) + lod pointer (u32)
 _NODE_ENTRY = struct.Struct("<6fII")
+#: The same record as a structured dtype, for reading a node's whole
+#: entry block as one array view.
+_NODE_ENTRY_DTYPE = np.dtype([("mbr", "<f4", (6,)), ("target", "<u4"),
+                              ("lod_ptr", "<u4")])
 #: V-entry: DoV (f32) + NVO (u32)  — Section 3.3's VD = (DoV, NVO)
 _VENTRY = struct.Struct("<fI")
 #: V-page header: node offset (u32) + entry count (u16) + pad (u16)
@@ -69,23 +73,66 @@ def encode_node(kind: int, level: int, vindex_offset: int,
     return b"".join(parts)
 
 
-def decode_node(data: bytes) -> Tuple[int, int, int, List[Tuple[AABB, int, int]]]:
+class NodeEntries:
+    """Columnar entry block of one decoded node.
+
+    The on-disk form is an array of ``(MBR, id, lod pointer)`` records;
+    in memory the three fields are separate columns, so a traversal that
+    only needs the ids never touches — let alone validates one by one —
+    the MBRs.  ``mbrs`` is a read-only float64 ``(n, 6)`` array of
+    ``lo.xyz, hi.xyz`` rows; ``targets`` and ``lod_ptrs`` are tuples of
+    ``int``.  Immutable, so one instance can be shared between sessions
+    and threads (it rides on buffer-pool frames).
+
+    Iterating or indexing yields ``(mbr row, target, lod pointer)``.
+    """
+
+    __slots__ = ("mbrs", "targets", "lod_ptrs")
+
+    def __init__(self, mbrs: np.ndarray, targets: Tuple[int, ...],
+                 lod_ptrs: Tuple[int, ...]) -> None:
+        self.mbrs = mbrs
+        self.targets = targets
+        self.lod_ptrs = lod_ptrs
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, index: int) -> Tuple[np.ndarray, int, int]:
+        return self.mbrs[index], self.targets[index], self.lod_ptrs[index]
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, int, int]]:
+        return zip(self.mbrs, self.targets, self.lod_ptrs)
+
+
+def decode_node(data: bytes) -> Tuple[int, int, int, NodeEntries]:
     """Inverse of :func:`encode_node`; returns
-    ``(kind, level, vindex_offset, entries)``."""
+    ``(kind, level, vindex_offset, entries)`` with the entries as
+    columns.
+
+    Every MBR is held to what :class:`~repro.geometry.aabb.AABB`
+    enforces on construction — all components finite, ``lo <= hi`` —
+    checked as one mask over the node instead of once per entry.
+    """
     if len(data) < NODE_HEADER_SIZE:
         raise SerializationError("page too small for a node header")
     kind, count, level, vindex_offset = _NODE_HEADER.unpack_from(data, 0)
-    entries: List[Tuple[AABB, int, int]] = []
-    offset = NODE_HEADER_SIZE
-    for _ in range(count):
-        if offset + NODE_ENTRY_SIZE > len(data):
-            raise SerializationError("truncated node entry")
-        values = _NODE_ENTRY.unpack_from(data, offset)
-        mbr = AABB(np.array(values[0:3], dtype=np.float64),
-                   np.array(values[3:6], dtype=np.float64))
-        entries.append((mbr, values[6], values[7]))
-        offset += NODE_ENTRY_SIZE
-    return kind, level, vindex_offset, entries
+    if NODE_HEADER_SIZE + count * NODE_ENTRY_SIZE > len(data):
+        raise SerializationError("truncated node entry")
+    block = np.frombuffer(data, dtype=_NODE_ENTRY_DTYPE, count=count,
+                          offset=NODE_HEADER_SIZE)
+    mbrs = block["mbr"].astype(np.float64)
+    ordered = mbrs[:, :3] <= mbrs[:, 3:]
+    if not (np.isfinite(mbrs).all() and ordered.all()):
+        valid = np.isfinite(mbrs).all(axis=1) & ordered.all(axis=1)
+        bad = int(np.argmin(valid))
+        raise GeometryError(
+            f"node entry {bad}: MBR {mbrs[bad]} has a non-finite "
+            f"component or lo exceeding hi")
+    mbrs.setflags(write=False)
+    return kind, level, vindex_offset, NodeEntries(
+        mbrs, tuple(block["target"].tolist()),
+        tuple(block["lod_ptr"].tolist()))
 
 
 def encode_vpage(node_offset: int, ventries: Sequence[Tuple[float, int]],
@@ -106,20 +153,20 @@ def encode_vpage(node_offset: int, ventries: Sequence[Tuple[float, int]],
     return b"".join(parts)
 
 
-def decode_vpage(data: bytes) -> Tuple[int, List[Tuple[float, int]]]:
-    """Inverse of :func:`encode_vpage`; returns ``(node_offset, ventries)``."""
+def decode_vpage(data: bytes) -> Tuple[int, Tuple[Tuple[float, int], ...]]:
+    """Inverse of :func:`encode_vpage`; returns ``(node_offset, ventries)``.
+
+    The V-entries come back as a tuple: a decoded page is shared between
+    sessions through the buffer pool and must not be mutable.
+    """
     if len(data) < VPAGE_HEADER_SIZE:
         raise SerializationError("page too small for a V-page header")
     node_offset, count, _pad = _VPAGE_HEADER.unpack_from(data, 0)
-    ventries: List[Tuple[float, int]] = []
-    offset = VPAGE_HEADER_SIZE
-    for _ in range(count):
-        if offset + VENTRY_SIZE > len(data):
-            raise SerializationError("truncated V-entry")
-        dov, nvo = _VENTRY.unpack_from(data, offset)
-        ventries.append((dov, nvo))
-        offset += VENTRY_SIZE
-    return node_offset, ventries
+    end = VPAGE_HEADER_SIZE + count * VENTRY_SIZE
+    if end > len(data):
+        raise SerializationError("truncated V-entry")
+    return node_offset, tuple(
+        _VENTRY.iter_unpack(data[VPAGE_HEADER_SIZE:end]))
 
 
 def encode_index_pairs(pairs: Sequence[Tuple[int, int]]) -> bytes:

@@ -59,7 +59,8 @@ from __future__ import annotations
 import abc
 import struct
 import zlib
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple, TypeVar)
 
 from repro.errors import PageCorruptError, SchemeError
 from repro.obs import names
@@ -82,6 +83,8 @@ _CRC = struct.Struct("<I")
 #: does not import upward into ``repro.core``.
 VEntry = Tuple[float, int]
 
+T = TypeVar("T")
+
 
 class PageReader(Protocol):
     """Read access to the V-page file, supplied by the calling scheme.
@@ -93,6 +96,15 @@ class PageReader(Protocol):
     """
 
     def vpage_page(self, page_id: int) -> bytes:
+        ...
+
+    def vpage_decoded(self, page_id: int,
+                      decoder: Callable[[bytes], T]) -> T:
+        """``decoder(vpage_page(page_id))``, for codecs whose records
+        are whole pages: a scheme with a serving page cache keeps the
+        decoded form on the cached frame, so a hot page is decoded once
+        per residency.  The codec still supplies the decoder — only it
+        knows the byte layout."""
         ...
 
 
@@ -119,9 +131,10 @@ class VPageCodec(abc.ABC):
 
     @abc.abstractmethod
     def read(self, pointer: int, reader: PageReader
-             ) -> Tuple[int, List[VEntry]]:
+             ) -> Tuple[int, Sequence[VEntry]]:
         """Decode the V-page at ``pointer``; returns
-        ``(node_offset, ventries)``."""
+        ``(node_offset, ventries)``.  Callers must not mutate the
+        V-entries: a raw page's are shared with other sessions."""
 
     @abc.abstractmethod
     def storage_vpage_bytes(self, page_size: int, total_vpages: int) -> int:
@@ -145,8 +158,8 @@ class RawVPageCodec(VPageCodec):
         return pageio.append_page(vpage_file, payload, component="schemes")
 
     def read(self, pointer: int, reader: PageReader
-             ) -> Tuple[int, List[VEntry]]:
-        return self.decode_page(reader.vpage_page(pointer))
+             ) -> Tuple[int, Tuple[VEntry, ...]]:
+        return reader.vpage_decoded(pointer, self.decode_page)
 
     # The horizontal scheme writes at computed page ids instead of
     # appending, so the raw codec also exposes the bare byte codec.
@@ -155,7 +168,7 @@ class RawVPageCodec(VPageCodec):
                     page_size: int) -> bytes:
         return encode_vpage(node_offset, ventries, page_size)
 
-    def decode_page(self, data: bytes) -> Tuple[int, List[VEntry]]:
+    def decode_page(self, data: bytes) -> Tuple[int, Tuple[VEntry, ...]]:
         return decode_vpage(data)
 
     def storage_vpage_bytes(self, page_size: int, total_vpages: int) -> int:

@@ -66,3 +66,24 @@ def env_packed(small_env_packed):
     for scheme in small_env_packed.schemes.values():
         scheme.reset_runtime_state()
     return small_env_packed
+
+
+@pytest.fixture()
+def delta_totals_checked(monkeypatch):
+    """Hold ``DeltaSearch``'s running ``resident_bytes`` to the recomputed
+    sum after every operation that changes the resident set."""
+    from repro.core.delta import DeltaSearch
+
+    def checked(method):
+        def wrapper(self, *args, **kwargs):
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                assert self.resident_bytes == (
+                    sum(r.bytes for r in self._objects.values())
+                    + sum(r.bytes for r in self._internals.values()))
+        return wrapper
+
+    for name in ("_integrate", "_apply_budget", "clear"):
+        monkeypatch.setattr(DeltaSearch, name,
+                            checked(getattr(DeltaSearch, name)))

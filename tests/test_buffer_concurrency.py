@@ -7,6 +7,7 @@ exactly one hit or miss; every *completed* miss is exactly one disk
 read), puts are never lost, and capacity is never exceeded.
 """
 
+import sys
 import threading
 import time
 from random import Random
@@ -64,21 +65,38 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
     return predicate()
 
 
+def decode_page(data: bytes):
+    """A stand-in page decoder: ``(first byte, the bytes)``."""
+    return (data[0], data)
+
+
 def test_hammer_exact_accounting_under_contention():
-    """Random get/pin/unpin from many threads: counters stay exact."""
+    """Random get/pin/unpin from many threads: counters stay exact.
+
+    Every other thread reads through a decoder, so decoded payloads are
+    attached, shared and evicted under the same contention (and, in the
+    lock-witness CI job, under the witnessed pool lock).
+    """
     pfile = make_file()
     pool = BufferPool(capacity=8)
     gets = [0] * HAMMER_THREADS
     exhausted = [0] * HAMMER_THREADS
 
     def worker(thread_id: int):
+        decoding = thread_id % 2 == 1
+
         def body():
             rng = Random(1000 + thread_id)
             for _ in range(HAMMER_OPS):
                 page_id = rng.randrange(PAGES)
                 pin = rng.random() < 0.25
                 try:
-                    data = pool.get(pfile, page_id, pin=pin)
+                    if decoding:
+                        first, data = pool.get(pfile, page_id, pin=pin,
+                                               decoder=decode_page)
+                        assert first == page_id
+                    else:
+                        data = pool.get(pfile, page_id, pin=pin)
                 except BufferPoolExhaustedError:
                     # Only reachable when every frame is pinned by the
                     # other threads; counted so the accounting check
@@ -146,6 +164,53 @@ def test_hammer_no_lost_puts():
     assert pool.evictions <= pool.misses + sum(puts)
 
 
+def test_hammer_payload_never_outlives_its_bytes():
+    """Owners overwrite their pages while every thread reads every page
+    through a decoder: an owner's next read always decodes its last put.
+
+    A payload attached to a frame after ``put`` replaced the bytes it
+    was decoded from (the decode runs outside the pool lock) would be
+    served to the owner here as a stale value.
+    """
+    threads = HAMMER_THREADS
+    pfile = make_file(pages=threads * 2)
+    pool = BufferPool(capacity=6)
+
+    def decode_stamp(data: bytes):
+        time.sleep(0)       # let a put land between read and attach
+        return (data[0], data[1])
+
+    def worker(thread_id: int):
+        own = [thread_id * 2, thread_id * 2 + 1]
+
+        def body():
+            rng = Random(thread_id)
+            for op in range(HAMMER_OPS):
+                if rng.random() < 0.3:
+                    page_id = rng.choice(own)
+                    stamp = (100 + thread_id, op % 256)
+                    pool.put(pfile, page_id, bytes(stamp) * 8)
+                    time.sleep(0)
+                    assert pool.get(pfile, page_id,
+                                    decoder=decode_stamp) == stamp
+                else:
+                    page_id = rng.randrange(threads * 2)
+                    first, _second = pool.get(pfile, page_id,
+                                              decoder=decode_stamp)
+                    # Either the build's fill byte or its owner's stamp.
+                    assert first in (page_id, 100 + page_id // 2)
+                assert pool.resident_pages <= pool.capacity
+        return body
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads([worker(i) for i in range(threads)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pfile.stats.reads == pool.misses
+
+
 def test_single_flight_coalesces_concurrent_misses():
     """N threads faulting one cold page pay exactly one disk read."""
     pfile = make_file()
@@ -183,6 +248,40 @@ def test_single_flight_coalesces_concurrent_misses():
     assert pool.hits == 3
     assert pool.coalesced == 3
     assert pfile.stats.reads == 1
+
+
+def test_put_during_inflight_read_is_not_lost():
+    """A put that lands while another thread's miss read of the same
+    page is in flight wins: the read's older bytes must not be installed
+    over it."""
+    pfile = make_file()
+    pool = BufferPool(capacity=8)
+    release = threading.Event()
+    started = threading.Event()
+
+    def slow_reader(pf: PagedFile, page_id: int) -> bytes:
+        data = pf.read_page(page_id)
+        started.set()
+        assert release.wait(timeout=5.0)
+        return data
+
+    seen = []
+    reader = threading.Thread(target=lambda: seen.append(
+        pool.get(pfile, 3, reader=slow_reader, decoder=decode_page)))
+    reader.start()
+    assert started.wait(timeout=5.0)
+    fresh = b"\xee" * 16
+    pool.put(pfile, 3, fresh)
+    release.set()
+    reader.join(timeout=5.0)
+    assert not reader.is_alive()
+
+    assert seen == [(0xEE, fresh)]
+    assert pool.get(pfile, 3) == fresh
+    assert pool.get(pfile, 3, decoder=decode_page) == (0xEE, fresh)
+    assert pool.resident_pages == 1
+    pool.flush()
+    assert pfile.read_page(3) == fresh.ljust(64, b"\x00")
 
 
 def test_failed_read_propagates_to_waiters_then_recovers():

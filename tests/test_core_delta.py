@@ -6,6 +6,10 @@ from repro.core.delta import DeltaSearch
 from repro.core.search import HDoVSearch
 from repro.errors import HDoVError
 
+#: Every DeltaSearch operation in this module also checks the running
+#: resident-bytes total against the recomputed sum (see conftest).
+pytestmark = pytest.mark.usefixtures("delta_totals_checked")
+
 
 def make_delta(env, keep_offscreen=True, eta_scheme="indexed-vertical"):
     search = HDoVSearch(env, eta_scheme, fetch_models=False)

@@ -7,6 +7,10 @@ from repro.core.delta import DeltaSearch
 from repro.core.search import HDoVSearch
 from repro.errors import HDoVError
 
+#: Every DeltaSearch operation in this module also checks the running
+#: resident-bytes total against the recomputed sum (see conftest).
+pytestmark = pytest.mark.usefixtures("delta_totals_checked")
+
 
 def busiest_cells(env, limit=6):
     return sorted(env.grid.cell_ids(),

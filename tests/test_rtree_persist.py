@@ -6,7 +6,10 @@ import pytest
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
 from repro.rtree.bulk import str_bulk_load
+from repro.rtree.cached import CachedNodeStore
 from repro.rtree.persist import KIND_INTERNAL, KIND_LEAF, NodeStore
+from repro.serving.pooled import PooledNodeStore
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
 from repro.storage.serializer import NIL
@@ -46,7 +49,7 @@ def test_roundtrip_preserves_structure(store_and_tree):
         assert len(persisted.entries) == node.num_entries
         for entry, (mbr, target, lod_ptr) in zip(node.entries,
                                                  persisted.entries):
-            assert np.allclose(mbr.lo, entry.mbr.lo, rtol=1e-5, atol=1e-3)
+            assert np.allclose(mbr[:3], entry.mbr.lo, rtol=1e-5, atol=1e-3)
             if entry.is_leaf_entry:
                 assert target == entry.object_id
                 assert lod_ptr == 1000 + entry.object_id
@@ -92,3 +95,55 @@ def test_children_reachable_by_offset(store_and_tree):
         if not node.is_leaf:
             stack.extend(target for _mbr, target, _ptr in node.entries)
     assert seen == set(range(store.num_nodes))
+
+
+def all_stores(store):
+    """The plain store and its two pool-fronted views."""
+    return {"plain": store,
+            "cached": CachedNodeStore(store, capacity_pages=8),
+            "pooled": PooledNodeStore(store, BufferPool(8, name="t-nodes"))}
+
+
+def test_three_stores_return_equal_nodes(store_and_tree):
+    """Plain, cached and pooled reads agree field for field, on a cold
+    pool and again when the pooled page's decoded form is reused."""
+    store, _tree = store_and_tree
+    stores = all_stores(store)
+    for _pass in range(2):
+        for offset in range(store.num_nodes):
+            plain = stores["plain"].read_node(offset)
+            for name in ("cached", "pooled"):
+                other = stores[name].read_node(offset)
+                assert other is not plain
+                for field in ("page_id", "kind", "level", "node_offset",
+                              "targets", "lod_ptrs"):
+                    assert getattr(other, field) == getattr(plain, field), \
+                        (name, offset, field)
+                assert np.array_equal(other.mbrs, plain.mbrs)
+                assert other.is_leaf == plain.is_leaf
+                assert all(isinstance(t, int) for t in other.targets)
+    root = stores["plain"].read_node(0)
+    assert np.array_equal(root.mbr(0).lo, root.mbrs[0, :3])
+    assert np.array_equal(root.mbr(0).hi, root.mbrs[0, 3:])
+
+
+@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+def test_every_store_rejects_unknown_offset(store_and_tree, name):
+    store, _tree = store_and_tree
+    with pytest.raises(RTreeError, match="unknown node offset"):
+        all_stores(store)[name].read_node(10_000)
+
+
+@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+def test_every_store_rejects_a_page_holding_another_node(store_and_tree,
+                                                         name):
+    """The stored-offset check is made per read — also on a pool hit,
+    where the decoded page is reused rather than decoded again."""
+    store, _tree = store_and_tree
+    victim = all_stores(store)[name]
+    assert victim.read_node(2).node_offset == 2      # warms the pool
+    store.offset_to_page[1], store.offset_to_page[2] = \
+        store.offset_to_page[2], store.offset_to_page[1]
+    for offset in (1, 2):
+        with pytest.raises(RTreeError, match="node offset mismatch"):
+            victim.read_node(offset)
