@@ -33,10 +33,15 @@ from typing import Iterator, List, Tuple
 #: are higher-is-better; add lower-is-better metrics by tracking their
 #: reciprocal ratio instead.
 TRACKED: Tuple[Tuple[str, str, str], ...] = (
+    # Precompute ratios are against the unculled per-viewpoint
+    # full-matrix reference, which shares no nearest-hit kernel with
+    # the pipeline it is compared with.
     ("BENCH_precompute.json", "speedup_batched",
-     "precompute: batched speedup over seed"),
+     "precompute: batched speedup over unculled reference, small"),
     ("BENCH_precompute.json", "speedup_batched_workers2",
-     "precompute: batched+2 workers speedup"),
+     "precompute: batched+2 workers speedup over unculled reference"),
+    ("BENCH_precompute.json", "benchmark_scene.speedup_culled",
+     "precompute: octant-cull speedup, 12x12 benchmark scene"),
     ("BENCH_serving.json", "sessions.1.sim_frames_per_s",
      "serving: sim frames/s, 1 session"),
     ("BENCH_serving.json", "sessions.8.sim_frames_per_s",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.constants import (BYTES_PER_POLYGON, DEFAULT_FANOUT,
                              DEFAULT_LOD_RATIO, DEFAULT_MIN_FILL, PAGE_SIZE)
 from repro.core.schemes import SCHEME_CLASSES, StorageScheme
-from repro.core.vpage import CellVPages, instantiate_cell
+from repro.core.vpage import CellVPages, instantiate_cells
 from repro.errors import HDoVError
 from repro.lod.internal import InternalLOD, build_internal_lods
 from repro.rtree.bulk import str_bulk_load
@@ -253,8 +253,8 @@ def build_environment(scene: Scene, grid: CellGrid,
         raise HDoVError("visibility table does not match the cell grid")
 
     # 6. V-pages + storage schemes.
-    cell_vpages = [instantiate_cell(tree, visibility.cell(cid))
-                   for cid in grid.cell_ids()]
+    cell_vpages = instantiate_cells(
+        tree, (visibility.cell(cid) for cid in grid.cell_ids()))
     schemes: Dict[str, StorageScheme] = {}
     num_nodes = node_store.num_nodes
     for name in config.schemes:

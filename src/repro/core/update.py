@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
-from repro.core.vpage import CellVPages, instantiate_cell
+from repro.core.vpage import CellVPages, instantiate_cells
 from repro.errors import HDoVError
 from repro.rtree.delete import delete as rtree_delete
 from repro.visibility.cells import CellGrid
@@ -102,10 +102,9 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
     offsets_moved = True     # conservative: the DFS rewrite renumbers
     update_ids: Set[int] = (set(env.grid.cell_ids()) if offsets_moved
                             else set(cells_to_update))
-    new_cell_vpages = []
-    for cell_id in env.grid.cell_ids():
-        cell_vp = instantiate_cell(env.tree, env.visibility.cell(cell_id))
-        new_cell_vpages.append(cell_vp)
+    new_cell_vpages = instantiate_cells(
+        env.tree, (env.visibility.cell(cell_id)
+                   for cell_id in env.grid.cell_ids()))
     env.cell_vpages = new_cell_vpages
     scheme.num_nodes = env.node_store.num_nodes
     for cell_id in sorted(update_ids):

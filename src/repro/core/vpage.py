@@ -17,7 +17,7 @@ per-object DoVs, applying the aggregation rules of Section 3.2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import HDoVError
 from repro.rtree.node import Node
@@ -62,12 +62,41 @@ class CellVPages:
 
 def instantiate_cell(tree: RTree, visibility: CellVisibility) -> CellVPages:
     """Compute the cell's V-pages bottom-up over the in-memory tree."""
-    pages: Dict[int, List[VEntry]] = {}
-    _instantiate_node(tree.root, visibility, pages)
-    return CellVPages(cell_id=visibility.cell_id, pages=pages)
+    return instantiate_cells(tree, [visibility])[0]
+
+
+def instantiate_cells(tree: RTree, cells: Iterable[CellVisibility]
+                      ) -> List[CellVPages]:
+    """:func:`instantiate_cell` for many cells of one tree.
+
+    The object ids below each node are collected once, so every cell's
+    recursion can stop at a subtree it sees nothing of — most of the
+    tree, for most cells — instead of visiting all of it.
+    """
+    below: Dict[Node, Set[int]] = {}
+    _collect_object_ids(tree.root, below)
+    result: List[CellVPages] = []
+    for visibility in cells:
+        pages: Dict[int, List[VEntry]] = {}
+        _instantiate_node(tree.root, visibility, below, pages)
+        result.append(CellVPages(cell_id=visibility.cell_id, pages=pages))
+    return result
+
+
+def _collect_object_ids(node: Node, below: Dict[Node, Set[int]]) -> Set[int]:
+    """Fill ``below``: node -> ids of the objects under it."""
+    ids: Set[int] = set()
+    for entry in node.entries:
+        if entry.child is not None:
+            ids |= _collect_object_ids(entry.child, below)
+        elif entry.object_id is not None:
+            ids.add(entry.object_id)
+    below[node] = ids
+    return ids
 
 
 def _instantiate_node(node: Node, visibility: CellVisibility,
+                      below: Dict[Node, Set[int]],
                       pages: Dict[int, List[VEntry]]) -> Tuple[float, int]:
     """Recursive helper: returns (sum of entry DoVs, visible object count)
     of ``node`` and records its V-page if visible."""
@@ -79,9 +108,14 @@ def _instantiate_node(node: Node, visibility: CellVisibility,
             dov = visibility.get(entry.object_id)  # type: ignore[arg-type]
             ventries.append((dov, 1 if dov > 0.0 else 0))
     else:
-        for entry in node.entries:
-            child_sum, child_nvo = _instantiate_node(
-                entry.child, visibility, pages)  # type: ignore[arg-type]
+        for child in node.children():
+            # A subtree with no visible object sums to exactly (0.0, 0)
+            # and records no page, so it is not descended into.
+            if visibility.dov.keys().isdisjoint(below[child]):
+                child_sum, child_nvo = 0.0, 0
+            else:
+                child_sum, child_nvo = _instantiate_node(
+                    child, visibility, below, pages)
             ventries.append((aggregate_upward([child_sum]), child_nvo))
     total_dov = min(sum(d for d, _ in ventries), 1.0)
     total_nvo = sum(n for _, n in ventries)

@@ -97,15 +97,13 @@ def rays_vs_aabbs(origin, directions: np.ndarray,
     return slab_entry_matrix(origin, dirs, boxes[:, 0:3], boxes[:, 3:6])
 
 
-def nearest_hits(origin, directions: np.ndarray, boxes: np.ndarray,
-                 chunk: int = 2048) -> Tuple[np.ndarray, np.ndarray]:
+def nearest_hits(origin, directions: np.ndarray,
+                 boxes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest box id and distance.
 
     Returns ``(ids, ts)`` with ``ids[i] = -1`` and ``ts[i] = NO_HIT``
-    for misses.  ``chunk`` is retained for API compatibility; the shared
-    slab kernel bounds its own intermediates.
+    for misses.
     """
-    del chunk
     dirs = np.asarray(directions, dtype=np.float64)
     if boxes.size == 0:
         return (np.full(len(dirs), -1, dtype=np.int64),

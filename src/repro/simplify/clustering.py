@@ -75,10 +75,27 @@ def _cluster_once(mesh: TriangleMesh, box, resolution: int) -> TriangleMesh:
     new_faces = new_faces[keep]
     # Deduplicate faces that collapsed onto each other (ignore winding).
     if len(new_faces):
-        sorted_faces = np.sort(new_faces, axis=1)
-        _, first_idx = np.unique(sorted_faces, axis=0, return_index=True)
-        new_faces = new_faces[np.sort(first_idx)]
+        new_faces = new_faces[_first_occurrences(np.sort(new_faces, axis=1),
+                                                 len(unique_keys))]
     return TriangleMesh(new_verts, new_faces).compacted()
+
+
+def _first_occurrences(sorted_faces: np.ndarray, n: int) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of
+    ``sorted_faces`` (vertex ids in ``[0, n)``, each row ascending).
+
+    A row is folded into one int64 key, ``(a * n + b) * n + c``, so the
+    dedup is a 1-D ``np.unique`` instead of the structured-dtype argsort
+    ``axis=0`` does; the keys are injective, hence the same first
+    occurrences.  Meshes with ``n**3 >= 2**63`` clusters keep ``axis=0``.
+    """
+    if n ** 3 >= 2 ** 63:
+        _, first_idx = np.unique(sorted_faces, axis=0, return_index=True)
+    else:
+        keys = ((sorted_faces[:, 0] * n + sorted_faces[:, 1]) * n
+                + sorted_faces[:, 2])
+        _, first_idx = np.unique(keys, return_index=True)
+    return np.sort(first_idx)
 
 
 def _triangle_proxy(mesh: TriangleMesh) -> TriangleMesh:

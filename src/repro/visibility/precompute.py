@@ -25,12 +25,22 @@ layers, any of which can be used alone:
   ``resume=True`` skips cells already on disk, and a fingerprint
   mismatch (scene/grid/estimator changed) refuses to resume.
 
+What is *not* computed: the nearest-hit kernel
+(:func:`repro.geometry.slab.slab_nearest`) skips, per block of
+consecutive viewpoints and per direction-sign octant, the boxes wholly
+behind the block along some axis — pairs the slab arithmetic itself
+reports as misses (that module's docstring).  Ray count, resolution and
+samples are untouched.  Batches are consecutive cell ids, i.e.
+neighbouring cells, which keeps a block's bounds, and the cull, tight.
+
 Determinism contract: for a given scene, grid and estimator
 configuration, the resulting :class:`~repro.visibility.dov.VisibilityTable`
 is **bit-identical** across every combination of ``batch_cells``,
-``workers`` and resume/fresh runs, and identical to the seed serial
-per-viewpoint path.  The slab kernel performs the same per-element
-float32 operations regardless of batch shape, and all reductions run in
+``workers`` and resume/fresh runs, identical to the seed serial
+per-viewpoint path and to the unculled full-matrix reference
+(``slab_entry_matrix`` -> ``argmin`` -> ``bincount``).  The slab kernel
+performs the same per-element float32 operations regardless of batch
+shape or of which other boxes share the call, and all reductions run in
 a fixed (ray-major, then viewpoint) order; parity is enforced by tests
 and by the CI determinism gate.
 """

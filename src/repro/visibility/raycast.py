@@ -22,7 +22,9 @@ per-object solid-angle sums with a single offset ``bincount``.  The
 batched path is bit-identical to the one-viewpoint-at-a-time path — the
 kernel performs the same per-element operations regardless of batch
 shape, and the bincount accumulates each viewpoint's texels in the same
-ray order the scalar path uses.
+ray order the scalar path uses.  "Every object AABB" above is the
+result, not the work: the kernel's octant cull skips boxes that are
+provably behind the viewpoint block, which never changes an owner.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.vpage import (CellVPages, check_vpage_invariants,
-                              instantiate_cell)
+                              instantiate_cell, instantiate_cells)
 from repro.errors import HDoVError
 from repro.geometry.aabb import AABB
 from repro.rtree.bulk import str_bulk_load
-from repro.visibility.dov import CellVisibility
+from repro.visibility.dov import CellVisibility, aggregate_upward
 
 
 def grid_tree(n=30, max_entries=4):
@@ -111,6 +111,52 @@ def test_invariant_checker_detects_corruption():
             break
     with pytest.raises(HDoVError):
         check_vpage_invariants(tree, cell)
+
+
+def full_recursion_pages(node, visibility, pages):
+    """Section 3.2 over *every* node, no subtree skipped: the reference
+    for :func:`instantiate_cell`'s early exit."""
+    ventries = []
+    for entry in node.entries:
+        if node.is_leaf:
+            dov = visibility.get(entry.object_id)
+            ventries.append((dov, 1 if dov > 0.0 else 0))
+        else:
+            child_sum, child_nvo = full_recursion_pages(entry.child,
+                                                        visibility, pages)
+            ventries.append((aggregate_upward([child_sum]), child_nvo))
+    if any(d > 0.0 for d, _ in ventries):
+        pages[node.node_offset] = ventries
+    return (min(sum(d for d, _ in ventries), 1.0),
+            sum(n for _, n in ventries))
+
+
+@pytest.mark.parametrize("tree", [grid_tree(8, max_entries=8), grid_tree(10),
+                                  grid_tree(30)],
+                         ids=["leaf-root", "10", "30"])
+def test_subtree_skip_equals_full_recursion(tree):
+    cells = [CellVisibility(0),                          # sees nothing
+             CellVisibility(1, dov={0: 0.5}),
+             CellVisibility(2, dov={0: 0.1, 1: 0.2, 7: 0.05}),
+             CellVisibility(3, dov={i: 0.9 for i in range(8)}),
+             CellVisibility(4, dov={3: 1e-300, 6: 0.25}),
+             CellVisibility(5, dov={99: 0.5})]           # not in the tree
+    for cell, vpages in zip(cells, instantiate_cells(tree, cells)):
+        expected = {}
+        full_recursion_pages(tree.root, cell, expected)
+        assert vpages.cell_id == cell.cell_id
+        assert vpages.pages == expected
+        assert list(vpages.pages) == list(expected)      # insertion order
+        assert instantiate_cell(tree, cell).pages == expected
+
+
+def test_subtree_skip_equals_full_recursion_on_environment(env):
+    for cid in list(env.grid.cell_ids())[:10]:
+        expected = {}
+        full_recursion_pages(env.tree.root, env.visibility.cell(cid),
+                             expected)
+        assert env.cell_vpages[cid].pages == expected
+        assert list(env.cell_vpages[cid].pages) == list(expected)
 
 
 def test_environment_cells_satisfy_invariants(env):

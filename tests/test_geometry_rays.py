@@ -189,21 +189,64 @@ def test_slab_kernel_matches_scalar_reference(boxes, origin, directions):
                 assert t[i, j] == scalar        # bit-identical, both float64
 
 
-@given(boxes=st.lists(box_strategy, min_size=1, max_size=5),
-       origins=st.lists(st.tuples(finite_coords, finite_coords,
-                                  finite_coords),
-                        min_size=1, max_size=4),
-       directions=st.lists(raw_dirs, min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_slab_nearest_matches_per_origin_matrix(boxes, origins, directions):
-    """Property: the origin-batched nearest-hit kernel equals running the
-    entry matrix one origin at a time and taking the argmin."""
-    dirs = np.asarray(directions, dtype=float)
-    lo = np.array([b[0] for b in boxes])
-    hi = np.array([b[1] for b in boxes])
-    origins = np.asarray(origins, dtype=float)
+# Axis-parallel rays only: every component but one is zero, so every
+# axis of every group goes through the non-positive / parallel handling.
+axis_dirs = st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0),
+                             (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+                             (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+                            ).map(np.asarray)
+
+# Zero-extent axes are drawn on purpose, not left to chance.
+flat_box_strategy = st.tuples(
+    st.tuples(finite_coords, finite_coords, finite_coords),
+    st.tuples(*[st.just(0.0) | st.floats(0.0, 20.0)] * 3),
+).map(lambda t: (np.asarray(t[0]), np.asarray(t[0]) + np.asarray(t[1])))
+
+
+@st.composite
+def slab_nearest_cases(draw):
+    """(lo, hi, origins, dirs) in float64 or float32 (the estimator's
+    dtype), aimed at the boundary of the octant cull."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    boxes = draw(st.lists(box_strategy | flat_box_strategy,
+                          min_size=1, max_size=5))
+    # Coincident (shrink 0) and nested copies of earlier rows: argmin's
+    # lowest-row tie-break must survive the cull's row selection.
+    for row in draw(st.lists(st.integers(0, len(boxes) - 1), max_size=3)):
+        inset = draw(st.sampled_from([0.0, 0.25])) * (boxes[row][1]
+                                                      - boxes[row][0])
+        boxes.append((boxes[row][0] + inset, boxes[row][1] - inset))
+    lo = np.array([b[0] for b in boxes], dtype=dtype)
+    hi = np.array([b[1] for b in boxes], dtype=dtype)
+    # Origins: free points, or — per axis — exactly on the lo / hi face
+    # of some box (o == lo, o == hi after the cast: the cull predicate's
+    # boundary).  Several origins on different boxes make the block
+    # bounds a strict superset of each origin's own.
+    origins = []
+    for _ in range(draw(st.integers(1, 6))):
+        point = np.array(draw(st.tuples(finite_coords, finite_coords,
+                                        finite_coords)), dtype=dtype)
+        row = draw(st.integers(0, len(boxes) - 1))
+        for axis in range(3):
+            face = draw(st.sampled_from(["free", "free", "lo", "hi"]))
+            if face != "free":
+                point[axis] = (lo if face == "lo" else hi)[row, axis]
+        origins.append(point)
+    dirs = draw(st.lists(raw_dirs, min_size=1, max_size=6)
+                | st.lists(axis_dirs, min_size=1, max_size=6))
+    return lo, hi, np.array(origins), np.asarray(dirs, dtype=dtype)
+
+
+@given(case=slab_nearest_cases())
+@settings(max_examples=300, deadline=None)
+def test_slab_nearest_matches_per_origin_matrix(case):
+    """Property: the origin-batched, octant-culled nearest-hit kernel
+    equals running the full (unculled) entry matrix one origin at a time
+    and taking the argmin."""
+    lo, hi, origins, dirs = case
     ids, ts = slab_nearest(origins, dirs, lo, hi)
     assert ids.shape == ts.shape == (len(origins), len(dirs))
+    assert ts.dtype == dirs.dtype
     for v, origin in enumerate(origins):
         t = slab_entry_matrix(origin, dirs, lo, hi)
         for r in range(len(dirs)):

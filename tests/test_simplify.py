@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
+from repro.geometry.mesh import TriangleMesh
 from repro.geometry.primitives import box_mesh, bunny_blob, icosphere
+from repro.simplify import clustering
 from repro.simplify.clustering import simplify_clustering
 from repro.simplify.qem import simplify_qem
 
@@ -90,3 +92,47 @@ def test_clustering_target_property(sub, ratio):
     target = max(int(sphere.num_faces * ratio), 1)
     out = simplify_clustering(sphere, target)
     assert 1 <= out.num_faces <= target
+
+
+def _first_occurrences_axis0(sorted_faces, n):
+    """The structured-row dedup ``_cluster_once`` used before the scalar
+    keys: the reference the keyed version must reproduce."""
+    _, first_idx = np.unique(sorted_faces, axis=0, return_index=True)
+    return np.sort(first_idx)
+
+
+def test_cluster_dedup_scalar_keys_match_row_unique(monkeypatch):
+    rng = np.random.default_rng(11)
+    meshes = [icosphere(subdivisions=2), bunny_blob(subdivisions=2, seed=3),
+              # one face; and random soups with duplicate and
+              # winding-reversed faces over few vertices
+              TriangleMesh(rng.uniform(0, 1, (3, 3)), np.array([[0, 1, 2]]))]
+    for num_vertices in (4, 9, 40):
+        faces = rng.integers(0, num_vertices, (60, 3))
+        faces = faces[(faces[:, 0] != faces[:, 1])
+                      & (faces[:, 1] != faces[:, 2])
+                      & (faces[:, 0] != faces[:, 2])]
+        meshes.append(TriangleMesh(rng.uniform(-5, 5, (num_vertices, 3)),
+                                   np.concatenate([faces, faces[:, ::-1]])))
+    for mesh in meshes:
+        # Resolution 1 collapses every vertex into one cluster (no face
+        # survives); the finer grids leave duplicates to remove.
+        for resolution in (1, 2, 3, 7, 64):
+            keyed = clustering._cluster_once(mesh, mesh.aabb(), resolution)
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering, "_first_occurrences",
+                              _first_occurrences_axis0)
+                rows = clustering._cluster_once(mesh, mesh.aabb(),
+                                                resolution)
+            assert np.array_equal(keyed.vertices, rows.vertices)
+            assert np.array_equal(keyed.faces, rows.faces)
+            assert keyed.faces.dtype == rows.faces.dtype
+
+
+def test_cluster_dedup_falls_back_when_keys_would_overflow():
+    faces = np.array([[0, 1, 2], [0, 1, 5], [0, 1, 2], [3, 4, 5],
+                      [0, 1, 5]])
+    expected = _first_occurrences_axis0(faces, None)
+    for n in (6, 2 ** 21, 2 ** 21 + 1, 2 ** 40):     # 2**21 cubed = 2**63
+        assert np.array_equal(clustering._first_occurrences(faces, n),
+                              expected)
