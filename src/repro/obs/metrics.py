@@ -3,10 +3,11 @@
 The storage, search and walkthrough layers mirror their accounting into a
 :class:`MetricsRegistry` so experiments and benchmarks can observe *where*
 simulated milliseconds and page I/Os go without threading stats objects
-through every call site.  Instruments are cheap handle objects fetched
-once at construction time (``reg.counter(name, **labels)``) and bumped on
-the hot path with a plain attribute add, so instrumentation does not
-distort the timings it reports.
+through every call site.  Instruments are cheap handle objects bumped
+with a plain attribute add.  Long-lived objects fetch their handles once
+at construction (``reg.counter(name, **labels)``); code that must follow
+a registry swap (``repro.storage.pageio``) fetches on every call, which
+after a series' first use is one lock-free lookup in the alias dict.
 
 Two access patterns are supported:
 
@@ -160,14 +161,21 @@ class MetricsRegistry:
                                name="metrics-registry")
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kind_of: Dict[str, str] = {}
+        #: ``(kind, name, *labels.items())`` -> instrument: read lock-free,
+        #: written locked, all-``str`` labels only (``1 == True``: two series).
+        self._aliases: Dict[Tuple[object, ...], object] = {}
 
     # -- instrument access -------------------------------------------------
 
     def _instrument(self, kind: str, name: str,
                     labels: Dict[str, object]) -> Any:
+        alias = (kind, name, *labels.items())
+        try:
+            return self._aliases[alias]
+        except (KeyError, TypeError):   # first use / unhashable value
+            key = (name, _label_key(labels))
         if not name:
             raise ObservabilityError("metric name must be non-empty")
-        key = (name, _label_key(labels))
         with self._lock:
             existing_kind = self._kind_of.get(name)
             if existing_kind is not None and existing_kind != kind:
@@ -178,6 +186,8 @@ class MetricsRegistry:
                 instrument = _KINDS[kind]()
                 self._metrics[key] = instrument
                 self._kind_of[name] = kind
+            if all(type(v) is str for v in labels.values()):
+                self._aliases[alias] = instrument
             return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:

@@ -45,7 +45,6 @@ assigned only under the pool lock; the decode itself runs outside it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Optional, Tuple, TypeVar, Union,
                     overload)
 
@@ -64,35 +63,45 @@ PageReader = Callable[[PagedFile, int], bytes]
 
 #: Result type of a ``get`` decoder.
 T = TypeVar("T")
+_STALE: Any = object()  # "the latched bytes are superseded: start the get over"
 
 
-@dataclass
 class _Frame:
-    data: bytes
-    pin_count: int = 0
-    dirty: bool = False
-    #: True while the frame holds unconsumed prefetched bytes.
-    speculative: bool = False
-    #: Decoded form of ``data`` (``None``: not decoded yet).  Shared by
-    #: every reader of the frame, so decoders return immutable values.
-    payload: Any = None
+    __slots__ = ("data", "pin_count", "dirty", "speculative", "payload")
+
+    def __init__(self, data: bytes, speculative: bool = False,
+                 payload: Any = None) -> None:
+        self.data = data
+        self.pin_count = 0
+        self.dirty = False
+        #: True while the frame holds unconsumed prefetched bytes.
+        self.speculative = speculative
+        #: Decoded form of ``data`` (``None``: not decoded yet).  Shared by
+        #: every reader of the frame, so decoders return immutable values.
+        self.payload = payload
 
 
-@dataclass
 class _Latch:
     """In-flight read marker for one ``(file, page)`` key.
 
-    The owner thread sets exactly one of ``data``/``error`` before
-    signalling ``done``; waiters read the fields only after ``done``.
+    All fields are guarded by the pool lock.  The first *waiter* creates
+    ``event``; the owner sets exactly one of ``data``/``error`` and
+    signals the event only if there is one.  ``put`` detaches the latch
+    and marks it ``superseded``: its bytes are never installed.
     ``speculative``/``consumed`` track prefetch attribution: a demand
     waiter on a speculative latch consumes the prefetch exactly once.
     """
 
-    done: threading.Event = field(default_factory=threading.Event)
-    data: Optional[bytes] = None
-    error: Optional[BaseException] = None
-    speculative: bool = False
-    consumed: bool = False
+    __slots__ = ("event", "data", "error", "speculative", "consumed",
+                 "superseded")
+
+    def __init__(self, speculative: bool = False) -> None:
+        self.event: Optional[threading.Event] = None
+        self.data: Optional[bytes] = None
+        self.error: Optional[BaseException] = None
+        self.speculative = speculative
+        self.consumed = False
+        self.superseded = False
 
 
 class BufferPool:
@@ -286,8 +295,7 @@ class BufferPool:
                     self._m_misses.inc()
                     if len(self._frames) >= self.capacity:
                         self._evict_one()
-                    latch = _Latch()
-                    self._latches[key] = latch
+                    latch = self._latches[key] = _Latch()
                 else:
                     # Another thread is already reading this page; its
                     # bytes will be shared, so no disk read is charged
@@ -300,15 +308,23 @@ class BufferPool:
                         latch.consumed = True
                         self.prefetch_useful += 1
                         self._m_prefetch_useful.inc()
+                    if latch.event is None:
+                        latch.event = threading.Event()
         if frame is None:
             assert latch is not None
             if owner:
-                data = self._read_as_owner(key, pfile, page_id, latch,
-                                           pin=pin, reader=reader)
+                found = self._read_as_owner(key, pfile, page_id, latch,
+                                            pin=pin, reader=reader,
+                                            decoder=decoder)
             else:
-                data = self._wait_as_waiter(key, latch, pin=pin)
-            if decoder is None:
-                return data
+                found = self._wait_as_waiter(key, latch, pin=pin,
+                                             decoder=decoder)
+            if found is _STALE:
+                # The latched bytes were superseded by a put that is no
+                # longer resident: start over (the pin is the caller's).
+                found = self.get(pfile, page_id, pin=pin,  # repro: ignore[RPR003]
+                                 reader=reader, decoder=decoder)
+            return found
         return self._decode_onto_frame(key, data, decoder)
 
     def _decode_onto_frame(self, key: Tuple[int, int], data: bytes,
@@ -355,8 +371,7 @@ class BufferPool:
                     return False
             self.prefetch_issued += 1
             self._m_prefetch_issued.inc()
-            latch = _Latch(speculative=True)
-            self._latches[key] = latch
+            latch = self._latches[key] = _Latch(speculative=True)
         self._read_as_owner(key, pfile, page_id, latch, pin=False,
                             reader=reader, speculative=True)
         return True
@@ -374,45 +389,63 @@ class BufferPool:
     def _read_as_owner(self, key: Tuple[int, int], pfile: PagedFile,
                        page_id: int, latch: _Latch, *, pin: bool,
                        reader: Optional[PageReader],
-                       speculative: bool = False) -> bytes:
-        """Perform the single-flight read.  Caller does NOT hold the lock."""
+                       decoder: Optional[Callable[[bytes], Any]] = None,
+                       speculative: bool = False) -> Any:
+        """Single-flight fill: read and decode unlocked, install bytes and
+        payload in one locked step (or ``_STALE``).  Caller holds NO lock."""
         try:
-            if reader is not None:
-                data = reader(pfile, page_id)
-            else:
-                data = pfile.read_page(page_id)
+            data = (reader(pfile, page_id) if reader is not None
+                    else pfile.read_page(page_id))
         except BaseException as exc:
             # Propagate the failure to every waiter, then clear the latch
             # so a later get() retries the read instead of deadlocking.
             with self._lock:
                 latch.error = exc
-                self._latches.pop(key, None)
-                latch.done.set()
+                self._release_latch(key, latch)
             raise
-        with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                # A put landed while the read was in flight: its bytes
-                # are newer than the disk's, and installing over it
-                # would lose the write.
-                data = frame.data
-            else:
-                # A demand waiter may have consumed the prefetch while
-                # the read was in flight; the frame then lands
-                # non-speculative.
-                frame = _Frame(data, speculative=speculative
-                               and not latch.consumed)
-                self._install(key, frame)
-            if pin:
-                self._pin_locked(frame)
-            latch.data = data
-            self._latches.pop(key, None)
-            latch.done.set()
-        return data
+        payload = None
+        try:
+            if decoder is not None:
+                payload = decoder(data)
+        finally:
+            # A raising decoder still installs the bytes it was given and
+            # releases the latch before the error propagates.
+            with self._lock:
+                latch.data = data
+                frame = self._frames.get(key)
+                if frame is not None:
+                    # A put landed during the read: its bytes are newer
+                    # than the disk's; installing would lose the write.
+                    data, payload = frame.data, frame.payload
+                elif not latch.superseded:
+                    # A prefetch some demand waiter already consumed
+                    # lands non-speculative.
+                    frame = _Frame(data, speculative and not latch.consumed,
+                                   payload)
+                    self._install(key, frame)
+                if pin and frame is not None:
+                    self._pin_locked(frame)
+                self._release_latch(key, latch)
+        if frame is None:   # superseded by a put that was evicted again
+            return _STALE
+        if decoder is not None and payload is None:     # a put's bytes
+            return self._decode_onto_frame(key, data, decoder)
+        return data if decoder is None else payload
+
+    def _release_latch(self, key: Tuple[int, int], latch: _Latch) -> None:
+        """Retire ``latch`` and wake its waiters.  Caller holds lock."""
+        if self._latches.get(key) is latch:     # else: detached by a put
+            del self._latches[key]
+        if latch.event is not None:
+            latch.event.set()
 
     def _wait_as_waiter(self, key: Tuple[int, int], latch: _Latch, *,
-                        pin: bool) -> bytes:
-        latch.done.wait()
+                        pin: bool,
+                        decoder: Optional[Callable[[bytes], Any]]) -> Any:
+        """The owner's bytes (decoded), or ``_STALE``: a pinned residency
+        is wanted and the latched bytes are superseded."""
+        assert latch.event is not None
+        latch.event.wait()
         if latch.error is not None:
             raise latch.error
         data = latch.data
@@ -422,17 +455,20 @@ class BufferPool:
             if frame is not None:
                 self._policy.on_access(key)
                 self._consume_frame_locked(frame)
-                if pin:
-                    self._pin_locked(frame)
-                return frame.data
-            # The frame was already evicted between the owner's install
-            # and this waiter waking up; the latched bytes stay valid.
-            # Re-install only if the caller needs a pinned residency.
-            if pin:
+                data = frame.data
+            elif pin:
+                # The frame was already evicted between the owner's install
+                # and this waiter waking up; the latched bytes stay valid.
+                # Re-install only if the caller needs a pinned residency.
+                if latch.superseded:
+                    return _STALE
                 frame = _Frame(data)
                 self._install(key, frame)
+            if pin and frame is not None:
                 self._pin_locked(frame)
-        return data
+        if decoder is None:
+            return data
+        return self._decode_onto_frame(key, data, decoder)
 
     def put(self, pfile: PagedFile, page_id: int, data: bytes) -> None:
         """Install new page contents; written back on eviction or flush."""
@@ -440,9 +476,14 @@ class BufferPool:
             raise BufferPoolError("payload exceeds page size")
         with self._lock:
             key = self._key(pfile, page_id)
+            latch = self._latches.pop(key, None)
+            if latch is not None:
+                # The in-flight read now holds older bytes than the pool:
+                # its waiters still share them, later gets read afresh.
+                latch.superseded = True
             frame = self._frames.get(key)
             if frame is None:
-                frame = _Frame(data=b"")
+                frame = _Frame(b"")
                 self._install(key, frame)
             frame.data = bytes(data)
             frame.payload = None

@@ -164,8 +164,8 @@ class DiskModel:
         return self.seek_ms + self.transfer_ms
 
     def charge(self, stats: IOStats, *, write: bool, sequential: bool,
-               nbytes: int, backward: bool = False) -> None:
-        """Record one page access in ``stats``.
+               nbytes: int, backward: bool = False) -> float:
+        """Record one page access in ``stats``; returns its cost in ms.
 
         ``backward`` is only meaningful when ``sequential`` is false; the
         caller (``PagedFile._charge``) classifies the direction against
@@ -185,8 +185,9 @@ class DiskModel:
         else:
             stats.seeks += 1
             stats.forward_seeks += 1
-        stats.simulated_ms += self.access_cost(sequential,
-                                               backward=backward)
+        cost = self.access_cost(sequential, backward=backward)
+        stats.simulated_ms += cost
+        return cost
 
 
 #: Disk model with zero cost, for tests that only care about counts.

@@ -326,35 +326,36 @@ class PagedFile:
     # -- access ------------------------------------------------------------
 
     def _charge(self, page_id: int, *, write: bool) -> None:
-        window = max(self.disk.readahead_pages, 1)
+        last = self._last_accessed
         # A zero delta is a repeat access to the page under the head: no
         # repositioning happens, so it must not be charged as a seek.
-        sequential = (self._last_accessed is not None
-                      and 0 <= page_id - self._last_accessed <= window)
+        sequential = (last is not None and 0 <= page_id - last
+                      <= max(self.disk.readahead_pages, 1))
         # Direction is classified against *this file's* head only: each
         # PagedFile models its own spindle, so interleaved access to
         # another file never perturbs the classification here, and a
         # cold head (first access, or after reset_head) is a forward
         # seek — the arm starts parked at the outer edge.
-        backward = (not sequential and self._last_accessed is not None
-                    and page_id < self._last_accessed)
-        self.disk.charge(self.stats, write=write, sequential=sequential,
-                         nbytes=self.page_size, backward=backward)
+        backward = not sequential and last is not None and page_id < last
+        cost = self.disk.charge(self.stats, write=write,
+                                sequential=sequential,
+                                nbytes=self.page_size, backward=backward)
+        # Plain adds: the amounts are the ones IOStats was just charged.
         if write:
-            self._m_writes.inc()
-            self._m_bytes_written.inc(self.page_size)
+            self._m_writes.value += 1
+            self._m_bytes_written.value += self.page_size
         else:
-            self._m_reads.inc()
-            self._m_bytes_read.inc(self.page_size)
+            self._m_reads.value += 1
+            self._m_bytes_read.value += self.page_size
         if sequential:
-            self._m_sequential.inc()
-        elif backward:
-            self._m_seeks.inc()
-            self._m_back_seeks.inc()
+            self._m_sequential.value += 1
         else:
-            self._m_seeks.inc()
-            self._m_forward_seeks.inc()
-        self._m_ms.inc(self.disk.access_cost(sequential, backward=backward))
+            self._m_seeks.value += 1
+            if backward:
+                self._m_back_seeks.value += 1
+            else:
+                self._m_forward_seeks.value += 1
+        self._m_ms.value += cost
         self._last_accessed = page_id
 
     def _validate(self, page_id: int) -> None:
@@ -371,39 +372,44 @@ class PagedFile:
         """
         with self._io_lock:
             self._check_open()
-            self._validate(page_id)
-            self._charge(page_id, write=False)
-            if self._faults is not None:
-                self._faults.before_read(self, page_id)
-            overlay = self._overlay.get(page_id)
-            if overlay is not None:
-                # Journaled write not yet checkpointed: the overlay is
-                # the page's current image; the data file is stale.
-                data, crc = overlay
-                if self._faults is not None:
-                    data = self._faults.filter_read(self, page_id, data)
-                if zlib.crc32(data) != crc:
-                    raise self._corrupt(page_id, "CRC mismatch")
-                return data
-            if self._fh is None:
-                stored = self._mem.get(page_id)
-                # Allocated but never written: lazily materialise zeros.
-                data = (stored if stored is not None
-                        else bytes(self.page_size))
-                if self._faults is not None:
-                    data = self._faults.filter_read(self, page_id, data)
-                    self._verify_mem(page_id, data)
-                return data
-            self._fh.seek(page_id * self._physical_page_size)
-            raw = self._fh.read(self._physical_page_size)
-            if len(raw) != self._physical_page_size:
-                raise self._corrupt(page_id, "short read")
-            data = raw[:self.page_size]
-            trailer = raw[self.page_size:]
+            return self._read_locked(page_id)
+
+    def _read_locked(self, page_id: int) -> bytes:
+        """The body :meth:`read_page` and :meth:`read_run` share.  Callers
+        hold ``_io_lock`` and have checked the file is open."""
+        self._validate(page_id)
+        self._charge(page_id, write=False)
+        if self._faults is not None:
+            self._faults.before_read(self, page_id)
+        overlay = self._overlay.get(page_id)
+        if overlay is not None:
+            # Journaled write not yet checkpointed: the overlay is
+            # the page's current image; the data file is stale.
+            data, crc = overlay
             if self._faults is not None:
                 data = self._faults.filter_read(self, page_id, data)
-            self._verify_disk(page_id, data, trailer)
+            if zlib.crc32(data) != crc:
+                raise self._corrupt(page_id, "CRC mismatch")
             return data
+        if self._fh is None:
+            stored = self._mem.get(page_id)
+            # Allocated but never written: lazily materialise zeros.
+            data = (stored if stored is not None
+                    else bytes(self.page_size))
+            if self._faults is not None:
+                data = self._faults.filter_read(self, page_id, data)
+                self._verify_mem(page_id, data)
+            return data
+        self._fh.seek(page_id * self._physical_page_size)
+        raw = self._fh.read(self._physical_page_size)
+        if len(raw) != self._physical_page_size:
+            raise self._corrupt(page_id, "short read")
+        data = raw[:self.page_size]
+        trailer = raw[self.page_size:]
+        if self._faults is not None:
+            data = self._faults.filter_read(self, page_id, data)
+        self._verify_disk(page_id, data, trailer)
+        return data
 
     def _corrupt(self, page_id: int, why: str) -> PageCorruptError:
         """Count and build (not raise) a corruption error."""
@@ -573,11 +579,15 @@ class PagedFile:
         """Read ``count`` consecutive pages as one buffer.
 
         The first access may seek; the rest are charged as sequential.
+        Page by page under one lock round: a run that crosses
+        ``num_pages`` charges its valid prefix before raising.
         """
         if count < 0:
             raise StorageError(f"count must be >= 0, got {count}")
-        chunks = [self.read_page(first_page + i) for i in range(count)]
-        return b"".join(chunks)
+        with self._io_lock:
+            self._check_open()
+            return b"".join([self._read_locked(page_id) for page_id
+                             in range(first_page, first_page + count)])
 
     def reset_head(self) -> None:
         """Forget the last accessed page (forces the next access to seek).

@@ -20,6 +20,8 @@ registry on every call rather than caching handles: callers like
 ``repro profile`` swap registries mid-process (``use_registry``), and a
 cached handle would keep writing to the retired registry — the same
 stale-identity bug class as the ``id()``-keyed buffer frames PR 1 fixed.
+The per-call fetch is cheap because each registry answers a repeated
+``counter(name, component=...)`` from its own lock-free alias dict.
 
 The facade is also where resilience attaches (PR 3): every operation
 runs under :func:`repro.storage.retry.run_with_retry`, so a transient
@@ -35,17 +37,14 @@ from typing import Optional
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
-from repro.storage.retry import (DEFAULT_RETRY_POLICY, RetryPolicy,
-                                 run_with_retry)
+from repro.storage.retry import RetryPolicy, run_with_retry
 
 
 def read_page(pfile: PagedFile, page_id: int, *, component: str,
               retry: Optional[RetryPolicy] = None) -> bytes:
     """Read one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_READS, component=component).inc()
-    return run_with_retry(lambda: pfile.read_page(page_id), pfile,
-                          retry if retry is not None
-                          else DEFAULT_RETRY_POLICY)
+    return run_with_retry(pfile.read_page, pfile, retry, page_id)
 
 
 def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
@@ -53,8 +52,7 @@ def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
                retry: Optional[RetryPolicy] = None) -> None:
     """Write one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
-    run_with_retry(lambda: pfile.write_page(page_id, data), pfile,
-                   retry if retry is not None else DEFAULT_RETRY_POLICY)
+    run_with_retry(pfile.write_page, pfile, retry, page_id, data)
 
 
 def append_page(pfile: PagedFile, data: bytes, *, component: str,
@@ -66,8 +64,7 @@ def append_page(pfile: PagedFile, data: bytes, *, component: str,
     """
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
     page_id = pfile.allocate()
-    run_with_retry(lambda: pfile.write_page(page_id, data), pfile,
-                   retry if retry is not None else DEFAULT_RETRY_POLICY)
+    run_with_retry(pfile.write_page, pfile, retry, page_id, data)
     return page_id
 
 
@@ -82,6 +79,4 @@ def read_run(pfile: PagedFile, first_page: int, count: int, *,
     """
     get_registry().counter(names.PAGEIO_READS,
                            component=component).inc(count)
-    return run_with_retry(lambda: pfile.read_run(first_page, count), pfile,
-                          retry if retry is not None
-                          else DEFAULT_RETRY_POLICY)
+    return run_with_retry(pfile.read_run, pfile, retry, first_page, count)

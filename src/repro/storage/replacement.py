@@ -29,6 +29,7 @@ never observes pins at all.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, Iterator, List, Tuple, Union
 
 from repro.errors import BufferPoolError
@@ -65,7 +66,10 @@ class ReplacementPolicy:
 
         The pool takes the first candidate whose frame is unpinned; a
         policy therefore yields *every* resident key eventually, or the
-        pool cannot prove exhaustion.
+        pool cannot prove exhaustion.  The iterator walks the policy's
+        order in place, so eviction costs the pinned frames skipped, not
+        the capacity: the pool calls nothing else on the policy meanwhile
+        and abandons the iterator at its first eviction.
         """
         raise NotImplementedError
 
@@ -101,7 +105,7 @@ class LRUPolicy(ReplacementPolicy):
         del self._order[key]
 
     def victims(self) -> Iterator[KeyT]:
-        return iter(list(self._order))
+        return iter(self._order)
 
     def keys(self) -> List[KeyT]:
         return list(self._order)
@@ -193,10 +197,7 @@ class TwoQPolicy(ReplacementPolicy):
         prefer_a1 = len(self._a1in) > self.kin_pages or not self._am
         first, second = ((self._a1in, self._am) if prefer_a1
                          else (self._am, self._a1in))
-        for key in list(first):
-            yield key
-        for key in list(second):
-            yield key
+        return chain(first, second)
 
     def keys(self) -> List[KeyT]:
         return list(self._a1in) + list(self._am)

@@ -22,7 +22,7 @@ because catching and re-dispatching failures is its purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.errors import StorageError, TransientIOError
 from repro.obs import names
@@ -67,20 +67,22 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-def run_with_retry(op: Callable[[], T], pfile: PagedFile,
-                   policy: RetryPolicy = DEFAULT_RETRY_POLICY) -> T:
-    """Run ``op`` retrying transient failures against ``pfile``.
+def run_with_retry(op: Callable[..., T], pfile: PagedFile,
+                   policy: Optional[RetryPolicy] = None, *args: Any) -> T:
+    """Run ``op(*args)`` retrying transient failures against ``pfile``.
 
     Fast path first: when no fault injector is installed on the file,
     transient errors cannot occur, so the operation runs bare — zero
     overhead and zero new metric series on the happy path.
     """
     if pfile.faults is None:
-        return op()
+        return op(*args)
+    if policy is None:
+        policy = DEFAULT_RETRY_POLICY
     attempt = 1
     while True:
         try:
-            return op()
+            return op(*args)
         except TransientIOError:
             if attempt >= policy.max_attempts:
                 get_registry().counter(names.PAGEIO_GIVEUPS,

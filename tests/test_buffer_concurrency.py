@@ -284,6 +284,137 @@ def test_put_during_inflight_read_is_not_lost():
     assert pfile.read_page(3) == fresh.ljust(64, b"\x00")
 
 
+def gated_reader():
+    """A miss reader that has read its (old) bytes and then holds them
+    until released: ``(reader, started, release)``."""
+    release = threading.Event()
+    started = threading.Event()
+
+    def slow_reader(pf: PagedFile, page_id: int) -> bytes:
+        data = pf.read_page(page_id)
+        started.set()
+        assert release.wait(timeout=5.0)
+        return data
+
+    return slow_reader, started, release
+
+
+def test_put_evicted_during_inflight_read_is_not_served_stale():
+    """A put that lands during an in-flight miss read *and is evicted
+    again before that read installs*: the file now holds the newer
+    bytes, so the read's older image must never become the frame."""
+    pfile = make_file()
+    pool = BufferPool(capacity=2)
+    slow_reader, started, release = gated_reader()
+    seen = []
+    reader = threading.Thread(target=lambda: seen.append(
+        pool.get(pfile, 3, reader=slow_reader, decoder=decode_page)))
+    reader.start()
+    assert started.wait(timeout=5.0)
+    fresh = (b"\xee" * 16).ljust(64, b"\x00")
+    pool.put(pfile, 3, fresh)
+    pool.get(pfile, 0)
+    pool.get(pfile, 1)              # capacity 2: writes page 3 back
+    assert not pool.contains(pfile, 3)
+    assert pfile.read_page(3) == fresh
+    release.set()
+    reader.join(timeout=5.0)
+    assert not reader.is_alive()
+
+    # The superseded reader started over and saw the put, like everyone
+    # after it; pool and file agree.
+    assert seen == [(0xEE, fresh)]
+    assert pool.get(pfile, 3) == fresh
+    assert pool.get(pfile, 3, decoder=decode_page) == (0xEE, fresh)
+    assert pool.resident_pages <= pool.capacity
+
+
+def test_pinned_waiter_on_a_superseded_read_is_not_served_stale():
+    """Same race seen from a coalesced waiter that wants a pinned
+    residency: it may not re-install the latched (older) bytes."""
+    pfile = make_file()
+    pool = BufferPool(capacity=2)
+    slow_reader, started, release = gated_reader()
+    seen = []
+    owner = threading.Thread(target=lambda: seen.append(
+        pool.get(pfile, 3, reader=slow_reader)))
+    waiter = threading.Thread(target=lambda: seen.append(
+        pool.get(pfile, 3, pin=True)))
+    owner.start()
+    assert started.wait(timeout=5.0)
+    waiter.start()
+    assert wait_until(lambda: pool.coalesced == 1)
+    fresh = (b"\xee" * 16).ljust(64, b"\x00")
+    pool.put(pfile, 3, fresh)
+    pool.get(pfile, 0)
+    pool.get(pfile, 1)
+    assert not pool.contains(pfile, 3)
+    release.set()
+    for t in (owner, waiter):
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+
+    assert seen == [fresh, fresh]
+    assert pool.get(pfile, 3) == fresh
+    pool.unpin(pfile, 3)
+    pool.flush()
+    assert pfile.read_page(3) == fresh
+
+
+def test_hammer_puts_evicted_under_slow_fills_stay_coherent():
+    """Owners overwrite their pages in a pool so small that a put is
+    evicted within a few operations, while every fill's decoder yields
+    between the read and the install: an owner always reads back its own
+    last put, and at the end pool and file agree on every page."""
+    threads = HAMMER_THREADS
+    pfile = make_file(pages=threads * 2)
+    pool = BufferPool(capacity=3)
+    last_put = {}
+
+    def decode_slowly(data: bytes):
+        time.sleep(0)       # a put (and its eviction) may land here
+        return (data[0], data[1])
+
+    def worker(thread_id: int):
+        own = [thread_id * 2, thread_id * 2 + 1]
+
+        def body():
+            rng = Random(500 + thread_id)
+            for op in range(HAMMER_OPS):
+                if rng.random() < 0.3:
+                    page_id = rng.choice(own)
+                    stamp = (100 + thread_id, op % 256)
+                    pool.put(pfile, page_id, bytes(stamp) * 8)
+                    last_put[page_id] = stamp
+                    # Churn so the put is (usually) written back before
+                    # it is read again.
+                    for _ in range(3):
+                        pool.get(pfile, rng.randrange(threads * 2))
+                    assert pool.get(pfile, page_id,
+                                    decoder=decode_slowly) == stamp
+                else:
+                    page_id = rng.randrange(threads * 2)
+                    first, _second = pool.get(pfile, page_id,
+                                              decoder=decode_slowly)
+                    assert first in (page_id, 100 + page_id // 2)
+                assert pool.resident_pages <= pool.capacity
+        return body
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads([worker(i) for i in range(threads)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.evictions > HAMMER_OPS
+    for page_id in range(threads * 2):
+        stamp = last_put.get(page_id, (page_id, page_id))
+        assert pool.get(pfile, page_id, decoder=decode_slowly) == stamp
+    pool.flush()
+    for page_id, stamp in last_put.items():
+        assert pfile.read_page(page_id)[:2] == bytes(stamp)
+
+
 def test_failed_read_propagates_to_waiters_then_recovers():
     """An owner's read failure reaches every waiter; the latch clears."""
     pfile = make_file()

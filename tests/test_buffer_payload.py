@@ -151,6 +151,17 @@ def test_pinned_get_returns_payload_and_pins(pfile):
     assert decoder.calls == [0]
 
 
+def test_decoder_returning_none_is_one_get_and_one_pin(pfile):
+    """``None`` is a legal payload (never cached), not the pool's
+    "superseded, start over" signal: the miss counts and pins once."""
+    pool = BufferPool(capacity=2)
+    assert pool.get(pfile, 0, pin=True, decoder=lambda data: None) is None
+    assert (pool.hits, pool.misses) == (0, 1)
+    pool.unpin(pfile, 0)
+    with pytest.raises(BufferPoolError):
+        pool.unpin(pfile, 0)
+
+
 def test_coalesced_waiters_get_the_payload(pfile):
     """Waiters on an in-flight read return the decoded form too, and the
     page is read once however many threads decode it."""

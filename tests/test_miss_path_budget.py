@@ -1,0 +1,118 @@
+"""Count budget of the demand-miss path (also run by CI's ``perf-smoke``).
+
+Not a timing test: each check counts something a miss must *not* do, so
+that a refactor which quietly brings one of them back fails here rather
+than in a benchmark run.  A single-threaded replay of 1,000 evicting
+misses through the ``pageio`` facade
+
+* constructs no ``threading.Event`` (the latch's event belongs to the
+  first waiter, and there is none);
+* takes the pool lock at most twice per miss (miss + eviction, then
+  install + payload);
+* pulls at most ``1 + pinned`` keys out of the policy's queues per
+  eviction, at capacity 128 and at 4,096 (``victims()`` copies nothing:
+  eviction is not O(capacity));
+* never re-derives a registry label key once the series exist.
+"""
+
+import threading
+from collections import OrderedDict
+
+import pytest
+
+from repro.obs import metrics
+from repro.storage import pageio
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import FREE_DISK, IOStats
+from repro.storage.pagedfile import PagedFile
+from repro.storage.replacement import make_policy
+
+MISSES = 1000
+PINNED = 3
+
+
+class CountingLock:
+    """Stands in for the pool lock; counts outermost acquisitions."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class CountingOrder(OrderedDict):
+    """A policy queue that counts every key iterated out of it — by the
+    pool, or by a ``list(...)`` copy inside ``victims()``."""
+
+    pulled = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            CountingOrder.pulled += 1
+            yield key
+
+
+def pool_reader(pfile, page_id):
+    return pageio.read_page(pfile, page_id, component="budget")
+
+
+def decode(data):
+    return (data[0], len(data))
+
+
+@pytest.mark.parametrize("policy_name", ["lru", "2q"])
+@pytest.mark.parametrize("capacity", [128, 4096])
+def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
+                                                     policy_name):
+    pfile = PagedFile("budget", page_size=64, disk=FREE_DISK,
+                      stats=IOStats())
+    pfile.allocate_many(capacity + MISSES)
+    policy = make_policy(policy_name, capacity, "budget")
+    queues = [name for name, value in vars(policy).items()
+              if isinstance(value, OrderedDict)]
+    assert queues
+    for name in queues:
+        setattr(policy, name, CountingOrder())
+    pool = BufferPool(capacity, policy=policy, name="budget")
+
+    def fault(page_id, pin=False):
+        return pool.get(pfile, page_id, pin=pin, reader=pool_reader,
+                        decoder=decode)
+
+    # Warm-up: fill the pool (the oldest frames pinned, so every eviction
+    # has to step over them) and let every metric series come to exist.
+    for page_id in range(capacity):
+        fault(page_id, pin=page_id < PINNED)
+    assert pool.resident_pages == capacity and pool.evictions == 0
+
+    events = []
+    real_init = threading.Event.__init__
+    # On the class itself: counts however the pool spells the constructor.
+    monkeypatch.setattr(threading.Event, "__init__",
+                        lambda self: events.append(1) or real_init(self))
+    label_keys = []
+    real_label_key = metrics._label_key
+    monkeypatch.setattr(
+        metrics, "_label_key",
+        lambda labels: label_keys.append(1) or real_label_key(labels))
+    monkeypatch.setattr(CountingOrder, "pulled", 0)
+    lock = CountingLock(pool._lock)
+    monkeypatch.setattr(pool, "_lock", lock)
+
+    for page_id in range(capacity, capacity + MISSES):
+        assert fault(page_id) == (0, 64)
+
+    assert (pool.misses, pool.evictions) == (capacity + MISSES, MISSES)
+    assert pfile.stats.reads == capacity + MISSES
+    assert events == []
+    assert lock.acquisitions <= 2 * MISSES
+    assert CountingOrder.pulled <= (1 + PINNED) * MISSES
+    assert label_keys == []
+    for page_id in range(PINNED):
+        pool.unpin(pfile, page_id)

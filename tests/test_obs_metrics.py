@@ -108,3 +108,82 @@ def test_use_registry_scoping():
         scoped.counter("inner").inc()
     assert get_registry() is before
     assert before.value("inner") == 0.0
+
+
+# -- the alias-dict fast path ------------------------------------------------
+# A repeated ``counter(name, **labels)`` is answered from a lock-free dict
+# in front of the locked path; everything the locked path guaranteed holds
+# on a fast hit too.
+
+
+def test_per_call_fetch_follows_a_registry_swap():
+    """``pageio`` fetches its counter on every call: after a swap the
+    counts land in the *current* registry, never in a remembered one."""
+    from repro.obs import names
+    from repro.storage import pageio
+    from repro.storage.pagedfile import PagedFile
+
+    pfile = PagedFile("swap", page_size=64)
+    pfile.append_page(b"x")
+    outer = get_registry()
+    before = outer.value(names.PAGEIO_READS, component="swap-test")
+    for _ in range(3):                  # warm the outer registry's alias
+        pageio.read_page(pfile, 0, component="swap-test")
+    with use_registry() as scoped:
+        for _ in range(2):
+            pageio.read_page(pfile, 0, component="swap-test")
+        assert scoped.value(names.PAGEIO_READS, component="swap-test") == 2
+    pageio.read_page(pfile, 0, component="swap-test")
+    assert outer.value(names.PAGEIO_READS,
+                       component="swap-test") == before + 4
+
+
+def test_kind_mismatch_rejected_after_a_fast_hit():
+    reg = MetricsRegistry()
+    assert reg.counter("x", file="f") is reg.counter("x", file="f")
+    with pytest.raises(ObservabilityError):
+        reg.gauge("x", file="f")
+    with pytest.raises(ObservabilityError):
+        reg.gauge("x")
+    with pytest.raises(ObservabilityError):
+        reg.counter("")
+
+
+def test_label_values_alias_by_their_string_form():
+    reg = MetricsRegistry()
+    one = reg.counter("c", component=1)
+    assert reg.counter("c", component="1") is one
+    assert reg.counter("c", component="1") is one       # fast hit
+    assert reg.counter("c", component=1) is one
+    # ``True == 1`` and hashes alike, but "True" is another series.
+    assert reg.counter("c", component=True) is not one
+    assert reg.counter("c", component=1) is one
+    assert len(reg.series("c")) == 2
+    # Keyword order does not make a new series either.
+    assert reg.counter("d", a="x", b="y") is reg.counter("d", b="y", a="x")
+
+
+def test_unhashable_label_values_take_the_locked_path():
+    reg = MetricsRegistry()
+    first = reg.counter("c", component=["a", "b"])
+    assert reg.counter("c", component=["a", "b"]) is first
+    assert reg.counter("c", component="['a', 'b']") is first
+    assert len(reg) == 1
+
+
+def test_fast_path_under_the_lock_witness():
+    """The registry lock is the lattice's bottom level: a fast hit takes
+    no lock at all, a first use takes it under any other lock."""
+    import threading
+
+    from repro.concurrency import LockOrderWitness, installed, wrap_lock
+
+    with installed(LockOrderWitness()) as witness, use_registry() as reg:
+        held = wrap_lock(threading.Lock(), level="pagedfile", name="held")
+        with held:
+            handle = reg.counter("c", file="f")
+            taken = witness.report()["acquisitions"]["obs.registry"]
+            for _ in range(5):
+                assert reg.counter("c", file="f") is handle
+            assert witness.report()["acquisitions"]["obs.registry"] == taken
+        assert witness.violations() == []

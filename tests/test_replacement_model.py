@@ -1,0 +1,256 @@
+"""Replacement policies against list-based reference models.
+
+``victims()`` iterates the policy's own order in place (the pool
+abandons the iterator at its first eviction), so the orders are checked
+here against models that copy nothing cleverly: plain lists, linear
+scans.  Random ``get`` / ``put`` / ``pin`` / ``unpin`` / ``prefetch``
+sequences must produce the same eviction sequence, resident order,
+ghost hits and promotions, and the same typed exhaustion, step by step.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import BufferPoolExhaustedError
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import FREE_DISK, IOStats
+from repro.storage.pagedfile import PagedFile
+from repro.storage.replacement import LRUPolicy, TwoQPolicy
+
+PAGES = 12
+
+
+class Exhausted(Exception):
+    """The model's ``BufferPoolExhaustedError``."""
+
+
+class LRUModel:
+    def __init__(self, capacity):
+        self.order = []
+
+    def insert(self, key):
+        self.order.append(key)
+
+    def access(self, key):
+        self.order.remove(key)
+        self.order.append(key)
+
+    def candidates(self):
+        return list(self.order)
+
+    def evict(self, key):
+        self.order.remove(key)
+
+    def stats(self):
+        return {}
+
+
+class TwoQModel:
+    def __init__(self, capacity):
+        self.kin = max(1, int(capacity * 0.25))
+        self.kout = max(1, int(capacity * 0.5))
+        self.a1in, self.am, self.ghosts = [], [], []
+        self.ghost_hits = self.promotions = 0
+
+    def insert(self, key):
+        if key in self.ghosts:
+            self.ghosts.remove(key)
+            self.ghost_hits += 1
+            self.promotions += 1
+            self.am.append(key)
+        else:
+            self.a1in.append(key)
+
+    def access(self, key):
+        if key in self.am:
+            self.am.remove(key)
+            self.am.append(key)
+
+    def candidates(self):
+        if len(self.a1in) > self.kin or not self.am:
+            return self.a1in + self.am
+        return self.am + self.a1in
+
+    def evict(self, key):
+        if key in self.a1in:
+            self.a1in.remove(key)
+            self.ghosts.append(key)
+            del self.ghosts[:max(0, len(self.ghosts) - self.kout)]
+        else:
+            self.am.remove(key)
+
+    @property
+    def order(self):
+        return self.a1in + self.am
+
+    def stats(self):
+        return {"ghost_hits": self.ghost_hits,
+                "promotions": self.promotions}
+
+
+class ModelPool:
+    """What ``BufferPool`` does single-threaded, with lists."""
+
+    def __init__(self, policy, capacity):
+        self.policy = policy
+        self.capacity = capacity
+        self.pins = {}                  # resident key -> pin count
+        self.evicted = []
+
+    def _evict_one(self):
+        for key in self.policy.candidates():
+            if self.pins[key] == 0:
+                self.policy.evict(key)
+                del self.pins[key]
+                self.evicted.append(key)
+                return
+        raise Exhausted
+
+    def _install(self, key):
+        while len(self.pins) >= self.capacity:
+            self._evict_one()
+        self.pins[key] = 0
+        self.policy.insert(key)
+
+    def get(self, key, pin):
+        if key in self.pins:
+            self.policy.access(key)
+        else:
+            if len(self.pins) >= self.capacity:
+                self._evict_one()
+            self._install(key)
+        if pin:
+            self.pins[key] += 1
+
+    def put(self, key):
+        if key not in self.pins:
+            self._install(key)
+        self.policy.access(key)
+
+    def prefetch(self, key):
+        if key in self.pins:
+            return False
+        if len(self.pins) >= self.capacity:
+            try:
+                self._evict_one()
+            except Exhausted:
+                return False
+        self._install(key)
+        return True
+
+
+class Recording:
+    """Mixin: remember the pool's evictions in order."""
+
+    def on_evict(self, key):
+        self.evicted.append(key)
+        super().on_evict(key)
+
+
+class RecordingLRU(Recording, LRUPolicy):
+    def __init__(self, capacity):
+        super().__init__()
+        self.evicted = []
+
+
+class RecordingTwoQ(Recording, TwoQPolicy):
+    def __init__(self, capacity):
+        super().__init__(capacity, pool_name="model")
+        self.evicted = []
+
+
+POLICIES = {"lru": (RecordingLRU, LRUModel), "2q": (RecordingTwoQ, TwoQModel)}
+
+
+def make_file():
+    pf = PagedFile("model", page_size=64, disk=FREE_DISK, stats=IOStats())
+    for i in range(PAGES):
+        pf.append_page(bytes([i]) * 8)
+    return pf
+
+
+OPS = st.lists(st.tuples(
+    st.sampled_from(["get", "get", "get", "pin", "unpin", "put",
+                     "prefetch"]),
+    st.integers(0, PAGES - 1)), max_size=120)
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 6), ops=OPS)
+def test_pool_evicts_exactly_as_the_list_model(policy_name, capacity, ops):
+    real_cls, model_cls = POLICIES[policy_name]
+    pfile = make_file()
+    policy = real_cls(capacity)
+    pool = BufferPool(capacity, policy=policy, name=f"model-{policy_name}")
+    model = ModelPool(model_cls(capacity), capacity)
+    fid = pfile.file_id
+    for step, (op, page) in enumerate(ops):
+        key = (fid, page)
+        where = (step, op, page)
+        if op == "unpin":
+            if model.pins.get(key, 0) == 0:
+                continue
+            model.pins[key] -= 1
+            pool.unpin(pfile, page)
+        elif op == "prefetch":
+            assert pool.prefetch(pfile, page) == model.prefetch(key), where
+        else:
+            try:
+                if op == "put":
+                    model.put(key)
+                else:
+                    model.get(key, pin=op == "pin")
+                expected = None
+            except Exhausted:
+                expected = BufferPoolExhaustedError
+            try:
+                if op == "put":
+                    pool.put(pfile, page, bytes([page]) * 8)
+                else:
+                    pool.get(pfile, page, pin=op == "pin")
+                raised = None
+            except BufferPoolExhaustedError:
+                raised = BufferPoolExhaustedError
+            assert raised is expected, where
+        assert policy.evicted == model.evicted, where
+        assert policy.keys() == model.policy.order, where
+        assert policy.stats() == model.policy.stats(), where
+        assert pool.evictions == len(model.evicted), where
+        assert pool.resident_pages == len(model.pins) <= capacity, where
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("capacity", [2, 5, 8])
+def test_all_but_one_pinned_evicts_the_one_then_exhausts(policy_name,
+                                                        capacity):
+    """The one unpinned (and dirty) frame is found wherever it sits in
+    the order, behind every pinned one, and an all-pinned pool raises the
+    typed error; neither ever trips "mutated during iteration"."""
+    real_cls, _model = POLICIES[policy_name]
+    for free in range(capacity):
+        pfile = make_file()
+        policy = real_cls(capacity)
+        pool = BufferPool(capacity, policy=policy)
+        for page in range(capacity):
+            if page == free:
+                pool.put(pfile, page, b"dirty")
+            else:
+                pool.get(pfile, page, pin=True)
+        yielded = list(policy.victims())
+        assert sorted(yielded) == [(pfile.file_id, p)
+                                   for p in range(capacity)]
+        pool.get(pfile, capacity)
+        assert policy.evicted == [(pfile.file_id, free)]
+        assert pfile.read_page(free)[:5] == b"dirty"
+        pool.get(pfile, capacity, pin=True)
+        with pytest.raises(BufferPoolExhaustedError):
+            pool.get(pfile, capacity + 1)
+        assert pool.prefetch(pfile, capacity + 1) is False
+        assert policy.evicted == [(pfile.file_id, free)]
+        for page in list(range(capacity)) + [capacity]:
+            if page != free:
+                pool.unpin(pfile, page)
+        pool.get(pfile, capacity + 1)
+        assert len(policy.evicted) == 2
