@@ -167,11 +167,11 @@ class HDoVEnvironment:
         self.heavy_stats.reset()
 
     def reset_runtime_state(self) -> None:
-        """Back to *cold*: empty ledgers, no current cell or warm
-        buffer in any scheme, and every file head forgotten — tree and
-        model files included — so the next access to each file is a
-        first access.  The state a replay must start from for two
-        replays of one path to charge identical I/O."""
+        """Back to *cold*: empty ledgers, no current cell in any
+        scheme, and every file head forgotten — tree and model files
+        included — so the next access to each file is a first access.
+        The state a replay must start from for two replays of one path
+        to charge identical I/O."""
         self.reset_stats()
         for scheme in self.schemes.values():
             scheme.reset_runtime_state()

@@ -1,6 +1,7 @@
 """The three V-page storage schemes of Section 4."""
 
-from repro.core.schemes.base import StorageScheme, StorageBreakdown
+from repro.core.schemes.base import (SegmentScheme, StorageBreakdown,
+                                     StorageScheme)
 from repro.core.schemes.horizontal import HorizontalScheme
 from repro.core.schemes.vertical import VerticalScheme
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
@@ -11,5 +12,6 @@ SCHEME_CLASSES = {
     "indexed-vertical": IndexedVerticalScheme,
 }
 
-__all__ = ["StorageScheme", "StorageBreakdown", "HorizontalScheme",
-           "VerticalScheme", "IndexedVerticalScheme", "SCHEME_CLASSES"]
+__all__ = ["StorageScheme", "SegmentScheme", "StorageBreakdown",
+           "HorizontalScheme", "VerticalScheme", "IndexedVerticalScheme",
+           "SCHEME_CLASSES"]

@@ -58,13 +58,6 @@ class StorageBreakdown:
 #: page read) must stay byte-identical.
 PACKED_READ_CACHE_PAGES = 4
 
-#: Default cap on the warm prefetch buffer: one cell ahead plus one
-#: stale entry about to be evicted.  A warm entry for a cell the viewer
-#: never flips to must not be kept forever (the serving path never
-#: calls ``drop_prefetches``), so the buffer keeps only the most
-#: recently prefetched K cells.
-DEFAULT_WARM_CAPACITY = 2
-
 
 class StorageScheme(abc.ABC):
     """Abstract base of the three storage schemes."""
@@ -73,11 +66,7 @@ class StorageScheme(abc.ABC):
 
     def __init__(self, vpage_file: PagedFile,
                  index_file: Optional[PagedFile] = None,
-                 warm_capacity: int = DEFAULT_WARM_CAPACITY,
                  codec: Optional[VPageCodec] = None) -> None:
-        if warm_capacity < 1:
-            raise SchemeError(
-                f"warm_capacity must be >= 1, got {warm_capacity}")
         self.vpage_file = vpage_file
         self.index_file = index_file
         #: The versioned V-page codec — the only reader/writer of V-page
@@ -95,20 +84,8 @@ class StorageScheme(abc.ABC):
         self.page_cache: Optional[BufferPool] = None
         self.current_cell: Optional[int] = None
         self.flips = 0
-        #: Prefetched per-cell state (double buffering): cell id ->
-        #: captured segment state, installed for free at flip time.
-        #: Bounded: insertion-ordered, the oldest entry is evicted once
-        #: more than ``warm_capacity`` cells are warm.
-        self._warm: Dict[int, object] = {}
-        self.warm_capacity = warm_capacity
-        self.prefetched_flips = 0
-        registry = get_registry()
-        self._m_flips = registry.counter(names.SCHEME_FLIPS,
-                                         scheme=self.name)
-        self._m_warm_flips = registry.counter(
-            names.SCHEME_PREFETCHED_FLIPS, scheme=self.name)
-        self._m_prefetches = registry.counter(names.SCHEME_PREFETCHES,
-                                              scheme=self.name)
+        self._m_flips = get_registry().counter(names.SCHEME_FLIPS,
+                                               scheme=self.name)
 
     # -- build -------------------------------------------------------------
 
@@ -120,9 +97,9 @@ class StorageScheme(abc.ABC):
     # -- runtime ------------------------------------------------------------
 
     def flip_to_cell(self, cell_id: int) -> None:
-        """Make ``cell_id`` the current cell, paying the flip I/O —
-        unless the cell was prefetched, in which case the warm state is
-        installed for free.
+        """Make ``cell_id`` the current cell, paying the flip I/O (the
+        index reads go through the shared page cache when serving, so a
+        flip whose segment was prefetched into the pool charges none).
 
         Exception safety: every scheme's ``_load_cell`` reads and
         decodes *before* assigning its segment state, and
@@ -134,50 +111,10 @@ class StorageScheme(abc.ABC):
         """
         if cell_id == self.current_cell:
             return
-        warm = self._warm.pop(cell_id, None)
-        if warm is not None:
-            self._restore_cell_state(warm)
-            self.prefetched_flips += 1
-            self._m_warm_flips.inc()
-        else:
-            self._load_cell(cell_id)
+        self._load_cell(cell_id)
         self.current_cell = cell_id
         self.flips += 1
         self._m_flips.inc()
-
-    def prefetch_cell(self, cell_id: int) -> bool:
-        """Read ``cell_id``'s per-cell structures *now* (charging the
-        I/O on the current, presumably quiet, frame) and stash them so
-        the eventual flip is free.  A later flip to a different cell
-        simply leaves the warm entry unused (bounded by
-        ``warm_capacity``: the oldest warm entry is evicted first).
-
-        Returns whether a prefetch actually happened: ``False`` when the
-        target is already current or already warm, so callers' counters
-        stay in agreement with the ``scheme_prefetches_total`` metric,
-        which only counts issued work.
-        """
-        if cell_id == self.current_cell or cell_id in self._warm:
-            return False
-        self._m_prefetches.inc()
-        current_state = self._capture_cell_state()
-        self._load_cell(cell_id)
-        self._warm[cell_id] = self._capture_cell_state()
-        # Restore the active cell's state without re-reading it.
-        if self.current_cell is not None and current_state is not None:
-            self._restore_cell_state(current_state)
-        while len(self._warm) > self.warm_capacity:
-            oldest = next(iter(self._warm))
-            del self._warm[oldest]
-            # Created lazily: runs that never overflow the warm buffer
-            # register no eviction series.
-            get_registry().counter(names.SCHEME_WARM_EVICTIONS,
-                                   scheme=self.name).inc()
-        return True
-
-    def drop_prefetches(self) -> None:
-        """Discard warm cells (e.g. the viewer changed direction)."""
-        self._warm.clear()
 
     # -- serving support ------------------------------------------------------
 
@@ -186,17 +123,15 @@ class StorageScheme(abc.ABC):
 
         The clone shares the built on-disk structures (files,
         directory, page cache, metric handles) with its parent but
-        owns private *flip state* — current cell, loaded segment,
-        prefetch buffer — so two sessions standing in different cells
-        do not clobber each other's V-page index.  Counters on the
-        clone start at zero; the shared metric series keep aggregating
-        across all views of the scheme.
+        owns private *flip state* — current cell, loaded segment — so
+        two sessions standing in different cells do not clobber each
+        other's V-page index.  Counters on the clone start at zero; the
+        shared metric series keep aggregating across all views of the
+        scheme.
         """
         clone = copy.copy(self)
         clone.current_cell = None
         clone.flips = 0
-        clone.prefetched_flips = 0
-        clone._warm = {}
         clone._vpage_read_cache = {}
         clone._reset_cell_state()
         return clone
@@ -267,73 +202,9 @@ class StorageScheme(abc.ABC):
             raise SchemeError("V-page node-offset mismatch")
         return ventries
 
-    def _read_index_run(self, first_page: int, count: int) -> bytes:
-        """Read ``count`` consecutive index pages as one buffer.
-
-        Without a page cache this is a single ``pageio.read_run``
-        (retried as a unit).  With one, each page is fetched through
-        the cache individually: hits are free, and misses — still in
-        ascending page order, so the sequential-access accounting is
-        preserved — are read and retried page-wise.
-        """
-        assert self.index_file is not None
-        if self.page_cache is None:
-            return pageio.read_run(self.index_file, first_page, count,
-                                   component="schemes")
-        cache = self.page_cache
-        return b"".join(cache.get(self.index_file, first_page + i,
-                                  reader=_scheme_reader)
-                        for i in range(count))
-
     @abc.abstractmethod
     def _load_cell(self, cell_id: int) -> None:
         """Scheme-specific flip work (may be a no-op)."""
-
-    # -- speculative prefetch (serving) ---------------------------------------
-
-    def prefetch_pages(self, cell_id: int) -> List[int]:
-        """Index pages a flip to ``cell_id`` would read, in read order.
-
-        Pure addressing — no I/O.  The serving prefetcher feeds these to
-        ``BufferPool.prefetch`` so the flip's demand reads hit.  Empty
-        for schemes without a per-cell index (the horizontal scheme's
-        flips are free).
-        """
-        return []
-
-    def decode_cell_pointers(self, cell_id: int, data: bytes) -> List[int]:
-        """V-page pointers of ``cell_id`` from its raw index bytes.
-
-        ``data`` is the concatenation of the pages named by
-        :meth:`prefetch_pages`; decoding is pure, so the prefetcher can
-        chase index bytes it already holds into V-page prefetches
-        without charging demand reads.  Empty when the scheme keeps no
-        per-cell index.
-        """
-        return []
-
-    def _capture_cell_state(self) -> Optional[object]:
-        """Snapshot of the loaded per-cell state (``None`` when the
-        scheme keeps none, like the horizontal scheme)."""
-        return None
-
-    def _restore_cell_state(self, state: object) -> None:
-        """Install a snapshot captured by :meth:`_capture_cell_state`.
-
-        Deliberately a no-op hook (not abstract): stateless schemes
-        never capture anything, so there is nothing to restore.
-        """
-        return None
-
-    def _cell_state_bytes(self, state: Optional[object]) -> int:
-        """Resident size of one captured cell state (0 when stateless)."""
-        return 0
-
-    def warm_bytes(self) -> int:
-        """Bytes held by the warm prefetch buffer — part of the scheme's
-        runtime residency, so :meth:`resident_bytes` must include it."""
-        return sum(self._cell_state_bytes(state)
-                   for state in self._warm.values())
 
     @abc.abstractmethod
     def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
@@ -371,45 +242,231 @@ class StorageScheme(abc.ABC):
 
     def reset_runtime_state(self) -> None:
         """Forget *all* runtime state — current cell, loaded segment,
-        warm buffer, file heads, read cache — returning the scheme to
-        its just-built condition.  The layout replays call this between
-        runs so before/after measurements start from identical state."""
+        file heads, read cache — returning the scheme to its just-built
+        condition.  The layout replays call this between runs so
+        before/after measurements start from identical state."""
         self.current_cell = None
         self._reset_cell_state()
-        self.drop_prefetches()
         self.reset_io_head()
 
     # -- layout rewriting ------------------------------------------------------
 
+    @abc.abstractmethod
     def cell_pointers(self, cell_id: int) -> List[Tuple[int, int]]:
         """``(node offset, V-page pointer)`` pairs of one cell, in the
         cell's on-disk V-page order — the unit the layout rewriter
         reorders.  Reads the scheme's index structures (charged I/O;
         callers reset stats around rewrites)."""
-        raise SchemeError(
-            f"{self.name}: scheme does not expose cell pointers")
 
+    @abc.abstractmethod
     def apply_layout(self, remap: Dict[int, int]) -> None:
         """Rewrite stored V-page pointers through ``remap`` (old -> new)
         after the V-page file has been physically reordered."""
-        raise SchemeError(
-            f"{self.name}: scheme does not support layout rewriting")
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(cell={self.current_cell}, "
                 f"flips={self.flips})")
 
 
+class SegmentScheme(StorageScheme):
+    """A per-cell index segment in front of DFS-ordered V-pages.
+
+    Sections 4.2 and 4.3 define the vertical and the indexed-vertical
+    scheme as this one structure.  Per cell, the V-pages of the visible
+    nodes are stored contiguously "in the order of the tree nodes
+    accessed in the depth-first traversal, so that all V-pages accessed
+    during a visibility query can be retrieved in a sequential scan";
+    in front of them sits the cell's *segment*, the node offset ->
+    V-page pointer map a flip reads whole and keeps resident, so that
+    finding a node's V-page is a memory access and only the V-page read
+    costs I/O.
+
+    Everything that writes, loads, addresses or remaps a segment is
+    written here, once.  A concrete scheme states only where a cell's
+    segment lives and how its bytes spell the pairs:
+
+    * :meth:`_segment_span` — where the stored segment of a cell is;
+    * :meth:`_place_segment` — where a freshly written one goes;
+    * :meth:`_encode_segment` / :meth:`_decode_segment` — pairs <-> bytes.
+    """
+
+    def __init__(self, vpage_file: PagedFile, index_file: PagedFile,
+                 codec: Optional[VPageCodec] = None) -> None:
+        super().__init__(vpage_file, index_file, codec=codec)
+        self.num_nodes = 0
+        self.num_cells = 0
+        #: The current cell's loaded segment: node offset -> pointer.
+        self._segment: Dict[int, int] = {}
+        #: cell id -> N_vnode, the cell's live ``(offset, pointer)``
+        #: pairs.  :meth:`write_cell`, the only segment writer, keeps
+        #: it, so the Table 2 figures follow incremental updates.
+        self._cell_vnodes: Dict[int, int] = {}
+
+    # -- what a concrete scheme supplies --------------------------------------
+
+    @abc.abstractmethod
+    def _segment_span(self, cell_id: int) -> Optional[Tuple[int, int]]:
+        """``(first index page, page count)`` of the cell's stored
+        segment; ``None`` for a cell that has none.  Pure addressing."""
+
+    @abc.abstractmethod
+    def _place_segment(self, cell_id: int, num_pages: int) -> int:
+        """First index page for a fresh ``num_pages``-page segment of
+        the cell; afterwards :meth:`_segment_span` answers with it."""
+
+    @abc.abstractmethod
+    def _encode_segment(self, pairs: List[Tuple[int, int]]) -> bytes:
+        """Segment bytes of ``(node offset, pointer)`` pairs (DFS order)."""
+
+    @abc.abstractmethod
+    def _decode_segment(self, cell_id: int,
+                        data: bytes) -> List[Tuple[int, int]]:
+        """The pairs back from a cell's segment bytes, in stored order."""
+
+    # -- write ----------------------------------------------------------------
+
+    def build(self, num_nodes: int, cells: List[CellVPages]) -> None:
+        if self._cell_vnodes:
+            raise SchemeError(f"{self.name} scheme already built")
+        if self.index_file is None:
+            raise SchemeError(f"{self.name} scheme needs an index file")
+        if not cells:
+            raise SchemeError("no cells to build")
+        self.num_nodes = num_nodes
+        self.num_cells = len(cells)
+        for cell in cells:
+            self.write_cell(cell)
+        self.codec.finish(self.vpage_file)
+
+    def write_cell(self, cell: CellVPages) -> None:
+        """Append the cell's V-pages in DFS order — one contiguous
+        ascending run — and write the segment pointing at them.
+
+        The only segment writer: the build calls it per cell, an
+        incremental update per re-instantiated cell (the superseded
+        V-pages and segment pages become garbage for compaction).
+        """
+        assert self.index_file is not None
+        self.codec.begin_cell(cell.cell_id)
+        pairs = [(offset, self.codec.append(self.vpage_file, cell.cell_id,
+                                            offset, cell.ventries(offset)))
+                 for offset in cell.visible_offsets_dfs()]
+        data = self._encode_segment(pairs)
+        num_pages = max(-(-len(data) // self.index_file.page_size), 1)
+        first_page = self._place_segment(cell.cell_id, num_pages)
+        self._cell_vnodes[cell.cell_id] = len(pairs)
+        self._write_segment(first_page, num_pages, data)
+
+    def _write_segment(self, first_page: int, num_pages: int,
+                       data: bytes) -> None:
+        assert self.index_file is not None
+        page_size = self.index_file.page_size
+        for i in range(num_pages):
+            pageio.write_page(self.index_file, first_page + i,
+                              data[i * page_size:(i + 1) * page_size],
+                              component="schemes")
+
+    # -- read -----------------------------------------------------------------
+
+    def cell_pointers(self, cell_id: int) -> List[Tuple[int, int]]:
+        """The cell's ``(node offset, pointer)`` pairs, visible nodes
+        only, read from its stored segment in DFS order."""
+        span = self._segment_span(cell_id)
+        if span is None:
+            raise SchemeError(f"cell {cell_id} out of range")
+        return self._decode_segment(cell_id, self._read_index_run(*span))
+
+    def _read_index_run(self, first_page: int, count: int) -> bytes:
+        """Read ``count`` consecutive index pages as one buffer.
+
+        Without a page cache this is a single ``pageio.read_run``
+        (retried as a unit).  With one, each page is fetched through
+        the cache individually: hits are free, and misses — still in
+        ascending page order, so the sequential-access accounting is
+        preserved — are read and retried page-wise.
+        """
+        assert self.index_file is not None
+        if self.page_cache is None:
+            return pageio.read_run(self.index_file, first_page, count,
+                                   component="schemes")
+        cache = self.page_cache
+        return b"".join(cache.get(self.index_file, first_page + i,
+                                  reader=_scheme_reader)
+                        for i in range(count))
+
+    def _load_cell(self, cell_id: int) -> None:
+        """Flip: read the cell's whole segment sequentially."""
+        self._segment = dict(self.cell_pointers(cell_id))
+
+    def _reset_cell_state(self) -> None:
+        self._segment = {}
+
+    def _segment_ventries(self, node_offset: int
+                          ) -> Optional[Sequence[VEntry]]:
+        """:meth:`ventries` of both subclasses: the pointer lookup is a
+        memory access, only the V-page read is charged.  Each subclass
+        still defines ``ventries`` itself because the benchmark's
+        tracer patches it in the concrete class's own ``__dict__``."""
+        self._require_cell()
+        if not 0 <= node_offset < self.num_nodes:
+            raise SchemeError(f"node offset {node_offset} out of range")
+        pointer = self._segment.get(node_offset)
+        if pointer is None:
+            return None
+        return self._decode_vpage_at(pointer, node_offset)
+
+    # -- speculative prefetch -------------------------------------------------
+
+    def prefetch_pages(self, cell_id: int) -> List[int]:
+        """Index pages a flip to ``cell_id`` would read, in read order
+        (none for an unknown cell).
+
+        Pure addressing — no I/O.  The prefetcher feeds these to
+        ``BufferPool.prefetch`` so the flip's demand reads hit.
+        """
+        span = self._segment_span(cell_id)
+        if span is None:
+            return []
+        first_page, num_pages = span
+        return list(range(first_page, first_page + num_pages))
+
+    def decode_cell_pointers(self, cell_id: int, data: bytes) -> List[int]:
+        """V-page pointers of ``cell_id`` from its raw index bytes.
+
+        ``data`` is the concatenation of the pages named by
+        :meth:`prefetch_pages`; decoding is pure, so the prefetcher can
+        chase index bytes it already holds into V-page prefetches
+        without charging demand reads.
+        """
+        if self._segment_span(cell_id) is None:
+            return []
+        return [pointer
+                for _offset, pointer in self._decode_segment(cell_id, data)]
+
+    # -- layout ---------------------------------------------------------------
+
+    def apply_layout(self, remap: Dict[int, int]) -> None:
+        """Rewrite every stored segment in place with remapped pointers.
+
+        Pair counts do not change, so neither do segment sizes: each
+        cell keeps its span.
+        """
+        for cell_id in sorted(self._cell_vnodes):
+            span = self._segment_span(cell_id)
+            assert span is not None
+            pairs = [(offset, remap.get(pointer, pointer))
+                     for offset, pointer in self.cell_pointers(cell_id)]
+            self._write_segment(*span, self._encode_segment(pairs))
+        self._reset_cell_state()
+        self.current_cell = None
+
+    @property
+    def total_vnodes(self) -> int:
+        """Live ``(cell, visible node)`` pairs — one V-page each: the
+        ``N_vnode * c`` of the Section 4 storage formulas."""
+        return sum(self._cell_vnodes.values())
+
+
 def _scheme_reader(pfile: PagedFile, page_id: int) -> bytes:
     """Buffer-pool miss reader: the sanctioned scheme-component read."""
     return pageio.read_page(pfile, page_id, component="schemes")
-
-
-def vpages_needed(num_entries: int, page_size: int, header: int,
-                  ventry_size: int) -> int:
-    """Pages needed for one node's V-entries (always >= 1)."""
-    payload = header + num_entries * ventry_size
-    if payload > page_size:
-        raise SchemeError(
-            f"V-page overflow: {num_entries} entries need {payload} bytes")
-    return 1

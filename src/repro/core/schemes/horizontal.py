@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.schemes.base import (DEFAULT_WARM_CAPACITY,
-                                     StorageBreakdown, StorageScheme)
+from repro.core.schemes.base import StorageBreakdown, StorageScheme
 from repro.core.vpage import CellVPages, VEntry
 from repro.errors import SchemeError
 from repro.storage import pageio
@@ -29,13 +28,11 @@ class HorizontalScheme(StorageScheme):
 
     name = "horizontal"
 
-    def __init__(self, vpage_file: PagedFile,
-                 warm_capacity: int = DEFAULT_WARM_CAPACITY) -> None:
+    def __init__(self, vpage_file: PagedFile) -> None:
         # Always the raw codec: the scheme addresses V-pages by a
         # closed-form (offset, cell) -> page formula, which a packed
         # stream has no equivalent for.
-        super().__init__(vpage_file, index_file=None,
-                         warm_capacity=warm_capacity)
+        super().__init__(vpage_file, index_file=None)
         self.num_nodes = 0
         self.num_cells = 0
         self._first_page: Optional[int] = None
@@ -106,10 +103,9 @@ class HorizontalScheme(StorageScheme):
         )
 
     def resident_bytes(self) -> int:
-        # Stateless: captured cell states are None, so this stays 0
-        # even while cells are warm.  A layout remap adds two ints per
-        # moved page, but only `repro layout` installs one.
-        return self.warm_bytes()
+        # Stateless.  A layout remap adds two ints per moved page, but
+        # only `repro layout` installs one.
+        return 0
 
     # -- layout ---------------------------------------------------------------
 

@@ -13,9 +13,14 @@ removal over the indexed-vertical scheme:
    so other cells are untouched — a conservative and exact bound,
    because a cell where the object was invisible has no ray whose
    nearest hit was the object);
-3. the affected cells' V-pages are re-instantiated and appended to the
-   V-page file, and the per-cell directory entries are repointed (the
-   old pages become garbage, reclaimable by compaction).
+3. the cells' V-pages are re-instantiated and handed to the scheme's
+   one segment writer (``write_cell``): fresh V-pages and a fresh
+   segment are appended and the cell repointed (the old pages become
+   garbage, reclaimable by compaction).
+
+Every refusal — unknown object, a scheme other than indexed-vertical, a
+packed V-page codec — is raised before the first mutation, so a refused
+call leaves the environment exactly as it was.
 
 The search layer needs no change: queries against updated cells read
 the new segments transparently.
@@ -23,14 +28,13 @@ the new segments transparently.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
-from repro.core.vpage import CellVPages, instantiate_cells
+from repro.core.vpage import instantiate_cells
 from repro.errors import HDoVError
 from repro.rtree.delete import delete as rtree_delete
-from repro.visibility.cells import CellGrid
 from repro.visibility.dov import CellVisibility
 from repro.visibility.raycast import RayCastDoVEstimator
 
@@ -50,9 +54,12 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
     the visibility table, and the storage scheme in place.
 
     Returns the list of cells whose visibility data was recomputed.
-    Only the indexed-vertical scheme supports in-place updates (its
-    per-cell segments are variable-length and directory-addressed);
-    other schemes raise.
+    Only the indexed-vertical scheme over the raw V-page codec supports
+    in-place updates: its per-cell segments are variable-length and
+    directory-addressed, and a raw V-page file can grow, whereas the
+    packed stream is closed once per build (``repro layout`` re-encodes
+    it whole).  Anything else is refused before the environment is
+    touched.
     """
     record = env.objects.get(object_id)
     if record is None:
@@ -62,6 +69,10 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
         raise HDoVError(
             f"incremental updates need the indexed-vertical scheme, "
             f"got {scheme.name!r}")
+    if scheme.codec.packed:
+        raise HDoVError(
+            f"incremental update needs the raw V-page codec, scheme "
+            f"uses {type(scheme.codec).__name__}")
 
     cells_to_update = affected_cells(env, object_id)
 
@@ -72,11 +83,11 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
         raise HDoVError(f"object {object_id} not found in the tree")
     _reassign_offsets_and_rewrite(env)
     del env.objects[object_id]
-    remaining = [obj for obj in env.scene if obj.object_id != object_id]
-    # Scene container is append-only; build a filtered view for the
-    # estimator (env.scene itself stays authoritative for history).
+    # Scene container is append-only (env.scene stays authoritative for
+    # history, earlier removals included); the estimator sees only the
+    # objects still in the environment.
+    remaining = [obj for obj in env.scene if obj.object_id in env.objects]
     if estimator is None:
-        import numpy as np
         from repro.geometry.aabb import pack_aabbs
         boxes = pack_aabbs([o.lods.finest.aabb() for o in remaining])
         estimator = RayCastDoVEstimator(
@@ -93,27 +104,19 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
             cell.set(oid, value)
         env.visibility.put(cell)
 
-    # 3. Re-instantiate V-pages for every cell (offsets changed tree-
-    # wide after the rewrite) but only *write* the affected segments;
-    # unaffected cells keep their old pages, which remain valid because
-    # their visible sets are unchanged — their node offsets, however,
-    # may have shifted, so all segments are rewritten when any node
-    # offset moved.
-    offsets_moved = True     # conservative: the DFS rewrite renumbers
-    update_ids: Set[int] = (set(env.grid.cell_ids()) if offsets_moved
-                            else set(cells_to_update))
-    new_cell_vpages = instantiate_cells(
+    # 3. Re-instantiate and rewrite *every* cell, not only the affected
+    # ones: the DFS rewrite renumbered the nodes, so an unaffected
+    # cell's visible set is unchanged but its node offsets are not.
+    env.cell_vpages = instantiate_cells(
         env.tree, (env.visibility.cell(cell_id)
                    for cell_id in env.grid.cell_ids()))
-    env.cell_vpages = new_cell_vpages
     scheme.num_nodes = env.node_store.num_nodes
-    for cell_id in sorted(update_ids):
-        _rewrite_segment(scheme, new_cell_vpages[cell_id])
+    for cell_vp in env.cell_vpages:
+        scheme.write_cell(cell_vp)
     if scheme.current_cell is not None:
-        # Force a reload of the (possibly rewritten) current segment.
+        # Force a reload of the rewritten current segment.
         reload_cell = scheme.current_cell
         scheme.current_cell = None
-        scheme.drop_prefetches()
         scheme.flip_to_cell(reload_cell)
 
     # 4. Refresh derived metadata.
@@ -149,37 +152,3 @@ def _reassign_offsets_and_rewrite(env: HDoVEnvironment) -> None:
             remapped[node.node_offset] = record
     env.internals = remapped
     env.node_store = store
-
-
-def _rewrite_segment(scheme: IndexedVerticalScheme,
-                     cell_vp: CellVPages) -> None:
-    """Append fresh V-pages + index segment for one cell and repoint
-    the directory (old pages become garbage)."""
-    import math
-
-    from repro.storage import pageio
-    from repro.storage.serializer import encode_index_pairs
-    from repro.storage.vpagecodec import RawVPageCodec
-    if not isinstance(scheme.codec, RawVPageCodec):
-        # The packed stream is append-only per *build*; re-instantiated
-        # cells would need a full stream re-encode (repro layout does
-        # that), so incremental updates require the raw codec.
-        raise HDoVError(
-            f"incremental update needs the raw V-page codec, scheme "
-            f"uses {type(scheme.codec).__name__}")
-    pairs = []
-    for offset in cell_vp.visible_offsets_dfs():
-        payload = scheme.codec.encode_page(offset, cell_vp.ventries(offset),
-                                           scheme.vpage_file.page_size)
-        pointer = pageio.append_page(scheme.vpage_file, payload,
-                                     component="core")
-        pairs.append((offset, pointer))
-    data = encode_index_pairs(pairs)
-    page_size = scheme.index_file.page_size
-    num_pages = max(int(math.ceil(len(data) / page_size)), 1)
-    first = scheme.index_file.allocate_many(num_pages)
-    for i in range(num_pages):
-        pageio.write_page(
-            scheme.index_file, first + i,
-            data[i * page_size:(i + 1) * page_size], component="core")
-    scheme._directory[cell_vp.cell_id] = (first, num_pages, len(pairs))

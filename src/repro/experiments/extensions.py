@@ -23,7 +23,9 @@ from repro.experiments.report import format_table
 from repro.obs.replay import session_path
 from repro.geometry.frustum import Camera
 from repro.rtree.cached import CachedNodeStore
-from repro.walkthrough.prefetch import CellPrefetcher
+from repro.serving.prefetch import ServingPrefetcher
+from repro.serving.service import session_env
+from repro.storage.buffer import BufferPool
 from repro.walkthrough.session import street_viewpoints
 
 
@@ -96,11 +98,12 @@ def run_priority_extension(scale: ExperimentScale = MEDIUM, *,
 @dataclass
 class PrefetchResult:
     """Per-crossing flip costs, split by whether the flip was served
-    from the warm (prefetched) buffer.
+    from prefetched pool frames.
 
     The point of prefetching is moving the flip's work off the crossing
     frame: a warm-hit flip costs exactly zero on the frame the user
     perceives, with the work paid earlier on a quiet frame.
+    ``prefetches`` counts the pages (index and V-pages) read ahead.
     """
 
     crossings: int
@@ -122,47 +125,53 @@ class PrefetchResult:
         ]
         table = format_table(
             f"Extension: cell prefetching ({self.crossings} crossings, "
-            f"{self.prefetches} prefetches issued)",
+            f"{self.prefetches} pages prefetched)",
             ["crossing kind", "count", "avg flip ms on crossing frame"],
             rows)
         return table + f"\nwarm hit rate: {self.hit_rate:.0%}"
 
 
+#: The experiment's private pool: room for a few cells' segments and
+#: chased V-pages, so what a flip finds resident is what was read ahead.
+PREFETCH_POOL_PAGES = 64
+
+
 def run_prefetch_extension(scale: ExperimentScale = MEDIUM
                            ) -> PrefetchResult:
-    """Walk session 1 with the prefetcher and split crossing-frame flip
-    costs by warm-hit vs miss."""
+    """Walk session 1 with the prefetcher as session 0 of a private
+    pool and split crossing-frame flip costs by warm-hit vs miss."""
     env = build_experiment_environment(scale)
-    scheme = env.scheme()
-    session = session_path(scale, env, 1)
-
-    scheme.current_cell = None
-    scheme.drop_prefetches()
-    prefetcher = CellPrefetcher(env, scheme, trigger_fraction=1.0)
-    env.reset_stats()
+    pool = BufferPool(PREFETCH_POOL_PAGES, name="ext-prefetch")
+    scheme = session_env(env, pool).scheme()
+    prefetcher = ServingPrefetcher(pool, env, trigger_fraction=1.0)
     hit_costs: List[float] = []
     miss_costs: List[float] = []
     last_cell = None
-    for waypoint in session:
+    for waypoint in session_path(scale, env, 1):
         position = waypoint.position_array()
-        prefetcher.observe(position)
         cell = env.grid.cell_of_point(position)
+        # Plan from this frame's motion, then read ahead: the I/O lands
+        # here, on a quiet frame, in the prefetcher's own ledger.
+        prefetcher.observe(0, cell, position, scheme)
+        prefetcher.issue_round()
         if cell == last_cell:
             continue
-        hits_before = scheme.prefetched_flips
+        useful_before = pool.prefetch_useful
         snap = env.snapshot()
         scheme.flip_to_cell(cell)
         light, heavy = env.delta(snap)
-        cost = light.simulated_ms + heavy.simulated_ms
-        if scheme.prefetched_flips > hits_before:
-            hit_costs.append(cost)
-        else:
-            miss_costs.append(cost)
+        # Prefetched: the flip charged nothing *because* it consumed
+        # prefetched frames (a revisited, still-resident segment is a
+        # plain pool hit and does not count).
+        prefetched = (light.reads + heavy.reads == 0
+                      and pool.prefetch_useful > useful_before)
+        (hit_costs if prefetched else miss_costs).append(
+            light.simulated_ms + heavy.simulated_ms)
         last_cell = cell
     return PrefetchResult(
         crossings=len(hit_costs) + len(miss_costs),
         hits=len(hit_costs),
-        prefetches=prefetcher.prefetches,
+        prefetches=pool.prefetch_issued,
         avg_hit_flip_ms=(sum(hit_costs) / len(hit_costs)
                          if hit_costs else 0.0),
         avg_miss_flip_ms=(sum(miss_costs) / len(miss_costs)

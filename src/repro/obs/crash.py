@@ -371,8 +371,7 @@ def _metric_totals(registry: MetricsRegistry) -> Dict[str, float]:
     for name in (names.JOURNAL_RECORDS, names.JOURNAL_COMMITS,
                  names.RECOVERY_PAGES_REPLAYED,
                  names.RECOVERY_TAIL_TRUNCATIONS, names.CRASHES_INJECTED):
-        out[name] = sum(inst.value
-                        for inst in registry.series(name).values())
+        out[name] = registry.total(name)
     return out
 
 

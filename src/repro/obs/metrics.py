@@ -217,6 +217,11 @@ class MetricsRegistry:
         return {labels: inst for (n, labels), inst in self._metrics.items()
                 if n == name}
 
+    def total(self, name: str) -> float:
+        """Sum of one counter/gauge over all its label sets (0 if none)."""
+        return sum(inst.value  # type: ignore[attr-defined]
+                   for inst in self.series(name).values())
+
     def collect(self) -> Dict[str, float]:
         """Flat ``{formatted series name: value}`` view of everything."""
         out: Dict[str, float] = {}

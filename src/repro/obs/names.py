@@ -96,9 +96,6 @@ SEARCH_RESULTS = "search_results"
 # -- repro.core.schemes: one series set per scheme label --------------------
 
 SCHEME_FLIPS = "scheme_flips_total"
-SCHEME_PREFETCHED_FLIPS = "scheme_prefetched_flips_total"
-SCHEME_PREFETCHES = "scheme_prefetches_total"
-SCHEME_WARM_EVICTIONS = "scheme_warm_evictions_total"
 
 # -- repro.walkthrough: degradation accounting ------------------------------
 

@@ -32,11 +32,6 @@ from repro.storage.disk import IOStats
 from repro.storage.pagedfile import PagedFile
 
 
-def _metric_sum(registry: MetricsRegistry, name: str) -> float:
-    """Total of one counter across all its label series (0.0 if none)."""
-    return sum(inst.value for inst in registry.series(name).values())
-
-
 def _per_file_io(registry: MetricsRegistry, baseline: Dict[str, float],
                  files: List[PagedFile]) -> Dict[str, Dict[str, float]]:
     """Registry counter deltas since ``baseline``, grouped per file."""
@@ -196,14 +191,12 @@ def run_profile(*, scale: str = "small", session: int = 1,
                 # replay/truncation count is the profile-level signal
                 # that the run started from a crashed state.
                 "journal": {
-                    "records": _metric_sum(registry,
-                                           names.JOURNAL_RECORDS),
-                    "commits": _metric_sum(registry,
-                                           names.JOURNAL_COMMITS),
-                    "recovery_pages_replayed": _metric_sum(
-                        registry, names.RECOVERY_PAGES_REPLAYED),
-                    "recovery_tail_truncations": _metric_sum(
-                        registry, names.RECOVERY_TAIL_TRUNCATIONS),
+                    "records": registry.total(names.JOURNAL_RECORDS),
+                    "commits": registry.total(names.JOURNAL_COMMITS),
+                    "recovery_pages_replayed": registry.total(
+                        names.RECOVERY_PAGES_REPLAYED),
+                    "recovery_tail_truncations": registry.total(
+                        names.RECOVERY_TAIL_TRUNCATIONS),
                 },
             },
             # Disk-layout view of the same run: the seek *direction*
@@ -241,7 +234,6 @@ def run_profile(*, scale: str = "small", session: int = 1,
                 },
                 "scheme": {
                     "flips": active_scheme.flips,
-                    "prefetched_flips": active_scheme.prefetched_flips,
                 },
             },
             "search": {

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, ServiceOverloadedError, WalkthroughError
 from repro.obs import names
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.replay import build_world, load_scale
 from repro.serving.service import session_env, session_report
 from repro.serving.session import ServingSession
@@ -217,10 +217,9 @@ class WalkthroughService:
         ``degraded`` — the service keeps answering either way (PR 3's
         promise: faults degrade fidelity, never availability)."""
         registry = get_registry()
-        degraded_frames = int(_series_total(registry,
-                                            names.FRAMES_DEGRADED))
-        corrupt_pages = int(_series_total(registry, names.PAGES_CORRUPT))
-        giveups = int(_series_total(registry, names.PAGEIO_GIVEUPS))
+        degraded_frames = int(registry.total(names.FRAMES_DEGRADED))
+        corrupt_pages = int(registry.total(names.PAGES_CORRUPT))
+        giveups = int(registry.total(names.PAGEIO_GIVEUPS))
         degraded = bool(degraded_frames or corrupt_pages or giveups)
         return {
             "status": "degraded" if degraded else "ok",
@@ -239,21 +238,8 @@ class WalkthroughService:
             "frames_served": self.frames_served,
         }
         if self.pool is not None:
-            counts["pool"] = {
-                "capacity": self.pool.capacity,
-                "hits": self.pool.hits,
-                "misses": self.pool.misses,
-                "coalesced": self.pool.coalesced,
-                "evictions": self.pool.evictions,
-                "hit_rate": self.pool.hit_rate,
-            }
+            counts["pool"] = self.pool.stats()
         return counts
-
-
-def _series_total(registry: MetricsRegistry, name: str) -> float:
-    """Sum a counter/gauge over every label set (0.0 when unused)."""
-    return sum(instrument.value  # type: ignore[attr-defined]
-               for instrument in registry.series(name).values())
 
 
 _SESSION_PATH = re.compile(r"^/sessions/(\d+)$")

@@ -257,16 +257,6 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
     shed_rate = (outcome.shed / outcome.offered if outcome.offered
                  else 0.0)
     pool = app.service.pool
-    pool_block: Optional[Dict[str, object]] = None
-    if pool is not None:
-        pool_block = {
-            "capacity": pool.capacity,
-            "hits": pool.hits,
-            "misses": pool.misses,
-            "coalesced": pool.coalesced,
-            "evictions": pool.evictions,
-            "hit_rate": pool.hit_rate,
-        }
     return {
         "sessions": {
             "offered": outcome.offered,
@@ -294,5 +284,5 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
         # *Simulated* frame latency — virtual-clock, hence exact.
         "sim_frame_ms": latency_summary(outcome.frame_ms),
         "sim_duration_ms": outcome.end_ms,
-        "pool": pool_block,
+        "pool": pool.stats() if pool is not None else None,
     }

@@ -1,10 +1,14 @@
-"""Cross-session predictive prefetch for the serving buffer pool.
+"""Predictive prefetch into the buffer pool — the one prefetcher.
 
-The per-session :class:`~repro.walkthrough.prefetch.CellPrefetcher`
-warms a *private* side buffer; under serving the shared resource is the
-buffer pool, so the useful speculation is pool-level: read the pages a
+REVIEW's paper [12] lists prefetching among its optimizations; for the
+HDoV-tree the natural unit is the *next cell*: read the pages a
 predicted cell flip will demand — its index segment, and the V-pages
-that segment points to — into the shared pool before the flip happens.
+that segment points to — into the buffer pool before the flip happens,
+so the work lands on a quiet frame instead of the crossing frame.  The
+pool is the only place speculative bytes live: a scheme's flip reads
+through it and hits.  ``repro serve --prefetch`` shares one prefetcher
+across all sessions; ``repro run ext-prefetch`` drives one as session 0
+over a private pool.
 
 Determinism contract (the serve report is byte-diffed in CI):
 
@@ -32,12 +36,17 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.core.schemes.base import StorageScheme
+from repro.core.schemes.base import SegmentScheme, StorageScheme
 from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
 from repro.storage.pagedfile import PagedFile
 from repro.walkthrough.transition import CellTransitionModel
+
+
+#: V-pages chased per predicted cell per round; the index segment
+#: itself is always fetched whole.
+MAX_VPAGES = 8
 
 
 def _prefetch_reader(pfile: PagedFile, page_id: int) -> bytes:
@@ -56,22 +65,17 @@ class ServingPrefetcher:
     env:
         The parent environment (shared stats ledgers; the snapshot
         window for prefetch I/O attribution).
-    velocity_weight / trigger_fraction:
-        Forwarded to the :class:`CellTransitionModel`.
-    max_vpages:
-        Cap on V-pages chased per predicted cell per round; the index
-        segment itself is always fetched whole.
+    trigger_fraction:
+        Lookahead of the velocity prior, as a fraction of the cell size
+        (forwarded to the :class:`CellTransitionModel`).
     """
 
     def __init__(self, pool: BufferPool, env: HDoVEnvironment, *,
-                 velocity_weight: int = 3, trigger_fraction: float = 0.5,
-                 max_vpages: int = 8) -> None:
+                 trigger_fraction: float = 0.5) -> None:
         self.pool = pool
         self.env = env
         self.model = CellTransitionModel(
-            env.grid, velocity_weight=velocity_weight,
-            trigger_fraction=trigger_fraction)
-        self.max_vpages = max_vpages
+            env.grid, trigger_fraction=trigger_fraction)
         #: Targets planned this round: cell id -> scheme view to address
         #: pages through (insertion order == session-id order, so the
         #: issue order is deterministic).
@@ -142,6 +146,10 @@ class ServingPrefetcher:
             self.heavy_total += heavy
 
     def _issue_cell(self, cell_id: int, scheme: StorageScheme) -> None:
+        # Only a scheme with a per-cell segment has a flip to read
+        # ahead (the horizontal scheme's flips are free).
+        if not isinstance(scheme, SegmentScheme):
+            return
         index_file = scheme.index_file
         pages = scheme.prefetch_pages(cell_id)
         if index_file is None or not pages:
@@ -165,7 +173,7 @@ class ServingPrefetcher:
         pointers = scheme.decode_cell_pointers(cell_id, b"".join(chunks))
         issued = 0
         for pointer in pointers:
-            if issued >= self.max_vpages:
+            if issued >= MAX_VPAGES:
                 break
             if self.pool.prefetch(scheme.vpage_file, pointer,
                                   reader=_prefetch_reader):

@@ -67,7 +67,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
               pool_pages: int = 256,
               policy: Optional[str] = None,
               prefetch: Optional[bool] = None,
-              prefetch_max_vpages: int = 8,
               plan: Optional[str] = None,
               fault_seed: int = 0,
               include_frame_times: bool = True) -> Dict[str, object]:
@@ -101,9 +100,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         Enable the cross-session predictive pool prefetcher; ``None``
         takes the scale config's ``serving_prefetch`` (default off).
         Requires a pool.
-    prefetch_max_vpages:
-        V-pages chased per predicted cell per round (see
-        ``repro.serving.prefetch``).
     plan / fault_seed:
         Optional named fault plan installed beneath the storage layer,
         to prove the service degrades instead of deadlocking.
@@ -135,8 +131,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         pool = (BufferPool(pool_pages, name="serving",
                            policy=effective_policy)
                 if pool_pages > 0 else None)
-        prefetcher = (ServingPrefetcher(pool, env,
-                                        max_vpages=prefetch_max_vpages)
+        prefetcher = (ServingPrefetcher(pool, env)
                       if effective_prefetch and pool is not None else None)
 
         # Motion patterns are drawn from the seed so a fleet of
@@ -242,16 +237,13 @@ def session_report(session: ServingSession,
 def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
     if pool is None:
         return None
+    stats = pool.stats()
     return {
-        "capacity": pool.capacity,
+        "capacity": stats.pop("capacity"),
         "policy": pool.policy.name,
         "policy_stats": pool.policy.stats(),
         "resident_pages": pool.resident_pages,
-        "hits": pool.hits,
-        "misses": pool.misses,
-        "coalesced": pool.coalesced,
-        "evictions": pool.evictions,
-        "hit_rate": pool.hit_rate,
+        **stats,
         "prefetch": pool.prefetch_stats(),
     }
 

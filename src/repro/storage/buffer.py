@@ -553,6 +553,17 @@ class BufferPool:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
 
+    def stats(self) -> Dict[str, object]:
+        """Demand-read counters (stable key order: the reports that
+        embed this block are byte-diffed)."""
+        with self._lock:
+            return {"capacity": self.capacity,
+                    "hits": self.hits,
+                    "misses": self.misses,
+                    "coalesced": self.coalesced,
+                    "evictions": self.evictions,
+                    "hit_rate": self.hit_rate}
+
     def prefetch_stats(self) -> Dict[str, int]:
         """Speculative-read counters (stable key order, for reports)."""
         with self._lock:

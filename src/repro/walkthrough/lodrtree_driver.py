@@ -8,14 +8,14 @@ VISUAL and REVIEW.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.baselines.lod_rtree import LodRTreeSystem
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.walkthrough.frame import FrameModel, FrameRecord
+from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.metrics import FidelityMetric
 from repro.walkthrough.session import Session
-from repro.walkthrough.visual import WalkthroughReport
+from repro.walkthrough.visual import WalkthroughReport, replay_baseline
 
 
 class LodRTreeWalkthrough:
@@ -34,37 +34,23 @@ class LodRTreeWalkthrough:
         self.evaluate_fidelity = evaluate_fidelity
         self._fidelity = FidelityMetric(env)
 
+    def _slab_fraction_at(self, distance: float) -> float:
+        """LoD fraction of the slab an MBR at ``distance`` falls in
+        (nearest-slab assignment by distance bucketing)."""
+        slab_width = self.system.depth / self.system.num_slabs
+        slab = min(int(distance / max(slab_width, 1e-9)),
+                   self.system.num_slabs - 1)
+        return self.system._slab_fraction(slab)
+
     def run(self, session: Session) -> WalkthroughReport:
-        frames: List[FrameRecord] = []
         self.system.clear_cache()
-        last_fidelity = float("nan")
-        for index, waypoint in enumerate(session):
-            position = waypoint.position_array()
-            direction = waypoint.direction_array()
-            snap = self.env.snapshot()
-            result, _queried = self.system.frame(position, direction)
-            light, heavy = self.env.delta(snap)
-            cell_id = self.env.grid.cell_of_point(position)
-            if self.evaluate_fidelity:
-                rendered: Dict[int, int] = {}
-                for oid in result.object_ids:
-                    record = self.env.objects[oid]
-                    # Reconstruct the slab fraction from distance along
-                    # the slab structure: use nearest-slab assignment
-                    # by MBR distance bucketing.
-                    mbr = record.chain.finest.aabb()
-                    dist = mbr.min_distance_to_point(position)
-                    slab_width = self.system.depth / self.system.num_slabs
-                    slab = min(int(dist / max(slab_width, 1e-9)),
-                               self.system.num_slabs - 1)
-                    fraction = self.system._slab_fraction(slab)
-                    rendered[oid] = record.chain \
-                        .interpolated_polygons(fraction)
-                last_fidelity = self._fidelity.score_rendered(cell_id,
-                                                              rendered)
-            frames.append(self.frame_model.record(
-                index, cell_id, light, heavy, result.total_polygons,
-                last_fidelity, self.system.resident_bytes))
+        frames = replay_baseline(
+            self.env, session, self.frame_model,
+            self._fidelity if self.evaluate_fidelity else None,
+            step=lambda position, waypoint: self.system.frame(
+                position, waypoint.direction_array())[0],
+            lod_fraction=self._slab_fraction_at,
+            resident_bytes=lambda: self.system.resident_bytes)
         return WalkthroughReport(
             system=f"LoD-R-tree(depth={self.system.depth:g}m)",
             session=session.name, frames=frames)

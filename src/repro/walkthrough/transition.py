@@ -18,8 +18,7 @@ over the sorted candidate set (4-neighborhood of the current cell, plus
 the velocity-extrapolated cell).  The argmax requires a strictly
 positive score and breaks ties toward the smallest cell id, so with no
 recorded transitions the model reproduces the velocity-only heuristic
-exactly — which keeps the historical :class:`CellPrefetcher` behavior as
-the zero-knowledge special case.
+exactly — the zero-knowledge special case.
 """
 
 from __future__ import annotations

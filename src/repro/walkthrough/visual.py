@@ -36,7 +36,7 @@ from repro.obs.trace import SpanRecord, span
 from repro.storage.disk import IOStats
 from repro.walkthrough.frame import FrameModel, FrameRecord
 from repro.walkthrough.metrics import FidelityMetric
-from repro.walkthrough.session import Session
+from repro.walkthrough.session import Session, Waypoint
 
 
 @dataclass
@@ -215,6 +215,44 @@ class VisualSystem:
         return thunk
 
 
+def replay_baseline(env: HDoVEnvironment, session: Session,
+                    frame_model: FrameModel,
+                    fidelity: Optional[FidelityMetric], *,
+                    step: Callable[[np.ndarray, Waypoint], object],
+                    lod_fraction: Callable[[float], float],
+                    resident_bytes: Callable[[], int]
+                    ) -> List[FrameRecord]:
+    """The frame loop of the spatial-query baselines (REVIEW, the
+    LoD-R-tree): ``step`` answers one waypoint (a result with
+    ``object_ids`` and ``total_polygons``), its charges become the
+    frame's, and — when ``fidelity`` is given — each answered object is
+    scored at the LoD ``lod_fraction`` picks for its MBR distance.
+
+    Fidelity is against the *current* cell's ground truth, whether or
+    not a query ran this frame.
+    """
+    frames: List[FrameRecord] = []
+    last_fidelity = float("nan")
+    for index, waypoint in enumerate(session):
+        position = waypoint.position_array()
+        snap = env.snapshot()
+        result = step(position, waypoint)
+        light, heavy = env.delta(snap)
+        cell_id = env.grid.cell_of_point(position)
+        if fidelity is not None:
+            rendered: Dict[int, int] = {}
+            for oid in result.object_ids:
+                chain = env.objects[oid].chain
+                distance = chain.finest.aabb().min_distance_to_point(position)
+                rendered[oid] = chain.interpolated_polygons(
+                    lod_fraction(distance))
+            last_fidelity = fidelity.score_rendered(cell_id, rendered)
+        frames.append(frame_model.record(
+            index, cell_id, light, heavy, result.total_polygons,
+            last_fidelity, resident_bytes()))
+    return frames
+
+
 class ReviewWalkthrough:
     """Replay driver around :class:`~repro.baselines.review.ReviewSystem`."""
 
@@ -232,32 +270,14 @@ class ReviewWalkthrough:
         self._fidelity = FidelityMetric(env)
 
     def run(self, session: Session) -> WalkthroughReport:
-        frames: List[FrameRecord] = []
         self.review.clear_cache()
-        last_fidelity = float("nan")
-        for index, waypoint in enumerate(session):
-            position = waypoint.position_array()
-            snap = self.env.snapshot()
-            result, queried = self.review.frame(position)
-            light, heavy = self.env.delta(snap)
-            cell_id = self.env.grid.cell_of_point(position)
-            if self.evaluate_fidelity:
-                # Fidelity is against the *current* cell's ground truth,
-                # whether or not a query ran this frame.
-                rendered: Dict[int, int] = {}
-                for oid in result.object_ids:
-                    record = self.env.objects[oid]
-                    distance = record.chain.finest.aabb() \
-                        .min_distance_to_point(position)
-                    fraction = self.review.lod_policy \
-                        .fraction_for_distance(distance)
-                    rendered[oid] = record.chain \
-                        .interpolated_polygons(fraction)
-                last_fidelity = self._fidelity.score_rendered(cell_id,
-                                                              rendered)
-            frames.append(self.frame_model.record(
-                index, cell_id, light, heavy, result.total_polygons,
-                last_fidelity, self.review.resident_bytes))
+        frames = replay_baseline(
+            self.env, session, self.frame_model,
+            self._fidelity if self.evaluate_fidelity else None,
+            step=lambda position, _waypoint:
+                self.review.frame(position)[0],
+            lod_fraction=self.review.lod_policy.fraction_for_distance,
+            resident_bytes=lambda: self.review.resident_bytes)
         return WalkthroughReport(
             system=f"REVIEW(box={self.review.box_size:g}m)",
             session=session.name, frames=frames)

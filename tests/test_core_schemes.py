@@ -11,6 +11,7 @@ from repro.core.vpage import CellVPages
 from repro.errors import SchemeError
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
+from repro.storage.vpagecodec import PackedDeltaVPageCodec
 
 NUM_NODES = 12
 PAGE_SIZE = 512
@@ -32,7 +33,7 @@ def synthetic_cells(num_cells=4):
     return cells
 
 
-def build_scheme(name, cells=None):
+def build_scheme(name, cells=None, packed=False):
     cells = cells if cells is not None else synthetic_cells()
     stats = IOStats()
     disk = DiskModel(seek_ms=10.0, transfer_ms=1.0, readahead_pages=1)
@@ -43,7 +44,11 @@ def build_scheme(name, cells=None):
     else:
         idx = PagedFile(f"{name}-i", page_size=PAGE_SIZE, disk=disk,
                         stats=stats)
-        scheme = cls(vpf, idx)
+        # Packed: cells in a row, each the reference candidate of the next.
+        codec = PackedDeltaVPageCodec(
+            PAGE_SIZE, {c.cell_id: [c.cell_id - 1, c.cell_id + 1]
+                        for c in cells}, scheme=name) if packed else None
+        scheme = cls(vpf, idx, codec=codec)
     scheme.build(NUM_NODES, cells)
     stats.reset()
     return scheme, stats, cells
@@ -92,6 +97,114 @@ class TestAllSchemes:
         scheme.flip_to_cell(1)
         assert stats.reads == reads_after_first
         assert scheme.flips == 1
+
+
+def index_image(scheme):
+    pfile = scheme.index_file
+    return [pfile.read_page(page) for page in range(pfile.num_pages)]
+
+
+def assert_pairs_match_cell(scheme, cell, pairs):
+    """``pairs`` list exactly the cell's visible nodes in DFS order, and
+    every pointer leads to that node's V-entries."""
+    assert [offset for offset, _ in pairs] == cell.visible_offsets_dfs()
+    for offset, pointer in pairs:
+        stored_offset, got = scheme.codec.read(pointer, scheme)
+        assert stored_offset == offset
+        expected = cell.ventries(offset)
+        assert [nvo for _, nvo in got] == [nvo for _, nvo in expected]
+        assert [dov for dov, _ in got] == pytest.approx(
+            [dov for dov, _ in expected], abs=1e-3)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["raw", "packed"])
+@pytest.mark.parametrize("name", ["vertical", "indexed-vertical"])
+class TestSegmentContract:
+    """The one segment path (``SegmentScheme``): what it writes, it
+    reads, addresses, prefetch-decodes and remaps — the same way under
+    both segment encodings and both V-page codecs."""
+
+    def test_cell_pointers_list_visible_nodes_in_dfs_order(self, name,
+                                                           packed):
+        scheme, _stats, cells = build_scheme(name, packed=packed)
+        for cell in cells:
+            assert_pairs_match_cell(scheme, cell,
+                                    scheme.cell_pointers(cell.cell_id))
+        assert scheme.total_vnodes == sum(c.num_visible_nodes
+                                          for c in cells)
+
+    def test_prefetched_bytes_decode_to_the_pointer_column(self, name,
+                                                           packed):
+        scheme, stats, cells = build_scheme(name, packed=packed)
+        for cell in cells:
+            pages = scheme.prefetch_pages(cell.cell_id)
+            assert stats.reads == 0            # pure addressing
+            data = b"".join(scheme.index_file.read_page(page)
+                            for page in pages)
+            stats.reset()
+            assert scheme.decode_cell_pointers(cell.cell_id, data) == [
+                pointer for _, pointer in scheme.cell_pointers(cell.cell_id)]
+            # A flip reads exactly the pages a prefetch would name.
+            scheme.reset_runtime_state()
+            stats.reset()
+            scheme.flip_to_cell(cell.cell_id)
+            assert stats.reads == len(pages)
+            stats.reset()
+
+    def test_apply_layout_rewrites_in_place(self, name, packed):
+        scheme, _stats, cells = build_scheme(name, packed=packed)
+        before = index_image(scheme)
+        scheme.flip_to_cell(0)
+        scheme.apply_layout({})
+        assert index_image(scheme) == before
+        assert scheme.current_cell is None     # flip state invalidated
+        pointers = [pointer for cell in cells
+                    for _, pointer in scheme.cell_pointers(cell.cell_id)]
+        remap = {pointer: pointer + 10_000 for pointer in pointers}
+        scheme.apply_layout(remap)
+        assert index_image(scheme) != before
+        assert [pointer for cell in cells for _, pointer
+                in scheme.cell_pointers(cell.cell_id)] == [
+            remap[pointer] for pointer in pointers]
+        scheme.apply_layout({new: old for old, new in remap.items()})
+        assert index_image(scheme) == before
+
+    def test_unknown_cell(self, name, packed):
+        scheme, _stats, cells = build_scheme(name, packed=packed)
+        unknown = len(cells) + 5
+        with pytest.raises(SchemeError):
+            scheme.flip_to_cell(unknown)
+        with pytest.raises(SchemeError):
+            scheme.cell_pointers(unknown)
+        assert scheme.prefetch_pages(unknown) == []
+        assert scheme.decode_cell_pointers(unknown, b"\0" * PAGE_SIZE) == []
+        assert scheme.current_cell is None
+
+    def test_write_cell_again_reproduces_the_pairs(self, name, packed):
+        """``write_cell`` is the build's writer and the update's: writing
+        an unchanged cell again appends fresh V-pages and a segment that
+        reads back the same — or, on a packed stream (closed once per
+        build), refuses before anything is written."""
+        scheme, _stats, cells = build_scheme(name, packed=packed)
+        cell = cells[1]
+        before = scheme.cell_pointers(cell.cell_id)
+        if packed:
+            with pytest.raises(SchemeError):
+                scheme.write_cell(cell)
+            assert scheme.cell_pointers(cell.cell_id) == before
+            return
+        scheme.flip_to_cell(cell.cell_id)
+        scheme.write_cell(cell)
+        after = scheme.cell_pointers(cell.cell_id)
+        assert_pairs_match_cell(scheme, cell, after)
+        assert not {p for _, p in before} & {p for _, p in after}
+        assert scheme.total_vnodes == sum(c.num_visible_nodes
+                                          for c in cells)
+        for other in cells:                    # every cell still reads
+            scheme.reset_runtime_state()
+            scheme.flip_to_cell(other.cell_id)
+            for offset in other.visible_offsets_dfs():
+                assert scheme.ventries(offset) is not None
 
 
 def test_horizontal_vpage_access_is_one_page():

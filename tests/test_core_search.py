@@ -177,7 +177,7 @@ def test_fully_hidden_cell_reports_zero_vpages_read(env):
     search.query_cell(cell_id, 0.0)
     # Simulate a fully-hidden cell: the flipped-in segment has no
     # visible nodes at all, so even the root's V-page lookup misses.
-    search.scheme._current_pairs = {}
+    search.scheme._segment = {}
     try:
         result = search.query_cell(cell_id, 0.0)
     finally:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constants import SIZE_INTEGER, SIZE_POINTER
 from repro.core.hdov_tree import HDoVConfig, build_environment
 from repro.core.search import HDoVSearch
 from repro.core.update import affected_cells, remove_object
@@ -110,6 +111,10 @@ def test_remove_two_objects(fresh_env):
                   key=lambda c: env.visibility.cell(c).num_visible)
     ids = search.query_cell(busiest, eta=0.0).object_ids()
     assert first not in ids and second not in ids
+    # Regression: the second removal's estimator was built from the
+    # append-only scene, so the first object came back as an occluder.
+    for cell_id in env.grid.cell_ids():
+        assert first not in env.visibility.cell(cell_id).visible_ids()
 
 
 def test_remove_unknown_object(fresh_env):
@@ -123,3 +128,52 @@ def test_remove_requires_indexed_vertical(small_scene, small_grid):
         HDoVConfig(dov_resolution=8, schemes=("vertical",)))
     with pytest.raises(HDoVError):
         remove_object(env, 0, scheme_name="vertical")
+
+
+def test_storage_figures_follow_an_update(fresh_env):
+    """Regression: the update repointed the directory behind the
+    scheme's back, so Table 2's index bytes and eq. 7's average N_vnode
+    kept the pre-update pair count."""
+    env = fresh_env
+    scheme = env.scheme()
+    for _ in range(2):
+        remove_object(env, most_visible_object(env))
+    live_pairs = sum(len(scheme.cell_pointers(cell_id))
+                     for cell_id in env.grid.cell_ids())
+    assert live_pairs == sum(cell_vp.num_visible_nodes
+                             for cell_vp in env.cell_vpages)
+    breakdown = scheme.storage_breakdown()
+    assert breakdown.index_bytes == (SIZE_POINTER + SIZE_INTEGER) * live_pairs
+    assert breakdown.vpage_bytes == env.config.page_size * live_pairs
+    assert scheme.avg_visible_nodes == live_pairs / env.grid.num_cells
+
+
+def test_refused_update_leaves_the_environment_intact():
+    """Regression: on a packed build the refusal came only after the
+    tree file, ``env.objects`` and the visibility table had been
+    rewritten, so every later query failed.  Each refusal must come
+    before the first mutation."""
+    scene = generate_city(CityParams(blocks_x=3, blocks_y=3, seed=23,
+                                     bunnies_per_block=3,
+                                     building_fraction=0.5,
+                                     bunny_subdivisions=2))
+    grid = CellGrid.covering(scene.bounds(), cell_size=120.0)
+    env = build_environment(
+        scene, grid, HDoVConfig(dov_resolution=12, compress_vpages=True,
+                                schemes=("vertical", "indexed-vertical")))
+
+    def selections():
+        search = HDoVSearch(env, "indexed-vertical")
+        return {cell_id: search.query_cell(cell_id, eta=0.0).object_ids()
+                for cell_id in env.grid.cell_ids()}
+
+    before = selections()
+    oid = most_visible_object(env)
+    refusals = [dict(object_id=oid),                      # packed codec
+                dict(object_id=oid, scheme_name="vertical"),
+                dict(object_id=10 ** 6)]                  # unknown object
+    for kwargs in refusals:
+        with pytest.raises(HDoVError):
+            remove_object(env, **kwargs)
+        assert oid in env.objects
+        assert selections() == before

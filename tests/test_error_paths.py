@@ -115,7 +115,6 @@ def test_vpage_loss_degrades_but_answers(env):
     finally:
         injector.uninstall()
         search.scheme.current_cell = None
-        search.scheme.drop_prefetches()
     assert result.degraded >= 1
     visible = set(env.visibility.cell(cell_id).visible_ids())
     assert visible <= set(result.covered_object_ids())
@@ -135,7 +134,6 @@ def test_vpage_data_loss_degrades_per_subtree(env):
     finally:
         injector.uninstall()
         search.scheme.current_cell = None
-        search.scheme.drop_prefetches()
     assert result.degraded >= 1
     visible = set(env.visibility.cell(cell_id).visible_ids())
     assert visible <= set(result.covered_object_ids())
@@ -154,4 +152,3 @@ def test_node_store_loss_is_fatal(env):
     finally:
         injector.uninstall()
         search.scheme.current_cell = None
-        search.scheme.drop_prefetches()

@@ -15,6 +15,10 @@ def test_counter_basics():
     assert reg.value("requests_total", kind="read") == pytest.approx(3.5)
     # Unlabelled same-name series is independent.
     assert reg.value("requests_total") == 0.0
+    # ... and ``total`` sums a name over all its label sets.
+    reg.counter("requests_total", kind="write").inc(2)
+    assert reg.total("requests_total") == pytest.approx(5.5)
+    assert reg.total("never_registered") == 0
 
 
 def test_counter_rejects_negative():

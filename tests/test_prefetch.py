@@ -1,12 +1,14 @@
-"""Scheme prefetch buffer and the motion-predicting prefetcher."""
+"""The one prefetcher: :class:`ServingPrefetcher` reading a predicted
+cell's segment (and V-pages) into a buffer pool ahead of the flip."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SchemeError, WalkthroughError
-from repro.obs import names
-from repro.obs.metrics import get_registry
-from repro.walkthrough.prefetch import CellPrefetcher
+from repro.errors import WalkthroughError
+from repro.serving.prefetch import MAX_VPAGES, ServingPrefetcher
+from repro.serving.service import session_env
+from repro.storage.buffer import BufferPool
+from repro.walkthrough.transition import CellTransitionModel
 
 
 def busiest_cells(env, limit=3):
@@ -14,43 +16,75 @@ def busiest_cells(env, limit=3):
                   key=lambda c: -env.visibility.cell(c).num_visible)[:limit]
 
 
-@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
-def test_prefetched_flip_is_free(env, scheme_name):
-    scheme = env.scheme(scheme_name)
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    env.reset_stats()
-    scheme.prefetch_cell(cells[1])
-    prefetch_reads = env.light_stats.reads
-    assert prefetch_reads > 0                  # the work happens now
-    env.reset_stats()
-    scheme.flip_to_cell(cells[1])
-    assert env.light_stats.reads == 0          # ... so the flip is free
-    assert scheme.prefetched_flips >= 1
+def adjacent_cells(env):
+    """``(here, target)``: the busiest cell and its busiest neighbour."""
+    here = busiest_cells(env)[0]
+    target = max(env.grid.neighbors(here),
+                 key=lambda c: env.visibility.cell(c).num_visible)
+    assert env.cell_vpages[target].num_visible_nodes > 0
+    return here, target
+
+
+def rig(env, scheme_name, *, pool_pages=64):
+    """A private pool, a session view's scheme reading through it, and
+    a prefetcher issuing into it — what ``ext-prefetch`` and ``repro
+    serve --prefetch`` both assemble."""
+    pool = BufferPool(pool_pages, name="test-prefetch")
+    scheme = session_env(env, pool).scheme(scheme_name)
+    return pool, scheme, ServingPrefetcher(pool, env, trigger_fraction=1.0)
+
+
+def read_ahead(prefetcher, scheme, env, here, target):
+    """Have the prefetcher read ``target`` ahead from its neighbour
+    ``here``: a learned transition decides the prediction alone."""
+    prefetcher.model.record_transition(here, target)
+    prefetcher.observe(0, here, env.grid.cell_center(here), scheme)
+    prefetcher.issue_round()
 
 
 @pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
-def test_prefetch_preserves_current_cell_reads(env, scheme_name):
+def test_prefetched_flip_is_free(env, env_packed, scheme_name):
+    for environment in (env, env_packed):
+        pool, scheme, prefetcher = rig(environment, scheme_name)
+        here, target = adjacent_cells(environment)
+        scheme.flip_to_cell(here)
+        read_ahead(prefetcher, scheme, environment, here, target)
+        assert prefetcher.light_total.reads > 0    # the work happens now
+        segment_pages = scheme.prefetch_pages(target)
+        assert segment_pages
+        useful_before = pool.prefetch_stats()["useful"]
+        environment.reset_stats()
+        scheme.flip_to_cell(target)
+        assert environment.light_stats.reads == 0  # ... so the flip is free
+        assert pool.prefetch_stats()["useful"] - useful_before \
+            == len(segment_pages)
+
+
+@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
+def test_prefetch_preserves_current_cell_reads(env, env_packed,
+                                               scheme_name):
     """Prefetching must not corrupt reads against the current cell."""
-    scheme = env.scheme(scheme_name)
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    expected = {offset: scheme.ventries(offset)
-                for offset in env.cell_vpages[cells[0]].pages}
-    scheme.prefetch_cell(cells[1])
-    for offset, ventries in expected.items():
-        assert scheme.ventries(offset) == ventries
+    for environment in (env, env_packed):
+        _pool, scheme, prefetcher = rig(environment, scheme_name)
+        here, target = adjacent_cells(environment)
+        scheme.flip_to_cell(here)
+        expected = {offset: scheme.ventries(offset)
+                    for offset in environment.cell_vpages[here].pages}
+        read_ahead(prefetcher, scheme, environment, here, target)
+        assert scheme.current_cell == here
+        for offset, ventries in expected.items():
+            assert scheme.ventries(offset) == ventries
 
 
 def test_prefetch_then_flip_reads_right_data(env):
-    scheme = env.scheme("indexed-vertical")
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    scheme.prefetch_cell(cells[1])
-    scheme.flip_to_cell(cells[1])
-    for offset in env.cell_vpages[cells[1]].pages:
+    _pool, scheme, prefetcher = rig(env, "indexed-vertical")
+    here, target = adjacent_cells(env)
+    scheme.flip_to_cell(here)
+    read_ahead(prefetcher, scheme, env, here, target)
+    scheme.flip_to_cell(target)
+    for offset in env.cell_vpages[target].pages:
         got = scheme.ventries(offset)
-        expected = env.cell_vpages[cells[1]].ventries(offset)
+        expected = env.cell_vpages[target].ventries(offset)
         assert got is not None
         for (dov, nvo), (edov, envo) in zip(got, expected):
             assert nvo == envo
@@ -58,153 +92,108 @@ def test_prefetch_then_flip_reads_right_data(env):
 
 
 def test_unused_prefetch_is_harmless(env):
-    scheme = env.scheme("indexed-vertical")
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    scheme.prefetch_cell(cells[1])
-    scheme.flip_to_cell(cells[2])       # went elsewhere
-    assert scheme.current_cell == cells[2]
-    scheme.drop_prefetches()
+    """A prefetch the viewer never consumes is evicted by demand reads
+    and counted ``wasted``, never ``useful``."""
+    pool, scheme, prefetcher = rig(env, "indexed-vertical",
+                                   pool_pages=1 + MAX_VPAGES)
+    here, target = adjacent_cells(env)
+    scheme.flip_to_cell(here)
+    read_ahead(prefetcher, scheme, env, here, target)
+    issued = pool.prefetch_stats()["issued"]
+    assert issued > 0
+    for elsewhere in busiest_cells(env, limit=6):      # went elsewhere
+        if elsewhere == target:
+            continue
+        scheme.flip_to_cell(elsewhere)
+        for offset in env.cell_vpages[elsewhere].pages:
+            assert scheme.ventries(offset) is not None
+    assert scheme.current_cell != target
+    assert pool.prefetch_stats() == {"issued": issued, "useful": 0,
+                                     "wasted": issued}
 
 
 def test_prefetcher_predicts_along_velocity(env):
-    scheme = env.scheme("indexed-vertical")
-    prefetcher = CellPrefetcher(env, scheme, trigger_fraction=1.0)
+    pool, scheme, prefetcher = rig(env, "indexed-vertical")
     grid = env.grid
     start = grid.cell_center(busiest_cells(env)[0])
     # First observation: no velocity yet.
-    assert prefetcher.observe(start) is None
-    # Move straight along +x: prediction lands in the +x neighbor once
-    # close enough to the boundary.
-    step = np.array([grid.cell_size * 0.6, 0.0, 0.0])
-    predicted = prefetcher.observe(start + step)
-    if predicted is not None:
-        assert predicted != grid.cell_of_point(start + step)
+    prefetcher.observe(0, grid.cell_of_point(start), start, scheme)
+    assert prefetcher.predictions == 0
+    # Move straight along +x: the prediction is the cell one lookahead
+    # further along, and its segment is what gets read ahead.
+    moved = start + np.array([grid.cell_size * 0.6, 0.0, 0.0])
+    expected = prefetcher.model.velocity_cell(moved, start)
+    prefetcher.observe(0, grid.cell_of_point(moved), moved, scheme)
+    prefetcher.issue_round()
+    if expected is not None:
+        assert expected != grid.cell_of_point(moved)
+        assert prefetcher.predictions == 1
+        assert all(pool.contains(scheme.index_file, page)
+                   for page in scheme.prefetch_pages(expected))
     # Standing still predicts nothing.
-    assert prefetcher.observe(start + step) is None
+    before = prefetcher.predictions
+    prefetcher.observe(0, grid.cell_of_point(moved), moved, scheme)
+    assert prefetcher.predictions == before
 
 
 def test_prefetcher_end_to_end_smooths_crossing(env):
     """A predicted crossing pays its flip early; the crossing frame's
     I/O is smaller than without prefetching."""
-    scheme = env.scheme("indexed-vertical")
     grid = env.grid
-    cells = busiest_cells(env)
-    position = grid.cell_center(cells[0])
+    here = busiest_cells(env)[0]
+    position = grid.cell_center(here)
     # Pick the +x neighbor as the crossing target.
     target = grid.cell_of_point(position
                                 + np.array([grid.cell_size, 0.0, 0.0]))
-    if target == cells[0]:
+    if target == here:
         pytest.skip("cell at grid edge")
 
     # Without prefetch: the crossing flip pays reads.
-    scheme.current_cell = None
-    scheme.flip_to_cell(cells[0])
+    _pool, scheme, _prefetcher = rig(env, "indexed-vertical")
+    scheme.flip_to_cell(here)
     env.reset_stats()
     scheme.flip_to_cell(target)
     cold_reads = env.light_stats.reads
+    assert cold_reads > 0
 
-    # With prefetch: warmed beforehand, crossing free.
-    scheme.flip_to_cell(cells[0])
-    prefetcher = CellPrefetcher(env, scheme, trigger_fraction=1.0)
-    prefetcher.observe(position)
-    prefetcher.observe(position + np.array([grid.cell_size * 0.45, 0, 0]))
+    # With prefetch: read ahead while approaching, crossing free.
+    _pool, scheme, prefetcher = rig(env, "indexed-vertical")
+    scheme.flip_to_cell(here)
+    for step in (0.0, 0.45):
+        prefetcher.observe(
+            0, here, position + np.array([grid.cell_size * step, 0, 0]),
+            scheme)
+        prefetcher.issue_round()
     env.reset_stats()
     scheme.flip_to_cell(target)
-    warm_reads = env.light_stats.reads
-    assert warm_reads <= cold_reads
-
-
-def test_prefetch_cell_reports_whether_it_did_work(env):
-    scheme = env.scheme("indexed-vertical")
-    scheme.drop_prefetches()
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    assert scheme.prefetch_cell(cells[0]) is False   # already current
-    assert scheme.prefetch_cell(cells[1]) is True    # real work
-    assert scheme.prefetch_cell(cells[1]) is False   # already warm
-    scheme.drop_prefetches()
+    assert env.light_stats.reads == 0
 
 
 def test_observe_counts_only_effective_prefetches(env):
-    """Regression: ``CellPrefetcher.observe`` bumped ``prefetches`` even
-    when ``prefetch_cell`` no-opped (target already warm), so the
-    prefetcher's counter disagreed with scheme_prefetches_total."""
-    scheme = env.scheme("indexed-vertical")
-    scheme.drop_prefetches()
+    """The prefetcher's issue counters agree with the pool's: a target
+    predicted again while its pages are resident is not read again."""
+    pool, scheme, prefetcher = rig(env, "indexed-vertical")
     grid = env.grid
-    start = grid.cell_center(busiest_cells(env)[0])
+    here = busiest_cells(env)[0]
+    start = grid.cell_center(here)
     step = np.array([grid.cell_size * 0.05, 0.0, 0.0])
-    prefetcher = CellPrefetcher(env, scheme, trigger_fraction=1.0)
-    metric_before = get_registry().value(names.SCHEME_PREFETCHES,
-                                         scheme=scheme.name)
     # Creep toward the +x boundary: every observation after the first
-    # predicts the same neighbor, but only the first prefetch is work.
-    predictions = [prefetcher.observe(start + i * step) for i in range(5)]
-    issued = get_registry().value(names.SCHEME_PREFETCHES,
-                                  scheme=scheme.name) - metric_before
-    assert prefetcher.prefetches == issued
-    if any(p is not None for p in predictions):
-        assert issued >= 1
-        # The same warm target was predicted repeatedly, yet counted once.
-        targets = {p for p in predictions if p is not None}
-        assert prefetcher.prefetches == len(targets)
-    scheme.drop_prefetches()
-
-
-@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
-def test_warm_buffer_is_capped(env, scheme_name):
-    """Regression: the warm buffer grew without bound — a warm entry for
-    a cell the viewer never flips to was kept forever."""
-    scheme = env.scheme(scheme_name)
-    scheme.drop_prefetches()
-    cells = busiest_cells(env, limit=4)
-    assert len(cells) >= 4
-    assert scheme.warm_capacity == 2
-    scheme.flip_to_cell(cells[0])
-    evicted_before = get_registry().value(names.SCHEME_WARM_EVICTIONS,
-                                          scheme=scheme_name)
-    assert scheme.prefetch_cell(cells[1]) is True
-    assert scheme.prefetch_cell(cells[2]) is True
-    assert scheme.prefetch_cell(cells[3]) is True
-    assert len(scheme._warm) == 2
-    assert cells[1] not in scheme._warm            # oldest went first
-    assert cells[2] in scheme._warm
-    assert cells[3] in scheme._warm
-    evicted = get_registry().value(names.SCHEME_WARM_EVICTIONS,
-                                   scheme=scheme_name) - evicted_before
-    assert evicted == 1
-    scheme.drop_prefetches()
-
-
-@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
-def test_warm_entries_count_toward_resident_bytes(env, scheme_name):
-    """Regression: warm-entry bytes were invisible to the scheme's
-    resident-memory accounting."""
-    scheme = env.scheme(scheme_name)
-    scheme.drop_prefetches()
-    cells = busiest_cells(env)
-    scheme.flip_to_cell(cells[0])
-    base = scheme.resident_bytes()
-    assert scheme.warm_bytes() == 0
-    scheme.prefetch_cell(cells[1])
-    assert scheme.warm_bytes() > 0
-    assert scheme.resident_bytes() == base + scheme.warm_bytes()
-    scheme.drop_prefetches()
-    assert scheme.resident_bytes() == base
-
-
-def test_warm_capacity_validation(env):
-    scheme = env.scheme("indexed-vertical")
-    with pytest.raises(SchemeError):
-        type(scheme)(scheme.vpage_file, scheme.index_file,
-                     warm_capacity=0)
+    # predicts the same neighbor, but its segment is read once.
+    for i in range(5):
+        prefetcher.observe(0, here, start + i * step, scheme)
+        prefetcher.issue_round()
+    target = prefetcher.model.velocity_cell(start + step, start)
+    assert prefetcher.predictions == (4 if target is not None else 0)
+    assert prefetcher.index_pages_issued + prefetcher.vpages_issued \
+        == pool.prefetch_stats()["issued"]
+    if target is not None:
+        assert prefetcher.index_pages_issued \
+            == len(scheme.prefetch_pages(target))
 
 
 def test_prefetcher_validation(env):
     with pytest.raises(WalkthroughError):
-        CellPrefetcher(env, env.scheme("indexed-vertical"),
-                       trigger_fraction=0.0)
+        ServingPrefetcher(BufferPool(4), env, trigger_fraction=0.0)
 
 
 def test_vertical_motion_does_not_change_prediction(env):
@@ -212,29 +201,21 @@ def test_vertical_motion_does_not_change_prediction(env):
     normalised the full 3D velocity, so vertical motion inflated the
     lookahead step.  The prediction must depend only on the horizontal
     motion: adding a vertical component changes nothing."""
-    scheme = env.scheme("indexed-vertical")
     grid = env.grid
+    model = CellTransitionModel(grid, trigger_fraction=0.5)
     start = grid.cell_center(busiest_cells(env)[0])
     step = np.array([grid.cell_size * 0.3, 0.0, 0.0])
     climb = np.array([0.0, 0.0, grid.cell_size * 5.0])
-
-    planar = CellPrefetcher(env, scheme, trigger_fraction=0.5)
-    assert planar.predict_next_cell(start) is None    # no velocity yet
-    planar._last_position = start.copy()
-    flat_prediction = planar.predict_next_cell(start + step)
-
-    climbing = CellPrefetcher(env, scheme, trigger_fraction=0.5)
-    climbing._last_position = start.copy()
-    climbing_prediction = climbing.predict_next_cell(start + step + climb)
-
+    assert model.predict_from_motion(start, None) is None  # no velocity
+    flat_prediction = model.predict_from_motion(start + step, start)
+    climbing_prediction = model.predict_from_motion(start + step + climb,
+                                                    start)
     assert climbing_prediction == flat_prediction
 
 
 def test_pure_vertical_motion_predicts_nothing(env):
-    scheme = env.scheme("indexed-vertical")
     grid = env.grid
+    model = CellTransitionModel(grid, trigger_fraction=1.0)
     start = grid.cell_center(busiest_cells(env)[0])
-    prefetcher = CellPrefetcher(env, scheme, trigger_fraction=1.0)
-    prefetcher._last_position = start.copy()
     up = start + np.array([0.0, 0.0, grid.cell_size * 3.0])
-    assert prefetcher.predict_next_cell(up) is None
+    assert model.predict_from_motion(up, start) is None

@@ -1,10 +1,10 @@
 """Tests for the deterministic cell-transition model (PR 10).
 
 The model must reproduce the historical velocity-only heuristic exactly
-when it has seen no transitions (the zero-knowledge special case the
-``CellPrefetcher`` refactor relies on), and its Markov counts must take
-over — deterministically, with integer arithmetic and smallest-id tie
-breaks — once observation outweighs the velocity prior.
+when it has seen no transitions (the zero-knowledge special case), and
+its Markov counts must take over — deterministically, with integer
+arithmetic and smallest-id tie breaks — once observation outweighs the
+velocity prior.
 """
 
 import numpy as np
