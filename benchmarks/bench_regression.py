@@ -62,22 +62,17 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
      "traffic: frames served at 200 sessions/s"),
     ("BENCH_traffic.json", "loads.25.requests",
      "traffic: requests handled at 25 sessions/s"),
-    # Layout metrics are pure functions of (scale, session, eta): the
-    # back-seek ratio of the rewrite and the V-page byte ratio of the
-    # packed delta codec, both higher-is-better.
-    ("BENCH_layout.json", "schemes.vertical.back_seek_improvement",
-     "layout: back-seek improvement, vertical"),
-    ("BENCH_layout.json",
-     "schemes.indexed-vertical.back_seek_improvement",
-     "layout: back-seek improvement, indexed-vertical"),
-    ("BENCH_layout.json", "schemes.vertical.light_bytes_improvement",
-     "layout: V-page byte improvement, vertical"),
-    ("BENCH_layout.json",
+    # Compression metrics are pure functions of (scale, session, eta):
+    # the V-page byte ratio of the packed delta codec over the raw
+    # one, and the stream's own ratio, both higher-is-better.
+    ("BENCH_compression.json", "schemes.vertical.light_bytes_improvement",
+     "compression: V-page byte improvement, vertical"),
+    ("BENCH_compression.json",
      "schemes.indexed-vertical.light_bytes_improvement",
-     "layout: V-page byte improvement, indexed-vertical"),
-    ("BENCH_layout.json",
+     "compression: V-page byte improvement, indexed-vertical"),
+    ("BENCH_compression.json",
      "schemes.vertical.compression_inverse_ratio",
-     "layout: packed stream compression, vertical"),
+     "compression: packed stream compression, vertical"),
     # Replacement/prefetch A/B grid (pool pressure, simulated and
     # deterministic): per-policy hit rates and throughput, plus the
     # heavy-byte ratio of plain LRU over 2Q+prefetch (lower heavy

@@ -8,7 +8,6 @@ Usage::
     python -m repro run all --scale small
     python -m repro profile [--scale small] [--session 1] [--eta 0.001]
     python -m repro chaos [--plan aggressive] [--seed 0] [--list-plans]
-    python -m repro layout [--scale small] [--session 4] [--output FILE]
     python -m repro crash [--seed 0] [--txns 5] [--output FILE]
     python -m repro precompute [--workers 4] [--cache-dir DIR] [--resume]
     python -m repro serve [--sessions 8] [--workers 4] [--seed 7]
@@ -102,8 +101,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_walk_options(parser: argparse.ArgumentParser, *,
                       session: Optional[int] = None,
-                      frames: Optional[int] = None,
-                      scheme: bool = True) -> None:
+                      frames: Optional[int] = None) -> None:
     """Options shared by the verbs that walk sessions through a world.
 
     ``session`` is the default motion pattern of the single-session
@@ -122,22 +120,18 @@ def _add_walk_options(parser: argparse.ArgumentParser, *,
     parser.add_argument("--frames", type=int, default=frames,
                         help="frames per session (default: "
                              f"{frames or 'set by the scale'})")
-    if scheme:
-        parser.add_argument("--scheme", default=None,
-                            help="storage scheme (default: the scale's)")
+    parser.add_argument("--scheme", default=None,
+                        help="storage scheme (default: the scale's)")
     _add_output(parser)
 
 
 def _add_serving_options(parser: argparse.ArgumentParser, *,
-                         sessions: int, workers: int, seed: int,
+                         sessions: int, seed: int,
                          max_active: Optional[int]) -> None:
     """Options shared by the two multi-session verbs."""
     parser.add_argument("--sessions", type=int, default=sessions,
                         help="walkthrough sessions served or offered "
                              f"(default: {sessions})")
-    parser.add_argument("--workers", type=int, default=workers,
-                        help=f"worker threads (default: {workers}); never "
-                             "changes a deterministic byte of the report")
     parser.add_argument("--seed", type=int, default=seed,
                         help="motion-pattern (and arrival) seed (default: "
                              f"{seed}); the same seed reproduces the report")
@@ -205,16 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--list-plans", action="store_true",
                        help="list the built-in fault plans and exit")
 
-    layout = sub.add_parser(
-        "layout",
-        help="rewrite the V-page disk layout along the walkthrough tour "
-             "and report before/after seeks and compression")
-    # Session 4 is the loop circuit the rewriter targets.
-    _add_walk_options(layout, session=4, scheme=False)
-    layout.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                        help="schemes to rewrite (default: vertical and "
-                             "indexed-vertical)")
-
     crash = sub.add_parser(
         "crash",
         help="sweep a crash-point matrix over the journaled write path; "
@@ -275,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve N concurrent walkthrough sessions through a shared "
              "buffer pool; emit a deterministic JSON report")
     _add_walk_options(serve)
-    _add_serving_options(serve, sessions=8, workers=4, seed=7,
-                         max_active=None)
+    _add_serving_options(serve, sessions=8, seed=7, max_active=None)
+    serve.add_argument("--workers", type=int, default=4,
+                       help="worker threads (default: 4); never changes "
+                            "a deterministic byte of the report")
     serve.add_argument("--policy", default=None, choices=["lru", "2q"],
                        help="pool replacement policy (default: the "
                             "scale's, normally lru)")
@@ -291,9 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
              "the HTTP front-end; emit a traffic/latency JSON report")
     # 30 frames: traffic wants many short sessions, not a few long ones.
     _add_walk_options(traffic, frames=30)
-    # Arrivals past 32 live sessions are shed (503); workers is echoed.
-    _add_serving_options(traffic, sessions=200, workers=1, seed=0,
-                         max_active=32)
+    # Arrivals past 32 live sessions are shed (503).
+    _add_serving_options(traffic, sessions=200, seed=0, max_active=32)
     traffic.add_argument("--arrival-rate", type=float, default=50.0,
                          help="offered load in sessions per virtual "
                               "second (default: 50)")
@@ -405,19 +390,6 @@ def cmd_chaos(args) -> int:
                  f"completed={outcome['completed']}, survived "
                  f"{outcome['frames_survived']}/{outcome['frames_total']} "
                  f"frames", report["invariants"]["ok"])
-
-
-def cmd_layout(args) -> int:
-    from repro.obs.layout import DEFAULT_SCHEMES, run_layout
-
-    schemes = tuple(args.schemes) if args.schemes else DEFAULT_SCHEMES
-    report = run_layout(**_run_kwargs(args), schemes=schemes)
-    back = {name: (sr["baseline"]["light"]["back_seeks"],
-                   sr["rewritten"]["light"]["back_seeks"])
-            for name, sr in report["schemes"].items()}
-    return _emit(report, args.output,
-                 f"ok={report['ok']}, back_seeks before/after: {back}",
-                 report["ok"])
 
 
 def cmd_crash(args) -> int:
@@ -616,7 +588,6 @@ COMMANDS: Dict[str, Tuple[Callable[..., int], Tuple[type, ...]]] = {
     "run": (cmd_run, ()),
     "profile": (cmd_profile, ()),
     "chaos": (cmd_chaos, (StorageError,)),
-    "layout": (cmd_layout, (ReproError,)),
     "crash": (cmd_crash, (ReproError,)),
     "precompute": (cmd_precompute, (VisibilityError,)),
     "serve": (cmd_serve, (ReproError,)),

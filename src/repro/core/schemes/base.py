@@ -236,32 +236,16 @@ class StorageScheme(abc.ABC):
         if self.index_file is not None:
             self.index_file.reset_head()
         # The packed read cache is runtime state too: a cold query must
-        # re-pay its page reads, and the layout replays rely on before/
-        # after runs starting from the same empty cache.
+        # re-pay its page reads.
         self._vpage_read_cache.clear()
 
     def reset_runtime_state(self) -> None:
         """Forget *all* runtime state — current cell, loaded segment,
         file heads, read cache — returning the scheme to its just-built
-        condition.  The layout replays call this between runs so
-        before/after measurements start from identical state."""
+        condition, so that two replays start from identical state."""
         self.current_cell = None
         self._reset_cell_state()
         self.reset_io_head()
-
-    # -- layout rewriting ------------------------------------------------------
-
-    @abc.abstractmethod
-    def cell_pointers(self, cell_id: int) -> List[Tuple[int, int]]:
-        """``(node offset, V-page pointer)`` pairs of one cell, in the
-        cell's on-disk V-page order — the unit the layout rewriter
-        reorders.  Reads the scheme's index structures (charged I/O;
-        callers reset stats around rewrites)."""
-
-    @abc.abstractmethod
-    def apply_layout(self, remap: Dict[int, int]) -> None:
-        """Rewrite stored V-page pointers through ``remap`` (old -> new)
-        after the V-page file has been physically reordered."""
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(cell={self.current_cell}, "
@@ -281,8 +265,8 @@ class SegmentScheme(StorageScheme):
     finding a node's V-page is a memory access and only the V-page read
     costs I/O.
 
-    Everything that writes, loads, addresses or remaps a segment is
-    written here, once.  A concrete scheme states only where a cell's
+    Everything that writes, loads or addresses a segment is written
+    here, once.  A concrete scheme states only where a cell's
     segment lives and how its bytes spell the pairs:
 
     * :meth:`_segment_span` — where the stored segment of a cell is;
@@ -352,15 +336,10 @@ class SegmentScheme(StorageScheme):
                                             offset, cell.ventries(offset)))
                  for offset in cell.visible_offsets_dfs()]
         data = self._encode_segment(pairs)
-        num_pages = max(-(-len(data) // self.index_file.page_size), 1)
+        page_size = self.index_file.page_size
+        num_pages = max(-(-len(data) // page_size), 1)
         first_page = self._place_segment(cell.cell_id, num_pages)
         self._cell_vnodes[cell.cell_id] = len(pairs)
-        self._write_segment(first_page, num_pages, data)
-
-    def _write_segment(self, first_page: int, num_pages: int,
-                       data: bytes) -> None:
-        assert self.index_file is not None
-        page_size = self.index_file.page_size
         for i in range(num_pages):
             pageio.write_page(self.index_file, first_page + i,
                               data[i * page_size:(i + 1) * page_size],
@@ -442,23 +421,6 @@ class SegmentScheme(StorageScheme):
             return []
         return [pointer
                 for _offset, pointer in self._decode_segment(cell_id, data)]
-
-    # -- layout ---------------------------------------------------------------
-
-    def apply_layout(self, remap: Dict[int, int]) -> None:
-        """Rewrite every stored segment in place with remapped pointers.
-
-        Pair counts do not change, so neither do segment sizes: each
-        cell keeps its span.
-        """
-        for cell_id in sorted(self._cell_vnodes):
-            span = self._segment_span(cell_id)
-            assert span is not None
-            pairs = [(offset, remap.get(pointer, pointer))
-                     for offset, pointer in self.cell_pointers(cell_id)]
-            self._write_segment(*span, self._encode_segment(pairs))
-        self._reset_cell_state()
-        self.current_cell = None
 
     @property
     def total_vnodes(self) -> int:

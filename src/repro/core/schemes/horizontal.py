@@ -14,7 +14,7 @@ reserves space regardless.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.schemes.base import StorageBreakdown, StorageScheme
 from repro.core.vpage import CellVPages, VEntry
@@ -38,9 +38,6 @@ class HorizontalScheme(StorageScheme):
         self._first_page: Optional[int] = None
         #: entry counts per node offset, to materialise all-zero pages.
         self._entry_counts: Dict[int, int] = {}
-        #: Layout indirection: formula page id -> physical page id.
-        #: Empty until ``apply_layout`` (identity mapping).
-        self._remap: Dict[int, int] = {}
 
     @property
     def _raw_codec(self) -> RawVPageCodec:
@@ -75,8 +72,7 @@ class HorizontalScheme(StorageScheme):
 
     def _page_id(self, node_offset: int, cell_id: int) -> int:
         assert self._first_page is not None
-        page = self._first_page + node_offset * self.num_cells + cell_id
-        return self._remap.get(page, page)
+        return self._first_page + node_offset * self.num_cells + cell_id
 
     def _load_cell(self, cell_id: int) -> None:
         if not 0 <= cell_id < self.num_cells:
@@ -103,29 +99,4 @@ class HorizontalScheme(StorageScheme):
         )
 
     def resident_bytes(self) -> int:
-        # Stateless.  A layout remap adds two ints per moved page, but
-        # only `repro layout` installs one.
-        return 0
-
-    # -- layout ---------------------------------------------------------------
-
-    def cell_pointers(self, cell_id: int) -> List[Tuple[int, int]]:
-        """All ``(node_offset, page)`` pairs of one cell — every node
-        owns a page here, visible or not, straight from the formula."""
-        if not 0 <= cell_id < self.num_cells:
-            raise SchemeError(f"cell {cell_id} out of range")
-        return [(offset, self._page_id(offset, cell_id))
-                for offset in range(self.num_nodes)]
-
-    def apply_layout(self, remap: Dict[int, int]) -> None:
-        """Install a page indirection: the formula keeps addressing the
-        original ids, the remap redirects to the physical pages.  A
-        second rewrite composes with the first."""
-        if self._remap:
-            composed = {page: remap.get(physical, physical)
-                        for page, physical in self._remap.items()}
-            for old, new in remap.items():
-                composed.setdefault(old, new)
-            remap = composed
-        self._remap = {old: new for old, new in remap.items()
-                       if old != new}
+        return 0  # stateless: no per-cell structure is kept

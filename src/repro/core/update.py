@@ -57,9 +57,8 @@ def remove_object(env: HDoVEnvironment, object_id: int, *,
     Only the indexed-vertical scheme over the raw V-page codec supports
     in-place updates: its per-cell segments are variable-length and
     directory-addressed, and a raw V-page file can grow, whereas the
-    packed stream is closed once per build (``repro layout`` re-encodes
-    it whole).  Anything else is refused before the environment is
-    touched.
+    packed stream is closed once per build.  Anything else is refused
+    before the environment is touched.
     """
     record = env.objects.get(object_id)
     if record is None:

@@ -107,10 +107,8 @@ def build_experiment_environment(scale: ExperimentScale,
     ``compress_vpages`` opts into the packed delta V-page codec.  The
     cache key includes both so Table 2 (all three schemes) and the
     walkthroughs (one) — and compressed vs raw runs — do not collide.
-
-    Note for the layout rewriter: cached environments are *shared*;
-    ``repro layout`` builds fresh, uncached environments because a
-    rewrite mutates the V-page files in place.
+    Cached environments are *shared*: anything that mutates a file in
+    place builds its own with :func:`~repro.obs.replay.build_world`.
     """
     scheme_key = tuple(schemes) if schemes is not None else tuple(
         scale.hdov.schemes)

@@ -306,14 +306,14 @@ def _cache_sweep(workdir: str, *, cells: int,
                  stride: int, violations: List[str]) -> Dict[str, object]:
     """Truncate ``cells.jsonl`` at every interesting byte and reopen.
 
-    The contract under test (satellite of DESIGN.md §12): with the
-    default ``always`` fsync policy a crash can tear at most the final
-    record, and the loader drops exactly that — a final line missing
-    only its newline still parses and **is** kept.
+    The contract under test (satellite of DESIGN.md §12): every record
+    is fsync'd, so a crash can tear at most the final one, and the
+    loader drops exactly that — a final line missing only its newline
+    still parses and **is** kept.
     """
     basedir = os.path.join(workdir, "cache-full")
     cache = PrecomputeCache.open(basedir, _CACHE_FINGERPRINT, cells,
-                                 resume=False, fsync_policy="always")
+                                 resume=False)
     expected_full = _cache_cells(cells)
     for cell in range(cells):
         cache.record(cell, expected_full[cell])

@@ -78,11 +78,6 @@ VPAGE_RECORDS_DELTA = "vpage_records_delta_total"
 VPAGE_RAW_BYTES = "vpage_raw_bytes_total"
 VPAGE_ENCODED_BYTES = "vpage_encoded_bytes_total"
 
-# -- repro.storage.layout: seek-optimal rewriter, labelled by file ----------
-
-LAYOUT_REWRITES = "layout_rewrites_total"
-LAYOUT_PAGES_MOVED = "layout_pages_moved_total"
-
 # -- repro.core.search: one series set per scheme label ---------------------
 
 SEARCH_QUERIES = "search_queries_total"

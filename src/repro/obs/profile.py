@@ -96,7 +96,7 @@ def run_profile(*, scale: str = "small", session: int = 1,
         Experiment scale name (``small`` / ``medium`` / ``large``).
     session:
         Motion pattern 1, 2, 3 or 4 (Section 5.4's recorded sessions
-        plus the loop circuit the layout rewriter targets).
+        plus the loop circuit).
     eta:
         DoV threshold for the VISUAL system.
     frames:
@@ -200,10 +200,11 @@ def run_profile(*, scale: str = "small", session: int = 1,
                 },
             },
             # Disk-layout view of the same run: the seek *direction*
-            # split per file (back seeks are what the layout rewriter
-            # attacks) and the V-page codec's byte accounting.  The
-            # split is internally checked (back + forward == seeks, per
-            # file) on top of the IOStats reconciliation above.
+            # split per file (back seeks measure how far the storage
+            # order is from the access order) and the V-page codec's
+            # byte accounting.  The split is internally checked (back +
+            # forward == seeks, per file) on top of the IOStats
+            # reconciliation above.
             "layout": {
                 "seeks": {
                     fname: {

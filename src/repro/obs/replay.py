@@ -2,9 +2,9 @@
 
 Every number of the paper's Section 5 comes out of one loop — build the
 HDoV-tree for a dataset, replay a recorded session against it, read the
-I/O counters.  ``repro profile``, ``chaos``, ``layout``, ``serve`` and
-``traffic`` (and the experiment drivers' environment cache) are
-configurations of the pieces here rather than copies of them:
+I/O counters.  ``repro profile``, ``chaos``, ``serve`` and ``traffic``
+(and the experiment drivers' environment cache) are configurations of
+the pieces here rather than copies of them:
 
 * :func:`build_world` — scale → city → cell grid → environment, with
   the scheme / V-page codec overrides;
@@ -68,8 +68,9 @@ def build_world(experiment: "ExperimentScale", *,
     ``schemes`` overrides which storage schemes are laid out and
     ``compress`` opts into the packed delta V-page codec.  ``like``
     reuses another world's scene, grid and visibility table, so that
-    variants of one dataset (``repro layout`` builds four) pay the
-    precompute once and provably share their ground truth.
+    variants of one dataset (the raw and the packed build of the
+    compression bench) pay the precompute once and provably share
+    their ground truth.
     """
     if schemes is not None:
         experiment = experiment.with_schemes(schemes)

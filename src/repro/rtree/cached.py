@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.rtree.persist import NodeStore, PersistedNode, persisted_node
+from repro.rtree.persist import (NodeStore, PersistedNode, persisted_node,
+                                 rtree_reader)
 from repro.storage.buffer import BufferPool
 from repro.storage.serializer import decode_node
 
@@ -20,9 +21,11 @@ from repro.storage.serializer import decode_node
 class CachedNodeStore:
     """Drop-in ``read_node`` provider with an LRU page cache.
 
-    Hits are free (no disk charge); misses read through the underlying
-    :class:`NodeStore`'s paged file.  Exposes the attributes the search
-    layer uses (``num_nodes``, ``offset_to_page``, ``root_page``).
+    Hits are free (no disk charge); misses read the underlying
+    :class:`NodeStore`'s paged file through ``pageio``, retried and
+    attributed to the ``rtree`` component like an unpooled node read.
+    Exposes the attributes the search layer uses (``num_nodes``,
+    ``offset_to_page``, ``root_page``).
     """
 
     def __init__(self, store: NodeStore, capacity_pages: int) -> None:
@@ -44,7 +47,7 @@ class CachedNodeStore:
     def read_node(self, node_offset: int) -> PersistedNode:
         page_id = self.store.page_of(node_offset)
         decoded = self.pool.get(self.store.pfile, page_id,
-                                decoder=decode_node)
+                                reader=rtree_reader, decoder=decode_node)
         return persisted_node(page_id, node_offset, decoded)
 
     def read_root(self) -> PersistedNode:

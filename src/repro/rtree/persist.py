@@ -83,6 +83,12 @@ def persisted_node(page_id: int, node_offset: int,
     return PersistedNode(page_id, kind, level, node_offset, entries)
 
 
+def rtree_reader(pfile: PagedFile, page_id: int) -> bytes:
+    """Buffer-pool miss reader of the pool-fronted node stores: the
+    sanctioned rtree-component read."""
+    return pageio.read_page(pfile, page_id, component="rtree")
+
+
 class NodeStore:
     """Reads and writes tree nodes in a paged file."""
 

@@ -56,7 +56,7 @@ _ARRIVE = 0
 _STEP = 1
 
 
-def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
+def run_traffic(*, sessions: int = 200, seed: int = 0,
                 scale: str = "small", eta: float = 0.001,
                 frames: int = 30, scheme: Optional[str] = None,
                 arrival_rate: float = 50.0, hot_fraction: float = 0.5,
@@ -72,9 +72,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
         Sessions *offered* (arrivals); sheds count against this.
     seed:
         Seeds the arrival process and the hot/pattern draws.
-    workers:
-        Echoed for symmetry with ``repro serve``; dispatch is strictly
-        sequential, so the value never changes a deterministic byte.
     arrival_rate:
         Offered load in sessions per (virtual) second.
     hot_fraction:
@@ -120,7 +117,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0, workers: int = 1,
             "traffic": {
                 "scale": scale,
                 "sessions": sessions,
-                "workers": workers,
                 "seed": seed,
                 "eta": eta,
                 "frames": frames,

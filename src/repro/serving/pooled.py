@@ -13,16 +13,10 @@ charged to the simulated clock exactly like unpooled node reads.
 
 from __future__ import annotations
 
-from repro.rtree.persist import NodeStore, PersistedNode, persisted_node
-from repro.storage import pageio
+from repro.rtree.persist import (NodeStore, PersistedNode, persisted_node,
+                                 rtree_reader)
 from repro.storage.buffer import BufferPool
-from repro.storage.pagedfile import PagedFile
 from repro.storage.serializer import decode_node
-
-
-def _rtree_reader(pfile: PagedFile, page_id: int) -> bytes:
-    """Buffer-pool miss reader: the sanctioned rtree-component read."""
-    return pageio.read_page(pfile, page_id, component="rtree")
 
 
 class PooledNodeStore(NodeStore):
@@ -44,6 +38,6 @@ class PooledNodeStore(NodeStore):
     def read_node(self, node_offset: int) -> PersistedNode:
         """Fetch and decode a node, through the shared pool."""
         page_id = self.page_of(node_offset)
-        decoded = self.pool.get(self.pfile, page_id, reader=_rtree_reader,
+        decoded = self.pool.get(self.pfile, page_id, reader=rtree_reader,
                                 decoder=decode_node)
         return persisted_node(page_id, node_offset, decoded)

@@ -16,18 +16,16 @@ Figure 7.
 Non-sequential accesses are further split by *direction*: a seek whose
 target page id is **below** the previous position on the same file is a
 ``back_seek``; one at or above it (or the first access after a head
-reset) is a ``forward_seek``.  Backward seeks are what a layout rewrite
-(``repro layout``) can remove — the head must travel against the scan
-direction and no read-ahead helps — so they may be costed separately via
-``DiskModel.back_seek_ms``.  By default ``back_seek_ms`` equals
-``seek_ms`` and every historical total is unchanged; the split counters
-are new information, not a re-pricing.
+reset) is a ``forward_seek``.  Backward seeks are HODOR's measure of a
+serialisation order — the head travels against the scan direction and
+no read-ahead helps.  Both directions cost ``seek_ms``: the split
+counters are information, not a price.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -131,45 +129,21 @@ class DiskModel:
     #: window).  This is what makes the DFS-ordered V-page and model
     #: layouts pay off even when pruned branches skip pages in the scan.
     readahead_pages: int = 32
-    #: Milliseconds for a *backward* seek (target page id below the
-    #: previous position).  ``None`` means "same as ``seek_ms``", which
-    #: keeps every pre-existing simulated-ms total byte-identical; set it
-    #: higher (never lower — ``__post_init__`` enforces the asymmetry) to
-    #: model the head travelling against the scan direction with no
-    #: read-ahead to hide it.
-    back_seek_ms: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.back_seek_ms is not None \
-                and self.back_seek_ms < self.seek_ms:
-            raise ValueError(
-                f"back_seek_ms ({self.back_seek_ms}) must be >= seek_ms "
-                f"({self.seek_ms}): a backward seek is never cheaper "
-                f"than a forward one")
-
-    @property
-    def effective_back_seek_ms(self) -> float:
-        """``back_seek_ms`` with the ``None`` default resolved."""
-        if self.back_seek_ms is None:
-            return self.seek_ms
-        return self.back_seek_ms
-
-    def access_cost(self, sequential: bool, *,
-                    backward: bool = False) -> float:
+    def access_cost(self, sequential: bool) -> float:
         """Simulated milliseconds for one page access."""
         if sequential:
             return self.transfer_ms
-        if backward:
-            return self.effective_back_seek_ms + self.transfer_ms
         return self.seek_ms + self.transfer_ms
 
     def charge(self, stats: IOStats, *, write: bool, sequential: bool,
                nbytes: int, backward: bool = False) -> float:
         """Record one page access in ``stats``; returns its cost in ms.
 
-        ``backward`` is only meaningful when ``sequential`` is false; the
-        caller (``PagedFile._charge``) classifies the direction against
-        the file's previous head position.
+        ``backward`` only picks the seek counter and is meaningful only
+        when ``sequential`` is false; the caller (``PagedFile._charge``)
+        classifies the direction against the file's previous head
+        position.
         """
         if write:
             stats.writes += 1
@@ -185,7 +159,7 @@ class DiskModel:
         else:
             stats.seeks += 1
             stats.forward_seeks += 1
-        cost = self.access_cost(sequential, backward=backward)
+        cost = self.access_cost(sequential)
         stats.simulated_ms += cost
         return cost
 

@@ -154,6 +154,7 @@ class PagedFile:
             self._fh.seek(0, os.SEEK_END)
             size = self._fh.tell()
             if size % self._physical_page_size != 0:
+                self._fh.close()
                 raise StorageError(
                     f"{path}: size {size} is not a multiple of the "
                     f"physical page size {self._physical_page_size}")

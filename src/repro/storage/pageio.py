@@ -32,31 +32,26 @@ injector is installed the retry wrapper short-circuits to a bare call.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
-from repro.storage.retry import RetryPolicy, run_with_retry
+from repro.storage.retry import run_with_retry
 
 
-def read_page(pfile: PagedFile, page_id: int, *, component: str,
-              retry: Optional[RetryPolicy] = None) -> bytes:
+def read_page(pfile: PagedFile, page_id: int, *, component: str) -> bytes:
     """Read one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_READS, component=component).inc()
-    return run_with_retry(pfile.read_page, pfile, retry, page_id)
+    return run_with_retry(pfile.read_page, pfile, None, page_id)
 
 
 def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
-               component: str,
-               retry: Optional[RetryPolicy] = None) -> None:
+               component: str) -> None:
     """Write one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
-    run_with_retry(pfile.write_page, pfile, retry, page_id, data)
+    run_with_retry(pfile.write_page, pfile, None, page_id, data)
 
 
-def append_page(pfile: PagedFile, data: bytes, *, component: str,
-                retry: Optional[RetryPolicy] = None) -> int:
+def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
     """Allocate and write one page; returns the new page id.
 
     The allocation is not retried (it cannot fail transiently); only
@@ -64,13 +59,12 @@ def append_page(pfile: PagedFile, data: bytes, *, component: str,
     """
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
     page_id = pfile.allocate()
-    run_with_retry(pfile.write_page, pfile, retry, page_id, data)
+    run_with_retry(pfile.write_page, pfile, None, page_id, data)
     return page_id
 
 
 def read_run(pfile: PagedFile, first_page: int, count: int, *,
-             component: str,
-             retry: Optional[RetryPolicy] = None) -> bytes:
+             component: str) -> bytes:
     """Read ``count`` consecutive pages as one buffer.
 
     Retried as a unit: a transient failure mid-run re-reads the whole
@@ -79,4 +73,4 @@ def read_run(pfile: PagedFile, first_page: int, count: int, *,
     """
     get_registry().counter(names.PAGEIO_READS,
                            component=component).inc(count)
-    return run_with_retry(pfile.read_run, pfile, retry, first_page, count)
+    return run_with_retry(pfile.read_run, pfile, None, first_page, count)

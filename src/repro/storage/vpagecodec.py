@@ -41,7 +41,7 @@ Construction" observes: nearby viewpoints share most of their visible
 set, so a cell's V-page usually differs from a grid-adjacent neighbour's
 in a handful of entries.  The writer designates, per cell, the most
 recently *written* grid-adjacent cell as the reference — a rule that
-holds under any write order (build order or a layout-rewrite tour), and
+holds under any write order, not only the build's ascending one — and
 falls back to self-encoding whenever the delta would not be smaller or
 the base record is itself a delta.  Entry lists are positional and
 structurally identical across cells (one V-entry per tree-node entry),
@@ -142,7 +142,7 @@ class VPageCodec(abc.ABC):
 
     @abc.abstractmethod
     def compression_stats(self) -> Dict[str, float]:
-        """Raw-vs-encoded byte accounting for the profile/layout report."""
+        """Raw-vs-encoded byte accounting for ``repro profile``."""
 
 
 class RawVPageCodec(VPageCodec):
@@ -299,8 +299,7 @@ class PackedDeltaVPageCodec(VPageCodec):
             raise SchemeError(f"page size {page_size} too small to pack")
         self.page_size = page_size
         self.scheme = scheme
-        #: cell id -> grid-adjacent cell ids; public so a layout rewrite
-        #: can instantiate a fresh codec over the same grid.
+        #: cell id -> grid-adjacent cell ids, the candidate delta bases.
         self.neighbors: Dict[int, List[int]] = dict(neighbors)
         self._stream = bytearray()
         #: First file page of the stream (set by ``finish``).

@@ -16,14 +16,12 @@ interrupted run should not start over.  The cache is a directory with
   resumed run is bit-identical to an uninterrupted one.
 
 Durability: the manifest is written atomically (temp file + fsync +
-rename; see :mod:`repro.storage.atomic`), and appended cells obey a
-*fsync policy*: ``"always"`` (the default) fsyncs after every record,
-so a cell acknowledged to the progress callback survives a power loss;
-``"close"`` defers the fsync to :meth:`PrecomputeCache.close`;
-``"never"`` restores the pre-crash-consistency behaviour (flush only)
-for benchmarks that do not care.  A crash between flush and fsync can
-still leave at most one torn final line; that line is dropped on load
-(its cell is simply recomputed) and counted in
+rename; see :mod:`repro.storage.atomic`), and every appended cell is
+fsync'd before :meth:`PrecomputeCache.record` returns, so a cell
+acknowledged to the progress callback survives a power loss.  A crash
+between flush and fsync can still leave at most one torn final line;
+that line is dropped on load (its cell is simply recomputed) and
+counted in
 :attr:`PrecomputeCache.torn_lines` — the ``repro crash`` harness sweeps
 truncation points over the file to prove exactly this.  Every other way
 the directory can be wrong — unreadable manifest, wrong magic/version,
@@ -45,9 +43,6 @@ import numpy as np
 from repro.errors import VisibilityError
 from repro.storage.atomic import atomic_write_text
 from repro.visibility.cells import CellGrid
-
-#: Valid ``fsync_policy`` values for :meth:`PrecomputeCache.open`.
-FSYNC_POLICIES = ("always", "close", "never")
 
 #: Identifies a manifest as ours before any other field is trusted.
 MAGIC = "repro-precompute-cache"
@@ -84,16 +79,11 @@ class PrecomputeCache:
     initialises the on-disk state.
     """
 
-    def __init__(self, path: str, fingerprint: str, num_cells: int,
-                 fsync_policy: str = "always") -> None:
-        if fsync_policy not in FSYNC_POLICIES:
-            raise VisibilityError(
-                f"unknown fsync policy {fsync_policy!r}; choose from "
-                f"{list(FSYNC_POLICIES)}")
+    def __init__(self, path: str, fingerprint: str,
+                 num_cells: int) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.num_cells = num_cells
-        self.fsync_policy = fsync_policy
         #: Cells recovered from a previous run, ``{cell_id: {oid: dov}}``.
         self.loaded: Dict[int, Dict[int, float]] = {}
         #: Torn trailing lines dropped during load (0 or 1 per open).
@@ -104,19 +94,15 @@ class PrecomputeCache:
 
     @classmethod
     def open(cls, path: str, fingerprint: str, num_cells: int,
-             resume: bool = True,
-             fsync_policy: str = "always") -> "PrecomputeCache":
+             resume: bool = True) -> "PrecomputeCache":
         """Open (and validate) or initialise the cache directory.
 
         With ``resume=True`` an existing cache must match ``fingerprint``
         — a mismatch means the scene/grid/estimator changed and raises
         ``VisibilityError`` instead of silently mixing results.  With
         ``resume=False`` any existing contents are discarded.
-        ``fsync_policy`` controls when appended cells become durable
-        (see the module docstring).
         """
-        cache = cls(path, fingerprint, num_cells,
-                    fsync_policy=fsync_policy)
+        cache = cls(path, fingerprint, num_cells)
         manifest_path = os.path.join(path, _MANIFEST)
         cells_path = os.path.join(path, _CELLS)
         os.makedirs(path, exist_ok=True)
@@ -227,12 +213,11 @@ class PrecomputeCache:
     # -- writing -----------------------------------------------------------
 
     def record(self, cell_id: int, dov: Dict[int, float]) -> None:
-        """Append one completed cell; durability per the fsync policy.
+        """Append one completed cell, durably.
 
-        ``flush()`` alone only hands the line to the OS — the old
-        behaviour lost acknowledged cells on power loss.  Under the
-        default ``"always"`` policy the record is fsync'd before this
-        returns, so an acknowledged cell is a durable cell.
+        ``flush()`` alone only hands the line to the OS, which loses
+        acknowledged cells on power loss: the record is fsync'd before
+        this returns, so an acknowledged cell is a durable cell.
         """
         if self._cells_file is None:
             raise VisibilityError("precompute cache is closed")
@@ -242,14 +227,12 @@ class PrecomputeCache:
                           sort_keys=True)
         self._cells_file.write(line + "\n")
         self._cells_file.flush()
-        if self.fsync_policy == "always":
-            os.fsync(self._cells_file.fileno())
+        os.fsync(self._cells_file.fileno())
 
     def close(self) -> None:
         if self._cells_file is not None:
-            if self.fsync_policy != "never":
-                self._cells_file.flush()
-                os.fsync(self._cells_file.fileno())
+            self._cells_file.flush()
+            os.fsync(self._cells_file.fileno())
             self._cells_file.close()
             self._cells_file = None
 

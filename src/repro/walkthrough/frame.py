@@ -91,8 +91,8 @@ class FrameRecord:
     #: degraded answer set count as degraded too.
     degraded: int = 0
     #: Direction split of this frame's non-sequential accesses across
-    #: both I/O classes (light + heavy); ``back_seeks`` is the number a
-    #: layout rewrite targets.  Defaults keep older callers valid.
+    #: both I/O classes (light + heavy); ``back_seeks`` is HODOR's
+    #: measure of the storage order.  Defaults keep older callers valid.
     back_seeks: int = 0
     forward_seeks: int = 0
 

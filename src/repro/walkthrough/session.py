@@ -188,11 +188,10 @@ def loop_walkthrough(bounds: AABB, *, num_frames: int = 120,
     +y up a high x-street, -x along a high y-street, -y back down — so
     unlike sessions 1-3 (monotone or palindromic in cell id) its cell
     trace crosses most grid-adjacent cell pairs in *one* direction.
-    That makes it the canonical workload for the disk-layout rewriter:
-    a row-major V-page layout pays a back-seek on every step of the -x
-    and -y legs, while a tour-ordered layout pays roughly one per lap
-    (closing the loop).  ``repro layout`` and the layout benchmark use
-    it as their default walkthrough.
+    Against the build's row-major cell order that is the worst case
+    for back seeks — every step of the -x and -y legs jumps backwards
+    in the V-page file — which is why the V-page compression bench
+    replays it.
     """
     ys = street_lines(bounds, street_pitch, axis=1)
     xs = street_lines(bounds, street_pitch, axis=0)

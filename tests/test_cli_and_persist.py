@@ -167,8 +167,6 @@ REPORT_VERBS = {
                 "reconciled=True", ("io", "reconciled")),
     "chaos": (["--frames", "10", "--seed", "7"],
               "survived 10/10 frames", ("outcome", "completed")),
-    "layout": (["--frames", "40"],
-               "back_seeks before/after", ("ok",)),
     "crash": (["--seed", "1", "--pages", "4", "--page-size", "64",
                "--txns", "2", "--writes", "2", "--cache-cells", "3",
                "--cache-stride", "11"],

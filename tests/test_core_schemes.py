@@ -99,11 +99,6 @@ class TestAllSchemes:
         assert scheme.flips == 1
 
 
-def index_image(scheme):
-    pfile = scheme.index_file
-    return [pfile.read_page(page) for page in range(pfile.num_pages)]
-
-
 def assert_pairs_match_cell(scheme, cell, pairs):
     """``pairs`` list exactly the cell's visible nodes in DFS order, and
     every pointer leads to that node's V-entries."""
@@ -121,8 +116,8 @@ def assert_pairs_match_cell(scheme, cell, pairs):
 @pytest.mark.parametrize("name", ["vertical", "indexed-vertical"])
 class TestSegmentContract:
     """The one segment path (``SegmentScheme``): what it writes, it
-    reads, addresses, prefetch-decodes and remaps — the same way under
-    both segment encodings and both V-page codecs."""
+    reads, addresses and prefetch-decodes — the same way under both
+    segment encodings and both V-page codecs."""
 
     def test_cell_pointers_list_visible_nodes_in_dfs_order(self, name,
                                                            packed):
@@ -150,24 +145,6 @@ class TestSegmentContract:
             scheme.flip_to_cell(cell.cell_id)
             assert stats.reads == len(pages)
             stats.reset()
-
-    def test_apply_layout_rewrites_in_place(self, name, packed):
-        scheme, _stats, cells = build_scheme(name, packed=packed)
-        before = index_image(scheme)
-        scheme.flip_to_cell(0)
-        scheme.apply_layout({})
-        assert index_image(scheme) == before
-        assert scheme.current_cell is None     # flip state invalidated
-        pointers = [pointer for cell in cells
-                    for _, pointer in scheme.cell_pointers(cell.cell_id)]
-        remap = {pointer: pointer + 10_000 for pointer in pointers}
-        scheme.apply_layout(remap)
-        assert index_image(scheme) != before
-        assert [pointer for cell in cells for _, pointer
-                in scheme.cell_pointers(cell.cell_id)] == [
-            remap[pointer] for pointer in pointers]
-        scheme.apply_layout({new: old for old, new in remap.items()})
-        assert index_image(scheme) == before
 
     def test_unknown_cell(self, name, packed):
         scheme, _stats, cells = build_scheme(name, packed=packed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.delta import DeltaSearch
 from repro.experiments.config import get_scale
 from repro.obs.replay import (MS_RTOL, build_world, injected_faults,
                               replay, session_path, unbalanced_fields)
@@ -86,3 +87,39 @@ def test_two_replays_of_one_path_charge_identical_io(scheme):
     assert light.back_seeks + light.forward_seeks == light.seeks > 0
     assert heavy.back_seeks + heavy.forward_seeks == heavy.seeks > 0
     assert (light, heavy) == first[2:4]
+
+
+def test_packed_replay_selects_the_same_and_reads_fewer_bytes(
+        world, monkeypatch):
+    """Raw vs packed build of one dataset, one path through the kernel:
+    every query selects the same LoDs, so the heavy (model) ledger is
+    field-for-field equal, and the light ledger reads strictly fewer
+    bytes — what the packed codec is for."""
+    experiment = get_scale("small")
+    packed = build_world(experiment, compress=True, like=world)
+    path = session_path(experiment, world, 4)
+    selections = []
+    query_cell = DeltaSearch.query_cell
+
+    def recording(self, cell_id, eta):
+        result = query_cell(self, cell_id, eta)
+        selections.append((
+            cell_id,
+            sorted((o.object_id, o.fraction) for o in result.objects),
+            sorted((i.node_offset, i.fraction) for i in result.internals)))
+        return result
+
+    monkeypatch.setattr(DeltaSearch, "query_cell", recording)
+
+    def walk(env):
+        del selections[:]
+        replay(experiment, env, path, eta=0.001)
+        return (list(selections), env.heavy_stats.snapshot(),
+                env.light_stats.snapshot())
+
+    raw_selected, raw_heavy, raw_light = walk(world)
+    packed_selected, packed_heavy, packed_light = walk(packed)
+    assert len(raw_selected) > 1
+    assert packed_selected == raw_selected
+    assert packed_heavy == raw_heavy
+    assert 0 < packed_light.bytes_read < raw_light.bytes_read

@@ -98,13 +98,11 @@ def replay(kind, disk, head, first, count, fault_seed, as_run):
 @given(first=st.integers(-1, NUM_PAGES + 1), count=st.integers(0, 12),
        head=st.one_of(st.none(), st.integers(0, NUM_PAGES - 1)),
        readahead=st.sampled_from([0, 1, 4, 32]),
-       back_seek_ms=st.sampled_from([None, 8.0, 19.7]),
        fault_seed=st.integers(0, 50))
 def test_run_and_page_by_page_ledgers_are_equal(kind, first, count, head,
-                                                readahead, back_seek_ms,
-                                                fault_seed):
+                                                readahead, fault_seed):
     disk = DiskModel(seek_ms=8.0, transfer_ms=0.1,
-                     readahead_pages=readahead, back_seek_ms=back_seek_ms)
+                     readahead_pages=readahead)
     as_run = replay(kind, disk, head, first, count, fault_seed, True)
     paged = replay(kind, disk, head, first, count, fault_seed, False)
     assert as_run == paged

@@ -5,12 +5,15 @@ import pytest
 
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
+from repro.obs import names
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.rtree.bulk import str_bulk_load
 from repro.rtree.cached import CachedNodeStore
 from repro.rtree.persist import KIND_INTERNAL, KIND_LEAF, NodeStore
 from repro.serving.pooled import PooledNodeStore
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
+from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
 from repro.storage.serializer import NIL
 
@@ -147,3 +150,35 @@ def test_every_store_rejects_a_page_holding_another_node(store_and_tree,
     for offset in (1, 2):
         with pytest.raises(RTreeError, match="node offset mismatch"):
             victim.read_node(offset)
+
+
+@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+def test_every_store_attributes_a_miss_to_pageio(store_and_tree, name):
+    """A node read that reaches the disk is a ``pageio`` read of the
+    rtree component, whichever store issues it; a pool hit is none."""
+    store, _tree = store_and_tree
+    with use_registry(MetricsRegistry()) as registry:
+        victim = all_stores(store)[name]
+        victim.read_node(0)
+        assert registry.value(names.PAGEIO_READS, component="rtree") == 1
+        victim.read_node(0)          # only the plain store reads again
+        assert registry.value(names.PAGEIO_READS, component="rtree") \
+            == (2 if name == "plain" else 1)
+
+
+@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+def test_every_store_survives_one_transient_read_error(store_and_tree,
+                                                       name):
+    store, _tree = store_and_tree
+    with use_registry(MetricsRegistry()) as registry:
+        victim = all_stores(store)[name]
+        injector = FaultInjector(FaultPlan("one-read-error", (
+            FaultRule("read-error", rate=1.0, times=1),)), seed=0)
+        injector.install(store.pfile)
+        try:
+            assert victim.read_node(0).node_offset == 0
+        finally:
+            injector.uninstall()
+        assert injector.injected == {"read-error": 1}
+        assert registry.value(names.PAGEIO_RETRIES,
+                              file=store.pfile.name) == 1

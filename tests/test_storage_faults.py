@@ -18,7 +18,7 @@ from repro.storage.disk import FREE_DISK, IOStats
 from repro.storage.faults import (FaultInjector, FaultPlan, FaultRule,
                                   named_plan, plan_names)
 from repro.storage.pagedfile import PagedFile
-from repro.storage.retry import RetryPolicy
+from repro.storage.retry import RetryPolicy, run_with_retry
 
 
 def make_file(name="vpages-test", **kwargs):
@@ -60,8 +60,8 @@ def test_retry_exhaustion_raises_and_counts_giveup():
         injector.install(pf)
         try:
             with pytest.raises(TransientIOError):
-                pageio.read_page(pf, pid, component="test",
-                                 retry=RetryPolicy(max_attempts=3))
+                run_with_retry(pf.read_page, pf,
+                               RetryPolicy(max_attempts=3), pid)
         finally:
             injector.uninstall()
         assert registry.value(names.PAGEIO_RETRIES, file=pf.name) == 2
@@ -79,7 +79,7 @@ def test_retry_backoff_charged_to_simulated_clock():
         try:
             policy = RetryPolicy(max_attempts=3, base_backoff_ms=4.0,
                                  multiplier=2.0)
-            pageio.read_page(pf, pid, component="test", retry=policy)
+            run_with_retry(pf.read_page, pf, policy, pid)
         finally:
             injector.uninstall()
         # Two retries: 4 ms + 8 ms of backoff, nothing else on FREE_DISK.
