@@ -99,6 +99,14 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
                         help="write the JSON report to FILE, not stdout")
 
 
+def _eta(text: str) -> float:
+    """``--eta``: a threshold >= 0 (``inf`` included; NaN is not)."""
+    eta = float(text)
+    if not eta >= 0.0:
+        raise argparse.ArgumentTypeError(f"eta must be >= 0, got {text}")
+    return eta
+
+
 def _add_walk_options(parser: argparse.ArgumentParser, *,
                       session: Optional[int] = None,
                       frames: Optional[int] = None) -> None:
@@ -115,7 +123,7 @@ def _add_walk_options(parser: argparse.ArgumentParser, *,
                             help="motion pattern: 1 normal walk, 2 turns, "
                                  "3 back-and-forth, 4 the loop circuit "
                                  f"(default: {session})")
-    parser.add_argument("--eta", type=float, default=0.001,
+    parser.add_argument("--eta", type=_eta, default=0.001,
                         help="DoV threshold (default: 0.001)")
     parser.add_argument("--frames", type=int, default=frames,
                         help="frames per session (default: "

@@ -212,6 +212,13 @@ class StorageScheme(abc.ABC):
         Charges the V-page read through the backing file.  The entries
         may be shared with other sessions: read-only."""
 
+    def ventries_page(self, node_offset: int) -> Optional[int]:
+        """The V-page-file page ``ventries(node_offset)`` reads in the
+        current cell; ``None`` when it reads none, or when the cell
+        alone does not decide which (the packed codec: the view's read
+        cache does).  Pure addressing."""
+        return None
+
     def _require_cell(self) -> int:
         if self.current_cell is None:
             raise SchemeError(f"{self.name}: no current cell; flip first")
@@ -379,6 +386,10 @@ class SegmentScheme(StorageScheme):
 
     def _reset_cell_state(self) -> None:
         self._segment = {}
+
+    def ventries_page(self, node_offset: int) -> Optional[int]:
+        # A raw pointer is the page id; a packed one is a stream offset.
+        return None if self.codec.packed else self._segment.get(node_offset)
 
     def _segment_ventries(self, node_offset: int
                           ) -> Optional[Sequence[VEntry]]:

@@ -79,6 +79,9 @@ class HorizontalScheme(StorageScheme):
             raise SchemeError(f"cell {cell_id} out of range")
         # No per-cell structure: flipping is free.
 
+    def ventries_page(self, node_offset: int) -> Optional[int]:
+        return self._page_id(node_offset, self._require_cell())
+
     def ventries(self, node_offset: int) -> Optional[Sequence[VEntry]]:
         cell_id = self._require_cell()
         if not 0 <= node_offset < self.num_nodes:

@@ -29,14 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.constants import BYTES_PER_POLYGON
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.schemes.base import StorageScheme
 from repro.errors import HDoVError, PageCorruptError, TransientIOError
 from repro.geometry.vec import PointLike
 from repro.lod.selection import internal_lod_fraction, leaf_lod_fraction
-from repro.rtree.persist import PersistedNode
 from repro.obs import names
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, get_registry
 from repro.obs.trace import span
 
 #: Storage failures the search survives by degrading to internal LoDs.
@@ -167,6 +167,8 @@ class HDoVSearch:
                                             scheme=scheme_name)
         self._m_results = registry.histogram(names.SEARCH_RESULTS,
                                              scheme=scheme_name)
+        #: Created by the first replay: runs without one keep their keys.
+        self._m_replays: Optional[Counter] = None
 
     @property
     def scheme(self) -> StorageScheme:
@@ -181,7 +183,7 @@ class HDoVSearch:
 
     def query_cell(self, cell_id: int, eta: float) -> SearchResult:
         """Visibility query for a cell id."""
-        if eta < 0.0:
+        if not eta >= 0.0:                      # NaN is refused too
             raise HDoVError(f"eta must be >= 0, got {eta}")
         with span("search", cell=cell_id, eta=eta,
                   scheme=self._scheme.name) as sp:
@@ -198,9 +200,8 @@ class HDoVSearch:
                 # flip retries from scratch.
                 self._degrade(0, result)
             else:
-                root = self.env.node_store.read_node(0)
-                result.nodes_read += 1
-                self._search_node(root, eta, result)
+                if self._answer(eta, result) and sp is not None:
+                    sp.attrs.update(replayed=True)
             if sp is not None:
                 sp.attrs.update(nodes_read=result.nodes_read,
                                 vpages_read=result.vpages_read,
@@ -224,7 +225,7 @@ class HDoVSearch:
         is complete but coarse, and ``result.degraded`` records it so
         per-session reports can count overload-degraded frames.
         """
-        if eta < 0.0:
+        if not eta >= 0.0:
             raise HDoVError(f"eta must be >= 0, got {eta}")
         result = SearchResult(cell_id=cell_id, eta=eta, flipped=False)
         self._degrade(0, result)
@@ -234,10 +235,62 @@ class HDoVSearch:
 
     # -- figure 3 -------------------------------------------------------------
 
-    def _search_node(self, node: PersistedNode, eta: float,
-                     result: SearchResult) -> None:
+    def _answer(self, eta: float, result: SearchResult) -> bool:
+        """Fill ``result`` for the current cell; True if from a plan.
+
+        With tree and V-pages behind one pool and a scheme that can name
+        the page of each V-page read, the answer is a function of pages
+        the pool holds: the pool keeps it (``BufferPool.remember``,
+        DESIGN.md §10) and returns it, to any session over the same
+        files, while they all stay resident.  Model fetches are not pool
+        hits, so a fetching search never plans; a degraded answer is
+        never remembered.
+        """
+        store, scheme = self.env.node_store, self._scheme
+        pool = scheme.page_cache
+        if (pool is None or self.fetch_models
+                or getattr(store, "pool", None) is not pool
+                or scheme.ventries_page(0) is None):
+            self._search_node(0, eta, result, None)
+            return False
+        token = (store.pfile.file_id, scheme.vpage_file.file_id,
+                 result.cell_id, eta, self.use_nvo_heuristic)
+        plan = pool.recall(token)
+        if plan is None:
+            generation = pool.generation
+            reads: List[Tuple[int, int]] = []
+            self._search_node(0, eta, result, reads)
+            if not result.degraded:
+                pool.remember(token, generation, reads, (
+                    tuple(result.objects), tuple(result.internals),
+                    result.nodes_read, result.vpages_read, result.pruned,
+                    result.terminated, result.recursed))
+            return False
+        (objects, internals, result.nodes_read, result.vpages_read,
+         result.pruned, result.terminated, result.recursed) = plan
+        result.objects.extend(objects)
+        result.internals.extend(internals)
+        if self._m_replays is None:
+            self._m_replays = get_registry().counter(
+                names.SEARCH_REPLAYS, scheme=scheme.name)
+        self._m_replays.inc()
+        return True
+
+    def _search_node(self, node_offset: int, eta: float,
+                     result: SearchResult,
+                     reads: Optional[List[Tuple[int, int]]]) -> None:
+        """Figure 3 below one node; ``reads`` collects the pooled pages
+        read, ``(file_id, page_id)`` in order, for :meth:`_answer`."""
+        store, scheme = self.env.node_store, self._scheme
+        node = store.read_node(node_offset)
+        result.nodes_read += 1
+        if reads is not None:
+            reads.append((store.pfile.file_id, node.page_id))
+            page = scheme.ventries_page(node_offset)
+            if page is not None:        # None: invisible, nothing is read
+                reads.append((scheme.vpage_file.file_id, page))
         try:
-            ventries = self._scheme.ventries(node.node_offset)
+            ventries = scheme.ventries(node_offset)
         except _DEGRADABLE:
             # This node's V-page is gone for good (retries exhausted or
             # CRC mismatch).  Its subtree degrades to the node's own
@@ -269,9 +322,7 @@ class HDoVSearch:
                 self._retrieve_internal(target, dov, eta, result)  # line 8
             else:
                 result.recursed += 1
-                child = self.env.node_store.read_node(target)      # line 10
-                result.nodes_read += 1
-                self._search_node(child, eta, result)
+                self._search_node(target, eta, result, reads)      # line 10
 
     def _should_terminate(self, child_offset: int, nvo: int) -> bool:
         """Equation 4: ``h (1 + log_M s) < log_M NVO``.
@@ -302,7 +353,7 @@ class HDoVSearch:
             raise HDoVError(f"no object record for id {object_id}")
         k = leaf_lod_fraction(dov)
         polygons = record.chain.interpolated_polygons(k)
-        nbytes = record.bytes_for_fraction(k)
+        nbytes = polygons * BYTES_PER_POLYGON
         if self.fetch_models:
             self.env.object_store.fetch_prefix(record.blob_id, nbytes)
         result.objects.append(RetrievedObject(
@@ -316,7 +367,7 @@ class HDoVSearch:
             raise HDoVError(f"no internal LoD for node {node_offset}")
         fraction = internal_lod_fraction(dov, eta)
         polygons = record.lod.chain.interpolated_polygons(fraction)
-        nbytes = record.bytes_for_fraction(fraction)
+        nbytes = polygons * BYTES_PER_POLYGON
         if self.fetch_models:
             self.env.object_store.fetch_prefix(record.blob_id, nbytes)
         covered = tuple(self.env.descendants.get(node_offset, ()))
@@ -339,7 +390,7 @@ class HDoVSearch:
             raise HDoVError(
                 f"no internal LoD to degrade to for node {node_offset}")
         polygons = record.lod.chain.interpolated_polygons(1.0)
-        nbytes = record.bytes_for_fraction(1.0)
+        nbytes = polygons * BYTES_PER_POLYGON
         if self.fetch_models:
             self.env.object_store.fetch_prefix(record.blob_id, nbytes)
         covered = tuple(self.env.descendants.get(node_offset, ()))

@@ -22,7 +22,7 @@ from repro.experiments.config import (ExperimentScale, MEDIUM,
 from repro.experiments.report import format_table
 from repro.obs.replay import session_path
 from repro.geometry.frustum import Camera
-from repro.rtree.cached import CachedNodeStore
+from repro.serving.pooled import PooledNodeStore
 from repro.serving.prefetch import ServingPrefetcher
 from repro.serving.service import session_env
 from repro.storage.buffer import BufferPool
@@ -206,8 +206,8 @@ def run_node_cache_sweep(scale: ExperimentScale = MEDIUM, *,
     original_store = env.node_store
     try:
         for capacity in capacities:
-            cached = CachedNodeStore(original_store, capacity)
-            env.node_store = cached       # type: ignore[assignment]
+            pool = BufferPool(capacity)
+            env.node_store = PooledNodeStore(original_store, pool)
             search = HDoVSearch(env, fetch_models=False)
             env.reset_stats()
             for point in viewpoints:
@@ -215,8 +215,8 @@ def run_node_cache_sweep(scale: ExperimentScale = MEDIUM, *,
                 search.query_point(point, eta)
             # Light stats here include V-page reads; isolate node reads
             # via the pool's miss count.
-            ios.append(cached.pool.misses / len(viewpoints))
-            hit_rates.append(cached.hit_rate)
+            ios.append(pool.misses / len(viewpoints))
+            hit_rates.append(pool.hit_rate)
     finally:
         env.node_store = original_store
     return NodeCacheResult(capacities=list(capacities),

@@ -87,6 +87,7 @@ SEARCH_PRUNED = "search_pruned_total"
 SEARCH_TERMINATED = "search_terminated_total"
 SEARCH_RECURSED = "search_recursed_total"
 SEARCH_RESULTS = "search_results"
+SEARCH_REPLAYS = "search_replays_total"
 
 # -- repro.core.schemes: one series set per scheme label --------------------
 

@@ -31,6 +31,9 @@ class LODChain:
             if coarse.num_faces > fine.num_faces:
                 raise GeometryError(
                     "LoD chain must be ordered finest -> coarsest")
+        #: Face counts eqs. 5/6 blend between (``levels`` is not mutated).
+        self._hi = self.levels[0].num_faces
+        self._lo = self.levels[-1].num_faces
 
     @property
     def num_levels(self) -> int:
@@ -72,9 +75,7 @@ class LODChain:
         """
         if not 0.0 <= k <= 1.0:
             raise GeometryError(f"blend factor out of [0, 1]: {k}")
-        hi = self.finest.num_faces
-        lo = self.coarsest.num_faces
-        return int(round(k * hi + (1.0 - k) * lo))
+        return int(round(k * self._hi + (1.0 - k) * self._lo))
 
 
 def build_lod_chain(mesh: TriangleMesh,

@@ -40,13 +40,20 @@ decoded once per residency instead of once per read.  The payload is
 valid exactly as long as the frame's ``bytes`` object is — ``put``
 clears it, eviction and ``clear`` drop it with the frame — and is
 assigned only under the pool lock; the decode itself runs outside it.
+
+Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
+DESIGN.md §10): a *generation* moves wherever a resident frame can go or
+change — eviction, ``put``, ``clear``, never a fill into free capacity —
+and while it stands the pool keeps the page keys and the answer of
+queries whose every page is resident.  Recalling one books what that
+many ``get`` hits would have, in one lock round.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (Any, Callable, Dict, Optional, Tuple, TypeVar, Union,
-                    overload)
+from typing import (Any, Callable, Dict, Hashable, Optional, Sequence, Tuple,
+                    TypeVar, Union, overload)
 
 from repro.concurrency.witness import wrap_lock
 from repro.errors import BufferPoolError, BufferPoolExhaustedError
@@ -146,6 +153,11 @@ class BufferPool:
         self._frames: Dict[Tuple[int, int], _Frame] = {}
         self._files: Dict[int, PagedFile] = {}
         self._latches: Dict[Tuple[int, int], _Latch] = {}
+        self._generation = 0
+        #: token -> (page keys in read order, answer), all remembered at
+        #: the current generation.
+        self._plans: Dict[Hashable, Tuple[Sequence[Tuple[int, int]],
+                                          Any]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -186,6 +198,11 @@ class BufferPool:
         self._files[fid] = pfile
         return (fid, page_id)
 
+    def _bump_generation(self) -> None:
+        """A frame goes or changes: drop every plan.  Caller holds lock."""
+        self._generation += 1
+        self._plans.clear()
+
     def _evict_one(self) -> None:
         """Evict the policy's best unpinned candidate.  Caller holds lock."""
         for key in self._policy.victims():
@@ -203,6 +220,7 @@ class BufferPool:
                 self.prefetch_wasted += 1
                 self._m_prefetch_wasted.inc()
             del self._frames[key]
+            self._bump_generation()
             self._policy.on_evict(key)
             self.evictions += 1
             self._m_evictions.inc()
@@ -476,6 +494,7 @@ class BufferPool:
             raise BufferPoolError("payload exceeds page size")
         with self._lock:
             key = self._key(pfile, page_id)
+            self._bump_generation()
             latch = self._latches.pop(key, None)
             if latch is not None:
                 # The in-flight read now holds older bytes than the pool:
@@ -493,6 +512,49 @@ class BufferPool:
             # read.
             frame.speculative = False
             self._policy.on_access(key)
+
+    @property
+    def generation(self) -> int:
+        """Moves on every eviction, ``put`` and ``clear``.  Read without
+        the lock: a stale value only makes :meth:`remember` refuse."""
+        return self._generation
+
+    def remember(self, token: Hashable, generation: int,
+                 keys: Sequence[Tuple[int, int]], answer: Any) -> None:
+        """Keep ``answer`` for :meth:`recall`: what a query computed from
+        exactly the page reads ``keys`` — ``(file_id, page_id)`` in read
+        order, all through this pool, all after ``generation`` was read.
+        Kept only if the generation has not moved since (every frame is
+        still the one that was read), every key is resident and
+        demand-read, and fewer than ``capacity`` plans are held.
+        ``answer`` is shared with every later caller: immutable.
+        """
+        with self._lock:
+            if (generation == self._generation
+                    and len(self._plans) < self.capacity
+                    and all(key in self._frames
+                            and not self._frames[key].speculative
+                            for key in keys)):
+                self._plans[token] = (tuple(keys), answer)
+
+    def recall(self, token: Hashable) -> Any:
+        """The answer remembered under ``token``, or ``None``.  A plan is
+        held only while its generation is current, i.e. while re-issuing
+        its reads would hit on every page; recalling it books exactly
+        those hits — ``hits``, the metric, ``on_access`` per key in the
+        recorded order — so every later eviction is the one the ``get``
+        calls would have led to."""
+        with self._lock:
+            plan = self._plans.get(token)
+            if plan is None:
+                return None
+            keys, answer = plan
+            self.hits += len(keys)
+            self._m_hits.inc(len(keys))
+            on_access = self._policy.on_access
+            for key in keys:
+                on_access(key)
+            return answer
 
     def unpin(self, pfile: PagedFile, page_id: int) -> None:
         with self._lock:
@@ -537,6 +599,7 @@ class BufferPool:
             if any(f.pin_count for f in self._frames.values()):
                 raise BufferPoolError("cannot clear: pinned pages present")
             self.flush()
+            self._bump_generation()
             self._frames.clear()
             self._policy.clear()
             self._files.clear()

@@ -107,7 +107,7 @@ class VisualSystem:
                  frame_model: Optional[FrameModel] = None,
                  evaluate_fidelity: bool = True,
                  cache_budget_bytes: Optional[int] = None) -> None:
-        if eta < 0:
+        if not eta >= 0:                        # NaN is refused too
             raise WalkthroughError(f"eta must be >= 0, got {eta}")
         self.env = env
         self.eta = eta
@@ -133,6 +133,7 @@ class VisualSystem:
         self.heavy_total = IOStats()
         self._last_cell: Optional[int] = None
         self._last_result: Optional[SearchResult] = None
+        self._last_polygons = 0     # of _last_result, summed once a query
         self._last_fidelity = float("nan")
         self._last_degraded = 0
 
@@ -183,6 +184,7 @@ class VisualSystem:
                 result = self.delta.query_cell(cell_id, self.eta)
                 self._last_cell = cell_id
             self._last_result = result
+            self._last_polygons = result.total_polygons
             self._last_degraded = result.degraded
             if self.evaluate_fidelity:
                 if defer_scoring:
@@ -206,7 +208,7 @@ class VisualSystem:
             get_registry().counter(names.FRAMES_DEGRADED).inc()
         record = self.frame_model.record(
             index, cell_id, light, heavy,
-            self._last_result.total_polygons, self._last_fidelity,
+            self._last_polygons, self._last_fidelity,
             self.delta.resident_bytes
             + self.delta.search.scheme.resident_bytes(),
             self._last_degraded)

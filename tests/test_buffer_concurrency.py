@@ -415,6 +415,73 @@ def test_hammer_puts_evicted_under_slow_fills_stay_coherent():
         assert pfile.read_page(page_id)[:2] == bytes(stamp)
 
 
+def test_hammer_recalled_plans_are_never_stale():
+    """Threads read small page sets and remember them as plans (the
+    answer being the very ``bytes`` objects read) or recall them, while
+    others overwrite plan pages and churn the pool into evicting: a
+    recalled plan's frames still hold, under the pool lock, the objects
+    it was recorded over — a ``put`` or eviction after the ``remember``
+    would have replaced them — and ``hits + misses`` is exactly the
+    page reads answered, by ``get`` or by recall."""
+    pfile = make_file()
+    pool = BufferPool(capacity=12)
+    fid = pfile.file_id
+    plans = [(0, 1, 2), (2, 3), (4, 5, 4, 6), (7,)]
+    answered = [0] * HAMMER_THREADS
+    recalled = [0] * HAMMER_THREADS
+    disturbing = threading.Event()
+    disturbing.set()
+
+    def planner(thread_id: int):
+        def body():
+            rng = Random(2000 + thread_id)
+            while disturbing.is_set():
+                pages = rng.choice(plans)
+                keys = [(fid, page) for page in pages]
+                with pool._lock:        # recall + check: one atomic step
+                    answer = pool.recall(pages)
+                    if answer is not None:
+                        for key, data in zip(keys, answer):
+                            assert pool._frames[key].data is data, key
+                if answer is not None:
+                    recalled[thread_id] += 1
+                else:
+                    generation = pool.generation
+                    answer = tuple(pool.get(pfile, page) for page in pages)
+                    pool.remember(pages, generation, keys, answer)
+                answered[thread_id] += len(pages)
+        return body
+
+    def disturber(thread_id: int):
+        def body():
+            rng = Random(3000 + thread_id)
+            try:
+                for op in range(HAMMER_OPS):
+                    if rng.random() < 0.5:
+                        pool.put(pfile, rng.randrange(8),
+                                 bytes([thread_id, op % 256]) * 8)
+                    else:               # past capacity: an eviction
+                        pool.get(pfile, 8 + rng.randrange(PAGES - 8))
+                        answered[thread_id] += 1
+                    time.sleep(0.0001)  # let a plan live now and then
+            finally:
+                disturbing.clear()
+        return body
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads([planner(i) for i in range(HAMMER_THREADS - 1)]
+                    + [disturber(HAMMER_THREADS - 1)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.hits + pool.misses == sum(answered)
+    assert pfile.stats.reads == pool.misses
+    assert pool.evictions > HAMMER_OPS // 4
+    assert sum(recalled) > HAMMER_OPS
+    assert pool.resident_pages <= pool.capacity
+
+
 def test_failed_read_propagates_to_waiters_then_recovers():
     """An owner's read failure reaches every waiter; the latch clears."""
     pfile = make_file()

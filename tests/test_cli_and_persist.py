@@ -198,6 +198,23 @@ def test_report_verb_output_and_exit_code(verb, tmp_path, capsys):
         assert report is True
 
 
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+@pytest.mark.parametrize("eta", ["nan", "-0.001"])
+def test_walk_verbs_refuse_nan_and_negative_eta(verb, eta, tmp_path,
+                                                capsys):
+    """``--eta`` is declared once for the four walking verbs: NaN (which
+    would reach the report as ``NaN``, not JSON) and negatives are usage
+    errors — exit 2, nothing written; ``inf`` parses."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, f"--eta={eta}", "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert "eta must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    args = build_parser().parse_args([verb, "--eta", "inf"])
+    assert args.eta == float("inf")
+
+
 def test_report_verb_prints_json_and_fails_on_unsound_report(
         monkeypatch, capsys):
     import repro.obs.crash as crash

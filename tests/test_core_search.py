@@ -1,9 +1,12 @@
 """Figure-3 traversal semantics over the shared small environment."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveCellList
-from repro.core.search import HDoVSearch
+from repro.constants import MAXDOV
+from repro.core.search import HDoVSearch, SearchResult
 from repro.errors import HDoVError
 
 
@@ -201,3 +204,33 @@ def test_decision_counters_partition_entries(env):
         total_entries = (result.pruned + len(result.objects)
                          + result.terminated + result.recursed)
         assert total_entries > 0
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.floats(0.0, 1.0), pick=st.integers(0, 10_000))
+def test_retrieved_polygons_and_bytes_are_the_records_own(env, k, pick):
+    """The search interpolates once per retrieved LoD and derives the
+    bytes from that polygon count; the pair must equal, to ``==``, what
+    the chain and ``bytes_for_fraction`` each compute from the blend
+    fraction — for objects (eq. 6), internal LoDs (eq. 5) and the
+    degraded full-detail fallback."""
+    search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
+    result = SearchResult(cell_id=0, eta=1.0)
+    record = env.objects[sorted(env.objects)[pick % len(env.objects)]]
+    search._retrieve_object(record.object_id, k * MAXDOV, result)
+    (obj,) = result.objects
+    assert obj.fraction == min(k * MAXDOV / MAXDOV, 1.0)
+    assert obj.polygons == record.chain.interpolated_polygons(obj.fraction)
+    assert obj.bytes == record.bytes_for_fraction(obj.fraction)
+
+    internal = env.internals[sorted(env.internals)[pick % len(env.internals)]]
+    if k > 0.0:
+        search._retrieve_internal(internal.node_offset, k, 1.0, result)
+    search._degrade(internal.node_offset, result)
+    for got in result.internals:
+        assert got.polygons == \
+            internal.lod.chain.interpolated_polygons(got.fraction)
+        assert got.bytes == internal.bytes_for_fraction(got.fraction)
+    assert [i.fraction for i in result.internals] == \
+        ([k, 1.0] if k > 0.0 else [1.0])

@@ -5,9 +5,16 @@ from disk and never again while it stays resident, and no per-entry
 ``AABB`` is built on the traversal.  Plus the equality that licenses
 sharing decoded pages: a pooled search returns exactly what an unpooled
 one does, on every scheme and codec.
+
+Second half, the same for whole answers (DESIGN.md §10 "Query plans"):
+a query whose pages are all resident is replayed from the pool's plan —
+equal to the traversal in its answer, in every pool counter, in the
+eviction order and in both I/O ledgers — and anything that could have
+changed a page sends the next query down the traversal again.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -16,10 +23,12 @@ import repro.storage.vpagecodec as vpagecodec_module
 from repro.core.search import HDoVSearch
 from repro.errors import SchemeError
 from repro.geometry.aabb import AABB
+from repro.serving.pooled import PooledNodeStore
 from repro.serving.service import run_serve, session_env
 from repro.serving.session import ServingSession
 from repro.storage import pageio
 from repro.storage.buffer import BufferPool
+from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.vpagecodec import RawVPageCodec
 
 
@@ -143,3 +152,236 @@ def test_vpage_of_another_node_is_refused(env, scheme_name):
     scheme.reset_runtime_state()
     scheme.flip_to_cell(cell)
     assert scheme.ventries(offset) == ventries
+
+
+# -- query plans: replay == traversal ----------------------------------------
+
+BUILDS = [("env", "horizontal"), ("env", "vertical"),
+          ("env", "indexed-vertical"), ("env_packed", "vertical"),
+          ("env_packed", "indexed-vertical")]
+ETA = 0.001
+
+
+def busiest_cells(env, count=2):
+    return sorted(env.grid.cell_ids(),
+                  key=lambda c: -env.visibility.cell(c).num_visible)[:count]
+
+
+REAL_GET, REAL_RECALL = BufferPool.get, BufferPool.recall
+REAL_REMEMBER = BufferPool.remember
+
+
+class PoolSpy:
+    """Counts ``BufferPool.get`` calls and what ``recall`` answered,
+    from outside; ``replaying=False`` makes ``recall`` answer nothing —
+    the twin every replaying run is compared with.  The latest spy of a
+    test is the one installed."""
+
+    def __init__(self, monkeypatch, replaying=True):
+        self.gets = 0
+        self.replays = 0
+        self.remembered = []            # (token, keys) of every remember
+        real_get, real_recall = REAL_GET, REAL_RECALL
+        real_remember = REAL_REMEMBER
+
+        def get(pool, *args, **kwargs):
+            self.gets += 1
+            return real_get(pool, *args, **kwargs)
+
+        def recall(pool, token):
+            answer = real_recall(pool, token) if replaying else None
+            self.replays += answer is not None
+            return answer
+
+        def remember(pool, token, generation, keys, answer):
+            self.remembered.append((token, list(keys)))
+            return real_remember(pool, token, generation, keys, answer)
+
+        monkeypatch.setattr(BufferPool, "get", get)
+        monkeypatch.setattr(BufferPool, "recall", recall)
+        monkeypatch.setattr(BufferPool, "remember", remember)
+
+
+def serve_aba(env, scheme, capacity, spy, *, views=1):
+    """Query cells A, B, A (the last from a second session view when
+    ``views`` is 2) through one pool; everything an observer can see."""
+    env.reset_runtime_state()       # cold: two runs charge alike
+    pool = BufferPool(capacity, name=f"aba-{scheme}-{capacity}")
+    searches = [HDoVSearch(session_env(env, pool), scheme,
+                           fetch_models=False) for _ in range(views)]
+    a, b = busiest_cells(env)
+    steps = []
+    for search, cell in ((searches[0], a), (searches[0], b),
+                         (searches[-1], a)):
+        gets, hits, misses = spy.gets, pool.hits, pool.misses
+        result = search.query_cell(cell, ETA)
+        steps.append({"result": result, "gets": spy.gets - gets,
+                      "hits": pool.hits - hits,
+                      "misses": pool.misses - misses})
+    return {"steps": steps, "pool": pool.stats(),
+            "order": pool.policy.keys(), "resident": pool.resident_pages,
+            "light": env.light_stats.snapshot(),
+            "heavy": env.heavy_stats.snapshot()}
+
+
+@pytest.mark.parametrize("views", [1, 2])
+@pytest.mark.parametrize("fixture, scheme", BUILDS)
+def test_replayed_query_equals_the_traversal(request, monkeypatch, fixture,
+                                             scheme, views):
+    env = request.getfixturevalue(fixture)
+    packed = fixture == "env_packed"
+    a, _b = busiest_cells(env)
+    plain = HDoVSearch(env, scheme, fetch_models=False)
+    env.reset_runtime_state()
+    expected = plain.query_cell(a, ETA)
+
+    twin = serve_aba(env, scheme, 4096, PoolSpy(monkeypatch, False),
+                     views=views)
+    spy = PoolSpy(monkeypatch)
+    seen = serve_aba(env, scheme, 4096, spy, views=views)
+
+    first, _second, third = (step["result"] for step in seen["steps"])
+    assert third == first == expected
+    assert third is not first
+    assert third.objects is not first.objects
+    assert third.internals is not first.internals
+
+    # Every counter, the order and both ledgers: the twin's.
+    for step, twin_step in zip(seen["steps"], twin["steps"]):
+        assert step["result"] == twin_step["result"]
+        assert (step["hits"], step["misses"]) == \
+            (twin_step["hits"], twin_step["misses"])
+    for field in ("pool", "order", "resident", "light", "heavy"):
+        assert seen[field] == twin[field], field
+
+    # Count guard.  Raw: the repeated query is its flip's index reads
+    # and one recall.  Packed: the view's read cache decides which pages
+    # a V-page read touches, so it is traversed — as many gets as the
+    # twin's (fewer than the first visit's: the read cache is warm).
+    scheme_view = env.scheme(scheme)
+    index_pages = (len(scheme_view.prefetch_pages(a))
+                   if scheme != "horizontal" else 0)
+    if packed:
+        assert spy.replays == 0 and spy.remembered == []
+        assert seen["steps"][2]["gets"] == twin["steps"][2]["gets"] \
+            > index_pages
+    else:
+        assert spy.replays == 1
+        assert seen["steps"][2]["gets"] <= index_pages
+        assert twin["steps"][2]["gets"] > index_pages + 2
+
+
+@pytest.mark.parametrize("fixture, scheme", BUILDS[:3])
+def test_nothing_replays_at_a_pool_one_frame_too_small(request, monkeypatch,
+                                                       fixture, scheme):
+    """One frame fewer than cells A and B need: reading B evicts, the
+    generation moves, A's plan is gone and B's is refused."""
+    env = request.getfixturevalue(fixture)
+    needed = serve_aba(env, scheme, 4096,
+                       PoolSpy(monkeypatch, False))["resident"]
+    spy = PoolSpy(monkeypatch)
+    fits = serve_aba(env, scheme, needed, spy)
+    assert spy.replays == 1 and fits["pool"]["evictions"] == 0
+    spy = PoolSpy(monkeypatch)
+    tight = serve_aba(env, scheme, needed - 1, spy)
+    assert spy.replays == 0 and tight["pool"]["evictions"] > 0
+    assert [s["result"] for s in tight["steps"]] == \
+        [s["result"] for s in fits["steps"]]
+
+
+def same_answer(result, first):
+    """Whole-result equality but for ``flipped``, which says whether the
+    view stood in another cell before — not what was answered."""
+    return replace(result, flipped=first.flipped) == first
+
+
+def planned(env, scheme, monkeypatch, capacity=4096):
+    """A pooled search that has just remembered cell A's plan."""
+    env.reset_runtime_state()       # cold: two runs charge alike
+    spy = PoolSpy(monkeypatch)
+    pool = BufferPool(capacity, name=f"plan-{scheme}")
+    view = session_env(env, pool)
+    search = HDoVSearch(view, scheme, fetch_models=False)
+    a = busiest_cells(env)[0]
+    first = search.query_cell(a, ETA)
+    (_token, keys), = spy.remembered
+    assert len(keys) == first.nodes_read + first.vpages_read
+    return spy, pool, view, search, a, first, keys
+
+
+def test_a_put_to_any_page_of_the_plan_invalidates_it(env, monkeypatch):
+    scheme = "indexed-vertical"
+    files = {f.file_id: f for f in (env.node_store.pfile,
+                                    env.scheme(scheme).vpage_file)}
+    _spy, _pool, _view, _search, _a, first, keys = planned(
+        env, scheme, monkeypatch)
+    for fid, page in keys:
+        spy, pool, _view, search, a, _first, _keys = planned(
+            env, scheme, monkeypatch)
+        assert same_answer(search.query_cell(a, ETA), first) and spy.replays == 1
+        pool.put(files[fid], page, pool.peek(files[fid], page))
+        gets = spy.gets
+        assert same_answer(search.query_cell(a, ETA), first)
+        assert spy.replays == 1                     # traversed ...
+        assert spy.gets - gets >= len(keys)
+        assert same_answer(search.query_cell(a, ETA), first)
+        assert spy.replays == 2                     # ... and re-planned
+
+
+@pytest.mark.parametrize("disturb", ["evict", "clear"])
+def test_an_eviction_or_a_clear_invalidates_the_plan(env, monkeypatch,
+                                                     disturb):
+    scheme = "indexed-vertical"
+    needed = planned(env, scheme, monkeypatch)[1].resident_pages
+    spy, pool, _view, search, a, first, keys = planned(
+        env, scheme, monkeypatch, capacity=needed)
+    assert pool.evictions == 0
+    if disturb == "evict":
+        other = env.object_store.pfile          # any page not yet resident
+        pool.get(other, 0)
+        assert pool.evictions == 1
+    else:
+        pool.clear()
+    gets = spy.gets
+    assert same_answer(search.query_cell(a, ETA), first)
+    assert spy.replays == 0 and spy.gets - gets >= len(keys)
+
+
+def test_a_degraded_answer_is_never_remembered(env, monkeypatch):
+    """V-page reads that come back corrupt degrade the traversal; that
+    answer must not be handed to the next query, the clean one must."""
+    scheme = "indexed-vertical"
+    env.reset_runtime_state()       # cold: two runs charge alike
+    spy = PoolSpy(monkeypatch)
+    pool = BufferPool(4096, name="plan-degraded")
+    search = HDoVSearch(session_env(env, pool), scheme, fetch_models=False)
+    a = busiest_cells(env)[0]
+    injector = FaultInjector(FaultPlan("rot", (
+        FaultRule("bit-flip", match=f"vpages-{scheme}", rate=1.0),)), seed=0)
+    injector.install(env.scheme(scheme).vpage_file)
+    try:
+        degraded = search.query_cell(a, ETA)
+    finally:
+        injector.uninstall()
+    assert degraded.degraded > 0 and spy.remembered == []
+    clean = search.query_cell(a, ETA)
+    assert clean.degraded == 0 and spy.replays == 0
+    assert len(spy.remembered) == 1
+    assert search.query_cell(a, ETA) == clean and spy.replays == 1
+
+
+def test_fetching_searches_and_split_pools_always_traverse(env, monkeypatch):
+    """Model fetches are not pool hits, and an answer read through two
+    pools is no one pool's to vouch for."""
+    scheme = "indexed-vertical"
+    spy, pool, view, _search, a, first, keys = planned(
+        env, scheme, monkeypatch)
+    fetching = HDoVSearch(view, scheme, fetch_models=True)
+    split = HDoVSearch(replace(view, node_store=PooledNodeStore(
+        env.node_store, BufferPool(64, name="other"))), scheme,
+        fetch_models=False)
+    for search in (fetching, split, fetching, split):
+        gets, remembered = spy.gets, len(spy.remembered)
+        assert same_answer(search.query_cell(a, ETA), first)
+        assert spy.replays == 0 and len(spy.remembered) == remembered
+        assert spy.gets - gets >= len(keys)

@@ -14,10 +14,11 @@ import pytest
 from repro.core.schemes import SCHEME_CLASSES
 from repro.core.search import HDoVSearch
 from repro.core.vpage import CellVPages
-from repro.errors import (PageNotFoundError, SchemeError, StorageError,
-                          TransientIOError)
+from repro.errors import (HDoVError, PageNotFoundError, SchemeError,
+                          StorageError, TransientIOError, WalkthroughError)
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
+from repro.walkthrough.visual import VisualSystem
 
 
 # -- PagedFile: out-of-range ids ---------------------------------------------
@@ -152,3 +153,26 @@ def test_node_store_loss_is_fatal(env):
     finally:
         injector.uninstall()
         search.scheme.current_cell = None
+
+
+@pytest.mark.parametrize("eta", [float("nan"), -0.001, float("-inf")])
+def test_nan_and_negative_eta_are_refused(env, eta):
+    """NaN passes ``eta < 0``; it must be refused where negatives are —
+    it serialises as ``NaN`` (not JSON) and, as a plan token, never
+    equals itself."""
+    search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
+    cell_id = _busiest_cell(env)
+    for query in (search.query_cell, search.query_cell_degraded):
+        with pytest.raises(HDoVError, match="eta must be >= 0"):
+            query(cell_id, eta)
+    with pytest.raises(WalkthroughError, match="eta must be >= 0"):
+        VisualSystem(env, eta=eta, scheme="indexed-vertical")
+
+
+def test_infinite_eta_stays_legal(env):
+    """``inf``: terminate wherever eq. 4 allows."""
+    search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
+    result = search.query_cell(_busiest_cell(env), float("inf"))
+    assert result.num_results > 0
+    assert search.query_cell_degraded(0, float("inf")).degraded == 1
+    VisualSystem(env, eta=float("inf"), scheme="indexed-vertical")

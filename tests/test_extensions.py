@@ -1,4 +1,4 @@
-"""Extension experiments and the cached node store."""
+"""Extension experiments and the node store behind a private pool."""
 
 import pytest
 
@@ -7,11 +7,12 @@ from repro.experiments.config import SMALL
 from repro.experiments.extensions import (run_node_cache_sweep,
                                           run_prefetch_extension,
                                           run_priority_extension)
-from repro.rtree.cached import CachedNodeStore
+from repro.serving.pooled import PooledNodeStore
+from repro.storage.buffer import BufferPool
 
 
 def test_cached_node_store_matches_plain(env):
-    cached = CachedNodeStore(env.node_store, capacity_pages=16)
+    cached = PooledNodeStore(env.node_store, BufferPool(16))
     for offset in range(env.node_store.num_nodes):
         plain = env.node_store.read_node(offset)
         via_cache = cached.read_node(offset)
@@ -21,13 +22,13 @@ def test_cached_node_store_matches_plain(env):
 
 
 def test_cached_node_store_saves_io(env):
-    cached = CachedNodeStore(env.node_store, capacity_pages=64)
+    cached = PooledNodeStore(env.node_store, BufferPool(64))
     env.reset_stats()
     cached.read_node(0)
     first = env.light_stats.reads
     cached.read_node(0)
     assert env.light_stats.reads == first     # hit: no disk charge
-    assert cached.hit_rate > 0
+    assert cached.pool.hit_rate > 0
 
 
 def test_cached_search_equivalent(env):
@@ -38,7 +39,7 @@ def test_cached_search_equivalent(env):
 
     original = env.node_store
     try:
-        env.node_store = CachedNodeStore(original, 64)  # type: ignore
+        env.node_store = PooledNodeStore(original, BufferPool(64))
         cached_search = HDoVSearch(env, "indexed-vertical",
                                    fetch_models=False)
         result = cached_search.query_cell(busiest, 0.0)

@@ -6,10 +6,15 @@ here against models that copy nothing cleverly: plain lists, linear
 scans.  Random ``get`` / ``put`` / ``pin`` / ``unpin`` / ``prefetch``
 sequences must produce the same eviction sequence, resident order,
 ghost hits and promotions, and the same typed exhaustion, step by step.
+
+The second model is of ``remember`` / ``recall``: a recalled plan must
+be, to every counter and to the replacement order, the ``get`` calls it
+stands for, and must be gone after anything that could have changed a
+frame it was recorded over.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BufferPoolExhaustedError
@@ -163,10 +168,10 @@ class RecordingTwoQ(Recording, TwoQPolicy):
 POLICIES = {"lru": (RecordingLRU, LRUModel), "2q": (RecordingTwoQ, TwoQModel)}
 
 
-def make_file():
+def make_file(pages=PAGES):
     pf = PagedFile("model", page_size=64, disk=FREE_DISK, stats=IOStats())
-    for i in range(PAGES):
-        pf.append_page(bytes([i]) * 8)
+    for i in range(pages):
+        pf.append_page(bytes([i % 251]) * 8)
     return pf
 
 
@@ -254,3 +259,169 @@ def test_all_but_one_pinned_evicts_the_one_then_exhausts(policy_name,
                 pool.unpin(pfile, page)
         pool.get(pfile, capacity + 1)
         assert len(policy.evicted) == 2
+
+
+# -- remember / recall -----------------------------------------------------
+
+#: Pages past ``PAGES`` that no op touches: reading them afterwards
+#: evicts whatever the two pools would evict next, in order.
+FRESH = 50
+
+#: Few distinct page lists, so that a query often meets its own plan.
+QUERIES = [[0, 1, 2], [2, 3], [4, 0, 4, 5], [6], [1, 7, 3, 8, 2]]
+
+PLAN_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["get", "get", "put", "prefetch", "clear"]),
+              st.integers(0, PAGES - 1)),
+    st.tuples(st.just("query"), st.sampled_from(QUERIES)),
+    st.tuples(st.just("query"), st.sampled_from(QUERIES))),
+    max_size=80)
+
+
+def pool_state(pool):
+    return (pool.hits, pool.misses, pool.evictions, pool.coalesced,
+            pool.policy.keys(), pool.policy.stats(), pool.policy.evicted,
+            pool.prefetch_stats())
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 8), ops=PLAN_OPS)
+def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
+    """Two pools get the same ops.  A ``query`` reads a page list: the
+    twin always issues the ``get`` calls; the planning pool recalls the
+    list's plan if it holds one and otherwise reads and remembers.  The
+    pools must agree on every counter, the resident order and the 2Q
+    tallies after every step and on the next ``FRESH`` victims at the
+    end — and the plan must be held exactly when the model says so."""
+    real_cls, _model = POLICIES[policy_name]
+    pfile = make_file(PAGES + FRESH)
+    fid = pfile.file_id
+    planner = BufferPool(capacity, policy=real_cls(capacity),
+                         name=f"plan-{policy_name}")
+    twin = BufferPool(capacity, policy=real_cls(capacity),
+                      name=f"twin-{policy_name}")
+    live = set()                # tokens the model says are recallable
+    for step, (op, arg) in enumerate(ops):
+        where = (step, op, arg)
+        evictions = planner.evictions
+        if op == "query":
+            token = tuple(arg)
+            keys = [(fid, page) for page in arg]
+            for page in arg:
+                twin.get(pfile, page)
+            answer = planner.recall(token)
+            assert (answer is not None) == (token in live), where
+            if answer is None:
+                generation = planner.generation
+                data = tuple(planner.get(pfile, page) for page in arg)
+                planner.remember(token, generation, keys, data)
+                # Stale when reading the list itself evicted; refused
+                # beyond ``capacity`` plans.
+                if (planner.evictions == evictions
+                        and len(live) < capacity):
+                    live.add(token)
+            else:
+                event("replayed")
+                assert answer == tuple(twin.peek(pfile, page)
+                                       for page in arg), where
+        else:
+            for pool in (planner, twin):
+                if op == "get":
+                    pool.get(pfile, arg)
+                elif op == "put":
+                    pool.put(pfile, arg, bytes([arg]) * 4)
+                elif op == "prefetch":
+                    pool.prefetch(pfile, arg)
+                else:
+                    pool.clear()
+        if op in ("put", "clear") or planner.evictions != evictions:
+            live.clear()
+        assert pool_state(planner) == pool_state(twin), where
+    for page in range(PAGES, PAGES + FRESH):
+        planner.get(pfile, page)
+        twin.get(pfile, page)
+    assert pool_state(planner) == pool_state(twin)
+    for token in live:                  # FRESH > capacity: all evicted
+        assert planner.recall(token) is None
+
+
+def plan_pool(capacity=8):
+    pfile = make_file()
+    pool = BufferPool(capacity, name="plan")
+    return pfile, pool, [(pfile.file_id, page) for page in range(3)]
+
+
+def read_and_remember(pool, pfile, keys, token="t"):
+    generation = pool.generation
+    for _fid, page in keys:
+        pool.get(pfile, page)
+    pool.remember(token, generation, keys, "answer")
+
+
+def test_recall_books_the_hits_and_moves_the_order():
+    pfile, pool, keys = plan_pool()
+    read_and_remember(pool, pfile, keys)
+    pool.get(pfile, 5)                      # a fill: no bump
+    assert pool.policy.keys()[-1] == (pfile.file_id, 5)
+    hits, misses = pool.hits, pool.misses
+    assert pool.recall("t") == "answer"
+    assert (pool.hits, pool.misses) == (hits + 3, misses)
+    assert pool.policy.keys() == [(pfile.file_id, 5)] + keys
+    assert pool.recall("other") is None
+    assert (pool.hits, pool.misses) == (hits + 3, misses)
+
+
+@pytest.mark.parametrize("disturb", ["put-inside", "put-outside", "evict",
+                                     "clear"])
+def test_recall_returns_nothing_after_the_generation_moved(disturb):
+    pfile, pool, keys = plan_pool(capacity=4)
+    read_and_remember(pool, pfile, keys)
+    generation = pool.generation
+    if disturb == "put-inside":
+        pool.put(pfile, 1, b"new")
+    elif disturb == "put-outside":
+        pool.put(pfile, 3, b"new")
+    elif disturb == "evict":
+        pool.get(pfile, 7)
+        pool.get(pfile, 8)                  # capacity 4: evicts page 0
+        assert not pool.contains(pfile, 0)
+    else:
+        pool.clear()
+    assert pool.generation > generation
+    hits = pool.hits
+    assert pool.recall("t") is None
+    assert pool.hits == hits
+
+
+def test_remember_refuses_what_it_cannot_vouch_for():
+    """A stale generation, a non-resident key, a speculative frame and a
+    full table each leave nothing to recall."""
+    pfile, pool, keys = plan_pool(capacity=4)
+    stale = pool.generation
+    pool.put(pfile, 9, b"x")
+    for _fid, page in keys:
+        pool.get(pfile, page)
+    pool.remember("stale", stale, keys, "answer")
+    assert pool.recall("stale") is None
+
+    absent = keys + [(pfile.file_id, 11)]
+    pool.remember("absent", pool.generation, absent, "answer")
+    assert pool.recall("absent") is None
+
+    pfile, pool, keys = plan_pool()
+    assert pool.prefetch(pfile, 4)
+    speculative = keys + [(pfile.file_id, 4)]
+    read_and_remember(pool, pfile, keys, token="warm-up")
+    pool.remember("speculative", pool.generation, speculative, "answer")
+    assert pool.recall("speculative") is None
+    pool.get(pfile, 4)                      # consumed: a demand frame now
+    pool.remember("speculative", pool.generation, speculative, "answer")
+    assert pool.recall("speculative") == "answer"
+    assert pool.prefetch_stats() == {"issued": 1, "useful": 1, "wasted": 0}
+
+    pfile, pool, keys = plan_pool(capacity=3)
+    for token in range(5):
+        read_and_remember(pool, pfile, keys, token=token)
+    assert [pool.recall(token) for token in range(5)] == \
+        ["answer"] * 3 + [None] * 2

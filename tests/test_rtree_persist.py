@@ -8,7 +8,6 @@ from repro.geometry.aabb import AABB
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.rtree.bulk import str_bulk_load
-from repro.rtree.cached import CachedNodeStore
 from repro.rtree.persist import KIND_INTERNAL, KIND_LEAF, NodeStore
 from repro.serving.pooled import PooledNodeStore
 from repro.storage.buffer import BufferPool
@@ -101,43 +100,41 @@ def test_children_reachable_by_offset(store_and_tree):
 
 
 def all_stores(store):
-    """The plain store and its two pool-fronted views."""
+    """The plain store and its pool-fronted view."""
     return {"plain": store,
-            "cached": CachedNodeStore(store, capacity_pages=8),
             "pooled": PooledNodeStore(store, BufferPool(8, name="t-nodes"))}
 
 
 def test_three_stores_return_equal_nodes(store_and_tree):
-    """Plain, cached and pooled reads agree field for field, on a cold
-    pool and again when the pooled page's decoded form is reused."""
+    """Plain and pooled reads agree field for field, on a cold pool and
+    again when the pooled page's decoded form is reused."""
     store, _tree = store_and_tree
     stores = all_stores(store)
     for _pass in range(2):
         for offset in range(store.num_nodes):
             plain = stores["plain"].read_node(offset)
-            for name in ("cached", "pooled"):
-                other = stores[name].read_node(offset)
-                assert other is not plain
-                for field in ("page_id", "kind", "level", "node_offset",
-                              "targets", "lod_ptrs"):
-                    assert getattr(other, field) == getattr(plain, field), \
-                        (name, offset, field)
-                assert np.array_equal(other.mbrs, plain.mbrs)
-                assert other.is_leaf == plain.is_leaf
-                assert all(isinstance(t, int) for t in other.targets)
+            other = stores["pooled"].read_node(offset)
+            assert other is not plain
+            for field in ("page_id", "kind", "level", "node_offset",
+                          "targets", "lod_ptrs"):
+                assert getattr(other, field) == getattr(plain, field), \
+                    (offset, field)
+            assert np.array_equal(other.mbrs, plain.mbrs)
+            assert other.is_leaf == plain.is_leaf
+            assert all(isinstance(t, int) for t in other.targets)
     root = stores["plain"].read_node(0)
     assert np.array_equal(root.mbr(0).lo, root.mbrs[0, :3])
     assert np.array_equal(root.mbr(0).hi, root.mbrs[0, 3:])
 
 
-@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+@pytest.mark.parametrize("name", ["plain", "pooled"])
 def test_every_store_rejects_unknown_offset(store_and_tree, name):
     store, _tree = store_and_tree
     with pytest.raises(RTreeError, match="unknown node offset"):
         all_stores(store)[name].read_node(10_000)
 
 
-@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+@pytest.mark.parametrize("name", ["plain", "pooled"])
 def test_every_store_rejects_a_page_holding_another_node(store_and_tree,
                                                          name):
     """The stored-offset check is made per read — also on a pool hit,
@@ -152,7 +149,7 @@ def test_every_store_rejects_a_page_holding_another_node(store_and_tree,
             victim.read_node(offset)
 
 
-@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+@pytest.mark.parametrize("name", ["plain", "pooled"])
 def test_every_store_attributes_a_miss_to_pageio(store_and_tree, name):
     """A node read that reaches the disk is a ``pageio`` read of the
     rtree component, whichever store issues it; a pool hit is none."""
@@ -166,7 +163,7 @@ def test_every_store_attributes_a_miss_to_pageio(store_and_tree, name):
             == (2 if name == "plain" else 1)
 
 
-@pytest.mark.parametrize("name", ["plain", "cached", "pooled"])
+@pytest.mark.parametrize("name", ["plain", "pooled"])
 def test_every_store_survives_one_transient_read_error(store_and_tree,
                                                        name):
     store, _tree = store_and_tree

@@ -20,6 +20,7 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import build_world, session_path
 from repro.serving import ServingSession, SessionScheduler, run_serve
 from repro.serving.service import session_env
+from repro.storage.buffer import BufferPool
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -43,6 +44,31 @@ def test_serve_report_independent_of_worker_count(serve_report):
     solo["serve"]["workers"] = serve_report["serve"]["workers"]
     assert json.dumps(solo, sort_keys=False) \
         == json.dumps(serve_report, sort_keys=False)
+
+
+@pytest.mark.parametrize("policy", ["lru", "2q"])
+def test_serve_report_is_the_same_with_recall_patched_out(monkeypatch,
+                                                          policy):
+    """Replaying a resident query from the pool's plan changes no byte
+    of the report — per-session pool attribution, the pool block, the
+    2Q tallies and the reconciliation included — against the same run
+    whose ``recall`` answers nothing (patched here; there is no
+    production switch)."""
+    answers = []
+    real_recall = BufferPool.recall
+
+    def recall(pool, token):
+        answers.append(real_recall(pool, token))
+        return answers[-1]
+
+    monkeypatch.setattr(BufferPool, "recall", recall)
+    replaying = run_serve(sessions=8, policy=policy)
+    assert sum(answer is not None for answer in answers) >= 1
+    monkeypatch.setattr(BufferPool, "recall", lambda pool, token: None)
+    traversing = run_serve(sessions=8, policy=policy)
+    assert replaying["pool"]["policy"] == policy
+    assert json.dumps(replaying, sort_keys=False) \
+        == json.dumps(traversing, sort_keys=False)
 
 
 def test_serve_reconciliation_balances(serve_report):
