@@ -73,24 +73,18 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_compression.json",
      "schemes.vertical.compression_inverse_ratio",
      "compression: packed stream compression, vertical"),
-    # Replacement/prefetch A/B grid (pool pressure, simulated and
-    # deterministic): per-policy hit rates and throughput, plus the
-    # heavy-byte ratio of plain LRU over 2Q+prefetch (lower heavy
-    # traffic reads higher-is-better).
-    ("BENCH_replacement.json", "grid.32.cells.lru/off.pool_hit_rate",
+    # Replacement A/B grid (pool pressure, simulated and
+    # deterministic): per-policy hit rates and throughput.
+    ("BENCH_replacement.json", "grid.32.cells.lru.pool_hit_rate",
      "replacement: LRU hit rate, 32 sessions"),
-    ("BENCH_replacement.json", "grid.32.cells.2q/off.pool_hit_rate",
+    ("BENCH_replacement.json", "grid.32.cells.2q.pool_hit_rate",
      "replacement: 2Q hit rate, 32 sessions"),
-    ("BENCH_replacement.json", "grid.64.cells.2q/on.pool_hit_rate",
-     "replacement: 2Q+prefetch hit rate, 64 sessions"),
+    ("BENCH_replacement.json", "grid.64.cells.2q.pool_hit_rate",
+     "replacement: 2Q hit rate, 64 sessions"),
     ("BENCH_replacement.json", "grid.32.hit_rate_gain_2q",
      "replacement: 2Q hit-rate gain over LRU, 32 sessions"),
-    ("BENCH_replacement.json", "grid.32.heavy_bytes_improvement",
-     "replacement: heavy-byte ratio LRU/off over 2Q/on, 32 sessions"),
-    ("BENCH_replacement.json", "grid.64.cells.2q/on.sim_frames_per_s",
-     "replacement: sim frames/s, 2Q+prefetch, 64 sessions"),
-    ("BENCH_replacement.json", "grid.64.cells.2q/on.useful_ratio",
-     "replacement: prefetch useful ratio, 2Q, 64 sessions"),
+    ("BENCH_replacement.json", "grid.64.cells.2q.sim_frames_per_s",
+     "replacement: sim frames/s, 2Q, 64 sessions"),
 )
 
 

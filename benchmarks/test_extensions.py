@@ -1,14 +1,12 @@
 """Bench: extension experiments (features the paper defers).
 
 * frustum-prioritized traversal — response-time speedup;
-* cell prefetching — warm-hit flips cost zero on crossing frames;
 * tree-node cache sweep — what the paper's "no node caching" decision
   costs at each cache size.
 """
 
 from repro.experiments.config import MEDIUM
 from repro.experiments.extensions import (run_node_cache_sweep,
-                                          run_prefetch_extension,
                                           run_priority_extension)
 
 
@@ -21,16 +19,6 @@ def test_priority_report(benchmark, medium_env, capsys):
         print(result.format_table())
     assert result.avg_first_phase_ms <= result.avg_total_ms
     assert result.response_speedup >= 1.0
-
-
-def test_prefetch_report(benchmark, medium_env, capsys):
-    result = benchmark.pedantic(lambda: run_prefetch_extension(MEDIUM),
-                                rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print(result.format_table())
-    assert result.hits > 0
-    assert result.avg_hit_flip_ms == 0.0
 
 
 def test_node_cache_report(benchmark, medium_env, capsys):

@@ -77,7 +77,6 @@ DETERMINISTIC_MODULES = frozenset({
     "repro.obs.profile",
     "repro.serving.http.stats",
     "repro.serving.loadgen",
-    "repro.serving.prefetch",
     "repro.serving.service",
     "repro.visibility.cache",
     "repro.visibility.persist",

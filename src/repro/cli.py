@@ -52,7 +52,6 @@ from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
                                          run_split_ablation)
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.extensions import (run_node_cache_sweep,
-                                          run_prefetch_extension,
                                           run_priority_extension)
 from repro.errors import ReproError, StorageError, VisibilityError
 from repro.experiments.config import get_scale
@@ -82,8 +81,6 @@ EXPERIMENTS: Dict[str, tuple] = {
                   run_baseline_comparison),
     "ext-priority": ("frustum-prioritized traversal response time",
                      run_priority_extension),
-    "ext-prefetch": ("cell prefetching: warm-hit flip costs",
-                     run_prefetch_extension),
     "ext-nodecache": ("tree-node cache-size sweep", run_node_cache_sweep),
 }
 
@@ -105,6 +102,15 @@ def _eta(text: str) -> float:
     if not eta >= 0.0:
         raise argparse.ArgumentTypeError(f"eta must be >= 0, got {text}")
     return eta
+
+
+def _positive(text: str) -> float:
+    """``--frame-budget-ms`` / ``--arrival-rate``: a value > 0 (``inf``
+    included: a budget nothing exceeds; NaN is not)."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _add_walk_options(parser: argparse.ArgumentParser, *,
@@ -146,7 +152,7 @@ def _add_serving_options(parser: argparse.ArgumentParser, *,
     parser.add_argument("--max-active", type=int, default=max_active,
                         help="admission-control slots (default: "
                              f"{max_active or 'no limit'})")
-    parser.add_argument("--frame-budget-ms", type=float, default=None,
+    parser.add_argument("--frame-budget-ms", type=_positive, default=None,
                         help="simulated per-frame deadline; sessions over "
                              "budget shed their next query to the root LoD")
     parser.add_argument("--pool-pages", type=int, default=256,
@@ -271,13 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="worker threads (default: 4); never changes "
                             "a deterministic byte of the report")
-    serve.add_argument("--policy", default=None, choices=["lru", "2q"],
-                       help="pool replacement policy (default: the "
-                            "scale's, normally lru)")
-    serve.add_argument("--prefetch", action="store_true", default=None,
-                       help="enable cross-session predictive pool "
-                            "prefetch (default: the scale's, normally "
-                            "off)")
+    serve.add_argument("--policy", default="lru", choices=["lru", "2q"],
+                       help="pool replacement policy (default: lru)")
 
     traffic = sub.add_parser(
         "traffic",
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_walk_options(traffic, frames=30)
     # Arrivals past 32 live sessions are shed (503).
     _add_serving_options(traffic, sessions=200, seed=0, max_active=32)
-    traffic.add_argument("--arrival-rate", type=float, default=50.0,
+    traffic.add_argument("--arrival-rate", type=_positive, default=50.0,
                          help="offered load in sessions per virtual "
                               "second (default: 50)")
     traffic.add_argument("--hot-fraction", type=float, default=0.5,
@@ -474,8 +475,7 @@ def cmd_precompute(args) -> int:
 def cmd_serve(args) -> int:
     from repro.serving import run_serve
 
-    report = run_serve(**_run_kwargs(args, serving=True),
-                       policy=args.policy, prefetch=args.prefetch)
+    report = run_serve(**_run_kwargs(args, serving=True), policy=args.policy)
     outcome = report["outcome"]
     return _emit(report, args.output,
                  f"completed={outcome['completed']}, "

@@ -99,7 +99,7 @@ class StorageScheme(abc.ABC):
     def flip_to_cell(self, cell_id: int) -> None:
         """Make ``cell_id`` the current cell, paying the flip I/O (the
         index reads go through the shared page cache when serving, so a
-        flip whose segment was prefetched into the pool charges none).
+        flip whose segment is still resident in the pool charges none).
 
         Exception safety: every scheme's ``_load_cell`` reads and
         decodes *before* assigning its segment state, and
@@ -404,34 +404,6 @@ class SegmentScheme(StorageScheme):
         if pointer is None:
             return None
         return self._decode_vpage_at(pointer, node_offset)
-
-    # -- speculative prefetch -------------------------------------------------
-
-    def prefetch_pages(self, cell_id: int) -> List[int]:
-        """Index pages a flip to ``cell_id`` would read, in read order
-        (none for an unknown cell).
-
-        Pure addressing — no I/O.  The prefetcher feeds these to
-        ``BufferPool.prefetch`` so the flip's demand reads hit.
-        """
-        span = self._segment_span(cell_id)
-        if span is None:
-            return []
-        first_page, num_pages = span
-        return list(range(first_page, first_page + num_pages))
-
-    def decode_cell_pointers(self, cell_id: int, data: bytes) -> List[int]:
-        """V-page pointers of ``cell_id`` from its raw index bytes.
-
-        ``data`` is the concatenation of the pages named by
-        :meth:`prefetch_pages`; decoding is pure, so the prefetcher can
-        chase index bytes it already holds into V-page prefetches
-        without charging demand reads.
-        """
-        if self._segment_span(cell_id) is None:
-            return []
-        return [pointer
-                for _offset, pointer in self._decode_segment(cell_id, data)]
 
     @property
     def total_vnodes(self) -> int:

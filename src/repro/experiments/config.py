@@ -49,12 +49,6 @@ class ExperimentScale:
     #: VISUAL's resident model-cache budget (the paper's VISUAL keeps a
     #: bounded working set: 28 MB against a 1.6 GB dataset).
     visual_cache_budget_bytes: int = 1_000_000
-    #: Default buffer-pool replacement policy for ``repro serve``
-    #: ("lru" keeps the historical reports byte-identical; "2q" adds
-    #: scan resistance under pool pressure).
-    serving_policy: str = "lru"
-    #: Default for the serving prefetcher (off keeps reports identical).
-    serving_prefetch: bool = False
 
     def with_schemes(self, schemes: Sequence[str]) -> "ExperimentScale":
         return replace(self, hdov=replace(self.hdov, schemes=tuple(schemes)))

@@ -2,8 +2,6 @@
 
 * **Frustum-prioritized traversal** (the paper's future work, §3.2 and
   the conclusion): time-to-renderable vs total query time.
-* **Cell prefetching**: flip cost on crossing frames with and without
-  predictive prefetch.
 * **Node caching**: the paper deliberately caches no tree nodes; the
   buffer-pool sweep shows what each cache size would have saved.
 """
@@ -20,11 +18,8 @@ from repro.core.search import HDoVSearch
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
 from repro.geometry.frustum import Camera
 from repro.serving.pooled import PooledNodeStore
-from repro.serving.prefetch import ServingPrefetcher
-from repro.serving.service import session_env
 from repro.storage.buffer import BufferPool
 from repro.walkthrough.session import street_viewpoints
 
@@ -92,90 +87,6 @@ def run_priority_extension(scale: ExperimentScale = MEDIUM, *,
         avg_total_ms=sum(total_ms) / n,
         avg_in_frustum_results=sum(phase1_results) / n,
         avg_total_results=sum(total_results) / n,
-    )
-
-
-@dataclass
-class PrefetchResult:
-    """Per-crossing flip costs, split by whether the flip was served
-    from prefetched pool frames.
-
-    The point of prefetching is moving the flip's work off the crossing
-    frame: a warm-hit flip costs exactly zero on the frame the user
-    perceives, with the work paid earlier on a quiet frame.
-    ``prefetches`` counts the pages (index and V-pages) read ahead.
-    """
-
-    crossings: int
-    hits: int
-    prefetches: int
-    avg_hit_flip_ms: float
-    avg_miss_flip_ms: float
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.crossings if self.crossings else 0.0
-
-    def format_table(self) -> str:
-        rows = [
-            ["warm hit (prefetched)", self.hits,
-             round(self.avg_hit_flip_ms, 2)],
-            ["miss (cold flip)", self.crossings - self.hits,
-             round(self.avg_miss_flip_ms, 2)],
-        ]
-        table = format_table(
-            f"Extension: cell prefetching ({self.crossings} crossings, "
-            f"{self.prefetches} pages prefetched)",
-            ["crossing kind", "count", "avg flip ms on crossing frame"],
-            rows)
-        return table + f"\nwarm hit rate: {self.hit_rate:.0%}"
-
-
-#: The experiment's private pool: room for a few cells' segments and
-#: chased V-pages, so what a flip finds resident is what was read ahead.
-PREFETCH_POOL_PAGES = 64
-
-
-def run_prefetch_extension(scale: ExperimentScale = MEDIUM
-                           ) -> PrefetchResult:
-    """Walk session 1 with the prefetcher as session 0 of a private
-    pool and split crossing-frame flip costs by warm-hit vs miss."""
-    env = build_experiment_environment(scale)
-    pool = BufferPool(PREFETCH_POOL_PAGES, name="ext-prefetch")
-    scheme = session_env(env, pool).scheme()
-    prefetcher = ServingPrefetcher(pool, env, trigger_fraction=1.0)
-    hit_costs: List[float] = []
-    miss_costs: List[float] = []
-    last_cell = None
-    for waypoint in session_path(scale, env, 1):
-        position = waypoint.position_array()
-        cell = env.grid.cell_of_point(position)
-        # Plan from this frame's motion, then read ahead: the I/O lands
-        # here, on a quiet frame, in the prefetcher's own ledger.
-        prefetcher.observe(0, cell, position, scheme)
-        prefetcher.issue_round()
-        if cell == last_cell:
-            continue
-        useful_before = pool.prefetch_useful
-        snap = env.snapshot()
-        scheme.flip_to_cell(cell)
-        light, heavy = env.delta(snap)
-        # Prefetched: the flip charged nothing *because* it consumed
-        # prefetched frames (a revisited, still-resident segment is a
-        # plain pool hit and does not count).
-        prefetched = (light.reads + heavy.reads == 0
-                      and pool.prefetch_useful > useful_before)
-        (hit_costs if prefetched else miss_costs).append(
-            light.simulated_ms + heavy.simulated_ms)
-        last_cell = cell
-    return PrefetchResult(
-        crossings=len(hit_costs) + len(miss_costs),
-        hits=len(hit_costs),
-        prefetches=pool.prefetch_issued,
-        avg_hit_flip_ms=(sum(hit_costs) / len(hit_costs)
-                         if hit_costs else 0.0),
-        avg_miss_flip_ms=(sum(miss_costs) / len(miss_costs)
-                          if miss_costs else 0.0),
     )
 
 

@@ -43,9 +43,6 @@ BUFFERPOOL_UNPINS = "bufferpool_unpins_total"
 BUFFERPOOL_WRITEBACKS = "bufferpool_writebacks_total"
 BUFFERPOOL_RESIDENT_PAGES = "bufferpool_resident_pages"
 BUFFERPOOL_COALESCED = "bufferpool_coalesced_total"
-BUFFERPOOL_PREFETCH_ISSUED = "bufferpool_prefetch_issued_total"
-BUFFERPOOL_PREFETCH_USEFUL = "bufferpool_prefetch_useful_total"
-BUFFERPOOL_PREFETCH_WASTED = "bufferpool_prefetch_wasted_total"
 
 # -- repro.storage.replacement: policy events, per pool + policy label ------
 

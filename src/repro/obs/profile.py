@@ -13,8 +13,8 @@ milliseconds go":
   environment's :class:`~repro.storage.disk.IOStats` totals — the two
   accounting paths are independent, so agreement is evidence neither is
   miscounting (the check benchmarks and the regression suite assert on);
-* cache behaviour (delta-search fetch/skip, scheme flips, prefetches)
-  and traversal decision counts (pruned / terminated / recursed).
+* cache behaviour (delta-search fetch/skip, scheme flips) and
+  traversal decision counts (pruned / terminated / recursed).
 
 The report is plain dict/list/scalar data, ready for ``json.dump``.
 """

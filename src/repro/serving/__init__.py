@@ -14,14 +14,12 @@ configuration, so CI can diff two runs byte-for-byte.
 
 from repro.serving.loadgen import run_traffic
 from repro.serving.pooled import PooledNodeStore
-from repro.serving.prefetch import ServingPrefetcher
 from repro.serving.scheduler import SessionScheduler
 from repro.serving.service import run_serve
 from repro.serving.session import ServingSession
 
 __all__ = [
     "PooledNodeStore",
-    "ServingPrefetcher",
     "ServingSession",
     "SessionScheduler",
     "run_serve",

@@ -8,7 +8,8 @@ generator, the tests) is just transport.  Routes:
 =======  ============================  =========================================
 method   path                          effect
 =======  ============================  =========================================
-POST     ``/sessions``                 create a session (``{"pattern": 1..3}``);
+POST     ``/sessions``                 create a session (``{"pattern": 1..3}``;
+                                       ``"frames"`` capped, 400 beyond);
                                        503 when the service is at capacity
 POST     ``/sessions/{id}/step``       advance one frame; returns the frame
 GET      ``/sessions``                 list live sessions
@@ -49,6 +50,17 @@ from repro.serving.service import session_env, session_report
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.walkthrough.session import make_session
+
+#: Most frames one session may ask for.  A session's waypoints are built
+#: before the create is answered (2,000,000 frames: 7.3 s and 679 MB for
+#: one request); the longest shipped session is 500 frames.
+MAX_SESSION_FRAMES = 50_000
+
+
+def _check_frames(frames: int) -> None:
+    if not 1 <= frames <= MAX_SESSION_FRAMES:
+        raise WalkthroughError(
+            f"frames must be in [1, {MAX_SESSION_FRAMES}], got {frames}")
 
 
 class HttpRequest:
@@ -105,12 +117,12 @@ class WalkthroughService:
                  frame_budget_ms: Optional[float] = None,
                  cache_budget_bytes: Optional[int] = None,
                  evaluate_fidelity: bool = False) -> None:
-        if frames < 1:
-            raise WalkthroughError(f"frames must be >= 1, got {frames}")
+        _check_frames(frames)
         if max_active is not None and max_active < 1:
             raise WalkthroughError(
                 f"max_active must be >= 1, got {max_active}")
-        if frame_budget_ms is not None and frame_budget_ms <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN is refused too.
+        if frame_budget_ms is not None and not frame_budget_ms > 0:
             raise WalkthroughError(
                 f"frame_budget_ms must be > 0, got {frame_budget_ms}")
         self.env = env
@@ -138,9 +150,7 @@ class WalkthroughService:
             raise WalkthroughError(
                 f"pattern must be 1, 2 or 3, got {pattern}")
         num_frames = frames if frames is not None else self.frames
-        if num_frames < 1:
-            raise WalkthroughError(
-                f"frames must be >= 1, got {num_frames}")
+        _check_frames(num_frames)
         if self.max_active is not None and \
                 len(self.sessions) >= self.max_active:
             self.sessions_shed += 1

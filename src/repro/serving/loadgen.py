@@ -90,7 +90,7 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
     """
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
-    if arrival_rate <= 0:
+    if not arrival_rate > 0:                    # NaN is refused too
         raise WalkthroughError(
             f"arrival_rate must be > 0, got {arrival_rate}")
     if not 0.0 <= hot_fraction <= 1.0:

@@ -28,16 +28,11 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from typing import TYPE_CHECKING
-
 from repro.concurrency.witness import wrap_lock
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.serving.session import ServingSession
-
-if TYPE_CHECKING:
-    from repro.serving.prefetch import ServingPrefetcher
 
 
 class SessionScheduler:
@@ -58,14 +53,14 @@ class SessionScheduler:
 
     def __init__(self, sessions: Sequence[ServingSession], *,
                  workers: int = 1, max_active: Optional[int] = None,
-                 frame_budget_ms: Optional[float] = None,
-                 prefetcher: Optional["ServingPrefetcher"] = None) -> None:
+                 frame_budget_ms: Optional[float] = None) -> None:
         if workers < 1:
             raise WalkthroughError(f"workers must be >= 1, got {workers}")
         if max_active is not None and max_active < 1:
             raise WalkthroughError(
                 f"max_active must be >= 1, got {max_active}")
-        if frame_budget_ms is not None and frame_budget_ms <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN is refused too.
+        if frame_budget_ms is not None and not frame_budget_ms > 0:
             raise WalkthroughError(
                 f"frame_budget_ms must be > 0, got {frame_budget_ms}")
         self.sessions = sorted(sessions, key=lambda s: s.session_id)
@@ -73,7 +68,6 @@ class SessionScheduler:
         self.max_active = (max_active if max_active is not None
                            else max(len(self.sessions), 1))
         self.frame_budget_ms = frame_budget_ms
-        self.prefetcher = prefetcher
         self._state_lock = wrap_lock(threading.Lock(),
                                      level=SessionScheduler.LOCK_LEVEL,
                                      name="scheduler")
@@ -122,25 +116,15 @@ class SessionScheduler:
                 with self._state_lock:
                     self.frames_served += served
 
-                # Phase 2 — parallel fidelity scoring, plus the round's
-                # speculative prefetch batch (one internally-serialized
-                # task; scoring does no I/O, so interleaving the batch
-                # with it cannot change a single report byte).  The
-                # round barrier installs every score in session order
-                # and waits the batch out before the next phase 1.
+                # Phase 2 — parallel fidelity scoring.  The round
+                # barrier installs every score in session order before
+                # the next phase 1.
                 if executor is not None:
-                    prefetch_future = (
-                        executor.submit(self.prefetcher.issue_round)
-                        if self.prefetcher is not None else None)
                     futures = [(session, executor.submit(thunk))
                                for session, thunk in scoring]
                     for session, future in futures:
                         session.install_fidelity(future.result())
-                    if prefetch_future is not None:
-                        prefetch_future.result()
                 else:
-                    if self.prefetcher is not None:
-                        self.prefetcher.issue_round()
                     for session, thunk in scoring:
                         session.install_fidelity(thunk())
 

@@ -30,7 +30,6 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import (build_world, injected_faults, load_scale,
                               session_path, unbalanced_fields)
 from repro.serving.pooled import PooledNodeStore
-from repro.serving.prefetch import ServingPrefetcher
 from repro.serving.scheduler import SessionScheduler
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
@@ -65,8 +64,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
               max_active: Optional[int] = None,
               frame_budget_ms: Optional[float] = None,
               pool_pages: int = 256,
-              policy: Optional[str] = None,
-              prefetch: Optional[bool] = None,
+              policy: str = "lru",
               plan: Optional[str] = None,
               fault_seed: int = 0,
               include_frame_times: bool = True) -> Dict[str, object]:
@@ -93,13 +91,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
         session reads straight through ``pageio``, the sequential
         path's exact I/O behaviour).
     policy:
-        Pool replacement policy (``"lru"``/``"2q"``); ``None`` takes
-        the scale config's ``serving_policy`` (default ``"lru"``, the
-        historical behavior, byte for byte).
-    prefetch:
-        Enable the cross-session predictive pool prefetcher; ``None``
-        takes the scale config's ``serving_prefetch`` (default off).
-        Requires a pool.
+        Pool replacement policy (``"lru"``/``"2q"``).
     plan / fault_seed:
         Optional named fault plan installed beneath the storage layer,
         to prove the service degrades instead of deadlocking.
@@ -114,25 +106,14 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
             f"pool_pages must be >= 0, got {pool_pages}")
     fault_plan = named_plan(plan) if plan is not None else None
     experiment = load_scale(scale)
-    effective_policy = (policy if policy is not None
-                        else experiment.serving_policy)
-    effective_prefetch = (prefetch if prefetch is not None
-                          else experiment.serving_prefetch)
-    if pool_pages == 0:
-        if policy is not None and policy != "lru":
-            raise WalkthroughError(
-                "replacement policy needs a pool (pool_pages > 0)")
-        if effective_prefetch:
-            raise WalkthroughError(
-                "prefetch needs a pool (pool_pages > 0)")
+    if pool_pages == 0 and policy != "lru":
+        raise WalkthroughError(
+            "replacement policy needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
         env = build_world(experiment)
-        pool = (BufferPool(pool_pages, name="serving",
-                           policy=effective_policy)
+        pool = (BufferPool(pool_pages, name="serving", policy=policy)
                 if pool_pages > 0 else None)
-        prefetcher = (ServingPrefetcher(pool, env)
-                      if effective_prefetch and pool is not None else None)
 
         # Motion patterns are drawn from the seed so a fleet of
         # sessions exercises all three of the paper's patterns.
@@ -144,15 +125,13 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
             path = session_path(experiment, env, pattern, frames)
             view = session_env(env, pool)
             served.append(ServingSession(
-                session_id, path, view, eta=eta, scheme=scheme,
-                pool=pool, prefetcher=prefetcher,
+                session_id, path, view, eta=eta, scheme=scheme, pool=pool,
                 cache_budget_bytes=experiment.visual_cache_budget_bytes))
             m_sessions.inc()
 
         scheduler = SessionScheduler(served, workers=workers,
                                      max_active=max_active,
-                                     frame_budget_ms=frame_budget_ms,
-                                     prefetcher=prefetcher)
+                                     frame_budget_ms=frame_budget_ms)
         error: Optional[str] = None
         with injected_faults(env, fault_plan, fault_seed) as injector:
             try:
@@ -176,7 +155,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
                 "policy": (pool.policy.name if pool is not None else None),
-                "prefetch": bool(prefetcher is not None),
                 "plan": fault_plan.name if fault_plan is not None else None,
                 "fault_seed": fault_seed if fault_plan is not None else None,
             },
@@ -189,9 +167,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
             "sessions": [session_report(s, include_frame_times)
                          for s in served],
             "pool": _pool_report(pool),
-            "prefetch": (prefetcher.report()
-                         if prefetcher is not None else None),
-            "reconciliation": _reconcile(env, served, pool, prefetcher),
+            "reconciliation": _reconcile(env, served, pool),
         }
         if fault_plan is not None:
             report["faults"] = {
@@ -244,31 +220,22 @@ def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
         "policy_stats": pool.policy.stats(),
         "resident_pages": pool.resident_pages,
         **stats,
-        "prefetch": pool.prefetch_stats(),
     }
 
 
 def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
-               pool: Optional[BufferPool],
-               prefetcher: Optional[ServingPrefetcher] = None,
-               ) -> Dict[str, object]:
+               pool: Optional[BufferPool]) -> Dict[str, object]:
     """Per-session attribution must add up to the shared ledgers.
 
     Integer I/O counts balance exactly (phase 1 is serialized, so the
     snapshot/delta windows partition the shared counters); simulated ms
-    balance within float-rounding tolerance.  With prefetch on, the
-    speculative batches' charges live in the prefetcher's own ledger —
-    never a session's — and are added back here, so the balance stays
-    exact instead of leaking the speculation into session attribution.
+    balance within float-rounding tolerance.
     """
     sum_light = IOStats()
     sum_heavy = IOStats()
     for session in served:
         sum_light += session.light_total
         sum_heavy += session.heavy_total
-    if prefetcher is not None:
-        sum_light += prefetcher.light_total
-        sum_heavy += prefetcher.heavy_total
     ledgers = {
         "light_sessions": sum_light.to_dict(),
         "light_environment": env.light_stats.to_dict(),
@@ -286,9 +253,6 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
         "simulated_ms_balanced":
             "simulated_ms" not in light_off + heavy_off,
     }
-    if prefetcher is not None:
-        result["prefetch_light"] = prefetcher.light_total.to_dict()
-        result["prefetch_heavy"] = prefetcher.heavy_total.to_dict()
     if pool is not None:
         result["pool_balanced"] = (
             sum(s.pool_hits for s in served) == pool.hits

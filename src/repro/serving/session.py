@@ -26,16 +26,13 @@ at full quality.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.storage.buffer import BufferPool
 from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.session import Session
 from repro.walkthrough.visual import VisualSystem
-
-if TYPE_CHECKING:
-    from repro.serving.prefetch import ServingPrefetcher
 
 
 class ServingSession(VisualSystem):
@@ -61,8 +58,7 @@ class ServingSession(VisualSystem):
                  pool: Optional[BufferPool] = None,
                  frame_model: Optional[FrameModel] = None,
                  cache_budget_bytes: Optional[int] = None,
-                 evaluate_fidelity: bool = True,
-                 prefetcher: Optional["ServingPrefetcher"] = None) -> None:
+                 evaluate_fidelity: bool = True) -> None:
         super().__init__(env, eta=eta, scheme=scheme,
                          frame_model=frame_model,
                          evaluate_fidelity=evaluate_fidelity,
@@ -70,7 +66,6 @@ class ServingSession(VisualSystem):
         self.session_id = session_id
         self.path = path
         self.pool = pool
-        self.prefetcher = prefetcher
         self.next_frame = 0
         self.admission_wait_rounds = 0
         self.pool_hits = 0
@@ -106,12 +101,6 @@ class ServingSession(VisualSystem):
             self.pool_misses += pool.misses - misses0
             self.pool_coalesced += pool.coalesced - coalesced0
         self.next_frame += 1
-        if self.prefetcher is not None:
-            # Planning only (no I/O): runs after the accounting window
-            # closes, so the session's ledger never sees prefetch work.
-            self.prefetcher.observe(self.session_id,
-                                    self.frames[-1].cell_id, position,
-                                    self.delta.search.scheme)
         return thunk
 
     # -- phase 2 barrier -----------------------------------------------------

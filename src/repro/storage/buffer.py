@@ -27,13 +27,6 @@ Concurrency model (see DESIGN.md §10):
   eviction write-back; miss reads happen outside the pool lock so a slow
   read of one page never blocks hits on other pages.
 
-Speculative reads (:meth:`BufferPool.prefetch`) use the same
-single-flight path but none of the demand counters: an issued prefetch
-is counted ``prefetch_useful`` the first time a demand ``get`` consumes
-it (including by coalescing onto the in-flight latch) and
-``prefetch_wasted`` if it is evicted untouched — so demand hit/miss
-accounting stays comparable with prefetch on or off.
-
 Decoded payloads (:meth:`BufferPool.get` with a ``decoder``): a frame
 can carry the decoded form of its bytes next to them, so a hot page is
 decoded once per residency instead of once per read.  The payload is
@@ -74,15 +67,12 @@ _STALE: Any = object()  # "the latched bytes are superseded: start the get over"
 
 
 class _Frame:
-    __slots__ = ("data", "pin_count", "dirty", "speculative", "payload")
+    __slots__ = ("data", "pin_count", "dirty", "payload")
 
-    def __init__(self, data: bytes, speculative: bool = False,
-                 payload: Any = None) -> None:
+    def __init__(self, data: bytes, payload: Any = None) -> None:
         self.data = data
         self.pin_count = 0
         self.dirty = False
-        #: True while the frame holds unconsumed prefetched bytes.
-        self.speculative = speculative
         #: Decoded form of ``data`` (``None``: not decoded yet).  Shared by
         #: every reader of the frame, so decoders return immutable values.
         self.payload = payload
@@ -95,19 +85,14 @@ class _Latch:
     ``event``; the owner sets exactly one of ``data``/``error`` and
     signals the event only if there is one.  ``put`` detaches the latch
     and marks it ``superseded``: its bytes are never installed.
-    ``speculative``/``consumed`` track prefetch attribution: a demand
-    waiter on a speculative latch consumes the prefetch exactly once.
     """
 
-    __slots__ = ("event", "data", "error", "speculative", "consumed",
-                 "superseded")
+    __slots__ = ("event", "data", "error", "superseded")
 
-    def __init__(self, speculative: bool = False) -> None:
+    def __init__(self) -> None:
         self.event: Optional[threading.Event] = None
         self.data: Optional[bytes] = None
         self.error: Optional[BaseException] = None
-        self.speculative = speculative
-        self.consumed = False
         self.superseded = False
 
 
@@ -162,9 +147,6 @@ class BufferPool:
         self.misses = 0
         self.evictions = 0
         self.coalesced = 0
-        self.prefetch_issued = 0
-        self.prefetch_useful = 0
-        self.prefetch_wasted = 0
         registry = get_registry()
         self._m_hits = registry.counter(names.BUFFERPOOL_HITS, pool=name)
         self._m_misses = registry.counter(names.BUFFERPOOL_MISSES,
@@ -180,12 +162,6 @@ class BufferPool:
             names.BUFFERPOOL_COALESCED, pool=name)
         self._m_resident = registry.gauge(names.BUFFERPOOL_RESIDENT_PAGES,
                                           pool=name)
-        self._m_prefetch_issued = registry.counter(
-            names.BUFFERPOOL_PREFETCH_ISSUED, pool=name)
-        self._m_prefetch_useful = registry.counter(
-            names.BUFFERPOOL_PREFETCH_USEFUL, pool=name)
-        self._m_prefetch_wasted = registry.counter(
-            names.BUFFERPOOL_PREFETCH_WASTED, pool=name)
 
     @property
     def policy(self) -> ReplacementPolicy:
@@ -216,9 +192,6 @@ class BufferPool:
                 # happen outside the lock via the single-flight latch.
                 self._files[fid].write_page(page_id, frame.data)  # repro: ignore[RPR012]
                 self._m_writebacks.inc()
-            if frame.speculative:
-                self.prefetch_wasted += 1
-                self._m_prefetch_wasted.inc()
             del self._frames[key]
             self._bump_generation()
             self._policy.on_evict(key)
@@ -245,13 +218,6 @@ class BufferPool:
         frame.pin_count += 1
         self._m_pins.inc()
 
-    def _consume_frame_locked(self, frame: _Frame) -> None:
-        """First demand hit on a prefetched frame: attribute usefulness."""
-        if frame.speculative:
-            frame.speculative = False
-            self.prefetch_useful += 1
-            self._m_prefetch_useful.inc()
-
     # -- public API -------------------------------------------------------------
 
     @overload
@@ -273,17 +239,15 @@ class BufferPool:
         ``pageio``-routed reader so misses get retry + component
         accounting.  Concurrent misses on the same page coalesce into
         one read: only the owner's ``reader`` runs, and every waiter
-        counts a hit plus ``coalesced``.  A demand hit on a prefetched
-        frame (or a demand fault coalescing onto an in-flight prefetch)
-        additionally consumes the prefetch: ``prefetch_useful``.
+        counts a hit plus ``coalesced``.
 
         With a ``decoder`` the call returns ``decoder(page bytes)``
         instead of the bytes, decoded at most once per frame residency:
         the result rides on the frame and later calls share it, so it
         must be immutable, and every caller of one file's pages must
-        pass the same decoder.  Counters, pins and prefetch attribution
-        move exactly as without one.  A decoder that raises caches
-        nothing and the error propagates.
+        pass the same decoder.  Counters and pins move exactly as
+        without one.  A decoder that raises caches nothing and the
+        error propagates.
         """
         with self._lock:
             # Under the lock: _key registers pfile in the _files map, and
@@ -294,7 +258,6 @@ class BufferPool:
                 self.hits += 1
                 self._m_hits.inc()
                 self._policy.on_access(key)
-                self._consume_frame_locked(frame)
                 if pin:
                     self._pin_locked(frame)
                 if decoder is None:
@@ -322,10 +285,6 @@ class BufferPool:
                     self.coalesced += 1
                     self._m_hits.inc()
                     self._m_coalesced.inc()
-                    if latch.speculative and not latch.consumed:
-                        latch.consumed = True
-                        self.prefetch_useful += 1
-                        self._m_prefetch_useful.inc()
                     if latch.event is None:
                         latch.event = threading.Event()
         if frame is None:
@@ -365,50 +324,11 @@ class BufferPool:
                     payload = frame.payload
         return payload
 
-    def prefetch(self, pfile: PagedFile, page_id: int, *,
-                 reader: Optional[PageReader] = None) -> bool:
-        """Speculatively read a page into the pool; ``True`` if issued.
-
-        No demand counters move: a resident or in-flight page is left
-        alone (``False``), and an issued read counts only
-        ``prefetch_issued``.  The installed frame is marked speculative;
-        the first demand ``get`` consuming it (directly or by latch
-        coalescing) counts ``prefetch_useful``, and eviction of an
-        unconsumed frame counts ``prefetch_wasted`` — never a session's
-        demand hit/miss.  A pool whose every frame is pinned declines
-        the prefetch instead of raising: speculation is best-effort.
-        """
-        with self._lock:
-            key = self._key(pfile, page_id)
-            if key in self._frames or key in self._latches:
-                return False
-            if len(self._frames) >= self.capacity:
-                try:
-                    self._evict_one()
-                except BufferPoolExhaustedError:
-                    return False
-            self.prefetch_issued += 1
-            self._m_prefetch_issued.inc()
-            latch = self._latches[key] = _Latch(speculative=True)
-        self._read_as_owner(key, pfile, page_id, latch, pin=False,
-                            reader=reader, speculative=True)
-        return True
-
-    def peek(self, pfile: PagedFile, page_id: int) -> Optional[bytes]:
-        """Resident page bytes without touching counters or recency.
-
-        The prefetch machinery uses this to decode already-prefetched
-        index pages; a demand path must use :meth:`get`.
-        """
-        with self._lock:
-            frame = self._frames.get((pfile.file_id, page_id))
-            return frame.data if frame is not None else None
-
     def _read_as_owner(self, key: Tuple[int, int], pfile: PagedFile,
                        page_id: int, latch: _Latch, *, pin: bool,
                        reader: Optional[PageReader],
-                       decoder: Optional[Callable[[bytes], Any]] = None,
-                       speculative: bool = False) -> Any:
+                       decoder: Optional[Callable[[bytes], Any]] = None
+                       ) -> Any:
         """Single-flight fill: read and decode unlocked, install bytes and
         payload in one locked step (or ``_STALE``).  Caller holds NO lock."""
         try:
@@ -436,10 +356,7 @@ class BufferPool:
                     # than the disk's; installing would lose the write.
                     data, payload = frame.data, frame.payload
                 elif not latch.superseded:
-                    # A prefetch some demand waiter already consumed
-                    # lands non-speculative.
-                    frame = _Frame(data, speculative and not latch.consumed,
-                                   payload)
+                    frame = _Frame(data, payload)
                     self._install(key, frame)
                 if pin and frame is not None:
                     self._pin_locked(frame)
@@ -472,7 +389,6 @@ class BufferPool:
             frame = self._frames.get(key)
             if frame is not None:
                 self._policy.on_access(key)
-                self._consume_frame_locked(frame)
                 data = frame.data
             elif pin:
                 # The frame was already evicted between the owner's install
@@ -507,10 +423,6 @@ class BufferPool:
             frame.data = bytes(data)
             frame.payload = None
             frame.dirty = True
-            # Overwriting speculative bytes ends the speculation without
-            # attributing usefulness: the prefetched contents were never
-            # read.
-            frame.speculative = False
             self._policy.on_access(key)
 
     @property
@@ -525,16 +437,14 @@ class BufferPool:
         exactly the page reads ``keys`` — ``(file_id, page_id)`` in read
         order, all through this pool, all after ``generation`` was read.
         Kept only if the generation has not moved since (every frame is
-        still the one that was read), every key is resident and
-        demand-read, and fewer than ``capacity`` plans are held.
+        still the one that was read), every key is resident, and fewer
+        than ``capacity`` plans are held.
         ``answer`` is shared with every later caller: immutable.
         """
         with self._lock:
             if (generation == self._generation
                     and len(self._plans) < self.capacity
-                    and all(key in self._frames
-                            and not self._frames[key].speculative
-                            for key in keys)):
+                    and all(key in self._frames for key in keys)):
                 self._plans[token] = (tuple(keys), answer)
 
     def recall(self, token: Hashable) -> Any:
@@ -626,13 +536,6 @@ class BufferPool:
                     "coalesced": self.coalesced,
                     "evictions": self.evictions,
                     "hit_rate": self.hit_rate}
-
-    def prefetch_stats(self) -> Dict[str, int]:
-        """Speculative-read counters (stable key order, for reports)."""
-        with self._lock:
-            return {"issued": self.prefetch_issued,
-                    "useful": self.prefetch_useful,
-                    "wasted": self.prefetch_wasted}
 
     def __repr__(self) -> str:
         return (f"BufferPool(capacity={self.capacity}, "

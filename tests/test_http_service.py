@@ -15,11 +15,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serving import run_serve
 from repro.serving.http import (HttpRequest, HttpServer, WalkthroughApp,
                                 build_service, percentile)
+from repro.serving.http.app import MAX_SESSION_FRAMES, WalkthroughService
 from repro.serving.http.stats import latency_summary
 from repro.storage.faults import FaultInjector, named_plan
 
@@ -82,6 +84,22 @@ def test_error_status_ladder(app):
     assert dispatch(app, "POST", "/sessions",
                     {"pattern": 1, "frames": "x"}).status == 400
     assert dispatch(app, "GET", "/nope").status == 404
+
+
+def test_frames_are_capped_at_the_edge(app):
+    """A create builds all its waypoints before it answers, so one
+    request could exhaust the server: over the cap is a 400 that
+    allocates no session."""
+    created = app.service.sessions_created
+    live = dict(app.service.sessions)
+    over = dispatch(app, "POST", "/sessions",
+                    {"pattern": 1, "frames": MAX_SESSION_FRAMES + 1})
+    assert over.status == 400
+    assert "frames must be in" in over.body["error"]
+    assert app.service.sessions_created == created
+    assert app.service.sessions == live
+    with pytest.raises(WalkthroughError, match="frames must be in"):
+        WalkthroughService(app.service.env, frames=MAX_SESSION_FRAMES + 1)
 
 
 def test_overload_sheds_with_503(app):

@@ -1,10 +1,9 @@
-"""Replacement policies and speculative-read semantics (PR 10).
+"""Replacement policies (PR 10).
 
 Three layers: the policy objects alone (ordering contracts), the pool
 with a policy plugged in (scan resistance, pathological pinned
-capacity, prefetch attribution), and ``run_serve`` end to end (policy
-swap is a no-op at infinite capacity; prefetch keeps the reconciliation
-exact).
+capacity), and ``run_serve`` end to end (policy swap is a no-op at
+infinite capacity; the ledgers balance under pressure).
 """
 
 import json
@@ -129,49 +128,9 @@ def test_pathological_pinned_capacity_under_witness():
         pool.get(pf, 1, pin=True)
         with pytest.raises(BufferPoolExhaustedError):
             pool.get(pf, 2)
-        # Speculation is best-effort: a fully pinned pool declines
-        # instead of raising.
-        assert pool.prefetch(pf, 3) is False
         pool.unpin(pf, 0)
         pool.unpin(pf, 1)
     assert witness.violations() == []
-
-
-def test_prefetch_counters_are_not_demand_counters(pfile):
-    pool = BufferPool(capacity=4)
-    assert pool.prefetch(pfile, 0) is True
-    assert pool.prefetch(pfile, 0) is False      # already resident
-    assert pool.prefetch_stats() == {"issued": 1, "useful": 0,
-                                     "wasted": 0}
-    assert pool.hits == 0 and pool.misses == 0   # no demand traffic
-    # peek reads the speculative bytes without consuming them.
-    assert pool.peek(pfile, 0) is not None
-    assert pool.peek(pfile, 9) is None
-    assert pool.prefetch_stats()["useful"] == 0
-    # The first demand read consumes the prefetch: a hit, once.
-    pool.get(pfile, 0)
-    pool.get(pfile, 0)
-    assert pool.hits == 2
-    assert pool.prefetch_stats()["useful"] == 1
-
-
-def test_unconsumed_prefetch_counts_wasted_on_eviction(pfile):
-    pool = BufferPool(capacity=1)
-    assert pool.prefetch(pfile, 0) is True
-    pool.get(pfile, 1)                   # evicts the unread speculation
-    assert pool.prefetch_stats() == {"issued": 1, "useful": 0,
-                                     "wasted": 1}
-    # Demand accounting saw one miss (page 1) and nothing else.
-    assert pool.misses == 1 and pool.hits == 0
-
-
-def test_put_clears_speculation_without_usefulness(pfile):
-    pool = BufferPool(capacity=4)
-    assert pool.prefetch(pfile, 0) is True
-    pool.put(pfile, 0, b"fresh")         # overwrite, not a demand read
-    pool.get(pfile, 0)
-    assert pool.prefetch_stats()["useful"] == 0
-    pool.clear()
 
 
 # -- run_serve end to end ----------------------------------------------------
@@ -196,40 +155,17 @@ def test_policy_swap_is_noop_at_infinite_capacity():
     assert canonical(reports[0]) == canonical(reports[1])
 
 
-def test_serve_with_prefetch_reconciles_exactly():
+def test_serve_under_pressure_balances_and_reports_no_prefetch():
+    """The prefetcher is gone (EXPERIMENTS.md "Verdict on the pool
+    prefetcher"): nothing in a report speaks of it, and sessions alone
+    add up to the environment's ledgers."""
     report = run_serve(sessions=6, workers=2, seed=7, frames=12,
-                       pool_pages=28, policy="2q", prefetch=True,
+                       pool_pages=28, policy="2q",
                        include_frame_times=False)
     assert report["outcome"]["completed"] is True
-    assert report["serve"]["prefetch"] is True
-    prefetch = report["prefetch"]
-    assert prefetch["pool"]["issued"] > 0
+    assert report["pool"]["evictions"] > 0
+    assert "prefetch" not in json.dumps(report)      # no key, any depth
     rec = report["reconciliation"]
     assert rec["light_ios_balanced"] is True
     assert rec["heavy_ios_balanced"] is True
-    assert rec["simulated_ms_balanced"] is True
     assert rec["pool_balanced"] is True
-    # Speculative reads are charged to the prefetcher's own ledger —
-    # light I/O (index segments + V-pages), never the models blob.
-    assert rec["prefetch_light"]["reads"] > 0
-    assert rec["prefetch_heavy"]["reads"] == 0
-    # Wasted speculation is its own counter, not session demand I/O:
-    # every issue is eventually consumed, evicted as wasted, or still
-    # resident — never folded into a session's hit/miss ledger.
-    stats = report["pool"]["prefetch"]
-    assert stats["useful"] + stats["wasted"] <= stats["issued"]
-    assert stats["wasted"] > 0
-    assert rec["prefetch_light"]["reads"] == report["prefetch"][
-        "index_pages_issued"] + report["prefetch"]["vpages_issued"]
-
-
-def test_prefetch_off_by_default_keeps_reports_identical():
-    baseline = run_serve(sessions=2, workers=1, seed=7, frames=6,
-                         include_frame_times=False)
-    explicit = run_serve(sessions=2, workers=1, seed=7, frames=6,
-                         policy="lru", prefetch=False,
-                         include_frame_times=False)
-    assert baseline["serve"]["prefetch"] is False
-    assert baseline["prefetch"] is None
-    assert json.dumps(baseline, sort_keys=True) \
-        == json.dumps(explicit, sort_keys=True)

@@ -3,9 +3,9 @@
 ``victims()`` iterates the policy's own order in place (the pool
 abandons the iterator at its first eviction), so the orders are checked
 here against models that copy nothing cleverly: plain lists, linear
-scans.  Random ``get`` / ``put`` / ``pin`` / ``unpin`` / ``prefetch``
-sequences must produce the same eviction sequence, resident order,
-ghost hits and promotions, and the same typed exhaustion, step by step.
+scans.  Random ``get`` / ``put`` / ``pin`` / ``unpin`` sequences must
+produce the same eviction sequence, resident order, ghost hits and
+promotions, and the same typed exhaustion, step by step.
 
 The second model is of ``remember`` / ``recall``: a recalled plan must
 be, to every counter and to the replacement order, the ``get`` calls it
@@ -133,17 +133,6 @@ class ModelPool:
             self._install(key)
         self.policy.access(key)
 
-    def prefetch(self, key):
-        if key in self.pins:
-            return False
-        if len(self.pins) >= self.capacity:
-            try:
-                self._evict_one()
-            except Exhausted:
-                return False
-        self._install(key)
-        return True
-
 
 class Recording:
     """Mixin: remember the pool's evictions in order."""
@@ -176,8 +165,7 @@ def make_file(pages=PAGES):
 
 
 OPS = st.lists(st.tuples(
-    st.sampled_from(["get", "get", "get", "pin", "unpin", "put",
-                     "prefetch"]),
+    st.sampled_from(["get", "get", "get", "pin", "unpin", "put"]),
     st.integers(0, PAGES - 1)), max_size=120)
 
 
@@ -199,8 +187,6 @@ def test_pool_evicts_exactly_as_the_list_model(policy_name, capacity, ops):
                 continue
             model.pins[key] -= 1
             pool.unpin(pfile, page)
-        elif op == "prefetch":
-            assert pool.prefetch(pfile, page) == model.prefetch(key), where
         else:
             try:
                 if op == "put":
@@ -252,7 +238,6 @@ def test_all_but_one_pinned_evicts_the_one_then_exhausts(policy_name,
         pool.get(pfile, capacity, pin=True)
         with pytest.raises(BufferPoolExhaustedError):
             pool.get(pfile, capacity + 1)
-        assert pool.prefetch(pfile, capacity + 1) is False
         assert policy.evicted == [(pfile.file_id, free)]
         for page in list(range(capacity)) + [capacity]:
             if page != free:
@@ -271,7 +256,7 @@ FRESH = 50
 QUERIES = [[0, 1, 2], [2, 3], [4, 0, 4, 5], [6], [1, 7, 3, 8, 2]]
 
 PLAN_OPS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["get", "get", "put", "prefetch", "clear"]),
+    st.tuples(st.sampled_from(["get", "get", "put", "clear"]),
               st.integers(0, PAGES - 1)),
     st.tuples(st.just("query"), st.sampled_from(QUERIES)),
     st.tuples(st.just("query"), st.sampled_from(QUERIES))),
@@ -280,8 +265,7 @@ PLAN_OPS = st.lists(st.one_of(
 
 def pool_state(pool):
     return (pool.hits, pool.misses, pool.evictions, pool.coalesced,
-            pool.policy.keys(), pool.policy.stats(), pool.policy.evicted,
-            pool.prefetch_stats())
+            pool.policy.keys(), pool.policy.stats(), pool.policy.evicted)
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -308,8 +292,7 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
         if op == "query":
             token = tuple(arg)
             keys = [(fid, page) for page in arg]
-            for page in arg:
-                twin.get(pfile, page)
+            read = tuple(twin.get(pfile, page) for page in arg)
             answer = planner.recall(token)
             assert (answer is not None) == (token in live), where
             if answer is None:
@@ -323,16 +306,13 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
                     live.add(token)
             else:
                 event("replayed")
-                assert answer == tuple(twin.peek(pfile, page)
-                                       for page in arg), where
+                assert answer == read, where
         else:
             for pool in (planner, twin):
                 if op == "get":
                     pool.get(pfile, arg)
                 elif op == "put":
                     pool.put(pfile, arg, bytes([arg]) * 4)
-                elif op == "prefetch":
-                    pool.prefetch(pfile, arg)
                 else:
                     pool.clear()
         if op in ("put", "clear") or planner.evictions != evictions:
@@ -395,8 +375,8 @@ def test_recall_returns_nothing_after_the_generation_moved(disturb):
 
 
 def test_remember_refuses_what_it_cannot_vouch_for():
-    """A stale generation, a non-resident key, a speculative frame and a
-    full table each leave nothing to recall."""
+    """A stale generation, a non-resident key and a full table each
+    leave nothing to recall."""
     pfile, pool, keys = plan_pool(capacity=4)
     stale = pool.generation
     pool.put(pfile, 9, b"x")
@@ -408,17 +388,6 @@ def test_remember_refuses_what_it_cannot_vouch_for():
     absent = keys + [(pfile.file_id, 11)]
     pool.remember("absent", pool.generation, absent, "answer")
     assert pool.recall("absent") is None
-
-    pfile, pool, keys = plan_pool()
-    assert pool.prefetch(pfile, 4)
-    speculative = keys + [(pfile.file_id, 4)]
-    read_and_remember(pool, pfile, keys, token="warm-up")
-    pool.remember("speculative", pool.generation, speculative, "answer")
-    assert pool.recall("speculative") is None
-    pool.get(pfile, 4)                      # consumed: a demand frame now
-    pool.remember("speculative", pool.generation, speculative, "answer")
-    assert pool.recall("speculative") == "answer"
-    assert pool.prefetch_stats() == {"issued": 1, "useful": 1, "wasted": 0}
 
     pfile, pool, keys = plan_pool(capacity=3)
     for token in range(5):
