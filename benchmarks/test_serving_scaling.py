@@ -40,7 +40,7 @@ AB_OUTPUT = "BENCH_replacement.json"
 def test_serving_scaling(capsys):
     curve = {}
     for sessions in SESSION_COUNTS:
-        report = run_serve(sessions=sessions, workers=2, seed=SEED,
+        report = run_serve(sessions=sessions, seed=SEED,
                            frames=FRAMES, include_frame_times=False)
         assert report["outcome"]["completed"] is True
         reconciliation = report["reconciliation"]
@@ -79,7 +79,7 @@ def test_serving_scaling(capsys):
 
 def _ab_cell(sessions, policy):
     """One grid cell: serve under pressure, distill tracked numbers."""
-    report = run_serve(sessions=sessions, workers=2, seed=SEED,
+    report = run_serve(sessions=sessions, seed=SEED,
                        frames=AB_FRAMES, pool_pages=AB_POOL_PAGES,
                        policy=policy, include_frame_times=False)
     assert report["outcome"]["completed"] is True

@@ -14,7 +14,7 @@ from repro.analysis.baseline import (apply_baseline, load_baseline,
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.driver import (DRIVER_CODE, LintResult,
                                    iter_python_files, lint_paths,
-                                   load_contexts, module_name_for)
+                                   module_name_for)
 from repro.analysis.pragmas import PragmaIndex, collect_pragmas
 from repro.analysis.registry import (ModuleContext, ModuleRule,
                                      ProjectRule, all_rules,
@@ -34,7 +34,6 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "load_baseline",
-    "load_contexts",
     "module_name_for",
     "register",
     "rule_for_code",

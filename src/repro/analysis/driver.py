@@ -124,21 +124,6 @@ def _parse(path: str) -> Tuple[Optional[ModuleContext],
     return context, None, pragmas
 
 
-def load_contexts(paths: Sequence[str]) -> List[ModuleContext]:
-    """Parse every Python file under ``paths`` into module contexts.
-
-    Unparsable files are skipped (``repro lint`` is where they fail the
-    build); this is the entry point for project-level consumers like
-    ``repro locks`` that want the parsed tree without running rules.
-    """
-    contexts: List[ModuleContext] = []
-    for path in iter_python_files(paths):
-        context, _error, _pragmas = _parse(path)
-        if context is not None:
-            contexts.append(context)
-    return contexts
-
-
 def lint_paths(paths: Sequence[str], *,
                rules: Optional[Iterable[Type[AnyRule]]] = None,
                baseline_path: Optional[str] = None) -> LintResult:

@@ -43,7 +43,6 @@ STRICT_PACKAGES = (
     "repro.visibility",
     "repro.rtree",
     "repro.analysis",
-    "repro.concurrency",
 )
 
 #: The module metric-name constants must come from (RPR002).

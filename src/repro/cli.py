@@ -10,7 +10,7 @@ Usage::
     python -m repro chaos [--plan aggressive] [--seed 0] [--list-plans]
     python -m repro crash [--seed 0] [--txns 5] [--output FILE]
     python -m repro precompute [--workers 4] [--cache-dir DIR] [--resume]
-    python -m repro serve [--sessions 8] [--workers 4] [--seed 7]
+    python -m repro serve [--sessions 8] [--seed 7] [--pool-pages 256]
     python -m repro traffic [--sessions 200] [--seed 0] [--arrival-rate 50]
 
 ``run`` prints the same rows/series the paper reports (see
@@ -113,6 +113,15 @@ def _positive(text: str) -> float:
     return value
 
 
+def _min_dov(text: str) -> float:
+    """``--min-dov``: a finite floor >= 0 (``inf`` would hide everything)."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"min-dov must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_walk_options(parser: argparse.ArgumentParser, *,
                       session: Optional[int] = None,
                       frames: Optional[int] = None) -> None:
@@ -170,8 +179,8 @@ def _run_kwargs(args: argparse.Namespace,
     """The ``run_*`` keywords of the shared option groups' flags."""
     keys = ["scale", "session", "eta", "frames", "scheme"]
     if serving:
-        keys += ["sessions", "workers", "seed", "max_active",
-                 "frame_budget_ms", "pool_pages", "plan", "fault_seed"]
+        keys += ["sessions", "seed", "max_active", "frame_budget_ms",
+                 "pool_pages", "plan", "fault_seed"]
     return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scale's)")
     precompute.add_argument("--samples", type=int, default=1,
                             help="viewpoint samples per cell (default: 1)")
-    precompute.add_argument("--min-dov", type=float, default=0.0,
+    precompute.add_argument("--min-dov", type=_min_dov, default=0.0,
                             help="DoV floor below which an object is "
                                  "treated as hidden (default: 0)")
     precompute.add_argument("--workers", type=int, default=1,
@@ -274,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
              "buffer pool; emit a deterministic JSON report")
     _add_walk_options(serve)
     _add_serving_options(serve, sessions=8, seed=7, max_active=None)
-    serve.add_argument("--workers", type=int, default=4,
-                       help="worker threads (default: 4); never changes "
-                            "a deterministic byte of the report")
     serve.add_argument("--policy", default="lru", choices=["lru", "2q"],
                        help="pool replacement policy (default: lru)")
 
@@ -312,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="diagnostic output format (default: text)")
     lint.add_argument("--rules", action="store_true",
                       help="list the registered rules and exit")
-
-    locks = sub.add_parser(
-        "locks",
-        help="print the static and witnessed lock-order graphs")
-    locks.add_argument("paths", nargs="*", metavar="PATH",
-                       help="files/directories to analyse statically "
-                            "(default: src)")
-    _add_output(locks)
     return parser
 
 
@@ -540,54 +538,6 @@ def cmd_lint(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_locks(args) -> int:
-    """Static lock graph (RPR010's model) next to a witnessed one.
-
-    The witnessed half runs one deterministic, single-threaded exercise
-    against the real locks — a demo scheduler-level lock held over a
-    tiny buffer pool churning an in-memory paged file, so dirty
-    evictions drive the sanctioned pool -> file write-back edge — under
-    a fresh :class:`LockOrderWitness` and a fresh metrics registry.
-    The report is keyed by lattice level only, so two runs produce
-    byte-identical output (the CI drift gate diffs exactly that).
-    """
-    import threading
-
-    from repro.analysis import load_contexts
-    from repro.analysis.concurrency import build_lock_graph
-    from repro.concurrency import (LATTICE, LockOrderWitness, installed,
-                                   wrap_lock)
-    from repro.obs.metrics import use_registry
-    from repro.storage import pageio
-    from repro.storage.buffer import BufferPool
-    from repro.storage.pagedfile import PagedFile
-
-    static = build_lock_graph(
-        load_contexts(_default_paths(args.paths))).summary()
-
-    witness = LockOrderWitness()
-    with installed(witness), use_registry():
-        demo = wrap_lock(threading.Lock(), level=LATTICE[0],
-                         name="demo-scheduler")
-        pfile = PagedFile("locks-demo", page_size=64)
-        pool = BufferPool(2, name="locks-demo")
-        for _ in range(4):
-            pageio.append_page(pfile, b"", component="locks-demo")
-        with demo:
-            for page in range(4):
-                pool.put(pfile, page, b"hdov")
-            for page in range(4):
-                pool.get(pfile, page)
-            pool.flush()
-    witnessed = witness.report()
-
-    failed = bool(static["violations"]) or bool(witnessed["violations"])
-    return _emit({"static": static, "witnessed": witnessed}, args.output,
-                 f"static_edges={len(static['edges'])}, "
-                 f"witnessed_edges={len(witnessed['edges'])}, "
-                 f"violations={'yes' if failed else 'no'}", not failed)
-
-
 #: Verb -> (handler, the errors that are the user's: bad arguments, an
 #: unknown plan or scheme name — reported on stderr with exit code 2;
 #: anything else is a crash and keeps its traceback).
@@ -601,7 +551,6 @@ COMMANDS: Dict[str, Tuple[Callable[..., int], Tuple[type, ...]]] = {
     "serve": (cmd_serve, (ReproError,)),
     "traffic": (cmd_traffic, (ReproError,)),
     "lint": (cmd_lint, (FileNotFoundError,)),
-    "locks": (cmd_locks, (FileNotFoundError,)),
 }
 
 

@@ -335,7 +335,7 @@ class SegmentScheme(StorageScheme):
 
         The only segment writer: the build calls it per cell, an
         incremental update per re-instantiated cell (the superseded
-        V-pages and segment pages become garbage for compaction).
+        V-pages and segment pages become garbage; nothing reclaims them).
         """
         assert self.index_file is not None
         self.codec.begin_cell(cell.cell_id)

@@ -16,7 +16,7 @@ removal over the indexed-vertical scheme:
 3. the cells' V-pages are re-instantiated and handed to the scheme's
    one segment writer (``write_cell``): fresh V-pages and a fresh
    segment are appended and the cell repointed (the old pages become
-   garbage, reclaimable by compaction).
+   garbage; nothing reclaims them).
 
 Every refusal — unknown object, a scheme other than indexed-vertical, a
 packed V-page codec — is raised before the first mutation, so a refused

@@ -109,16 +109,6 @@ class ServiceOverloadedError(WalkthroughError):
     """
 
 
-class LockOrderError(ReproError):
-    """A thread acquired locks against the declared lock lattice.
-
-    Raised by :class:`repro.concurrency.witness.LockOrderWitness`
-    *before* the offending lock is acquired, so a latent deadlock
-    surfaces as a typed, debuggable exception instead of a hang.  The
-    static twin of this check is lint rule RPR010.
-    """
-
-
 class ExperimentError(ReproError):
     """Experiment driver misconfiguration."""
 

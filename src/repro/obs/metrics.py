@@ -28,7 +28,6 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.concurrency.witness import wrap_lock
 from repro.errors import ObservabilityError
 
 #: Canonical label form: sorted ``(key, value)`` pairs.
@@ -146,19 +145,11 @@ class MetricsRegistry:
     cache them once.
     """
 
-    #: Lattice level of ``_lock`` (see repro.concurrency.order): the
-    #: bottom — instrument creation may happen under any other lock, and
-    #: nothing is ever acquired while this lock is held.  The instrument
-    #: hot path (``.inc()``) is lockless and does not touch it.
-    LOCK_LEVEL = "obs.registry"
-
     def __init__(self) -> None:
-        # RLock, not Lock: the lock-order witness counts acquisitions of
-        # this very lock by creating a counter *in this registry*, which
-        # re-enters ``_instrument`` on the same thread.
-        self._lock = wrap_lock(threading.RLock(),
-                               level=MetricsRegistry.LOCK_LEVEL,
-                               name="metrics-registry")
+        #: A leaf (DESIGN.md §10): instrument creation may happen under any
+        #: other lock and nothing is acquired while this one is held.  The
+        #: instrument hot path (``.inc()``) is lockless and does not touch it.
+        self._lock = threading.RLock()
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kind_of: Dict[str, str] = {}
         #: ``(kind, name, *labels.items())`` -> instrument: read lock-free,

@@ -22,11 +22,11 @@ GET      ``/metrics``                  the metrics registry, collected
 
 Concurrency model: every state-mutating route (create/step/close) runs
 under one ``asyncio`` lock — the HTTP-facing equivalent of the round
-scheduler's serialized phase 1.  The shared clock, the shared buffer
-pool and the per-session snapshot/delta attribution windows are only
-exact when one session steps at a time; the lock buys that exactness,
-and CPython would serialize the pure-Python traversal anyway.  Fidelity
-scoring runs inline (phase 2 of the scheduler), so a stepped frame's
+scheduler stepping one session at a time.  The shared clock, the shared
+buffer pool and the per-session snapshot/delta attribution windows are
+only exact when one session steps at a time; the lock buys that
+exactness, and CPython would serialize the pure-Python traversal anyway.
+Fidelity scoring runs inline, as in the scheduler, so a stepped frame's
 record is complete when the response leaves.
 
 Everything the app returns except wall-clock latency (measured by the

@@ -21,9 +21,7 @@ completion before the next event fires, everything in the report's
 arguments: same seed, byte-identical JSON — the CI traffic job diffs
 exactly that.  Wall-clock latency percentiles (measured by the timing
 middleware) are published in a separate ``wall_clock`` section and
-never gated.  The worker count is echoed in the config block but, as
-with ``repro serve``, provably cannot change a deterministic byte:
-dispatch is strictly sequential in virtual-time order.
+never gated.
 """
 
 from __future__ import annotations

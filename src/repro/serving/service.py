@@ -8,12 +8,9 @@ degraded-frame counts, and an exact reconciliation of per-session
 accounting against the shared clock.
 
 The report deliberately contains *no wall-clock measurements*:
-everything in it is a pure function of (sessions, workers is excluded —
-see below, seed, scale, eta, frames, plan), so two runs with the same
-arguments must produce byte-identical JSON — the CI serving-stress job
-diffs exactly that.  The worker count is echoed in the config block but
-provably cannot change any other byte: phase 1 is serialized and phase
-2 is order-independent (see ``scheduler.py``).
+everything in it is a pure function of (sessions, seed, scale, eta,
+frames, plan), so two runs with the same arguments must produce
+byte-identical JSON — the CI serving-stress job diffs exactly that.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ def session_env(env: HDoVEnvironment,
     return replace(env, schemes=schemes, node_store=node_store)
 
 
-def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
+def run_serve(*, sessions: int = 8, seed: int = 7,
               scale: str = "small", eta: float = 0.001,
               frames: Optional[int] = None,
               scheme: Optional[str] = None,
@@ -74,9 +71,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
     ----------
     sessions:
         Number of concurrent walkthrough sessions.
-    workers:
-        Fidelity-scoring worker threads (1 = the inline sequential
-        path).  Changes wall-clock only, never a byte of the report.
     seed:
         Draws each session's motion pattern; same seed, same report.
     scale / eta / frames / scheme:
@@ -129,8 +123,7 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
                 cache_budget_bytes=experiment.visual_cache_budget_bytes))
             m_sessions.inc()
 
-        scheduler = SessionScheduler(served, workers=workers,
-                                     max_active=max_active,
+        scheduler = SessionScheduler(served, max_active=max_active,
                                      frame_budget_ms=frame_budget_ms)
         error: Optional[str] = None
         with injected_faults(env, fault_plan, fault_seed) as injector:
@@ -146,7 +139,6 @@ def run_serve(*, sessions: int = 8, workers: int = 4, seed: int = 7,
             "serve": {
                 "scale": scale,
                 "sessions": sessions,
-                "workers": workers,
                 "seed": seed,
                 "eta": eta,
                 "scheme": served[0].delta.search.scheme.name,
@@ -194,7 +186,6 @@ def session_report(session: ServingSession,
         "pool": {
             "hits": session.pool_hits,
             "misses": session.pool_misses,
-            "coalesced": session.pool_coalesced,
         },
         "fidelity_mean": session.fidelity_mean(),
     }
@@ -227,8 +218,8 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
                pool: Optional[BufferPool]) -> Dict[str, object]:
     """Per-session attribution must add up to the shared ledgers.
 
-    Integer I/O counts balance exactly (phase 1 is serialized, so the
-    snapshot/delta windows partition the shared counters); simulated ms
+    Integer I/O counts balance exactly (sessions step one at a time, so
+    the snapshot/delta windows partition the shared counters); simulated ms
     balance within float-rounding tolerance.
     """
     sum_light = IOStats()
@@ -256,6 +247,5 @@ def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
     if pool is not None:
         result["pool_balanced"] = (
             sum(s.pool_hits for s in served) == pool.hits
-            and sum(s.pool_misses for s in served) == pool.misses
-            and sum(s.pool_coalesced for s in served) == pool.coalesced)
+            and sum(s.pool_misses for s in served) == pool.misses)
     return result

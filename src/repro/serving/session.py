@@ -4,17 +4,15 @@
 :class:`~repro.walkthrough.visual.VisualSystem` (query on cell change,
 delta fetch, frame-time model) — the same method, not a copy — but
 exposes it as a ``step()`` the scheduler drives one frame at a time, in
-*two phases*:
+two parts:
 
-* **phase 1 — query + accounting** (``step``): runs serialized by the
-  scheduler, in ascending session id.  All I/O, all shared-clock
-  charges, and all shared-pool traffic happen here, which is what makes
-  the per-session attribution exact and the whole service
-  bit-deterministic regardless of worker count.
-* **phase 2 — fidelity scoring** (the thunk ``step`` returns): pure
-  read-only math over the environment's ground truth, safe to fan out
-  to the worker pool.  The score is installed at the round barrier via
-  :meth:`install_fidelity`.
+* **query + accounting** (``step``): all I/O, all shared-clock charges
+  and all shared-pool traffic of the frame.  Sessions are stepped one at
+  a time on one thread (DESIGN.md §10), which is what makes the
+  per-session attribution exact and the whole service bit-deterministic.
+* **fidelity scoring** (the thunk ``step`` returns): pure read-only math
+  over the environment's ground truth; whoever stepped the session calls
+  it and hands the score to :meth:`install_fidelity`.
 
 Overload shedding: when the scheduler flags that the session's previous
 frame blew the frame budget, a frame that would query instead answers
@@ -41,7 +39,7 @@ class ServingSession(VisualSystem):
     Parameters
     ----------
     session_id:
-        Stable id; the scheduler serializes phase 1 in ascending order.
+        Stable id; the scheduler steps sessions in ascending order.
     path:
         The recorded waypoint sequence.
     env:
@@ -51,6 +49,9 @@ class ServingSession(VisualSystem):
         The shared buffer pool, for per-session hit/miss attribution
         (``None`` when serving unpooled).
     """
+
+    #: Always 0; only benchmarks/perf/oracle.py (frozen) reads it.
+    pool_coalesced = 0
 
     def __init__(self, session_id: int, path: Session,
                  env: HDoVEnvironment, *, eta: float,
@@ -70,19 +71,18 @@ class ServingSession(VisualSystem):
         self.admission_wait_rounds = 0
         self.pool_hits = 0
         self.pool_misses = 0
-        self.pool_coalesced = 0
 
     @property
     def done(self) -> bool:
         return self.next_frame >= self.path.num_frames
 
-    # -- phase 1: query + accounting (serialized) ---------------------------
+    # -- query + accounting ---------------------------------------------------
 
     def step(self, *, shed_load: bool = False) \
             -> Optional[Callable[[], float]]:
-        """Advance one frame; returns the phase-2 scoring thunk, if any.
+        """Advance one frame; returns the scoring thunk, if any.
 
-        Must be called with no other session's phase 1 in flight: the
+        Must be called with no other session's step in flight: the
         shared-clock and shared-pool deltas taken here attribute every
         charge of this frame to this session.
         """
@@ -93,20 +93,18 @@ class ServingSession(VisualSystem):
         pool = self.pool
         if pool is not None:
             hits0, misses0 = pool.hits, pool.misses
-            coalesced0 = pool.coalesced
         thunk = self._frame(self.next_frame, position,
                             shed_load=shed_load, defer_scoring=True)
         if pool is not None:
             self.pool_hits += pool.hits - hits0
             self.pool_misses += pool.misses - misses0
-            self.pool_coalesced += pool.coalesced - coalesced0
         self.next_frame += 1
         return thunk
 
-    # -- phase 2 barrier -----------------------------------------------------
+    # -- fidelity ---------------------------------------------------------------
 
     def install_fidelity(self, fidelity: float) -> None:
-        """Install a phase-2 score into the frame that produced it."""
+        """Install a score into the frame that produced it."""
         self._last_fidelity = fidelity
         self.frames[-1] = replace(self.frames[-1], fidelity=fidelity)
 

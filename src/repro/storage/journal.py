@@ -45,7 +45,6 @@ import threading
 import zlib
 from typing import TYPE_CHECKING, BinaryIO, Optional
 
-from repro.concurrency.witness import wrap_lock
 from repro.errors import StorageError
 from repro.obs import names
 from repro.obs.metrics import get_registry
@@ -83,16 +82,9 @@ class WriteAheadJournal:
     The journal never *reads* its own records — recovery
     (:mod:`repro.storage.recovery`) scans the file independently — so
     this class is a pure appender: records, commit markers, fsync,
-    reset.  All methods serialize on one lock at lattice level
-    ``journal``, acquired while the owner holds its ``pagedfile``-level
-    I/O lock (strict descent; see :mod:`repro.concurrency.order`).
+    reset.  All methods serialize on one lock, acquired while the owner
+    holds its per-file I/O lock (pool → file → journal, DESIGN.md §10).
     """
-
-    #: Lattice level of ``_lock`` (see repro.concurrency.order): below
-    #: the pagedfile lock, above the metrics registry.  This level is in
-    #: BLOCKING_ALLOWED — serializing WAL appends and the commit fsync
-    #: is this lock's job.
-    LOCK_LEVEL = "journal"
 
     def __init__(self, path: str, *, page_size: int, name: str) -> None:
         if page_size <= 0:
@@ -111,9 +103,7 @@ class WriteAheadJournal:
         self._closed = False
         self._next_seqno = 1
         self._uncommitted = 0
-        self._lock = wrap_lock(threading.RLock(),
-                               level=WriteAheadJournal.LOCK_LEVEL,
-                               name=f"journal:{name}")
+        self._lock = threading.RLock()
         # Unbuffered on purpose: the written/durable split below is the
         # whole crash model, and a Python-level buffer would add a third
         # nondeterministic state between them.

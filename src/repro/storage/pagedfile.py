@@ -19,7 +19,6 @@ import threading
 import zlib
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.concurrency.witness import wrap_lock
 from repro.constants import PAGE_SIZE
 from repro.errors import PageCorruptError, PageNotFoundError, StorageError
 from repro.obs import names
@@ -83,11 +82,6 @@ class PagedFile:
     fault injector is installed, keeping the happy path allocation-free.
     """
 
-    #: Lattice level of ``_io_lock`` (see repro.concurrency.order): below
-    #: the pool lock, above the metrics-registry lock.  This level is in
-    #: BLOCKING_ALLOWED — serializing physical I/O is this lock's job.
-    LOCK_LEVEL = "pagedfile"
-
     def __init__(self, name: str, *, page_size: int = PAGE_SIZE,
                  disk: Optional[DiskModel] = None,
                  stats: Optional[IOStats] = None,
@@ -136,16 +130,13 @@ class PagedFile:
         self._last_accessed: Optional[int] = None
         self._closed = False
         #: Serializes page access per file: charge + fault hooks + backend
-        #: read/write become one atomic step, so concurrent readers (e.g.
-        #: buffer-pool miss fills from different threads) cannot interleave
-        #: head tracking with the seek they are charged for.  Lock order is
-        #: pool lock → file lock (see DESIGN.md §10); a file never calls
-        #: back into a pool.  Sharing one IOStats between files accessed
-        #: from different threads still needs external serialization — the
-        #: serving scheduler provides it.
-        self._io_lock = wrap_lock(threading.RLock(),
-                                  level=PagedFile.LOCK_LEVEL,
-                                  name=f"pagedfile:{name}")
+        #: read/write become one atomic step, so concurrent readers cannot
+        #: interleave head tracking with the seek they are charged for.
+        #: Lock order is pool lock → file lock (see DESIGN.md §10); a file
+        #: never calls back into a pool.  Sharing one IOStats between files
+        #: accessed from different threads still needs external
+        #: serialization — the serving scheduler provides it.
+        self._io_lock = threading.RLock()
         if path is not None:
             # "r+b" keeps seek+write semantics; append mode would force
             # every write to the end of the file regardless of seeks.

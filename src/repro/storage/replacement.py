@@ -1,10 +1,10 @@
 """Pluggable page-replacement policies for the buffer pool.
 
-The pool owns the frame table, pins, latches, and all locking; a policy
-owns only the *ordering* decision — which resident key should be evicted
-next.  The split keeps policies trivially lattice-clean: a policy is
-called exclusively with the pool lock held, holds no lock of its own,
-and never calls back into the pool or a file.
+The pool owns the frame table, pins, and all locking; a policy owns only
+the *ordering* decision — which resident key should be evicted next.
+The split keeps policies lock-free: a policy is called exclusively with
+the pool lock held, holds no lock of its own, and never calls back into
+the pool or a file.
 
 Two policies ship:
 

@@ -200,8 +200,10 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     """
     if len(scene) == 0:
         raise VisibilityError("cannot precompute visibility of empty scene")
-    if min_dov < 0.0:
-        raise VisibilityError(f"min_dov must be >= 0, got {min_dov}")
+    # NaN and inf pass ``min_dov < 0``, and then no DoV passes ``> min_dov``.
+    if not 0.0 <= min_dov < float("inf"):
+        raise VisibilityError(
+            f"min_dov must be finite and >= 0, got {min_dov}")
     if samples_per_cell < 1:
         raise VisibilityError(
             f"samples_per_cell must be >= 1, got {samples_per_cell}")

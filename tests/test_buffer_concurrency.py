@@ -1,16 +1,20 @@
-"""Buffer-pool concurrency tests: hammer, single-flight, failure paths.
+"""Buffer-pool concurrency tests: hammers, one read per page, failure paths.
 
 The pool's contract under threads (DESIGN.md §10): every operation is
-linearized on the pool lock, concurrent misses on one page coalesce
-into a single disk read, hit/miss counters are exact (every get counts
-exactly one hit or miss; every *completed* miss is exactly one disk
-read), puts are never lost, and capacity is never exceeded.
+one critical section on the pool lock, so concurrent misses on one page
+issue a single disk read (the first caller reads, the rest hit),
+hit/miss counters are exact (every get counts exactly one hit or miss;
+every *completed* miss is exactly one disk read), puts are never lost,
+and capacity is never exceeded.  No product path starts a thread; these
+tests are what keeps "thread-safe" a tested word.
 """
 
 import sys
 import threading
 import time
 from random import Random
+
+import pytest
 
 from repro.errors import BufferPoolExhaustedError, StorageError
 from repro.storage.buffer import BufferPool
@@ -54,15 +58,6 @@ def run_threads(workers):
         t.join()
     if errors:
         raise errors[0]
-
-
-def wait_until(predicate, timeout_s: float = 5.0) -> bool:
-    deadline = time.perf_counter() + timeout_s
-    while time.perf_counter() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 def decode_page(data: bytes):
@@ -212,7 +207,8 @@ def test_hammer_payload_never_outlives_its_bytes():
 
 
 def test_single_flight_coalesces_concurrent_misses():
-    """N threads faulting one cold page pay exactly one disk read."""
+    """N threads faulting one cold page pay exactly one disk read: the
+    first holds the pool across its read, the others then hit."""
     pfile = make_file()
     pool = BufferPool(capacity=8)
     release = threading.Event()
@@ -232,28 +228,27 @@ def test_single_flight_coalesces_concurrent_misses():
 
     threads = [threading.Thread(target=fault) for _ in range(4)]
     threads[0].start()
-    assert started.wait(timeout=5.0)  # the owner is inside its read
+    assert started.wait(timeout=5.0)  # the first caller is inside its read
     for t in threads[1:]:
         t.start()
-    # Waiters count hit+coalesced *before* blocking on the latch, so
-    # this observes all three of them parked behind the owner.
-    assert wait_until(lambda: pool.coalesced == 3)
+    time.sleep(0.05)                  # the others queue on the pool lock
+    assert (pool.misses, pool.hits) == (1, 0)
     release.set()
     for t in threads:
         t.join(timeout=5.0)
+        assert not t.is_alive()
 
     assert results == [page_bytes(3)] * 4
     assert reads == [3]          # the reader ran exactly once
     assert pool.misses == 1
     assert pool.hits == 3
-    assert pool.coalesced == 3
     assert pfile.stats.reads == 1
 
 
 def test_put_during_inflight_read_is_not_lost():
-    """A put that lands while another thread's miss read of the same
-    page is in flight wins: the read's older bytes must not be installed
-    over it."""
+    """A put issued while another thread's slow miss read of the same
+    page holds the pool lands after that read's install, and is what
+    every later get returns."""
     pfile = make_file()
     pool = BufferPool(capacity=8)
     release = threading.Event()
@@ -271,94 +266,21 @@ def test_put_during_inflight_read_is_not_lost():
     reader.start()
     assert started.wait(timeout=5.0)
     fresh = b"\xee" * 16
-    pool.put(pfile, 3, fresh)
+    writer = threading.Thread(target=lambda: pool.put(pfile, 3, fresh))
+    writer.start()
+    time.sleep(0.05)
+    assert writer.is_alive()            # queued behind the read
     release.set()
-    reader.join(timeout=5.0)
-    assert not reader.is_alive()
+    for t in (reader, writer):
+        t.join(timeout=5.0)
+        assert not t.is_alive()
 
-    assert seen == [(0xEE, fresh)]
+    assert seen == [(3, page_bytes(3))]     # the read saw the disk's bytes
     assert pool.get(pfile, 3) == fresh
     assert pool.get(pfile, 3, decoder=decode_page) == (0xEE, fresh)
     assert pool.resident_pages == 1
     pool.flush()
     assert pfile.read_page(3) == fresh.ljust(64, b"\x00")
-
-
-def gated_reader():
-    """A miss reader that has read its (old) bytes and then holds them
-    until released: ``(reader, started, release)``."""
-    release = threading.Event()
-    started = threading.Event()
-
-    def slow_reader(pf: PagedFile, page_id: int) -> bytes:
-        data = pf.read_page(page_id)
-        started.set()
-        assert release.wait(timeout=5.0)
-        return data
-
-    return slow_reader, started, release
-
-
-def test_put_evicted_during_inflight_read_is_not_served_stale():
-    """A put that lands during an in-flight miss read *and is evicted
-    again before that read installs*: the file now holds the newer
-    bytes, so the read's older image must never become the frame."""
-    pfile = make_file()
-    pool = BufferPool(capacity=2)
-    slow_reader, started, release = gated_reader()
-    seen = []
-    reader = threading.Thread(target=lambda: seen.append(
-        pool.get(pfile, 3, reader=slow_reader, decoder=decode_page)))
-    reader.start()
-    assert started.wait(timeout=5.0)
-    fresh = (b"\xee" * 16).ljust(64, b"\x00")
-    pool.put(pfile, 3, fresh)
-    pool.get(pfile, 0)
-    pool.get(pfile, 1)              # capacity 2: writes page 3 back
-    assert not pool.contains(pfile, 3)
-    assert pfile.read_page(3) == fresh
-    release.set()
-    reader.join(timeout=5.0)
-    assert not reader.is_alive()
-
-    # The superseded reader started over and saw the put, like everyone
-    # after it; pool and file agree.
-    assert seen == [(0xEE, fresh)]
-    assert pool.get(pfile, 3) == fresh
-    assert pool.get(pfile, 3, decoder=decode_page) == (0xEE, fresh)
-    assert pool.resident_pages <= pool.capacity
-
-
-def test_pinned_waiter_on_a_superseded_read_is_not_served_stale():
-    """Same race seen from a coalesced waiter that wants a pinned
-    residency: it may not re-install the latched (older) bytes."""
-    pfile = make_file()
-    pool = BufferPool(capacity=2)
-    slow_reader, started, release = gated_reader()
-    seen = []
-    owner = threading.Thread(target=lambda: seen.append(
-        pool.get(pfile, 3, reader=slow_reader)))
-    waiter = threading.Thread(target=lambda: seen.append(
-        pool.get(pfile, 3, pin=True)))
-    owner.start()
-    assert started.wait(timeout=5.0)
-    waiter.start()
-    assert wait_until(lambda: pool.coalesced == 1)
-    fresh = (b"\xee" * 16).ljust(64, b"\x00")
-    pool.put(pfile, 3, fresh)
-    pool.get(pfile, 0)
-    pool.get(pfile, 1)
-    assert not pool.contains(pfile, 3)
-    release.set()
-    for t in (owner, waiter):
-        t.join(timeout=5.0)
-        assert not t.is_alive()
-
-    assert seen == [fresh, fresh]
-    assert pool.get(pfile, 3) == fresh
-    pool.unpin(pfile, 3)
-    pool.flush()
-    assert pfile.read_page(3) == fresh
 
 
 def test_hammer_puts_evicted_under_slow_fills_stay_coherent():
@@ -482,44 +404,26 @@ def test_hammer_recalled_plans_are_never_stale():
     assert pool.resident_pages <= pool.capacity
 
 
-def test_failed_read_propagates_to_waiters_then_recovers():
-    """An owner's read failure reaches every waiter; the latch clears."""
+def test_failed_read_raises_in_its_caller_then_recovers():
+    """A failing read raises in its caller, counts one miss and installs
+    nothing, so the next get reads again."""
     pfile = make_file()
     pool = BufferPool(capacity=8)
-    release = threading.Event()
-    started = threading.Event()
     attempts = []
 
     def failing_reader(pf: PagedFile, page_id: int) -> bytes:
         attempts.append(page_id)
-        started.set()
-        assert release.wait(timeout=5.0)
         raise StorageError("injected read failure")
 
-    outcomes = []
-
-    def fault():
-        try:
-            pool.get(pfile, 5, reader=failing_reader)
-            outcomes.append("ok")
-        except StorageError:
-            outcomes.append("error")
-
-    threads = [threading.Thread(target=fault) for _ in range(3)]
-    threads[0].start()
-    assert started.wait(timeout=5.0)
-    for t in threads[1:]:
-        t.start()
-    assert wait_until(lambda: pool.coalesced == 2)
-    release.set()
-    for t in threads:
-        t.join(timeout=5.0)
-
-    assert outcomes == ["error"] * 3
-    assert attempts == [5]       # single-flight even on failure
-    # The latch was cleared, so a later get retries and succeeds.
+    with pytest.raises(StorageError):
+        pool.get(pfile, 5, reader=failing_reader, pin=True)
+    assert attempts == [5]
+    assert (pool.misses, pool.hits) == (1, 0)
+    assert not pool.contains(pfile, 5)
     assert pool.get(pfile, 5) == page_bytes(5)
-    assert pool.misses == 2      # the failed flight and the retry
+    assert pool.misses == 2      # the failed read and the retry
+    assert pfile.stats.reads == 1
+    pool.clear()                 # the failed get left no pin behind
 
 
 def test_exhausted_error_leaves_pinned_frames_intact():

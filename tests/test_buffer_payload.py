@@ -151,8 +151,8 @@ def test_pinned_get_returns_payload_and_pins(pfile):
 
 
 def test_decoder_returning_none_is_one_get_and_one_pin(pfile):
-    """``None`` is a legal payload (never cached), not the pool's
-    "superseded, start over" signal: the miss counts and pins once."""
+    """``None`` is a legal payload (never cached): the miss counts and
+    pins once."""
     pool = BufferPool(capacity=2)
     assert pool.get(pfile, 0, pin=True, decoder=lambda data: None) is None
     assert (pool.hits, pool.misses) == (0, 1)
@@ -161,9 +161,9 @@ def test_decoder_returning_none_is_one_get_and_one_pin(pfile):
         pool.unpin(pfile, 0)
 
 
-def test_coalesced_waiters_get_the_payload(pfile):
-    """Waiters on an in-flight read return the decoded form too, and the
-    page is read once however many threads decode it."""
+def test_concurrent_callers_share_one_decode(pfile):
+    """Threads faulting one page through a decoder all receive the same
+    payload object: the page is read once and decoded once."""
     pool = BufferPool(capacity=4)
     decoder = CountingDecoder()
     release = threading.Event()
@@ -185,30 +185,22 @@ def test_coalesced_waiters_get_the_payload(pfile):
     threads = [threading.Thread(target=fault(pin))
                for pin in (False, False, True, False)]
     threads[0].start()
-    assert started.wait(timeout=5.0)
+    assert started.wait(timeout=5.0)    # the first caller holds the pool
     for t in threads[1:]:
         t.start()
-    # Waiters count hit+coalesced before blocking on the latch.
-    for _ in range(1000):
-        if pool.coalesced == 3:
-            break
-        time.sleep(0.005)
-    assert pool.coalesced == 3
+    time.sleep(0.05)                    # the others queue on its lock
     release.set()
     for t in threads:
         t.join(timeout=5.0)
         assert not t.is_alive()
 
     assert results == [(3, PAGE_SIZE)] * 4
-    assert (pool.misses, pool.hits, pool.coalesced) == (1, 3, 3)
+    assert all(result is results[0] for result in results)
+    assert (pool.misses, pool.hits) == (1, 3)
     assert pfile.stats.reads == 1
-    # Racing decoders are allowed (equal payloads, either wins), but the
-    # frame ends up with one payload that later hits share.
-    assert 1 <= len(decoder.calls) <= 4
-    before = len(decoder.calls)
-    again = pool.get(pfile, 3, decoder=decoder)
-    assert pool.get(pfile, 3, decoder=decoder) is again
-    assert len(decoder.calls) == before
+    assert decoder.calls == [3]
+    assert pool.get(pfile, 3, decoder=decoder) is results[0]
+    assert decoder.calls == [3]
     pool.unpin(pfile, 3)
 
 
@@ -228,8 +220,7 @@ def _access_sequence(seed, length=600, pages=10):
 
 
 def _counters(pool):
-    return (pool.hits, pool.misses, pool.coalesced, pool.evictions,
-            pool.resident_pages)
+    return (pool.hits, pool.misses, pool.evictions, pool.resident_pages)
 
 
 @pytest.mark.parametrize("policy", ["lru", "2q"])

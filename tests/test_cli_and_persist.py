@@ -171,13 +171,12 @@ REPORT_VERBS = {
                "--txns", "2", "--writes", "2", "--cache-cells", "3",
                "--cache-stride", "11"],
               "violations=0", ("summary", "ok")),
-    "serve": (["--sessions", "2", "--workers", "1", "--frames", "4"],
+    "serve": (["--sessions", "2", "--frames", "4"],
               "8 frames in", ("outcome", "completed")),
     "traffic": (["--sessions", "4", "--frames", "3",
                  "--deterministic-only"],
                 "offered=4", None),
     "precompute": (["--resolution", "4", "--quiet"], "digest=", None),
-    "locks": (["src"], "violations=no", None),
 }
 
 
@@ -231,6 +230,33 @@ def test_serving_verbs_refuse_nan_budget_and_rate(verb, flag, tmp_path,
     assert not out.exists()
     args = build_parser().parse_args([verb, "--frame-budget-ms", "inf"])
     assert args.frame_budget_ms == float("inf")
+
+
+@pytest.mark.parametrize("min_dov", ["nan", "inf", "-0.1"])
+def test_precompute_refuses_nan_infinite_and_negative_min_dov(
+        min_dov, tmp_path, capsys):
+    """NaN and ``inf`` pass ``min_dov < 0`` and build an empty table
+    (``"min_dov": NaN`` in the summary is not JSON): exit 2, nothing
+    written; 0 parses."""
+    out = tmp_path / "summary.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["precompute", "--resolution", "4", "--quiet",
+              f"--min-dov={min_dov}", "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert "min-dov must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    args = build_parser().parse_args(["precompute", "--min-dov", "0"])
+    assert args.min_dov == 0.0
+
+
+@pytest.mark.parametrize("argv", [["locks"], ["serve", "--workers", "2"]],
+                         ids=["verb", "flag"])
+def test_the_deleted_thread_machinery_has_no_verb_and_no_flag(argv, capsys):
+    """EXPERIMENTS.md "Verdict on the phase-2 executor": both exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    capsys.readouterr()
 
 
 # The experiment id is spelled in two halves: tier1.yml greps tests/ for

@@ -159,7 +159,7 @@ def test_http_path_matches_scheduler_report():
     deterministic per-session report must coincide.
     """
     sessions, seed, frames = 4, 3, 10
-    reference = run_serve(sessions=sessions, workers=1, seed=seed,
+    reference = run_serve(sessions=sessions, seed=seed,
                           scale=SCALE, frames=frames,
                           include_frame_times=False)
     expected = reference["sessions"]

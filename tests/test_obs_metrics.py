@@ -175,19 +175,15 @@ def test_unhashable_label_values_take_the_locked_path():
     assert len(reg) == 1
 
 
-def test_fast_path_under_the_lock_witness():
-    """The registry lock is the lattice's bottom level: a fast hit takes
-    no lock at all, a first use takes it under any other lock."""
-    import threading
+def test_fast_path_takes_no_lock():
+    """A first use takes the registry lock; a repeat lookup of an
+    existing series takes no lock at all."""
+    from tests.test_miss_path_budget import CountingLock
 
-    from repro.concurrency import LockOrderWitness, installed, wrap_lock
-
-    with installed(LockOrderWitness()) as witness, use_registry() as reg:
-        held = wrap_lock(threading.Lock(), level="pagedfile", name="held")
-        with held:
-            handle = reg.counter("c", file="f")
-            taken = witness.report()["acquisitions"]["obs.registry"]
-            for _ in range(5):
-                assert reg.counter("c", file="f") is handle
-            assert witness.report()["acquisitions"]["obs.registry"] == taken
-        assert witness.violations() == []
+    reg = MetricsRegistry()
+    lock = reg._lock = CountingLock(reg._lock)
+    handle = reg.counter("c", file="f")
+    assert lock.acquisitions == 1
+    for _ in range(5):
+        assert reg.counter("c", file="f") is handle
+    assert lock.acquisitions == 1

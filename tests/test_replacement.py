@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.concurrency import LockOrderWitness, installed
 from repro.errors import BufferPoolError, BufferPoolExhaustedError
 from repro.serving import run_serve
 from repro.storage.buffer import BufferPool
@@ -115,22 +114,20 @@ def test_twoq_scan_resistance(pfile):
     assert not lru.contains(pfile, 0)
 
 
-def test_pathological_pinned_capacity_under_witness():
+def test_pathological_pinned_capacity_is_typed_exhaustion():
     """Pool smaller than the pinned working set: typed exhaustion, no
-    deadlock, and every acquisition clean under the lock-order witness."""
-    with installed(LockOrderWitness()) as witness:
-        pf = PagedFile("pin", page_size=64, disk=DiskModel(),
-                       stats=IOStats())
-        for i in range(4):
-            pf.append_page(bytes([i]) * 8)
-        pool = BufferPool(capacity=2, policy="2q")
-        pool.get(pf, 0, pin=True)
-        pool.get(pf, 1, pin=True)
-        with pytest.raises(BufferPoolExhaustedError):
-            pool.get(pf, 2)
-        pool.unpin(pf, 0)
-        pool.unpin(pf, 1)
-    assert witness.violations() == []
+    deadlock, and the pool works again once a pin is dropped."""
+    pf = PagedFile("pin", page_size=64, disk=DiskModel(), stats=IOStats())
+    for i in range(4):
+        pf.append_page(bytes([i]) * 8)
+    pool = BufferPool(capacity=2, policy="2q")
+    pool.get(pf, 0, pin=True)
+    pool.get(pf, 1, pin=True)
+    with pytest.raises(BufferPoolExhaustedError):
+        pool.get(pf, 2)
+    pool.unpin(pf, 0)
+    pool.unpin(pf, 1)
+    assert pool.get(pf, 2)[:8] == bytes([2]) * 8
 
 
 # -- run_serve end to end ----------------------------------------------------
@@ -146,7 +143,7 @@ def canonical(report):
 def test_policy_swap_is_noop_at_infinite_capacity():
     """With no eviction pressure the policies cannot diverge: the two
     reports must be byte-identical once the policy labels are popped."""
-    reports = [run_serve(sessions=3, workers=1, seed=7, frames=6,
+    reports = [run_serve(sessions=3, seed=7, frames=6,
                          pool_pages=4096, policy=policy,
                          include_frame_times=False)
                for policy in ("lru", "2q")]
@@ -159,7 +156,7 @@ def test_serve_under_pressure_balances_and_reports_no_prefetch():
     """The prefetcher is gone (EXPERIMENTS.md "Verdict on the pool
     prefetcher"): nothing in a report speaks of it, and sessions alone
     add up to the environment's ledgers."""
-    report = run_serve(sessions=6, workers=2, seed=7, frames=12,
+    report = run_serve(sessions=6, seed=7, frames=12,
                        pool_pages=28, policy="2q",
                        include_frame_times=False)
     assert report["outcome"]["completed"] is True

@@ -264,7 +264,7 @@ PLAN_OPS = st.lists(st.one_of(
 
 
 def pool_state(pool):
-    return (pool.hits, pool.misses, pool.evictions, pool.coalesced,
+    return (pool.hits, pool.misses, pool.evictions,
             pool.policy.keys(), pool.policy.stats(), pool.policy.evicted)
 
 

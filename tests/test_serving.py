@@ -1,14 +1,15 @@
 """Multi-session serving tests: determinism, attribution, degradation.
 
 The PR 5 acceptance bar: ``repro serve`` run twice with the same seed
-and worker count yields byte-identical reports; the worker count never
-changes a byte; a single unpooled session matches the sequential
-``VisualSystem`` path exactly; the shared pool's hit rate grows with
-the session count; and overload/admission/fault pressure degrades
-service instead of deadlocking it.
+yields byte-identical reports; a single unpooled session matches the
+sequential ``VisualSystem`` path exactly; the shared pool's hit rate
+grows with the session count; overload/admission/fault pressure
+degrades service instead of deadlocking it; and no serving path starts
+a thread.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from repro.errors import WalkthroughError
 from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import build_world, session_path
-from repro.serving import ServingSession, SessionScheduler, run_serve
+from repro.serving import (ServingSession, SessionScheduler, run_serve,
+                           run_traffic)
 from repro.serving.service import session_env
 from repro.storage.buffer import BufferPool
 from repro.walkthrough.visual import VisualSystem
@@ -27,23 +29,48 @@ from repro.walkthrough.visual import VisualSystem
 @pytest.fixture(scope="module")
 def serve_report():
     """One canonical run shared by the read-only assertions."""
-    return run_serve(sessions=8, workers=4, seed=7, frames=12)
+    return run_serve(sessions=8, seed=7, frames=12)
 
 
 def test_serve_same_seed_byte_identical(serve_report):
-    again = run_serve(sessions=8, workers=4, seed=7, frames=12)
+    again = run_serve(sessions=8, seed=7, frames=12)
     assert json.dumps(serve_report, sort_keys=False) \
         == json.dumps(again, sort_keys=False)
 
 
-def test_serve_report_independent_of_worker_count(serve_report):
-    solo = run_serve(sessions=8, workers=1, seed=7, frames=12)
-    # The worker count is echoed in the config block but provably
-    # cannot change any other byte of the report.
-    assert solo["serve"]["workers"] == 1
-    solo["serve"]["workers"] = serve_report["serve"]["workers"]
-    assert json.dumps(solo, sort_keys=False) \
-        == json.dumps(serve_report, sort_keys=False)
+def test_no_serving_path_starts_a_thread(monkeypatch):
+    """The premise of DESIGN.md §10, pinned: ``repro serve``, one
+    in-process ``repro traffic`` and a scored scheduler run all complete
+    on the calling thread and their books balance.  A change that starts
+    a thread has to say so here and bring its own evidence."""
+    def refuse(self):
+        raise AssertionError(f"{self.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    served = run_serve(sessions=4, frames=6)
+    assert served["outcome"]["completed"] is True
+    assert served["reconciliation"]["pool_balanced"] is True
+    assert served["reconciliation"]["light_ios_balanced"] is True
+
+    traffic = run_traffic(sessions=6, frames=4, seed=0)
+    assert traffic["deterministic"]["requests"]["unexpected"] == {}
+    assert traffic["deterministic"]["frames"]["served"] > 0
+
+    experiment = get_scale("small")
+    with use_registry(MetricsRegistry()):
+        env = build_world(experiment)
+        pool = BufferPool(64, name="no-thread")
+        sessions = [
+            ServingSession(i, session_path(experiment, env, 1 + i % 3, 6),
+                           session_env(env, pool), eta=0.001, pool=pool,
+                           evaluate_fidelity=True)
+            for i in range(3)]
+        SessionScheduler(sessions, workers=2).run()
+    assert all(s.done and s.fidelity_mean() == s.fidelity_mean()
+               for s in sessions)
+    assert sum(s.pool_hits for s in sessions) == pool.hits
+    assert sum(s.pool_misses for s in sessions) == pool.misses
 
 
 @pytest.mark.parametrize("policy", ["lru", "2q"])
@@ -113,20 +140,19 @@ def test_serve_report_shape(serve_report):
 
 
 def test_serve_shared_pool_hit_rate_grows_with_sessions(serve_report):
-    solo = run_serve(sessions=1, workers=1, seed=7, frames=12)
+    solo = run_serve(sessions=1, seed=7, frames=12)
     assert serve_report["pool"]["hit_rate"] > solo["pool"]["hit_rate"]
 
 
 def test_serve_unpooled_single_session_matches_sequential_path():
-    """sessions=1, workers=1, pool off == the VisualSystem replay.
+    """sessions=1, pool off == the VisualSystem replay.
 
     Whole-``FrameRecord`` equality (fidelity, resident bytes, degraded,
     seek direction split included) is what licenses running one frame
     body for both paths.
     """
     frames = 12
-    served = run_serve(sessions=1, workers=1, seed=7, frames=frames,
-                       pool_pages=0)
+    served = run_serve(sessions=1, seed=7, frames=frames, pool_pages=0)
     assert served["pool"] is None
 
     experiment = get_scale("small")
@@ -141,7 +167,7 @@ def test_serve_unpooled_single_session_matches_sequential_path():
         twin = build_world(experiment)
         session = ServingSession(0, path, session_env(twin, None),
                                  eta=0.001, cache_budget_bytes=budget)
-        SessionScheduler([session], workers=1).run()
+        SessionScheduler([session]).run()
 
     assert session.frames == report.frames
     assert any(f.back_seeks for f in report.frames)
@@ -156,8 +182,7 @@ def test_serve_unpooled_single_session_matches_sequential_path():
 
 
 def test_serve_overload_sheds_to_degraded_frames():
-    report = run_serve(sessions=2, workers=1, seed=7, frames=12,
-                       frame_budget_ms=10.0)
+    report = run_serve(sessions=2, seed=7, frames=12, frame_budget_ms=10.0)
     assert report["outcome"]["completed"] is True
     shed = [s["overload_degraded"] for s in report["sessions"]]
     assert sum(shed) > 0
@@ -168,8 +193,7 @@ def test_serve_overload_sheds_to_degraded_frames():
 
 
 def test_serve_admission_control_limits_concurrency():
-    report = run_serve(sessions=4, workers=1, seed=7, frames=6,
-                       max_active=2)
+    report = run_serve(sessions=4, seed=7, frames=6, max_active=2)
     assert report["outcome"]["completed"] is True
     assert report["serve"]["max_active"] == 2
     # Two slots over four sessions: the queue drains in two shifts.
@@ -182,8 +206,8 @@ def test_serve_admission_control_limits_concurrency():
 
 
 def test_serve_under_faults_degrades_not_deadlocks():
-    report = run_serve(sessions=4, workers=2, seed=7, frames=12,
-                       plan="aggressive", fault_seed=3)
+    report = run_serve(sessions=4, seed=7, frames=12, plan="aggressive",
+                       fault_seed=3)
     assert report["outcome"]["completed"] is True
     assert report["faults"]["total_injected"] > 0
     assert report["faults"]["frames_degraded_total"] > 0
@@ -197,8 +221,6 @@ def test_serve_rejects_bad_arguments():
     with pytest.raises(WalkthroughError):
         run_serve(sessions=0)
     with pytest.raises(WalkthroughError):
-        run_serve(sessions=1, workers=0)
-    with pytest.raises(WalkthroughError):
         run_serve(sessions=1, max_active=0)
     with pytest.raises(WalkthroughError):
         run_serve(sessions=1, frame_budget_ms=0.0)
@@ -209,8 +231,7 @@ def test_serve_rejects_bad_arguments():
 def test_serve_cli_writes_deterministic_report(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    base = ["serve", "--sessions", "3", "--workers", "2", "--seed", "7",
-            "--frames", "6"]
+    base = ["serve", "--sessions", "3", "--seed", "7", "--frames", "6"]
     assert main(base + ["--output", str(first)]) == 0
     assert main(base + ["--output", str(second)]) == 0
     capsys.readouterr()
@@ -253,7 +274,7 @@ def test_scheduler_zeroes_active_gauge_after_run():
     from repro.obs import names
     with use_registry(MetricsRegistry()) as registry:
         sessions = [_StubSession(i, frames=2 + i) for i in range(3)]
-        scheduler = SessionScheduler(sessions, workers=1)
+        scheduler = SessionScheduler(sessions)
         scheduler.run()
         assert scheduler.frames_served == sum(2 + i for i in range(3))
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0
@@ -267,8 +288,7 @@ def test_scheduler_zeroes_active_gauge_on_error():
             raise ReproError("boom")
 
     with use_registry(MetricsRegistry()) as registry:
-        scheduler = SessionScheduler([_ExplodingSession(0, frames=1)],
-                                     workers=1)
+        scheduler = SessionScheduler([_ExplodingSession(0, frames=1)])
         with pytest.raises(ReproError):
             scheduler.run()
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0

@@ -118,8 +118,8 @@ def test_hit_rate(pfile):
     # The block the serve / traffic / HTTP reports embed, in the key
     # order they are byte-diffed in.
     assert list(pool.stats().items()) == [
-        ("capacity", 4), ("hits", 2), ("misses", 1), ("coalesced", 0),
-        ("evictions", 0), ("hit_rate", pool.hit_rate)]
+        ("capacity", 4), ("hits", 2), ("misses", 1), ("evictions", 0),
+        ("hit_rate", pool.hit_rate)]
 
 
 def test_two_files_one_pool(pfile):
