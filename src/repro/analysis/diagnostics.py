@@ -1,10 +1,10 @@
 """Diagnostic records produced by ``repro lint``.
 
 A diagnostic pins one rule violation to one source location with a
-stable ``RPR###`` code.  Codes are part of the repo's contract: tests,
-pragmas (``# repro: ignore[RPR004]``) and baseline files all key on
-them, so a code is never renumbered or reused once shipped (retired
-codes are documented in DESIGN.md and left unassigned).
+stable ``RPR###`` code.  Codes are part of the repo's contract: tests
+and pragmas (``# repro: ignore[RPR004]``) key on them, so a code is
+never renumbered or reused once shipped (retired codes are documented
+in DESIGN.md and left unassigned).
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ class Diagnostic:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.code)
-
-    def baseline_key(self) -> str:
-        """Location-independent identity used by baseline files.
-
-        Line numbers are deliberately excluded so unrelated edits above
-        a baselined violation do not invalidate the baseline.
-        """
-        return f"{self.path}::{self.code}::{self.message}"
 
     def format(self) -> str:
         return (f"{self.path}:{self.line}:{self.column}: "

@@ -4,19 +4,18 @@
 ``repro lint`` CLI): it walks the given files/directories, parses each
 ``.py`` file once, derives its dotted module name from the package
 layout (``__init__.py`` chain), runs every registered module rule per
-file and every project rule once, then applies pragma and baseline
-suppression.  Unparsable files are *violations* (``RPR000``), not
-crashes — a syntax error in the tree must fail the gate, not skip it.
+file and every project rule once, then applies pragma suppression.
+Unparsable files are *violations* (``RPR000``), not crashes — a syntax
+error in the tree must fail the gate, not skip it.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.pragmas import PragmaIndex, collect_pragmas
 from repro.analysis.registry import (AnyRule, ModuleContext, ModuleRule,
@@ -38,12 +37,6 @@ class LintResult:
     files_checked: int
     #: Diagnostics removed by ``# repro: ignore`` pragmas.
     pragma_suppressed: int = 0
-    #: Diagnostics removed by the baseline file.
-    baseline_suppressed: int = 0
-    #: Diagnostics after pragma filtering but before the baseline —
-    #: what ``--write-baseline`` snapshots, so a pragma'd line never
-    #: also consumes baseline budget.
-    before_baseline: List[Diagnostic] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -125,8 +118,8 @@ def _parse(path: str) -> Tuple[Optional[ModuleContext],
 
 
 def lint_paths(paths: Sequence[str], *,
-               rules: Optional[Iterable[Type[AnyRule]]] = None,
-               baseline_path: Optional[str] = None) -> LintResult:
+               rules: Optional[Iterable[Type[AnyRule]]] = None
+               ) -> LintResult:
     """Run the rule suite over ``paths``; returns the filtered result."""
     rule_classes = list(rules) if rules is not None else all_rules()
     module_rules: List[ModuleRule] = []
@@ -167,13 +160,5 @@ def lint_paths(paths: Sequence[str], *,
         else:
             kept.append(diagnostic)
 
-    before_baseline = list(kept)
-    baseline_suppressed = 0
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        kept, baseline_suppressed = apply_baseline(kept, baseline)
-
     return LintResult(diagnostics=kept, files_checked=len(files),
-                      pragma_suppressed=pragma_suppressed,
-                      baseline_suppressed=baseline_suppressed,
-                      before_baseline=before_baseline)
+                      pragma_suppressed=pragma_suppressed)

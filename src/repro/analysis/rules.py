@@ -1,4 +1,5 @@
-"""The repo-specific lint rules (``RPR001``–``RPR009``, ``RPR014``).
+"""The repo-specific lint rules (``RPR001``–``RPR009`` less the retired
+``RPR003``, and ``RPR014``).
 
 Each rule encodes an invariant that a past bug (PR 1's I/O-accounting
 fixes) or a structural decision (the observability layer) established,
@@ -281,80 +282,6 @@ class UnusedMetricNameRule(ProjectRule):
                     f"registered metric name {constant} is never used; "
                     f"remove it or instrument the code that should "
                     f"report it")
-
-
-@register
-class PinDisciplineRule(ModuleRule):
-    """RPR003: a pinned page is unpinned on every exit path.
-
-    A pin that leaks on an exception permanently shrinks the buffer
-    pool's evictable set until ``all frames are pinned; cannot evict``.
-    The matching ``unpin()`` therefore belongs in a ``finally`` block
-    (or the pin inside a ``with`` whose manager unpins).
-    """
-
-    code = "RPR003"
-    name = "pin-discipline"
-    summary = ("BufferPool pins (pin()/get(pin=True)) must be released "
-               "in a finally block or held by a context manager")
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
-
-    def _is_pin_call(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call) or \
-                not isinstance(node.func, ast.Attribute):
-            return False
-        if node.func.attr == "pin":
-            return True
-        if node.func.attr == "get":
-            for keyword in node.keywords:
-                if keyword.arg == "pin":
-                    value = keyword.value
-                    if isinstance(value, ast.Constant) and \
-                            value.value is False:
-                        return False
-                    return True
-        return False
-
-    def _has_unpin(self, nodes: Sequence[ast.stmt]) -> bool:
-        for stmt in nodes:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and \
-                        isinstance(node.func, ast.Attribute) and \
-                        node.func.attr == "unpin":
-                    return True
-        return False
-
-    def _check_function(self, ctx: ModuleContext,
-                        func: ast.AST) -> Iterator[Diagnostic]:
-        parents = _parent_map(func)
-        for node in ast.walk(func):
-            if not self._is_pin_call(node):
-                continue
-            if self._is_protected(node, func, parents):
-                continue
-            yield ctx.diagnostic(
-                self, node,
-                "pin without a matching unpin() in a finally block (or "
-                "a surrounding context manager); a leaked pin makes the "
-                "frame unevictable forever")
-
-    def _is_protected(self, node: ast.AST, func: ast.AST,
-                      parents: Dict[ast.AST, ast.AST]) -> bool:
-        current: Optional[ast.AST] = node
-        while current is not None and current is not func:
-            parent = parents.get(current)
-            if isinstance(parent, (ast.With, ast.AsyncWith)):
-                return True
-            if isinstance(parent, ast.Try) and \
-                    current in parent.body and \
-                    self._has_unpin(parent.finalbody):
-                return True
-            current = parent
-        return False
 
 
 @register

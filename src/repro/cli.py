@@ -122,6 +122,14 @@ def _min_dov(text: str) -> float:
     return value
 
 
+def _frames(text: str) -> int:
+    """``--frames``: a session length >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"frames must be >= 1, got {text}")
+    return value
+
+
 def _add_walk_options(parser: argparse.ArgumentParser, *,
                       session: Optional[int] = None,
                       frames: Optional[int] = None) -> None:
@@ -140,7 +148,7 @@ def _add_walk_options(parser: argparse.ArgumentParser, *,
                                  f"(default: {session})")
     parser.add_argument("--eta", type=_eta, default=0.001,
                         help="DoV threshold (default: 0.001)")
-    parser.add_argument("--frames", type=int, default=frames,
+    parser.add_argument("--frames", type=_frames, default=frames,
                         help="frames per session (default: "
                              f"{frames or 'set by the scale'})")
     parser.add_argument("--scheme", default=None,
@@ -309,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's static-analysis rule suite (RPR codes)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: src)")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="subtract the accepted violations in FILE")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="snapshot current violations to FILE and exit 0")
     lint.add_argument("--format", default="text",
                       choices=["text", "json"],
                       help="diagnostic output format (default: text)")
@@ -503,7 +507,7 @@ def _default_paths(paths) -> list:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis import all_rules, lint_paths, save_baseline
+    from repro.analysis import all_rules, lint_paths
 
     if args.rules:
         rules = [rule() for rule in all_rules()]
@@ -511,28 +515,19 @@ def cmd_lint(args) -> int:
         for rule in rules:
             print(f"  {rule.code:<{width}}  {rule.name}: {rule.summary}")
         return 0
-    result = lint_paths(_default_paths(args.paths),
-                        baseline_path=args.baseline)
-    if args.write_baseline is not None:
-        save_baseline(args.write_baseline, result.before_baseline)
-        print(f"wrote baseline {args.write_baseline} "
-              f"({len(result.before_baseline)} accepted violations)")
-        return 0
+    result = lint_paths(_default_paths(args.paths))
     if args.format == "json":
         print(json.dumps({
             "files_checked": result.files_checked,
             "pragma_suppressed": result.pragma_suppressed,
-            "baseline_suppressed": result.baseline_suppressed,
             "violations": [vars(d) for d in result.diagnostics],
         }, indent=2))
     else:
         for diagnostic in result.diagnostics:
             print(diagnostic.format())
         suppressed = ""
-        if result.pragma_suppressed or result.baseline_suppressed:
-            suppressed = (f" ({result.pragma_suppressed} pragma-"
-                          f"suppressed, {result.baseline_suppressed} "
-                          f"baselined)")
+        if result.pragma_suppressed:
+            suppressed = f" ({result.pragma_suppressed} pragma-suppressed)"
         print(f"repro lint: {len(result.diagnostics)} violation(s) in "
               f"{result.files_checked} file(s){suppressed}")
     return 0 if result.ok else 1

@@ -63,17 +63,8 @@ class PageCorruptError(StorageError):
 
 
 class BufferPoolError(StorageError):
-    """Buffer-pool misuse (e.g. evicting a pinned page, unpin underflow)."""
-
-
-class BufferPoolExhaustedError(BufferPoolError):
-    """Every resident frame is pinned, so no victim can be evicted.
-
-    Raised instead of spinning (or silently overflowing the memory
-    budget) when a miss needs a free frame and all of them are held by
-    concurrent pinners.  Callers can back off and retry, or treat it as
-    an admission-control signal and shed load.
-    """
+    """Buffer-pool misuse (e.g. a capacity below one frame, an unknown
+    replacement policy)."""
 
 
 class SerializationError(StorageError):

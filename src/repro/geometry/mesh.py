@@ -106,9 +106,6 @@ class TriangleMesh:
     def surface_area(self) -> float:
         return float(self.face_areas().sum())
 
-    def face_centroids(self) -> np.ndarray:
-        return self.vertices[self.faces].mean(axis=1)
-
     def translated(self, offset) -> "TriangleMesh":
         off = np.asarray(offset, dtype=np.float64)
         return TriangleMesh(self.vertices + off, self.faces)

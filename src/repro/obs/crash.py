@@ -43,7 +43,7 @@ import shutil
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SimulatedCrash
+from repro.errors import SimulatedCrash, StorageError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage import pageio
@@ -399,6 +399,11 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
     """
     cfg = {"seed": seed, "pages": pages, "page_size": page_size,
            "txns": txns, "writes_per_txn": writes_per_txn}
+    for name in ("pages", "page_size", "txns", "writes_per_txn"):
+        if cfg[name] < 1:
+            # An empty sweep passes on nothing; an empty transaction
+            # commits nothing, so every snapshot is one image.
+            raise StorageError(f"{name} must be >= 1, got {cfg[name]}")
     cleanup = workdir is None
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-crash-")

@@ -19,8 +19,6 @@ Naming convention (Prometheus style):
 
 from __future__ import annotations
 
-from typing import Dict
-
 # -- repro.storage.pagedfile: one series set per file label -----------------
 
 PAGEDFILE_READS = "pagedfile_reads_total"
@@ -38,9 +36,6 @@ PAGEDFILE_SIMULATED_MS = "pagedfile_simulated_ms_total"
 BUFFERPOOL_HITS = "bufferpool_hits_total"
 BUFFERPOOL_MISSES = "bufferpool_misses_total"
 BUFFERPOOL_EVICTIONS = "bufferpool_evictions_total"
-BUFFERPOOL_PINS = "bufferpool_pins_total"
-BUFFERPOOL_UNPINS = "bufferpool_unpins_total"
-BUFFERPOOL_WRITEBACKS = "bufferpool_writebacks_total"
 BUFFERPOOL_RESIDENT_PAGES = "bufferpool_resident_pages"
 
 # -- repro.storage.replacement: policy events, per pool + policy label ------
@@ -120,9 +115,3 @@ TRAFFIC_REQUESTS = "traffic_requests_total"
 PRECOMPUTE_CELLS = "precompute_cells_total"
 PRECOMPUTE_CELLS_CACHED = "precompute_cells_cached_total"
 PRECOMPUTE_RAYS = "precompute_rays_total"
-
-
-def registered_names() -> Dict[str, str]:
-    """``{constant name: series name}`` for every registered metric."""
-    return {key: value for key, value in globals().items()
-            if key.isupper() and isinstance(value, str)}

@@ -89,10 +89,3 @@ def str_bulk_load(items: Sequence[Tuple[AABB, int]],
     tree.root = level_nodes[0]
     tree.size = len(items)
     return tree
-
-
-def balanced_capacity(n: int, max_entries: int) -> int:
-    """Node capacity that spreads ``n`` items evenly over
-    ``ceil(n / max_entries)`` nodes — avoids a final nearly-empty node."""
-    num_nodes = int(math.ceil(n / max_entries))
-    return int(math.ceil(n / num_nodes))

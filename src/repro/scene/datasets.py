@@ -39,10 +39,6 @@ class DatasetSpec:
     def build(self) -> Scene:
         return generate_city(self.params())
 
-    @property
-    def nominal_bytes(self) -> int:
-        return self.nominal_mb * 1024 * 1024
-
 
 #: The paper's series: "datasets ranging from 400 MB to 1.6 GB".  Object
 #: counts scale 1x, 2x, 3x, 4x with the nominal sizes.

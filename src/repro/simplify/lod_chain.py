@@ -9,7 +9,7 @@ sizes, so the storage layer can allocate blobs per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.constants import DEFAULT_OBJECT_LOD_LEVELS
 from repro.errors import GeometryError
@@ -106,8 +106,3 @@ def build_lod_chain(mesh: TriangleMesh,
         current = simplify(current, target)
         levels.append(current)
     return LODChain(levels)
-
-
-def chain_from_meshes(meshes: Sequence[TriangleMesh]) -> LODChain:
-    """Wrap pre-built meshes (finest first) into a chain."""
-    return LODChain(list(meshes))

@@ -1,11 +1,14 @@
 """Thread-safe buffer pool over :class:`~repro.storage.pagedfile.PagedFile`.
 
 The walkthrough systems cache tree nodes and V-pages; the buffer pool
-makes cache hits free and tracks hit/miss counts.  Pages can be pinned to
-protect them from eviction while a traversal holds references.
+makes cache hits free and tracks hit/miss counts.  It is a *read* cache:
+nothing writes through it and nothing pins a frame, so a frame is the
+bytes one read returned, unchanged until the policy evicts it.  A pooled
+file is therefore immutable while a pool fronts it — whoever rewrites
+one (e.g. ``core/update``) clears the pool.
 
 Replacement is pluggable (see :mod:`repro.storage.replacement`): the
-pool owns frames, pins and locking, while a
+pool owns frames and locking, while a
 :class:`~repro.storage.replacement.ReplacementPolicy` owns only the
 eviction order.  The default ``"lru"`` policy reproduces the historical
 LRU pool bit-for-bit; ``"2q"`` adds scan resistance for the
@@ -14,20 +17,20 @@ many-session undersized-pool regime.
 Concurrency model (DESIGN.md §10): one pool-wide
 :class:`threading.RLock` guards all state and every public operation is
 one critical section on it — ``get`` included, miss read and decode and
-all, so a ``put`` cannot land between a miss and its install.  The pool
-calls into a :class:`PagedFile` with its lock held (miss read, eviction
-and flush write-back); a file never calls a pool.
+all.  The pool calls into a :class:`PagedFile` with its lock held, for
+exactly one thing: the miss read, one read on one file; a file never
+calls a pool.
 
 Decoded payloads (:meth:`BufferPool.get` with a ``decoder``): a frame
 can carry the decoded form of its bytes next to them, so a hot page is
 decoded once per residency instead of once per read.  The payload is
-valid exactly as long as the frame's ``bytes`` object is — ``put``
-clears it, eviction and ``clear`` drop it with the frame.
+valid exactly as long as its frame is — eviction and ``clear`` drop it
+with the frame.
 
 Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
-DESIGN.md §10): a *generation* moves wherever a resident frame can go or
-change — eviction, ``put``, ``clear``, never a fill into free capacity —
-and while it stands the pool keeps the page keys and the answer of
+DESIGN.md §10): a *generation* moves wherever a resident frame can go —
+eviction and ``clear``, never a fill into free capacity — and while it
+stands the pool keeps the page keys and the answer of
 queries whose every page is resident.  Recalling one books what that
 many ``get`` hits would have, in one lock round.
 """
@@ -38,7 +41,7 @@ import threading
 from typing import (Any, Callable, Dict, Hashable, Optional, Sequence, Tuple,
                     TypeVar, Union, overload)
 
-from repro.errors import BufferPoolError, BufferPoolExhaustedError
+from repro.errors import BufferPoolError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
@@ -55,12 +58,10 @@ T = TypeVar("T")
 
 
 class _Frame:
-    __slots__ = ("data", "pin_count", "dirty", "payload")
+    __slots__ = ("data", "payload")
 
     def __init__(self, data: bytes) -> None:
         self.data = data
-        self.pin_count = 0
-        self.dirty = False
         #: Decoded form of ``data`` (``None``: not decoded yet).  Shared by
         #: every reader of the frame, so decoders return immutable values.
         self.payload: Any = None
@@ -75,7 +76,8 @@ class BufferPool:
     identified by their stable :attr:`PagedFile.file_id`, never by
     ``id()``: a garbage-collected file's address can be reused by a new
     ``PagedFile``, which would silently serve the old file's frames for
-    the new file's pages.
+    the new file's pages.  The pool keeps no reference to a file: it is
+    handed one per ``get`` and uses it for that call's miss read only.
 
     Parameters
     ----------
@@ -83,7 +85,7 @@ class BufferPool:
         Maximum resident frames.
     name:
         Label for this pool's metrics series (hits, misses, evictions,
-        pin churn) in the process metrics registry.
+        resident pages) in the process metrics registry.
     policy:
         Replacement policy: ``"lru"`` (default, the historical
         behavior), ``"2q"``, or a ready
@@ -103,7 +105,6 @@ class BufferPool:
         self._policy = make_policy(policy, capacity, name)
         self._lock = threading.RLock()
         self._frames: Dict[Tuple[int, int], _Frame] = {}
-        self._files: Dict[int, PagedFile] = {}
         self._generation = 0
         #: token -> (page keys in read order, answer), all remembered at
         #: the current generation.
@@ -118,11 +119,6 @@ class BufferPool:
                                           pool=name)
         self._m_evictions = registry.counter(names.BUFFERPOOL_EVICTIONS,
                                              pool=name)
-        self._m_pins = registry.counter(names.BUFFERPOOL_PINS, pool=name)
-        self._m_unpins = registry.counter(names.BUFFERPOOL_UNPINS,
-                                          pool=name)
-        self._m_writebacks = registry.counter(
-            names.BUFFERPOOL_WRITEBACKS, pool=name)
         self._m_resident = registry.gauge(names.BUFFERPOOL_RESIDENT_PAGES,
                                           pool=name)
 
@@ -132,58 +128,33 @@ class BufferPool:
 
     # -- internals ------------------------------------------------------------
 
-    def _key(self, pfile: PagedFile, page_id: int) -> Tuple[int, int]:
-        fid = pfile.file_id
-        self._files[fid] = pfile
-        return (fid, page_id)
-
     def _bump_generation(self) -> None:
-        """A frame goes or changes: drop every plan.  Caller holds lock."""
+        """A frame goes: drop every plan.  Caller holds lock."""
         self._generation += 1
         self._plans.clear()
 
     def _evict_one(self) -> None:
-        """Evict the policy's best unpinned candidate.  Caller holds lock."""
-        for key in self._policy.victims():
-            frame = self._frames.get(key)
-            if frame is None or frame.pin_count != 0:
-                continue
-            if frame.dirty:
-                fid, page_id = key
-                self._files[fid].write_page(page_id, frame.data)
-                self._m_writebacks.inc()
-            del self._frames[key]
-            self._bump_generation()
-            self._policy.on_evict(key)
-            self.evictions += 1
-            self._m_evictions.inc()
-            return
-        raise BufferPoolExhaustedError(
-            f"all {len(self._frames)} frames are pinned; cannot evict")
-
-    def _make_room(self) -> None:
-        """Evict if the table is full.  Caller holds lock."""
-        if len(self._frames) >= self.capacity:
-            self._evict_one()
-
-    def _install(self, key: Tuple[int, int], frame: _Frame) -> None:
-        """Insert ``frame`` into the room made for it.  Caller holds lock."""
-        self._frames[key] = frame
-        self._policy.on_insert(key)
-        self._m_resident.set(len(self._frames))
+        """Evict the policy's first victim.  Caller holds lock, and the
+        table is full, so the policy has one."""
+        key = next(self._policy.victims())
+        del self._frames[key]
+        self._bump_generation()
+        self._policy.on_evict(key)
+        self.evictions += 1
+        self._m_evictions.inc()
 
     # -- public API -------------------------------------------------------------
 
     @overload
-    def get(self, pfile: PagedFile, page_id: int, *, pin: bool = ...,
+    def get(self, pfile: PagedFile, page_id: int, *,
             reader: Optional[PageReader] = ...) -> bytes: ...
 
     @overload
-    def get(self, pfile: PagedFile, page_id: int, *, pin: bool = ...,
+    def get(self, pfile: PagedFile, page_id: int, *,
             reader: Optional[PageReader] = ...,
             decoder: Callable[[bytes], T]) -> T: ...
 
-    def get(self, pfile: PagedFile, page_id: int, *, pin: bool = False,
+    def get(self, pfile: PagedFile, page_id: int, *,
             reader: Optional[PageReader] = None,
             decoder: Optional[Callable[[bytes], Any]] = None) -> Any:
         """Return page contents, reading through the file on a miss.
@@ -193,20 +164,22 @@ class BufferPool:
         ``pageio``-routed reader so misses get retry + component
         accounting.  The whole call is one critical section: of N threads
         faulting one page the first reads it and the others hit.  A miss
-        is counted, then a frame is freed, then the page is read (the I/O
-        order the simulated clock is pinned to); a reader that raises
-        installs nothing, so the next ``get`` reads again.
+        is counted, then a frame is freed, then the page is read (the
+        order the byte-diffed reports are pinned to: a read that fails
+        has already evicted) — the call's one read, on ``pfile`` and no
+        other file.  A reader that raises installs nothing, so the next
+        ``get`` reads again.
 
         With a ``decoder`` the call returns ``decoder(page bytes)``
         instead of the bytes, decoded at most once per frame residency:
         the result rides on the frame and later calls share it, so it
         must be immutable, and every caller of one file's pages must
-        pass the same decoder.  Counters and pins move exactly as
-        without one.  A decoder that raises caches nothing and the
-        error propagates (the bytes stay resident, pinned if asked).
+        pass the same decoder.  Counters move exactly as without one.
+        A decoder that raises caches nothing and the error propagates
+        (the bytes stay resident).
         """
         with self._lock:
-            key = self._key(pfile, page_id)
+            key = (pfile.file_id, page_id)
             frame = self._frames.get(key)
             if frame is not None:
                 self.hits += 1
@@ -215,39 +188,22 @@ class BufferPool:
             else:
                 self.misses += 1
                 self._m_misses.inc()
-                self._make_room()
+                if len(self._frames) >= self.capacity:
+                    self._evict_one()
                 frame = _Frame(reader(pfile, page_id) if reader is not None
                                else pfile.read_page(page_id))
-                self._install(key, frame)
-            if pin:
-                frame.pin_count += 1
-                self._m_pins.inc()
+                self._frames[key] = frame
+                self._policy.on_insert(key)
+                self._m_resident.set(len(self._frames))
             if decoder is None:
                 return frame.data
             if frame.payload is None:
                 frame.payload = decoder(frame.data)
             return frame.payload
 
-    def put(self, pfile: PagedFile, page_id: int, data: bytes) -> None:
-        """Install new page contents; written back on eviction or flush."""
-        if len(data) > pfile.page_size:
-            raise BufferPoolError("payload exceeds page size")
-        with self._lock:
-            key = self._key(pfile, page_id)
-            self._bump_generation()
-            frame = self._frames.get(key)
-            if frame is None:
-                self._make_room()
-                frame = _Frame(b"")
-                self._install(key, frame)
-            frame.data = bytes(data)
-            frame.payload = None
-            frame.dirty = True
-            self._policy.on_access(key)
-
     @property
     def generation(self) -> int:
-        """Moves on every eviction, ``put`` and ``clear``.  Read without
+        """Moves on every eviction and ``clear``.  Read without
         the lock: a stale value only makes :meth:`remember` refuse."""
         return self._generation
 
@@ -286,50 +242,16 @@ class BufferPool:
                 on_access(key)
             return answer
 
-    def unpin(self, pfile: PagedFile, page_id: int) -> None:
-        with self._lock:
-            key = (pfile.file_id, page_id)
-            frame = self._frames.get(key)
-            if frame is None or frame.pin_count == 0:
-                raise BufferPoolError(f"unpin of unpinned page {page_id}")
-            frame.pin_count -= 1
-            self._m_unpins.inc()
-
     def contains(self, pfile: PagedFile, page_id: int) -> bool:
         with self._lock:
             return (pfile.file_id, page_id) in self._frames
 
-    def flush(self) -> None:
-        """Write back every dirty frame (keeps frames resident).
-
-        Write-back order is the policy's eviction order (for LRU: least
-        recently used first), matching the order evictions would have
-        flushed them.
-        """
-        with self._lock:
-            for key in self._policy.keys():
-                frame = self._frames.get(key)
-                if frame is not None and frame.dirty:
-                    fid, page_id = key
-                    self._files[fid].write_page(page_id, frame.data)
-                    self._m_writebacks.inc()
-                    frame.dirty = False
-
     def clear(self) -> None:
-        """Flush and drop all frames *and* file references.
-
-        Fails if any page is pinned.  Dropping ``_files`` matters: the
-        pool must not keep closed or discarded ``PagedFile`` objects
-        alive after the caller is done with them.
-        """
+        """Drop every frame, payload and plan; the counters stand."""
         with self._lock:
-            if any(f.pin_count for f in self._frames.values()):
-                raise BufferPoolError("cannot clear: pinned pages present")
-            self.flush()
             self._bump_generation()
             self._frames.clear()
             self._policy.clear()
-            self._files.clear()
             self._m_resident.set(0)
 
     @property

@@ -105,10 +105,6 @@ class ObjectStore:
         self.pfile.read_run(blob.first_page, pages)
         return pages
 
-    def fetch_cost_pages(self, blob_id: int) -> int:
-        """Number of page I/Os a full fetch would incur (no charge)."""
-        return self.ref(blob_id).num_pages
-
     # -- stats ------------------------------------------------------------
 
     @property

@@ -1,6 +1,6 @@
 """Pluggable page-replacement policies for the buffer pool.
 
-The pool owns the frame table, pins, and all locking; a policy owns only
+The pool owns the frame table and all locking; a policy owns only
 the *ordering* decision — which resident key should be evicted next.
 The split keeps policies lock-free: a policy is called exclusively with
 the pool lock held, holds no lock of its own, and never calls back into
@@ -21,9 +21,9 @@ Two policies ship:
   set out of ``Am``; that scan resistance is exactly what the
   many-session undersized-pool regime needs.
 
-Victim *candidates* come from the policy in preference order; the pool
-skips pinned frames, so pin-awareness lives in one place and a policy
-never observes pins at all.
+Victims come from the policy in preference order and the pool evicts
+the first: every resident frame is evictable, so the policy's order *is*
+the eviction order.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ KeyT = Tuple[int, int]
 
 #: Names accepted by :func:`make_policy`.
 POLICY_NAMES: Tuple[str, ...] = ("lru", "2q")
+
+#: 2Q's queue sizes as fractions of the pool capacity (the paper's
+#: defaults): the ``A1in`` FIFO target and the ``A1out`` ghost list.
+KIN_FRACTION = 0.25
+KOUT_FRACTION = 0.5
 
 
 class ReplacementPolicy:
@@ -64,17 +69,15 @@ class ReplacementPolicy:
     def victims(self) -> Iterator[KeyT]:
         """Resident keys in eviction-preference order.
 
-        The pool takes the first candidate whose frame is unpinned; a
-        policy therefore yields *every* resident key eventually, or the
-        pool cannot prove exhaustion.  The iterator walks the policy's
-        order in place, so eviction costs the pinned frames skipped, not
-        the capacity: the pool calls nothing else on the policy meanwhile
-        and abandons the iterator at its first eviction.
+        The pool evicts the first.  The iterator walks the policy's
+        order in place, so eviction is O(1), not the capacity: the pool
+        calls nothing else on the policy meanwhile and abandons the
+        iterator after its first key.
         """
         raise NotImplementedError
 
     def keys(self) -> List[KeyT]:
-        """All resident keys, in flush order (eviction order)."""
+        """All resident keys, in eviction order."""
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -120,12 +123,8 @@ class TwoQPolicy(ReplacementPolicy):
     Parameters
     ----------
     capacity:
-        The pool's frame capacity; sizes the FIFO and ghost list.
-    kin_fraction:
-        Target ``A1in`` size as a fraction of capacity (paper default
-        ~25%).
-    kout_fraction:
-        Ghost-list size as a fraction of capacity (paper default ~50%).
+        The pool's frame capacity; sizes the FIFO and ghost list
+        (:data:`KIN_FRACTION`, :data:`KOUT_FRACTION`).
     pool_name:
         Metrics label; promotions and ghost hits are exported per
         pool + policy.
@@ -133,20 +132,12 @@ class TwoQPolicy(ReplacementPolicy):
 
     name = "2q"
 
-    def __init__(self, capacity: int, *, kin_fraction: float = 0.25,
-                 kout_fraction: float = 0.5,
-                 pool_name: str = "default") -> None:
+    def __init__(self, capacity: int, *, pool_name: str = "default") -> None:
         if capacity < 1:
             raise BufferPoolError(
                 f"capacity must be >= 1, got {capacity}")
-        if not 0.0 < kin_fraction < 1.0:
-            raise BufferPoolError(
-                f"kin_fraction must be in (0, 1), got {kin_fraction}")
-        if kout_fraction <= 0.0:
-            raise BufferPoolError(
-                f"kout_fraction must be positive, got {kout_fraction}")
-        self.kin_pages = max(1, int(capacity * kin_fraction))
-        self.kout_pages = max(1, int(capacity * kout_fraction))
+        self.kin_pages = max(1, int(capacity * KIN_FRACTION))
+        self.kout_pages = max(1, int(capacity * KOUT_FRACTION))
         #: First-touch FIFO (insertion order; accesses do not reorder).
         self._a1in: "OrderedDict[KeyT, None]" = OrderedDict()
         #: Protected LRU of proven re-referenced pages.

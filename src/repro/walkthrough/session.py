@@ -245,5 +245,8 @@ def make_session(session_number: int, bounds: AABB, *,
     if builder is None:
         raise WalkthroughError(
             f"unknown session {session_number}; choose 1, 2, 3 or 4")
+    if num_frames < 1:
+        raise WalkthroughError(
+            f"num_frames must be >= 1, got {num_frames}")
     return builder(bounds, num_frames=num_frames, eye_height=eye_height,
                    street_pitch=street_pitch)

@@ -1,9 +1,9 @@
 """Decoded payloads on buffer-pool frames (``BufferPool.get(decoder=)``).
 
 The contract (DESIGN.md §10): a frame's payload is valid exactly as long
-as the frame's bytes object is, it is decoded at most once per residency
-however many sessions read the page, a raising decoder caches nothing,
-and every counter moves exactly as it does without a decoder.
+as the frame is, it is decoded at most once per residency however many
+sessions read the page, a raising decoder caches nothing, and every
+counter moves exactly as it does without a decoder.
 """
 
 import threading
@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from repro.errors import BufferPoolError, SerializationError
+from repro.errors import SerializationError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
@@ -80,16 +80,6 @@ def test_bytes_callers_and_decoder_callers_share_a_frame(pfile):
     assert pfile.stats.reads == 1
 
 
-def test_put_drops_the_payload_and_new_bytes_are_decoded(pfile):
-    pool = BufferPool(capacity=4)
-    decoder = CountingDecoder()
-    assert pool.get(pfile, 1, decoder=decoder) == (1, PAGE_SIZE)
-    pool.put(pfile, 1, bytes([200]) * 4)
-    assert pool.get(pfile, 1, decoder=decoder) == (200, 4)
-    assert pool.get(pfile, 1, decoder=decoder) == (200, 4)
-    assert decoder.calls == [1, 200]
-
-
 def test_decoded_again_after_eviction_and_reread(pfile):
     pool = BufferPool(capacity=2)
     decoder = CountingDecoder()
@@ -135,30 +125,21 @@ def test_raising_decoder_caches_nothing_and_next_get_retries(pfile):
     assert pfile.stats.reads == 1
 
 
-def test_pinned_get_returns_payload_and_pins(pfile):
+def test_decoder_returning_none_is_one_get(pfile):
+    """``None`` is a legal payload (never cached): the miss counts
+    once, and every later call is one hit and one more decode."""
     pool = BufferPool(capacity=2)
-    decoder = CountingDecoder()
-    assert pool.get(pfile, 0, pin=True, decoder=decoder) == (0, PAGE_SIZE)
-    assert pool.get(pfile, 0, pin=True, decoder=decoder) == (0, PAGE_SIZE)
-    pool.get(pfile, 1)
-    pool.get(pfile, 2)                           # must evict 1, not 0
-    assert pool.contains(pfile, 0)
-    pool.unpin(pfile, 0)
-    pool.unpin(pfile, 0)
-    with pytest.raises(BufferPoolError):
-        pool.unpin(pfile, 0)                     # exactly two pins taken
-    assert decoder.calls == [0]
+    calls = []
 
+    def decoder(data):
+        calls.append(data[0])           # and returns None
 
-def test_decoder_returning_none_is_one_get_and_one_pin(pfile):
-    """``None`` is a legal payload (never cached): the miss counts and
-    pins once."""
-    pool = BufferPool(capacity=2)
-    assert pool.get(pfile, 0, pin=True, decoder=lambda data: None) is None
+    assert pool.get(pfile, 0, decoder=decoder) is None
     assert (pool.hits, pool.misses) == (0, 1)
-    pool.unpin(pfile, 0)
-    with pytest.raises(BufferPoolError):
-        pool.unpin(pfile, 0)
+    assert pool.get(pfile, 0, decoder=decoder) is None
+    assert (pool.hits, pool.misses) == (1, 1)
+    assert calls == [0, 0]
+    assert pfile.stats.reads == 1
 
 
 def test_concurrent_callers_share_one_decode(pfile):
@@ -176,14 +157,11 @@ def test_concurrent_callers_share_one_decode(pfile):
 
     results = []
 
-    def fault(pin):
-        def body():
-            results.append(pool.get(pfile, 3, pin=pin, reader=slow_reader,
-                                    decoder=decoder))
-        return body
+    def fault():
+        results.append(pool.get(pfile, 3, reader=slow_reader,
+                                decoder=decoder))
 
-    threads = [threading.Thread(target=fault(pin))
-               for pin in (False, False, True, False)]
+    threads = [threading.Thread(target=fault) for _ in range(4)]
     threads[0].start()
     assert started.wait(timeout=5.0)    # the first caller holds the pool
     for t in threads[1:]:
@@ -201,22 +179,11 @@ def test_concurrent_callers_share_one_decode(pfile):
     assert decoder.calls == [3]
     assert pool.get(pfile, 3, decoder=decoder) is results[0]
     assert decoder.calls == [3]
-    pool.unpin(pfile, 3)
 
 
 def _access_sequence(seed, length=600, pages=10):
     rng = Random(seed)
-    ops = []
-    for _ in range(length):
-        roll = rng.random()
-        page = rng.randrange(pages)
-        if roll < 0.80:
-            ops.append(("get", page))
-        elif roll < 0.92:
-            ops.append(("pinned", page))
-        else:
-            ops.append(("put", page))
-    return ops
+    return [rng.randrange(pages) for _ in range(length)]
 
 
 def _counters(pool):
@@ -231,23 +198,13 @@ def test_counters_identical_with_and_without_decoder(policy):
     plain = BufferPool(capacity=4, policy=policy, name=f"plain-{policy}")
     decoding = BufferPool(capacity=4, policy=policy, name=f"dec-{policy}")
     decoder = CountingDecoder()
-    for step, (op, page) in enumerate(_access_sequence(seed=11)):
-        if op == "put":
-            payload = bytes([100 + step % 100]) * 4
-            plain.put(plain_file, page, payload)
-            decoding.put(decoded_file, page, payload)
-        else:
-            pin = op == "pinned"
-            data = plain.get(plain_file, page, pin=pin)
-            got = decoding.get(decoded_file, page, pin=pin, decoder=decoder)
-            assert got == (data[0], len(data))
-            if pin:
-                plain.unpin(plain_file, page)
-                decoding.unpin(decoded_file, page)
-        assert _counters(plain) == _counters(decoding), (step, op, page)
+    for step, page in enumerate(_access_sequence(seed=11)):
+        data = plain.get(plain_file, page)
+        got = decoding.get(decoded_file, page, decoder=decoder)
+        assert got == (data[0], len(data))
+        assert _counters(plain) == _counters(decoding), (step, page)
         assert plain_file.stats.reads == decoded_file.stats.reads
     assert plain.evictions > 0
-    # Far fewer decodes than decoder gets: at most one per residency.
-    puts = sum(1 for op, _ in _access_sequence(seed=11) if op == "put")
-    assert len(decoder.calls) <= decoding.misses + puts
+    # Far fewer decodes than decoder gets: exactly one per residency.
+    assert len(decoder.calls) == decoding.misses
     assert len(decoder.calls) < decoding.hits + decoding.misses

@@ -214,6 +214,33 @@ def test_walk_verbs_refuse_nan_and_negative_eta(verb, eta, tmp_path,
     assert args.eta == float("inf")
 
 
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_walk_verbs_refuse_frames_below_one(verb, frames, tmp_path, capsys):
+    """``--frames`` is declared once for the four walking verbs: a
+    negative count died in ``numpy.linspace`` and 0 in a traceback on
+    ``profile`` / ``chaos`` — a usage error, exit 2, nothing written."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, f"--frames={frames}", "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert "frames must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert build_parser().parse_args([verb, "--frames", "1"]).frames == 1
+
+
+@pytest.mark.parametrize("flag", ["--txns", "--writes", "--pages",
+                                  "--page-size"])
+def test_crash_refuses_a_sweep_over_nothing(flag, tmp_path, capsys):
+    """``--txns 0`` passed the gate over an empty sweep, ``--writes 0``
+    alarmed on a journal that did nothing wrong, ``--pages 0`` divided
+    by zero: each is a usage error, exit 2, no report."""
+    out = tmp_path / "crash.json"
+    assert main(["crash", flag, "0", "--output", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, flag", [("serve", "--frame-budget-ms"),
                                         ("traffic", "--frame-budget-ms"),
                                         ("traffic", "--arrival-rate")])

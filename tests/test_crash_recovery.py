@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.errors import StorageError
 from repro.obs.crash import run_crash_sweep
 
 #: Small but complete: two transactions (one checkpoints), two writes
@@ -83,3 +84,15 @@ def test_different_seed_different_payloads_same_invariants():
     other = run_crash_sweep(**dict(SMALL, seed=9))
     assert other["summary"]["ok"] is True
     assert other["crash"]["seed"] == 9
+
+
+@pytest.mark.parametrize("name", ["pages", "page_size", "txns",
+                                  "writes_per_txn"])
+def test_a_sweep_over_nothing_is_refused(name, tmp_path):
+    """No transactions: ``ok`` over zero points.  Empty transactions:
+    every snapshot is one image and the commit bound alarms on a sound
+    journal.  No pages: a division by zero.  Each is refused before a
+    file is created."""
+    with pytest.raises(StorageError, match=f"{name} must be >= 1"):
+        run_crash_sweep(**dict(SMALL, **{name: 0}), workdir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []

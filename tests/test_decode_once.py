@@ -309,25 +309,6 @@ def planned(env, scheme, monkeypatch, capacity=4096):
     return spy, pool, view, search, a, first, keys
 
 
-def test_a_put_to_any_page_of_the_plan_invalidates_it(env, monkeypatch):
-    scheme = "indexed-vertical"
-    files = {f.file_id: f for f in (env.node_store.pfile,
-                                    env.scheme(scheme).vpage_file)}
-    _spy, _pool, _view, _search, _a, first, keys = planned(
-        env, scheme, monkeypatch)
-    for fid, page in keys:
-        spy, pool, _view, search, a, _first, _keys = planned(
-            env, scheme, monkeypatch)
-        assert same_answer(search.query_cell(a, ETA), first) and spy.replays == 1
-        pool.put(files[fid], page, pool.get(files[fid], page))
-        gets = spy.gets
-        assert same_answer(search.query_cell(a, ETA), first)
-        assert spy.replays == 1                     # traversed ...
-        assert spy.gets - gets >= len(keys)
-        assert same_answer(search.query_cell(a, ETA), first)
-        assert spy.replays == 2                     # ... and re-planned
-
-
 @pytest.mark.parametrize("disturb", ["evict", "clear"])
 def test_an_eviction_or_a_clear_invalidates_the_plan(env, monkeypatch,
                                                      disturb):

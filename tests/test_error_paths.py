@@ -22,6 +22,7 @@ from repro.serving.http.app import WalkthroughService
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
 from repro.visibility.precompute import precompute_visibility
+from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -209,3 +210,13 @@ def test_nan_infinite_and_negative_min_dov_are_refused(small_scene,
     with pytest.raises(VisibilityError, match="min_dov must be finite"):
         precompute_visibility(small_scene, small_grid, resolution=4,
                               min_dov=min_dov)
+
+
+@pytest.mark.parametrize("num_frames", [0, -1])
+def test_a_session_of_no_frames_is_refused(env, num_frames):
+    """A negative count reached ``numpy.linspace`` as a ``ValueError``
+    and 0 built a session only its first consumer rejected."""
+    for pattern in (1, 2, 3, 4):
+        with pytest.raises(WalkthroughError, match="num_frames must be >= 1"):
+            make_session(pattern, env.scene.bounds(), num_frames=num_frames)
+    assert make_session(1, env.scene.bounds(), num_frames=1).num_frames == 1

@@ -9,9 +9,12 @@ misses through the ``pageio`` facade
   another thread);
 * takes the pool lock exactly once per ``get``, hit or miss (the whole
   call is one critical section);
-* pulls at most ``1 + pinned`` keys out of the policy's queues per
-  eviction, at capacity 128 and at 4,096 (``victims()`` copies nothing:
-  eviction is not O(capacity));
+* calls into exactly one ``PagedFile`` per miss, once — the ``read_page``
+  of the file it was handed — and into none on a hit (an eviction does
+  no I/O: there is no other file to write a victim back to);
+* pulls exactly one key out of the policy's queues per eviction, at
+  capacity 128 and at 4,096 (``victims()`` copies nothing: eviction is
+  not O(capacity));
 * never re-derives a registry label key once the series exist.
 """
 
@@ -28,7 +31,6 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.replacement import make_policy
 
 MISSES = 1000
-PINNED = 3
 
 
 class CountingLock:
@@ -71,9 +73,12 @@ def decode(data):
 @pytest.mark.parametrize("capacity", [128, 4096])
 def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
                                                      policy_name):
-    pfile = PagedFile("budget", page_size=64, disk=FREE_DISK,
-                      stats=IOStats())
-    pfile.allocate_many(capacity + MISSES)
+    # Two files behind one pool: whichever file a victim came from, a
+    # miss touches only the file it reads.
+    files = [PagedFile(f"budget-{i}", page_size=64, disk=FREE_DISK,
+                       stats=IOStats()) for i in range(2)]
+    for pfile in files:
+        pfile.allocate_many(capacity + MISSES)
     policy = make_policy(policy_name, capacity, "budget")
     queues = [name for name, value in vars(policy).items()
               if isinstance(value, OrderedDict)]
@@ -82,14 +87,13 @@ def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
         setattr(policy, name, CountingOrder())
     pool = BufferPool(capacity, policy=policy, name="budget")
 
-    def fault(page_id, pin=False):
-        return pool.get(pfile, page_id, pin=pin, reader=pool_reader,
+    def fault(page_id):
+        return pool.get(files[page_id % 2], page_id, reader=pool_reader,
                         decoder=decode)
 
-    # Warm-up: fill the pool (the oldest frames pinned, so every eviction
-    # has to step over them) and let every metric series come to exist.
+    # Warm-up: fill the pool and let every metric series come to exist.
     for page_id in range(capacity):
-        fault(page_id, pin=page_id < PINNED)
+        fault(page_id)
     assert pool.resident_pages == capacity and pool.evictions == 0
 
     events = []
@@ -105,17 +109,26 @@ def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
     monkeypatch.setattr(CountingOrder, "pulled", 0)
     lock = CountingLock(pool._lock)
     monkeypatch.setattr(pool, "_lock", lock)
+    file_calls = []
+    for name, method in list(vars(PagedFile).items()):
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(
+                PagedFile, name,
+                lambda self, *args, _name=name, _method=method:
+                file_calls.append((self.name, _name))
+                or _method(self, *args))
 
     for page_id in range(capacity, capacity + MISSES):
         assert fault(page_id) == (0, 64)
+        assert file_calls == [(files[page_id % 2].name, "read_page")]
         assert fault(page_id) == (0, 64)        # and once more: a hit
+        assert len(file_calls) == 1
+        file_calls.clear()
 
     assert (pool.misses, pool.evictions) == (capacity + MISSES, MISSES)
     assert pool.hits == MISSES
-    assert pfile.stats.reads == capacity + MISSES
+    assert sum(pfile.stats.reads for pfile in files) == capacity + MISSES
     assert events == []
     assert lock.acquisitions == 2 * MISSES      # one per get
-    assert CountingOrder.pulled <= (1 + PINNED) * MISSES
+    assert CountingOrder.pulled == MISSES       # one per eviction
     assert label_keys == []
-    for page_id in range(PINNED):
-        pool.unpin(pfile, page_id)

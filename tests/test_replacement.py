@@ -1,8 +1,7 @@
 """Replacement policies (PR 10).
 
 Three layers: the policy objects alone (ordering contracts), the pool
-with a policy plugged in (scan resistance, pathological pinned
-capacity), and ``run_serve`` end to end (policy swap is a no-op at
+with a policy plugged in (scan resistance), and ``run_serve`` end to end (policy swap is a no-op at
 infinite capacity; the ledgers balance under pressure).
 """
 
@@ -10,7 +9,7 @@ import json
 
 import pytest
 
-from repro.errors import BufferPoolError, BufferPoolExhaustedError
+from repro.errors import BufferPoolError
 from repro.serving import run_serve
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
@@ -42,10 +41,10 @@ def test_make_policy_resolution():
 def test_twoq_parameter_validation():
     with pytest.raises(BufferPoolError):
         TwoQPolicy(0)
-    with pytest.raises(BufferPoolError):
-        TwoQPolicy(4, kin_fraction=1.0)
-    with pytest.raises(BufferPoolError):
-        TwoQPolicy(4, kout_fraction=0.0)
+    # The queue fractions are constants, not settings.
+    with pytest.raises(TypeError):
+        TwoQPolicy(4, kin_fraction=0.5)
+    assert (TwoQPolicy(8).kin_pages, TwoQPolicy(8).kout_pages) == (2, 4)
 
 
 def test_lru_policy_ordering():
@@ -112,22 +111,6 @@ def test_twoq_scan_resistance(pfile):
     lru.get(pfile, 0)
     scan(lru, pfile, range(10, 20))
     assert not lru.contains(pfile, 0)
-
-
-def test_pathological_pinned_capacity_is_typed_exhaustion():
-    """Pool smaller than the pinned working set: typed exhaustion, no
-    deadlock, and the pool works again once a pin is dropped."""
-    pf = PagedFile("pin", page_size=64, disk=DiskModel(), stats=IOStats())
-    for i in range(4):
-        pf.append_page(bytes([i]) * 8)
-    pool = BufferPool(capacity=2, policy="2q")
-    pool.get(pf, 0, pin=True)
-    pool.get(pf, 1, pin=True)
-    with pytest.raises(BufferPoolExhaustedError):
-        pool.get(pf, 2)
-    pool.unpin(pf, 0)
-    pool.unpin(pf, 1)
-    assert pool.get(pf, 2)[:8] == bytes([2]) * 8
 
 
 # -- run_serve end to end ----------------------------------------------------

@@ -1,15 +1,15 @@
 """Replacement policies against list-based reference models.
 
-``victims()`` iterates the policy's own order in place (the pool
-abandons the iterator at its first eviction), so the orders are checked
+``victims()`` iterates the policy's own order in place (the pool takes
+its first key and abandons the iterator), so the orders are checked
 here against models that copy nothing cleverly: plain lists, linear
-scans.  Random ``get`` / ``put`` / ``pin`` / ``unpin`` sequences must
-produce the same eviction sequence, resident order, ghost hits and
-promotions, and the same typed exhaustion, step by step.
+scans.  Random ``get`` / ``clear`` sequences must produce the same
+eviction sequence, victim order, resident order, ghost hits and
+promotions, step by step.
 
 The second model is of ``remember`` / ``recall``: a recalled plan must
 be, to every counter and to the replacement order, the ``get`` calls it
-stands for, and must be gone after anything that could have changed a
+stands for, and must be gone after anything that could have removed a
 frame it was recorded over.
 """
 
@@ -17,17 +17,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BufferPoolExhaustedError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import FREE_DISK, IOStats
 from repro.storage.pagedfile import PagedFile
 from repro.storage.replacement import LRUPolicy, TwoQPolicy
 
 PAGES = 12
-
-
-class Exhausted(Exception):
-    """The model's ``BufferPoolExhaustedError``."""
 
 
 class LRUModel:
@@ -46,6 +41,9 @@ class LRUModel:
 
     def evict(self, key):
         self.order.remove(key)
+
+    def clear(self):
+        self.order = []
 
     def stats(self):
         return {}
@@ -85,6 +83,9 @@ class TwoQModel:
         else:
             self.am.remove(key)
 
+    def clear(self):
+        self.a1in, self.am, self.ghosts = [], [], []
+
     @property
     def order(self):
         return self.a1in + self.am
@@ -100,38 +101,17 @@ class ModelPool:
     def __init__(self, policy, capacity):
         self.policy = policy
         self.capacity = capacity
-        self.pins = {}                  # resident key -> pin count
         self.evicted = []
 
-    def _evict_one(self):
-        for key in self.policy.candidates():
-            if self.pins[key] == 0:
-                self.policy.evict(key)
-                del self.pins[key]
-                self.evicted.append(key)
-                return
-        raise Exhausted
-
-    def _install(self, key):
-        while len(self.pins) >= self.capacity:
-            self._evict_one()
-        self.pins[key] = 0
-        self.policy.insert(key)
-
-    def get(self, key, pin):
-        if key in self.pins:
+    def get(self, key):
+        if key in self.policy.order:
             self.policy.access(key)
-        else:
-            if len(self.pins) >= self.capacity:
-                self._evict_one()
-            self._install(key)
-        if pin:
-            self.pins[key] += 1
-
-    def put(self, key):
-        if key not in self.pins:
-            self._install(key)
-        self.policy.access(key)
+            return
+        if len(self.policy.order) >= self.capacity:
+            victim = self.policy.candidates()[0]
+            self.policy.evict(victim)
+            self.evicted.append(victim)
+        self.policy.insert(key)
 
 
 class Recording:
@@ -165,7 +145,7 @@ def make_file(pages=PAGES):
 
 
 OPS = st.lists(st.tuples(
-    st.sampled_from(["get", "get", "get", "pin", "unpin", "put"]),
+    st.sampled_from(["get"] * 15 + ["clear"]),
     st.integers(0, PAGES - 1)), max_size=120)
 
 
@@ -180,70 +160,20 @@ def test_pool_evicts_exactly_as_the_list_model(policy_name, capacity, ops):
     model = ModelPool(model_cls(capacity), capacity)
     fid = pfile.file_id
     for step, (op, page) in enumerate(ops):
-        key = (fid, page)
         where = (step, op, page)
-        if op == "unpin":
-            if model.pins.get(key, 0) == 0:
-                continue
-            model.pins[key] -= 1
-            pool.unpin(pfile, page)
+        if op == "clear":
+            model.policy.clear()
+            pool.clear()
         else:
-            try:
-                if op == "put":
-                    model.put(key)
-                else:
-                    model.get(key, pin=op == "pin")
-                expected = None
-            except Exhausted:
-                expected = BufferPoolExhaustedError
-            try:
-                if op == "put":
-                    pool.put(pfile, page, bytes([page]) * 8)
-                else:
-                    pool.get(pfile, page, pin=op == "pin")
-                raised = None
-            except BufferPoolExhaustedError:
-                raised = BufferPoolExhaustedError
-            assert raised is expected, where
+            model.get((fid, page))
+            assert pool.get(pfile, page)[:8] == bytes([page]) * 8, where
         assert policy.evicted == model.evicted, where
         assert policy.keys() == model.policy.order, where
+        assert list(policy.victims()) == model.policy.candidates(), where
         assert policy.stats() == model.policy.stats(), where
         assert pool.evictions == len(model.evicted), where
-        assert pool.resident_pages == len(model.pins) <= capacity, where
-
-
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
-@pytest.mark.parametrize("capacity", [2, 5, 8])
-def test_all_but_one_pinned_evicts_the_one_then_exhausts(policy_name,
-                                                        capacity):
-    """The one unpinned (and dirty) frame is found wherever it sits in
-    the order, behind every pinned one, and an all-pinned pool raises the
-    typed error; neither ever trips "mutated during iteration"."""
-    real_cls, _model = POLICIES[policy_name]
-    for free in range(capacity):
-        pfile = make_file()
-        policy = real_cls(capacity)
-        pool = BufferPool(capacity, policy=policy)
-        for page in range(capacity):
-            if page == free:
-                pool.put(pfile, page, b"dirty")
-            else:
-                pool.get(pfile, page, pin=True)
-        yielded = list(policy.victims())
-        assert sorted(yielded) == [(pfile.file_id, p)
-                                   for p in range(capacity)]
-        pool.get(pfile, capacity)
-        assert policy.evicted == [(pfile.file_id, free)]
-        assert pfile.read_page(free)[:5] == b"dirty"
-        pool.get(pfile, capacity, pin=True)
-        with pytest.raises(BufferPoolExhaustedError):
-            pool.get(pfile, capacity + 1)
-        assert policy.evicted == [(pfile.file_id, free)]
-        for page in list(range(capacity)) + [capacity]:
-            if page != free:
-                pool.unpin(pfile, page)
-        pool.get(pfile, capacity + 1)
-        assert len(policy.evicted) == 2
+        assert pool.resident_pages == len(model.policy.order) <= capacity, \
+            where
 
 
 # -- remember / recall -----------------------------------------------------
@@ -256,7 +186,7 @@ FRESH = 50
 QUERIES = [[0, 1, 2], [2, 3], [4, 0, 4, 5], [6], [1, 7, 3, 8, 2]]
 
 PLAN_OPS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["get", "get", "put", "clear"]),
+    st.tuples(st.sampled_from(["get", "get", "get", "clear"]),
               st.integers(0, PAGES - 1)),
     st.tuples(st.just("query"), st.sampled_from(QUERIES)),
     st.tuples(st.just("query"), st.sampled_from(QUERIES))),
@@ -311,11 +241,9 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
             for pool in (planner, twin):
                 if op == "get":
                     pool.get(pfile, arg)
-                elif op == "put":
-                    pool.put(pfile, arg, bytes([arg]) * 4)
                 else:
                     pool.clear()
-        if op in ("put", "clear") or planner.evictions != evictions:
+        if op == "clear" or planner.evictions != evictions:
             live.clear()
         assert pool_state(planner) == pool_state(twin), where
     for page in range(PAGES, PAGES + FRESH):
@@ -352,17 +280,12 @@ def test_recall_books_the_hits_and_moves_the_order():
     assert (pool.hits, pool.misses) == (hits + 3, misses)
 
 
-@pytest.mark.parametrize("disturb", ["put-inside", "put-outside", "evict",
-                                     "clear"])
+@pytest.mark.parametrize("disturb", ["evict", "clear"])
 def test_recall_returns_nothing_after_the_generation_moved(disturb):
     pfile, pool, keys = plan_pool(capacity=4)
     read_and_remember(pool, pfile, keys)
     generation = pool.generation
-    if disturb == "put-inside":
-        pool.put(pfile, 1, b"new")
-    elif disturb == "put-outside":
-        pool.put(pfile, 3, b"new")
-    elif disturb == "evict":
+    if disturb == "evict":
         pool.get(pfile, 7)
         pool.get(pfile, 8)                  # capacity 4: evicts page 0
         assert not pool.contains(pfile, 0)
@@ -379,9 +302,10 @@ def test_remember_refuses_what_it_cannot_vouch_for():
     leave nothing to recall."""
     pfile, pool, keys = plan_pool(capacity=4)
     stale = pool.generation
-    pool.put(pfile, 9, b"x")
-    for _fid, page in keys:
+    for page in (7, 8, 9, 10, 0, 1, 2):     # capacity 4: evictions
         pool.get(pfile, page)
+    assert pool.generation > stale
+    assert all(pool.contains(pfile, page) for _fid, page in keys)
     pool.remember("stale", stale, keys, "answer")
     assert pool.recall("stale") is None
 

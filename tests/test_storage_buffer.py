@@ -1,8 +1,11 @@
-"""Buffer pool tests: LRU order, pinning, write-back."""
+"""Buffer pool tests: LRU order, counters, file identity."""
+
+import gc
+import weakref
 
 import pytest
 
-from repro.errors import BufferPoolError, BufferPoolExhaustedError
+from repro.errors import BufferPoolError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
@@ -36,71 +39,6 @@ def test_lru_eviction_order(pfile):
     assert not pool.contains(pfile, 1)
     assert pool.contains(pfile, 2)
     assert pool.evictions == 1
-
-
-def test_pinned_pages_survive_eviction(pfile):
-    pool = BufferPool(capacity=2)
-    pool.get(pfile, 0, pin=True)
-    pool.get(pfile, 1)
-    pool.get(pfile, 2)       # must evict page 1, not pinned page 0
-    assert pool.contains(pfile, 0)
-    pool.unpin(pfile, 0)
-
-
-def test_all_pinned_raises_typed_exhausted_error(pfile):
-    pool = BufferPool(capacity=2)
-    pool.get(pfile, 0, pin=True)
-    pool.get(pfile, 1, pin=True)
-    with pytest.raises(BufferPoolExhaustedError):
-        pool.get(pfile, 2)
-    # The typed error is a BufferPoolError, so existing handlers that
-    # catch the base class keep working.
-    assert issubclass(BufferPoolExhaustedError, BufferPoolError)
-    # The failed get still counted its miss but installed nothing.
-    assert pool.resident_pages == 2
-    pool.unpin(pfile, 0)
-    assert pool.get(pfile, 2) == (bytes([2]) * 8).ljust(64, b"\x00")
-
-
-def test_unpin_underflow(pfile):
-    pool = BufferPool(capacity=2)
-    pool.get(pfile, 0)
-    with pytest.raises(BufferPoolError):
-        pool.unpin(pfile, 0)
-
-
-def test_put_and_writeback_on_eviction(pfile):
-    pool = BufferPool(capacity=1)
-    pool.put(pfile, 3, b"dirty")
-    pool.get(pfile, 4)       # evicts dirty page 3 -> write-back
-    assert pfile.read_page(3).startswith(b"dirty")
-
-
-def test_read_your_writes(pfile):
-    pool = BufferPool(capacity=2)
-    pool.put(pfile, 5, b"fresh")
-    assert pool.get(pfile, 5).startswith(b"fresh")
-    # Underlying file not yet updated until flush/eviction.
-    assert pfile.read_page(5)[0] == 5
-
-
-def test_flush_writes_dirty_frames(pfile):
-    pool = BufferPool(capacity=4)
-    pool.put(pfile, 6, b"flushed")
-    pool.flush()
-    assert pfile.read_page(6).startswith(b"flushed")
-    # Frame stays resident after flush.
-    assert pool.contains(pfile, 6)
-
-
-def test_clear_rejects_pinned(pfile):
-    pool = BufferPool(capacity=2)
-    pool.get(pfile, 0, pin=True)
-    with pytest.raises(BufferPoolError):
-        pool.clear()
-    pool.unpin(pfile, 0)
-    pool.clear()
-    assert pool.resident_pages == 0
 
 
 def test_capacity_validation():
@@ -145,8 +83,6 @@ def test_stable_identity_survives_address_reuse():
     """Regression: frames were keyed by ``id(pfile)``; a new PagedFile
     allocated at a garbage-collected file's address inherited its
     frames.  With stable file ids a new file can never hit old frames."""
-    import gc
-
     pool = BufferPool(capacity=4)
     pf1 = make_small_file("first", fill=b"a")
     pool.get(pf1, 0)
@@ -166,83 +102,30 @@ def test_file_ids_are_unique_and_monotonic():
     assert b.file_id > a.file_id
 
 
-def test_clear_drops_file_references():
-    """Regression: ``_files`` kept strong references to every file ever
-    seen; ``clear()`` must release them."""
+def test_pool_never_holds_a_file_reference():
+    """The pool is handed a file per ``get`` and keeps none: a pooled
+    file dies with its last caller, frames resident and no ``clear()``
+    (the write-back table used to keep every file ever seen alive)."""
     pool = BufferPool(capacity=4)
     pf = make_small_file()
     pool.get(pf, 0)
-    assert pool._files
+    ref = weakref.ref(pf)
+    del pf
+    gc.collect()
+    assert ref() is None
+    assert pool.resident_pages == 1
     pool.clear()
-    assert pool._files == {}
     assert pool.resident_pages == 0
 
 
-def test_eviction_skips_pinned_scans_to_lru_unpinned(pfile):
-    """With the two oldest frames pinned, eviction must take the third."""
-    pool = BufferPool(capacity=3)
-    pool.get(pfile, 0, pin=True)
-    pool.get(pfile, 1, pin=True)
-    pool.get(pfile, 2)
-    pool.get(pfile, 3)       # must evict page 2, the LRU unpinned frame
-    assert pool.contains(pfile, 0)
-    assert pool.contains(pfile, 1)
-    assert not pool.contains(pfile, 2)
-    assert pool.contains(pfile, 3)
-    pool.unpin(pfile, 0)
-    pool.unpin(pfile, 1)
-
-
-def test_pin_counts_nest(pfile):
+def test_pool_is_a_read_cache(pfile):
+    """No write half and no pins: nothing to call, nothing to pass."""
+    for name in ("put", "flush", "unpin"):
+        assert not hasattr(BufferPool, name)
     pool = BufferPool(capacity=2)
-    pool.get(pfile, 0, pin=True)
-    pool.get(pfile, 0, pin=True)
-    pool.unpin(pfile, 0)
-    # Still pinned once: the frame must survive pressure.
-    pool.get(pfile, 1)
-    pool.get(pfile, 2)
-    assert pool.contains(pfile, 0)
-    pool.unpin(pfile, 0)
-    with pytest.raises(BufferPoolError):
-        pool.unpin(pfile, 0)
-
-
-def test_flush_writes_back_in_lru_order(pfile):
-    """Dirty frames flush least-recently-used first — the order
-    evictions would have written them."""
-    pool = BufferPool(capacity=4)
-    pool.put(pfile, 2, b"two")
-    pool.put(pfile, 0, b"zero")
-    pool.put(pfile, 1, b"one")
-    pool.get(pfile, 2)               # touch: page 2 becomes most recent
-    order = []
-    original = pfile.write_page
-    pfile.write_page = lambda pid, data: (order.append(pid),
-                                          original(pid, data))[1]
-    pool.flush()
-    pfile.write_page = original
-    assert order == [0, 1, 2]
-    assert pfile.read_page(0).startswith(b"zero")
-    # A second flush has nothing dirty left.
-    order.clear()
-    pool.flush()
-    assert order == []
-
-
-def test_clear_with_pins_raises_then_succeeds_after_unpin(pfile):
-    pool = BufferPool(capacity=4)
-    pool.put(pfile, 3, b"dirty")
-    pool.get(pfile, 0, pin=True)
-    with pytest.raises(BufferPoolError):
-        pool.clear()
-    # The failed clear must not have dropped anything.
-    assert pool.contains(pfile, 0)
-    assert pool.contains(pfile, 3)
-    pool.unpin(pfile, 0)
-    pool.clear()
-    assert pool.resident_pages == 0
-    # The dirty frame was flushed on the successful clear.
-    assert pfile.read_page(3).startswith(b"dirty")
+    with pytest.raises(TypeError):
+        pool.get(pfile, 0, pin=True)
+    assert (pool.hits, pool.misses, pool.resident_pages) == (0, 0, 0)
 
 
 def test_pool_metrics_mirror_counters(pfile):
@@ -252,13 +135,11 @@ def test_pool_metrics_mirror_counters(pfile):
     snap = reg.snapshot()
     pool = BufferPool(capacity=2, name="test-mirror")
     pool.get(pfile, 0)
-    pool.get(pfile, 0, pin=True)
-    pool.unpin(pfile, 0)
+    pool.get(pfile, 0)
     pool.get(pfile, 1)
     pool.get(pfile, 2)               # eviction
     delta = reg.delta(snap)
     assert delta['bufferpool_hits_total{pool="test-mirror"}'] == 1
     assert delta['bufferpool_misses_total{pool="test-mirror"}'] == 3
     assert delta['bufferpool_evictions_total{pool="test-mirror"}'] == 1
-    assert delta['bufferpool_pins_total{pool="test-mirror"}'] == 1
-    assert delta['bufferpool_unpins_total{pool="test-mirror"}'] == 1
+    assert delta['bufferpool_resident_pages{pool="test-mirror"}'] == 2

@@ -3,8 +3,7 @@
 Each test drives the real component with a random operation sequence
 while maintaining a trivially-correct reference model (a dict), then
 checks they agree.  This catches state-machine bugs that single-shot
-unit tests miss (eviction bookkeeping, pin interactions, allocation
-ordering).
+unit tests miss (eviction bookkeeping, allocation ordering).
 """
 
 import numpy as np
@@ -59,13 +58,12 @@ def test_paged_file_matches_dict_model(ops):
     assert pfile.num_pages == len(model)
 
 
-# Buffer-pool machine: ("get", slot), ("put", slot, value), ("flush",)
+# Buffer-pool machine: ("get", slot), ("clear",)
 pool_ops = st.lists(
     st.one_of(
         st.tuples(st.just("get"), st.integers(0, 9)),
-        st.tuples(st.just("put"), st.integers(0, 9),
-                  st.integers(0, 255)),
-        st.tuples(st.just("flush")),
+        st.tuples(st.just("get"), st.integers(0, 9)),
+        st.tuples(st.just("clear")),
     ),
     min_size=1, max_size=80)
 
@@ -80,27 +78,25 @@ def test_buffer_pool_matches_dict_model(ops, capacity):
     # The model: authoritative contents per page (what a reader must
     # observe through the pool, regardless of caching).
     model = {i: pfile.read_page(i) for i in range(10)}
+    pfile.stats.reset()
+    gets = 0
     for op in ops:
         if op[0] == "get":
             _kind, slot = op
+            resident = pool.contains(pfile, slot)
+            hits = pool.hits
             assert pool.get(pfile, slot) == model[slot]
-        elif op[0] == "put":
-            _kind, slot, value = op
-            payload = bytes([value]) * 8
-            full = payload + bytes(pfile.page_size - len(payload))
-            pool.put(pfile, slot, full)
-            model[slot] = full
+            assert pool.hits - hits == int(resident)
+            gets += 1
         else:
-            pool.flush()
-            for pid, content in model.items():
-                # After a flush every page's durable copy matches.
-                if pool.contains(pfile, pid):
-                    assert pfile.read_page(pid) == content
-    # Final coherence: flush everything and compare durable state.
-    pool.flush()
+            pool.clear()
+            assert pool.resident_pages == 0
+        # One counted hit or miss per get, one file read per miss.
+        assert pool.hits + pool.misses == gets
+        assert pfile.stats.reads == pool.misses
+        assert pool.resident_pages <= capacity
     for pid, content in model.items():
-        observed = pool.get(pfile, pid)
-        assert observed == content
+        assert pool.get(pfile, pid) == content
     assert pool.resident_pages <= capacity
 
 
