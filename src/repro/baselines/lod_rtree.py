@@ -21,36 +21,24 @@ re-fetch constantly, where REVIEW's direction-free box does not).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.constants import BYTES_PER_POLYGON
+from repro.baselines.review import WindowQueryResult, WindowQuerySystem
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import WalkthroughError
-from repro.geometry.aabb import AABB, union_aabbs
-from repro.geometry.frustum import Camera
+from repro.geometry.aabb import AABB
 from repro.geometry.vec import as_vec3, normalize
 
 
-@dataclass
-class LodRTreeResult:
-    """Answer set and accounting of one LoD-R-tree query."""
-
-    boxes: List[AABB] = field(default_factory=list)
-    object_ids: List[int] = field(default_factory=list)
-    fetched_ids: List[int] = field(default_factory=list)
-    nodes_read: int = 0
-    total_polygons: int = 0
-    total_model_bytes: int = 0
-
-    @property
-    def num_results(self) -> int:
-        return len(self.object_ids)
+#: Field of view the frustum slabs are cut for, and how far the viewer
+#: may move before the slabs are re-queried.
+FOV_DEG = 70.0
+REQUERY_DISTANCE = 25.0
 
 
-class LodRTreeSystem:
+class LodRTreeSystem(WindowQuerySystem):
     """Frustum-slab window queries over the shared environment's R-tree.
 
     Parameters
@@ -69,27 +57,18 @@ class LodRTreeSystem:
     """
 
     def __init__(self, env: HDoVEnvironment, *, depth: float = 500.0,
-                 num_slabs: int = 3, fov_deg: float = 70.0,
-                 requery_angle_deg: float = 15.0,
-                 requery_distance: float = 25.0,
+                 num_slabs: int = 3, requery_angle_deg: float = 15.0,
                  fetch_models: bool = True) -> None:
         if depth <= 0:
             raise WalkthroughError(f"depth must be positive: {depth}")
         if num_slabs < 1:
             raise WalkthroughError(f"num_slabs must be >= 1: {num_slabs}")
-        self.env = env
+        super().__init__(env, fetch_models=fetch_models)
         self.depth = depth
         self.num_slabs = num_slabs
-        self.fov_deg = fov_deg
         self.requery_angle = math.radians(requery_angle_deg)
-        self.requery_distance = requery_distance
-        self.fetch_models = fetch_models
-        self._cache: Dict[int, Tuple[float, int]] = {}
-        self._last_position: Optional[np.ndarray] = None
-        self._last_direction: Optional[np.ndarray] = None
-        self._last_result: Optional[LodRTreeResult] = None
-        self.queries_issued = 0
-        self.cache_hits = 0
+        #: Where ``_last_result`` was queried from.
+        self._last_position = self._last_direction = np.zeros(3)
 
     # -- frustum decomposition ---------------------------------------------
 
@@ -97,7 +76,7 @@ class LodRTreeSystem:
         """Depth-slab boxes covering the view frustum."""
         position = as_vec3(position)
         forward = normalize(direction)
-        half_tan = math.tan(math.radians(self.fov_deg) / 2.0)
+        half_tan = math.tan(math.radians(FOV_DEG) / 2.0)
         boxes: List[AABB] = []
         edges = np.linspace(0.0, self.depth, self.num_slabs + 1)
         # Lateral directions spanning the frustum cross-section.
@@ -125,84 +104,36 @@ class LodRTreeSystem:
             return 1.0
         return 1.0 - slab_index / (self.num_slabs - 1)
 
+    def lod_fraction_at(self, distance: float) -> float:
+        """LoD fraction of the slab an MBR at ``distance`` falls in
+        (nearest-slab assignment by distance bucketing)."""
+        slab_width = self.depth / self.num_slabs
+        return self._slab_fraction(min(int(distance / max(slab_width, 1e-9)),
+                                       self.num_slabs - 1))
+
     # -- queries --------------------------------------------------------------
 
     def needs_requery(self, position, direction) -> bool:
-        if self._last_position is None or self._last_direction is None:
+        if self._last_result is None:
             return True
         moved = float(np.linalg.norm(as_vec3(position)
                                      - self._last_position))
-        if moved > self.requery_distance:
+        if moved > REQUERY_DISTANCE:
             return True
         cos_angle = float(np.clip(np.dot(normalize(direction),
                                          self._last_direction), -1.0, 1.0))
         return math.acos(cos_angle) > self.requery_angle
 
-    def frame(self, position, direction) -> Tuple[LodRTreeResult, bool]:
-        """Per-frame entry point with the direction-keyed cache."""
-        if self._last_result is not None and \
-                not self.needs_requery(position, direction):
-            return self._last_result, False
-        result = self.query(position, direction)
-        return result, True
-
-    def query(self, position, direction) -> LodRTreeResult:
-        """Issue the slab queries and fetch new objects."""
+    def query(self, position, direction) -> WindowQueryResult:
+        """Issue the slab queries and fetch new objects, each at the LoD
+        of the finest slab that contains it."""
         position = as_vec3(position)
         forward = normalize(direction)
-        result = LodRTreeResult(boxes=self.query_boxes(position, forward))
-        self.queries_issued += 1
         self._last_position = position.copy()
         self._last_direction = forward.copy()
-
-        def on_node(node) -> None:
-            if node.node_offset is not None:
-                self.env.node_store.read_node(node.node_offset)
-            result.nodes_read += 1
-
-        # Assign each object the finest slab that contains it.
-        slab_of: Dict[int, int] = {}
-        for index, box in enumerate(result.boxes):
-            for oid in self.env.tree.window_query(box, on_node=on_node):
-                if oid not in slab_of:
-                    slab_of[oid] = index
-        result.object_ids = sorted(slab_of)
-
-        fetch_order = sorted(
-            slab_of, key=lambda o: self.env.object_store
-            .ref(self.env.objects[o].blob_id).first_page)
-        current: Dict[int, Tuple[float, int]] = {}
-        for oid in fetch_order:
-            record = self.env.objects[oid]
-            fraction = self._slab_fraction(slab_of[oid])
-            polygons = record.chain.interpolated_polygons(fraction)
-            nbytes = polygons * BYTES_PER_POLYGON
-            result.total_polygons += polygons
-            result.total_model_bytes += nbytes
-            cached = self._cache.get(oid)
-            if cached is not None and cached[0] >= fraction:
-                self.cache_hits += 1
-                current[oid] = cached
-                continue
-            if self.fetch_models:
-                self.env.object_store.fetch_prefix(record.blob_id, nbytes)
-            result.fetched_ids.append(oid)
-            current[oid] = (fraction, nbytes)
-        self._cache = current
-        self._last_result = result
-        return result
-
-    # -- accounting ------------------------------------------------------------
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(nbytes for _f, nbytes in self._cache.values())
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self._last_position = None
-        self._last_direction = None
-        self._last_result = None
+        return self._window_query(
+            self.query_boxes(position, forward),
+            lambda _record, slab: self._slab_fraction(slab))
 
     def __repr__(self) -> str:
         return (f"LodRTreeSystem(depth={self.depth}, "

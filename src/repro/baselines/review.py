@@ -20,12 +20,13 @@ finer detail), since REVIEW has no DoV data to drive eq. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import BYTES_PER_POLYGON
-from repro.core.hdov_tree import HDoVEnvironment
+from repro.core.delta import ResidentModels
+from repro.core.hdov_tree import HDoVEnvironment, ObjectRecord
 from repro.errors import WalkthroughError
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import as_vec3
@@ -59,12 +60,12 @@ class DistanceLODPolicy:
 
 
 @dataclass
-class ReviewResult:
-    """Answer set and accounting of one REVIEW query."""
+class WindowQueryResult:
+    """Answer set and accounting of one window query."""
 
-    query_box: AABB
+    boxes: List[AABB]
     object_ids: List[int] = field(default_factory=list)
-    #: ids fetched this query (not served from cache).
+    #: ids fetched this query (not served from the resident set).
     fetched_ids: List[int] = field(default_factory=list)
     nodes_read: int = 0
     total_polygons: int = 0
@@ -75,8 +76,103 @@ class ReviewResult:
         return len(self.object_ids)
 
 
-class ReviewSystem:
-    """Window-query walkthrough over the shared environment's R-tree.
+class WindowQuerySystem:
+    """R-tree window queries with complement search — what REVIEW and
+    the LoD-R-tree share.
+
+    A query visits the shared R-tree once per box, charging one node
+    page per visit, and fetches the answer through one
+    :class:`~repro.core.delta.ResidentModels` — only what is not already
+    held at sufficient detail — after which exactly the answer stays
+    held.  A subclass states its boxes, its LoD choice and its re-query
+    rule: ``query(position, direction)``, ``needs_requery(position,
+    direction)`` and ``lod_fraction_at(distance)``.
+
+    ``fetch_models=False`` keeps the bookkeeping without the model I/O
+    (Figure 11 scores answer sets only).
+    """
+
+    def __init__(self, env: HDoVEnvironment, *,
+                 fetch_models: bool = True) -> None:
+        self.env = env
+        self.resident = ResidentModels(
+            env.object_store if fetch_models else None)
+        self._last_result: Optional[WindowQueryResult] = None
+        self.queries_issued = 0
+
+    def frame(self, position, direction=None
+              ) -> Tuple[WindowQueryResult, bool]:
+        """Per-frame entry point: ``(result, queried)``.  Between
+        re-queries the last result is returned and no I/O is charged."""
+        if self.needs_requery(position, direction):
+            return self.query(position, direction), True
+        return self._last_result, False
+
+    def _window_query(self, boxes: List[AABB],
+                      fraction_of: Callable[[ObjectRecord, int], float]
+                      ) -> WindowQueryResult:
+        """Answer ``boxes``; ``fraction_of(record, box_index)`` is the
+        LoD of an object first found in box ``box_index``."""
+        result = WindowQueryResult(boxes=boxes)
+        self.queries_issued += 1
+
+        def on_node(node) -> None:
+            # Charge the node page read through the persisted store.
+            if node.node_offset is not None:
+                self.env.node_store.read_node(node.node_offset)
+            result.nodes_read += 1
+
+        box_of: Dict[int, int] = {}
+        for index, box in enumerate(boxes):
+            for oid in self.env.tree.window_query(box, on_node=on_node):
+                box_of.setdefault(oid, index)
+        result.object_ids = sorted(box_of)
+
+        # Fetch in blob-layout order so the baselines ride the disk
+        # read-ahead exactly like VISUAL does (REVIEW's own prefetch
+        # optimization [12]).
+        objects, store = self.env.objects, self.env.object_store
+        for oid in sorted(box_of, key=lambda o: store.ref(
+                objects[o].blob_id).first_page):
+            record = objects[oid]
+            fraction = fraction_of(record, box_of[oid])
+            polygons = record.chain.interpolated_polygons(fraction)
+            nbytes = polygons * BYTES_PER_POLYGON
+            result.total_polygons += polygons
+            result.total_model_bytes += nbytes
+            if self.resident.want(oid, record.blob_id, fraction, nbytes):
+                result.fetched_ids.append(oid)
+        self.resident.keep_only(box_of)
+        self._last_result = result
+        return result
+
+    # -- accounting --------------------------------------------------------
+
+    @property
+    def fetches(self) -> int:
+        return self.resident.fetches
+
+    @property
+    def cache_hits(self) -> int:
+        return self.resident.skipped
+
+    @property
+    def resident_bytes(self) -> int:
+        return self.resident.bytes
+
+    @property
+    def resident_count(self) -> int:
+        return len(self.resident)
+
+    def clear_cache(self) -> None:
+        """Forget the held models and the last query."""
+        self.resident.clear()
+        self._last_result = None
+
+
+class ReviewSystem(WindowQuerySystem):
+    """REVIEW: one cubic box around the viewpoint, whatever the view
+    direction; distance-based LoD; a farthest-first cache budget.
 
     Parameters
     ----------
@@ -90,8 +186,9 @@ class ReviewSystem:
         runs keep everything until it leaves the box).
     """
 
+    lod_policy = DistanceLODPolicy()
+
     def __init__(self, env: HDoVEnvironment, *, box_size: float = 400.0,
-                 lod_policy: Optional[DistanceLODPolicy] = None,
                  cache_budget_bytes: Optional[int] = None,
                  fetch_models: bool = True,
                  requery_fraction: float = 0.25) -> None:
@@ -100,11 +197,9 @@ class ReviewSystem:
         if not 0.0 <= requery_fraction <= 1.0:
             raise WalkthroughError(
                 f"requery_fraction must be in [0, 1], got {requery_fraction}")
-        self.env = env
+        super().__init__(env, fetch_models=fetch_models)
         self.box_size = box_size
-        self.lod_policy = lod_policy or DistanceLODPolicy()
         self.cache_budget_bytes = cache_budget_bytes
-        self.fetch_models = fetch_models
         #: Fraction of the box half-size the viewpoint may drift from the
         #: last query center before a new window query is issued.  REVIEW
         #: oversizes its query boxes relative to the frustum exactly so
@@ -112,124 +207,48 @@ class ReviewSystem:
         #: re-query is what produces the tall frame-time spikes of
         #: Figure 10(a).
         self.requery_fraction = requery_fraction
-        #: object id -> (fraction, bytes) of the cached representation.
-        self._cache: Dict[int, Tuple[float, int]] = {}
-        self._last_query_center: Optional[np.ndarray] = None
-        self._last_result: Optional["ReviewResult"] = None
-        self.fetches = 0
-        self.cache_hits = 0
-        self.queries_issued = 0
+        self._last_query_center = np.zeros(3)   # of ``_last_result``
 
-    # -- queries ----------------------------------------------------------
+    def lod_fraction_at(self, distance: float) -> float:
+        return self.lod_policy.fraction_for_distance(distance)
 
     def query_box_at(self, viewpoint) -> AABB:
         p = as_vec3(viewpoint)
         half = self.box_size / 2.0
         return AABB(p - half, p + half)
 
-    def needs_requery(self, viewpoint) -> bool:
+    def needs_requery(self, viewpoint, direction=None) -> bool:
         """True when the viewpoint has drifted far enough from the last
         query center that the cached result no longer covers the view."""
-        if self._last_query_center is None:
+        if self._last_result is None:
             return True
         drift = float(np.linalg.norm(as_vec3(viewpoint)
                                      - self._last_query_center))
         return drift > self.requery_fraction * (self.box_size / 2.0)
 
-    def frame(self, viewpoint) -> Tuple["ReviewResult", bool]:
-        """Per-frame entry point: re-query only past the slack distance.
-
-        Returns ``(result, queried)``; on non-query frames the cached
-        result is returned and no I/O is charged.
-        """
-        viewpoint = as_vec3(viewpoint)
-        if self._last_result is not None and not self.needs_requery(viewpoint):
-            return self._last_result, False
-        result = self.query(viewpoint)
-        return result, True
-
-    def query(self, viewpoint) -> ReviewResult:
+    def query(self, viewpoint, direction=None) -> WindowQueryResult:
         """One window query with complement search against the cache."""
         viewpoint = as_vec3(viewpoint)
-        box = self.query_box_at(viewpoint)
-        result = ReviewResult(query_box=box)
-        self.queries_issued += 1
         self._last_query_center = viewpoint.copy()
 
-        def on_node(node) -> None:
-            # Charge the node page read through the persisted store.
-            if node.node_offset is not None:
-                self.env.node_store.read_node(node.node_offset)
-            result.nodes_read += 1
+        def distance_to(record: ObjectRecord) -> float:
+            return record.chain.finest.aabb().min_distance_to_point(viewpoint)
 
-        ids = self.env.tree.window_query(box, on_node=on_node)
-        result.object_ids = sorted(ids)
+        result = self._window_query(
+            [self.query_box_at(viewpoint)],
+            lambda record, _box: self.lod_fraction_at(distance_to(record)))
 
-        # Fetch in blob-layout order so REVIEW rides the disk read-ahead
-        # exactly like VISUAL does (its own prefetch optimization [12]).
-        fetch_order = sorted(
-            ids, key=lambda o: self.env.object_store
-            .ref(self.env.objects[o].blob_id).first_page)
-        current: Dict[int, Tuple[float, int]] = {}
-        for oid in fetch_order:
-            record = self.env.objects[oid]
-            distance = record.chain.finest.aabb().min_distance_to_point(
-                viewpoint)
-            fraction = self.lod_policy.fraction_for_distance(distance)
-            polygons = record.chain.interpolated_polygons(fraction)
-            nbytes = polygons * BYTES_PER_POLYGON
-            result.total_polygons += polygons
-            result.total_model_bytes += nbytes
-            cached = self._cache.get(oid)
-            if cached is not None and cached[0] >= fraction:
-                # Complement search: retrieved before, skip the fetch.
-                self.cache_hits += 1
-                current[oid] = cached
-                continue
-            if self.fetch_models:
-                self.env.object_store.fetch_prefix(record.blob_id, nbytes)
-            self.fetches += 1
-            result.fetched_ids.append(oid)
-            current[oid] = (fraction, nbytes)
-
-        self._cache = current
-        self._apply_budget(viewpoint)
-        self._last_result = result
+        # Semantic replacement: evict the objects farthest from the
+        # viewer (ties in fetch order) until the cache fits the budget.
+        budget = self.cache_budget_bytes
+        if budget is not None and self.resident.bytes > budget:
+            for oid in sorted(
+                    self.resident, reverse=True,
+                    key=lambda o: distance_to(self.env.objects[o])):
+                if self.resident.bytes <= budget:
+                    break
+                self.resident.drop(oid)
         return result
-
-    def _apply_budget(self, viewpoint) -> None:
-        """Semantic replacement: evict the objects farthest from the
-        viewer until the cache fits the budget."""
-        if self.cache_budget_bytes is None:
-            return
-        total = self.resident_bytes
-        if total <= self.cache_budget_bytes:
-            return
-        by_distance = sorted(
-            self._cache.items(),
-            key=lambda item: self.env.objects[item[0]].chain.finest.aabb()
-            .min_distance_to_point(viewpoint),
-            reverse=True)
-        for oid, (_fraction, nbytes) in by_distance:
-            if total <= self.cache_budget_bytes:
-                break
-            del self._cache[oid]
-            total -= nbytes
-
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(nbytes for _f, nbytes in self._cache.values())
-
-    @property
-    def resident_count(self) -> int:
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self._last_query_center = None
-        self._last_result = None
 
     def __repr__(self) -> str:
         return (f"ReviewSystem(box={self.box_size}, "

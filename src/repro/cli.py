@@ -53,7 +53,8 @@ from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.extensions import (run_node_cache_sweep,
                                           run_priority_extension)
-from repro.errors import ReproError, StorageError, VisibilityError
+from repro.errors import (HDoVError, ReproError, StorageError,
+                          VisibilityError)
 from repro.experiments.config import get_scale
 
 #: Experiment id -> (description, runner taking a scale).  The two
@@ -539,8 +540,8 @@ def cmd_lint(args) -> int:
 COMMANDS: Dict[str, Tuple[Callable[..., int], Tuple[type, ...]]] = {
     "list": (cmd_list, ()),
     "run": (cmd_run, ()),
-    "profile": (cmd_profile, ()),
-    "chaos": (cmd_chaos, (StorageError,)),
+    "profile": (cmd_profile, (HDoVError,)),
+    "chaos": (cmd_chaos, (StorageError, HDoVError)),
     "crash": (cmd_crash, (ReproError,)),
     "precompute": (cmd_precompute, (VisibilityError,)),
     "serve": (cmd_serve, (ReproError,)),

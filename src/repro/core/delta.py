@@ -12,28 +12,93 @@ light-weight traversal every frame (nodes and V-pages are cheap) but
 skips the heavy model fetch for any LoD already resident at sufficient
 detail.  It also tracks the resident set's byte size, which is the
 VISUAL system's memory footprint in Section 5.4's memory comparison.
+
+"Skip what is held, fetch and charge the rest" is REVIEW's complement
+search and the LoD-R-tree's too, so the mechanism is one class,
+:class:`ResidentModels`, and its :meth:`~ResidentModels.want` is the one
+place a walkthrough system fetches a model; what is dropped, and when,
+stays each system's own policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Collection, Dict, Iterator, Optional, Tuple
 
 from repro.core.search import HDoVSearch, SearchResult
 from repro.errors import HDoVError
 from repro.geometry.vec import PointLike
+from repro.storage.objectstore import ObjectStore
 
 
-@dataclass
-class _Resident:
-    """One cached representation: its blend fraction and byte size."""
+class ResidentModels:
+    """The representations a viewer holds: ``key -> (fraction, bytes)``,
+    least recently wanted first, with a running byte total.
 
-    fraction: float
-    bytes: int
+    ``store`` is where a missing representation is fetched (and charged)
+    from; ``None`` holds the same bookkeeping without I/O (Figure 11
+    scores REVIEW's answer sets only).
+    """
+
+    def __init__(self, store: Optional[ObjectStore]) -> None:
+        self._store = store
+        self._held: Dict[int, Tuple[float, int]] = {}
+        #: Sum of the held byte sizes: frame loops read it every frame,
+        #: the set changes only on a query.
+        self.bytes = 0
+        self.fetches = 0
+        self.skipped = 0
+
+    def want(self, key: int, blob_id: int, fraction: float,
+             nbytes: int) -> bool:
+        """Hold ``key`` at ``fraction`` or finer; True if that took a
+        fetch.  Either way ``key`` becomes the most recently wanted."""
+        held = self._held.get(key)
+        if held is not None and held[0] >= fraction:
+            # Already held at sufficient (or better) detail.
+            self.skipped += 1
+            del self._held[key]
+            self._held[key] = held
+            return False
+        if self._store is not None:
+            self._store.fetch_prefix(blob_id, nbytes)
+        self.fetches += 1
+        if held is not None:
+            self.drop(key)          # the coarser copy it replaces
+        self._held[key] = (fraction, nbytes)
+        self.bytes += nbytes
+        return True
+
+    def drop(self, key: int) -> None:
+        self.bytes -= self._held.pop(key)[1]
+
+    def keep_only(self, keys: Collection[int]) -> None:
+        """Drop every representation whose key is not in ``keys``."""
+        for key in [k for k in self._held if k not in keys]:
+            self.drop(key)
+
+    def clear(self) -> None:
+        self._held.clear()
+        self.bytes = 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._held)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __getitem__(self, key: int) -> Tuple[float, int]:
+        """``(fraction, bytes)`` of the representation held for ``key``."""
+        return self._held[key]
 
 
 class DeltaSearch:
     """Stateful walkthrough search with a resident model set.
+
+    Representations that drop out of the answer set stay held (more
+    memory, fewer re-fetches when the viewer returns): the paper's
+    VISUAL holds tens of MB of model data resident while *tree nodes*
+    are uncached ("None of the two systems caches the tree nodes in the
+    queries"); the light-weight traversal always re-runs.
 
     Parameters
     ----------
@@ -41,17 +106,9 @@ class DeltaSearch:
         The underlying searcher.  It must have ``fetch_models=False``;
         the delta layer performs (and charges) the model fetches itself
         so it can skip the ones already resident.
-    keep_offscreen:
-        When True, representations that drop out of the answer set stay
-        cached (more memory, fewer re-fetches when the viewer returns).
-        The paper's VISUAL holds tens of MB of model data resident while
-        *tree nodes* are uncached ("None of the two systems caches the
-        tree nodes in the queries"), so model caching defaults to True;
-        the light-weight traversal always re-runs.
     """
 
     def __init__(self, search: HDoVSearch, *,
-                 keep_offscreen: bool = True,
                  cache_budget_bytes: Optional[int] = None) -> None:
         if search.fetch_models:
             raise HDoVError(
@@ -60,19 +117,15 @@ class DeltaSearch:
             raise HDoVError(
                 f"negative cache budget: {cache_budget_bytes}")
         self.search = search
-        self.keep_offscreen = keep_offscreen
         #: Optional cap on resident model bytes.  Off-screen entries are
-        #: evicted least-recently-used first; entries in the current
-        #: answer set are never evicted.  This is what keeps the paper's
-        #: VISUAL at a bounded working set (28 MB on a 1.6 GB dataset).
+        #: evicted least recently wanted first, objects before internal
+        #: LoDs; entries in the current answer set are never evicted.
+        #: This is what keeps the paper's VISUAL at a bounded working
+        #: set (28 MB on a 1.6 GB dataset).
         self.cache_budget_bytes = cache_budget_bytes
-        self._objects: Dict[int, _Resident] = {}
-        self._internals: Dict[int, _Resident] = {}
-        #: Running byte total of ``_objects`` + ``_internals``: the frame
-        #: loop reads it every frame, the sets change only on a query.
-        self._resident_bytes = 0
-        self.fetches = 0
-        self.skipped = 0
+        store = search.env.object_store
+        self._objects = ResidentModels(store)
+        self._internals = ResidentModels(store)
         self.evictions = 0
 
     # -- queries -------------------------------------------------------------
@@ -95,90 +148,46 @@ class DeltaSearch:
             self.search.query_cell_degraded(cell_id, eta))
 
     def _integrate(self, result: SearchResult) -> SearchResult:
-        """Fetch the result's non-resident models and update the cache."""
+        """Fetch the result's non-resident models, then fit the budget."""
         env = self.search.env
-        #: Net growth of the resident set if nothing is dropped: bytes
-        #: fetched minus the coarser copies they replace.
-        grown = 0
-
-        new_objects: Dict[int, _Resident] = {}
+        want = self._objects.want
         for obj in result.objects:
-            resident = self._objects.get(obj.object_id)
-            if resident is not None and resident.fraction >= obj.fraction:
-                # Already resident at sufficient (or better) detail.
-                self.skipped += 1
-                new_objects[obj.object_id] = resident
-                continue
-            record = env.objects[obj.object_id]
-            env.object_store.fetch_prefix(record.blob_id, obj.bytes)
-            self.fetches += 1
-            new_objects[obj.object_id] = _Resident(obj.fraction, obj.bytes)
-            grown += obj.bytes - (
-                resident.bytes if resident is not None else 0)
-
-        new_internals: Dict[int, _Resident] = {}
+            want(obj.object_id, env.objects[obj.object_id].blob_id,
+                 obj.fraction, obj.bytes)
+        want = self._internals.want
         for internal in result.internals:
-            resident = self._internals.get(internal.node_offset)
-            if resident is not None and resident.fraction >= internal.fraction:
-                self.skipped += 1
-                new_internals[internal.node_offset] = resident
-                continue
-            record = env.internals[internal.node_offset]
-            env.object_store.fetch_prefix(record.blob_id, internal.bytes)
-            self.fetches += 1
-            new_internals[internal.node_offset] = _Resident(
-                internal.fraction, internal.bytes)
-            grown += internal.bytes - (
-                resident.bytes if resident is not None else 0)
+            want(internal.node_offset,
+                 env.internals[internal.node_offset].blob_id,
+                 internal.fraction, internal.bytes)
 
-        if self.keep_offscreen:
-            # Merge, oldest entries first so dict order is LRU-ish:
-            # off-screen survivors keep their old rank, entries in the
-            # current result move to the back (most recent).
-            merged_objects = {k: v for k, v in self._objects.items()
-                              if k not in new_objects}
-            merged_objects.update(new_objects)
-            merged_internals = {k: v for k, v in self._internals.items()
-                                if k not in new_internals}
-            merged_internals.update(new_internals)
-            self._objects = merged_objects
-            self._internals = merged_internals
-            self._resident_bytes += grown
-            self._apply_budget(set(new_objects), set(new_internals))
-        else:
-            self._objects = new_objects
-            self._internals = new_internals
-            self._resident_bytes = (
-                sum(r.bytes for r in new_objects.values())
-                + sum(r.bytes for r in new_internals.values()))
+        budget = self.cache_budget_bytes
+        if budget is None:
+            return result
+        for resident, live in (
+                (self._objects, {o.object_id for o in result.objects}),
+                (self._internals, {i.node_offset for i in result.internals})):
+            for key in list(resident):
+                if self.resident_bytes <= budget:
+                    return result
+                if key not in live:
+                    resident.drop(key)
+                    self.evictions += 1
         return result
 
-    def _apply_budget(self, live_objects: Set[int],
-                      live_internals: Set[int]) -> None:
-        """Evict least-recently-used off-screen entries over budget."""
-        if self.cache_budget_bytes is None:
-            return
-        for oid in list(self._objects):
-            if self._resident_bytes <= self.cache_budget_bytes:
-                return
-            if oid in live_objects:
-                continue
-            self._resident_bytes -= self._objects.pop(oid).bytes
-            self.evictions += 1
-        for offset in list(self._internals):
-            if self._resident_bytes <= self.cache_budget_bytes:
-                return
-            if offset in live_internals:
-                continue
-            self._resident_bytes -= self._internals.pop(offset).bytes
-            self.evictions += 1
+    # -- accounting ------------------------------------------------------------
 
-    # -- memory accounting -------------------------------------------------------
+    @property
+    def fetches(self) -> int:
+        return self._objects.fetches + self._internals.fetches
+
+    @property
+    def skipped(self) -> int:
+        return self._objects.skipped + self._internals.skipped
 
     @property
     def resident_bytes(self) -> int:
         """Bytes of model data currently held in memory."""
-        return self._resident_bytes
+        return self._objects.bytes + self._internals.bytes
 
     @property
     def resident_count(self) -> int:
@@ -187,7 +196,6 @@ class DeltaSearch:
     def clear(self) -> None:
         self._objects.clear()
         self._internals.clear()
-        self._resident_bytes = 0
 
     def __repr__(self) -> str:
         return (f"DeltaSearch(resident={self.resident_count}, "

@@ -362,10 +362,15 @@ class HDoVSearch:
 
     def _retrieve_internal(self, node_offset: int, dov: float, eta: float,
                            result: SearchResult) -> None:
+        self._append_internal(node_offset, dov,
+                              internal_lod_fraction(dov, eta), result)
+
+    def _append_internal(self, node_offset: int, dov: float, fraction: float,
+                         result: SearchResult) -> None:
+        """Answer a subtree with its node's internal LoD at ``fraction``."""
         record = self.env.internals.get(node_offset)
         if record is None:
             raise HDoVError(f"no internal LoD for node {node_offset}")
-        fraction = internal_lod_fraction(dov, eta)
         polygons = record.lod.chain.interpolated_polygons(fraction)
         nbytes = polygons * BYTES_PER_POLYGON
         if self.fetch_models:
@@ -385,16 +390,5 @@ class HDoVSearch:
         recorded DoV of 0.0 — visibly distinct from any genuine eq.-5
         retrieval, whose DoV is positive.
         """
-        record = self.env.internals.get(node_offset)
-        if record is None:
-            raise HDoVError(
-                f"no internal LoD to degrade to for node {node_offset}")
-        polygons = record.lod.chain.interpolated_polygons(1.0)
-        nbytes = polygons * BYTES_PER_POLYGON
-        if self.fetch_models:
-            self.env.object_store.fetch_prefix(record.blob_id, nbytes)
-        covered = tuple(self.env.descendants.get(node_offset, ()))
+        self._append_internal(node_offset, 0.0, 1.0, result)
         result.degraded += 1
-        result.internals.append(RetrievedInternal(
-            node_offset=node_offset, dov=0.0, fraction=1.0,
-            polygons=polygons, bytes=nbytes, covered_objects=covered))

@@ -19,9 +19,9 @@ from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
 from repro.obs.replay import session_path
-from repro.walkthrough.lodrtree_driver import LodRTreeWalkthrough
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
+from repro.walkthrough.visual import (LodRTreeWalkthrough, ReviewWalkthrough,
+                                      VisualSystem)
 
 SESSION_LABELS = {1: "session 1 (normal)", 2: "session 2 (turning)",
                   3: "session 3 (back/forward)"}

@@ -79,7 +79,7 @@ def run_figure11(scale: ExperimentScale = MEDIUM, *,
         for oid in review_result.object_ids:
             record = env.objects[oid]
             distance = record.chain.finest.aabb().min_distance_to_point(point)
-            fraction = review.lod_policy.fraction_for_distance(distance)
+            fraction = review.lod_fraction_at(distance)
             rendered[oid] = record.chain.interpolated_polygons(fraction)
         rows["review"].append(metric.score_rendered(cell_id, rendered))
         missed["review"].append(

@@ -327,7 +327,7 @@ def _cache_sweep(workdir: str, *, cells: int,
         end = raw.index(b"\n", start) + 1
         spans.append((start, end))
         start = end
-    points = sorted({p for p in range(0, len(raw) + 1, max(stride, 1))}
+    points = sorted({p for p in range(0, len(raw) + 1, stride)}
                     | {end - 1 for _, end in spans} | {len(raw)})
 
     checked = torn_seen = 0
@@ -399,11 +399,12 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
     """
     cfg = {"seed": seed, "pages": pages, "page_size": page_size,
            "txns": txns, "writes_per_txn": writes_per_txn}
-    for name in ("pages", "page_size", "txns", "writes_per_txn"):
-        if cfg[name] < 1:
+    echoed = dict(cfg, cache_cells=cache_cells, cache_stride=cache_stride)
+    for name, value in echoed.items():
+        if name != "seed" and value < 1:
             # An empty sweep passes on nothing; an empty transaction
             # commits nothing, so every snapshot is one image.
-            raise StorageError(f"{name} must be >= 1, got {cfg[name]}")
+            raise StorageError(f"{name} must be >= 1, got {value}")
     cleanup = workdir is None
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-crash-")
@@ -432,9 +433,8 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
                                  stride=cache_stride,
                                  violations=violations)
             report: Dict[str, object] = {
-                "crash": dict(cfg, cache_cells=cache_cells,
-                              cache_stride=cache_stride,
-                              boundaries=len(labels), labels=labels),
+                "crash": dict(echoed, boundaries=len(labels),
+                              labels=labels),
                 "sweep": sweep,
                 "cache": cache,
                 "metrics": _metric_totals(registry),

@@ -125,6 +125,7 @@ class WalkthroughService:
         if frame_budget_ms is not None and not frame_budget_ms > 0:
             raise WalkthroughError(
                 f"frame_budget_ms must be > 0, got {frame_budget_ms}")
+        env.scheme(scheme)      # an unknown name is refused here, once
         self.env = env
         self.pool = pool
         self.eta = eta

@@ -204,6 +204,8 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     if not 0.0 <= min_dov < float("inf"):
         raise VisibilityError(
             f"min_dov must be finite and >= 0, got {min_dov}")
+    if resolution < 1:
+        raise VisibilityError(f"resolution must be >= 1, got {resolution}")
     if samples_per_cell < 1:
         raise VisibilityError(
             f"samples_per_cell must be >= 1, got {samples_per_cell}")

@@ -12,7 +12,7 @@ are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.storage.disk import IOStats
 
@@ -99,8 +99,3 @@ class FrameRecord:
     @property
     def total_ios(self) -> int:
         return self.light_ios + self.heavy_ios
-
-
-def peak_resident_bytes(records: List[FrameRecord]) -> int:
-    """Peak memory over a session (the paper's 28 MB vs 62 MB metric)."""
-    return max((r.resident_bytes for r in records), default=0)

@@ -1,7 +1,7 @@
-"""Walkthrough drivers: the VISUAL system and the REVIEW wrapper.
+"""Walkthrough drivers: the VISUAL system and the baselines' replay.
 
-Both replay a recorded :class:`~repro.walkthrough.session.Session` frame
-by frame, charging database work to the shared simulated disk and
+Each replays a recorded :class:`~repro.walkthrough.session.Session`
+frame by frame, charging database work to the shared simulated disk and
 producing :class:`~repro.walkthrough.frame.FrameRecord` series that the
 Figure 10/12 and Table 3 experiments summarise.
 
@@ -28,7 +28,8 @@ import numpy as np
 from repro.core.delta import DeltaSearch
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.search import HDoVSearch, SearchResult
-from repro.baselines.review import ReviewSystem
+from repro.baselines.lod_rtree import LodRTreeSystem
+from repro.baselines.review import ReviewSystem, WindowQuerySystem
 from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import get_registry
@@ -36,7 +37,7 @@ from repro.obs.trace import SpanRecord, span
 from repro.storage.disk import IOStats
 from repro.walkthrough.frame import FrameModel, FrameRecord
 from repro.walkthrough.metrics import FidelityMetric
-from repro.walkthrough.session import Session, Waypoint
+from repro.walkthrough.session import Session
 
 
 @dataclass
@@ -217,28 +218,24 @@ class VisualSystem:
         return thunk
 
 
-def replay_baseline(env: HDoVEnvironment, session: Session,
-                    frame_model: FrameModel,
-                    fidelity: Optional[FidelityMetric], *,
-                    step: Callable[[np.ndarray, Waypoint], object],
-                    lod_fraction: Callable[[float], float],
-                    resident_bytes: Callable[[], int]
+def replay_baseline(system: WindowQuerySystem, session: Session,
+                    fidelity: Optional[FidelityMetric]
                     ) -> List[FrameRecord]:
     """The frame loop of the spatial-query baselines (REVIEW, the
-    LoD-R-tree): ``step`` answers one waypoint (a result with
-    ``object_ids`` and ``total_polygons``), its charges become the
-    frame's, and — when ``fidelity`` is given — each answered object is
-    scored at the LoD ``lod_fraction`` picks for its MBR distance.
+    LoD-R-tree): ``system`` answers one waypoint, its charges become
+    the frame's, and — when ``fidelity`` is given — each answered
+    object is scored at the LoD the system picks for its MBR distance.
 
     Fidelity is against the *current* cell's ground truth, whether or
     not a query ran this frame.
     """
+    env, frame_model = system.env, FrameModel()
     frames: List[FrameRecord] = []
     last_fidelity = float("nan")
     for index, waypoint in enumerate(session):
         position = waypoint.position_array()
         snap = env.snapshot()
-        result = step(position, waypoint)
+        result, _queried = system.frame(position, waypoint.direction_array())
         light, heavy = env.delta(snap)
         cell_id = env.grid.cell_of_point(position)
         if fidelity is not None:
@@ -247,39 +244,46 @@ def replay_baseline(env: HDoVEnvironment, session: Session,
                 chain = env.objects[oid].chain
                 distance = chain.finest.aabb().min_distance_to_point(position)
                 rendered[oid] = chain.interpolated_polygons(
-                    lod_fraction(distance))
+                    system.lod_fraction_at(distance))
             last_fidelity = fidelity.score_rendered(cell_id, rendered)
         frames.append(frame_model.record(
             index, cell_id, light, heavy, result.total_polygons,
-            last_fidelity, resident_bytes()))
+            last_fidelity, system.resident_bytes))
     return frames
 
 
-class ReviewWalkthrough:
-    """Replay driver around :class:`~repro.baselines.review.ReviewSystem`."""
+class BaselineWalkthrough:
+    """Replay driver around a window-query baseline system."""
 
-    def __init__(self, env: HDoVEnvironment, *, box_size: float = 400.0,
-                 frame_model: Optional[FrameModel] = None,
-                 evaluate_fidelity: bool = True,
-                 cache_budget_bytes: Optional[int] = None,
-                 requery_fraction: float = 0.25) -> None:
-        self.env = env
-        self.review = ReviewSystem(env, box_size=box_size,
-                                   cache_budget_bytes=cache_budget_bytes,
-                                   requery_fraction=requery_fraction)
-        self.frame_model = frame_model or FrameModel()
-        self.evaluate_fidelity = evaluate_fidelity
-        self._fidelity = FidelityMetric(env)
+    def __init__(self, system: WindowQuerySystem, label: str,
+                 evaluate_fidelity: bool = True) -> None:
+        self.system = system
+        self.label = label
+        self._fidelity = (FidelityMetric(system.env)
+                          if evaluate_fidelity else None)
 
     def run(self, session: Session) -> WalkthroughReport:
-        self.review.clear_cache()
-        frames = replay_baseline(
-            self.env, session, self.frame_model,
-            self._fidelity if self.evaluate_fidelity else None,
-            step=lambda position, _waypoint:
-                self.review.frame(position)[0],
-            lod_fraction=self.review.lod_policy.fraction_for_distance,
-            resident_bytes=lambda: self.review.resident_bytes)
+        self.system.clear_cache()
         return WalkthroughReport(
-            system=f"REVIEW(box={self.review.box_size:g}m)",
-            session=session.name, frames=frames)
+            system=self.label, session=session.name,
+            frames=replay_baseline(self.system, session, self._fidelity))
+
+
+def ReviewWalkthrough(env: HDoVEnvironment, *, box_size: float = 400.0,
+                      evaluate_fidelity: bool = True,
+                      cache_budget_bytes: Optional[int] = None
+                      ) -> BaselineWalkthrough:
+    """Replays sessions on :class:`~repro.baselines.review.ReviewSystem`."""
+    return BaselineWalkthrough(
+        ReviewSystem(env, box_size=box_size,
+                     cache_budget_bytes=cache_budget_bytes),
+        f"REVIEW(box={box_size:g}m)", evaluate_fidelity)
+
+
+def LodRTreeWalkthrough(env: HDoVEnvironment, *, depth: float = 400.0
+                        ) -> BaselineWalkthrough:
+    """Replays sessions on
+    :class:`~repro.baselines.lod_rtree.LodRTreeSystem`, so the baseline
+    can be compared frame-for-frame with VISUAL and REVIEW."""
+    return BaselineWalkthrough(LodRTreeSystem(env, depth=depth),
+                               f"LoD-R-tree(depth={depth:g}m)")

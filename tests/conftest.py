@@ -70,20 +70,19 @@ def env_packed(small_env_packed):
 
 @pytest.fixture()
 def delta_totals_checked(monkeypatch):
-    """Hold ``DeltaSearch``'s running ``resident_bytes`` to the recomputed
-    sum after every operation that changes the resident set."""
-    from repro.core.delta import DeltaSearch
+    """Hold ``ResidentModels``' running ``bytes`` to the recomputed sum
+    after every operation that changes the set — VISUAL's two sets,
+    REVIEW's and the LoD-R-tree's alike."""
+    from repro.core.delta import ResidentModels
 
     def checked(method):
         def wrapper(self, *args, **kwargs):
             try:
                 return method(self, *args, **kwargs)
             finally:
-                assert self.resident_bytes == (
-                    sum(r.bytes for r in self._objects.values())
-                    + sum(r.bytes for r in self._internals.values()))
+                assert self.bytes == sum(self[key][1] for key in self)
         return wrapper
 
-    for name in ("_integrate", "_apply_budget", "clear"):
-        monkeypatch.setattr(DeltaSearch, name,
-                            checked(getattr(DeltaSearch, name)))
+    for name in ("want", "drop", "keep_only", "clear"):
+        monkeypatch.setattr(ResidentModels, name,
+                            checked(getattr(ResidentModels, name)))

@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.config import SMALL
-from repro.walkthrough.lodrtree_driver import LodRTreeWalkthrough
 from repro.walkthrough.session import make_session
+from repro.walkthrough.visual import LodRTreeWalkthrough
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,10 @@ from repro.baselines.naive import NaiveCellList
 from repro.baselines.review import DistanceLODPolicy, ReviewSystem
 from repro.errors import HDoVError, WalkthroughError
 
+#: Every resident-set operation also checks the running byte total
+#: against the recomputed sum (see conftest).
+pytestmark = pytest.mark.usefixtures("delta_totals_checked")
+
 
 @pytest.fixture(scope="module")
 def naive(small_env):

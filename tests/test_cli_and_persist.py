@@ -229,12 +229,49 @@ def test_walk_verbs_refuse_frames_below_one(verb, frames, tmp_path, capsys):
     assert build_parser().parse_args([verb, "--frames", "1"]).frames == 1
 
 
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+def test_walk_verbs_refuse_an_unknown_scheme(verb, tmp_path, capsys):
+    """``--scheme`` is declared once for the four walking verbs and an
+    unknown name is the user's error on each: exit 2, nothing written.
+    ``profile`` / ``chaos`` printed a traceback; ``traffic`` served the
+    world, answered every session with a 500 and reported zero
+    admitted."""
+    out = tmp_path / "report.json"
+    assert main([verb, "--scheme", "nosuch", "--frames", "3",
+                 "--output", str(out)]) == 2
+    assert "scheme 'nosuch' not built" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_precompute_refuses_a_resolution_below_one(resolution, tmp_path,
+                                                   capsys):
+    """Beside ``--samples 0`` / ``--workers 0`` / ``--batch-cells 0``:
+    exit 2, not a ``GeometryError`` traceback."""
+    out = tmp_path / "summary.json"
+    assert main(["precompute", f"--resolution={resolution}", "--quiet",
+                 "--output", str(out)]) == 2
+    assert "resolution must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--txns", "--writes", "--pages",
-                                  "--page-size"])
-def test_crash_refuses_a_sweep_over_nothing(flag, tmp_path, capsys):
+                                  "--page-size", "--cache-cells",
+                                  "--cache-stride"])
+def test_crash_refuses_a_sweep_over_nothing(flag, tmp_path, capsys,
+                                            monkeypatch):
     """``--txns 0`` passed the gate over an empty sweep, ``--writes 0``
     alarmed on a journal that did nothing wrong, ``--pages 0`` divided
-    by zero: each is a usage error, exit 2, no report."""
+    by zero, ``--cache-stride 0`` swept stride 1 under a report saying
+    0 and ``--cache-cells 0`` was refused only after the whole journal
+    matrix: each is a usage error, exit 2, no report, before the first
+    crash point."""
+    from repro.obs import crash
+
+    def no_crash_point(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(crash, "_probe_boundaries", no_crash_point)
     out = tmp_path / "crash.json"
     assert main(["crash", flag, "0", "--output", str(out)]) == 2
     assert "must be >= 1" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Delta search tests: temporal coherence and memory accounting."""
 
+import numpy as np
 import pytest
 
+from repro.baselines.review import ReviewSystem
 from repro.core.delta import DeltaSearch
 from repro.core.search import HDoVSearch
 from repro.errors import HDoVError
@@ -11,9 +13,9 @@ from repro.errors import HDoVError
 pytestmark = pytest.mark.usefixtures("delta_totals_checked")
 
 
-def make_delta(env, keep_offscreen=True, eta_scheme="indexed-vertical"):
+def make_delta(env, eta_scheme="indexed-vertical"):
     search = HDoVSearch(env, eta_scheme, fetch_models=False)
-    return DeltaSearch(search, keep_offscreen=keep_offscreen)
+    return DeltaSearch(search)
 
 
 def busiest_cells(env, limit=4):
@@ -60,25 +62,30 @@ def test_skip_counter_grows_on_overlap(env):
 
 
 def test_resident_bytes_track_result(env):
-    delta = make_delta(env, keep_offscreen=False)
-    cell = busiest_cells(env)[0]
-    result = delta.query_cell(cell, eta=0.0)
-    assert delta.resident_count == result.num_results
-    assert delta.resident_bytes == result.total_model_bytes
+    """The evicting mode of the resident set is REVIEW's: after a query
+    it holds exactly the answer."""
+    review = ReviewSystem(env, box_size=300.0)
+    result = review.query(env.grid.cell_center(busiest_cells(env)[0]))
+    assert result.num_results > 0
+    assert review.resident_count == result.num_results
+    assert review.resident_bytes == result.total_model_bytes
 
 
 def test_evicting_mode_refetches_on_return(env):
-    delta = make_delta(env, keep_offscreen=False)
-    cells = busiest_cells(env, limit=2)
-    delta.query_cell(cells[0], eta=0.0)
-    first_fetches = delta.fetches
-    delta.query_cell(cells[1], eta=0.0)
-    delta.query_cell(cells[0], eta=0.0)     # must refetch dropped models
-    assert delta.fetches > first_fetches
+    review = ReviewSystem(env, box_size=100.0)
+    here = env.grid.cell_center(busiest_cells(env)[0])
+    there = max((env.grid.cell_center(c) for c in env.grid.cell_ids()),
+                key=lambda p: float(np.linalg.norm(p - here)))
+    first = review.query(here)
+    assert first.fetched_ids
+    away = review.query(there)              # disjoint box: drops them all
+    assert not set(away.object_ids) & set(first.object_ids)
+    back = review.query(here)               # must refetch dropped models
+    assert sorted(back.fetched_ids) == first.object_ids
 
 
 def test_caching_mode_free_on_return(env):
-    delta = make_delta(env, keep_offscreen=True)
+    delta = make_delta(env)
     cells = busiest_cells(env, limit=2)
     delta.query_cell(cells[0], eta=0.0)
     delta.query_cell(cells[1], eta=0.0)

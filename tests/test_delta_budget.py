@@ -19,8 +19,7 @@ def busiest_cells(env, limit=6):
 
 def make_delta(env, budget):
     search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
-    return DeltaSearch(search, keep_offscreen=True,
-                       cache_budget_bytes=budget)
+    return DeltaSearch(search, cache_budget_bytes=budget)
 
 
 def test_negative_budget_rejected(env):
@@ -93,9 +92,9 @@ def test_budget_invariant_property(small_env, budget):
         live_objects = {o.object_id for o in result.objects}
         live_internals = {i.node_offset for i in result.internals}
         offscreen = (
-            sum(r.bytes for oid, r in delta._objects.items()
+            sum(delta._objects[oid][1] for oid in delta._objects
                 if oid not in live_objects)
-            + sum(r.bytes for off, r in delta._internals.items()
+            + sum(delta._internals[off][1] for off in delta._internals
                   if off not in live_internals))
         assert offscreen <= budget
         # Correctness never degrades: the answer always matches the

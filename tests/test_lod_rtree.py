@@ -8,6 +8,10 @@ from repro.baselines.lod_rtree import LodRTreeSystem
 from repro.errors import WalkthroughError
 from repro.geometry.aabb import union_aabbs
 
+#: Every resident-set operation also checks the running byte total
+#: against the recomputed sum (see conftest).
+pytestmark = pytest.mark.usefixtures("delta_totals_checked")
+
 
 def street_point(env):
     cell = max(env.grid.cell_ids(),
@@ -113,11 +117,17 @@ def test_turning_costs_more_than_for_review(env):
 
 
 def test_complement_search_on_straight_motion(env):
-    system = LodRTreeSystem(env, depth=300.0, requery_distance=5.0,
-                            fetch_models=False)
+    system = LodRTreeSystem(env, depth=300.0, fetch_models=False)
     point = street_point(env)
-    first = system.query(point, (1, 0, 0))
-    second = system.query(point + np.array([6.0, 0, 0]), (1, 0, 0))
+    _first, queried = system.frame(point, (1, 0, 0))
+    assert queried
+    # 5 m steps stay under the 25 m re-query distance until the sixth.
+    for step in range(1, 6):
+        _result, queried = system.frame(
+            point + np.array([5.0 * step, 0, 0]), (1, 0, 0))
+        assert not queried
+    second, queried = system.frame(point + np.array([30.0, 0, 0]), (1, 0, 0))
+    assert queried
     # Overlapping slabs: most objects served from cache.
     assert len(second.fetched_ids) < len(second.object_ids) + 1
     assert system.cache_hits > 0

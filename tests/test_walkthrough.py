@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WalkthroughError
-from repro.walkthrough.frame import FrameModel, peak_resident_bytes
+from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.memory import memory_report
 from repro.walkthrough.metrics import FidelityMetric, frame_time_stats
 from repro.walkthrough.session import (Session, Waypoint, make_session,
@@ -194,7 +194,7 @@ def test_memory_report(env, session1):
     system = VisualSystem(env, eta=0.001, evaluate_fidelity=False)
     report = system.run(session1)
     mem = memory_report("VISUAL", report.frames)
-    assert mem.peak_bytes == peak_resident_bytes(report.frames)
+    assert mem.peak_bytes == report.peak_resident_bytes()
     assert 0 < mem.mean_bytes <= mem.peak_bytes
     with pytest.raises(WalkthroughError):
         memory_report("X", [])
