@@ -7,7 +7,7 @@ fixpoint — which private helper methods execute *only* from locked
 contexts (``_evict_one`` has no ``with`` of its own, but every caller
 holds the pool lock, so its body is lock-held code).
 
-Like the PR-2 rules these are heuristic AST analyses, not a type
+Like the other rules these are heuristic AST analyses, not a type
 checker.  Misfires are suppressed with ``# repro: ignore[RPR###]`` plus
 a one-line justification.
 """
@@ -18,19 +18,25 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.analysis.context import (ModuleContext, Rule, dotted,
+                                    unquoted)
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import ModuleContext, ModuleRule, register
-from repro.analysis.rules import _dotted, _parent_map
 
-#: ``threading`` factories whose result makes an ``__init__``-assigned
-#: attribute a lock.
+#: Factories whose result makes an ``__init__``-assigned attribute a
+#: lock, by final name (``threading.RLock``, ``asyncio.Lock``).
 LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
+
+#: Container methods that change the object they are called on: calling
+#: one on a guarded attribute is a mutation of it (RPR011).
+MUTATING_METHODS = frozenset({
+    "clear", "pop", "popitem", "append", "extend", "insert", "remove",
+    "update", "add", "discard", "setdefault", "move_to_end",
+})
 
 #: Modules whose reports promise byte-determinism (RPR013).  A module
 #: outside this set can opt in with a top-level ``DETERMINISTIC_REPORT =
 #: True`` marker.
 DETERMINISTIC_MODULES = frozenset({
-    "repro.analysis.baseline",
     "repro.obs.chaos",
     "repro.obs.profile",
     "repro.serving.http.stats",
@@ -53,30 +59,14 @@ _FS_ENUMERATORS = frozenset({"os.listdir", "os.scandir", "glob.glob",
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _CallSite:
-    """One ``self.<method>()`` call inside a method body."""
-
-    method: str
-    under_lock: bool                 #: lexically inside ``with self._lock:``
-
-
-@dataclass
 class _Mutation:
-    """An assignment whose target is rooted at a ``self`` attribute."""
+    """A statement or call that changes the object held in ``self.<attr>``:
+    an assignment or ``del`` rooted there, or a mutating method call."""
 
     node: ast.AST
-    attr: str                        #: the ``self.<attr>`` being mutated
-    rebinding: bool                  #: ``self.attr = ...`` vs ``self.attr[k] = ...``
-    under_lock: bool
-
-
-@dataclass
-class _MethodModel:
-    """Lock-relevant facts about one method."""
-
-    name: str
-    calls: List[_CallSite] = field(default_factory=list)
-    mutations: List[_Mutation] = field(default_factory=list)
+    method: str                      #: the method it happens in
+    attr: str
+    under_lock: bool                 #: lexically inside ``with self._lock:``
 
 
 @dataclass
@@ -85,24 +75,24 @@ class _ClassModel:
 
     name: str
     lock_attrs: Set[str] = field(default_factory=set)
-    methods: Dict[str, _MethodModel] = field(default_factory=dict)
+    methods: Set[str] = field(default_factory=set)
+    mutations: List[_Mutation] = field(default_factory=list)
+    #: ``(caller, callee, under_lock)`` per ``self.<callee>()`` call
+    calls: List[Tuple[str, str, bool]] = field(default_factory=list)
     #: methods whose bodies execute only from lock-held call sites
     locked_context: Set[str] = field(default_factory=set)
+
+    def locked(self, mutation: _Mutation) -> bool:
+        return mutation.under_lock or \
+            mutation.method in self.locked_context
 
 
 def _annotation_names(annotation: ast.expr) -> Set[str]:
     """Every identifier mentioned in an annotation (``Dict[int, PagedFile]``
-    yields ``{"Dict", "int", "PagedFile"}``); string annotations are
-    parsed and recursed into."""
-    if isinstance(annotation, ast.Constant) and \
-            isinstance(annotation.value, str):
-        try:
-            parsed = ast.parse(annotation.value, mode="eval")
-        except SyntaxError:
-            return set()
-        return _annotation_names(parsed.body)
+    yields ``{"Dict", "int", "PagedFile"}``), string annotations included."""
     names: Set[str] = set()
-    for node in ast.walk(annotation):
+    spelled = unquoted(annotation)
+    for node in ast.walk(spelled) if spelled is not None else ():
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -130,167 +120,122 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _target_base_attr(target: ast.expr) -> Optional[Tuple[str, bool]]:
-    """Resolve an assignment target rooted at ``self``.
-
-    Returns ``(attr, rebinding)``: ``self.x = ...`` is a rebinding of
-    ``x``; ``self.x[k] = ...`` / ``self.x.y = ...`` mutate the object
-    held in ``x``.
-    """
-    rebinding = True
+def _base_attr(target: ast.expr) -> Optional[str]:
+    """The ``self`` attribute an expression is rooted at: ``x`` for
+    ``self.x``, ``self.x[k]`` and ``self.x.y``; else ``None``."""
     node = target
     while True:
         attr = _self_attr(node)
         if attr is not None:
-            return attr, rebinding
-        if isinstance(node, (ast.Subscript, ast.Attribute)):
-            node = node.value
-            rebinding = False
-            continue
-        return None
+            return attr
+        if not isinstance(node, (ast.Subscript, ast.Attribute)):
+            return None
+        node = node.value
 
 
 def _build_class_model(class_node: ast.ClassDef) -> Optional[_ClassModel]:
     """Extract the lock model; None when the class owns no locks."""
     model = _ClassModel(name=class_node.name)
-
-    init = next((stmt for stmt in class_node.body
-                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and stmt.name == "__init__"), None)
-    if init is not None:
+    functions = [stmt for stmt in class_node.body
+                 if isinstance(stmt, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))]
+    for init in functions:
+        if init.name != "__init__":
+            continue
         for node in ast.walk(init):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    attr = _self_attr(target)
-                    if attr is not None and _is_lock_factory_call(node.value):
-                        model.lock_attrs.add(attr)
-            elif isinstance(node, ast.AnnAssign):
-                attr = _self_attr(node.target)
-                if attr is not None and node.value is not None and \
-                        _is_lock_factory_call(node.value):
-                    model.lock_attrs.add(attr)
-
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    node.value is not None and \
+                    _is_lock_factory_call(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                model.lock_attrs.update(
+                    attr for attr in map(_self_attr, targets)
+                    if attr is not None)
     if not model.lock_attrs:
         return None
-
-    for stmt in class_node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            model.methods[stmt.name] = _build_method_model(model, stmt)
-
+    for func in functions:
+        model.methods.add(func.name)
+        _scan_method(model, func)
     _compute_locked_context(model)
     return model
 
 
-def _build_method_model(model: _ClassModel, func: ast.AST) -> _MethodModel:
+def _scan_method(model: _ClassModel, func: ast.AST) -> None:
+    """Record ``func``'s ``self.<method>()`` calls and its mutations of
+    ``self`` attributes, each with whether it sits under a class lock."""
     assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-    method = _MethodModel(name=func.name)
 
-    lock_withs: Set[int] = set()
-    for node in ast.walk(func):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
+    def visit(node: ast.AST, under_lock: bool) -> None:
+        if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                _self_attr(item.context_expr) in model.lock_attrs
+                for item in node.items):
             for item in node.items:
-                if _self_attr(item.context_expr) in model.lock_attrs:
-                    lock_withs.add(id(node))
-
-    parents = _parent_map(func)
-
-    def under_lock(node: ast.AST) -> bool:
-        current: Optional[ast.AST] = node
-        while current is not None and current is not func:
-            parent = parents.get(current)
-            if isinstance(parent, (ast.With, ast.AsyncWith)) and \
-                    id(parent) in lock_withs and \
-                    not isinstance(current, ast.withitem):
-                return True
-            current = parent
-        return False
-
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
+                visit(item, under_lock)
+            for stmt in node.body:
+                visit(stmt, True)
+            return
+        mutated: List[ast.expr] = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            mutated = list(node.targets)
+        elif isinstance(node, ast.AugAssign) or (
+                isinstance(node, ast.AnnAssign) and node.value is not None):
+            mutated = [node.target]
+        elif isinstance(node, ast.Call):
             callee = _self_attr(node.func)
             if callee is not None:
-                method.calls.append(_CallSite(
-                    method=callee, under_lock=under_lock(node)))
+                model.calls.append((func.name, callee, under_lock))
+            elif isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in MUTATING_METHODS:
+                mutated = [node.func.value]
+        for target in mutated:
+            attr = _base_attr(target)
+            if attr is not None and attr not in model.lock_attrs:
+                model.mutations.append(
+                    _Mutation(node, func.name, attr, under_lock))
+        for child in ast.iter_child_nodes(node):
+            visit(child, under_lock)
 
-    targets: List[Tuple[ast.AST, ast.expr]] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            targets.extend((node, t) for t in node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            if not (isinstance(node, ast.AnnAssign) and node.value is None):
-                targets.append((node, node.target))
-        elif isinstance(node, ast.Delete):
-            targets.extend((node, t) for t in node.targets)
-    for stmt_node, target in targets:
-        resolved = _target_base_attr(target)
-        if resolved is None:
-            continue
-        attr, rebinding = resolved
-        if attr in model.lock_attrs:
-            continue
-        method.mutations.append(_Mutation(
-            node=stmt_node, attr=attr, rebinding=rebinding,
-            under_lock=under_lock(stmt_node)))
-    return method
+    visit(func, False)
 
 
 def _compute_locked_context(model: _ClassModel) -> None:
     """Fixpoint: a private helper called *only* from lock-held sites is
     itself lock-held code (``_evict_one`` has no ``with`` of its own)."""
-    callers: Dict[str, List[Tuple[str, _CallSite]]] = {}
-    for method in model.methods.values():
-        for site in method.calls:
-            if site.method in model.methods:
-                callers.setdefault(site.method, []).append(
-                    (method.name, site))
+    callers: Dict[str, List[Tuple[str, bool]]] = {}
+    for caller, callee, under_lock in model.calls:
+        if callee in model.methods:
+            callers.setdefault(callee, []).append((caller, under_lock))
 
     changed = True
     while changed:
         changed = False
-        for name, method in model.methods.items():
+        for name, sites in callers.items():
             if name in model.locked_context:
                 continue
             if not name.startswith("_") or name.startswith("__"):
                 continue
-            sites = callers.get(name)
-            if not sites:
-                continue
-            if all(site.under_lock or caller in model.locked_context
-                   for caller, site in sites):
+            if all(under_lock or caller in model.locked_context
+                   for caller, under_lock in sites):
                 model.locked_context.add(name)
                 changed = True
-
-
-def _effectively_locked(model: _ClassModel, method: _MethodModel,
-                        site_under_lock: bool) -> bool:
-    return site_under_lock or method.name in model.locked_context
-
-
-def _lock_models(ctx: ModuleContext) -> List[_ClassModel]:
-    models = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef):
-            model = _build_class_model(node)
-            if model is not None:
-                models.append(model)
-    return models
 
 
 # ---------------------------------------------------------------------------
 # RPR011: guarded state is guarded everywhere
 # ---------------------------------------------------------------------------
 
-@register
-class GuardedStateRule(ModuleRule):
+class GuardedStateRule(Rule):
     """RPR011: a field mutated under the class lock is never mutated
     outside it.
 
-    If any method writes ``self.x`` inside ``with self._lock:`` (or from
-    a helper that only runs under it), the lock is *the* guard for
-    ``x`` — an unlocked write elsewhere is a data race even when it
-    "only" resets state (the seed violation: ``PagedFile.reset_head``
-    cleared ``_last_accessed`` without the I/O lock).  ``__init__`` is
-    exempt: construction happens before the object is shared.
+    If any method writes ``self.x`` — assigns it, deletes from it, or
+    calls one of ``MUTATING_METHODS`` on it — inside ``with
+    self._lock:`` (or from a helper that only runs under it), the lock
+    is *the* guard for ``x`` — an unlocked write elsewhere is a data
+    race even when it "only" resets state (the seed violation:
+    ``PagedFile.reset_head`` cleared ``_last_accessed`` without the I/O
+    lock).  ``__init__`` is exempt: construction happens before the
+    object is shared.
     """
 
     code = "RPR011"
@@ -300,26 +245,19 @@ class GuardedStateRule(ModuleRule):
                "(construction in __init__ exempt)")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        for model in _lock_models(ctx):
-            guarded: Dict[str, str] = {}
-            for method in model.methods.values():
-                if method.name == "__init__":
-                    continue
-                for mutation in method.mutations:
-                    if _effectively_locked(model, method,
-                                           mutation.under_lock):
-                        guarded.setdefault(mutation.attr, method.name)
-            if not guarded:
+        for node in ctx.nodes:
+            model = _build_class_model(node) \
+                if isinstance(node, ast.ClassDef) else None
+            if model is None:
                 continue
-            for method in model.methods.values():
-                if method.name == "__init__":
-                    continue
-                for mutation in method.mutations:
-                    if mutation.attr not in guarded:
-                        continue
-                    if _effectively_locked(model, method,
-                                           mutation.under_lock):
-                        continue
+            mutations = [m for m in model.mutations
+                         if m.method != "__init__"]
+            guarded: Dict[str, str] = {}
+            for mutation in mutations:
+                if model.locked(mutation):
+                    guarded.setdefault(mutation.attr, mutation.method)
+            for mutation in mutations:
+                if mutation.attr in guarded and not model.locked(mutation):
                     yield ctx.diagnostic(
                         self, mutation.node,
                         f"'self.{mutation.attr}' is lock-guarded state "
@@ -332,8 +270,7 @@ class GuardedStateRule(ModuleRule):
 # RPR013: determinism hygiene in byte-deterministic report modules
 # ---------------------------------------------------------------------------
 
-@register
-class DeterminismHygieneRule(ModuleRule):
+class DeterminismHygieneRule(Rule):
     """RPR013: no unordered iteration feeding byte-deterministic reports.
 
     The repo's reports are diffed byte-for-byte in CI (chaos, serve,
@@ -355,8 +292,8 @@ class DeterminismHygieneRule(ModuleRule):
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         if not self._applies(ctx):
             return
-        set_names = self._set_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        set_names = self._set_names(ctx)
+        for node in ctx.nodes:
             iters: List[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
@@ -366,7 +303,7 @@ class DeterminismHygieneRule(ModuleRule):
             elif isinstance(node, ast.Call):
                 iters.extend(self._consumed_iterables(node))
             for candidate in iters:
-                reason = self._unordered(candidate, set_names)
+                reason = self._unordered(ctx, candidate, set_names)
                 if reason is not None:
                     yield ctx.diagnostic(
                         self, candidate,
@@ -397,21 +334,24 @@ class DeterminismHygieneRule(ModuleRule):
             return name in ("set", "frozenset")
         return False
 
-    def _set_names(self, tree: ast.Module) -> Set[str]:
-        """Names bound to a set expression or annotated as sets, module
-        wide (flow-insensitive on purpose: cheap and good enough)."""
+    def _set_names(self, ctx: ModuleContext) -> Set[str]:
+        """Names and attribute chains (``seen``, ``self.routes``) bound to
+        a set expression or annotated as sets, module wide
+        (flow-insensitive on purpose: cheap and good enough).  A set
+        annotated in a class body is a field: it is read as ``self.x``."""
         names: Set[str] = set()
         set_markers = {"Set", "FrozenSet", "set", "frozenset",
                        "MutableSet", "AbstractSet"}
-        for node in ast.walk(tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign) and self._is_set_expr(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name):
-                if _annotation_names(node.annotation) & set_markers:
-                    names.add(node.target.id)
+                names.update(filter(None, map(dotted, node.targets)))
+            elif isinstance(node, ast.AnnAssign):
+                written = dotted(node.target)
+                if written is not None and \
+                        _annotation_names(node.annotation) & set_markers:
+                    names.add(written)
+                    if isinstance(ctx.parents.get(node), ast.ClassDef):
+                        names.add("self." + written)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for arg in (list(node.args.posonlyargs)
                             + list(node.args.args)
@@ -433,16 +373,17 @@ class DeterminismHygieneRule(ModuleRule):
             return [call.args[0]]
         return []
 
-    def _unordered(self, node: ast.expr,
+    def _unordered(self, ctx: ModuleContext, node: ast.expr,
                    set_names: Set[str]) -> Optional[str]:
         if self._is_set_expr(node):
             return "a set expression"
-        if isinstance(node, ast.Name) and node.id in set_names:
-            return f"set-typed name {node.id!r}"
+        written = dotted(node)
+        if written in set_names:
+            return f"set-typed name {written!r}"
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted in _FS_ENUMERATORS:
-                return f"{dotted}() (filesystem order)"
+            origin = ctx.imports.resolve(node.func)
+            if origin in _FS_ENUMERATORS:
+                return f"{origin}() (filesystem order)"
             if isinstance(node.func, ast.Attribute) and \
                     node.func.attr == "iterdir":
                 return "Path.iterdir() (filesystem order)"

@@ -3,8 +3,8 @@
 :func:`lint_paths` is the library entry point (used by tests and the
 ``repro lint`` CLI): it walks the given files/directories, parses each
 ``.py`` file once, derives its dotted module name from the package
-layout (``__init__.py`` chain), runs every registered module rule per
-file and every project rule once, then applies pragma suppression.
+layout (``__init__.py`` chain), runs every rule of ``RULES`` per file
+and then once over the whole set, then applies pragma suppression.
 Unparsable files are *violations* (``RPR000``), not crashes — a syntax
 error in the tree must fail the gate, not skip it.
 """
@@ -14,15 +14,15 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.pragmas import PragmaIndex, collect_pragmas
-from repro.analysis.registry import (AnyRule, ModuleContext, ModuleRule,
-                                     ProjectRule, all_rules)
+from repro.analysis.rules import RULES
 
 #: Pseudo-code for files the driver itself rejects (syntax errors,
-#: unreadable files).  Not a registered rule: it cannot be disabled.
+#: unreadable files).  Not a rule of ``RULES``: it cannot be suppressed.
 DRIVER_CODE = "RPR000"
 
 #: Directory names never descended into.
@@ -113,24 +113,12 @@ def _parse(path: str) -> Tuple[Optional[ModuleContext],
                                 (exc.offset or 0) + 1, DRIVER_CODE,
                                 f"syntax error: {exc.msg}"), pragmas
     context = ModuleContext(path=display, module=module_name_for(path),
-                            tree=tree, source=source)
+                            tree=tree)
     return context, None, pragmas
 
 
-def lint_paths(paths: Sequence[str], *,
-               rules: Optional[Iterable[Type[AnyRule]]] = None
-               ) -> LintResult:
+def lint_paths(paths: Sequence[str]) -> LintResult:
     """Run the rule suite over ``paths``; returns the filtered result."""
-    rule_classes = list(rules) if rules is not None else all_rules()
-    module_rules: List[ModuleRule] = []
-    project_rules: List[ProjectRule] = []
-    for rule_class in rule_classes:
-        instance = rule_class()
-        if isinstance(instance, ProjectRule):
-            project_rules.append(instance)
-        else:
-            module_rules.append(instance)
-
     files = iter_python_files(paths)
     contexts: List[ModuleContext] = []
     pragma_of: Dict[str, PragmaIndex] = {}
@@ -144,10 +132,10 @@ def lint_paths(paths: Sequence[str], *,
         assert context is not None
         pragma_of[context.path] = pragmas
         contexts.append(context)
-        for rule in module_rules:
+        for rule in RULES:
             raw.extend(rule.check_module(context))
-    for project_rule in project_rules:
-        raw.extend(project_rule.check_project(contexts))
+    for rule in RULES:
+        raw.extend(rule.check_project(contexts))
 
     raw.sort(key=lambda d: d.sort_key())
     kept: List[Diagnostic] = []

@@ -1,16 +1,13 @@
 """Ignore pragmas: suppressing a diagnostic at the source line.
 
-Two forms, both comment-only (strings never activate a pragma — the
-source is tokenized, not regex-scanned):
-
-* ``# repro: ignore[RPR001]`` — suppresses the listed codes on that
-  physical line (the line the diagnostic is reported at);
-* ``# repro: ignore-file[RPR002, RPR005]`` — anywhere in the file,
-  suppresses the listed codes for the whole file.
+One form, comment-only (strings never activate a pragma — the source
+is tokenized, not regex-scanned): ``# repro: ignore[RPR001, RPR005]``
+suppresses the listed codes on that physical line (the line the
+diagnostic is reported at).
 
 Codes must be listed explicitly; there is no bare ``ignore`` that
-swallows everything, because a blanket pragma hides future rules the
-author never saw.
+swallows everything and no whole-file form, because a blanket pragma
+hides future violations the author never saw.
 """
 
 from __future__ import annotations
@@ -19,11 +16,9 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
-_PRAGMA_RE = re.compile(
-    r"#\s*repro:\s*(?P<kind>ignore-file|ignore)\s*"
-    r"\[(?P<codes>[A-Z0-9,\s]+)\]")
+_PRAGMA_RE = re.compile(r"#\s*repro:\s*ignore\s*\[(?P<codes>[A-Z0-9,\s]+)\]")
 
 
 @dataclass
@@ -32,17 +27,9 @@ class PragmaIndex:
 
     #: line number -> codes suppressed on that line.
     line_codes: Dict[int, Set[str]] = field(default_factory=dict)
-    #: codes suppressed for the entire file.
-    file_codes: Set[str] = field(default_factory=set)
 
     def suppresses(self, line: int, code: str) -> bool:
-        if code in self.file_codes:
-            return True
         return code in self.line_codes.get(line, frozenset())
-
-
-def _parse_codes(raw: str) -> FrozenSet[str]:
-    return frozenset(code.strip() for code in raw.split(",") if code.strip())
 
 
 def collect_pragmas(source: str) -> PragmaIndex:
@@ -61,12 +48,9 @@ def collect_pragmas(source: str) -> PragmaIndex:
             match = _PRAGMA_RE.search(token.string)
             if match is None:
                 continue
-            codes = _parse_codes(match.group("codes"))
-            if match.group("kind") == "ignore-file":
-                index.file_codes.update(codes)
-            else:
-                line = token.start[0]
-                index.line_codes.setdefault(line, set()).update(codes)
+            index.line_codes.setdefault(token.start[0], set()).update(
+                code.strip() for code in match.group("codes").split(",")
+                if code.strip())
     # An unparsable file yields an empty pragma index on purpose: the
     # lint driver reports the parse failure itself as RPR000, so a
     # second error from here would be noise.

@@ -511,9 +511,8 @@ def cmd_lint(args) -> int:
     from repro.analysis import all_rules, lint_paths
 
     if args.rules:
-        rules = [rule() for rule in all_rules()]
-        width = max(len(rule.code) for rule in rules)
-        for rule in rules:
+        width = max(len(rule.code) for rule in all_rules())
+        for rule in all_rules():
             print(f"  {rule.code:<{width}}  {rule.name}: {rule.summary}")
         return 0
     result = lint_paths(_default_paths(args.paths))

@@ -106,7 +106,3 @@ class ExperimentError(ReproError):
 
 class ObservabilityError(ReproError):
     """Metrics/tracing misuse (kind mismatch, negative counter step)."""
-
-
-class AnalysisError(ReproError):
-    """Static-analysis framework misuse (bad rule code, bad baseline)."""

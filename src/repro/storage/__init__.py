@@ -23,8 +23,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.objectstore import ObjectStore
 from repro.storage.faults import (FaultInjector, FaultPlan, FaultRule,
                                   named_plan, plan_names)
-from repro.storage.retry import (DEFAULT_RETRY_POLICY, RetryPolicy,
-                                 run_with_retry)
+from repro.storage.retry import run_with_retry
 from repro.storage.journal import WriteAheadJournal, journal_path
 from repro.storage.recovery import RecoveryReport, recover
 from repro.storage.atomic import atomic_write_bytes, atomic_write_text
@@ -32,7 +31,7 @@ from repro.storage import pageio
 
 __all__ = ["DiskModel", "IOStats", "PagedFile", "BufferPool", "ObjectStore",
            "FaultInjector", "FaultPlan", "FaultRule", "named_plan",
-           "plan_names", "RetryPolicy", "DEFAULT_RETRY_POLICY",
-           "run_with_retry", "WriteAheadJournal", "journal_path",
+           "plan_names", "run_with_retry", "WriteAheadJournal",
+           "journal_path",
            "RecoveryReport", "recover", "atomic_write_bytes",
            "atomic_write_text", "pageio"]

@@ -82,12 +82,6 @@ class ObjectStore:
         except KeyError:
             raise StorageError(f"unknown blob id {blob_id}") from None
 
-    def fetch(self, blob_id: int) -> bytes:
-        """Read the blob's pages (one seek + sequential run), returning the
-        raw page bytes.  The point of calling this is the charged I/O."""
-        blob = self.ref(blob_id)
-        return self.pfile.read_run(blob.first_page, blob.num_pages)
-
     def fetch_prefix(self, blob_id: int, logical_bytes: int) -> int:
         """Read a prefix of the blob covering ``logical_bytes`` of content.
 
@@ -114,10 +108,6 @@ class ObjectStore:
     @property
     def logical_bytes_total(self) -> int:
         return sum(b.logical_bytes for b in self._blobs.values())
-
-    @property
-    def physical_bytes_total(self) -> int:
-        return sum(b.num_pages for b in self._blobs.values()) * self.pfile.page_size
 
     def __repr__(self) -> str:
         return (f"ObjectStore(blobs={self.num_blobs}, "

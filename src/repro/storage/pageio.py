@@ -41,14 +41,14 @@ from repro.storage.retry import run_with_retry
 def read_page(pfile: PagedFile, page_id: int, *, component: str) -> bytes:
     """Read one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_READS, component=component).inc()
-    return run_with_retry(pfile.read_page, pfile, None, page_id)
+    return run_with_retry(pfile.read_page, pfile, page_id)
 
 
 def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
                component: str) -> None:
     """Write one page, attributing it to ``component``."""
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
-    run_with_retry(pfile.write_page, pfile, None, page_id, data)
+    run_with_retry(pfile.write_page, pfile, page_id, data)
 
 
 def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
@@ -59,7 +59,7 @@ def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
     """
     get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
     page_id = pfile.allocate()
-    run_with_retry(pfile.write_page, pfile, None, page_id, data)
+    run_with_retry(pfile.write_page, pfile, page_id, data)
     return page_id
 
 
@@ -73,4 +73,4 @@ def read_run(pfile: PagedFile, first_page: int, count: int, *,
     """
     get_registry().counter(names.PAGEIO_READS,
                            component=component).inc(count)
-    return run_with_retry(pfile.read_run, pfile, None, first_page, count)
+    return run_with_retry(pfile.read_run, pfile, first_page, count)

@@ -21,10 +21,9 @@ because catching and re-dispatching failures is its purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, TypeVar
 
-from repro.errors import StorageError, TransientIOError
+from repro.errors import TransientIOError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
@@ -32,43 +31,16 @@ from repro.storage.pagedfile import PagedFile
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many attempts to make and how long to back off between them.
-
-    ``backoff_ms(attempt)`` grows geometrically: the first retry waits
-    ``base_backoff_ms``, the next ``base_backoff_ms * multiplier``, and
-    so on.  Backoff is charged to the target file's simulated clock so
-    resilience has a visible, reconciled latency cost.
-    """
-
-    max_attempts: int = 3
-    base_backoff_ms: float = 4.0
-    multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise StorageError(
-                f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.base_backoff_ms < 0.0:
-            raise StorageError(
-                f"base_backoff_ms must be >= 0: {self.base_backoff_ms}")
-        if self.multiplier < 1.0:
-            raise StorageError(
-                f"multiplier must be >= 1: {self.multiplier}")
-
-    def backoff_ms(self, attempt: int) -> float:
-        """Simulated backoff before retry number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise StorageError(f"attempt must be >= 1: {attempt}")
-        return self.base_backoff_ms * self.multiplier ** (attempt - 1)
+#: Attempts per operation, the first one included.
+MAX_ATTEMPTS = 3
+#: Simulated wait before the first retry; each later retry waits
+#: ``BACKOFF_MULTIPLIER`` times longer.  Charged to the target file's
+#: simulated clock so resilience has a visible, reconciled latency cost.
+BASE_BACKOFF_MS = 4.0
+BACKOFF_MULTIPLIER = 2.0
 
 
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-def run_with_retry(op: Callable[..., T], pfile: PagedFile,
-                   policy: Optional[RetryPolicy] = None, *args: Any) -> T:
+def run_with_retry(op: Callable[..., T], pfile: PagedFile, *args: Any) -> T:
     """Run ``op(*args)`` retrying transient failures against ``pfile``.
 
     Fast path first: when no fault injector is installed on the file,
@@ -77,21 +49,21 @@ def run_with_retry(op: Callable[..., T], pfile: PagedFile,
     """
     if pfile.faults is None:
         return op(*args)
-    if policy is None:
-        policy = DEFAULT_RETRY_POLICY
     attempt = 1
     while True:
         try:
             return op(*args)
         except TransientIOError:
-            if attempt >= policy.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 get_registry().counter(names.PAGEIO_GIVEUPS,
                                        file=pfile.name).inc()
                 raise
             get_registry().counter(names.PAGEIO_RETRIES,
                                    file=pfile.name).inc()
-            pfile.charge_delay_ms(policy.backoff_ms(attempt))
+            pfile.charge_delay_ms(
+                BASE_BACKOFF_MS * BACKOFF_MULTIPLIER ** (attempt - 1))
             attempt += 1
 
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "run_with_retry"]
+__all__ = ["MAX_ATTEMPTS", "BASE_BACKOFF_MS", "BACKOFF_MULTIPLIER",
+           "run_with_retry"]

@@ -15,8 +15,6 @@ import numpy as np
 from repro.errors import GeometryError, SerializationError
 from repro.geometry.aabb import AABB
 
-#: MBR: 6 float32 (lo.xyz, hi.xyz)
-_MBR = struct.Struct("<6f")
 #: Node header: kind (u8), entry count (u16), level (u8), vindex offset (u32)
 _NODE_HEADER = struct.Struct("<BHBI")
 #: Node entry: MBR + child/object id (u32) + lod pointer (u32)
@@ -40,16 +38,6 @@ INDEX_PAIR_SIZE = _INDEX_PAIR.size
 
 #: Sentinel for "no pointer" in u32 pointer fields.
 NIL = 0xFFFFFFFF
-
-
-def encode_mbr(box: AABB) -> bytes:
-    return _MBR.pack(*box.lo.astype(np.float32), *box.hi.astype(np.float32))
-
-
-def decode_mbr(data: bytes, offset: int = 0) -> AABB:
-    values = _MBR.unpack_from(data, offset)
-    return AABB(np.array(values[0:3], dtype=np.float64),
-                np.array(values[3:6], dtype=np.float64))
 
 
 def encode_node(kind: int, level: int, vindex_offset: int,

@@ -1,16 +1,20 @@
 """Tests for the ``repro lint`` rule suite (RPR001-RPR014).
 
-Every registered rule must have at least one *triggering* and one
-*non-triggering* fixture here — ``test_every_rule_has_fixtures`` fails
-the suite if a new rule lands without them.  The fixtures deliberately
-mirror the historical bug patterns each rule encodes (see DESIGN.md):
-e.g. the RPR004 trigger is the exact ``time.time()`` pattern the seed's
-``repro/cli.py`` shipped with before PR 2 fixed it.
+Every rule must have at least one *triggering* and one *non-triggering*
+fixture here (``test_every_rule_has_fixtures``) and three seeded
+defects in ``SEEDS`` — real modules of ``src/repro`` with a realistic
+instance of the rule's defect class written in — that it catches and no
+other rule does (``test_seed_caught_by_its_rule_alone``; DESIGN.md §8
+holds the audit the table came from).  The fixtures deliberately mirror
+the historical bug patterns each rule encodes: e.g. the RPR004 trigger
+is the exact ``time.time()`` pattern the seed's ``repro/cli.py``
+shipped with before PR 2 fixed it.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -306,8 +310,11 @@ def test_every_rule_has_fixtures():
     registered = {rule.code for rule in all_rules()}
     assert registered == ALL_CODES
     assert set(FIXTURES) == registered, (
-        "every registered rule needs a triggering and a non-triggering "
-        "fixture in FIXTURES")
+        "every rule needs a triggering and a non-triggering fixture in "
+        "FIXTURES")
+    assert {code: len(seeds) for code, seeds in SEEDS.items()} == \
+        {code: 3 for code in registered}, (
+        "every rule needs three seeded defects in SEEDS")
 
 
 @pytest.mark.parametrize("code", sorted(ALL_CODES))
@@ -551,6 +558,240 @@ def test_rpr014_serializer_module_is_exempt(tmp_path):
     assert "RPR014" not in codes
 
 
+# -- the mutation audit: seeded defects only their own rule catches ---------
+
+# Per code, three realistic instances of the rule's defect class written
+# into real modules: ``(file under src/repro, anchor, replacement, ...)``
+# — further ``anchor, replacement`` pairs are further edits of the same
+# file (an import and its use).  An anchor that no longer occurs fails
+# the seed's test by name, so the table cannot rot silently.  DESIGN.md
+# §8 records, for each seed, what fired at the parent of ISSUE 24 and
+# what else in the repo catches it; the five marked "missed" produced no
+# diagnostic there.
+SEEDS = {
+    "RPR001": [
+        # missed: a page primitive handed on as a value, not called.
+        ("core/schemes/base.py",
+         "reader=_scheme_reader)\n        return pageio.read_page(",
+         "reader=PagedFile.read_page)\n        return pageio.read_page("),
+        ("rtree/persist.py",
+         'data = pageio.read_page(self.pfile, page_id, component="rtree")',
+         "data = self.pfile.read_page(page_id)"),
+        ("baselines/naive.py",
+         "self.list_file.reset_head()",
+         "self.list_file._last_accessed = None"),
+    ],
+    "RPR002": [
+        # missed: total() arrived after the rule's method list was written.
+        ("serving/http/app.py",
+         "registry.total(names.PAGEIO_GIVEUPS)",
+         'registry.total("pageio_giveups_totl")'),
+        ("storage/pagedfile.py",
+         "get_registry().counter(names.PAGES_CORRUPT, file=self.name)",
+         'get_registry().counter("pages_corrupt_total", file=self.name)'),
+        ("obs/chaos.py",
+         "lambda f: registry.value(\n"
+         "                        names.PAGEIO_RETRIES, file=f)",
+         "lambda f: registry.value(\n"
+         '                        "pageio_" + "retries_total", file=f)'),
+    ],
+    "RPR004": [
+        ("cli.py",
+         "started = time.perf_counter()\n        result = runner(scale)\n"
+         "        elapsed = time.perf_counter() - started",
+         "started = time.time()\n        result = runner(scale)\n"
+         "        elapsed = time.time() - started"),
+        # A wall clock aliased, then called through the alias.
+        ("serving/loadgen.py",
+         "        started = time.perf_counter()\n",
+         "        clock = time.time\n        started = clock()\n"),
+        ("obs/trace.py",
+         "    def _now_ms(self) -> float:\n"
+         "        return (time.perf_counter() - self._epoch) * 1000.0",
+         "    def _now_ms(self) -> float:\n"
+         "        from time import time as now\n"
+         "        return (now() - self._epoch) * 1000.0"),
+    ],
+    "RPR005": [
+        ("core/search.py",
+         "elif dov <= eta and self._should_terminate(target, nvo):",
+         "elif (dov < eta or dov == eta) and \\\n"
+         "                    self._should_terminate(target, nvo):"),
+        ("walkthrough/adaptive.py",
+         '        """Next eta given the last frame\'s time."""\n',
+         '        """Next eta given the last frame\'s time."""\n'
+         "        if eta == self.eta_max and frame_ms > self.target_ms:\n"
+         "            return eta\n"),
+        ("core/vpage.py",
+         "    total_dov = min(sum(d for d, _ in ventries), 1.0)\n",
+         "    total_dov = min(sum(d for d, _ in ventries), 1.0)\n"
+         "    saturated = total_dov == 1.0\n"),
+    ],
+    "RPR006": [
+        ("storage/objectstore.py",
+         "def ref(self, blob_id: int) -> BlobRef:",
+         "def ref(self, blob_id: int):"),
+        ("obs/crash.py",
+         "def _metric_totals(registry: MetricsRegistry) -> Dict[str, float]:",
+         "def _metric_totals(registry) -> Dict[str, float]:"),
+        ("visibility/raycast.py",
+         "def region_dov_from_sums(self, sums: np.ndarray) "
+         "-> Dict[int, float]:",
+         "def region_dov_from_sums(self, sums: np.ndarray) -> dict:"),
+    ],
+    # RPR007's subject is the whole tree: its seeds are linted in a copy
+    # of all of ``src/repro``.
+    "RPR007": [
+        # A constant that outlived its instrument (the prefetcher's).
+        ("obs/names.py",
+         'BUFFERPOOL_EVICTIONS = "bufferpool_evictions_total"\n',
+         'BUFFERPOOL_EVICTIONS = "bufferpool_evictions_total"\n'
+         'BUFFERPOOL_PREFETCHES = "bufferpool_prefetches_total"\n'),
+        # The instrument removed, its constant left behind.
+        ("serving/http/middleware.py",
+         "        if response.status >= 500:\n"
+         "            registry.counter(names.HTTP_ERRORS, "
+         "route=route).inc()\n",
+         ""),
+        # A copy-pasted constant: the right series is never created.
+        ("core/search.py", "names.SEARCH_REPLAYS", "names.SEARCH_RESULTS"),
+    ],
+    "RPR008": [
+        ("storage/atomic.py",
+         "        os.fsync(dir_fd)\n    except OSError:\n        return\n",
+         "        os.fsync(dir_fd)\n    except OSError:\n        pass\n"),
+        ("serving/service.py",
+         "            except ReproError as exc:\n"
+         "                # Only a fault the degradation ladder cannot "
+         "absorb\n"
+         "                # lands here; the report says so instead of "
+         "crashing.\n"
+         '                error = f"{type(exc).__name__}: {exc}"\n',
+         "            except ReproError:\n"
+         "                pass    # the report shows the degraded frames\n"),
+        ("rtree/persist.py",
+         "            return self.offset_to_page[node_offset]\n"
+         "        except KeyError:\n",
+         "            return self.offset_to_page[node_offset]\n"
+         "        except:\n"),
+    ],
+    "RPR009": [
+        # missed: the rule's clocks were ``time.*`` only.
+        ("serving/http/stats.py",
+         "        stats.wall_ms.append(wall_ms)\n",
+         "        stats.wall_ms.append(wall_ms)\n"
+         "        stats.last_seen = datetime.datetime.now().isoformat()\n",
+         "import math\n", "import datetime\nimport math\n"),
+        ("serving/http/app.py",
+         "        frame = session.frames[-1]\n        return {\n",
+         "        frame = session.frames[-1]\n        return {\n"
+         '            "served_at": perf_counter(),\n',
+         "import re\n", "import re\nfrom time import perf_counter\n"),
+        # A second timing site beside the middleware.
+        ("serving/http/server.py",
+         "                response = await self.app.dispatch(request)\n",
+         "                started = clock.monotonic()\n"
+         "                response = await self.app.dispatch(request)\n"
+         '                response.headers["x-elapsed-ms"] = str(\n'
+         "                    (clock.monotonic() - started) * 1000.0)\n",
+         "import json\n", "import json\nimport time as clock\n"),
+    ],
+    "RPR011": [
+        # missed: only assignments and ``del`` counted as mutations.
+        ("storage/buffer.py",
+         "    def clear(self) -> None:\n",
+         "    def invalidate(self, pfile: PagedFile, page_id: int) -> None:\n"
+         '        """Forget one page (its file was rewritten)."""\n'
+         "        self._frames.pop((pfile.file_id, page_id), None)\n"
+         "        self._plans.clear()\n\n"
+         "    def clear(self) -> None:\n"),
+        # The defect the rule landed on: ``reset_head`` without the lock.
+        ("storage/pagedfile.py",
+         "        with self._io_lock:\n"
+         "            self._last_accessed = None\n",
+         "        self._last_accessed = None\n"),
+        ("storage/journal.py",
+         "        with self._lock:\n"
+         "            self._check_open()\n"
+         "            assert self._fh is not None\n"
+         "            os.fsync(self._fh.fileno())\n"
+         "            self._durable = self._written\n",
+         "        self._check_open()\n"
+         "        assert self._fh is not None\n"
+         "        os.fsync(self._fh.fileno())\n"
+         "        self._durable = self._written\n"),
+    ],
+    "RPR013": [
+        # missed: only bare names were tracked as set-typed.
+        ("serving/http/stats.py",
+         "        self._routes: Dict[str, RouteStats] = {}\n",
+         "        self._routes: Dict[str, RouteStats] = {}\n"
+         "        self._statuses: Set[int] = set()\n",
+         "    def wall_latency(self)",
+         "    def statuses_seen(self) -> List[str]:\n"
+         "        return [str(code) for code in self._statuses]\n\n"
+         "    def wall_latency(self)",
+         "from typing import Dict, List, Sequence\n",
+         "from typing import Dict, List, Sequence, Set\n"),
+        ("serving/service.py",
+         '        "simulated_ms_balanced":\n',
+         '        "unbalanced_fields": list(set(light_off + heavy_off)),\n'
+         '        "simulated_ms_balanced":\n'),
+        ("visibility/cache.py",
+         "            cache._write_manifest(manifest_path)\n",
+         "            for stale in os.listdir(path):\n"
+         "                os.remove(os.path.join(path, stale))\n"
+         "            cache._write_manifest(manifest_path)\n"),
+    ],
+    "RPR014": [
+        # The defect the rule landed on, in ``core/update.py`` then.
+        ("core/schemes/base.py",
+         "        stored_offset, ventries = self.codec.read(pointer, self)\n",
+         "        from repro.storage.serializer import decode_vpage\n"
+         "        stored_offset, ventries = decode_vpage(\n"
+         "            self._read_vpage(pointer))\n"),
+        ("core/schemes/horizontal.py",
+         "payload = self._raw_codec.encode_page(",
+         "payload = serializer.encode_vpage(",
+         "from repro.storage import pageio\n",
+         "from repro.storage import pageio, serializer\n"),
+        # missed: the raw decoder handed on as a value, not called.
+        ("core/schemes/base.py",
+         "        stored_offset, ventries = self.codec.read(pointer, self)\n",
+         "        stored_offset, ventries = self.vpage_decoded(\n"
+         "            pointer, serializer.decode_vpage)\n",
+         "from repro.storage import pageio\n",
+         "from repro.storage import pageio, serializer\n"),
+    ],
+}
+
+#: Rules whose subject is every module at once.
+PROJECT_CODES = {"RPR007"}
+
+
+def seed_module(tmp_path: Path, code: str, relpath: str, *edits: str) -> None:
+    """Copy ``src/repro/<relpath>`` (all of ``src/repro`` for a project
+    rule) under ``tmp_path`` in its package chain and apply ``edits``."""
+    source = (REPO_SRC / "repro" / relpath).read_text()
+    for anchor, replacement in zip(edits[::2], edits[1::2]):
+        assert anchor in source, \
+            f"{code}: anchor no longer in {relpath}: {anchor!r}"
+        source = source.replace(anchor, replacement)
+    if code in PROJECT_CODES:
+        shutil.copytree(REPO_SRC / "repro", tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    write_module(tmp_path, f"repro/{relpath}", source)
+
+
+@pytest.mark.parametrize("code,index", [
+    (code, index) for code in sorted(SEEDS) for index in range(3)])
+def test_seed_caught_by_its_rule_alone(code, index, tmp_path):
+    seed_module(tmp_path, code, *SEEDS[code][index])
+    result = lint_paths([str(tmp_path)])
+    assert {d.code for d in result.diagnostics} == {code}, \
+        "\n".join(d.format() for d in result.diagnostics)
+
+
 # -- driver: file collection, RPR000, pragmas, CLI --------------------------
 
 
@@ -603,7 +844,7 @@ def test_syntax_error_is_a_violation(tmp_path):
 
 def test_driver_code_is_not_suppressible(tmp_path):
     write_module(tmp_path, "broken.py",
-                 "# repro: ignore-file[RPR000]\ndef f(:\n")
+                 "def f(:  # repro: ignore[RPR000]\n")
     result = lint_paths([str(tmp_path)])
     assert [d.code for d in result.diagnostics] == [DRIVER_CODE]
 
@@ -621,17 +862,6 @@ def test_line_pragma_suppresses(tmp_path):
     assert result.pragma_suppressed == 1
 
 
-def test_file_pragma_suppresses(tmp_path):
-    write_module(tmp_path, "timer.py", textwrap.dedent("""
-        # repro: ignore-file[RPR004]
-        import time
-
-        def stamp():
-            return time.time()
-        """))
-    assert lint_paths([str(tmp_path)]).ok
-
-
 def test_pragma_for_other_code_does_not_suppress(tmp_path):
     write_module(tmp_path, "timer.py", textwrap.dedent("""
         import time
@@ -641,6 +871,37 @@ def test_pragma_for_other_code_does_not_suppress(tmp_path):
         """))
     result = lint_paths([str(tmp_path)])
     assert [d.code for d in result.diagnostics] == ["RPR004"]
+
+
+def test_rule_configuration_names_real_modules():
+    """A module or package a rule's configuration names must exist: a
+    typo (or a module deleted since) silently exempts or un-checks it."""
+    from repro.analysis import boundary, concurrency, rules
+
+    configured = {
+        *concurrency.DETERMINISTIC_MODULES, *rules.STRICT_PACKAGES,
+        *rules.FAULT_BOUNDARY_MODULES, rules.NAMES_MODULE,
+        rules.REGISTRY_MODULE,
+        *(name for row in boundary.BOUNDARIES
+          for name in (*row.homes, row.confine) if name is not None)}
+    missing = sorted(
+        name for name in configured
+        if not (REPO_SRC / (name.replace(".", "/") + ".py")).is_file()
+        and not (REPO_SRC / name.replace(".", "/") / "__init__.py").is_file())
+    assert not missing
+
+
+def test_strict_packages_match_the_mypy_strict_override():
+    """RPR006 is the offline stand-in for the mypy strict gate, so the
+    two lists are one list."""
+    tomllib = pytest.importorskip("tomllib")
+    from repro.analysis.rules import STRICT_PACKAGES
+
+    config = tomllib.loads((REPO_SRC.parent / "pyproject.toml").read_text())
+    strict = [override["module"]
+              for override in config["tool"]["mypy"]["overrides"]
+              if override.get("disallow_untyped_defs")]
+    assert strict == [[package + ".*" for package in STRICT_PACKAGES]]
 
 
 def test_real_tree_is_clean():

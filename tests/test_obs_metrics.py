@@ -46,7 +46,7 @@ def test_gauge_moves_both_ways():
     reg = MetricsRegistry()
     g = reg.gauge("resident_pages", pool="p")
     g.set(10)
-    g.dec(3)
+    g.inc(-3)
     g.inc()
     assert reg.value("resident_pages", pool="p") == 8
 

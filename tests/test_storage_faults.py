@@ -18,7 +18,8 @@ from repro.storage.disk import FREE_DISK, IOStats
 from repro.storage.faults import (FaultInjector, FaultPlan, FaultRule,
                                   named_plan, plan_names)
 from repro.storage.pagedfile import PagedFile
-from repro.storage.retry import RetryPolicy, run_with_retry
+from repro.storage import retry
+from repro.storage.retry import run_with_retry
 
 
 def make_file(name="vpages-test", **kwargs):
@@ -60,11 +61,11 @@ def test_retry_exhaustion_raises_and_counts_giveup():
         injector.install(pf)
         try:
             with pytest.raises(TransientIOError):
-                run_with_retry(pf.read_page, pf,
-                               RetryPolicy(max_attempts=3), pid)
+                run_with_retry(pf.read_page, pf, pid)
         finally:
             injector.uninstall()
-        assert registry.value(names.PAGEIO_RETRIES, file=pf.name) == 2
+        assert registry.value(names.PAGEIO_RETRIES, file=pf.name) == \
+            retry.MAX_ATTEMPTS - 1
         assert registry.value(names.PAGEIO_GIVEUPS, file=pf.name) == 1
 
 
@@ -77,13 +78,16 @@ def test_retry_backoff_charged_to_simulated_clock():
             plan(FaultRule("read-error", rate=1.0, times=2)), seed=0)
         injector.install(pf)
         try:
-            policy = RetryPolicy(max_attempts=3, base_backoff_ms=4.0,
-                                 multiplier=2.0)
-            run_with_retry(pf.read_page, pf, policy, pid)
+            run_with_retry(pf.read_page, pf, pid)
         finally:
             injector.uninstall()
-        # Two retries: 4 ms + 8 ms of backoff, nothing else on FREE_DISK.
-        assert pf.stats.simulated_ms == pytest.approx(12.0)
+        # Two retries: the base backoff, then it multiplied once — 4 ms +
+        # 8 ms at the values every report was made with — and nothing
+        # else on FREE_DISK.
+        assert pf.stats.simulated_ms == pytest.approx(
+            retry.BASE_BACKOFF_MS * (1 + retry.BACKOFF_MULTIPLIER))
+        assert (retry.MAX_ATTEMPTS, retry.BASE_BACKOFF_MS,
+                retry.BACKOFF_MULTIPLIER) == (3, 4.0, 2.0)
 
 
 def test_append_page_retry_never_allocates_twice():
@@ -297,22 +301,6 @@ def test_named_plans_lookup():
         assert named_plan(name).name == name
     with pytest.raises(StorageError):
         named_plan("no-such-plan")
-
-
-def test_retry_policy_backoff_and_validation():
-    policy = RetryPolicy(max_attempts=4, base_backoff_ms=2.0,
-                         multiplier=3.0)
-    assert policy.backoff_ms(1) == pytest.approx(2.0)
-    assert policy.backoff_ms(2) == pytest.approx(6.0)
-    assert policy.backoff_ms(3) == pytest.approx(18.0)
-    with pytest.raises(StorageError):
-        policy.backoff_ms(0)
-    with pytest.raises(StorageError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(StorageError):
-        RetryPolicy(base_backoff_ms=-1.0)
-    with pytest.raises(StorageError):
-        RetryPolicy(multiplier=0.5)
 
 
 def test_happy_path_registers_no_resilience_series():

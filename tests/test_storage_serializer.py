@@ -17,13 +17,6 @@ def box(lo, hi):
     return AABB(np.asarray(lo, float), np.asarray(hi, float))
 
 
-def test_mbr_roundtrip():
-    original = box((0.5, -2.0, 3.0), (1.5, 0.0, 9.0))
-    decoded = ser.decode_mbr(ser.encode_mbr(original))
-    assert np.allclose(decoded.lo, original.lo, atol=1e-6)
-    assert np.allclose(decoded.hi, original.hi, atol=1e-6)
-
-
 def test_node_roundtrip():
     entries = [(box((0, 0, 0), (1, 1, 1)), 7, 99),
                (box((2, 2, 2), (3, 3, 3)), 8, ser.NIL)]
