@@ -96,7 +96,7 @@ class WindowQuerySystem:
                  fetch_models: bool = True) -> None:
         self.env = env
         self.resident = ResidentModels(
-            env.object_store if fetch_models else None)
+            env.models_table() if fetch_models else None)
         self._last_result: Optional[WindowQueryResult] = None
         self.queries_issued = 0
 

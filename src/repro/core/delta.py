@@ -17,7 +17,11 @@ VISUAL system's memory footprint in Section 5.4's memory comparison.
 search and the LoD-R-tree's too, so the mechanism is one class,
 :class:`ResidentModels`, and its :meth:`~ResidentModels.want` is the one
 place a walkthrough system fetches a model; what is dropped, and when,
-stays each system's own policy.
+stays each system's own policy.  A finer level extends the coarser
+prefix already held, so a refinement reads only the pages it lacks.
+Every set reads through a :class:`~repro.storage.objectstore.
+SharedModels` table — its viewer's own, or under a pool the server's —
+so it lacks only what no holder of that table has.
 """
 
 from __future__ import annotations
@@ -27,21 +31,24 @@ from typing import Collection, Dict, Iterator, Optional, Tuple
 from repro.core.search import HDoVSearch, SearchResult
 from repro.errors import HDoVError
 from repro.geometry.vec import PointLike
-from repro.storage.objectstore import ObjectStore
+from repro.storage.objectstore import SharedModels
 
 
 class ResidentModels:
     """The representations a viewer holds: ``key -> (fraction, bytes)``,
     least recently wanted first, with a running byte total.
 
-    ``store`` is where a missing representation is fetched (and charged)
-    from; ``None`` holds the same bookkeeping without I/O (Figure 11
-    scores REVIEW's answer sets only).
+    ``store`` is the table a missing representation is fetched (and
+    charged) through, told of every prefix this set stops holding
+    (``HDoVEnvironment.models_table``); ``None`` holds the same
+    bookkeeping without I/O (Figure 11 scores REVIEW's answer sets
+    only).
     """
 
-    def __init__(self, store: Optional[ObjectStore]) -> None:
+    def __init__(self, store: Optional[SharedModels]) -> None:
         self._store = store
-        self._held: Dict[int, Tuple[float, int]] = {}
+        #: key -> (fraction, bytes, blob id)
+        self._held: Dict[int, Tuple[float, int, int]] = {}
         #: Sum of the held byte sizes: frame loops read it every frame,
         #: the set changes only on a query.
         self.bytes = 0
@@ -60,16 +67,23 @@ class ResidentModels:
             self._held[key] = held
             return False
         if self._store is not None:
-            self._store.fetch_prefix(blob_id, nbytes)
+            # Only the pages beyond the coarser prefix already held.
+            self._store.fetch_prefix(blob_id, nbytes,
+                                     None if held is None else held[1])
         self.fetches += 1
         if held is not None:
-            self.drop(key)          # the coarser copy it replaces
-        self._held[key] = (fraction, nbytes)
+            # The coarser copy it replaces; the store has moved its hold.
+            del self._held[key]
+            self.bytes -= held[1]
+        self._held[key] = (fraction, nbytes, blob_id)
         self.bytes += nbytes
         return True
 
     def drop(self, key: int) -> None:
-        self.bytes -= self._held.pop(key)[1]
+        _fraction, nbytes, blob_id = self._held.pop(key)
+        self.bytes -= nbytes
+        if self._store is not None:
+            self._store.release(blob_id, nbytes)
 
     def keep_only(self, keys: Collection[int]) -> None:
         """Drop every representation whose key is not in ``keys``."""
@@ -77,8 +91,8 @@ class ResidentModels:
             self.drop(key)
 
     def clear(self) -> None:
-        self._held.clear()
-        self.bytes = 0
+        for key in list(self._held):
+            self.drop(key)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._held)
@@ -88,7 +102,8 @@ class ResidentModels:
 
     def __getitem__(self, key: int) -> Tuple[float, int]:
         """``(fraction, bytes)`` of the representation held for ``key``."""
-        return self._held[key]
+        fraction, nbytes, _blob_id = self._held[key]
+        return fraction, nbytes
 
 
 class DeltaSearch:
@@ -123,7 +138,7 @@ class DeltaSearch:
         #: This is what keeps the paper's VISUAL at a bounded working
         #: set (28 MB on a 1.6 GB dataset).
         self.cache_budget_bytes = cache_budget_bytes
-        store = search.env.object_store
+        store = search.env.models_table()
         self._objects = ResidentModels(store)
         self._internals = ResidentModels(store)
         self.evictions = 0
@@ -194,6 +209,8 @@ class DeltaSearch:
         return len(self._objects) + len(self._internals)
 
     def clear(self) -> None:
+        """Hold nothing — and let a shared table forget this viewer's
+        holds with it."""
         self._objects.clear()
         self._internals.clear()
 

@@ -35,7 +35,7 @@ from repro.rtree.tree import RTree
 from repro.scene.objects import Scene
 from repro.simplify.lod_chain import LODChain
 from repro.storage.disk import DiskModel, IOStats
-from repro.storage.objectstore import ObjectStore
+from repro.storage.objectstore import ObjectStore, SharedModels
 from repro.storage.pagedfile import PagedFile
 from repro.storage.vpagecodec import PackedDeltaVPageCodec, VPageCodec
 from repro.visibility.cells import CellGrid
@@ -127,6 +127,17 @@ class HDoVEnvironment:
     heavy_stats: IOStats
     #: descendant object ids per node offset (fidelity accounting).
     descendants: Dict[int, List[int]] = field(default_factory=dict)
+    #: What the sessions of a served view's server hold of the models
+    #: (``repro.serving.service.session_env`` sets it when a pool is
+    #: given); ``None``: a viewer's models are read for it alone.
+    shared_models: Optional[SharedModels] = None
+
+    def models_table(self) -> SharedModels:
+        """Where a viewer built on this environment reads its models:
+        the server's shared table, or a new table of its own."""
+        if self.shared_models is None:
+            return SharedModels(self.object_store)
+        return self.shared_models
 
     def scheme(self, name: Optional[str] = None) -> StorageScheme:
         if name is None:

@@ -203,6 +203,8 @@ class WalkthroughService:
     def close_session(self, session_id: int) -> Dict[str, object]:
         session = self._get(session_id)
         del self.sessions[session_id]
+        # Its models leave the server's shared table with it.
+        session.delta.clear()
         self.sessions_closed += 1
         report = session_report(session, include_frame_times=False)
         report["done"] = session.done

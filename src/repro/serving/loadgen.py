@@ -40,6 +40,7 @@ from repro.obs.replay import injected_faults
 from repro.serving.http.app import (HttpRequest, WalkthroughApp,
                                     build_service)
 from repro.serving.http.stats import latency_summary
+from repro.serving.service import reconcile_ios
 from repro.storage.faults import named_plan
 
 #: Virtual milliseconds between steps when a frame reports a simulated
@@ -279,4 +280,7 @@ def _deterministic_report(app: WalkthroughApp, outcome: _Outcome,
         "sim_frame_ms": latency_summary(outcome.frame_ms),
         "sim_duration_ms": outcome.end_ms,
         "pool": pool.stats() if pool is not None else None,
+        # A drive ends with every admitted session closed, so the closed
+        # sessions' reports are every session that touched the ledgers.
+        "reconciliation": reconcile_ios(reports, app.service.env),
     }

@@ -16,7 +16,7 @@ byte-identical JSON — the CI serving-stress job diffs exactly that.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,16 +42,21 @@ def session_env(env: HDoVEnvironment,
     Files, stats ledgers, object store, ground truth and blob records
     are shared (by reference) with the parent environment; the scheme
     objects are cloned via ``session_view()`` so each session owns its
-    current cell, and node reads go through the shared pool.
+    current cell, and node reads go through the shared pool.  With a
+    pool, the models the pool's sessions hold are one table too
+    (``ObjectStore.shared_by``): a session reads only what none of them
+    holds.
     """
     schemes = {}
     for scheme_name, scheme in env.schemes.items():
         view = scheme.session_view()
         view.page_cache = pool
         schemes[scheme_name] = view
-    node_store = (PooledNodeStore(env.node_store, pool)
-                  if pool is not None else env.node_store)
-    return replace(env, schemes=schemes, node_store=node_store)
+    if pool is None:
+        return replace(env, schemes=schemes)
+    return replace(env, schemes=schemes,
+                   node_store=PooledNodeStore(env.node_store, pool),
+                   shared_models=env.object_store.shared_by(pool))
 
 
 def run_serve(*, sessions: int = 8, seed: int = 7,
@@ -135,6 +140,12 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 error = f"{type(exc).__name__}: {exc}"
 
         completed = error is None
+        entries = [session_report(s, include_frame_times) for s in served]
+        reconciliation = reconcile_ios(entries, env)
+        if pool is not None:
+            reconciliation["pool_balanced"] = (
+                sum(s.pool_hits for s in served) == pool.hits
+                and sum(s.pool_misses for s in served) == pool.misses)
         report: Dict[str, object] = {
             "serve": {
                 "scale": scale,
@@ -156,10 +167,9 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "rounds": scheduler.rounds,
                 "frames_served": scheduler.frames_served,
             },
-            "sessions": [session_report(s, include_frame_times)
-                         for s in served],
+            "sessions": entries,
             "pool": _pool_report(pool),
-            "reconciliation": _reconcile(env, served, pool),
+            "reconciliation": reconciliation,
         }
         if fault_plan is not None:
             report["faults"] = {
@@ -214,38 +224,30 @@ def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
     }
 
 
-def _reconcile(env: HDoVEnvironment, served: List[ServingSession],
-               pool: Optional[BufferPool]) -> Dict[str, object]:
+def reconcile_ios(entries: Sequence[Mapping[str, Any]],
+                  env: HDoVEnvironment) -> Dict[str, object]:
     """Per-session attribution must add up to the shared ledgers.
 
-    Integer I/O counts balance exactly (sessions step one at a time, so
-    the snapshot/delta windows partition the shared counters); simulated ms
-    balance within float-rounding tolerance.
+    ``entries`` are :func:`session_report` entries of every session that
+    touched ``env`` (their ``light`` / ``heavy`` dicts), shared model
+    reads included.  Integer I/O counts balance exactly (sessions step
+    one at a time, so the snapshot/delta windows partition the shared
+    counters); simulated ms balance within float-rounding tolerance.
     """
-    sum_light = IOStats()
-    sum_heavy = IOStats()
-    for session in served:
-        sum_light += session.light_total
-        sum_heavy += session.heavy_total
-    ledgers = {
-        "light_sessions": sum_light.to_dict(),
-        "light_environment": env.light_stats.to_dict(),
-        "heavy_sessions": sum_heavy.to_dict(),
-        "heavy_environment": env.heavy_stats.to_dict(),
-    }
-    light_off = unbalanced_fields(ledgers["light_sessions"],
-                                  ledgers["light_environment"])
-    heavy_off = unbalanced_fields(ledgers["heavy_sessions"],
-                                  ledgers["heavy_environment"])
-    result: Dict[str, object] = {
+    ledgers: Dict[str, object] = {}
+    off: Dict[str, List[str]] = {}
+    for side, ledger in (("light", env.light_stats),
+                         ("heavy", env.heavy_stats)):
+        total = IOStats()
+        for entry in entries:
+            total += IOStats(**entry[side])
+        ledgers[f"{side}_sessions"] = total.to_dict()
+        ledgers[f"{side}_environment"] = ledger.to_dict()
+        off[side] = unbalanced_fields(total.to_dict(), ledger.to_dict())
+    return {
         **ledgers,
-        "light_ios_balanced": set(light_off) <= {"simulated_ms"},
-        "heavy_ios_balanced": set(heavy_off) <= {"simulated_ms"},
+        "light_ios_balanced": set(off["light"]) <= {"simulated_ms"},
+        "heavy_ios_balanced": set(off["heavy"]) <= {"simulated_ms"},
         "simulated_ms_balanced":
-            "simulated_ms" not in light_off + heavy_off,
+            "simulated_ms" not in off["light"] + off["heavy"],
     }
-    if pool is not None:
-        result["pool_balanced"] = (
-            sum(s.pool_hits for s in served) == pool.hits
-            and sum(s.pool_misses for s in served) == pool.misses)
-    return result

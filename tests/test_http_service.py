@@ -208,6 +208,24 @@ def test_http_path_matches_scheduler_report():
         assert got == want
 
 
+def test_heavy_holds_leave_with_closed_sessions():
+    """The server's shared model table counts live sessions only: a
+    closed session's models leave it, so once every session is closed
+    it holds nothing."""
+    with use_registry(MetricsRegistry()):
+        service = build_service(scale=SCALE, frames=FRAMES)
+        table = service.env.object_store.shared_by(service.pool)
+        ids = [service.create_session(pattern)["id"]
+               for pattern in (1, 2, 3)]
+        for _ in range(FRAMES):
+            for session_id in ids:
+                service.step_session(session_id)
+        assert len(table) > 0
+        for session_id in ids:
+            service.close_session(session_id)
+        assert len(table) == 0
+
+
 # -- health under faults ----------------------------------------------------
 
 

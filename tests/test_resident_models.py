@@ -7,12 +7,20 @@ against a model that copies nothing cleverly: a plain list, linear
 scans.  Random ``want`` / ``drop`` / ``keep_only`` / ``clear`` sequences
 must give the same fetched-or-skipped verdict, the same iteration order
 and the same byte total, step by step, with one ``fetch_prefix`` per
-fetch and none per skip.
+fetch (naming the prefix already held) and none per skip, and one
+``release`` per representation let go.
+
+A set reads through a ``SharedModels`` table — its viewer's own, or
+under a pool the one its server's sessions share (the fakes below stand
+in for it): a second model runs several sets over one table and a real
+object store, and holds the table to the per-blob maximum over the live
+sets and every read to exactly the pages nobody held.
 
 The last test pins the mechanism to its one place in the tree.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.delta import ResidentModels
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskModel, IOStats
+from repro.storage.objectstore import ObjectStore, SharedModels
+from repro.storage.pagedfile import PagedFile
 
 KEYS = st.integers(min_value=0, max_value=7)
 OPS = st.lists(st.one_of(
@@ -39,8 +51,11 @@ class ListModel:
     def __init__(self):
         self.held = []
 
+    def get(self, key):
+        return next((e for e in self.held if e[0] == key), None)
+
     def want(self, key, fraction, nbytes):
-        old = next((e for e in self.held if e[0] == key), None)
+        old = self.get(key)
         fetched = old is None or old[1] < fraction
         if old is not None:
             self.held.remove(old)
@@ -55,8 +70,16 @@ class RecordingStore:
     def __init__(self):
         self.calls = []
 
-    def fetch_prefix(self, blob_id, nbytes):
-        self.calls.append((blob_id, nbytes))
+    def fetch_prefix(self, blob_id, nbytes, held_bytes=None):
+        self.calls.append(("fetch", blob_id, nbytes, held_bytes))
+
+    def release(self, blob_id, nbytes):
+        self.calls.append(("release", blob_id, nbytes))
+
+
+class FailingStore(RecordingStore):
+    def fetch_prefix(self, blob_id, nbytes, held_bytes=None):
+        raise OSError("unreadable")
 
 
 @pytest.mark.parametrize("fetching", [True, False])
@@ -66,24 +89,35 @@ def test_resident_models_match_the_list_model(fetching, ops):
     store = RecordingStore() if fetching else None
     real, model = ResidentModels(store), ListModel()
     expected_calls, fetches, skipped = [], 0, 0
+
+    def let_go(keys):
+        expected_calls.extend(("release", e[0] + 100, e[2])
+                              for e in model.held if e[0] in keys)
+
     for op, *args in ops:
         if op == "want":
             key, fraction, nbytes = args
+            old = model.get(key)
             fetched = model.want(key, fraction, nbytes)
             assert real.want(key, key + 100, fraction, nbytes) == fetched
             fetches += fetched
             skipped += not fetched
             if fetched:
-                expected_calls.append((key + 100, nbytes))
+                expected_calls.append(
+                    ("fetch", key + 100, nbytes,
+                     None if old is None else old[2]))
         elif op == "drop":
             if args[0] not in real:
                 continue
+            let_go({args[0]})
             real.drop(args[0])
             model.keep_only({e[0] for e in model.held} - {args[0]})
         elif op == "keep_only":
+            let_go({e[0] for e in model.held} - args[0])
             real.keep_only(args[0])
             model.keep_only(args[0])
         else:
+            let_go({e[0] for e in model.held})
             real.clear()
             model.keep_only(())
         assert [(k, *real[k]) for k in real] == model.held
@@ -95,10 +129,6 @@ def test_resident_models_match_the_list_model(fetching, ops):
 
 
 def test_a_failed_fetch_leaves_the_set_as_it_was():
-    class FailingStore:
-        def fetch_prefix(self, blob_id, nbytes):
-            raise OSError("unreadable")
-
     real = ResidentModels(RecordingStore())
     real.want(1, 101, 0.5, 40)
     real._store = FailingStore()
@@ -106,6 +136,104 @@ def test_a_failed_fetch_leaves_the_set_as_it_was():
         real.want(1, 101, 1.0, 80)
     assert [(k, *real[k]) for k in real] == [(1, 0.5, 40)]
     assert (real.bytes, real.fetches) == (40, 1)
+
+
+# -- one table, several sets ---------------------------------------------------
+
+PAGE = 64
+BLOB = 1000                         # bytes: 16 pages of 64
+SETS = st.integers(min_value=0, max_value=3)
+SHARED_OPS = st.lists(st.one_of(
+    st.tuples(st.just("want"), SETS, KEYS,
+              st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+              st.integers(min_value=0, max_value=BLOB)),
+    st.tuples(st.just("drop"), SETS, KEYS),
+    st.tuples(st.just("keep_only"), SETS, st.frozensets(KEYS)),
+    st.tuples(st.just("clear"), SETS)), max_size=60)
+
+
+def pages(nbytes):
+    """Pages a prefix of ``nbytes`` covers in a ``BLOB``-byte blob."""
+    return min(max(math.ceil(min(nbytes, BLOB) / PAGE), 1),
+               math.ceil(BLOB / PAGE))
+
+
+def shared_world(sets=4):
+    pfile = PagedFile("models", page_size=PAGE, disk=DiskModel(),
+                      stats=IOStats())
+    store = ObjectStore(pfile)
+    for _ in range(8):
+        store.put(BLOB)
+    table = store.shared_by(BufferPool(4))
+    return store, table, [ResidentModels(table) for _ in range(sets)]
+
+
+def per_blob_max(sets):
+    held = {}
+    for resident in sets:
+        for key in resident:
+            held[key] = max(held.get(key, 0), resident[key][1])
+    return held
+
+
+@given(ops=SHARED_OPS)
+@settings(max_examples=200, deadline=None)
+def test_sets_sharing_a_table_read_only_what_nobody_holds(ops):
+    """Key ``k`` is blob ``k`` in every set.  After every step the table
+    is the per-blob maximum over the live sets (so never more than their
+    sum), and a fetch read exactly ``pages(wanted) - max(own, server)``
+    pages, clipped at 0."""
+    store, table, sets = shared_world()
+    for op, index, *args in ops:
+        resident = sets[index]
+        reads, lacking = store.pfile.stats.reads, 0
+        if op == "want":
+            key, fraction, nbytes = args
+            own = resident[key][1] if key in resident else None
+            server = table.held_bytes(key)
+            if resident.want(key, key, fraction, nbytes):
+                held = max((pages(b) for b in (own, server) if b is not None),
+                           default=0)
+                lacking = max(pages(nbytes) - held, 0)
+        elif op == "drop":
+            if args[0] in resident:
+                resident.drop(args[0])
+        elif op == "keep_only":
+            resident.keep_only(args[0])
+        else:
+            resident.clear()
+        assert store.pfile.stats.reads - reads == lacking
+        assert {b: table.held_bytes(b) for b in table} == per_blob_max(sets)
+        assert sum(table.held_bytes(b) for b in table) \
+            <= sum(r.bytes for r in sets)
+    for resident in sets:
+        resident.clear()
+    assert len(table) == 0
+
+
+def test_a_failed_shared_fetch_leaves_the_set_and_the_table_as_they_were():
+    store, table, (first, second) = shared_world(sets=2)
+    first.want(1, 1, 0.5, 300)
+    second.want(1, 1, 0.25, 100)
+    table.store = FailingStore()
+    with pytest.raises(OSError):
+        second.want(1, 1, 1.0, 900)
+    assert [(k, *second[k]) for k in second] == [(1, 0.25, 100)]
+    assert (second.bytes, second.fetches) == (100, 1)
+    assert table.held_bytes(1) == 300
+    table.store = store
+    first.clear()
+    assert table.held_bytes(1) == 100
+    second.clear()
+    assert len(table) == 0
+
+
+def test_a_table_is_per_server():
+    store = ObjectStore(PagedFile("models", page_size=PAGE, stats=IOStats()))
+    server, other = BufferPool(4), BufferPool(4)
+    assert store.shared_by(server) is store.shared_by(server)
+    assert store.shared_by(server) is not store.shared_by(other)
+    assert isinstance(store.shared_by(server), SharedModels)
 
 
 def test_walkthrough_models_are_fetched_in_one_place():

@@ -10,6 +10,7 @@ a thread.
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from repro.cli import main
 from repro.errors import WalkthroughError
 from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.replay import build_world, session_path
+from repro.obs.replay import build_world, injected_faults, session_path
 from repro.serving import (ServingSession, SessionScheduler, run_serve,
                            run_traffic)
-from repro.serving.service import session_env
+from repro.serving.service import reconcile_ios, session_env, session_report
 from repro.storage.buffer import BufferPool
+from repro.storage.faults import FaultPlan, FaultRule
+from repro.storage.pagedfile import PagedFile
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -179,6 +182,104 @@ def test_serve_unpooled_single_session_matches_sequential_path():
     assert entry["frame_times"] == [f.frame_ms for f in report.frames]
     assert entry["light"] == env.light_stats.to_dict()
     assert entry["heavy"] == env.heavy_stats.to_dict()
+
+
+# -- the heavy path: a page the server holds is read once -----------------
+
+
+def _served(experiment, env, pool, sessions, frames):
+    return [ServingSession(i, session_path(experiment, env, 1 + i % 3, frames),
+                           session_env(env, pool), eta=0.001, pool=pool,
+                           evaluate_fidelity=False)
+            for i in range(sessions)]
+
+
+def test_heavy_no_models_page_is_read_twice_without_a_budget(monkeypatch):
+    """With no cache budget no session lets go of a model, so the
+    server's shared table only grows: over 8 sessions and every round of
+    a served run, no page of the models file is read twice."""
+    pages = []
+    read = PagedFile._read_locked
+
+    def spy(pfile, page_id):
+        if pfile.name == "models":
+            pages.append(page_id)
+        return read(pfile, page_id)
+
+    experiment = get_scale("small")
+    with use_registry(MetricsRegistry()):
+        env = build_world(experiment)
+        pool = BufferPool(256, name="heavy-once")
+        sessions = _served(experiment, env, pool, 8, 12)
+        monkeypatch.setattr(PagedFile, "_read_locked", spy)
+        SessionScheduler(sessions).run()
+    assert pages and len(pages) == len(set(pages))
+    assert sum(s.heavy_total.reads for s in sessions) == len(pages)
+
+
+def test_heavy_pooled_single_session_equals_the_sequential_replay():
+    """sessions=1 over a pool: the shared table has nobody to share
+    with, so the served session equals a sequential replay whose view
+    has no shared table (its models read through a table of its own) —
+    every frame, both ledgers, the pool attribution and the fidelity."""
+    frames = 12
+    served = run_serve(sessions=1, seed=7, frames=frames)
+    experiment = get_scale("small")
+    pattern = int(np.random.default_rng(7).integers(1, 4))
+    with use_registry(MetricsRegistry()):
+        env = build_world(experiment)
+        path = session_path(experiment, env, pattern, frames)
+        pool = BufferPool(256, name="sequential")
+        visual = VisualSystem(
+            replace(session_env(env, pool), shared_models=None), eta=0.001,
+            cache_budget_bytes=experiment.visual_cache_budget_bytes)
+        report = visual.run(path)
+
+    entry = served["sessions"][0]
+    assert entry["path"] == path.name
+    assert entry["frame_times"] == [f.frame_ms for f in report.frames]
+    assert entry["light"] == env.light_stats.to_dict()
+    assert entry["heavy"] == env.heavy_stats.to_dict()
+    assert entry["pool"] == {"hits": pool.hits, "misses": pool.misses}
+    assert entry["fidelity_mean"] == report.avg_fidelity()
+
+
+def test_heavy_ios_balance_under_a_models_fault_plan():
+    """Latency injected on the models file (the fault a model read
+    lives through: a model page has no degraded form, so an error or a
+    flipped bit fails its frame) is charged to the session whose read
+    met it, shared reads or not: the heavy ledgers balance."""
+    plan = FaultPlan("models", (
+        FaultRule("latency", match="models", rate=0.5, latency_ms=12.0),))
+    experiment = get_scale("small")
+    with use_registry(MetricsRegistry()):
+        env = build_world(experiment)
+        pool = BufferPool(256, name="heavy-faults")
+        sessions = _served(experiment, env, pool, 8, 12)
+        with injected_faults(env, plan, 3) as injector:
+            SessionScheduler(sessions).run()
+    assert injector.injected["latency"] > 0
+    reconciliation = reconcile_ios(
+        [session_report(s, include_frame_times=False) for s in sessions],
+        env)
+    assert reconciliation["heavy_ios_balanced"] is True
+    assert reconciliation["simulated_ms_balanced"] is True
+
+
+def test_heavy_tables_are_private_unless_a_pool_is_shared():
+    """A viewer reads its models through a table of its own; the
+    sessions of one pool share that pool's; unpooled sessions share
+    nothing."""
+    with use_registry(MetricsRegistry()):
+        env = build_world(get_scale("small"))
+    pool = BufferPool(16)
+    assert env.models_table() is not env.models_table()
+    assert session_env(env, None).shared_models is None
+    assert (session_env(env, pool).models_table()
+            is session_env(env, pool).models_table()
+            is env.object_store.shared_by(pool))
+    assert (session_env(env, BufferPool(16)).models_table()
+            is not env.object_store.shared_by(pool))
 
 
 def test_serve_overload_sheds_to_degraded_frames():

@@ -63,6 +63,26 @@ def test_fetch_prefix_minimum_one_page():
     assert store.fetch_prefix(ref.blob_id, 1) == 1
 
 
+def test_fetch_prefix_reads_only_the_suffix_beyond_what_is_held():
+    store = make_store()
+    ref = store.put(2560)           # 10 pages
+    store.put(256)                  # a neighbour the head can land on
+    store.pfile.stats.reset()
+    assert store.fetch_prefix(ref.blob_id, 1000, held_bytes=300) == 2
+    assert store.pfile.stats.reads == 2
+    # The suffix starts at page 2 of the blob: one seek, one sequential.
+    assert (store.pfile.stats.seeks, store.pfile.stats.sequential_reads) \
+        == (1, 1)
+    # A finer level that ends inside the held pages reads nothing.
+    assert store.fetch_prefix(ref.blob_id, 500, held_bytes=300) == 0
+    assert store.fetch_prefix(ref.blob_id, 100, held_bytes=2560) == 0
+    # A held prefix covers at least one page, even of zero bytes.
+    assert store.fetch_prefix(ref.blob_id, 256, held_bytes=0) == 0
+    assert store.pfile.stats.reads == 2
+    with pytest.raises(StorageError):
+        store.fetch_prefix(ref.blob_id, 10, held_bytes=-1)
+
+
 def test_unknown_blob():
     store = make_store()
     with pytest.raises(StorageError):

@@ -58,6 +58,11 @@ def test_accounting_balances(report):
     assert by_status.get("503", 0) == sessions["shed"]
     # Every request the driver issued is accounted by the middleware.
     assert det["requests"]["total"] == sum(by_status.values())
+    # Every session was closed, and their I/O sums to the ledgers.
+    reconciliation = det["reconciliation"]
+    assert reconciliation["light_ios_balanced"] is True
+    assert reconciliation["heavy_ios_balanced"] is True
+    assert reconciliation["simulated_ms_balanced"] is True
 
 
 def test_latency_percentiles_ordered(report):
