@@ -56,6 +56,7 @@ from repro.experiments.extensions import (run_node_cache_sweep,
 from repro.errors import (HDoVError, ReproError, StorageError,
                           VisibilityError)
 from repro.experiments.config import get_scale
+from repro.storage.replacement import DEFAULT_POLICY, POLICY_NAMES
 
 #: Experiment id -> (description, runner taking a scale).  The two
 #: lambdas adapt drivers that size their own dataset series.
@@ -292,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
              "buffer pool; emit a deterministic JSON report")
     _add_walk_options(serve)
     _add_serving_options(serve, sessions=8, seed=7, max_active=None)
-    serve.add_argument("--policy", default="lru", choices=["lru", "2q"],
-                       help="pool replacement policy (default: lru)")
+    serve.add_argument("--policy", choices=POLICY_NAMES,
+                       help=f"pool replacement policy (default: "
+                            f"{DEFAULT_POLICY}; needs --pool-pages > 0)")
 
     traffic = sub.add_parser(
         "traffic",

@@ -272,6 +272,13 @@ class SegmentScheme(StorageScheme):
     finding a node's V-page is a memory access and only the V-page read
     costs I/O.
 
+    Segments are byte ranges on shared index pages, packed to the sizes
+    Section 4's formulas give them: a segment that fits in one page
+    never crosses a page boundary, so a flip still reads one page, and
+    neighbouring cells share a page (one pool frame, one read-ahead
+    window) instead of each owning a mostly empty one.  A larger segment
+    starts on a page of its own and reads the fewest pages it can.
+
     Everything that writes, loads or addresses a segment is written
     here, once.  A concrete scheme states only where a cell's
     segment lives and how its bytes spell the pairs:
@@ -292,18 +299,24 @@ class SegmentScheme(StorageScheme):
         #: pairs.  :meth:`write_cell`, the only segment writer, keeps
         #: it, so the Table 2 figures follow incremental updates.
         self._cell_vnodes: Dict[int, int] = {}
+        #: While :meth:`build` runs: index page -> its bytes so far, so
+        #: each page is written once, whole, when the build ends.
+        self._staged: Optional[Dict[int, bytearray]] = None
 
     # -- what a concrete scheme supplies --------------------------------------
 
     @abc.abstractmethod
-    def _segment_span(self, cell_id: int) -> Optional[Tuple[int, int]]:
-        """``(first index page, page count)`` of the cell's stored
-        segment; ``None`` for a cell that has none.  Pure addressing."""
+    def _segment_span(self, cell_id: int
+                      ) -> Optional[Tuple[int, int, int]]:
+        """``(first index page, page count, byte offset in the first
+        page)`` of the cell's stored segment; ``None`` for a cell that
+        has none.  Pure addressing."""
 
     @abc.abstractmethod
-    def _place_segment(self, cell_id: int, num_pages: int) -> int:
-        """First index page for a fresh ``num_pages``-page segment of
-        the cell; afterwards :meth:`_segment_span` answers with it."""
+    def _place_segment(self, cell_id: int, nbytes: int) -> Tuple[int, int]:
+        """``(first index page, byte offset)`` for a fresh ``nbytes``
+        segment of the cell; afterwards :meth:`_segment_span` answers
+        with it."""
 
     @abc.abstractmethod
     def _encode_segment(self, pairs: List[Tuple[int, int]]) -> bytes:
@@ -312,7 +325,8 @@ class SegmentScheme(StorageScheme):
     @abc.abstractmethod
     def _decode_segment(self, cell_id: int,
                         data: bytes) -> List[Tuple[int, int]]:
-        """The pairs back from a cell's segment bytes, in stored order."""
+        """The pairs back from the bytes starting at the cell's segment,
+        in stored order."""
 
     # -- write ----------------------------------------------------------------
 
@@ -325,17 +339,27 @@ class SegmentScheme(StorageScheme):
             raise SchemeError("no cells to build")
         self.num_nodes = num_nodes
         self.num_cells = len(cells)
-        for cell in cells:
-            self.write_cell(cell)
+        self._staged = {}
+        try:
+            for cell in cells:
+                self.write_cell(cell)
+            staged = self._staged
+        finally:
+            self._staged = None
+        for page_id in sorted(staged):
+            pageio.write_page(self.index_file, page_id,
+                              bytes(staged[page_id]), component="schemes")
         self.codec.finish(self.vpage_file)
 
     def write_cell(self, cell: CellVPages) -> None:
         """Append the cell's V-pages in DFS order — one contiguous
         ascending run — and write the segment pointing at them.
 
-        The only segment writer: the build calls it per cell, an
-        incremental update per re-instantiated cell (the superseded
-        V-pages and segment pages become garbage; nothing reclaims them).
+        The only segment writer: the build calls it per cell (staging
+        the index pages, each written once when the build ends), an
+        incremental update per re-instantiated cell (read-modify-writing
+        the index pages the segment shares; the superseded V-pages and
+        segment bytes become garbage, nothing reclaims them).
         """
         assert self.index_file is not None
         self.codec.begin_cell(cell.cell_id)
@@ -343,14 +367,32 @@ class SegmentScheme(StorageScheme):
                                             offset, cell.ventries(offset)))
                  for offset in cell.visible_offsets_dfs()]
         data = self._encode_segment(pairs)
-        page_size = self.index_file.page_size
-        num_pages = max(-(-len(data) // page_size), 1)
-        first_page = self._place_segment(cell.cell_id, num_pages)
+        page_id, offset = self._place_segment(cell.cell_id, len(data))
         self._cell_vnodes[cell.cell_id] = len(pairs)
-        for i in range(num_pages):
-            pageio.write_page(self.index_file, first_page + i,
-                              data[i * page_size:(i + 1) * page_size],
-                              component="schemes")
+        page_size = self.index_file.page_size
+        while True:
+            chunk = data[:page_size - offset]
+            self._write_index_bytes(page_id, offset, chunk)
+            data = data[len(chunk):]
+            if not data:
+                break
+            page_id, offset = page_id + 1, 0
+
+    def _write_index_bytes(self, page_id: int, offset: int,
+                           chunk: bytes) -> None:
+        """Put ``chunk`` at ``offset`` of one index page, keeping the
+        bytes of the other segments on it."""
+        assert self.index_file is not None
+        if self._staged is not None:
+            page = self._staged.setdefault(
+                page_id, bytearray(self.index_file.page_size))
+            page[offset:offset + len(chunk)] = chunk
+            return
+        page = bytearray(pageio.read_page(self.index_file, page_id,
+                                          component="schemes"))
+        page[offset:offset + len(chunk)] = chunk
+        pageio.write_page(self.index_file, page_id, bytes(page),
+                          component="schemes")
 
     # -- read -----------------------------------------------------------------
 
@@ -360,7 +402,9 @@ class SegmentScheme(StorageScheme):
         span = self._segment_span(cell_id)
         if span is None:
             raise SchemeError(f"cell {cell_id} out of range")
-        return self._decode_segment(cell_id, self._read_index_run(*span))
+        first_page, count, offset = span
+        return self._decode_segment(
+            cell_id, self._read_index_run(first_page, count)[offset:])
 
     def _read_index_run(self, first_page: int, count: int) -> bytes:
         """Read ``count`` consecutive index pages as one buffer.

@@ -2,9 +2,10 @@
 
 A :class:`~repro.core.schemes.base.SegmentScheme` whose per-cell
 segment stores only the *visible* nodes' ``(node offset, V-page
-pointer)`` pairs — segments are variable-length, addressed through a
-one-to-one directory (cell id -> first page, page count).  Flipping
-costs ``O(N_vnode)`` I/Os instead of ``O(N_node)``.
+pointer)`` pairs — segments are variable-length, filled onto the index
+pages in cell order and addressed through a one-to-one directory (cell
+id -> first page, page count, byte offset).  Flipping costs
+``O(N_vnode)`` I/Os instead of ``O(N_node)``.
 
 Storage cost:
 ``(size_pointer + size_integer) * N_vnode * c + size_vpage * N_vnode * c``.
@@ -31,17 +32,30 @@ class IndexedVerticalScheme(SegmentScheme):
     def __init__(self, vpage_file: PagedFile, index_file: PagedFile,
                  codec: Optional[VPageCodec] = None) -> None:
         super().__init__(vpage_file, index_file, codec=codec)
-        #: cell id -> (first index page, page count).
-        self._directory: Dict[int, Tuple[int, int]] = {}
+        #: cell id -> (first index page, page count, byte offset).
+        self._directory: Dict[int, Tuple[int, int, int]] = {}
+        #: ``(last index page, bytes used on it)``: where the next
+        #: segment goes when it fits there.
+        self._tail: Optional[Tuple[int, int]] = None
 
-    def _segment_span(self, cell_id: int) -> Optional[Tuple[int, int]]:
+    def _segment_span(self, cell_id: int
+                      ) -> Optional[Tuple[int, int, int]]:
         return self._directory.get(cell_id)
 
-    def _place_segment(self, cell_id: int, num_pages: int) -> int:
+    def _place_segment(self, cell_id: int, nbytes: int) -> Tuple[int, int]:
         assert self.index_file is not None
-        first = self.index_file.allocate_many(num_pages)
-        self._directory[cell_id] = (first, num_pages)
-        return first
+        page_size = self.index_file.page_size
+        if self._tail is not None and self._tail[1] + nbytes <= page_size:
+            first, offset = self._tail
+        else:
+            first = self.index_file.allocate_many(
+                max(-(-nbytes // page_size), 1))
+            offset = 0
+        count = max(-(-(offset + nbytes) // page_size), 1)
+        self._directory[cell_id] = (first, count, offset)
+        self._tail = (first + count - 1,
+                      offset + nbytes - (count - 1) * page_size)
+        return first, offset
 
     def _encode_segment(self, pairs: List[Tuple[int, int]]) -> bytes:
         return encode_index_pairs(pairs)

@@ -3,9 +3,11 @@
 A :class:`~repro.core.schemes.base.SegmentScheme` whose V-page-index
 file is an array of ``c`` fixed-size segments, each holding ``N_node``
 V-page pointers (``NIL`` for invisible nodes) and found at a formula
-address.  Flipping to a cell reads the whole segment sequentially:
-``size_pointer * N_node / size_page`` page accesses — the scalability
-weakness the indexed-vertical scheme fixes.
+address: ``k = size_page // (size_pointer * N_node)`` segments share a
+page, cell ``c`` in slot ``c % k`` of page ``c // k``.  Flipping to a
+cell reads the whole segment sequentially:
+``size_pointer * N_node / size_page`` page accesses (at least one) — the
+scalability weakness the indexed-vertical scheme fixes.
 
 Storage cost: ``size_pointer * N_node * c + size_vpage * N_vnode * c``.
 """
@@ -31,27 +33,41 @@ class VerticalScheme(SegmentScheme):
     def __init__(self, vpage_file: PagedFile, index_file: PagedFile,
                  codec: Optional[VPageCodec] = None) -> None:
         super().__init__(vpage_file, index_file, codec=codec)
-        #: ``(first page of the segment array, pages per segment)``,
-        #: allocated whole when the first segment is placed.
+        #: ``(first page of the segment array, slot bytes)``, allocated
+        #: whole when the first segment is placed.  The slot is the
+        #: build's ``size_pointer * N_node``: a later, smaller ``N_node``
+        #: still fits it, so every cell keeps its formula address.
         self._array: Optional[Tuple[int, int]] = None
 
-    def _segment_span(self, cell_id: int) -> Optional[Tuple[int, int]]:
+    def _segment_span(self, cell_id: int
+                      ) -> Optional[Tuple[int, int, int]]:
         if self._array is None or not 0 <= cell_id < self.num_cells:
             return None
-        first, segment_pages = self._array
-        return first + cell_id * segment_pages, segment_pages
+        assert self.index_file is not None
+        first, slot = self._array
+        page_size = self.index_file.page_size
+        per_page = page_size // slot
+        if per_page:
+            return (first + cell_id // per_page, 1,
+                    cell_id % per_page * slot)
+        pages = -(-slot // page_size)
+        return first + cell_id * pages, pages, 0
 
-    def _place_segment(self, cell_id: int, num_pages: int) -> int:
+    def _place_segment(self, cell_id: int, nbytes: int) -> Tuple[int, int]:
         assert self.index_file is not None
         if self._array is None:
-            self._array = (self.index_file.allocate_many(
-                num_pages * self.num_cells), num_pages)
+            slot = max(nbytes, SIZE_POINTER)
+            page_size = self.index_file.page_size
+            per_page = page_size // slot
+            pages = (-(-self.num_cells // per_page) if per_page
+                     else self.num_cells * -(-slot // page_size))
+            self._array = (self.index_file.allocate_many(pages), slot)
         span = self._segment_span(cell_id)
-        if span is None or span[1] != num_pages:
+        if span is None or nbytes > self._array[1]:
             raise SchemeError(
-                f"cell {cell_id} has no {num_pages}-page slot in the "
+                f"cell {cell_id} has no {nbytes}-byte slot in the "
                 f"fixed segment array")
-        return span[0]
+        return span[0], span[2]
 
     def _encode_segment(self, pairs: List[Tuple[int, int]]) -> bytes:
         pointers = [NIL] * self.num_nodes

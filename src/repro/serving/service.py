@@ -32,6 +32,7 @@ from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
 from repro.storage.faults import named_plan
+from repro.storage.replacement import DEFAULT_POLICY
 from repro.walkthrough.metrics import frame_time_stats
 
 
@@ -66,7 +67,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
               max_active: Optional[int] = None,
               frame_budget_ms: Optional[float] = None,
               pool_pages: int = 256,
-              policy: str = "lru",
+              policy: Optional[str] = None,
               plan: Optional[str] = None,
               fault_seed: int = 0,
               include_frame_times: bool = True) -> Dict[str, object]:
@@ -90,7 +91,10 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         session reads straight through ``pageio``, the sequential
         path's exact I/O behaviour).
     policy:
-        Pool replacement policy (``"lru"``/``"2q"``).
+        Pool replacement policy (``"lru"``/``"2q"``); ``None`` gives
+        the pool's default,
+        :data:`~repro.storage.replacement.DEFAULT_POLICY`.  Naming one
+        without a pool is an error.
     plan / fault_seed:
         Optional named fault plan installed beneath the storage layer,
         to prove the service degrades instead of deadlocking.
@@ -105,13 +109,14 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
             f"pool_pages must be >= 0, got {pool_pages}")
     fault_plan = named_plan(plan) if plan is not None else None
     experiment = load_scale(scale)
-    if pool_pages == 0 and policy != "lru":
+    if pool_pages == 0 and policy is not None:
         raise WalkthroughError(
             "replacement policy needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
         env = build_world(experiment)
-        pool = (BufferPool(pool_pages, name="serving", policy=policy)
+        pool = (BufferPool(pool_pages, name="serving",
+                           policy=policy or DEFAULT_POLICY)
                 if pool_pages > 0 else None)
 
         # Motion patterns are drawn from the seed so a fleet of

@@ -10,9 +10,10 @@ one (e.g. ``core/update``) clears the pool.
 Replacement is pluggable (see :mod:`repro.storage.replacement`): the
 pool owns frames and locking, while a
 :class:`~repro.storage.replacement.ReplacementPolicy` owns only the
-eviction order.  The default ``"lru"`` policy reproduces the historical
-LRU pool bit-for-bit; ``"2q"`` adds scan resistance for the
-many-session undersized-pool regime.
+eviction order.  The default, ``"2q"``, is scan-resistant: one walk's
+single-use pages cannot flush the pages every walk re-reads out of an
+undersized pool; ``"lru"`` reproduces the historical LRU pool
+bit-for-bit and stays as the control.
 
 Concurrency model (DESIGN.md §10): one pool-wide
 :class:`threading.RLock` guards all state and every public operation is
@@ -45,7 +46,8 @@ from repro.errors import BufferPoolError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
-from repro.storage.replacement import ReplacementPolicy, make_policy
+from repro.storage.replacement import (DEFAULT_POLICY, ReplacementPolicy,
+                                      make_policy)
 
 #: Signature for a pluggable miss reader: ``reader(pfile, page_id) -> bytes``.
 #: The serving layer injects a reader that routes through the
@@ -87,8 +89,9 @@ class BufferPool:
         Label for this pool's metrics series (hits, misses, evictions,
         resident pages) in the process metrics registry.
     policy:
-        Replacement policy: ``"lru"`` (default, the historical
-        behavior), ``"2q"``, or a ready
+        Replacement policy: ``"2q"`` (default,
+        :data:`~repro.storage.replacement.DEFAULT_POLICY`), ``"lru"``
+        (the historical behavior), or a ready
         :class:`~repro.storage.replacement.ReplacementPolicy` instance.
     """
 
@@ -97,7 +100,8 @@ class BufferPool:
     coalesced = 0
 
     def __init__(self, capacity: int, *, name: str = "default",
-                 policy: Union[str, ReplacementPolicy] = "lru") -> None:
+                 policy: Union[str, ReplacementPolicy] = DEFAULT_POLICY
+                 ) -> None:
         if capacity < 1:
             raise BufferPoolError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -11,8 +11,9 @@ Two policies ship:
 * :class:`LRUPolicy` — the historical behavior, bit-for-bit: insertion
   and access order reproduce the old ``OrderedDict.move_to_end`` pool
   exactly, so ``policy="lru"`` reports are byte-identical to before the
-  interface existed.
-* :class:`TwoQPolicy` — the 2Q algorithm (Johnson & Shasha, VLDB '94).
+  interface existed.  It stays as the control.
+* :class:`TwoQPolicy` — the default (:data:`DEFAULT_POLICY`), the 2Q
+  algorithm (Johnson & Shasha, VLDB '94).
   First-touch pages enter a small FIFO (``A1in``); only pages re-read
   *after* falling out of the FIFO — proven re-reference, tracked by a
   ghost list of evicted keys (``A1out``) — enter the protected LRU
@@ -41,6 +42,12 @@ KeyT = Tuple[int, int]
 
 #: Names accepted by :func:`make_policy`.
 POLICY_NAMES: Tuple[str, ...] = ("lru", "2q")
+
+#: The policy every pool gets unless told otherwise — the pool, the
+#: serve loop, ``repro serve --policy`` and the HTTP app all read it
+#: here.  2Q keeps a walk's single-use V-pages from flushing the tree
+#: out of an undersized pool (DESIGN.md, "Replacement policy").
+DEFAULT_POLICY = "2q"
 
 #: 2Q's queue sizes as fractions of the pool capacity (the paper's
 #: defaults): the ``A1in`` FIFO target and the ``A1out`` ghost list.

@@ -8,8 +8,10 @@ from repro.constants import SIZE_INTEGER, SIZE_POINTER
 from repro.core.schemes import (SCHEME_CLASSES, HorizontalScheme,
                                 IndexedVerticalScheme, VerticalScheme)
 from repro.core.vpage import CellVPages
-from repro.errors import SchemeError
+from repro.errors import PageCorruptError, SchemeError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage.disk import DiskModel, IOStats
+from repro.storage.faults import FaultInjector
 from repro.storage.pagedfile import PagedFile
 from repro.storage.vpagecodec import PackedDeltaVPageCodec
 
@@ -33,7 +35,25 @@ def synthetic_cells(num_cells=4):
     return cells
 
 
-def build_scheme(name, cells=None, packed=False):
+def layout_cells(num_cells=40):
+    """Enough cells to fill index pages, with 12, 6, 4 or 3 of the 12
+    nodes visible, so indexed-vertical segments differ in length and
+    neighbouring segments share, fill and spill pages."""
+    cells = []
+    for c in range(num_cells):
+        stride = 1 + c % 4
+        pages = {offset: [(0.05 * (1 + (offset + c) % 7), 1 + offset % 3)]
+                 for offset in range(NUM_NODES) if (offset + c) % stride == 0}
+        cells.append(CellVPages(cell_id=c, pages=pages))
+    return cells
+
+
+#: Index page sizes the layout tests build at: segments share a page,
+#: and (at 32 bytes) most segments need more than one.
+INDEX_PAGE_SIZES = (PAGE_SIZE, 32)
+
+
+def build_scheme(name, cells=None, packed=False, index_page_size=PAGE_SIZE):
     cells = cells if cells is not None else synthetic_cells()
     stats = IOStats()
     disk = DiskModel(seek_ms=10.0, transfer_ms=1.0, readahead_pages=1)
@@ -42,7 +62,7 @@ def build_scheme(name, cells=None, packed=False):
     if name == "horizontal":
         scheme = cls(vpf)
     else:
-        idx = PagedFile(f"{name}-i", page_size=PAGE_SIZE, disk=disk,
+        idx = PagedFile(f"{name}-i", page_size=index_page_size, disk=disk,
                         stats=stats)
         # Packed: cells in a row, each the reference candidate of the next.
         codec = PackedDeltaVPageCodec(
@@ -130,17 +150,120 @@ class TestSegmentContract:
 
     def test_flip_charges_segment_span(self, name, packed):
         """A flip charges exactly the ``_segment_span`` pages, and
-        ``cell_pointers`` reads back the cell's V-entries."""
-        scheme, stats, cells = build_scheme(name, packed=packed)
-        for cell in cells:
-            _first_page, num_pages = scheme._segment_span(cell.cell_id)
-            assert stats.reads == 0            # pure addressing
-            scheme.reset_runtime_state()
-            scheme.flip_to_cell(cell.cell_id)
-            assert stats.reads == num_pages
-            assert_pairs_match_cell(scheme, cell,
-                                    scheme.cell_pointers(cell.cell_id))
-            stats.reset()
+        ``cell_pointers`` reads back the cell's V-entries — on shared
+        pages, and on segments that span several."""
+        for index_page_size in INDEX_PAGE_SIZES:
+            scheme, stats, cells = build_scheme(
+                name, layout_cells(), packed=packed,
+                index_page_size=index_page_size)
+            for cell in cells:
+                _first_page, num_pages, _offset = scheme._segment_span(
+                    cell.cell_id)
+                assert stats.reads == 0            # pure addressing
+                scheme.reset_runtime_state()
+                scheme.flip_to_cell(cell.cell_id)
+                assert stats.reads == num_pages
+                assert_pairs_match_cell(scheme, cell,
+                                        scheme.cell_pointers(cell.cell_id))
+                stats.reset()
+
+    def test_segments_are_packed_without_crossing_a_page(self, name,
+                                                         packed):
+        """A segment that fits in a page lies inside one; a larger one
+        starts a page and takes the fewest pages it can.  Neighbours
+        share pages, so the index file holds the formula's bytes rounded
+        up per page (vertical: ``k`` fixed slots a page; indexed-vertical:
+        each page filled in cell order until the next segment would
+        cross it), plus the round-up of every multi-page segment."""
+        for index_page_size in INDEX_PAGE_SIZES:
+            scheme, _stats, cells = build_scheme(
+                name, layout_cells(), packed=packed,
+                index_page_size=index_page_size)
+            pages, used = 0, index_page_size       # the model's layout
+            for cell in cells:
+                nbytes = segment_bytes(scheme, cell)
+                first, count, offset = scheme._segment_span(cell.cell_id)
+                if nbytes <= index_page_size:
+                    assert count == 1
+                    assert offset + nbytes <= index_page_size
+                else:
+                    assert offset == 0
+                    assert count == math.ceil(nbytes / index_page_size)
+                if used + nbytes > index_page_size:
+                    pages, used = pages + count, 0
+                used = (used + nbytes) if count == 1 else index_page_size
+                assert (first, offset) == (
+                    pages - count, used - nbytes if count == 1 else 0)
+            formula = scheme.storage_breakdown().index_bytes
+            assert scheme.index_file.num_pages == pages
+            assert pages >= math.ceil(formula / index_page_size)
+            if name == "vertical":
+                slot = SIZE_POINTER * NUM_NODES
+                per_page = index_page_size // slot
+                assert pages == (math.ceil(len(cells) / per_page) if per_page
+                                 else len(cells) * math.ceil(
+                                     slot / index_page_size))
+            if index_page_size == PAGE_SIZE:       # every segment fits
+                assert pages < len(cells) // 4
+
+    def test_build_writes_each_index_page_once(self, name, packed,
+                                               monkeypatch):
+        """The build stages the shared pages and writes each once, whole,
+        without reading any back."""
+        log = []
+        for op in ("read_page", "read_run", "write_page"):
+            original = getattr(PagedFile, op)
+
+            def recorded(self, page_id, *args, _op=op, _original=original):
+                if self.name.endswith("-i"):
+                    log.append((_op, page_id))
+                return _original(self, page_id, *args)
+            monkeypatch.setattr(PagedFile, op, recorded)
+        for index_page_size in INDEX_PAGE_SIZES:
+            log.clear()
+            scheme, _stats, _cells = build_scheme(
+                name, layout_cells(), packed=packed,
+                index_page_size=index_page_size)
+            assert log == [("write_page", page) for page
+                           in range(scheme.index_file.num_pages)]
+
+    def test_corrupt_index_page_fails_exactly_its_cells(self, name,
+                                                        packed):
+        """Segments share pages, so one page failing its CRC takes out
+        every cell whose segment lies on it — up to ``k`` cells, the
+        blast radius DESIGN.md §4 states — and no other.  A failed flip
+        is what the search degrades (``_DEGRADABLE``); it leaves the
+        previous cell loaded."""
+        scheme, _stats, cells = build_scheme(name, layout_cells(),
+                                             packed=packed)
+        index = scheme.index_file
+        page_of = {cell.cell_id: scheme._segment_span(cell.cell_id)[0]
+                   for cell in cells}
+        victim = page_of[len(cells) // 2]
+        on_victim = {cell_id for cell_id, page in page_of.items()
+                     if page == victim}
+        assert 1 < len(on_victim) < len(cells)
+        healthy = next(c for c in cells if c.cell_id not in on_victim)
+        original = index._mem[victim]
+        injector = FaultInjector(seed=0)    # no rules: CRCs checked only
+        injector.install(index)
+        failed = set()
+        try:
+            with use_registry(MetricsRegistry()):
+                index._mem[victim] = bytes([original[0] ^ 1]) + original[1:]
+                for cell in cells:
+                    scheme.reset_runtime_state()
+                    scheme.flip_to_cell(healthy.cell_id)
+                    try:
+                        scheme.flip_to_cell(cell.cell_id)
+                    except PageCorruptError:
+                        failed.add(cell.cell_id)
+                        assert scheme.current_cell == healthy.cell_id
+                        assert scheme.ventries(
+                            healthy.visible_offsets_dfs()[0]) is not None
+        finally:
+            injector.uninstall()
+        assert failed == on_victim
 
     def test_unknown_cell(self, name, packed):
         scheme, _stats, cells = build_scheme(name, packed=packed)
@@ -156,7 +279,8 @@ class TestSegmentContract:
         an unchanged cell again appends fresh V-pages and a segment that
         reads back the same — or, on a packed stream (closed once per
         build), refuses before anything is written."""
-        scheme, _stats, cells = build_scheme(name, packed=packed)
+        scheme, _stats, cells = build_scheme(name, layout_cells(),
+                                             packed=packed)
         cell = cells[1]
         before = scheme.cell_pointers(cell.cell_id)
         if packed:
@@ -176,6 +300,64 @@ class TestSegmentContract:
             scheme.flip_to_cell(other.cell_id)
             for offset in other.visible_offsets_dfs():
                 assert scheme.ventries(offset) is not None
+            assert_pairs_match_cell(scheme, other,
+                                    scheme.cell_pointers(other.cell_id))
+
+
+def segment_bytes(scheme, cell):
+    """Encoded length of the cell's segment under the scheme."""
+    return len(scheme._encode_segment(
+        [(offset, 0) for offset in cell.visible_offsets_dfs()]))
+
+
+def test_rewrites_on_shared_pages_keep_every_neighbour():
+    """An update read-modify-writes the one shared page it lands on:
+    rewriting every cell, in turn and at a smaller ``N_node`` for the
+    vertical array, leaves every cell's pairs readable — its own and
+    its page neighbours'."""
+    for name in ("vertical", "indexed-vertical"):
+        scheme, stats, cells = build_scheme(name, layout_cells())
+        shrunk = NUM_NODES - 3
+        cells = [CellVPages(cell_id=cell.cell_id,
+                            pages={offset: cell.pages[offset]
+                                   for offset in cell.pages
+                                   if offset < shrunk})
+                 for cell in cells]
+        scheme.num_nodes = shrunk
+        pages_before = scheme.index_file.num_pages
+        for cell in cells:
+            stats.reset()
+            scheme.write_cell(cell)
+            first, count, _offset = scheme._segment_span(cell.cell_id)
+            assert count == 1
+            assert stats.writes - cell.num_visible_nodes == 1
+        for cell in cells:
+            assert_pairs_match_cell(scheme, cell,
+                                    scheme.cell_pointers(cell.cell_id))
+        if name == "vertical":                  # formula addresses stay
+            assert scheme.index_file.num_pages == pages_before
+        assert scheme.total_vnodes == sum(c.num_visible_nodes
+                                          for c in cells)
+
+
+@pytest.mark.parametrize("name", ["vertical", "indexed-vertical"])
+def test_segment_larger_than_its_vertical_slot_is_refused(name):
+    """Only the vertical array has fixed slots: a segment for a larger
+    ``N_node`` than the build's is refused without an index byte
+    written (the V-pages it appended become garbage, as any superseded
+    ones do); indexed-vertical places it afresh."""
+    scheme, stats, cells = build_scheme(name, layout_cells())
+    grown = CellVPages(cell_id=0, pages={NUM_NODES: [(0.5, 1)],
+                                         **cells[0].pages})
+    scheme.num_nodes = NUM_NODES + 1
+    stats.reset()
+    if name == "vertical":
+        with pytest.raises(SchemeError):
+            scheme.write_cell(grown)
+        assert stats.writes == len(grown.pages)   # V-pages only
+        return
+    scheme.write_cell(grown)
+    assert_pairs_match_cell(scheme, grown, scheme.cell_pointers(0))
 
 
 def test_horizontal_vpage_access_is_one_page():

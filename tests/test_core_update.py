@@ -148,6 +148,29 @@ def test_storage_figures_follow_an_update(fresh_env):
     assert scheme.avg_visible_nodes == live_pairs / env.grid.num_cells
 
 
+def test_update_rewrites_segments_on_shared_index_pages(fresh_env):
+    """Index segments share pages; the update read-modify-writes them,
+    and afterwards every cell's pairs read back its V-pages — its own
+    rewrite did not clobber a neighbour's on the same page."""
+    env = fresh_env
+    scheme = env.scheme()
+    remove_object(env, most_visible_object(env))
+    cells_per_page = {}
+    for cell_vp in env.cell_vpages:
+        first, count, _offset = scheme._segment_span(cell_vp.cell_id)
+        assert count == 1
+        cells_per_page[first] = cells_per_page.get(first, 0) + 1
+        pairs = scheme.cell_pointers(cell_vp.cell_id)
+        assert [offset for offset, _ in pairs] == \
+            cell_vp.visible_offsets_dfs()
+        for offset, pointer in pairs:
+            stored_offset, got = scheme.codec.read(pointer, scheme)
+            assert stored_offset == offset
+            assert [nvo for _, nvo in got] == \
+                [nvo for _, nvo in cell_vp.ventries(offset)]
+    assert max(cells_per_page.values()) > 1
+
+
 def test_refused_update_leaves_the_environment_intact():
     """Regression: on a packed build the refusal came only after the
     tree file, ``env.objects`` and the visibility table had been

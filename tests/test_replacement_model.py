@@ -256,7 +256,7 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
 
 def plan_pool(capacity=8):
     pfile = make_file()
-    pool = BufferPool(capacity, name="plan")
+    pool = BufferPool(capacity, name="plan", policy="lru")
     return pfile, pool, [(pfile.file_id, page) for page in range(3)]
 
 

@@ -26,6 +26,7 @@ from repro.serving.service import reconcile_ios, session_env, session_report
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
+from repro.storage.replacement import DEFAULT_POLICY, POLICY_NAMES
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -218,10 +219,11 @@ def test_heavy_no_models_page_is_read_twice_without_a_budget(monkeypatch):
 
 
 def test_heavy_pooled_single_session_equals_the_sequential_replay():
-    """sessions=1 over a pool: the shared table has nobody to share
-    with, so the served session equals a sequential replay whose view
-    has no shared table (its models read through a table of its own) —
-    every frame, both ledgers, the pool attribution and the fidelity."""
+    """sessions=1 over a pool at the default policy (2Q): the shared
+    table has nobody to share with, so the served session equals a
+    sequential replay over a default pool whose view has no shared table
+    (its models read through a table of its own) — every frame, both
+    ledgers, the pool attribution and the fidelity."""
     frames = 12
     served = run_serve(sessions=1, seed=7, frames=frames)
     experiment = get_scale("small")
@@ -235,6 +237,7 @@ def test_heavy_pooled_single_session_equals_the_sequential_replay():
             cache_budget_bytes=experiment.visual_cache_budget_bytes)
         report = visual.run(path)
 
+    assert served["serve"]["policy"] == pool.policy.name == DEFAULT_POLICY
     entry = served["sessions"][0]
     assert entry["path"] == path.name
     assert entry["frame_times"] == [f.frame_ms for f in report.frames]
@@ -345,6 +348,24 @@ def test_serve_cli_writes_deterministic_report(tmp_path, capsys):
 def test_serve_cli_usage_error(capsys):
     assert main(["serve", "--sessions", "0"]) == 2
     assert "repro serve" in capsys.readouterr().err
+
+
+def test_serve_unpooled_at_the_default_policy(tmp_path, capsys):
+    """``--pool-pages 0`` serves unpooled when no policy is named; only
+    a policy named explicitly without a pool is refused."""
+    report = run_serve(sessions=1, seed=7, frames=2, pool_pages=0)
+    assert report["pool"] is None and report["serve"]["policy"] is None
+    for policy in POLICY_NAMES:
+        with pytest.raises(WalkthroughError):
+            run_serve(sessions=1, frames=2, pool_pages=0, policy=policy)
+    base = ["serve", "--sessions", "1", "--frames", "2", "--pool-pages", "0"]
+    assert main(base + ["--output", str(tmp_path / "r.json")]) == 0
+    assert main(base + ["--policy", "lru"]) == 2
+    assert "needs a pool" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    assert f"(default: {DEFAULT_POLICY};" in " ".join(
+        capsys.readouterr().out.split())
 
 
 class _StubSession:

@@ -30,7 +30,7 @@ def test_hit_and_miss_counting(pfile):
 
 
 def test_lru_eviction_order(pfile):
-    pool = BufferPool(capacity=2)
+    pool = BufferPool(capacity=2, policy="lru")
     pool.get(pfile, 0)
     pool.get(pfile, 1)
     pool.get(pfile, 0)      # page 0 is now most recent

@@ -123,7 +123,7 @@ def test_buffer_pool_lru_recency_model(accesses):
     for i in range(6):
         pfile.write_page(pfile.allocate(), bytes([i]))
     capacity = 3
-    pool = BufferPool(capacity)
+    pool = BufferPool(capacity, policy="lru")
     recency = []
     for page_id in accesses:
         pool.get(pfile, page_id)
