@@ -38,8 +38,7 @@ def main() -> None:
                         direction=np.asarray(direction, float)
                         / np.linalg.norm(direction),
                         up=(0, 0, 1), fov_deg=70.0, far=5000.0)
-        search._search.scheme.current_cell = None
-        env.reset_stats()
+        env.reset_runtime_state()            # cold query
         result = search.query(camera, eta=0.001)
         print(f"{label:>10}  {result.first_phase_ms:>10.1f}  "
               f"{result.total_ms:>8.1f}  "

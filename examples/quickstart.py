@@ -39,8 +39,7 @@ def main() -> None:
     print(f"{'eta':>8}  {'objects':>7}  {'internal LoDs':>13}  "
           f"{'polygons':>8}  {'sim. ms':>8}")
     for eta in (0.0, 0.001, 0.004, 0.016, 0.064):
-        env.reset_stats()
-        search.scheme.current_cell = None    # cold query
+        env.reset_runtime_state()            # cold query
         result = search.query_point(viewpoint, eta)
         print(f"{eta:>8g}  {len(result.objects):>7}  "
               f"{len(result.internals):>13}  "

@@ -11,8 +11,11 @@ indexed-vertical scheme flips in O(N_vnode).
 Run:  python examples/storage_schemes.py
 """
 
+from functools import partial
+
 from repro import (CellGrid, CityParams, HDoVConfig, HDoVSearch,
                    build_environment, generate_city)
+from repro.obs.replay import cold_queries
 from repro.walkthrough.session import street_viewpoints
 
 
@@ -42,17 +45,13 @@ def main() -> None:
           f"{'sequential':>10} {'sim. ms':>8}")
     for name in config.schemes:
         search = HDoVSearch(env, name)
-        env.reset_stats()
-        for point in viewpoints:
-            search.scheme.current_cell = None
-            search.scheme.reset_io_head()
-            search.query_point(point, 0.001)
-        light = env.light_stats
-        heavy = env.heavy_stats
+        run = cold_queries(env, viewpoints,
+                           partial(search.query_point, eta=0.001))
+        light, heavy = run.light, run.heavy
         print(f"  {name:<18} {light.reads + heavy.reads:>10} "
               f"{light.seeks + heavy.seeks:>6} "
               f"{light.sequential_reads + heavy.sequential_reads:>10} "
-              f"{env.total_simulated_ms():>8.1f}")
+              f"{light.simulated_ms + heavy.simulated_ms:>8.1f}")
 
     print("\nThe horizontal scheme stores a V-page per (node, cell) — "
           "huge and seek-bound.\nThe vertical pair store only visible "

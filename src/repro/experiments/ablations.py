@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
@@ -23,7 +24,7 @@ from repro.core.vpage import CellVPages
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.rtree.bulk import str_bulk_load
+from repro.obs.replay import cold_queries
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
 from repro.walkthrough.session import street_viewpoints
@@ -55,14 +56,11 @@ def run_nvo_ablation(scale: ExperimentScale = MEDIUM, *,
     results = []
     for use_heuristic in (True, False):
         search = HDoVSearch(env, use_nvo_heuristic=use_heuristic)
-        env.reset_stats()
-        polygons = 0
-        for point in viewpoints:
-            search.scheme.current_cell = None
-            search.scheme.reset_io_head()
-            polygons += search.query_point(point, eta).total_polygons
-        results.append((env.total_simulated_ms() / len(viewpoints),
-                        polygons / len(viewpoints)))
+        run = cold_queries(env, viewpoints,
+                           partial(search.query_point, eta=eta))
+        results.append((run.ms_per_query(),
+                        sum(r.total_polygons for r in run.answers)
+                        / len(viewpoints)))
     return NVOHeuristicResult(eta=eta, with_heuristic=results[0],
                               without_heuristic=results[1])
 

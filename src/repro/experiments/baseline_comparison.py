@@ -18,10 +18,9 @@ from typing import Dict, List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
+from repro.obs.replay import replay, session_path
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.visual import (LodRTreeWalkthrough, ReviewWalkthrough,
-                                      VisualSystem)
+from repro.walkthrough.visual import LodRTreeWalkthrough, ReviewWalkthrough
 
 SESSION_LABELS = {1: "session 1 (normal)", 2: "session 2 (turning)",
                   3: "session 3 (back/forward)"}
@@ -63,10 +62,7 @@ def run_baseline_comparison(scale: ExperimentScale = MEDIUM, *,
         session = session_path(scale, env, number)
         per_system: Dict[str, List[float]] = {}
 
-        visual = VisualSystem(
-            env, eta=eta,
-            cache_budget_bytes=scale.visual_cache_budget_bytes)
-        report = visual.run(session)
+        _, report = replay(scale, env, session, eta=eta)
         stats = frame_time_stats(report.frame_times())
         per_system["VISUAL"] = [stats.mean_ms, report.avg_fidelity()]
 

@@ -13,7 +13,7 @@ one exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.hdov_tree import HDoVConfig, HDoVEnvironment
@@ -79,7 +79,7 @@ LARGE = _scale("large", blocks=18, cell_size=60.0, resolution=32,
 
 _SCALES: Dict[str, ExperimentScale] = {s.name: s
                                        for s in (SMALL, MEDIUM, LARGE)}
-_ENV_CACHE: Dict[Tuple[str, Tuple[str, ...], bool], HDoVEnvironment] = {}
+_ENV_CACHE: Dict[Tuple[str, Tuple[str, ...]], HDoVEnvironment] = {}
 
 
 def get_scale(name: str) -> ExperimentScale:
@@ -92,27 +92,23 @@ def get_scale(name: str) -> ExperimentScale:
 
 
 def build_experiment_environment(scale: ExperimentScale,
-                                 schemes: Optional[Sequence[str]] = None,
-                                 *, compress_vpages: bool = False,
+                                 schemes: Optional[Sequence[str]] = None
                                  ) -> HDoVEnvironment:
     """Build (or fetch from cache) the environment for a scale.
 
-    ``schemes`` overrides which storage schemes are laid out;
-    ``compress_vpages`` opts into the packed delta V-page codec.  The
-    cache key includes both so Table 2 (all three schemes) and the
-    walkthroughs (one) — and compressed vs raw runs — do not collide.
-    Cached environments are *shared*: anything that mutates a file in
-    place builds its own with :func:`~repro.obs.replay.build_world`.
+    ``schemes`` overrides which storage schemes are laid out; the cache
+    key includes it so Table 2 (all three schemes) and the walkthroughs
+    (one) do not collide.  Cached environments are *shared*: every
+    measurement starts from cold (:func:`~repro.obs.replay.replay`,
+    :func:`~repro.obs.replay.cold_queries`), so no driver sees another's
+    state, and anything that mutates a file in place builds its own
+    with :func:`~repro.obs.replay.build_world`.
     """
-    scheme_key = tuple(schemes) if schemes is not None else tuple(
-        scale.hdov.schemes)
-    key = (scale.name, scheme_key, compress_vpages)
+    key = (scale.name, tuple(schemes if schemes is not None
+                             else scale.hdov.schemes))
     env = _ENV_CACHE.get(key)
     if env is None:
-        env = build_world(scale, schemes=scheme_key,
-                          compress=compress_vpages)
-        _ENV_CACHE[key] = env
-    env.reset_stats()
+        env = _ENV_CACHE[key] = build_world(scale, schemes=key[1])
     return env
 
 

@@ -9,7 +9,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import List
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
 from repro.geometry.frustum import Camera
+from repro.obs.replay import cold_queries
 from repro.serving.pooled import PooledNodeStore
 from repro.storage.buffer import BufferPool
 from repro.walkthrough.session import street_viewpoints
@@ -62,31 +64,23 @@ def run_priority_extension(scale: ExperimentScale = MEDIUM, *,
     viewpoints = street_viewpoints(env.scene.bounds(), scale.city.pitch,
                                    scale.num_query_viewpoints, seed=17)
     rng = np.random.default_rng(23)
-    first_ms: List[float] = []
-    total_ms: List[float] = []
-    phase1_results: List[int] = []
-    total_results: List[int] = []
+    cameras = []
     for point in viewpoints:
         angle = rng.uniform(0.0, 2 * np.pi)
-        camera = Camera(position=point,
-                        direction=(float(np.cos(angle)),
-                                   float(np.sin(angle)), 0.0),
-                        up=(0, 0, 1), fov_deg=fov_deg, far=5000.0)
-        search._search.scheme.current_cell = None
-        search._search.scheme.reset_io_head()
-        env.reset_stats()
-        result = search.query(camera, eta)
-        first_ms.append(result.first_phase_ms)
-        total_ms.append(result.total_ms)
-        phase1_results.append(result.in_frustum.num_results)
-        total_results.append(result.completed.num_results)
-    n = len(viewpoints)
+        cameras.append(Camera(position=point,
+                              direction=(float(np.cos(angle)),
+                                         float(np.sin(angle)), 0.0),
+                              up=(0, 0, 1), fov_deg=fov_deg, far=5000.0))
+    results = cold_queries(env, cameras,
+                           partial(search.query, eta=eta)).answers
+    n = len(results)
     return PriorityResult(
         num_queries=n,
-        avg_first_phase_ms=sum(first_ms) / n,
-        avg_total_ms=sum(total_ms) / n,
-        avg_in_frustum_results=sum(phase1_results) / n,
-        avg_total_results=sum(total_results) / n,
+        avg_first_phase_ms=sum(r.first_phase_ms for r in results) / n,
+        avg_total_ms=sum(r.total_ms for r in results) / n,
+        avg_in_frustum_results=sum(r.in_frustum.num_results
+                                   for r in results) / n,
+        avg_total_results=sum(r.completed.num_results for r in results) / n,
     )
 
 
@@ -120,10 +114,8 @@ def run_node_cache_sweep(scale: ExperimentScale = MEDIUM, *,
             pool = BufferPool(capacity)
             env.node_store = PooledNodeStore(original_store, pool)
             search = HDoVSearch(env, fetch_models=False)
-            env.reset_stats()
-            for point in viewpoints:
-                search.scheme.current_cell = None
-                search.query_point(point, eta)
+            cold_queries(env, viewpoints,
+                         partial(search.query_point, eta=eta))
             # Light stats here include V-page reads; isolate node reads
             # via the pool's miss count.
             ios.append(pool.misses / len(viewpoints))

@@ -17,10 +17,9 @@ from typing import List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
+from repro.obs.replay import replay, session_path
 from repro.walkthrough.metrics import FrameTimeStats, frame_time_stats
-from repro.walkthrough.visual import (ReviewWalkthrough, VisualSystem,
-                                      WalkthroughReport)
+from repro.walkthrough.visual import ReviewWalkthrough, WalkthroughReport
 
 
 @dataclass
@@ -56,10 +55,7 @@ def run_figure10a(scale: ExperimentScale = MEDIUM, *,
     """VISUAL(eta) vs REVIEW(comparable boxes) on session 1."""
     env = build_experiment_environment(scale)
     session = session_path(scale, env, 1)
-    visual = VisualSystem(
-        env, eta=eta,
-        cache_budget_bytes=scale.visual_cache_budget_bytes)
-    visual_report = visual.run(session)
+    _, visual_report = replay(scale, env, session, eta=eta)
     review = ReviewWalkthrough(env, box_size=scale.review_box_comparable)
     review_report = review.run(session)
     return Figure10Result(panel="a", series=[
@@ -74,10 +70,6 @@ def run_figure10b(scale: ExperimentScale = MEDIUM, *,
     """VISUAL at two thresholds on session 1."""
     env = build_experiment_environment(scale)
     session = session_path(scale, env, 1)
-    reports = []
-    for eta in (eta_fast, eta_fine):
-        system = VisualSystem(
-            env, eta=eta,
-            cache_budget_bytes=scale.visual_cache_budget_bytes)
-        reports.append(_series(f"VISUAL(eta={eta})", system.run(session)))
-    return Figure10Result(panel="b", series=reports)
+    return Figure10Result(panel="b", series=[
+        _series(f"VISUAL(eta={eta})", replay(scale, env, session, eta=eta)[1])
+        for eta in (eta_fast, eta_fine)])

@@ -11,6 +11,7 @@ entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List
 
 from repro.baselines.review import ReviewSystem
@@ -18,6 +19,7 @@ from repro.core.search import HDoVSearch
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
+from repro.obs.replay import cold_queries
 from repro.walkthrough.metrics import FidelityMetric
 from repro.walkthrough.session import street_viewpoints
 
@@ -54,27 +56,25 @@ def run_figure11(scale: ExperimentScale = MEDIUM, *,
     viewpoints = street_viewpoints(env.scene.bounds(), scale.city.pitch,
                                    scale.num_query_viewpoints, seed=11)
 
-    # "Original models": every visible object at full detail — the
-    # reference row, fidelity 1 by construction, zero missed.
-    rows: Dict[str, List[float]] = {
-        "original": [], "review": [], "visual": []}
-    missed: Dict[str, List[float]] = {"original": [], "review": [],
-                                      "visual": []}
-    visible_counts: List[float] = []
-
     search = HDoVSearch(env, fetch_models=False)
     review = ReviewSystem(env, box_size=review_box, fetch_models=False)
 
-    for point in viewpoints:
-        cell_id = env.grid.cell_of_point(point)
-        truth = metric.ground_truth(cell_id)
-        visible_counts.append(float(len(truth)))
-
-        rows["original"].append(1.0)
-        missed["original"].append(0.0)
-
+    def review_answer(point):
         review.clear_cache()
-        review_result = review.query(point)
+        return review.query(point)
+
+    review_answers = cold_queries(env, viewpoints, review_answer).answers
+    visual_answers = cold_queries(
+        env, viewpoints, partial(search.query_point, eta=eta)).answers
+
+    rows: Dict[str, List[float]] = {"review": [], "visual": []}
+    missed: Dict[str, List[float]] = {"review": [], "visual": []}
+    visible_counts: List[float] = []
+    for point, review_result, visual_result in zip(
+            viewpoints, review_answers, visual_answers):
+        cell_id = env.grid.cell_of_point(point)
+        visible_counts.append(float(len(metric.ground_truth(cell_id))))
+
         rendered = {}
         for oid in review_result.object_ids:
             record = env.objects[oid]
@@ -86,8 +86,6 @@ def run_figure11(scale: ExperimentScale = MEDIUM, *,
             float(len(metric.missed_objects(cell_id,
                                             review_result.object_ids))))
 
-        search.scheme.current_cell = None
-        visual_result = search.query_cell(cell_id, eta)
         rows["visual"].append(metric.score_hdov(visual_result))
         missed["visual"].append(
             float(len(metric.missed_objects(
@@ -97,8 +95,9 @@ def run_figure11(scale: ExperimentScale = MEDIUM, *,
         return sum(values) / len(values)
 
     result_rows = [
-        Figure11Row("original models", avg(rows["original"]),
-                    avg(missed["original"]), avg(visible_counts)),
+        # "Original models": every visible object at full detail — the
+        # reference row, fidelity 1 by construction, zero missed.
+        Figure11Row("original models", 1.0, 0.0, avg(visible_counts)),
         Figure11Row(f"REVIEW({review_box:g}m boxes)", avg(rows["review"]),
                     avg(missed["review"]), avg(visible_counts)),
         Figure11Row(f"VISUAL(eta={eta})", avg(rows["visual"]),

@@ -19,8 +19,8 @@ from typing import Dict, List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
-from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
+from repro.obs.replay import replay, session_path
+from repro.walkthrough.visual import ReviewWalkthrough
 
 SESSION_NUMBERS = (1, 2, 3)
 SESSION_LABELS = {1: "session 1 (normal)", 2: "session 2 (turning)",
@@ -60,10 +60,7 @@ def run_figure12(scale: ExperimentScale = MEDIUM, *,
     ios: Dict[int, List[float]] = {}
     for number in SESSION_NUMBERS:
         session = session_path(scale, env, number)
-        visual = VisualSystem(
-            env, eta=eta, evaluate_fidelity=False,
-            cache_budget_bytes=scale.visual_cache_budget_bytes)
-        visual_report = visual.run(session)
+        _, visual_report = replay(scale, env, session, eta=eta)
         review = ReviewWalkthrough(env, box_size=review_box,
                                    evaluate_fidelity=False)
         review_report = review.run(session)

@@ -9,13 +9,14 @@ naive line; horizontal worst (its V-pages for one cell are scattered c
 pages apart, so nearly every access seeks); indexed-vertical at least as
 good as vertical (cheaper cell flips).
 
-Each query is run cold (current cell and file heads reset) so every
-query pays its own flip, like the paper's random-viewpoint stream.
+Each query runs from cold (:func:`~repro.obs.replay.cold_queries`), so
+every query pays its own flip, like the paper's random-viewpoint stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence
 
 from repro.baselines.naive import NaiveCellList
@@ -23,6 +24,7 @@ from repro.core.search import HDoVSearch
 from repro.experiments.config import (ETA_SWEEP, ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_series
+from repro.obs.replay import cold_queries
 from repro.walkthrough.session import street_viewpoints
 
 SCHEMES = ("horizontal", "vertical", "indexed-vertical")
@@ -52,22 +54,17 @@ def run_figure7(scale: ExperimentScale = MEDIUM,
                                    scale.num_query_viewpoints, seed=3)
     naive = NaiveCellList(env)
 
-    env.reset_stats()
-    for point in viewpoints:
+    def naive_answer(point):
         naive.reset_io_head()
-        naive.query_point(point)
-    naive_ms = env.total_simulated_ms() / len(viewpoints)
+        return naive.query_point(point)
 
-    search_ms: Dict[str, List[float]] = {name: [] for name in SCHEMES}
+    naive_ms = cold_queries(env, viewpoints, naive_answer).ms_per_query()
+    search_ms: Dict[str, List[float]] = {}
     for name in SCHEMES:
         search = HDoVSearch(env, name)
-        for eta in etas:
-            env.reset_stats()
-            for point in viewpoints:
-                search.scheme.current_cell = None   # cold query
-                search.scheme.reset_io_head()
-                search.query_point(point, eta)
-            search_ms[name].append(env.total_simulated_ms()
-                                   / len(viewpoints))
+        search_ms[name] = [
+            cold_queries(env, viewpoints,
+                         partial(search.query_point, eta=eta)).ms_per_query()
+            for eta in etas]
     return Figure7Result(etas=list(etas), search_ms=search_ms,
                          naive_ms=naive_ms, num_queries=len(viewpoints))

@@ -11,6 +11,7 @@ Both panels share one run; the naive method is the flat reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence
 
 from repro.baselines.naive import NaiveCellList
@@ -18,6 +19,8 @@ from repro.core.search import HDoVSearch
 from repro.experiments.config import (ETA_SWEEP, ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_series
+from repro.obs.replay import cold_queries
+from repro.walkthrough.session import street_viewpoints
 
 
 @dataclass
@@ -47,33 +50,25 @@ class Figure8Result:
 def run_figure8(scale: ExperimentScale = MEDIUM,
                 etas: Sequence[float] = ETA_SWEEP) -> Figure8Result:
     env = build_experiment_environment(scale)
-    from repro.walkthrough.session import street_viewpoints
     viewpoints = street_viewpoints(env.scene.bounds(), scale.city.pitch,
                                    scale.num_query_viewpoints, seed=3)
-    naive = NaiveCellList(env)
-    env.reset_stats()
-    for point in viewpoints:
-        naive.reset_io_head()
-        naive.query_point(point)
     n = len(viewpoints)
-    naive_light = env.light_stats.total_ios / n
-    naive_total = (env.light_stats.total_ios
-                   + env.heavy_stats.total_ios) / n
+    naive = NaiveCellList(env)
 
+    def naive_answer(point):
+        naive.reset_io_head()
+        return naive.query_point(point)
+
+    naive_run = cold_queries(env, viewpoints, naive_answer)
     search = HDoVSearch(env)
-    total_ios: List[float] = []
-    light_ios: List[float] = []
-    heavy_ios: List[float] = []
-    for eta in etas:
-        env.reset_stats()
-        for point in viewpoints:
-            search.scheme.current_cell = None
-            search.scheme.reset_io_head()
-            search.query_point(point, eta)
-        light_ios.append(env.light_stats.total_ios / n)
-        heavy_ios.append(env.heavy_stats.total_ios / n)
-        total_ios.append(light_ios[-1] + heavy_ios[-1])
-    return Figure8Result(etas=list(etas), total_ios=total_ios,
+    runs = [cold_queries(env, viewpoints, partial(search.query_point, eta=eta))
+            for eta in etas]
+    light_ios = [run.light.total_ios / n for run in runs]
+    heavy_ios = [run.heavy.total_ios / n for run in runs]
+    return Figure8Result(etas=list(etas),
+                         total_ios=[light + heavy for light, heavy
+                                    in zip(light_ios, heavy_ios)],
                          light_ios=light_ios, heavy_ios=heavy_ios,
-                         naive_total=naive_total, naive_light=naive_light,
+                         naive_total=naive_run.ios_per_query(),
+                         naive_light=naive_run.light.total_ios / n,
                          num_queries=n)

@@ -16,14 +16,15 @@ preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence
 
 from repro.core.hdov_tree import HDoVConfig, build_environment
 from repro.core.search import HDoVSearch
 from repro.errors import ExperimentError
 from repro.experiments.report import format_series
-from repro.scene.city import CityParams, generate_city
+from repro.obs.replay import cold_queries
 from repro.scene.datasets import DATASET_SERIES, DatasetSpec
 from repro.visibility.cells import CellGrid
 from repro.walkthrough.session import street_viewpoints
@@ -78,17 +79,14 @@ def run_figure9(specs: Sequence[DatasetSpec] = DATASET_SERIES, *,
         pitch = spec.params().pitch
         viewpoints = street_viewpoints(scene.bounds(), pitch, num_queries,
                                        seed=5)
-        env.reset_stats()
-        for point in viewpoints:
-            search.scheme.current_cell = None
-            search.scheme.reset_io_head()
-            search.query_point(point, eta)
+        run = cold_queries(env, viewpoints,
+                           partial(search.query_point, eta=eta))
         names.append(spec.name)
         nominal.append(spec.nominal_mb)
         objects.append(len(scene))
         nodes.append(env.node_store.num_nodes)
-        times.append(env.total_simulated_ms() / num_queries)
-        ios.append(env.total_ios() / num_queries)
+        times.append(run.ms_per_query())
+        ios.append(run.ios_per_query())
     return Figure9Result(names=names, nominal_mb=nominal,
                          num_objects=objects, num_nodes=nodes,
                          search_ms=times, ios=ios, eta=eta,

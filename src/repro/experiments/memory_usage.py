@@ -15,9 +15,9 @@ from typing import List
 from repro.experiments.config import (ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
+from repro.obs.replay import replay, session_path
 from repro.walkthrough.memory import MemoryReport, memory_report
-from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
+from repro.walkthrough.visual import ReviewWalkthrough
 
 
 @dataclass
@@ -45,10 +45,7 @@ def run_memory_comparison(scale: ExperimentScale = MEDIUM, *,
     session = session_path(scale, env, 1)
     reports: List[MemoryReport] = []
     for eta in etas:
-        system = VisualSystem(
-            env, eta=eta, evaluate_fidelity=False,
-            cache_budget_bytes=scale.visual_cache_budget_bytes)
-        run = system.run(session)
+        _, run = replay(scale, env, session, eta=eta)
         reports.append(memory_report(f"VISUAL(eta={eta})", run.frames))
     review = ReviewWalkthrough(env, box_size=review_box,
                                evaluate_fidelity=False)

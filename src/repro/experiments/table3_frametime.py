@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence
 from repro.experiments.config import (ETA_SWEEP, ExperimentScale, MEDIUM,
                                       build_experiment_environment)
 from repro.experiments.report import format_table
-from repro.obs.replay import session_path
+from repro.obs.replay import replay, session_path
 from repro.walkthrough.metrics import frame_time_stats
-from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
+from repro.walkthrough.visual import ReviewWalkthrough
 
 
 @dataclass
@@ -56,10 +56,7 @@ def run_table3(scale: ExperimentScale = MEDIUM,
     session = session_path(scale, env, 1)
     rows: List[Table3Row] = []
     for eta in etas:
-        system = VisualSystem(
-            env, eta=eta,
-            cache_budget_bytes=scale.visual_cache_budget_bytes)
-        report = system.run(session)
+        _, report = replay(scale, env, session, eta=eta)
         stats = frame_time_stats(report.frame_times())
         rows.append(Table3Row(label=f"{eta:g}", mean_ms=stats.mean_ms,
                               variance=stats.variance,

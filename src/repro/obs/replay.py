@@ -12,6 +12,8 @@ the pieces here rather than copies of them:
 * :func:`replay` — one cold VISUAL walkthrough of a path (the frame
   body itself lives in :class:`~repro.walkthrough.visual.VisualSystem`,
   which the serving sessions execute too);
+* :func:`cold_queries` — a stream of point queries, each from cold,
+  with the ledgers summed over the stream;
 * :func:`injected_faults` — a fault plan installed beneath every file
   of the environment for exactly the duration of a run;
 * :func:`unbalanced_fields` — the one definition of "do two ledgers
@@ -21,13 +23,14 @@ the pieces here rather than copies of them:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import (TYPE_CHECKING, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass, replace
+from typing import (TYPE_CHECKING, Callable, Generic, Iterable, Iterator,
+                    List, Mapping, Optional, Sequence, Tuple, TypeVar)
 
 from repro.core.hdov_tree import HDoVEnvironment, build_environment
 from repro.scene.city import generate_city
 from repro.scene.objects import Scene
+from repro.storage.disk import IOStats
 from repro.storage.faults import FaultInjector, FaultPlan
 from repro.visibility.cells import CellGrid
 from repro.visibility.dov import VisibilityTable
@@ -42,6 +45,9 @@ if TYPE_CHECKING:
 #: of one clock, so they can drift from the total by rounding ulps.
 #: Integer counters must match exactly.
 MS_RTOL = 1e-9
+
+Q = TypeVar("Q")
+A = TypeVar("A")
 
 
 def load_scale(name: str) -> "ExperimentScale":
@@ -99,18 +105,54 @@ def session_path(experiment: "ExperimentScale", env: HDoVEnvironment,
 def replay(experiment: "ExperimentScale", env: HDoVEnvironment,
            path: Session, *, eta: float, scheme: Optional[str] = None
            ) -> Tuple[VisualSystem, WalkthroughReport]:
-    """Walk ``path`` through the VISUAL system, from cold state, under
-    the scale's model cache budget; returns the system (search and
-    ledger state) and the per-frame report.
+    """Walk ``path`` through the VISUAL system under the scale's model
+    cache budget; returns the system (search and ledger state) and the
+    per-frame report.
 
-    Cold is :meth:`HDoVEnvironment.reset_runtime_state`: two replays of
-    one path on one environment charge field-for-field equal I/O.
+    :meth:`VisualSystem.run` starts from cold
+    (:meth:`HDoVEnvironment.reset_runtime_state`), so two replays of one
+    path on one environment charge field-for-field equal I/O.
     """
-    env.reset_runtime_state()
     system = VisualSystem(
         env, eta=eta, scheme=scheme,
         cache_budget_bytes=experiment.visual_cache_budget_bytes)
     return system, system.run(path)
+
+
+@dataclass
+class ColdQueries(Generic[A]):
+    """The answers of a query stream and its summed ledgers."""
+
+    answers: List[A]
+    light: IOStats
+    heavy: IOStats
+
+    def ms_per_query(self) -> float:
+        return ((self.light.simulated_ms + self.heavy.simulated_ms)
+                / len(self.answers))
+
+    def ios_per_query(self) -> float:
+        return ((self.light.total_ios + self.heavy.total_ios)
+                / len(self.answers))
+
+
+def cold_queries(env: HDoVEnvironment, queries: Iterable[Q],
+                 answer: Callable[[Q], A]) -> ColdQueries[A]:
+    """Answer each query from cold, as the paper's random-viewpoint
+    stream does: every query pays its own flip and its own first
+    access to each file, whatever ran before it."""
+    answers: List[A] = []
+    light, heavy = IOStats(), IOStats()
+    for query in queries:
+        env.reset_runtime_state()
+        # Go on summing on the environment's ledgers: the totals are
+        # then one running sum of the stream's charges, not a sum of
+        # per-query subtotals that rounds differently.
+        env.light_stats += light
+        env.heavy_stats += heavy
+        answers.append(answer(query))
+        light, heavy = env.snapshot()
+    return ColdQueries(answers, light, heavy)
 
 
 @contextmanager

@@ -139,7 +139,8 @@ class VisualSystem:
         self._last_degraded = 0
 
     def run(self, session: Session) -> WalkthroughReport:
-        """Replay a session; returns the per-frame records."""
+        """Replay a session from cold; returns the per-frame records."""
+        self.env.reset_runtime_state()
         self._begin_replay()
         for index, waypoint in enumerate(session):
             with span("frame", index=index) as sp:
@@ -263,6 +264,8 @@ class BaselineWalkthrough:
                           if evaluate_fidelity else None)
 
     def run(self, session: Session) -> WalkthroughReport:
+        """Replay a session from cold, as :meth:`VisualSystem.run`."""
+        self.system.env.reset_runtime_state()
         self.system.clear_cache()
         return WalkthroughReport(
             system=self.label, session=session.name,

@@ -617,11 +617,10 @@ SEEDS = {
          "elif dov <= eta and self._should_terminate(target, nvo):",
          "elif (dov < eta or dov == eta) and \\\n"
          "                    self._should_terminate(target, nvo):"),
-        ("walkthrough/adaptive.py",
-         '        """Next eta given the last frame\'s time."""\n',
-         '        """Next eta given the last frame\'s time."""\n'
-         "        if eta == self.eta_max and frame_ms > self.target_ms:\n"
-         "            return eta\n"),
+        # A NaN guard spelt as self-inequality.
+        ("walkthrough/visual.py",
+         "        if not eta >= 0:                        # NaN is refused too\n",
+         "        if eta != eta or eta < 0:               # NaN is refused too\n"),
         ("core/vpage.py",
          "    total_dov = min(sum(d for d, _ in ventries), 1.0)\n",
          "    total_dov = min(sum(d for d, _ in ventries), 1.0)\n"

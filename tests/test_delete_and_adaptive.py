@@ -1,15 +1,11 @@
-"""R-tree deletion and adaptive-eta control."""
+"""R-tree deletion."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import WalkthroughError
 from repro.geometry.aabb import AABB
 from repro.rtree.delete import delete, delete_by_id
 from repro.rtree.tree import RTree
-from repro.walkthrough.adaptive import AdaptiveVisualSystem, EtaController
-from repro.walkthrough.session import make_session
 
 
 def random_items(n, seed=0):
@@ -106,62 +102,3 @@ def test_delete_property(seed, n):
     everything = AABB((-1e6, -1e6, -1e6), (1e6, 1e6, 1e6))
     assert sorted(tree.window_query(everything)) == sorted(
         oid for i, (_m, oid) in enumerate(items) if i not in kill)
-
-
-# -- adaptive eta ---------------------------------------------------------
-
-def test_controller_validation():
-    with pytest.raises(WalkthroughError):
-        EtaController(target_ms=0.0)
-    with pytest.raises(WalkthroughError):
-        EtaController(target_ms=10.0, eta_min=0.1, eta_max=0.01)
-    with pytest.raises(WalkthroughError):
-        EtaController(target_ms=10.0, gain=0.0)
-
-
-def test_controller_raises_eta_when_slow():
-    controller = EtaController(target_ms=10.0)
-    assert controller.update(0.001, 30.0) > 0.001
-
-
-def test_controller_lowers_eta_when_fast():
-    controller = EtaController(target_ms=10.0)
-    assert controller.update(0.001, 2.0) < 0.001
-
-
-def test_controller_dead_band():
-    controller = EtaController(target_ms=10.0, dead_band=0.2)
-    assert controller.update(0.001, 11.0) == 0.001
-
-
-def test_controller_clamps():
-    controller = EtaController(target_ms=10.0, eta_min=1e-4, eta_max=0.01)
-    eta = 0.01
-    for _ in range(20):
-        eta = controller.update(eta, 1000.0)
-    assert eta == 0.01
-    for _ in range(50):
-        eta = controller.update(eta, 0.001)
-    assert eta == pytest.approx(1e-4)
-
-
-def test_adaptive_system_tracks_target(env):
-    session = make_session(1, env.scene.bounds(), num_frames=40,
-                           street_pitch=120.0)
-    # A deliberately tight target forces eta upward.
-    controller = EtaController(target_ms=5.0, eta_max=0.1)
-    system = AdaptiveVisualSystem(env, controller, initial_eta=0.0001)
-    report = system.run(session)
-    assert len(report.frames) == 40
-    assert len(system.eta_trace) == 40
-    assert system.eta_trace[-1] > system.eta_trace[0]   # adapted upward
-
-
-def test_adaptive_system_stays_fine_when_target_loose(env):
-    session = make_session(1, env.scene.bounds(), num_frames=30,
-                           street_pitch=120.0)
-    controller = EtaController(target_ms=10_000.0)
-    system = AdaptiveVisualSystem(env, controller, initial_eta=0.001)
-    system.run(session)
-    assert min(system.eta_trace) < 0.001 or \
-        system.eta_trace[-1] <= 0.001

@@ -5,12 +5,15 @@ import math
 
 import pytest
 
-from repro.experiments import (run_figure7, run_figure8, run_figure10a,
-                               run_figure10b, run_figure11, run_figure12,
-                               run_memory_comparison, run_table2, run_table3)
+from repro.experiments import (figure7_search_time, run_figure7, run_figure8,
+                               run_figure10a, run_figure10b, run_figure11,
+                               run_figure12, run_memory_comparison, run_table2,
+                               run_table3)
 from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
                                          run_split_ablation)
-from repro.experiments.config import SMALL, build_experiment_environment
+from repro.experiments.baseline_comparison import run_baseline_comparison
+from repro.experiments.config import (SMALL, build_experiment_environment,
+                                      clear_environment_cache)
 from repro.experiments.figure9_scalability import run_figure9
 from repro.scene.datasets import DatasetSpec
 
@@ -148,3 +151,30 @@ def test_flip_scaling_asymptotics():
                               num_cells=2)
     assert result.vertical_flip_ios[-1] > result.vertical_flip_ios[0]
     assert result.indexed_flip_ios[0] == result.indexed_flip_ios[-1] == 1
+
+
+# -- every measurement starts cold ------------------------------------------
+
+@pytest.mark.parametrize("run", [run_table3, run_figure10a, run_figure10b,
+                                 run_figure12, run_baseline_comparison,
+                                 run_memory_comparison],
+                         ids=lambda run: run.__name__)
+def test_table_does_not_depend_on_what_ran_before(run):
+    clear_environment_cache()
+    alone = run(SMALL).format_table()
+    run_figure8(SMALL)
+    assert run(SMALL).format_table() == alone
+
+
+def test_point_query_charge_does_not_depend_on_the_query_before(
+        monkeypatch):
+    forward = run_figure7(SMALL)
+
+    original = figure7_search_time.street_viewpoints
+    monkeypatch.setattr(figure7_search_time, "street_viewpoints",
+                        lambda *args, **kwargs:
+                        original(*args, **kwargs)[::-1])
+    backward = run_figure7(SMALL)
+    assert backward.naive_ms == pytest.approx(forward.naive_ms, rel=1e-9)
+    for name, series in forward.search_ms.items():
+        assert backward.search_ms[name] == pytest.approx(series, rel=1e-9)
