@@ -154,7 +154,7 @@ class StorageScheme(abc.ABC):
         """
         if self.page_cache is not None:
             return self.page_cache.get(self.vpage_file, pointer,
-                                       reader=_scheme_reader)
+                                       reader=scheme_reader)
         return pageio.read_page(self.vpage_file, pointer,
                                 component="schemes")
 
@@ -189,7 +189,7 @@ class StorageScheme(abc.ABC):
         """
         if self.page_cache is not None:
             return self.page_cache.get(self.vpage_file, page_id,
-                                       reader=_scheme_reader,
+                                       reader=scheme_reader,
                                        decoder=decoder)
         return decoder(self._read_vpage(page_id))
 
@@ -421,7 +421,7 @@ class SegmentScheme(StorageScheme):
                                    component="schemes")
         cache = self.page_cache
         return b"".join(cache.get(self.index_file, first_page + i,
-                                  reader=_scheme_reader)
+                                  reader=scheme_reader)
                         for i in range(count))
 
     def _load_cell(self, cell_id: int) -> None:
@@ -456,6 +456,6 @@ class SegmentScheme(StorageScheme):
         return sum(self._cell_vnodes.values())
 
 
-def _scheme_reader(pfile: PagedFile, page_id: int) -> bytes:
+def scheme_reader(pfile: PagedFile, page_id: int) -> bytes:
     """Buffer-pool miss reader: the sanctioned scheme-component read."""
     return pageio.read_page(pfile, page_id, component="schemes")

@@ -31,13 +31,14 @@ from typing import List, Optional, Tuple
 
 from repro.constants import BYTES_PER_POLYGON
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.core.schemes.base import StorageScheme
+from repro.core.schemes.base import StorageScheme, scheme_reader
 from repro.errors import HDoVError, PageCorruptError, TransientIOError
 from repro.geometry.vec import PointLike
 from repro.lod.selection import internal_lod_fraction, leaf_lod_fraction
 from repro.obs import names
 from repro.obs.metrics import Counter, get_registry
 from repro.obs.trace import span
+from repro.rtree.persist import rtree_reader
 
 #: Storage failures the search survives by degrading to internal LoDs.
 #: Anything else (PageNotFoundError, closed files, decode errors) is a
@@ -200,8 +201,11 @@ class HDoVSearch:
                 # flip retries from scratch.
                 self._degrade(0, result)
             else:
-                if self._answer(eta, result) and sp is not None:
+                pages_read = self._answer(eta, result)
+                if pages_read is not None and sp is not None:
                     sp.attrs.update(replayed=True)
+                    if pages_read:
+                        sp.attrs.update(recall_misses=pages_read)
             if sp is not None:
                 sp.attrs.update(nodes_read=result.nodes_read,
                                 vpages_read=result.vpages_read,
@@ -235,16 +239,20 @@ class HDoVSearch:
 
     # -- figure 3 -------------------------------------------------------------
 
-    def _answer(self, eta: float, result: SearchResult) -> bool:
-        """Fill ``result`` for the current cell; True if from a plan.
+    def _answer(self, eta: float, result: SearchResult) -> Optional[int]:
+        """Fill ``result`` for the current cell.  ``None`` if Figure 3
+        ran; else the answer came from a plan, and this is how many of
+        its pages the recall read.
 
         With tree and V-pages behind one pool and a scheme that can name
-        the page of each V-page read, the answer is a function of pages
-        the pool holds: the pool keeps it (``BufferPool.remember``,
-        DESIGN.md §10) and returns it, to any session over the same
-        files, while they all stay resident.  Model fetches are not pool
-        hits, so a fetching search never plans; a degraded answer is
-        never remembered.
+        the page of each V-page read, the answer is a function of the
+        cell, the query and the two files, which do not change while the
+        pool fronts them: the pool keeps it (``BufferPool.remember``,
+        DESIGN.md §10) until it is cleared, and hands it to any session
+        over the same files with the query's page reads re-issued in
+        place of the traversal.  Model fetches are not pool reads, so a
+        fetching search never plans; a degraded answer is never
+        remembered.
         """
         store, scheme = self.env.node_store, self._scheme
         pool = scheme.page_cache
@@ -252,20 +260,22 @@ class HDoVSearch:
                 or getattr(store, "pool", None) is not pool
                 or scheme.ventries_page(0) is None):
             self._search_node(0, eta, result, None)
-            return False
-        token = (store.pfile.file_id, scheme.vpage_file.file_id,
-                 result.cell_id, eta, self.use_nvo_heuristic)
-        plan = pool.recall(token)
-        if plan is None:
-            generation = pool.generation
+            return None
+        tree, vpages = store.pfile, scheme.vpage_file
+        token = (tree.file_id, vpages.file_id, result.cell_id, eta,
+                 self.use_nvo_heuristic)
+        recalled = pool.recall(token, ((tree, rtree_reader),
+                                       (vpages, scheme_reader)))
+        if recalled is None:
             reads: List[Tuple[int, int]] = []
             self._search_node(0, eta, result, reads)
             if not result.degraded:
-                pool.remember(token, generation, reads, (
+                pool.remember(token, reads, (
                     tuple(result.objects), tuple(result.internals),
                     result.nodes_read, result.vpages_read, result.pruned,
                     result.terminated, result.recursed))
-            return False
+            return None
+        plan, pages_read = recalled
         (objects, internals, result.nodes_read, result.vpages_read,
          result.pruned, result.terminated, result.recursed) = plan
         result.objects.extend(objects)
@@ -274,7 +284,7 @@ class HDoVSearch:
             self._m_replays = get_registry().counter(
                 names.SEARCH_REPLAYS, scheme=scheme.name)
         self._m_replays.inc()
-        return True
+        return pages_read
 
     def _search_node(self, node_offset: int, eta: float,
                      result: SearchResult,

@@ -29,11 +29,12 @@ valid exactly as long as its frame is — eviction and ``clear`` drop it
 with the frame.
 
 Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
-DESIGN.md §10): a *generation* moves wherever a resident frame can go —
-eviction and ``clear``, never a fill into free capacity — and while it
-stands the pool keeps the page keys and the answer of
-queries whose every page is resident.  Recalling one books what that
-many ``get`` hits would have, in one lock round.
+DESIGN.md §10): the pool keeps a query's page keys and answer until
+``clear`` — the one event after which a pooled file may have changed.
+Recalling a plan re-issues its page reads in one lock round: a resident
+page is a hit, a missing one takes ``get``'s miss path (read, but not
+decoded), so every counter, the eviction order and both I/O ledgers move
+exactly as the query's own ``get`` calls would have moved them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ class _Frame:
         self.payload: Any = None
 
 
+class _Plan:
+    __slots__ = ("keys", "answer", "stamp")
+
+    def __init__(self, keys: Tuple[Tuple[int, int], ...],
+                 answer: Any) -> None:
+        self.keys = keys
+        self.answer = answer
+        #: The pool's ``evictions`` after the last recall that left every
+        #: key resident without evicting (``None``: none has yet).  While
+        #: the count still equals it, no frame has gone since.
+        self.stamp: Optional[int] = None
+
+
 class BufferPool:
     """Fixed-capacity page cache with pluggable replacement, thread-safe.
 
@@ -79,7 +93,8 @@ class BufferPool:
     ``id()``: a garbage-collected file's address can be reused by a new
     ``PagedFile``, which would silently serve the old file's frames for
     the new file's pages.  The pool keeps no reference to a file: it is
-    handed one per ``get`` and uses it for that call's miss read only.
+    handed one per ``get`` or ``recall`` and uses it for that call's
+    miss reads only.
 
     Parameters
     ----------
@@ -109,11 +124,9 @@ class BufferPool:
         self._policy = make_policy(policy, capacity, name)
         self._lock = threading.RLock()
         self._frames: Dict[Tuple[int, int], _Frame] = {}
-        self._generation = 0
-        #: token -> (page keys in read order, answer), all remembered at
-        #: the current generation.
-        self._plans: Dict[Hashable, Tuple[Sequence[Tuple[int, int]],
-                                          Any]] = {}
+        #: token -> the page keys a query read, in order, and its answer;
+        #: kept until ``clear``.
+        self._plans: Dict[Hashable, _Plan] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -132,20 +145,29 @@ class BufferPool:
 
     # -- internals ------------------------------------------------------------
 
-    def _bump_generation(self) -> None:
-        """A frame goes: drop every plan.  Caller holds lock."""
-        self._generation += 1
-        self._plans.clear()
-
     def _evict_one(self) -> None:
         """Evict the policy's first victim.  Caller holds lock, and the
         table is full, so the policy has one."""
         key = next(self._policy.victims())
         del self._frames[key]
-        self._bump_generation()
         self._policy.on_evict(key)
         self.evictions += 1
         self._m_evictions.inc()
+
+    def _read_in(self, key: Tuple[int, int], pfile: PagedFile,
+                 reader: Optional[PageReader]) -> _Frame:
+        """The miss path of ``get`` and ``recall``: count the miss, free
+        a frame, read, install.  Caller holds lock."""
+        self.misses += 1
+        self._m_misses.inc()
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
+        frame = _Frame(reader(pfile, key[1]) if reader is not None
+                       else pfile.read_page(key[1]))
+        self._frames[key] = frame
+        self._policy.on_insert(key)
+        self._m_resident.set(len(self._frames))
+        return frame
 
     # -- public API -------------------------------------------------------------
 
@@ -190,61 +212,80 @@ class BufferPool:
                 self._m_hits.inc()
                 self._policy.on_access(key)
             else:
-                self.misses += 1
-                self._m_misses.inc()
-                if len(self._frames) >= self.capacity:
-                    self._evict_one()
-                frame = _Frame(reader(pfile, page_id) if reader is not None
-                               else pfile.read_page(page_id))
-                self._frames[key] = frame
-                self._policy.on_insert(key)
-                self._m_resident.set(len(self._frames))
+                frame = self._read_in(key, pfile, reader)
             if decoder is None:
                 return frame.data
             if frame.payload is None:
                 frame.payload = decoder(frame.data)
             return frame.payload
 
-    @property
-    def generation(self) -> int:
-        """Moves on every eviction and ``clear``.  Read without
-        the lock: a stale value only makes :meth:`remember` refuse."""
-        return self._generation
-
-    def remember(self, token: Hashable, generation: int,
-                 keys: Sequence[Tuple[int, int]], answer: Any) -> None:
-        """Keep ``answer`` for :meth:`recall`: what a query computed from
-        exactly the page reads ``keys`` — ``(file_id, page_id)`` in read
-        order, all through this pool, all after ``generation`` was read.
-        Kept only if the generation has not moved since (every frame is
-        still the one that was read), every key is resident, and fewer
-        than ``capacity`` plans are held.
-        ``answer`` is shared with every later caller: immutable.
-        """
+    def remember(self, token: Hashable, keys: Sequence[Tuple[int, int]],
+                 answer: Any) -> None:
+        """Keep ``answer`` for :meth:`recall` until :meth:`clear`: what a
+        query computed from exactly the page reads ``keys`` —
+        ``(file_id, page_id)`` in read order, all through this pool.
+        The pooled files do not change while the pool fronts them, so
+        neither does the answer; ``answer`` is shared with every later
+        caller: immutable.  A token names one query, so the table holds
+        at most one plan per query asked."""
         with self._lock:
-            if (generation == self._generation
-                    and len(self._plans) < self.capacity
-                    and all(key in self._frames for key in keys)):
-                self._plans[token] = (tuple(keys), answer)
+            self._plans[token] = _Plan(tuple(keys), answer)
 
-    def recall(self, token: Hashable) -> Any:
-        """The answer remembered under ``token``, or ``None``.  A plan is
-        held only while its generation is current, i.e. while re-issuing
-        its reads would hit on every page; recalling it books exactly
-        those hits — ``hits``, the metric, ``on_access`` per key in the
-        recorded order — so every later eviction is the one the ``get``
-        calls would have led to."""
+    def recall(self, token: Hashable,
+               files: Sequence[Tuple[PagedFile, Optional[PageReader]]]
+               ) -> Optional[Tuple[Any, int]]:
+        """``(answer, pages read)`` of the plan remembered under
+        ``token``, or ``None``.
+
+        Recalling re-issues the plan's page reads in the recorded order,
+        in one lock round, so that every counter, the policy order, the
+        file heads and both I/O ledgers end where the query's own
+        ``get`` calls would have left them: a resident key is a hit and
+        ``on_access``; a missing one takes ``get``'s miss path through
+        its file's ``(file, reader)`` entry of ``files`` — the reader
+        those ``get`` calls pass — and installs the bytes undecoded (the
+        next ``get`` with a decoder decodes them).  Once a recall has
+        evicted nothing, every key is resident until the next eviction,
+        and the recalls in between book hits only.
+
+        A read can fail only under a fault injector, and a recall issues
+        no read that could fail: if any of ``files`` has one installed
+        and a key is missing, nothing is booked and the answer is
+        ``None`` — the query reads for itself.
+        """
         with self._lock:
             plan = self._plans.get(token)
             if plan is None:
                 return None
-            keys, answer = plan
-            self.hits += len(keys)
-            self._m_hits.inc(len(keys))
+            keys = plan.keys
             on_access = self._policy.on_access
+            if plan.stamp == self.evictions:
+                self.hits += len(keys)
+                self._m_hits.inc(len(keys))
+                for key in keys:
+                    on_access(key)
+                return plan.answer, 0
+            frames = self._frames
+            if (any(pfile.faults is not None for pfile, _reader in files)
+                    and not all(key in frames for key in keys)):
+                return None
+            readers = {pfile.file_id: (pfile, reader)
+                       for pfile, reader in files}
+            evictions, misses = self.evictions, self.misses
+            hits = 0
             for key in keys:
-                on_access(key)
-            return answer
+                if key in frames:
+                    hits += 1
+                    on_access(key)
+                else:
+                    self._read_in(key, *readers[key[0]])
+            self.hits += hits
+            self._m_hits.inc(hits)
+            if self.evictions == evictions:
+                # A recall that evicted may have evicted its own earlier
+                # keys (a plan larger than the pool): no stamp then.
+                plan.stamp = evictions
+            return plan.answer, self.misses - misses
 
     def contains(self, pfile: PagedFile, page_id: int) -> bool:
         with self._lock:
@@ -253,7 +294,7 @@ class BufferPool:
     def clear(self) -> None:
         """Drop every frame, payload and plan; the counters stand."""
         with self._lock:
-            self._bump_generation()
+            self._plans.clear()
             self._frames.clear()
             self._policy.clear()
             self._m_resident.set(0)

@@ -572,7 +572,7 @@ SEEDS = {
     "RPR001": [
         # missed: a page primitive handed on as a value, not called.
         ("core/schemes/base.py",
-         "reader=_scheme_reader)\n        return pageio.read_page(",
+         "reader=scheme_reader)\n        return pageio.read_page(",
          "reader=PagedFile.read_page)\n        return pageio.read_page("),
         ("rtree/persist.py",
          'data = pageio.read_page(self.pfile, page_id, component="rtree")',

@@ -4,10 +4,10 @@ The pool's contract under threads (DESIGN.md §10): every operation is
 one critical section on the pool lock, so concurrent misses on one page
 issue a single disk read (the first caller reads, the rest hit),
 hit/miss counters are exact (every get counts exactly one hit or miss;
-every *completed* miss is exactly one disk read), a payload or a plan
-never outlives the frame it was made from, and capacity is never
-exceeded.  No product path starts a thread; these tests are what keeps
-"thread-safe" a tested word.
+every *completed* miss is exactly one disk read), a payload never
+outlives the frame it was made from, a recalled plan's pages hold the
+bytes it was made of, and capacity is never exceeded.  No product path
+starts a thread; these tests are what keeps "thread-safe" a tested word.
 """
 
 import sys
@@ -195,18 +195,20 @@ def test_single_flight_coalesces_concurrent_misses():
 
 def test_hammer_recalled_plans_are_never_stale():
     """Threads read small page sets and remember them as plans (the
-    answer being the very ``bytes`` objects read) or recall them, while
-    another churns the pool into evicting — the only source of staleness
-    there is: a recalled plan's frames still hold, under the pool lock,
-    the objects it was recorded over — an eviction after the
-    ``remember`` would have replaced them — and ``hits + misses`` is
-    exactly the page reads answered, by ``get`` or by recall."""
+    answer being the bytes read) or recall them, while another churns
+    the pool into evicting.  A recall reads back, under the pool lock,
+    whatever of its plan was evicted: right after it every page of the
+    plan is resident and holds the bytes the answer was made of.  And
+    ``hits + misses`` is exactly the page reads answered — by ``get`` or
+    inside a recall — each miss one read of the file."""
     pfile = make_file()
     pool = BufferPool(capacity=12)
     fid = pfile.file_id
+    files = [(pfile, None)]
     plans = [(0, 1, 2), (2, 3), (4, 5, 4, 6), (7,)]
     answered = [0] * HAMMER_THREADS
     recalled = [0] * HAMMER_THREADS
+    read_back = [0] * HAMMER_THREADS
     disturbing = threading.Event()
     disturbing.set()
 
@@ -217,16 +219,17 @@ def test_hammer_recalled_plans_are_never_stale():
                 pages = rng.choice(plans)
                 keys = [(fid, page) for page in pages]
                 with pool._lock:        # recall + check: one atomic step
-                    answer = pool.recall(pages)
-                    if answer is not None:
+                    hit = pool.recall(pages, files)
+                    if hit is not None:
+                        answer, pages_read = hit
                         for key, data in zip(keys, answer):
-                            assert pool._frames[key].data is data, key
-                if answer is not None:
+                            assert pool._frames[key].data == data, key
+                if hit is not None:
                     recalled[thread_id] += 1
+                    read_back[thread_id] += pages_read
                 else:
-                    generation = pool.generation
                     answer = tuple(pool.get(pfile, page) for page in pages)
-                    pool.remember(pages, generation, keys, answer)
+                    pool.remember(pages, keys, answer)
                 answered[thread_id] += len(pages)
         return body
 
@@ -254,6 +257,7 @@ def test_hammer_recalled_plans_are_never_stale():
     assert pfile.stats.reads == pool.misses
     assert pool.evictions > HAMMER_OPS // 4
     assert sum(recalled) > HAMMER_OPS
+    assert sum(read_back) > 0
     assert pool.resident_pages <= pool.capacity
 
 

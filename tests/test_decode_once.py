@@ -7,10 +7,10 @@ sharing decoded pages: a pooled search returns exactly what an unpooled
 one does, on every scheme and codec.
 
 Second half, the same for whole answers (DESIGN.md §10 "Query plans"):
-a query whose pages are all resident is replayed from the pool's plan —
-equal to the traversal in its answer, in every pool counter, in the
-eviction order and in both I/O ledgers — and anything that could have
-changed a page sends the next query down the traversal again.
+a repeated query is replayed from the pool's plan, reading back what was
+evicted since — equal to the traversal in its answer, in every pool
+counter, in the eviction order and in both I/O ledgers — and a clear of
+the pool sends the next query down the traversal again.
 """
 
 from collections import Counter
@@ -172,14 +172,15 @@ REAL_REMEMBER = BufferPool.remember
 
 
 class PoolSpy:
-    """Counts ``BufferPool.get`` calls and what ``recall`` answered,
-    from outside; ``replaying=False`` makes ``recall`` answer nothing —
-    the twin every replaying run is compared with.  The latest spy of a
-    test is the one installed."""
+    """Counts ``BufferPool.get`` calls, what ``recall`` answered and the
+    pages its recalls read, from outside; ``replaying=False`` makes
+    ``recall`` answer nothing — the twin every replaying run is compared
+    with.  The latest spy of a test is the one installed."""
 
     def __init__(self, monkeypatch, replaying=True):
         self.gets = 0
         self.replays = 0
+        self.recall_reads = 0
         self.remembered = []            # (token, keys) of every remember
         real_get, real_recall = REAL_GET, REAL_RECALL
         real_remember = REAL_REMEMBER
@@ -188,14 +189,16 @@ class PoolSpy:
             self.gets += 1
             return real_get(pool, *args, **kwargs)
 
-        def recall(pool, token):
-            answer = real_recall(pool, token) if replaying else None
-            self.replays += answer is not None
-            return answer
+        def recall(pool, token, files):
+            recalled = real_recall(pool, token, files) if replaying else None
+            if recalled is not None:
+                self.replays += 1
+                self.recall_reads += recalled[1]
+            return recalled
 
-        def remember(pool, token, generation, keys, answer):
+        def remember(pool, token, keys, answer):
             self.remembered.append((token, list(keys)))
-            return real_remember(pool, token, generation, keys, answer)
+            return real_remember(pool, token, keys, answer)
 
         monkeypatch.setattr(BufferPool, "get", get)
         monkeypatch.setattr(BufferPool, "recall", recall)
@@ -272,21 +275,27 @@ def test_replayed_query_equals_the_traversal(request, monkeypatch, fixture,
 
 
 @pytest.mark.parametrize("fixture, scheme", BUILDS[:3])
-def test_nothing_replays_at_a_pool_one_frame_too_small(request, monkeypatch,
-                                                       fixture, scheme):
-    """One frame fewer than cells A and B need: reading B evicts, the
-    generation moves, A's plan is gone and B's is refused."""
+def test_replays_at_a_pool_one_frame_too_small_and_equals_the_twin(
+        request, monkeypatch, fixture, scheme):
+    """One frame fewer than cells A and B need: reading B evicts, and
+    A's plan — kept until a clear, not until an eviction — is recalled,
+    reading back what it lacks.  Equal to the twin that traverses:
+    results, per-step hits and misses, pool stats, order and both
+    ledgers."""
     env = request.getfixturevalue(fixture)
     needed = serve_aba(env, scheme, 4096,
                        PoolSpy(monkeypatch, False))["resident"]
-    spy = PoolSpy(monkeypatch)
-    fits = serve_aba(env, scheme, needed, spy)
-    assert spy.replays == 1 and fits["pool"]["evictions"] == 0
+    twin = serve_aba(env, scheme, needed - 1, PoolSpy(monkeypatch, False))
     spy = PoolSpy(monkeypatch)
     tight = serve_aba(env, scheme, needed - 1, spy)
-    assert spy.replays == 0 and tight["pool"]["evictions"] > 0
-    assert [s["result"] for s in tight["steps"]] == \
-        [s["result"] for s in fits["steps"]]
+    assert spy.replays == 1 and spy.recall_reads > 0
+    assert tight["pool"]["evictions"] > 0
+    for step, twin_step in zip(tight["steps"], twin["steps"]):
+        assert step["result"] == twin_step["result"]
+        assert (step["hits"], step["misses"]) == \
+            (twin_step["hits"], twin_step["misses"])
+    for field in ("pool", "order", "resident", "light", "heavy"):
+        assert tight[field] == twin[field], field
 
 
 def same_answer(result, first):
@@ -309,20 +318,10 @@ def planned(env, scheme, monkeypatch, capacity=4096):
     return spy, pool, view, search, a, first, keys
 
 
-@pytest.mark.parametrize("disturb", ["evict", "clear"])
-def test_an_eviction_or_a_clear_invalidates_the_plan(env, monkeypatch,
-                                                     disturb):
-    scheme = "indexed-vertical"
-    needed = planned(env, scheme, monkeypatch)[1].resident_pages
+def test_a_clear_invalidates_the_plan(env, monkeypatch):
     spy, pool, _view, search, a, first, keys = planned(
-        env, scheme, monkeypatch, capacity=needed)
-    assert pool.evictions == 0
-    if disturb == "evict":
-        other = env.object_store.pfile          # any page not yet resident
-        pool.get(other, 0)
-        assert pool.evictions == 1
-    else:
-        pool.clear()
+        env, "indexed-vertical", monkeypatch)
+    pool.clear()
     gets = spy.gets
     assert same_answer(search.query_cell(a, ETA), first)
     assert spy.replays == 0 and spy.gets - gets >= len(keys)

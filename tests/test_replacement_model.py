@@ -8,9 +8,9 @@ eviction sequence, victim order, resident order, ghost hits and
 promotions, step by step.
 
 The second model is of ``remember`` / ``recall``: a recalled plan must
-be, to every counter and to the replacement order, the ``get`` calls it
-stands for, and must be gone after anything that could have removed a
-frame it was recorded over.
+be, to every counter, to the replacement order and to the file's I/O
+ledger, the ``get`` calls it stands for — evictions since it was
+remembered included — and must be gone after a ``clear``.
 """
 
 import pytest
@@ -18,7 +18,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import FREE_DISK, IOStats
+from repro.storage.disk import FREE_DISK, DiskModel, IOStats
+from repro.storage.faults import FaultInjector
 from repro.storage.pagedfile import PagedFile
 from repro.storage.replacement import LRUPolicy, TwoQPolicy
 
@@ -137,8 +138,8 @@ class RecordingTwoQ(Recording, TwoQPolicy):
 POLICIES = {"lru": (RecordingLRU, LRUModel), "2q": (RecordingTwoQ, TwoQModel)}
 
 
-def make_file(pages=PAGES):
-    pf = PagedFile("model", page_size=64, disk=FREE_DISK, stats=IOStats())
+def make_file(pages=PAGES, disk=FREE_DISK):
+    pf = PagedFile("model", page_size=64, disk=disk, stats=IOStats())
     for i in range(pages):
         pf.append_page(bytes([i % 251]) * 8)
     return pf
@@ -194,64 +195,70 @@ PLAN_OPS = st.lists(st.one_of(
 
 
 def pool_state(pool):
+    """Counters, resident order, 2Q tallies and evictions so far, by
+    page: the two pools read twin files."""
+    def pages(keys):
+        return [page for _fid, page in keys]
     return (pool.hits, pool.misses, pool.evictions,
-            pool.policy.keys(), pool.policy.stats(), pool.policy.evicted)
+            pages(pool.policy.keys()), pool.policy.stats(),
+            pages(pool.policy.evicted))
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 8), ops=PLAN_OPS)
 def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
-    """Two pools get the same ops.  A ``query`` reads a page list: the
-    twin always issues the ``get`` calls; the planning pool recalls the
-    list's plan if it holds one and otherwise reads and remembers.  The
-    pools must agree on every counter, the resident order and the 2Q
-    tallies after every step and on the next ``FRESH`` victims at the
-    end — and the plan must be held exactly when the model says so."""
+    """Two pools over twin files get the same ops.  A ``query`` reads a
+    page list: the twin always issues the ``get`` calls; the planning
+    pool recalls the list's plan if it holds one — from its first
+    reading until ``clear``, evictions in between or not — and otherwise
+    reads and remembers.  After every step the pools agree on every
+    counter, the resident order and the 2Q tallies, and their files on
+    the I/O ledger (seeks back and forward, sequential reads, simulated
+    ms); at the end they agree on the next ``FRESH`` victims."""
     real_cls, _model = POLICIES[policy_name]
-    pfile = make_file(PAGES + FRESH)
-    fid = pfile.file_id
+    planned, twinned = (make_file(PAGES + FRESH, disk=DiskModel())
+                        for _ in range(2))
+    fid = planned.file_id
     planner = BufferPool(capacity, policy=real_cls(capacity),
                          name=f"plan-{policy_name}")
     twin = BufferPool(capacity, policy=real_cls(capacity),
                       name=f"twin-{policy_name}")
-    live = set()                # tokens the model says are recallable
+    held = set()                # tokens remembered since the last clear
     for step, (op, arg) in enumerate(ops):
         where = (step, op, arg)
-        evictions = planner.evictions
         if op == "query":
             token = tuple(arg)
-            keys = [(fid, page) for page in arg]
-            read = tuple(twin.get(pfile, page) for page in arg)
-            answer = planner.recall(token)
-            assert (answer is not None) == (token in live), where
-            if answer is None:
-                generation = planner.generation
-                data = tuple(planner.get(pfile, page) for page in arg)
-                planner.remember(token, generation, keys, data)
-                # Stale when reading the list itself evicted; refused
-                # beyond ``capacity`` plans.
-                if (planner.evictions == evictions
-                        and len(live) < capacity):
-                    live.add(token)
+            misses = twin.misses
+            read = tuple(twin.get(twinned, page) for page in arg)
+            recalled = planner.recall(token, [(planned, None)])
+            assert (recalled is not None) == (token in held), where
+            if recalled is None:
+                data = tuple(planner.get(planned, page) for page in arg)
+                planner.remember(token, [(fid, page) for page in arg], data)
+                held.add(token)
             else:
-                event("replayed")
+                answer, pages_read = recalled
+                event("recalled, read" if pages_read else "recalled, hits")
+                if len(set(arg)) > capacity:
+                    event("recalled a plan larger than the pool")
                 assert answer == read, where
+                assert pages_read == twin.misses - misses, where
         else:
-            for pool in (planner, twin):
+            for pool, pfile in ((planner, planned), (twin, twinned)):
                 if op == "get":
                     pool.get(pfile, arg)
                 else:
                     pool.clear()
-        if op == "clear" or planner.evictions != evictions:
-            live.clear()
+            if op == "clear":
+                held.clear()
         assert pool_state(planner) == pool_state(twin), where
+        assert planned.stats == twinned.stats, where
     for page in range(PAGES, PAGES + FRESH):
-        planner.get(pfile, page)
-        twin.get(pfile, page)
+        planner.get(planned, page)
+        twin.get(twinned, page)
     assert pool_state(planner) == pool_state(twin)
-    for token in live:                  # FRESH > capacity: all evicted
-        assert planner.recall(token) is None
+    assert planned.stats == twinned.stats
 
 
 def plan_pool(capacity=8):
@@ -261,60 +268,77 @@ def plan_pool(capacity=8):
 
 
 def read_and_remember(pool, pfile, keys, token="t"):
-    generation = pool.generation
     for _fid, page in keys:
         pool.get(pfile, page)
-    pool.remember(token, generation, keys, "answer")
+    pool.remember(token, keys, "answer")
+
+
+def evict_page_zero(pool, pfile):
+    """Capacity 4, pages 0-2 resident: page 0 goes, 1 and 2 stay."""
+    for page in (7, 1, 2, 8):
+        pool.get(pfile, page)
+    assert pool.evictions == 1 and not pool.contains(pfile, 0)
 
 
 def test_recall_books_the_hits_and_moves_the_order():
     pfile, pool, keys = plan_pool()
     read_and_remember(pool, pfile, keys)
-    pool.get(pfile, 5)                      # a fill: no bump
+    pool.get(pfile, 5)
     assert pool.policy.keys()[-1] == (pfile.file_id, 5)
     hits, misses = pool.hits, pool.misses
-    assert pool.recall("t") == "answer"
+    assert pool.recall("t", [(pfile, None)]) == ("answer", 0)
     assert (pool.hits, pool.misses) == (hits + 3, misses)
     assert pool.policy.keys() == [(pfile.file_id, 5)] + keys
-    assert pool.recall("other") is None
+    assert pool.recall("other", [(pfile, None)]) is None
     assert (pool.hits, pool.misses) == (hits + 3, misses)
 
 
-@pytest.mark.parametrize("disturb", ["evict", "clear"])
-def test_recall_returns_nothing_after_the_generation_moved(disturb):
+def test_a_clear_drops_a_plan_and_an_eviction_does_not():
     pfile, pool, keys = plan_pool(capacity=4)
+    files = [(pfile, None)]
     read_and_remember(pool, pfile, keys)
-    generation = pool.generation
-    if disturb == "evict":
-        pool.get(pfile, 7)
-        pool.get(pfile, 8)                  # capacity 4: evicts page 0
-        assert not pool.contains(pfile, 0)
-    else:
-        pool.clear()
-    assert pool.generation > generation
-    hits = pool.hits
-    assert pool.recall("t") is None
-    assert pool.hits == hits
+    evict_page_zero(pool, pfile)
+    hits, misses, reads = pool.hits, pool.misses, pfile.stats.reads
+    assert pool.recall("t", files) == ("answer", 1)
+    assert (pool.hits, pool.misses) == (hits + 2, misses + 1)
+    assert pfile.stats.reads == reads + 1
+    # Page 0 read back in place of 7, the least recently used.
+    assert pool.policy.keys() == [(pfile.file_id, 8)] + keys
+    pool.clear()
+    hits, misses = pool.hits, pool.misses
+    assert pool.recall("t", files) is None
+    assert (pool.hits, pool.misses) == (hits, misses)
 
 
-def test_remember_refuses_what_it_cannot_vouch_for():
-    """A stale generation, a non-resident key and a full table each
-    leave nothing to recall."""
+def test_a_plan_that_would_read_under_an_injector_books_nothing():
+    """A read fails only under an injector; a recall never issues one
+    that could fail, so a missing key sends the query to its own reads,
+    while a plan whose pages are all resident is recalled as before."""
     pfile, pool, keys = plan_pool(capacity=4)
-    stale = pool.generation
-    for page in (7, 8, 9, 10, 0, 1, 2):     # capacity 4: evictions
-        pool.get(pfile, page)
-    assert pool.generation > stale
-    assert all(pool.contains(pfile, page) for _fid, page in keys)
-    pool.remember("stale", stale, keys, "answer")
-    assert pool.recall("stale") is None
+    files = [(pfile, None)]
+    read_and_remember(pool, pfile, keys)
+    injector = FaultInjector(seed=0)        # installed, injects nothing
+    injector.install(pfile)
+    try:
+        assert pool.recall("t", files) == ("answer", 0)
+        evict_page_zero(pool, pfile)
+        before = (pool.hits, pool.misses, pool.evictions,
+                  pool.policy.keys(), pfile.stats.snapshot())
+        assert pool.recall("t", files) is None
+        assert (pool.hits, pool.misses, pool.evictions,
+                pool.policy.keys(), pfile.stats) == before
+    finally:
+        injector.uninstall()
+    assert pool.recall("t", files) == ("answer", 1)
 
-    absent = keys + [(pfile.file_id, 11)]
-    pool.remember("absent", pool.generation, absent, "answer")
-    assert pool.recall("absent") is None
 
-    pfile, pool, keys = plan_pool(capacity=3)
-    for token in range(5):
-        read_and_remember(pool, pfile, keys, token=token)
-    assert [pool.recall(token) for token in range(5)] == \
-        ["answer"] * 3 + [None] * 2
+def test_a_plan_larger_than_the_pool_is_never_booked_as_all_hits():
+    """Each recall of three pages through two frames evicts its own
+    first pages: it must read all three again every time, never stamp
+    the plan as resident."""
+    pfile, pool, keys = plan_pool(capacity=2)
+    read_and_remember(pool, pfile, keys)
+    for _ in range(3):
+        hits, misses = pool.hits, pool.misses
+        assert pool.recall("t", [(pfile, None)]) == ("answer", 3)
+        assert (pool.hits, pool.misses) == (hits, misses + 3)

@@ -77,27 +77,43 @@ def test_no_serving_path_starts_a_thread(monkeypatch):
     assert sum(s.pool_misses for s in sessions) == pool.misses
 
 
-@pytest.mark.parametrize("policy", ["lru", "2q"])
+#: ``replacement-ab``'s configuration: 32 sessions through 28 frames.
+PRESSURE = {"sessions": 32, "frames": 24, "pool_pages": 28}
+
+
+@pytest.mark.parametrize("config, reads", [
+    pytest.param({"policy": "lru"}, False, id="lru"),
+    pytest.param({"policy": "2q"}, False, id="2q"),
+    pytest.param({**PRESSURE, "policy": "lru"}, True, id="pressure-lru"),
+    pytest.param({**PRESSURE, "policy": "2q"}, True, id="pressure-2q"),
+    pytest.param({"plan": "aggressive", "fault_seed": 3}, False,
+                 id="aggressive"),
+])
 def test_serve_report_is_the_same_with_recall_patched_out(monkeypatch,
-                                                          policy):
-    """Replaying a resident query from the pool's plan changes no byte
+                                                          config, reads):
+    """Answering a repeated query from the pool's plan changes no byte
     of the report — per-session pool attribution, the pool block, the
-    2Q tallies and the reconciliation included — against the same run
-    whose ``recall`` answers nothing (patched here; there is no
-    production switch)."""
-    answers = []
+    2Q tallies, the ledgers and the reconciliation included — against
+    the same run whose ``recall`` answers nothing (patched here; there
+    is no production switch).  The 8-session runs evict nothing; under
+    ``replacement-ab``'s pressure, recalls read pages back."""
+    pages_read = []                     # one entry per answered recall
     real_recall = BufferPool.recall
 
-    def recall(pool, token):
-        answers.append(real_recall(pool, token))
-        return answers[-1]
+    def recall(pool, token, files):
+        recalled = real_recall(pool, token, files)
+        if recalled is not None:
+            pages_read.append(recalled[1])
+        return recalled
 
+    config = {"sessions": 8, **config}
     monkeypatch.setattr(BufferPool, "recall", recall)
-    replaying = run_serve(sessions=8, policy=policy)
-    assert sum(answer is not None for answer in answers) >= 1
-    monkeypatch.setattr(BufferPool, "recall", lambda pool, token: None)
-    traversing = run_serve(sessions=8, policy=policy)
-    assert replaying["pool"]["policy"] == policy
+    replaying = run_serve(**config)
+    assert pages_read and any(pages_read) == reads
+    monkeypatch.setattr(BufferPool, "recall",
+                        lambda pool, token, files: None)
+    traversing = run_serve(**config)
+    assert replaying["pool"]["policy"] == config.get("policy", "2q")
     assert json.dumps(replaying, sort_keys=False) \
         == json.dumps(traversing, sort_keys=False)
 
