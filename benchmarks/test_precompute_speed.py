@@ -30,8 +30,8 @@ from repro.experiments.config import SMALL
 from repro.geometry.slab import NO_HIT, slab_entry_matrix
 from repro.scene.city import CityParams, generate_city
 from repro.visibility.cells import CellGrid
-from repro.visibility.dov import CellVisibility, VisibilityTable
-from repro.visibility.persist import visibility_digest
+from repro.visibility.dov import (CellVisibility, VisibilityTable,
+                                  visibility_digest)
 from repro.visibility.precompute import precompute_visibility
 from repro.visibility.raycast import RayCastDoVEstimator
 

@@ -26,7 +26,7 @@ import json
 
 from repro.core.delta import DeltaSearch
 from repro.obs.replay import build_world, load_scale, replay, session_path
-from repro.visibility.persist import visibility_digest
+from repro.visibility.dov import visibility_digest
 
 OUTPUT = "BENCH_compression.json"
 SCHEMES = ("vertical", "indexed-vertical")

@@ -42,8 +42,7 @@ DETERMINISTIC_MODULES = frozenset({
     "repro.serving.http.stats",
     "repro.serving.loadgen",
     "repro.serving.service",
-    "repro.visibility.cache",
-    "repro.visibility.persist",
+    "repro.visibility.dov",
 })
 
 #: Marker name for per-module RPR013 opt-in.

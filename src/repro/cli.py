@@ -9,7 +9,7 @@ Usage::
     python -m repro profile [--scale small] [--session 1] [--eta 0.001]
     python -m repro chaos [--plan aggressive] [--seed 0] [--list-plans]
     python -m repro crash [--seed 0] [--txns 5] [--output FILE]
-    python -m repro precompute [--workers 4] [--cache-dir DIR] [--resume]
+    python -m repro precompute [--workers 4] [--samples 2]
     python -m repro serve [--sessions 8] [--seed 7] [--pool-pages 256]
     python -m repro traffic [--sessions 200] [--seed 0] [--arrival-rate 50]
 
@@ -24,11 +24,11 @@ over every I/O boundary of a journaled write workload — including the
 boundaries inside recovery itself — and fails if any recovered state
 breaks atomicity or recovery is not idempotent (see README, "Crash
 recovery"); ``precompute`` runs the batched/parallel per-cell DoV
-pipeline with an optional resumable cache and emits a JSON summary whose
-``digest`` field fingerprints the resulting table bit-for-bit (see
-README, "Precompute"); ``serve`` runs N concurrent walkthrough sessions
-against one tree through a shared buffer pool and emits a deterministic
-aggregate JSON report (see README, "Serving"); ``traffic`` offers a
+pipeline and emits a JSON summary whose ``digest`` field fingerprints
+the resulting table bit-for-bit (see README, "Precompute"); ``serve``
+runs N concurrent walkthrough sessions against one tree through a
+shared buffer pool and emits a deterministic aggregate JSON report (see
+README, "Serving"); ``traffic`` offers a
 seeded Poisson stream of walkthrough sessions to the HTTP front-end and
 reports shed rate, frame-latency percentiles, and per-route request
 stats, with the machine-independent sections byte-identical for a fixed
@@ -132,6 +132,15 @@ def _frames(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed`` of the serving verbs: an RNG seed >= 0 (numpy refuses
+    a negative one, and only after the world is built)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return value
+
+
 def _add_walk_options(parser: argparse.ArgumentParser, *,
                       session: Optional[int] = None,
                       frames: Optional[int] = None) -> None:
@@ -165,7 +174,7 @@ def _add_serving_options(parser: argparse.ArgumentParser, *,
     parser.add_argument("--sessions", type=int, default=sessions,
                         help="walkthrough sessions served or offered "
                              f"(default: {sessions})")
-    parser.add_argument("--seed", type=int, default=seed,
+    parser.add_argument("--seed", type=_seed, default=seed,
                         help="motion-pattern (and arrival) seed (default: "
                              f"{seed}); the same seed reproduces the report")
     parser.add_argument("--max-active", type=int, default=max_active,
@@ -248,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "second one checkpoints)")
     crash.add_argument("--writes", type=int, default=3,
                        help="page writes per transaction (default: 3)")
-    crash.add_argument("--cache-cells", type=int, default=10,
-                       help="cells in the precompute-cache torn-tail "
-                            "sweep (default: 10)")
-    crash.add_argument("--cache-stride", type=int, default=7,
-                       help="byte stride of interior cache truncation "
-                            "points (default: 7)")
     _add_output(crash)
 
     precompute = sub.add_parser(
@@ -275,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument("--batch-cells", type=int, default=None,
                             help="cells per vectorized kernel call "
                                  "(default: 16)")
-    precompute.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="resumable cell-cache directory")
-    precompute.add_argument("--resume", action="store_true",
-                            help="reuse cells already in --cache-dir "
-                                 "(fingerprint-checked)")
-    precompute.add_argument("--table", default=None, metavar="FILE",
-                            help="write the visibility table to "
-                                 "FILE (.npz)")
     _add_output(precompute)
     precompute.add_argument("--quiet", action="store_true",
                             help="suppress the progress line on stderr")
@@ -411,9 +406,7 @@ def cmd_crash(args) -> int:
 
     report = run_crash_sweep(seed=args.seed, pages=args.pages,
                              page_size=args.page_size, txns=args.txns,
-                             writes_per_txn=args.writes,
-                             cache_cells=args.cache_cells,
-                             cache_stride=args.cache_stride)
+                             writes_per_txn=args.writes)
     summary = report["summary"]
     return _emit(report, args.output,
                  f"points={summary['points']}, "
@@ -424,7 +417,7 @@ def cmd_crash(args) -> int:
 def cmd_precompute(args) -> int:
     from repro.obs.metrics import use_registry
     from repro.obs.replay import build_scene
-    from repro.visibility.persist import save_visibility, visibility_digest
+    from repro.visibility.dov import visibility_digest
     from repro.visibility.precompute import (DEFAULT_BATCH_CELLS,
                                              precompute_visibility)
 
@@ -447,7 +440,6 @@ def cmd_precompute(args) -> int:
                 scene, grid, resolution=resolution,
                 samples_per_cell=args.samples, min_dov=args.min_dov,
                 workers=args.workers, batch_cells=batch_cells,
-                cache_dir=args.cache_dir, resume=args.resume,
                 progress=progress)
             counters = registry.collect()
     finally:
@@ -455,8 +447,6 @@ def cmd_precompute(args) -> int:
         if not args.quiet:
             print(file=sys.stderr)
     elapsed = time.perf_counter() - started
-    if args.table is not None:
-        save_visibility(table, args.table)
     summary = {
         "scale": args.scale,
         "resolution": resolution,
@@ -465,12 +455,9 @@ def cmd_precompute(args) -> int:
         "workers": args.workers,
         "batch_cells": batch_cells,
         "cells_total": int(counters.get("precompute_cells_total", 0.0)),
-        "cells_cached": int(counters.get("precompute_cells_cached_total",
-                                         0.0)),
         "rays_cast": int(counters.get("precompute_rays_total", 0.0)),
         "avg_visible": round(table.average_visible(), 3),
         "elapsed_s": round(elapsed, 3),
-        "table": args.table,
         "digest": visibility_digest(table),
     }
     return _emit(summary, args.output,

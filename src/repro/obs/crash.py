@@ -23,13 +23,6 @@ power loss), recovers, and checks three invariants:
   after a final clean open the file is byte-identical to the
   reference recovery that was never interrupted.
 
-The same sweep covers the :class:`~repro.visibility.cache
-.PrecomputeCache` torn-tail contract: a fully written ``cells.jsonl``
-is truncated at every line boundary (and a stride of interior points),
-reopened, and the loaded cells plus
-:func:`~repro.visibility.persist.visibility_digest` are checked against
-the prefix a crash at that byte could legitimately leave behind.
-
 The report is plain dict/list/scalar data, a pure function of the
 keyword arguments: two calls with the same arguments must produce
 byte-identical JSON, which the CI crash-matrix job diffs.  No paths,
@@ -50,9 +43,6 @@ from repro.storage import pageio
 from repro.storage.faults import FaultInjector
 from repro.storage.journal import journal_path
 from repro.storage.pagedfile import PagedFile
-from repro.visibility.cache import PrecomputeCache
-from repro.visibility.dov import CellVisibility, VisibilityTable
-from repro.visibility.persist import visibility_digest
 
 #: Byte-determinism marker: opts this module into RPR013's hygiene
 #: checks — the CI crash job diffs two runs of the report bytes.
@@ -60,9 +50,6 @@ DETERMINISTIC_REPORT = True
 
 _DATA_FILE = "crash.pages"
 _COMPONENT = "crash"
-_CACHE_FINGERPRINT = "crash-harness"
-_CELLS_NAME = "cells.jsonl"
-_MANIFEST_NAME = "manifest.json"
 
 
 # -- the seeded workload -----------------------------------------------------
@@ -280,89 +267,6 @@ def _sweep_point(c: int, label: str, workdir: str,
     }
 
 
-# -- precompute-cache torn-tail sweep ---------------------------------------
-
-def _cache_dov(cell: int, oid: int) -> float:
-    return (1 + ((cell * 7 + oid) % 97)) / 100.0
-
-
-def _cache_cells(cells: int) -> Dict[int, Dict[int, float]]:
-    return {cell: {oid: _cache_dov(cell, oid)
-                   for oid in range(1 + cell % 3)}
-            for cell in range(cells)}
-
-
-def _digest_of(loaded: Dict[int, Dict[int, float]], cells: int) -> str:
-    table = VisibilityTable(cells)
-    for cell_id in sorted(loaded):
-        cv = CellVisibility(cell_id)
-        for oid, dov in sorted(loaded[cell_id].items()):
-            cv.set(oid, float(dov))
-        table.put(cv)
-    return visibility_digest(table)
-
-
-def _cache_sweep(workdir: str, *, cells: int,
-                 stride: int, violations: List[str]) -> Dict[str, object]:
-    """Truncate ``cells.jsonl`` at every interesting byte and reopen.
-
-    The contract under test (satellite of DESIGN.md §12): every record
-    is fsync'd, so a crash can tear at most the final one, and the
-    loader drops exactly that — a final line missing only its newline
-    still parses and **is** kept.
-    """
-    basedir = os.path.join(workdir, "cache-full")
-    cache = PrecomputeCache.open(basedir, _CACHE_FINGERPRINT, cells,
-                                 resume=False)
-    expected_full = _cache_cells(cells)
-    for cell in range(cells):
-        cache.record(cell, expected_full[cell])
-    cache.close()
-    raw = _read_file(os.path.join(basedir, _CELLS_NAME))
-    manifest = _read_file(os.path.join(basedir, _MANIFEST_NAME))
-
-    spans: List[Tuple[int, int]] = []
-    start = 0
-    while start < len(raw):
-        end = raw.index(b"\n", start) + 1
-        spans.append((start, end))
-        start = end
-    points = sorted({p for p in range(0, len(raw) + 1, stride)}
-                    | {end - 1 for _, end in spans} | {len(raw)})
-
-    checked = torn_seen = 0
-    ok = True
-    for p in points:
-        pdir = os.path.join(workdir, f"cache-{p:05d}")
-        os.makedirs(pdir)
-        with open(os.path.join(pdir, _MANIFEST_NAME), "wb") as fh:
-            fh.write(manifest)
-        with open(os.path.join(pdir, _CELLS_NAME), "wb") as fh:
-            fh.write(raw[:p])
-        expected = {cell: dov for cell, dov in expected_full.items()
-                    if p >= spans[cell][1] or p == spans[cell][1] - 1}
-        torn = any(s < p < e - 1 for s, e in spans)
-        reopened = PrecomputeCache.open(pdir, _CACHE_FINGERPRINT, cells,
-                                        resume=True)
-        reopened.close()
-        checked += 1
-        torn_seen += reopened.torn_lines
-        if reopened.loaded != expected or \
-                reopened.torn_lines != (1 if torn else 0):
-            ok = False
-            violations.append(
-                f"cache truncated at byte {p}: loaded "
-                f"{sorted(reopened.loaded)} (torn={reopened.torn_lines}), "
-                f"expected {sorted(expected)} (torn={int(torn)})")
-        elif _digest_of(reopened.loaded, cells) != \
-                _digest_of(expected, cells):
-            ok = False
-            violations.append(
-                f"cache truncated at byte {p}: visibility digest mismatch")
-    return {"cells": cells, "bytes": len(raw), "points": checked,
-            "torn_tails": torn_seen, "ok": ok}
-
-
 # -- the report --------------------------------------------------------------
 
 def _metric_totals(registry: MetricsRegistry) -> Dict[str, float]:
@@ -382,7 +286,6 @@ def _metric_totals(registry: MetricsRegistry) -> Dict[str, float]:
 
 def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
                     txns: int = 5, writes_per_txn: int = 3,
-                    cache_cells: int = 10, cache_stride: int = 7,
                     workdir: Optional[str] = None) -> Dict[str, object]:
     """Run the full crash matrix; returns the JSON-ready report.
 
@@ -395,17 +298,13 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
     txns, writes_per_txn:
         Workload size: each transaction writes, reads one page back,
         commits, and every second transaction checkpoints.
-    cache_cells, cache_stride:
-        Size of the precompute cache and the byte stride of interior
-        truncation points in its torn-tail sweep.
     workdir:
         Scratch directory (a temp dir by default, removed afterwards).
         Never appears in the report.
     """
     cfg = {"seed": seed, "pages": pages, "page_size": page_size,
            "txns": txns, "writes_per_txn": writes_per_txn}
-    echoed = dict(cfg, cache_cells=cache_cells, cache_stride=cache_stride)
-    for name, value in echoed.items():
+    for name, value in cfg.items():
         if name != "seed" and value < 1:
             # An empty sweep passes on nothing; an empty transaction
             # commits nothing, so every snapshot is one image.
@@ -434,14 +333,9 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
                 sweep.append(_sweep_point(
                     c, labels[c - 1], workdir, states, durable, appended,
                     violations, **cfg))
-            cache = _cache_sweep(workdir, cells=cache_cells,
-                                 stride=cache_stride,
-                                 violations=violations)
             report: Dict[str, object] = {
-                "crash": dict(echoed, boundaries=len(labels),
-                              labels=labels),
+                "crash": dict(cfg, boundaries=len(labels), labels=labels),
                 "sweep": sweep,
-                "cache": cache,
                 "metrics": _metric_totals(registry),
                 "violations": violations,
                 "summary": {
@@ -449,7 +343,6 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
                     "recovery_points": sum(
                         rc["boundaries"] for rc in
                         (entry["recovery_crash"] for entry in sweep)),
-                    "cache_points": cache["points"],
                     "violations": len(violations),
                     "ok": not violations,
                 },

@@ -113,5 +113,4 @@ TRAFFIC_REQUESTS = "traffic_requests_total"
 # -- repro.visibility.precompute: offline DoV pipeline ----------------------
 
 PRECOMPUTE_CELLS = "precompute_cells_total"
-PRECOMPUTE_CELLS_CACHED = "precompute_cells_cached_total"
 PRECOMPUTE_RAYS = "precompute_rays_total"

@@ -89,6 +89,8 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
     """
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
+    if seed < 0:
+        raise WalkthroughError(f"seed must be >= 0, got {seed}")
     if not arrival_rate > 0:                    # NaN is refused too
         raise WalkthroughError(
             f"arrival_rate must be > 0, got {arrival_rate}")

@@ -104,6 +104,8 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
     """
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
+    if seed < 0:
+        raise WalkthroughError(f"seed must be >= 0, got {seed}")
     if pool_pages < 0:
         raise WalkthroughError(
             f"pool_pages must be >= 0, got {pool_pages}")

@@ -11,10 +11,8 @@ deterministic failures beneath :class:`PagedFile`, and
 :mod:`~repro.storage.pageio` facade.
 
 Crash consistency (PR 8): :mod:`repro.storage.journal` write-ahead-logs
-every journaled page write, :mod:`repro.storage.recovery` replays
-committed records on open, and :mod:`repro.storage.atomic` gives the
-metadata writers (manifests, persisted tables, baselines) atomic,
-durable whole-file replacement.
+every journaled page write, and :mod:`repro.storage.recovery` replays
+committed records on open.
 """
 
 from repro.storage.disk import DiskModel, IOStats
@@ -26,12 +24,9 @@ from repro.storage.faults import (FaultInjector, FaultPlan, FaultRule,
 from repro.storage.retry import run_with_retry
 from repro.storage.journal import WriteAheadJournal, journal_path
 from repro.storage.recovery import RecoveryReport, recover
-from repro.storage.atomic import atomic_write_bytes, atomic_write_text
 from repro.storage import pageio
 
 __all__ = ["DiskModel", "IOStats", "PagedFile", "BufferPool", "ObjectStore",
            "FaultInjector", "FaultPlan", "FaultRule", "named_plan",
            "plan_names", "run_with_retry", "WriteAheadJournal",
-           "journal_path",
-           "RecoveryReport", "recover", "atomic_write_bytes",
-           "atomic_write_text", "pageio"]
+           "journal_path", "RecoveryReport", "recover", "pageio"]

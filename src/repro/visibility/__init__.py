@@ -6,15 +6,12 @@ preprocessing pipeline that instantiates the HDoV-tree's view-variant
 data.
 """
 
-from repro.visibility.cache import PrecomputeCache, precompute_fingerprint
 from repro.visibility.cells import CellGrid
-from repro.visibility.dov import CellVisibility, VisibilityTable
+from repro.visibility.dov import (CellVisibility, VisibilityTable,
+                                  visibility_digest)
 from repro.visibility.raycast import RayCastDoVEstimator
 from repro.visibility.precompute import precompute_visibility
-from repro.visibility.persist import (load_visibility, save_visibility,
-                                      visibility_digest)
 
 __all__ = ["CellGrid", "CellVisibility", "VisibilityTable",
            "RayCastDoVEstimator", "precompute_visibility",
-           "PrecomputeCache", "precompute_fingerprint",
-           "load_visibility", "save_visibility", "visibility_digest"]
+           "visibility_digest"]

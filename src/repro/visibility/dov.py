@@ -13,12 +13,18 @@ aggregation helpers used when instantiating HDoV-tree nodes:
   tree builder therefore *sums child DoVs upward*.
 * NVO (number of visible objects) of a group = count of descendant
   objects with DoV > 0.
+
+A table is a deterministic function of scene, grid and estimator
+settings; :func:`visibility_digest` fingerprints it bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.errors import VisibilityError
 
@@ -114,6 +120,39 @@ class VisibilityTable:
     def __repr__(self) -> str:
         return (f"VisibilityTable(cells={self.num_cells}, "
                 f"avg_visible={self.average_visible():.1f})")
+
+
+def _table_arrays(table: VisibilityTable
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical (cell id, object id, DoV) triple-array layout:
+    cells ascending, object ids ascending within each cell."""
+    cell_ids: List[int] = []
+    object_ids: List[int] = []
+    dovs: List[float] = []
+    for cell in table.cells():
+        for oid, dov in sorted(cell.dov.items()):
+            cell_ids.append(cell.cell_id)
+            object_ids.append(oid)
+            dovs.append(dov)
+    return (np.asarray(cell_ids, dtype=np.int64),
+            np.asarray(object_ids, dtype=np.int64),
+            np.asarray(dovs, dtype=np.float64))
+
+
+def visibility_digest(table: VisibilityTable) -> str:
+    """SHA-256 over the cell count and the canonical layout's bytes.
+
+    The precompute pipeline's determinism contract — any batch size and
+    any worker count produce a *bit-identical* table — is asserted by
+    comparing digests.
+    """
+    cell_ids, object_ids, dovs = _table_arrays(table)
+    digest = hashlib.sha256()
+    digest.update(np.int64(table.num_cells).tobytes())
+    digest.update(cell_ids.tobytes())
+    digest.update(object_ids.tobytes())
+    digest.update(dovs.tobytes())
+    return digest.hexdigest()
 
 
 def aggregate_upward(child_dovs: List[float]) -> float:

@@ -6,8 +6,8 @@ hardware-accelerated DoV algorithm is then applied on the visible set..."
 Here both steps are the ray-cast estimator; the conservative part is the
 per-cell max over sample viewpoints (eq. 2).
 
-This is the slowest path in the system, so it is engineered in three
-layers, any of which can be used alone:
+This is the slowest path in the system, so it is engineered in two
+layers, either of which can be used alone:
 
 * **Batching** — cells are processed ``batch_cells`` at a time: all of a
   batch's sample viewpoints go through one call to the estimator's
@@ -20,10 +20,6 @@ layers, any of which can be used alone:
   its estimator once from an initializer (no large arrays pickled per
   task), and results are keyed by cell id, so the table is independent
   of scheduling order.
-* **Resumable cache** — ``cache_dir`` records every finished cell in a
-  fingerprinted :class:`~repro.visibility.cache.PrecomputeCache`;
-  ``resume=True`` skips cells already on disk, and a fingerprint
-  mismatch (scene/grid/estimator changed) refuses to resume.
 
 What is *not* computed: the nearest-hit kernel
 (:func:`repro.geometry.slab.slab_nearest`) skips, per block of
@@ -35,9 +31,9 @@ neighbouring cells, which keeps a block's bounds, and the cull, tight.
 
 Determinism contract: for a given scene, grid and estimator
 configuration, the resulting :class:`~repro.visibility.dov.VisibilityTable`
-is **bit-identical** across every combination of ``batch_cells``,
-``workers`` and resume/fresh runs, identical to the seed serial
-per-viewpoint path and to the unculled full-matrix reference
+is **bit-identical** across every combination of ``batch_cells`` and
+``workers``, identical to the seed serial per-viewpoint path and to
+the unculled full-matrix reference
 (``slab_entry_matrix`` -> ``argmin`` -> ``bincount``).  The slab kernel
 performs the same per-element float32 operations regardless of batch
 shape or of which other boxes share the call, and all reductions run in
@@ -57,7 +53,6 @@ from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.scene.objects import Scene
-from repro.visibility.cache import PrecomputeCache, precompute_fingerprint
 from repro.visibility.cells import CellGrid
 from repro.visibility.dov import CellVisibility, VisibilityTable
 from repro.visibility.raycast import RayCastDoVEstimator
@@ -127,17 +122,17 @@ def _batches(cell_ids: Sequence[int],
 
 
 def _compute_serial(estimator: RayCastDoVEstimator, grid: CellGrid,
-                    pending: Sequence[int], samples_per_cell: int,
+                    cell_ids: Sequence[int], samples_per_cell: int,
                     min_dov: float, batch_cells: int,
                     on_batch: Callable[[List[CellResult]], None]) -> None:
-    for batch in _batches(pending, batch_cells):
+    for batch in _batches(cell_ids, batch_cells):
         with span("precompute_batch", cells=len(batch)):
             on_batch(compute_cell_batch(estimator, grid, batch,
                                         samples_per_cell, min_dov))
 
 
 def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
-                      pending: Sequence[int], samples_per_cell: int,
+                      cell_ids: Sequence[int], samples_per_cell: int,
                       min_dov: float, batch_cells: int, workers: int,
                       on_batch: Callable[[List[CellResult]], None]) -> None:
     with ProcessPoolExecutor(
@@ -147,10 +142,10 @@ def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
         futures: List[Future[List[CellResult]]] = [
             executor.submit(_worker_compute, grid, batch,
                             samples_per_cell, min_dov)
-            for batch in _batches(pending, batch_cells)]
+            for batch in _batches(cell_ids, batch_cells)]
         # Collect in submission order: results land in the table keyed
         # by cell id anyway, but ordered collection also keeps the
-        # cache's append order (and any progress output) reproducible.
+        # progress output reproducible.
         for future in futures:
             with span("precompute_batch_collect"):
                 on_batch(future.result())
@@ -159,12 +154,9 @@ def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
 def precompute_visibility(scene: Scene, grid: CellGrid, *,
                           resolution: int = 32,
                           samples_per_cell: int = 1,
-                          estimator: Optional[RayCastDoVEstimator] = None,
                           min_dov: float = 0.0,
                           workers: Optional[int] = None,
                           batch_cells: int = DEFAULT_BATCH_CELLS,
-                          cache_dir: Optional[str] = None,
-                          resume: bool = False,
                           progress: Optional[ProgressFn] = None
                           ) -> VisibilityTable:
     """Compute the per-cell DoV table for ``scene`` over ``grid``.
@@ -172,8 +164,7 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     Parameters
     ----------
     resolution:
-        Cube-map resolution of the estimator (ignored when ``estimator``
-        is passed in).
+        Cube-map resolution of the estimator.
     samples_per_cell:
         Viewpoint samples per cell; 1 uses the cell center only.  More
         samples make the region DoV more conservative (eq. 2 is a max
@@ -187,16 +178,9 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     batch_cells:
         Cells whose sample viewpoints share one vectorized kernel call
         (and, under ``workers``, the unit of work sent to the pool).
-    cache_dir:
-        Directory for the resumable cell cache; every finished cell is
-        flushed there as it completes.
-    resume:
-        Reuse cells already present in ``cache_dir`` from an earlier run
-        with the *same* scene/grid/estimator configuration (enforced by
-        content fingerprint); a mismatch raises ``VisibilityError``.
     progress:
-        Optional ``callback(cells_done, cells_total)`` invoked after the
-        cached cells are counted and after every finished batch.
+        Optional ``callback(cells_done, cells_total)`` invoked once
+        before the first batch and after every finished batch.
     """
     if len(scene) == 0:
         raise VisibilityError("cannot precompute visibility of empty scene")
@@ -214,76 +198,37 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
             f"batch_cells must be >= 1, got {batch_cells}")
     if workers is not None and workers < 1:
         raise VisibilityError(f"workers must be >= 1, got {workers}")
-    if resume and cache_dir is None:
-        raise VisibilityError("resume=True requires cache_dir")
-    if estimator is None:
-        estimator = RayCastDoVEstimator(scene.packed_mbrs(),
-                                        object_ids=scene.object_ids(),
-                                        resolution=resolution)
-    elif workers is not None and workers > 1:
-        # Workers rebuild their estimator from (boxes, ids, resolution);
-        # an arbitrary caller-supplied instance cannot be reproduced in
-        # a child process without pickling it wholesale.
-        if type(estimator) is not RayCastDoVEstimator:
-            raise VisibilityError(
-                "workers > 1 requires the built-in RayCastDoVEstimator "
-                "(custom estimators cannot be rebuilt in worker "
-                "processes)")
+    estimator = RayCastDoVEstimator(scene.packed_mbrs(),
+                                    object_ids=scene.object_ids(),
+                                    resolution=resolution)
 
     registry = get_registry()
     m_cells = registry.counter(names.PRECOMPUTE_CELLS)
-    m_cached = registry.counter(names.PRECOMPUTE_CELLS_CACHED)
     m_rays = registry.counter(names.PRECOMPUTE_RAYS)
-
-    cache: Optional[PrecomputeCache] = None
-    if cache_dir is not None:
-        fingerprint = precompute_fingerprint(
-            estimator.boxes, estimator.object_ids, grid,
-            estimator.resolution, samples_per_cell, min_dov)
-        cache = PrecomputeCache.open(cache_dir, fingerprint,
-                                     grid.num_cells, resume=resume)
 
     table = VisibilityTable(grid.num_cells)
     total = grid.num_cells
     done = 0
-    try:
-        pending: List[int] = []
-        for cell_id in grid.cell_ids():
-            if cache is not None and cell_id in cache.loaded:
-                table.put(CellVisibility(cell_id,
-                                         dov=dict(cache.loaded[cell_id])))
-                m_cached.inc()
-                m_cells.inc()
-                done += 1
-            else:
-                pending.append(cell_id)
+    if progress is not None:
+        progress(done, total)
+
+    def on_batch(results: List[CellResult]) -> None:
+        nonlocal done
+        for cell_id, dov in results:
+            table.put(CellVisibility(cell_id, dov=dov))
+        m_cells.inc(len(results))
+        m_rays.inc(len(results) * samples_per_cell * estimator.num_rays)
+        done += len(results)
         if progress is not None:
             progress(done, total)
 
-        def on_batch(results: List[CellResult]) -> None:
-            nonlocal done
-            for cell_id, dov in results:
-                table.put(CellVisibility(cell_id, dov=dov))
-                if cache is not None:
-                    cache.record(cell_id, dov)
-            m_cells.inc(len(results))
-            m_rays.inc(len(results) * samples_per_cell *
-                       estimator.num_rays)
-            done += len(results)
-            if progress is not None:
-                progress(done, total)
-
-        with span("precompute", cells=total, pending=len(pending),
-                  workers=workers or 1, batch_cells=batch_cells):
-            if workers is not None and workers > 1 and pending:
-                _compute_parallel(estimator, grid, pending,
-                                  samples_per_cell, min_dov, batch_cells,
-                                  workers, on_batch)
-            else:
-                _compute_serial(estimator, grid, pending,
-                                samples_per_cell, min_dov, batch_cells,
-                                on_batch)
-    finally:
-        if cache is not None:
-            cache.close()
+    cell_ids = list(grid.cell_ids())
+    with span("precompute", cells=total, workers=workers or 1,
+              batch_cells=batch_cells):
+        if workers is not None and workers > 1:
+            _compute_parallel(estimator, grid, cell_ids, samples_per_cell,
+                              min_dov, batch_cells, workers, on_batch)
+        else:
+            _compute_serial(estimator, grid, cell_ids, samples_per_cell,
+                            min_dov, batch_cells, on_batch)
     return table

@@ -656,9 +656,12 @@ SEEDS = {
         ("core/search.py", "names.SEARCH_REPLAYS", "names.SEARCH_RESULTS"),
     ],
     "RPR008": [
-        ("storage/atomic.py",
-         "        os.fsync(dir_fd)\n    except OSError:\n        return\n",
-         "        os.fsync(dir_fd)\n    except OSError:\n        pass\n"),
+        # A decode error dropped: the 400 no longer says why.
+        ("serving/http/server.py",
+         "        except (UnicodeDecodeError, json.JSONDecodeError) as exc:\n"
+         '            return None, f"body is not valid JSON: {exc}"\n',
+         "        except (UnicodeDecodeError, json.JSONDecodeError):\n"
+         "            pass\n"),
         ("serving/service.py",
          "            except ReproError as exc:\n"
          "                # Only a fault the degradation ladder cannot "
@@ -736,11 +739,11 @@ SEEDS = {
          '        "simulated_ms_balanced":\n',
          '        "unbalanced_fields": list(set(light_off + heavy_off)),\n'
          '        "simulated_ms_balanced":\n'),
-        ("visibility/cache.py",
-         "            cache._write_manifest(manifest_path)\n",
-         "            for stale in os.listdir(path):\n"
-         "                os.remove(os.path.join(path, stale))\n"
-         "            cache._write_manifest(manifest_path)\n"),
+        # The digest's canonical layout, walked in hash order.
+        ("visibility/dov.py",
+         "        for oid, dov in sorted(cell.dov.items()):\n",
+         "        for oid in set(cell.dov):\n"
+         "            dov = cell.dov[oid]\n"),
     ],
     "RPR014": [
         # The defect the rule landed on, in ``core/update.py`` then.

@@ -1,130 +1,10 @@
-"""CLI and visibility persistence tests."""
+"""CLI tests."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.errors import VisibilityError
-from repro.visibility.dov import CellVisibility, VisibilityTable
-from repro.visibility.persist import load_visibility, save_visibility
-
-
-# -- visibility persistence ----------------------------------------------------
-
-def test_roundtrip(tmp_path):
-    table = VisibilityTable(5)
-    table.put(CellVisibility(0, dov={3: 0.5, 7: 0.001}))
-    table.put(CellVisibility(4, dov={1: 1.0}))
-    path = str(tmp_path / "vis.npz")
-    save_visibility(table, path)
-    loaded = load_visibility(path)
-    assert loaded.num_cells == 5
-    assert loaded.cell(0).dov == pytest.approx(table.cell(0).dov)
-    assert loaded.cell(4).dov == pytest.approx(table.cell(4).dov)
-    assert loaded.cell(2).num_visible == 0
-
-
-def test_roundtrip_empty_table(tmp_path):
-    table = VisibilityTable(3)
-    path = str(tmp_path / "empty.npz")
-    save_visibility(table, path)
-    loaded = load_visibility(path)
-    assert loaded.num_cells == 3
-    assert all(c.num_visible == 0 for c in loaded.cells())
-
-
-def test_roundtrip_real_table(env, tmp_path):
-    path = str(tmp_path / "real.npz")
-    save_visibility(env.visibility, path)
-    loaded = load_visibility(path)
-    assert loaded.num_cells == env.visibility.num_cells
-    for cid in range(loaded.num_cells):
-        assert loaded.cell(cid).dov == pytest.approx(
-            env.visibility.cell(cid).dov)
-
-
-def _savez_visibility(path, **overrides):
-    """A well-formed current-version archive, with fields overridable."""
-    fields = dict(magic=np.asarray("repro-visibility"),
-                  version=np.int64(2), num_cells=np.int64(1),
-                  cell_ids=np.array([], dtype=np.int64),
-                  object_ids=np.array([], dtype=np.int64),
-                  dovs=np.array([], dtype=np.float64))
-    fields.update(overrides)
-    np.savez(path, **{k: v for k, v in fields.items() if v is not None})
-
-
-def test_bad_version_rejected(tmp_path):
-    # Magic is present and correct, so this exercises the *version*
-    # check, not the missing-keys path.
-    path = str(tmp_path / "bad.npz")
-    _savez_visibility(path, version=np.int64(99))
-    with pytest.raises(VisibilityError, match="version 99"):
-        load_visibility(path)
-
-
-def test_missing_magic_rejected(tmp_path):
-    path = str(tmp_path / "nomagic.npz")
-    _savez_visibility(path, magic=None)
-    with pytest.raises(VisibilityError, match="nomagic"):
-        load_visibility(path)
-
-
-def test_wrong_magic_rejected(tmp_path):
-    path = str(tmp_path / "alien.npz")
-    _savez_visibility(path, magic=np.asarray("some-other-format"))
-    with pytest.raises(VisibilityError, match="alien"):
-        load_visibility(path)
-
-
-def test_truncated_file_rejected(tmp_path):
-    """A partially written archive (crash mid-save) raises a
-    VisibilityError naming the path, not a zipfile internal."""
-    path = str(tmp_path / "truncated.npz")
-    _savez_visibility(path)
-    with open(path, "rb") as fh:
-        whole = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(whole[: len(whole) // 3])
-    with pytest.raises(VisibilityError, match="truncated"):
-        load_visibility(path)
-
-
-def test_garbage_file_rejected(tmp_path):
-    path = str(tmp_path / "garbage.npz")
-    with open(path, "wb") as fh:
-        fh.write(b"this is not a zip archive at all")
-    with pytest.raises(VisibilityError, match="garbage"):
-        load_visibility(path)
-
-
-def test_ragged_arrays_rejected(tmp_path):
-    path = str(tmp_path / "ragged.npz")
-    _savez_visibility(path, cell_ids=np.array([0, 0], dtype=np.int64),
-                      object_ids=np.array([1], dtype=np.int64),
-                      dovs=np.array([0.5], dtype=np.float64))
-    with pytest.raises(VisibilityError, match="ragged"):
-        load_visibility(path)
-
-
-def test_loaded_table_builds_environment(small_scene, small_grid, env,
-                                         tmp_path):
-    """A persisted table can seed a new environment build."""
-    from repro.core.hdov_tree import HDoVConfig, build_environment
-    path = str(tmp_path / "seed.npz")
-    save_visibility(env.visibility, path)
-    table = load_visibility(path)
-    rebuilt = build_environment(
-        small_scene, small_grid,
-        HDoVConfig(schemes=("indexed-vertical",)), visibility=table)
-    from repro.core.search import HDoVSearch
-    search = HDoVSearch(rebuilt)
-    busiest = max(env.grid.cell_ids(),
-                  key=lambda c: env.visibility.cell(c).num_visible)
-    assert search.query_cell(busiest, 0.0).object_ids() == \
-        env.visibility.cell(busiest).visible_ids()
 
 
 # -- CLI ------------------------------------------------------------------
@@ -168,8 +48,7 @@ REPORT_VERBS = {
     "chaos": (["--frames", "10", "--seed", "7"],
               "survived 10/10 frames", ("outcome", "completed")),
     "crash": (["--seed", "1", "--pages", "4", "--page-size", "64",
-               "--txns", "2", "--writes", "2", "--cache-cells", "3",
-               "--cache-stride", "11"],
+               "--txns", "2", "--writes", "2"],
               "violations=0", ("summary", "ok")),
     "serve": (["--sessions", "2", "--frames", "4"],
               "8 frames in", ("outcome", "completed")),
@@ -256,16 +135,13 @@ def test_precompute_refuses_a_resolution_below_one(resolution, tmp_path,
 
 
 @pytest.mark.parametrize("flag", ["--txns", "--writes", "--pages",
-                                  "--page-size", "--cache-cells",
-                                  "--cache-stride"])
+                                  "--page-size"])
 def test_crash_refuses_a_sweep_over_nothing(flag, tmp_path, capsys,
                                             monkeypatch):
     """``--txns 0`` passed the gate over an empty sweep, ``--writes 0``
-    alarmed on a journal that did nothing wrong, ``--pages 0`` divided
-    by zero, ``--cache-stride 0`` swept stride 1 under a report saying
-    0 and ``--cache-cells 0`` was refused only after the whole journal
-    matrix: each is a usage error, exit 2, no report, before the first
-    crash point."""
+    alarmed on a journal that did nothing wrong and ``--pages 0``
+    divided by zero: each is a usage error, exit 2, no report, before
+    the first crash point."""
     from repro.obs import crash
 
     def no_crash_point(*args, **kwargs):
@@ -278,19 +154,30 @@ def test_crash_refuses_a_sweep_over_nothing(flag, tmp_path, capsys,
     assert not out.exists()
 
 
+#: A serving flag -> a value it refuses and what stderr says about it.
+SERVING_REFUSALS = {"--frame-budget-ms": ("nan", "must be > 0"),
+                    "--arrival-rate": ("nan", "must be > 0"),
+                    "--seed": ("-1", "seed must be >= 0")}
+
+
 @pytest.mark.parametrize("verb, flag", [("serve", "--frame-budget-ms"),
                                         ("traffic", "--frame-budget-ms"),
-                                        ("traffic", "--arrival-rate")])
+                                        ("traffic", "--arrival-rate"),
+                                        ("serve", "--seed"),
+                                        ("traffic", "--seed")])
 def test_serving_verbs_refuse_nan_budget_and_rate(verb, flag, tmp_path,
                                                   capsys):
     """NaN passes ``x <= 0``: a NaN budget never sheds and, like a NaN
-    rate, reaches the report as ``NaN`` (not JSON).  A usage error —
-    exit 2, nothing written; ``inf`` parses (never shed)."""
+    rate, reaches the report as ``NaN`` (not JSON).  A negative seed
+    reached ``numpy.random.default_rng`` as a ``ValueError`` traceback,
+    after the world was built.  Each is a usage error — exit 2, nothing
+    written; ``inf`` parses (never shed)."""
+    value, message = SERVING_REFUSALS[flag]
     out = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exit_info:
-        main([verb, flag, "nan", "--output", str(out)])
+        main([verb, f"{flag}={value}", "--output", str(out)])
     assert exit_info.value.code == 2
-    assert "must be > 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     args = build_parser().parse_args([verb, "--frame-budget-ms", "inf"])
     assert args.frame_budget_ms == float("inf")
@@ -336,6 +223,19 @@ def test_the_deleted_prefetcher_has_no_flag_and_no_experiment(argv, capsys):
         code = exit_info.code
     assert code == 2
     assert "prefetch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["precompute", "--resume"],
+                                  ["precompute", "--cache-dir", "x"],
+                                  ["precompute", "--table", "x"],
+                                  ["crash", "--cache-cells", "3"]],
+                         ids=["resume", "cache-dir", "table", "cache-cells"])
+def test_the_deleted_precompute_cache_and_table_have_no_flag(argv, capsys):
+    """EXPERIMENTS.md "Verdict on the precompute cache": each exits 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_report_verb_prints_json_and_fails_on_unsound_report(

@@ -5,8 +5,7 @@ boundary of the workload (and of recovery) and checks the atomicity
 and idempotence invariants at each one.  These tests run it at a small
 scale, assert it found no violations, and pin down the properties the
 CI crash job relies on: byte-identical reports for a fixed seed, full
-boundary coverage, a nonzero nested recovery sweep, and the
-precompute-cache torn-tail contract.
+boundary coverage and a nonzero nested recovery sweep.
 """
 
 import json
@@ -17,9 +16,8 @@ from repro.errors import StorageError
 from repro.obs.crash import run_crash_sweep
 
 #: Small but complete: two transactions (one checkpoints), two writes
-#: each, plus the cache sweep — every boundary kind still appears.
-SMALL = dict(seed=0, pages=4, page_size=64, txns=2, writes_per_txn=2,
-             cache_cells=3, cache_stride=11)
+#: each — every boundary kind still appears.
+SMALL = dict(seed=0, pages=4, page_size=64, txns=2, writes_per_txn=2)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +30,6 @@ def test_sweep_finds_no_violations(sweep):
     assert sweep["summary"]["ok"] is True
     assert sweep["summary"]["points"] == sweep["crash"]["boundaries"] > 0
     assert sweep["summary"]["recovery_points"] > 0
-    assert sweep["summary"]["cache_points"] > 0
 
 
 def test_sweep_report_is_byte_deterministic():
@@ -70,14 +67,6 @@ def test_recovery_replay_and_truncation_both_exercised(sweep):
     # One crash per sweep point plus one per nested recovery point.
     assert metrics["crashes_injected_total"] == \
         sweep["summary"]["points"] + sweep["summary"]["recovery_points"]
-
-
-def test_cache_torn_tail_sweep(sweep):
-    cache = sweep["cache"]
-    assert cache["ok"] is True
-    assert cache["cells"] == SMALL["cache_cells"]
-    # Interior truncation points exist, so torn tails were observed.
-    assert cache["torn_tails"] > 0
 
 
 def test_different_seed_different_payloads_same_invariants():

@@ -1,29 +1,24 @@
-"""Batched/parallel/resumable precompute: the determinism contract.
+"""Batched/parallel precompute: the determinism contract.
 
 The pipeline promises that the resulting table is *bit-identical* —
-compared via :func:`repro.visibility.persist.visibility_digest` — across
-the seed per-viewpoint path, the batched kernel at any batch size, any
-worker count, and fresh-vs-resumed runs.  These tests are the contract's
-enforcement alongside the CI determinism gate.
+compared via :func:`repro.visibility.dov.visibility_digest` — across
+the seed per-viewpoint path, the batched kernel at any batch size and
+any worker count.  These tests are the contract's enforcement alongside
+the CI determinism gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import pytest
 
-from repro.errors import VisibilityError
 from repro.geometry import slab
 from repro.geometry.slab import NO_HIT, slab_entry_matrix
 from repro.obs.metrics import use_registry
 from repro.scene.city import CityParams, generate_city
-from repro.visibility.cache import PrecomputeCache, precompute_fingerprint
 from repro.visibility.cells import CellGrid
-from repro.visibility.dov import CellVisibility, VisibilityTable
-from repro.visibility.persist import visibility_digest
+from repro.visibility.dov import (CellVisibility, VisibilityTable,
+                                  visibility_digest)
 from repro.visibility.precompute import precompute_visibility
 from repro.visibility.raycast import RayCastDoVEstimator
 
@@ -190,149 +185,11 @@ def test_progress_callback_reaches_total(small_scene, small_grid):
     assert [d for d, _t in seen] == sorted(d for d, _t in seen)
 
 
-def test_precompute_counters(small_scene, small_grid, tmp_path):
-    cache = str(tmp_path / "cache")
+def test_precompute_counters(small_scene, small_grid):
     with use_registry() as registry:
         precompute_visibility(small_scene, small_grid,
-                              resolution=RESOLUTION, cache_dir=cache)
+                              resolution=RESOLUTION)
         assert registry.value("precompute_cells_total") == \
             small_grid.num_cells
-        assert registry.value("precompute_cells_cached_total") == 0
         assert registry.value("precompute_rays_total") == \
             small_grid.num_cells * 6 * RESOLUTION ** 2
-    with use_registry() as registry:
-        precompute_visibility(small_scene, small_grid,
-                              resolution=RESOLUTION, cache_dir=cache,
-                              resume=True)
-        assert registry.value("precompute_cells_cached_total") == \
-            small_grid.num_cells
-        assert registry.value("precompute_rays_total") == 0
-
-
-# -- resumable cache ---------------------------------------------------------
-
-def test_resume_after_interruption_is_bit_identical(small_scene, small_grid,
-                                                    seed_digest, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    full = precompute_visibility(small_scene, small_grid,
-                                 resolution=RESOLUTION,
-                                 samples_per_cell=SAMPLES,
-                                 cache_dir=cache_dir)
-    assert visibility_digest(full) == seed_digest
-
-    # Simulate an interrupted run: keep only the first half of the
-    # cell records, with the final line torn mid-write.
-    cells_path = os.path.join(cache_dir, "cells.jsonl")
-    with open(cells_path) as fh:
-        lines = fh.readlines()
-    keep = lines[:len(lines) // 2]
-    with open(cells_path, "w") as fh:
-        fh.writelines(keep)
-        fh.write(lines[len(lines) // 2][:10])   # torn tail, no newline
-    resumed = precompute_visibility(small_scene, small_grid,
-                                    resolution=RESOLUTION,
-                                    samples_per_cell=SAMPLES,
-                                    cache_dir=cache_dir, resume=True)
-    assert visibility_digest(resumed) == seed_digest
-
-
-def test_stale_cache_fingerprint_refuses_resume(small_scene, small_grid,
-                                                tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
-                          cache_dir=cache_dir)
-    with pytest.raises(VisibilityError, match="stale"):
-        # Different resolution -> different fingerprint.
-        precompute_visibility(small_scene, small_grid, resolution=16,
-                              cache_dir=cache_dir, resume=True)
-    # Without resume the stale cache is overwritten, not an error.
-    table = precompute_visibility(small_scene, small_grid, resolution=16,
-                                  cache_dir=cache_dir)
-    assert table.num_cells == small_grid.num_cells
-
-
-def test_corrupt_interior_cache_line_raises(small_scene, small_grid,
-                                            tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
-                          cache_dir=cache_dir)
-    cells_path = os.path.join(cache_dir, "cells.jsonl")
-    with open(cells_path) as fh:
-        lines = fh.readlines()
-    lines[0] = "not json\n"
-    with open(cells_path, "w") as fh:
-        fh.writelines(lines)
-    with pytest.raises(VisibilityError, match="cells.jsonl"):
-        precompute_visibility(small_scene, small_grid,
-                              resolution=RESOLUTION,
-                              cache_dir=cache_dir, resume=True)
-
-
-def test_corrupt_manifest_raises(small_scene, small_grid, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
-                          cache_dir=cache_dir)
-    manifest = os.path.join(cache_dir, "manifest.json")
-    with open(manifest, "w") as fh:
-        fh.write("{broken")
-    with pytest.raises(VisibilityError, match="manifest.json"):
-        precompute_visibility(small_scene, small_grid,
-                              resolution=RESOLUTION,
-                              cache_dir=cache_dir, resume=True)
-
-
-def test_cache_rejects_out_of_range_records(tmp_path):
-    fingerprint = "f" * 64
-    cache_dir = str(tmp_path / "cache")
-    with PrecomputeCache.open(cache_dir, fingerprint, num_cells=4,
-                              resume=False) as cache:
-        cache.record(1, {3: 0.5})
-    cells_path = os.path.join(cache_dir, "cells.jsonl")
-    with open(cells_path, "a") as fh:
-        fh.write(json.dumps({"cell": 99, "dov": {}}) + "\n")
-    with pytest.raises(VisibilityError, match="out of range"):
-        PrecomputeCache.open(cache_dir, fingerprint, num_cells=4,
-                             resume=True)
-
-
-def test_cache_round_trips_dov_floats_exactly(tmp_path):
-    fingerprint = "a" * 64
-    cache_dir = str(tmp_path / "cache")
-    values = {1: 0.1 + 0.2, 2: 1.0 / 3.0, 3: 5e-324, 4: 1.0}
-    with PrecomputeCache.open(cache_dir, fingerprint, num_cells=2,
-                              resume=False) as cache:
-        cache.record(0, values)
-    reopened = PrecomputeCache.open(cache_dir, fingerprint, num_cells=2,
-                                    resume=True)
-    try:
-        assert reopened.loaded == {0: values}   # bitwise float equality
-    finally:
-        reopened.close()
-
-
-def test_fingerprint_sensitivity(small_scene, small_grid):
-    boxes = small_scene.packed_mbrs()
-    ids = np.asarray(small_scene.object_ids())
-    base = precompute_fingerprint(boxes, ids, small_grid, 16, 1, 0.0)
-    assert precompute_fingerprint(boxes, ids, small_grid, 32, 1, 0.0) != base
-    assert precompute_fingerprint(boxes, ids, small_grid, 16, 2, 0.0) != base
-    assert precompute_fingerprint(boxes, ids, small_grid, 16, 1, 0.1) != base
-    shifted = boxes.copy()
-    shifted[0, 0] += 1.0
-    assert precompute_fingerprint(shifted, ids, small_grid, 16, 1,
-                                  0.0) != base
-
-
-def test_custom_estimator_rejected_with_workers(small_scene, small_grid):
-    class Custom(RayCastDoVEstimator):
-        pass
-
-    estimator = Custom(small_scene.packed_mbrs(),
-                       object_ids=small_scene.object_ids(), resolution=8)
-    with pytest.raises(VisibilityError, match="workers"):
-        precompute_visibility(small_scene, small_grid, estimator=estimator,
-                              workers=2)
-    # Serial use of a custom estimator stays supported.
-    table = precompute_visibility(small_scene, small_grid,
-                                  estimator=estimator)
-    assert table.num_cells == small_grid.num_cells

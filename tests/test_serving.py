@@ -346,6 +346,8 @@ def test_serve_rejects_bad_arguments():
         run_serve(sessions=1, frame_budget_ms=0.0)
     with pytest.raises(WalkthroughError):
         run_serve(sessions=1, pool_pages=-1)
+    with pytest.raises(WalkthroughError, match="seed must be >= 0"):
+        run_serve(sessions=1, seed=-1)
 
 
 def test_serve_cli_writes_deterministic_report(tmp_path, capsys):

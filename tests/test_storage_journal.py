@@ -1,9 +1,9 @@
-"""Write-ahead journal, recovery and atomic-write tests (PR 8).
+"""Write-ahead journal and recovery tests (PR 8).
 
 Bottom-up over the crash-consistency stack: the WAL's on-disk format
 and framing, group commit and the written/durable split, the
 deterministic power-loss model, recovery's replay/truncate/refuse
-triage, idempotence, and the shared atomic whole-file writer.
+triage, and idempotence.
 """
 
 import os
@@ -16,7 +16,6 @@ from repro.errors import (JournalCorruptError, SimulatedCrash,
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage import journal as wal
-from repro.storage.atomic import atomic_write_bytes, atomic_write_text
 from repro.storage.disk import FREE_DISK, IOStats
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.journal import WriteAheadJournal, journal_path
@@ -337,21 +336,3 @@ def test_commit_without_pending_writes_is_free(tmp_path):
         assert registry.value(names.JOURNAL_COMMITS, file="wal-test") == 0
         pf.close()
 
-
-# -- atomic whole-file replacement -------------------------------------------
-
-
-def test_atomic_write_bytes_replaces_and_leaves_no_temps(tmp_path):
-    target = str(tmp_path / "out.bin")
-    atomic_write_bytes(target, b"first")
-    atomic_write_bytes(target, b"second")
-    assert open(target, "rb").read() == b"second"
-    leftovers = [p for p in sorted(os.listdir(str(tmp_path)))
-                 if p != "out.bin"]
-    assert leftovers == []
-
-
-def test_atomic_write_text_roundtrip(tmp_path):
-    target = str(tmp_path / "out.json")
-    atomic_write_text(target, "{\"k\": 1}\n")
-    assert open(target, encoding="utf-8").read() == "{\"k\": 1}\n"

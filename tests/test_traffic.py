@@ -110,6 +110,8 @@ def test_bad_arguments_rejected():
         run_traffic(arrival_rate=0.0)
     with pytest.raises(WalkthroughError):
         run_traffic(hot_fraction=1.5)
+    with pytest.raises(WalkthroughError, match="seed must be >= 0"):
+        run_traffic(seed=-1)
 
 
 def test_cli_traffic_roundtrip(tmp_path, capsys):

@@ -238,6 +238,3 @@ def test_precompute_rejects_bad_parameters(small_scene, small_grid):
     with pytest.raises(VisibilityError):
         precompute_visibility(small_scene, small_grid, resolution=8,
                               workers=0)
-    with pytest.raises(VisibilityError):
-        precompute_visibility(small_scene, small_grid, resolution=8,
-                              resume=True)           # resume needs a cache
