@@ -98,6 +98,9 @@ class NodeStore:
         self.num_nodes = 0
         #: node offset -> page id, filled at write time.
         self.offset_to_page: Dict[int, int] = {}
+        #: page id -> (the stored image last read, its decode).
+        self._decoded: Dict[int, Tuple[bytes,
+                                       Tuple[int, int, int, NodeEntries]]] = {}
 
     def write_tree(self, tree: RTree,
                    lod_pointers: Optional[Dict[int, int]] = None) -> int:
@@ -147,10 +150,23 @@ class NodeStore:
             raise RTreeError(f"unknown node offset {node_offset}") from None
 
     def read_node(self, node_offset: int) -> PersistedNode:
-        """Fetch and decode the node at ``node_offset`` (one page read)."""
+        """Fetch and decode the node at ``node_offset`` (one page read).
+
+        The read is always made and charged; the decode is skipped when
+        the read hands back the very ``bytes`` object decoded last time
+        for this page — a memory-backed file's stored image, unchanged.
+        A rewrite, a fault filter or a disk read yields a new object, so
+        that page is decoded and validated again.
+        """
         page_id = self.page_of(node_offset)
         data = pageio.read_page(self.pfile, page_id, component="rtree")
-        return persisted_node(page_id, node_offset, decode_node(data))
+        seen = self._decoded.get(page_id)
+        if seen is not None and seen[0] is data:
+            decoded = seen[1]
+        else:
+            decoded = decode_node(data)
+            self._decoded[page_id] = (data, decoded)
+        return persisted_node(page_id, node_offset, decoded)
 
     def read_root(self) -> PersistedNode:
         if self.root_page is None:

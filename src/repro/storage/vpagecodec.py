@@ -237,7 +237,13 @@ def _delta_payload(quantized: Sequence[_QEntry],
 class _StreamCursor:
     """Byte-granular reads over the packed stream, fetching pages lazily
     through the scheme's reader (each page fetched at most once per
-    record decode)."""
+    record decode).
+
+    Fields are parsed in place out of the buffered bytes.  A page is
+    fetched only when a field needs bytes past the buffer's end, so the
+    page ids reach ``vpage_page`` in the same order, at the same byte
+    positions, as a cursor that copied out every field would send them.
+    """
 
     def __init__(self, codec: "PackedDeltaVPageCodec", pointer: int,
                  reader: PageReader) -> None:
@@ -247,9 +253,11 @@ class _StreamCursor:
         self._buffer = bytearray()
         self.position = 0
 
-    def take(self, count: int) -> bytes:
-        while len(self._buffer) - self.position < count:
-            next_byte = self._base + len(self._buffer)
+    def _fill(self, count: int) -> None:
+        """Fetch pages until ``count`` bytes lie past ``position``."""
+        buffer = self._buffer
+        while len(buffer) - self.position < count:
+            next_byte = self._base + len(buffer)
             if next_byte >= self._codec.stream_length:
                 raise PageCorruptError(
                     "packed V-page record truncated at stream end")
@@ -257,16 +265,28 @@ class _StreamCursor:
             page_index = next_byte // page_size
             page = self._reader.vpage_page(
                 self._codec.first_page + page_index)
-            self._buffer.extend(page[next_byte - page_index * page_size:])
-        out = bytes(self._buffer[self.position:self.position + count])
-        self.position += count
-        return out
+            buffer.extend(page[next_byte - page_index * page_size:])
+
+    def byte(self) -> int:
+        position = self.position
+        if position >= len(self._buffer):
+            self._fill(1)
+        self.position = position + 1
+        return self._buffer[position]
+
+    def f32(self) -> float:
+        position = self.position
+        if len(self._buffer) - position < 4:
+            self._fill(4)
+        self.position = position + 4
+        value: float = _F32.unpack_from(self._buffer, position)[0]
+        return value
 
     def varint(self) -> int:
         value = 0
         shift = 0
         for _ in range(5):                 # u32 fits 5 LEB128 bytes
-            byte = self.take(1)[0]
+            byte = self.byte()
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 if value > 0xFFFFFFFF:
@@ -275,8 +295,16 @@ class _StreamCursor:
             shift += 7
         raise PageCorruptError("varint longer than 5 bytes")
 
-    def consumed(self) -> bytes:
-        return bytes(self._buffer[:self.position])
+    def check_crc(self) -> None:
+        """Read the stored CRC32 and compare it with every byte before
+        it; raises :class:`PageCorruptError` on a mismatch."""
+        body = zlib.crc32(self._buffer[:self.position])
+        position = self.position
+        if len(self._buffer) - position < _CRC.size:
+            self._fill(_CRC.size)
+        self.position = position + _CRC.size
+        if body != _CRC.unpack_from(self._buffer, position)[0]:
+            raise PageCorruptError("packed V-page record CRC mismatch")
 
 
 class PackedDeltaVPageCodec(VPageCodec):
@@ -417,12 +445,12 @@ class PackedDeltaVPageCodec(VPageCodec):
                 f"of {self.stream_length} bytes")
         cursor = _StreamCursor(self, pointer, reader)
         try:
-            version = cursor.take(1)[0]
+            version = cursor.byte()
             if version != PACKED_VERSION:
                 raise PageCorruptError(
                     f"packed V-page version {version}, "
                     f"expected {PACKED_VERSION}")
-            flags = cursor.take(1)[0]
+            flags = cursor.byte()
             if flags & ~_FLAG_DELTA:
                 raise PageCorruptError(
                     f"packed V-page has unknown flags 0x{flags:02x}")
@@ -449,10 +477,10 @@ class PackedDeltaVPageCodec(VPageCodec):
                     if index >= count:
                         raise PageCorruptError(
                             f"delta index {index} out of {count} entries")
-                    dov = _F32.unpack(cursor.take(4))[0]
+                    dov = cursor.f32()
                     nvo = cursor.varint()
                     diffs.append((index, (dov, nvo)))
-                self._check_crc(cursor)
+                cursor.check_crc()
                 base_offset, entries = self._read_record(
                     ref_pointer, reader, depth=depth + 1)
                 if base_offset != node_offset or len(entries) != count:
@@ -463,10 +491,10 @@ class PackedDeltaVPageCodec(VPageCodec):
             else:
                 entries = []
                 for _ in range(count):
-                    dov = _F32.unpack(cursor.take(4))[0]
+                    dov = cursor.f32()
                     nvo = cursor.varint()
                     entries.append((dov, nvo))
-                self._check_crc(cursor)
+                cursor.check_crc()
         except struct.error as exc:     # pragma: no cover - defensive
             raise PageCorruptError(
                 f"packed V-page record unreadable: {exc}") from exc
@@ -476,12 +504,6 @@ class PackedDeltaVPageCodec(VPageCodec):
                     f"packed V-page decoded invalid V-entry "
                     f"({dov}, {nvo})")
         return node_offset, entries
-
-    def _check_crc(self, cursor: _StreamCursor) -> None:
-        body = cursor.consumed()
-        stored = _CRC.unpack(cursor.take(_CRC.size))[0]
-        if zlib.crc32(body) != stored:
-            raise PageCorruptError("packed V-page record CRC mismatch")
 
     # -- reporting ----------------------------------------------------------
 

@@ -11,6 +11,12 @@ a repeated query is replayed from the pool's plan, reading back what was
 evicted since — equal to the traversal in its answer, in every pool
 counter, in the eviction order and in both I/O ledgers — and a clear of
 the pool sends the next query down the traversal again.
+
+Last, the unpooled node store (DESIGN.md §10 "Decoded payloads"): every
+read is made and charged, but a page whose stored image comes back as
+the very object decoded last time is not decoded again — over a cold
+stream, one decode per distinct tree page, with a rewrite, a bit flip
+and a rebuilt store each decoded afresh.
 """
 
 from collections import Counter
@@ -18,18 +24,28 @@ from dataclasses import replace
 
 import pytest
 
+import repro.rtree.persist as persist_module
 import repro.serving.pooled as pooled_module
 import repro.storage.vpagecodec as vpagecodec_module
+from repro.core.hdov_tree import HDoVConfig, build_environment
 from repro.core.search import HDoVSearch
-from repro.errors import SchemeError
+from repro.core.update import remove_object
+from repro.errors import PageCorruptError, SchemeError
 from repro.geometry.aabb import AABB
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.replay import cold_queries
+from repro.rtree.persist import NodeStore
+from repro.scene.city import CityParams, generate_city
+from repro.scene.objects import Scene
 from repro.serving.pooled import PooledNodeStore
 from repro.serving.service import run_serve, session_env
 from repro.serving.session import ServingSession
 from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
+from repro.storage.serializer import encode_node
 from repro.storage.vpagecodec import RawVPageCodec
+from repro.visibility.cells import CellGrid
 
 
 def test_serving_decodes_each_page_once_per_residency(monkeypatch):
@@ -365,3 +381,189 @@ def test_fetching_searches_and_split_pools_always_traverse(env, monkeypatch):
         assert same_answer(search.query_cell(a, ETA), first)
         assert spy.replays == 0 and len(spy.remembered) == remembered
         assert spy.gets - gets >= len(keys)
+
+
+# -- the unpooled node store: one decode per stored image --------------------
+
+COLD_ETAS = (0.0, 0.001, 0.05)
+
+
+def cold_stream(env):
+    """Every cell at three η, each answered from cold, as Figure 7's
+    random-viewpoint stream is."""
+    return [(cell, eta) for cell in env.grid.cell_ids() for eta in COLD_ETAS]
+
+
+def answer_cold(env, scheme):
+    """The stream through ``cold_queries``: answers, both ledgers and
+    every registry series, counted from zero."""
+    search = HDoVSearch(env, scheme)
+    with use_registry(MetricsRegistry()) as registry:
+        stream = cold_queries(env, cold_stream(env),
+                              lambda query: search.query_cell(*query))
+    return (stream.answers, stream.light.to_dict(), stream.heavy.to_dict(),
+            registry.collect())
+
+
+def fresh_store(monkeypatch, env):
+    """A new store over ``env``'s tree file, installed for the test: it
+    has decoded nothing, whatever the shared environment read before."""
+    shared = env.node_store
+    store = NodeStore(shared.pfile)
+    store.root_page = shared.root_page
+    store.num_nodes = shared.num_nodes
+    store.offset_to_page = shared.offset_to_page
+    monkeypatch.setattr(env, "node_store", store)
+    return store
+
+
+@pytest.mark.parametrize("fixture, scheme", BUILDS)
+def test_unpooled_store_decodes_each_tree_page_once(request, monkeypatch,
+                                                     fixture, scheme):
+    """Count guard: over a cold stream, ``decode_node`` runs once per
+    distinct tree page read, however often each page is read."""
+    env = request.getfixturevalue(fixture)
+    store = fresh_store(monkeypatch, env)
+    decodes = Counter()
+    pages = Counter()
+    real_decode, real_read_page = persist_module.decode_node, \
+        pageio.read_page
+
+    def decode_node(data):
+        decodes["calls"] += 1
+        return real_decode(data)
+
+    def read_page(pfile, page_id, **kwargs):
+        if pfile is store.pfile:
+            pages[page_id] += 1
+        return real_read_page(pfile, page_id, **kwargs)
+
+    monkeypatch.setattr(persist_module, "decode_node", decode_node)
+    monkeypatch.setattr(pageio, "read_page", read_page)
+    answer_cold(env, scheme)
+    assert decodes["calls"] == len(pages) > 0
+    # Every read is still made: the stream reads each page many times.
+    assert sum(pages.values()) > 2 * len(pages)
+
+
+@pytest.mark.parametrize("fixture, scheme", BUILDS)
+def test_unpooled_store_equals_its_twin_that_decodes_every_read(
+        request, monkeypatch, fixture, scheme):
+    """Whole results, both I/O ledgers and every registry series the
+    stream moves: the same with the memo as with a store whose memo is
+    emptied before every read."""
+    env = request.getfixturevalue(fixture)
+    fresh_store(monkeypatch, env)
+    env.reset_stats()
+    memoised = answer_cold(env, scheme)
+    real_read_node = NodeStore.read_node
+
+    def read_node(store, node_offset):
+        store._decoded.clear()
+        return real_read_node(store, node_offset)
+
+    monkeypatch.setattr(NodeStore, "read_node", read_node)
+    env.reset_stats()
+    twin = answer_cold(env, scheme)
+    assert memoised[0] == twin[0]
+    assert memoised[1:] == twin[1:]
+
+
+def reordered_page(store, node):
+    """``node``'s page with its entries in reverse order: a valid page
+    holding the same node offset, told apart by ``targets``."""
+    entries = [(node.mbr(i), node.targets[i], node.lod_ptrs[i])
+               for i in reversed(range(len(node.targets)))]
+    return encode_node(node.kind, node.level, node.node_offset, entries,
+                       store.pfile.page_size)
+
+
+def test_a_rewritten_tree_page_is_decoded_again(env, monkeypatch):
+    store = fresh_store(monkeypatch, env)
+    decodes = Counter()
+    real_decode = persist_module.decode_node
+
+    def decode_node(data):
+        decodes["calls"] += 1
+        return real_decode(data)
+
+    monkeypatch.setattr(persist_module, "decode_node", decode_node)
+    root = store.read_root()
+    assert len(root.targets) > 1
+    assert store.read_root().targets == root.targets
+    assert decodes["calls"] == 1
+    page_id = store.page_of(0)
+    original = pageio.read_page(store.pfile, page_id, component="rtree")
+    pageio.write_page(store.pfile, page_id, reordered_page(store, root),
+                      component="rtree")
+    try:
+        rewritten = store.read_root()
+        assert rewritten.targets == root.targets[::-1]
+        assert store.read_root().targets == rewritten.targets
+        assert decodes["calls"] == 2
+    finally:
+        pageio.write_page(store.pfile, page_id, original,
+                          component="rtree")
+    assert store.read_root().targets == root.targets
+    assert decodes["calls"] == 3
+
+
+def test_a_bit_flip_on_the_tree_file_is_never_hidden_by_the_memo(env):
+    """With a warm memo and a bit-flip rule on the tree file, every read
+    the rule hits raises; every other read is the clean node."""
+    store = env.node_store
+    offsets = range(min(store.num_nodes, 8))
+    clean = {offset: store.read_node(offset).targets for offset in offsets}
+    injector = FaultInjector(FaultPlan("rot", (
+        FaultRule("bit-flip", match="tree", rate=0.5),)), seed=3)
+    injector.install(store.pfile)
+    raised = 0
+    try:
+        for _round in range(4):
+            for offset in offsets:
+                try:
+                    node = store.read_node(offset)
+                except PageCorruptError:
+                    raised += 1
+                else:
+                    assert node.targets == clean[offset]
+    finally:
+        injector.uninstall()
+    assert raised == injector.injected["bit-flip"] > 0
+    for offset in offsets:
+        assert store.read_node(offset).targets == clean[offset]
+
+
+def test_a_removal_rebuilds_the_store_and_selects_as_a_fresh_build():
+    """``remove_object`` writes a new tree file through a new store; a
+    memo warmed on the old one must not leak into what the new one
+    answers, which is what a build without the object answers."""
+    params = CityParams(blocks_x=3, blocks_y=3, seed=23,
+                        bunnies_per_block=3, building_fraction=0.5,
+                        bunny_subdivisions=2)
+    config = HDoVConfig(dov_resolution=12, schemes=("indexed-vertical",))
+
+    def build(keep):
+        scene = generate_city(params)
+        grid = CellGrid.covering(scene.bounds(), cell_size=120.0)
+        return build_environment(
+            Scene([obj for obj in scene if keep(obj.object_id)]), grid,
+            config)
+
+    def selections(env):
+        # At η = 0 the answer is the exact visible set, which does not
+        # depend on the tree's shape; the two trees differ.
+        search = HDoVSearch(env)
+        return [search.query_cell(cell, 0.0).object_ids()
+                for cell in env.grid.cell_ids()]
+
+    env = build(lambda oid: True)
+    old_store = env.node_store
+    selections(env)                 # warm the old store's memo
+    assert old_store._decoded
+    counts = Counter(oid for cell in env.grid.cell_ids()
+                     for oid in env.visibility.cell(cell).visible_ids())
+    gone = max(counts, key=counts.get)
+    remove_object(env, gone)
+    assert env.node_store is not old_store
+    assert selections(env) == selections(build(lambda oid: oid != gone))

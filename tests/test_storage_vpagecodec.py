@@ -4,11 +4,13 @@ reference chains) — nothing may ever decode silently wrong — plus the
 packed build's search-equivalence and corruption-degradation contracts
 over the shared small environment."""
 
+import random
 import struct
 import zlib
 
 import pytest
 
+import repro.storage.vpagecodec as vpagecodec_module
 from repro.core.search import HDoVSearch
 from repro.errors import PageCorruptError, SchemeError
 from repro.storage.disk import DiskModel, IOStats
@@ -381,3 +383,160 @@ def test_corrupt_compressed_page_degrades_never_garbage(env_packed):
     finally:
         scheme.vpage_file.write_page(0, original)
         scheme.reset_runtime_state()
+
+
+# -- the in-place cursor fetches what the copying one fetched ----------------
+
+
+class CopyingCursor:
+    """The cursor the in-place one replaced, kept as the reference: it
+    copies every field out through ``take``.  A record parsed with it
+    fetches its pages in the order the parser has always fetched them."""
+
+    def __init__(self, codec, pointer, reader):
+        self._codec = codec
+        self._reader = reader
+        self._base = pointer
+        self._buffer = bytearray()
+        self.position = 0
+
+    def take(self, count):
+        while len(self._buffer) - self.position < count:
+            next_byte = self._base + len(self._buffer)
+            if next_byte >= self._codec.stream_length:
+                raise PageCorruptError(
+                    "packed V-page record truncated at stream end")
+            page_size = self._codec.page_size
+            page_index = next_byte // page_size
+            page = self._reader.vpage_page(
+                self._codec.first_page + page_index)
+            self._buffer.extend(page[next_byte - page_index * page_size:])
+        out = bytes(self._buffer[self.position:self.position + count])
+        self.position += count
+        return out
+
+    def varint(self):
+        value = 0
+        shift = 0
+        for _ in range(5):
+            byte = self.take(1)[0]
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                if value > 0xFFFFFFFF:
+                    raise PageCorruptError("varint exceeds u32 range")
+                return value
+            shift += 7
+        raise PageCorruptError("varint longer than 5 bytes")
+
+    # The parser's field reads, each spelled as a ``take``.
+
+    def byte(self):
+        return self.take(1)[0]
+
+    def f32(self):
+        return struct.unpack("<f", self.take(4))[0]
+
+    def check_crc(self):
+        body = bytes(self._buffer[:self.position])
+        stored = struct.unpack("<I", self.take(4))[0]
+        if zlib.crc32(body) != stored:
+            raise PageCorruptError("packed V-page record CRC mismatch")
+
+
+IN_PLACE_CURSOR = vpagecodec_module._StreamCursor
+
+
+class RecordingReader:
+    """A PageReader that logs every page id it is asked for."""
+
+    def __init__(self, pf):
+        self._pf = pf
+        self.pages = []
+
+    def vpage_page(self, page_id):
+        self.pages.append(page_id)
+        return self._pf.read_page(page_id)
+
+
+def read_with(cursor, codec, pf, pointer, monkeypatch):
+    """``(answer or error message, pages fetched)`` of one record read
+    through ``cursor``; any error other than a corrupt page escapes."""
+    monkeypatch.setattr(vpagecodec_module, "_StreamCursor", cursor)
+    reader = RecordingReader(pf)
+    try:
+        answer = codec.read(pointer, reader)
+    except PageCorruptError as exc:
+        answer = ("corrupt", str(exc))
+    return answer, reader.pages
+
+
+def same_as_copying(codec, pf, pointer, monkeypatch):
+    expected = read_with(CopyingCursor, codec, pf, pointer, monkeypatch)
+    got = read_with(IN_PLACE_CURSOR, codec, pf, pointer, monkeypatch)
+    assert got == expected, pointer
+    return got
+
+
+@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
+def test_in_place_cursor_fetches_every_record_as_before(env_packed,
+                                                       monkeypatch,
+                                                       scheme_name):
+    """Every record of the packed build: the same ``(offset, entries)``
+    and the same ``vpage_page`` page ids, in the same order."""
+    scheme = env_packed.scheme(scheme_name)
+    records = fetched_twice = 0
+    for cell_id in env_packed.grid.cell_ids():
+        for offset, pointer in scheme.cell_pointers(cell_id):
+            answer, pages = same_as_copying(
+                scheme.codec, scheme.vpage_file, pointer, monkeypatch)
+            assert answer[0] == offset
+            records += 1
+            fetched_twice += len(pages) > 1     # a delta reads its base
+    assert records == scheme.codec.records
+    assert fetched_twice > 0
+
+
+def test_in_place_cursor_fetches_as_before_across_page_boundaries(
+        monkeypatch):
+    """Small pages, so records and their bases straddle page ends."""
+    cells = {c: entries_for(c, count=20) for c in range(12)}
+    for c in range(1, 12, 2):
+        cells[c] = list(cells[c - 1])
+        cells[c][c] = (0.75, 9)
+    neighbors = {c: [c - 1] for c in range(1, 12)}
+    codec, pf, pointers = build_stream(cells, neighbors)
+    assert codec.delta_records > 0 and codec.stream_length > 2 * PAGE_SIZE
+    crossing = 0
+    for pointer in pointers.values():
+        _answer, pages = same_as_copying(codec, pf, pointer, monkeypatch)
+        crossing += len(set(pages)) > 1
+    assert crossing > 0
+
+
+def test_single_byte_flips_in_a_delta_and_its_base_are_corrupt(monkeypatch):
+    """Seeded sweep: flip each byte of a delta record and of its base in
+    turn; reading the delta is a corrupt page every time, with the
+    message and page fetches of the copying cursor — never another
+    exception, never an answer."""
+    base = entries_for(0, count=12)
+    changed = list(base)
+    changed[3] = (0.9, 42)
+    changed[8] = (0.2, 7)
+    codec, pf, pointers = build_stream({0: base, 1: changed},
+                                       neighbors={1: [0]})
+    assert codec.delta_records == 1 and pointers[0] < pointers[1]
+    clean = read_with(IN_PLACE_CURSOR, codec, pf, pointers[1],
+                      monkeypatch)[0]
+    original = pf.read_page(0)
+    rng = random.Random(30)
+    for index in range(codec.stream_length):
+        page = bytearray(original)
+        page[index] ^= rng.randrange(1, 256)
+        pf.write_page(0, bytes(page))
+        answer, _pages = same_as_copying(codec, pf, pointers[1],
+                                         monkeypatch)
+        assert answer != clean
+        assert answer[0] == "corrupt", index
+    pf.write_page(0, original)
+    assert read_with(IN_PLACE_CURSOR, codec, pf, pointers[1],
+                     monkeypatch)[0] == clean
