@@ -64,11 +64,11 @@ class NaiveCellList:
                  fetch_models: bool = True) -> None:
         self.env = env
         self.fetch_models = fetch_models
-        disk = env.config.disk()
         # The lists are light-weight data, like V-pages.
         self.list_file = PagedFile("naive-lists",
                                    page_size=env.config.page_size,
-                                   disk=disk, stats=env.light_stats)
+                                   disk=env.node_store.pfile.disk,
+                                   stats=env.light_stats)
         #: cell id -> (first page, page count)
         self._directory: Dict[int, Tuple[int, int]] = {}
         self._build()

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.constants import (BYTES_PER_POLYGON, DEFAULT_FANOUT,
-                             DEFAULT_LOD_RATIO, DEFAULT_MIN_FILL, PAGE_SIZE)
+from repro.constants import BYTES_PER_POLYGON, PAGE_SIZE
 from repro.core.schemes import SCHEME_CLASSES, StorageScheme
 from repro.core.vpage import CellVPages, instantiate_cells
 from repro.errors import HDoVError
@@ -45,26 +44,18 @@ from repro.visibility.precompute import precompute_visibility
 
 @dataclass(frozen=True)
 class HDoVConfig:
-    """Build-time parameters of an HDoV environment."""
+    """Build-time parameters of an HDoV environment.
 
-    fanout: int = DEFAULT_FANOUT
-    min_fill: float = DEFAULT_MIN_FILL
-    split: str = "ang-tan"
-    #: Use STR bulk loading (True, default) or one-at-a-time insertion.
-    bulk_load: bool = True
-    #: Ratio ``s`` targeted by internal LoD generation.
-    ratio_s: float = DEFAULT_LOD_RATIO
-    #: Levels per internal LoD chain (>= 2 for eq. 5 to interpolate).
-    internal_lod_levels: int = 2
+    The tree's fanout, fill and split policy, the internal-LoD ratio
+    ``s`` and the disk model are library constants (``repro.constants``,
+    :class:`~repro.storage.disk.DiskModel`): the paper runs every
+    experiment at one value of each, and so does this repository.
+    """
+
     #: Cube-map resolution of the DoV estimator.
     dov_resolution: int = 32
     #: Viewpoint samples per cell for the conservative region DoV.
     samples_per_cell: int = 1
-    #: Physical payload scale of the blob store (see ObjectStore).
-    store_scale: float = 1.0
-    #: Disk model parameters.
-    seek_ms: float = 8.0
-    transfer_ms: float = 0.1
     page_size: int = PAGE_SIZE
     #: Storage schemes to build ("horizontal", "vertical",
     #: "indexed-vertical").
@@ -74,9 +65,6 @@ class HDoVConfig:
     #: indexed-vertical schemes; the horizontal scheme's closed-form
     #: page addressing requires the raw layout and ignores the flag.
     compress_vpages: bool = False
-
-    def disk(self) -> DiskModel:
-        return DiskModel(seek_ms=self.seek_ms, transfer_ms=self.transfer_ms)
 
 
 @dataclass
@@ -208,20 +196,12 @@ def build_environment(scene: Scene, grid: CellGrid,
     """
     if len(scene) == 0:
         raise HDoVError("cannot build an environment over an empty scene")
-    disk = config.disk()
+    disk = DiskModel()
     light_stats = IOStats()
     heavy_stats = IOStats()
 
     # 1. Spatial backbone.
-    items = [(obj.mbr, obj.object_id) for obj in scene]
-    if config.bulk_load:
-        tree = str_bulk_load(items, max_entries=config.fanout,
-                             min_fill=config.min_fill, split=config.split)
-    else:
-        tree = RTree(max_entries=config.fanout, min_fill=config.min_fill,
-                     split=config.split)
-        for mbr, oid in items:
-            tree.insert(mbr, oid)
+    tree = str_bulk_load([(obj.mbr, obj.object_id) for obj in scene])
 
     # 2. Persist nodes (assigns offsets).  Build I/O is not part of any
     # experiment measurement, so it runs against the shared stats and the
@@ -235,7 +215,7 @@ def build_environment(scene: Scene, grid: CellGrid,
     # during a traversal then ride the disk's read-ahead window.
     blob_file = PagedFile("models", page_size=config.page_size, disk=disk,
                           stats=heavy_stats)
-    object_store = ObjectStore(blob_file, scale=config.store_scale)
+    object_store = ObjectStore(blob_file)
     objects: Dict[int, ObjectRecord] = {}
     lod_pointers: Dict[int, int] = {}
     for leaf in tree.iter_leaves():
@@ -248,8 +228,7 @@ def build_environment(scene: Scene, grid: CellGrid,
     node_store.write_tree(tree, lod_pointers)
 
     # 4. Internal LoDs, bottom-up.
-    internal_lods = build_internal_lods(tree, scene, ratio_s=config.ratio_s,
-                                        levels=config.internal_lod_levels)
+    internal_lods = build_internal_lods(tree, scene)
     internals: Dict[int, InternalRecord] = {}
     for offset, lod in internal_lods.items():
         blob = object_store.put(lod.chain.finest.byte_size)

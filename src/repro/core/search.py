@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.constants import BYTES_PER_POLYGON
+from repro.constants import BYTES_PER_POLYGON, DEFAULT_LOD_RATIO
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.schemes.base import StorageScheme, scheme_reader
 from repro.errors import HDoVError, PageCorruptError, TransientIOError
@@ -145,9 +145,9 @@ class HDoVSearch:
         self.fetch_models = fetch_models
         #: The eq.-4 condition can be disabled for the ablation bench.
         self.use_nvo_heuristic = use_nvo_heuristic
-        self._log_m = math.log(env.config.fanout)
-        #: log_M(s) for the heuristic, from the configured ratio.
-        self._log_m_s = math.log(env.config.ratio_s) / self._log_m
+        self._log_m = math.log(env.tree.max_entries)
+        #: log_M(s) for the heuristic, from the internal-LoD ratio.
+        self._log_m_s = math.log(DEFAULT_LOD_RATIO) / self._log_m
         #: node offset -> level, from the in-memory tree (view-invariant
         #: metadata, resident like the paper's NVO bookkeeping).
         self._levels = {n.node_offset: n.level

@@ -138,7 +138,8 @@ def _reassign_offsets_and_rewrite(env: HDoVEnvironment) -> None:
     from repro.rtree.persist import NodeStore
     from repro.storage.pagedfile import PagedFile
     tree_file = PagedFile("tree-updated", page_size=env.config.page_size,
-                          disk=env.config.disk(), stats=env.light_stats)
+                          disk=env.node_store.pfile.disk,
+                          stats=env.light_stats)
     store = NodeStore(tree_file)
     lod_pointers = {oid: rec.blob_id for oid, rec in env.objects.items()}
     store.write_tree(env.tree, lod_pointers)

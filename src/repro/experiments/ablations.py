@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
 
+from repro.constants import DEFAULT_FANOUT
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
 from repro.core.schemes.vertical import VerticalScheme
 from repro.core.search import HDoVSearch
@@ -83,7 +84,7 @@ def run_split_ablation(scale: ExperimentScale = MEDIUM) -> SplitAblationResult:
     scene = generate_city(scale.city)
     rows: List[List[object]] = []
     for split in ("ang-tan", "guttman"):
-        tree = RTree(max_entries=scale.hdov.fanout, split=split)
+        tree = RTree(max_entries=DEFAULT_FANOUT, split=split)
         for obj in scene:
             tree.insert(obj.mbr, obj.object_id)
         tree.check_invariants()

@@ -15,7 +15,7 @@ their summed polygon count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.constants import DEFAULT_LOD_RATIO
 from repro.errors import HDoVError
@@ -51,9 +51,7 @@ class InternalLOD:
 
 def build_internal_lods(tree: RTree, scene: Scene, *,
                         ratio_s: float = DEFAULT_LOD_RATIO,
-                        levels: int = 2,
-                        simplify: Callable[[TriangleMesh, int], TriangleMesh]
-                        = simplify_clustering) -> Dict[int, InternalLOD]:
+                        levels: int = 2) -> Dict[int, InternalLOD]:
     """Build internal LoD chains for every node of ``tree``, bottom-up.
 
     Requires ``node.node_offset`` to be assigned (run after
@@ -77,7 +75,7 @@ def build_internal_lods(tree: RTree, scene: Scene, *,
             raise HDoVError("node offsets unassigned; persist the tree first")
         agg_mesh, child_polys = _aggregate(node, scene, result)
         target = max(int(child_polys * ratio_s), 4)
-        highest = simplify(agg_mesh, target)
+        highest = simplify_clustering(agg_mesh, target)
         chain_levels: List[TriangleMesh] = [highest]
         current = highest
         for _ in range(levels - 1):
@@ -85,7 +83,7 @@ def build_internal_lods(tree: RTree, scene: Scene, *,
             if coarser_target >= current.num_faces:
                 chain_levels.append(current)
                 continue
-            current = simplify(current, coarser_target)
+            current = simplify_clustering(current, coarser_target)
             chain_levels.append(current)
         result[node.node_offset] = InternalLOD(
             node_offset=node.node_offset,

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import DEFAULT_FANOUT
+from repro.constants import DEFAULT_FANOUT, DEFAULT_MIN_FILL
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
 from repro.rtree.entry import Entry
@@ -63,7 +63,7 @@ def _tile(entries: List[Entry], capacity: int) -> List[List[Entry]]:
 
 def str_bulk_load(items: Sequence[Tuple[AABB, int]],
                   max_entries: int = DEFAULT_FANOUT,
-                  min_fill: float = 0.4,
+                  min_fill: float = DEFAULT_MIN_FILL,
                   split: str = "ang-tan") -> RTree:
     """Build an R-tree over ``(mbr, object_id)`` pairs with STR packing.
 

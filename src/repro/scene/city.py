@@ -21,6 +21,24 @@ from repro.scene.objects import Scene, SceneObject
 from repro.simplify.lod_chain import build_lod_chain
 
 
+#: Side length of one city block (meters, matching the paper's 100 m /
+#: 200 m / 400 m query-box discussion).
+BLOCK_SIZE = 100.0
+#: Width of the streets between blocks.
+STREET_WIDTH = 20.0
+#: Most tiers per building (polygons = 12 * tiers).
+MAX_TIERS = 4
+#: LoD levels per object.
+LOD_LEVELS = 2
+#: Face reduction per LoD level.  Equations 5/6 blend the chain's
+#: highest and lowest levels, so the coarsest level (reduction **
+#: (levels-1), here 50% of finest) sets how cheap a barely-visible
+#: object can get.  Keeping it substantial is what makes replacing a
+#: group of objects by one internal LoD save real I/O — the economics
+#: the eq.-3/4 termination heuristic assumes.
+LOD_REDUCTION = 0.5
+
+
 @dataclass(frozen=True)
 class CityParams:
     """Parameters of the synthetic city.
@@ -31,11 +49,6 @@ class CityParams:
 
     blocks_x: int = 6
     blocks_y: int = 6
-    #: Side length of one city block (meters, matching the paper's 100 m /
-    #: 200 m / 400 m query-box discussion).
-    block_size: float = 100.0
-    #: Width of the streets between blocks.
-    street_width: float = 20.0
     #: Fraction of blocks that hold a building (the rest hold bunnies).
     building_fraction: float = 0.7
     #: Bunny models scattered per non-building block.
@@ -44,19 +57,8 @@ class CityParams:
     #: 3 gives 1280-face models — heavy enough that LoD choice moves
     #: multiple disk pages, like the paper's bunny models.
     bunny_subdivisions: int = 3
-    #: Tiers per building (polygons = 12 * tiers).
-    max_tiers: int = 4
     min_height: float = 30.0
     max_height: float = 150.0
-    #: LoD levels per object.
-    lod_levels: int = 2
-    #: Face reduction per LoD level.  Equations 5/6 blend the chain's
-    #: highest and lowest levels, so the coarsest level (reduction **
-    #: (levels-1), here 50% of finest) sets how cheap a barely-visible
-    #: object can get.  Keeping it substantial is what makes replacing a
-    #: group of objects by one internal LoD save real I/O — the economics
-    #: the eq.-3/4 termination heuristic assumes.
-    lod_reduction: float = 0.5
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -70,7 +72,7 @@ class CityParams:
     @property
     def pitch(self) -> float:
         """Center-to-center distance of adjacent blocks."""
-        return self.block_size + self.street_width
+        return BLOCK_SIZE + STREET_WIDTH
 
     @property
     def width(self) -> float:
@@ -106,15 +108,14 @@ def generate_city(params: CityParams = CityParams()) -> Scene:
 def _add_building(scene: Scene, params: CityParams, rng, cx: float,
                   cy: float, next_id: int) -> int:
     height = float(rng.uniform(params.min_height, params.max_height))
-    tiers = int(rng.integers(1, params.max_tiers + 1))
+    tiers = int(rng.integers(1, MAX_TIERS + 1))
     footprint = (
-        params.block_size * float(rng.uniform(0.5, 0.9)),
-        params.block_size * float(rng.uniform(0.5, 0.9)),
+        BLOCK_SIZE * float(rng.uniform(0.5, 0.9)),
+        BLOCK_SIZE * float(rng.uniform(0.5, 0.9)),
     )
     mesh = tower_mesh((cx, cy, 0.0), footprint, height, tiers=tiers)
-    lods = build_lod_chain(mesh, num_levels=params.lod_levels,
-                           reduction=params.lod_reduction,
-                           method="clustering")
+    lods = build_lod_chain(mesh, num_levels=LOD_LEVELS,
+                           reduction=LOD_REDUCTION)
     scene.add(SceneObject(next_id, lods, category="building"))
     return next_id + 1
 
@@ -122,18 +123,17 @@ def _add_building(scene: Scene, params: CityParams, rng, cx: float,
 def _add_bunnies(scene: Scene, params: CityParams, rng, cx: float,
                  cy: float, next_id: int) -> int:
     for _ in range(params.bunnies_per_block):
-        radius = params.block_size * float(rng.uniform(0.05, 0.10))
-        offset_x = float(rng.uniform(-0.3, 0.3)) * params.block_size
-        offset_y = float(rng.uniform(-0.3, 0.3)) * params.block_size
+        radius = BLOCK_SIZE * float(rng.uniform(0.05, 0.10))
+        offset_x = float(rng.uniform(-0.3, 0.3)) * BLOCK_SIZE
+        offset_y = float(rng.uniform(-0.3, 0.3)) * BLOCK_SIZE
         mesh = bunny_blob(
             radius=radius,
             subdivisions=params.bunny_subdivisions,
             seed=int(rng.integers(0, 2 ** 31)),
             center=(cx + offset_x, cy + offset_y, radius),
         )
-        lods = build_lod_chain(mesh, num_levels=params.lod_levels,
-                               reduction=params.lod_reduction,
-                               method="clustering")
+        lods = build_lod_chain(mesh, num_levels=LOD_LEVELS,
+                               reduction=LOD_REDUCTION)
         scene.add(SceneObject(next_id, lods, category="bunny"))
         next_id += 1
     return next_id

@@ -10,9 +10,7 @@ tree; this subpackage puts a network edge in front of it:
 * :mod:`repro.serving.http.middleware` — request tracing + latency
   middleware, the package's *only* timing boundary (lint rule RPR009);
 * :mod:`repro.serving.http.stats` — the latency/request stats collector
-  with exact nearest-rank percentiles;
-* :mod:`repro.serving.http.server` — a stdlib ``asyncio`` HTTP/1.1
-  server binding the app to a real socket.
+  with exact nearest-rank percentiles.
 
 Everything the app computes except wall-clock latency is a pure
 function of the request sequence, which is what lets the traffic
@@ -24,13 +22,11 @@ from repro.serving.http.app import (HttpRequest, HttpResponse,
                                     WalkthroughApp, WalkthroughService,
                                     build_service)
 from repro.serving.http.middleware import TimingMiddleware
-from repro.serving.http.server import HttpServer
 from repro.serving.http.stats import StatsCollector, percentile
 
 __all__ = [
     "HttpRequest",
     "HttpResponse",
-    "HttpServer",
     "StatsCollector",
     "TimingMiddleware",
     "WalkthroughApp",

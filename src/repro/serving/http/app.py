@@ -1,9 +1,8 @@
 """The walkthrough application: session lifecycle over HTTP semantics.
 
 The app is framework-free: an :class:`HttpRequest` goes in, an
-:class:`HttpResponse` comes out, and the stdlib ``asyncio`` server
-(:mod:`repro.serving.http.server`) or an in-process caller (the load
-generator, the tests) is just transport.  Routes:
+:class:`HttpResponse` comes out, and the in-process caller (the load
+generator, the tests) is the transport.  Routes:
 
 =======  ============================  =========================================
 method   path                          effect
@@ -39,17 +38,19 @@ from __future__ import annotations
 
 import asyncio
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.errors import ReproError, ServiceOverloadedError, WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import get_registry
-from repro.obs.replay import build_world, load_scale
+from repro.obs.replay import build_world, load_scale, session_path
 from repro.serving.service import session_env, session_report
 from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
-from repro.walkthrough.session import make_session
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentScale
 
 #: Most frames one session may ask for.  A session's waypoints are built
 #: before the create is answered (2,000,000 frames: 7.3 s and 679 MB for
@@ -104,15 +105,16 @@ class WalkthroughService:
     sessions; a create beyond that is *shed* (raised as
     :class:`~repro.errors.ServiceOverloadedError`, mapped to 503), not
     queued — a network client retries, a queue would hide the overload
-    the traffic report exists to measure.
+    the traffic report exists to measure.  Sessions walk the recorded
+    street paths of ``experiment`` (:func:`repro.obs.replay.session_path`).
     """
 
-    def __init__(self, env: HDoVEnvironment, *,
+    def __init__(self, env: HDoVEnvironment,
+                 experiment: "ExperimentScale", *,
                  pool: Optional[BufferPool] = None,
                  eta: float = 0.001,
                  scheme: Optional[str] = None,
                  frames: int = 30,
-                 street_pitch: float = 100.0,
                  max_active: Optional[int] = None,
                  frame_budget_ms: Optional[float] = None,
                  cache_budget_bytes: Optional[int] = None,
@@ -127,11 +129,11 @@ class WalkthroughService:
                 f"frame_budget_ms must be > 0, got {frame_budget_ms}")
         env.scheme(scheme)      # an unknown name is refused here, once
         self.env = env
+        self.experiment = experiment
         self.pool = pool
         self.eta = eta
         self.scheme = scheme
         self.frames = frames
-        self.street_pitch = street_pitch
         self.max_active = max_active
         self.frame_budget_ms = frame_budget_ms
         self.cache_budget_bytes = cache_budget_bytes
@@ -157,9 +159,7 @@ class WalkthroughService:
             self.sessions_shed += 1
             raise ServiceOverloadedError(
                 f"at capacity ({self.max_active} active sessions)")
-        path = make_session(pattern, self.env.scene.bounds(),
-                            num_frames=num_frames,
-                            street_pitch=self.street_pitch)
+        path = session_path(self.experiment, self.env, pattern, num_frames)
         view = session_env(self.env, self.pool)
         session_id = self._next_id
         self._next_id += 1
@@ -382,8 +382,8 @@ def build_service(*, scale: str = "small", eta: float = 0.001,
     num_frames = (frames if frames is not None
                   else experiment.session_frames)
     return WalkthroughService(
-        env, pool=pool, eta=eta, scheme=scheme, frames=num_frames,
-        street_pitch=experiment.city.pitch, max_active=max_active,
+        env, experiment, pool=pool, eta=eta, scheme=scheme,
+        frames=num_frames, max_active=max_active,
         frame_budget_ms=frame_budget_ms,
         cache_budget_bytes=experiment.visual_cache_budget_bytes,
         evaluate_fidelity=evaluate_fidelity)

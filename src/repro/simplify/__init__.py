@@ -1,18 +1,12 @@
 """Mesh simplification substrate.
 
 Replaces the paper's use of the *qslim* binary [Garland & Heckbert 1997]
-for LoD generation.  Two simplifiers are provided:
-
-* :func:`repro.simplify.qem.simplify_qem` — quadric error metrics, the
-  faithful counterpart of qslim; accurate but O(n log n) with Python
-  overhead, used for object LoDs and for small internal LoDs.
-* :func:`repro.simplify.clustering.simplify_clustering` — uniform vertex
-  clustering; linear-time, used for large aggregated internal LoDs.
+for LoD generation with uniform vertex clustering
+(:func:`repro.simplify.clustering.simplify_clustering`): linear-time, and
+used for object LoD chains and aggregated internal LoDs alike.
 """
 
-from repro.simplify.qem import simplify_qem
 from repro.simplify.clustering import simplify_clustering
 from repro.simplify.lod_chain import LODChain, build_lod_chain
 
-__all__ = ["simplify_qem", "simplify_clustering", "LODChain",
-           "build_lod_chain"]
+__all__ = ["simplify_clustering", "LODChain", "build_lod_chain"]

@@ -1,10 +1,10 @@
 """Uniform vertex-clustering simplification.
 
-Linear-time alternative to QEM: snap every vertex to the center of its
+Linear-time stand-in for qslim: snap every vertex to the center of its
 cell in a uniform grid over the mesh AABB, merge coincident vertices, drop
-collapsed faces.  Used for the large aggregated meshes that become
-internal LoDs — the paper only needs a coarse proxy occupying the same
-space, and clustering delivers that at O(n).
+collapsed faces.  Used for object LoD chains and for the large aggregated
+meshes that become internal LoDs — the paper only needs a coarse proxy
+occupying the same space, and clustering delivers that at O(n).
 """
 
 from __future__ import annotations

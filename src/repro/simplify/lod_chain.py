@@ -15,7 +15,6 @@ from repro.constants import DEFAULT_OBJECT_LOD_LEVELS
 from repro.errors import GeometryError
 from repro.geometry.mesh import TriangleMesh
 from repro.simplify.clustering import simplify_clustering
-from repro.simplify.qem import simplify_qem
 
 
 @dataclass
@@ -80,21 +79,14 @@ class LODChain:
 
 def build_lod_chain(mesh: TriangleMesh,
                     num_levels: int = DEFAULT_OBJECT_LOD_LEVELS,
-                    reduction: float = 0.25,
-                    method: str = "clustering") -> LODChain:
+                    reduction: float = 0.25) -> LODChain:
     """Build a chain of ``num_levels`` LoDs, each ``reduction`` times the
-    faces of the previous level (minimum 4 faces).
-
-    ``method`` is ``"qem"`` (faithful, slower) or ``"clustering"`` (fast
-    default for bulk scene construction).
+    faces of the previous level (minimum 4 faces), by vertex clustering.
     """
     if num_levels < 1:
         raise GeometryError(f"num_levels must be >= 1, got {num_levels}")
     if not 0.0 < reduction < 1.0:
         raise GeometryError(f"reduction must be in (0, 1), got {reduction}")
-    simplify = {"qem": simplify_qem, "clustering": simplify_clustering}.get(method)
-    if simplify is None:
-        raise GeometryError(f"unknown simplification method {method!r}")
 
     levels = [mesh]
     current = mesh
@@ -103,6 +95,6 @@ def build_lod_chain(mesh: TriangleMesh,
         if target >= current.num_faces:
             levels.append(current)
             continue
-        current = simplify(current, target)
+        current = simplify_clustering(current, target)
         levels.append(current)
     return LODChain(levels)

@@ -3,9 +3,9 @@
 Object LoDs and internal LoDs are "heavy-weight" data in the paper: the
 dominant I/O cost of a visibility query is fetching them.  The store
 allocates whole page runs per blob so a fetch is one seek plus a
-sequential scan, and it records logical byte sizes separately so dataset
-sizes can be modelled at full scale (400 MB–1.6 GB) while the simulator
-optionally stores scaled-down payloads.
+sequential scan.  A blob occupies the pages its logical byte size
+covers (at least one), so the pages a fetch reads are the pages the
+modelled data would fill.
 
 A coarse LoD is a prefix of the finest one, so a reader that already
 holds a prefix reads only the pages beyond it; :class:`SharedModels` is
@@ -37,23 +37,13 @@ class BlobRef:
 class ObjectStore:
     """Append-only blob store over a :class:`PagedFile`.
 
-    Parameters
-    ----------
-    pfile:
-        Backing paged file (shares the experiment's disk model and stats).
-    scale:
-        Physical-payload scale factor in (0, 1].  A blob declared with
-        ``logical_bytes = n`` occupies ``ceil(n * scale / page_size)``
-        pages (at least 1).  Experiments that model multi-GB datasets use
-        a small scale so runs stay laptop-sized; *reported* sizes always
-        use ``logical_bytes``.
+    ``pfile`` is the backing paged file (it shares the experiment's disk
+    model and stats).  A blob declared with ``logical_bytes = n``
+    occupies ``ceil(n / page_size)`` pages, at least one.
     """
 
-    def __init__(self, pfile: PagedFile, *, scale: float = 1.0) -> None:
-        if not 0.0 < scale <= 1.0:
-            raise StorageError(f"scale must be in (0, 1], got {scale}")
+    def __init__(self, pfile: PagedFile) -> None:
         self.pfile = pfile
-        self.scale = scale
         self._blobs: Dict[int, BlobRef] = {}
         self._next_id = 0
         #: server (a buffer pool) -> what its sessions hold; forgotten
@@ -71,8 +61,7 @@ class ObjectStore:
         """
         if logical_bytes < 0:
             raise StorageError(f"negative blob size: {logical_bytes}")
-        physical = max(int(math.ceil(logical_bytes * self.scale)), 1)
-        num_pages = max(int(math.ceil(physical / self.pfile.page_size)), 1)
+        num_pages = self._pages(logical_bytes)
         first = self.pfile.allocate_many(num_pages)
         if payload is not None:
             for i in range(num_pages):
@@ -92,13 +81,15 @@ class ObjectStore:
         except KeyError:
             raise StorageError(f"unknown blob id {blob_id}") from None
 
+    def _pages(self, logical_bytes: int) -> int:
+        """Pages ``logical_bytes`` of content fill: at least one."""
+        return math.ceil(max(logical_bytes, 1) / self.pfile.page_size)
+
     def _prefix_pages(self, blob: BlobRef, logical_bytes: int) -> int:
         """Pages a prefix of ``logical_bytes`` covers: at least one."""
         if logical_bytes < 0:
             raise StorageError(f"negative prefix size: {logical_bytes}")
-        logical_bytes = min(logical_bytes, blob.logical_bytes)
-        physical = max(int(math.ceil(logical_bytes * self.scale)), 1)
-        return min(max(int(math.ceil(physical / self.pfile.page_size)), 1),
+        return min(self._pages(min(logical_bytes, blob.logical_bytes)),
                    blob.num_pages)
 
     def fetch_prefix(self, blob_id: int, logical_bytes: int,
@@ -142,7 +133,7 @@ class ObjectStore:
 
     def __repr__(self) -> str:
         return (f"ObjectStore(blobs={self.num_blobs}, "
-                f"logical={self.logical_bytes_total}B, scale={self.scale})")
+                f"logical={self.logical_bytes_total}B)")
 
 
 class SharedModels:

@@ -471,7 +471,7 @@ def test_rpr009_catches_aliased_module_clocks(tmp_path):
 
 
 def test_rpr009_ignores_non_clock_time_attrs(tmp_path):
-    codes = lint_codes(tmp_path, [("repro/serving/http/server.py", """
+    codes = lint_codes(tmp_path, [("repro/serving/http/app.py", """
         import time
 
         def backoff():
@@ -656,12 +656,21 @@ SEEDS = {
         ("core/search.py", "names.SEARCH_REPLAYS", "names.SEARCH_RESULTS"),
     ],
     "RPR008": [
-        # A decode error dropped: the 400 no longer says why.
-        ("serving/http/server.py",
-         "        except (UnicodeDecodeError, json.JSONDecodeError) as exc:\n"
-         '            return None, f"body is not valid JSON: {exc}"\n',
-         "        except (UnicodeDecodeError, json.JSONDecodeError):\n"
-         "            pass\n"),
+        # A decode error dropped: an unreadable file lints clean.
+        ("analysis/driver.py",
+         "    try:\n"
+         '        with open(path, "r", encoding="utf-8") as fh:\n'
+         "            source = fh.read()\n"
+         "    except (OSError, UnicodeDecodeError) as exc:\n"
+         "        return None, Diagnostic(display, 1, 1, DRIVER_CODE,\n"
+         '                                f"cannot read file: {exc}"), '
+         "PragmaIndex()\n",
+         '    source = ""\n'
+         "    try:\n"
+         '        with open(path, "r", encoding="utf-8") as fh:\n'
+         "            source = fh.read()\n"
+         "    except (OSError, UnicodeDecodeError):\n"
+         "        pass\n"),
         ("serving/service.py",
          "            except ReproError as exc:\n"
          "                # Only a fault the degradation ladder cannot "
@@ -690,13 +699,14 @@ SEEDS = {
          '            "served_at": perf_counter(),\n',
          "import re\n", "import re\nfrom time import perf_counter\n"),
         # A second timing site beside the middleware.
-        ("serving/http/server.py",
-         "                response = await self.app.dispatch(request)\n",
-         "                started = clock.monotonic()\n"
-         "                response = await self.app.dispatch(request)\n"
-         '                response.headers["x-elapsed-ms"] = str(\n'
-         "                    (clock.monotonic() - started) * 1000.0)\n",
-         "import json\n", "import json\nimport time as clock\n"),
+        ("serving/http/app.py",
+         "        return await self._middleware(request)\n",
+         "        started = clock.monotonic()\n"
+         "        response = await self._middleware(request)\n"
+         '        response.headers["x-elapsed-ms"] = str(\n'
+         "            (clock.monotonic() - started) * 1000.0)\n"
+         "        return response\n",
+         "import asyncio\n", "import asyncio\nimport time as clock\n"),
     ],
     "RPR011": [
         # missed: only assignments and ``del`` counted as mutations.

@@ -75,22 +75,6 @@ def test_empty_scene_rejected(small_grid):
         build_environment(Scene(), small_grid)
 
 
-def test_insertion_build_pipeline(small_scene, small_grid):
-    """The non-bulk (insert-based, Ang-Tan split) build also works."""
-    config = HDoVConfig(bulk_load=False, dov_resolution=8,
-                        schemes=("indexed-vertical",))
-    env = build_environment(small_scene, small_grid, config)
-    env.tree.check_invariants()
-    assert env.node_store.num_nodes == env.tree.num_nodes
-    from repro.core.search import HDoVSearch
-    search = HDoVSearch(env)
-    busiest = max(env.grid.cell_ids(),
-                  key=lambda c: env.visibility.cell(c).num_visible)
-    result = search.query_cell(busiest, eta=0.0)
-    assert result.object_ids() == \
-        env.visibility.cell(busiest).visible_ids()
-
-
 def test_visibility_reuse(small_scene, small_grid, small_env):
     """A precomputed table can be injected to skip the DoV pass."""
     config = HDoVConfig(dov_resolution=8, schemes=("indexed-vertical",))

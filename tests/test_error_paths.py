@@ -17,6 +17,7 @@ from repro.core.vpage import CellVPages
 from repro.errors import (HDoVError, PageNotFoundError, SchemeError,
                           StorageError, TransientIOError, VisibilityError,
                           WalkthroughError)
+from repro.experiments.config import SMALL
 from repro.serving import SessionScheduler, run_traffic
 from repro.serving.http.app import WalkthroughService
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
@@ -190,7 +191,7 @@ def test_nan_and_non_positive_budget_and_rate_are_refused(env, value):
     with pytest.raises(WalkthroughError, match="frame_budget_ms must be > 0"):
         SessionScheduler([], frame_budget_ms=value)
     with pytest.raises(WalkthroughError, match="frame_budget_ms must be > 0"):
-        WalkthroughService(env, frame_budget_ms=value)
+        WalkthroughService(env, SMALL, frame_budget_ms=value)
     with pytest.raises(WalkthroughError, match="arrival_rate must be > 0"):
         run_traffic(arrival_rate=value)
 
@@ -199,7 +200,7 @@ def test_infinite_frame_budget_stays_legal(env):
     """``inf``: a budget nothing exceeds — never shed."""
     assert SessionScheduler(
         [], frame_budget_ms=float("inf")).frame_budget_ms == float("inf")
-    WalkthroughService(env, frame_budget_ms=float("inf"))
+    WalkthroughService(env, SMALL, frame_budget_ms=float("inf"))
 
 
 @pytest.mark.parametrize("min_dov", [float("nan"), float("inf"), -0.001])

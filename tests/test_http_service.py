@@ -3,14 +3,12 @@
 Covers the session lifecycle over the async app, the error-to-status
 ladder, the timing middleware's accounting, parity between the HTTP
 path and the in-process ``SessionScheduler`` on the deterministic
-report subset, health degradation under an injected fault plan, and
-the real-socket server.
+report subset, and health degradation under an injected fault plan.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
@@ -19,8 +17,8 @@ from repro.errors import WalkthroughError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serving import run_serve
-from repro.serving.http import (HttpRequest, HttpServer, WalkthroughApp,
-                                build_service, percentile)
+from repro.serving.http import (HttpRequest, WalkthroughApp, build_service,
+                                percentile)
 from repro.serving.http.app import MAX_SESSION_FRAMES, WalkthroughService
 from repro.serving.http.stats import latency_summary
 from repro.storage.faults import FaultInjector, named_plan
@@ -99,7 +97,8 @@ def test_frames_are_capped_at_the_edge(app):
     assert app.service.sessions_created == created
     assert app.service.sessions == live
     with pytest.raises(WalkthroughError, match="frames must be in"):
-        WalkthroughService(app.service.env, frames=MAX_SESSION_FRAMES + 1)
+        WalkthroughService(app.service.env, app.service.experiment,
+                           frames=MAX_SESSION_FRAMES + 1)
 
 
 def test_overload_sheds_with_503(app):
@@ -259,67 +258,6 @@ def test_health_degrades_under_faults_instead_of_erroring():
         assert (health.body["frames_degraded"] > 0
                 or health.body["pages_corrupt"] > 0
                 or health.body["io_giveups"] > 0)
-
-
-# -- the real socket --------------------------------------------------------
-
-
-def test_socket_server_round_trip():
-    async def scenario():
-        with use_registry(MetricsRegistry()):
-            app = WalkthroughApp(build_service(scale=SCALE, frames=3))
-            server = HttpServer(app)
-            host, port = await server.start()
-            try:
-                async def call(raw: bytes) -> tuple:
-                    reader, writer = await asyncio.open_connection(
-                        host, port)
-                    writer.write(raw)
-                    await writer.drain()
-                    data = await reader.read()
-                    writer.close()
-                    await writer.wait_closed()
-                    head, _, payload = data.partition(b"\r\n\r\n")
-                    status = int(head.split(b" ", 2)[1])
-                    return status, json.loads(payload), head
-
-                status, body, _head = await call(
-                    b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
-                assert status == 200
-                assert body["status"] == "ok"
-
-                payload = json.dumps({"pattern": 1}).encode()
-                status, body, head = await call(
-                    b"POST /sessions HTTP/1.1\r\n"
-                    + f"content-length: {len(payload)}\r\n\r\n".encode()
-                    + payload)
-                assert status == 201
-                assert b"x-request-id:" in head
-                session_id = body["id"]
-
-                status, body, _head = await call(
-                    f"POST /sessions/{session_id}/step "
-                    f"HTTP/1.1\r\n\r\n".encode())
-                assert status == 200
-                assert body["stepped"] is True
-
-                # Malformed requests answer 400, never crash the server.
-                status, body, _head = await call(b"BOGUS\r\n\r\n")
-                assert status == 400
-                status, body, _head = await call(
-                    b"POST /sessions HTTP/1.1\r\n"
-                    b"content-length: 3\r\n\r\nxxx")
-                assert status == 400
-
-                # The server survives all of the above and still serves.
-                status, body, _head = await call(
-                    b"GET /stats HTTP/1.1\r\n\r\n")
-                assert status == 200
-                assert body["sessions_created"] == 1
-            finally:
-                await server.stop()
-
-    asyncio.run(scenario())
 
 
 # -- percentile helpers -----------------------------------------------------

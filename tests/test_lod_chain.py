@@ -14,7 +14,7 @@ from repro.simplify.lod_chain import LODChain, build_lod_chain
 @pytest.fixture(scope="module")
 def chain():
     return build_lod_chain(icosphere(subdivisions=3), num_levels=3,
-                           reduction=0.4, method="clustering")
+                           reduction=0.4)
 
 
 def test_chain_is_monotone(chain):
@@ -64,8 +64,6 @@ def test_build_chain_invalid_params():
         build_lod_chain(sphere, num_levels=0)
     with pytest.raises(GeometryError):
         build_lod_chain(sphere, reduction=1.5)
-    with pytest.raises(GeometryError):
-        build_lod_chain(sphere, method="nope")
 
 
 # -- equation 6 (leaf LoD) ----------------------------------------------------

@@ -1,29 +1,18 @@
-"""Remaining small-surface coverage: config helpers, city geometry
-properties, search-result helpers."""
+"""Remaining small-surface coverage: city geometry properties, the free
+disk, search-result helpers."""
 
 import pytest
 
-from repro.core.hdov_tree import HDoVConfig
 from repro.core.search import RetrievedInternal, RetrievedObject, SearchResult
 from repro.scene.city import CityParams
 from repro.storage.disk import FREE_DISK
 
 
 def test_city_params_geometry():
-    params = CityParams(blocks_x=4, blocks_y=3, block_size=100.0,
-                        street_width=20.0)
+    params = CityParams(blocks_x=4, blocks_y=3)
     assert params.pitch == 120.0
     assert params.width == 480.0
     assert params.depth == 360.0
-
-
-def test_hdov_config_disk_round_trip():
-    config = HDoVConfig(seek_ms=3.0, transfer_ms=0.5)
-    disk = config.disk()
-    assert disk.seek_ms == 3.0
-    assert disk.transfer_ms == 0.5
-    assert disk.access_cost(sequential=False) == 3.5
-    assert disk.access_cost(sequential=True) == 0.5
 
 
 def test_free_disk_charges_nothing():

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ExperimentError, GeometryError
 from repro.geometry.primitives import bunny_blob, ground_plane, tower_mesh
-from repro.scene.city import CityParams, generate_city
+from repro.scene.city import (BLOCK_SIZE, LOD_LEVELS, CityParams,
+                              generate_city)
 from repro.scene.datasets import DATASET_SERIES, build_dataset
 from repro.scene.objects import Scene, SceneObject
 from repro.simplify.lod_chain import build_lod_chain
@@ -114,8 +115,8 @@ def test_city_objects_within_footprint():
     scene = generate_city(params)
     for obj in scene:
         box = obj.mbr
-        assert box.lo[0] >= -params.block_size
-        assert box.hi[0] <= params.width + params.block_size
+        assert box.lo[0] >= -BLOCK_SIZE
+        assert box.hi[0] <= params.width + BLOCK_SIZE
         assert box.lo[2] >= -1.0
 
 
@@ -138,9 +139,8 @@ def test_city_params_validation():
 
 
 def test_city_lod_levels_propagate():
-    scene = generate_city(CityParams(blocks_x=3, blocks_y=3, seed=1,
-                                     lod_levels=3))
-    assert all(o.lods.num_levels == 3 for o in scene)
+    scene = generate_city(CityParams(blocks_x=3, blocks_y=3, seed=1))
+    assert all(o.lods.num_levels == LOD_LEVELS for o in scene)
 
 
 # -- dataset series ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mesh simplification: QEM and vertex clustering."""
+"""Mesh simplification: vertex clustering."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from repro.geometry.mesh import TriangleMesh
 from repro.geometry.primitives import box_mesh, bunny_blob, icosphere
 from repro.simplify import clustering
 from repro.simplify.clustering import simplify_clustering
-from repro.simplify.qem import simplify_qem
 
 
-@pytest.mark.parametrize("simplify", [simplify_qem, simplify_clustering],
-                         ids=["qem", "clustering"])
+@pytest.mark.parametrize("simplify", [simplify_clustering],
+                         ids=["clustering"])
 class TestSimplifiers:
     def test_respects_target(self, simplify):
         sphere = icosphere(subdivisions=2)          # 320 faces
@@ -53,35 +52,10 @@ class TestSimplifiers:
         assert np.allclose(a.vertices, b.vertices)
 
 
-def test_qem_extreme_target_returns_proxy_not_empty():
-    sphere = icosphere(subdivisions=1)
-    out = simplify_qem(sphere, 1)
-    assert out.num_faces >= 1
-
-
 def test_clustering_extreme_target_returns_proxy_not_empty():
     sphere = icosphere(subdivisions=1)
     out = simplify_clustering(sphere, 1)
     assert 1 <= out.num_faces <= 1
-
-
-def test_qem_preserves_planar_patch_exactly():
-    """Contracting edges of a flat grid keeps vertices in the plane."""
-    n = 5
-    xs, ys = np.meshgrid(np.arange(n, dtype=float),
-                         np.arange(n, dtype=float))
-    verts = np.stack([xs.ravel(), ys.ravel(), np.zeros(n * n)], axis=1)
-    faces = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a = i * n + j
-            faces.append((a, a + 1, a + n))
-            faces.append((a + 1, a + n + 1, a + n))
-    from repro.geometry.mesh import TriangleMesh
-    grid = TriangleMesh(verts, np.array(faces))
-    out = simplify_qem(grid, 8)
-    assert out.num_faces <= 8
-    assert np.allclose(out.vertices[:, 2], 0.0, atol=1e-6)
 
 
 @given(sub=st.integers(min_value=1, max_value=2),

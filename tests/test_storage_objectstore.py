@@ -8,12 +8,12 @@ from repro.storage.objectstore import ObjectStore
 from repro.storage.pagedfile import PagedFile
 
 
-def make_store(scale=1.0, page_size=256):
+def make_store(page_size=256):
     pf = PagedFile("blobs", page_size=page_size,
                    disk=DiskModel(seek_ms=10.0, transfer_ms=1.0,
                                   readahead_pages=1),
                    stats=IOStats())
-    return ObjectStore(pf, scale=scale)
+    return ObjectStore(pf)
 
 
 def test_put_and_fetch_counts_pages():
@@ -31,13 +31,6 @@ def test_zero_byte_blob_occupies_one_page():
     store = make_store()
     ref = store.put(0)
     assert ref.num_pages == 1
-
-
-def test_scale_shrinks_physical_size():
-    store = make_store(scale=0.1)
-    ref = store.put(10000)          # 1000 physical -> 4 pages
-    assert ref.num_pages == 4
-    assert ref.logical_bytes == 10000
 
 
 def test_fetch_prefix_costs_proportional_pages():
@@ -90,8 +83,6 @@ def test_unknown_blob():
 
 
 def test_invalid_args():
-    with pytest.raises(StorageError):
-        make_store(scale=0.0)
     store = make_store()
     with pytest.raises(StorageError):
         store.put(-1)
