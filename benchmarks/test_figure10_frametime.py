@@ -52,8 +52,7 @@ def test_figure10b_report(benchmark, medium_env, capsys):
 
 def test_visual_session_wallclock(benchmark, medium_env):
     env = medium_env
-    session = make_session(1, env.scene.bounds(), num_frames=50,
-                           street_pitch=MEDIUM.city.pitch)
+    session = make_session(1, env.scene.bounds(), num_frames=50)
 
     def replay():
         system = VisualSystem(env, eta=0.001, evaluate_fidelity=False)

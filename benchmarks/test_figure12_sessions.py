@@ -28,8 +28,7 @@ def test_figure12_report(benchmark, medium_env, capsys):
 
 def test_review_session_wallclock(benchmark, medium_env):
     env = medium_env
-    session = make_session(1, env.scene.bounds(), num_frames=50,
-                           street_pitch=MEDIUM.city.pitch)
+    session = make_session(1, env.scene.bounds(), num_frames=50)
 
     def replay():
         system = ReviewWalkthrough(env, box_size=400.0,

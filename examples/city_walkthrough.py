@@ -38,8 +38,7 @@ def main() -> None:
     env = build_environment(scene, grid,
                             HDoVConfig(dov_resolution=16,
                                        schemes=("indexed-vertical",)))
-    session = make_session(1, scene.bounds(), num_frames=120,
-                           street_pitch=city.pitch)
+    session = make_session(1, scene.bounds(), num_frames=120)
 
     visual = VisualSystem(env, eta=0.001)
     visual_report = visual.run(session)

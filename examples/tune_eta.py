@@ -24,8 +24,7 @@ def main() -> None:
     env = build_environment(scene, grid,
                             HDoVConfig(dov_resolution=16,
                                        schemes=("indexed-vertical",)))
-    session = make_session(1, scene.bounds(), num_frames=100,
-                           street_pitch=city.pitch)
+    session = make_session(1, scene.bounds(), num_frames=100)
 
     print(f"{'eta':>8}  {'frame ms':>8}  {'variance':>8}  "
           f"{'fidelity':>8}  {'peak MB':>8}")

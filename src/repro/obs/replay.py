@@ -98,8 +98,7 @@ def session_path(experiment: "ExperimentScale", env: HDoVEnvironment,
     return make_session(
         pattern, env.scene.bounds(),
         num_frames=(frames if frames is not None
-                    else experiment.session_frames),
-        street_pitch=experiment.city.pitch)
+                    else experiment.session_frames))
 
 
 def replay(experiment: "ExperimentScale", env: HDoVEnvironment,

@@ -153,15 +153,15 @@ class NodeStore:
         """Fetch and decode the node at ``node_offset`` (one page read).
 
         The read is always made and charged; the decode is skipped when
-        the read hands back the very ``bytes`` object decoded last time
-        for this page — a memory-backed file's stored image, unchanged.
-        A rewrite, a fault filter or a disk read yields a new object, so
-        that page is decoded and validated again.
+        the read hands back an image equal to the one decoded last time
+        for this page (a 4 KiB compare, not a decode).  A rewrite or a
+        flipped bit yields a different image, so that page is decoded
+        and validated again.
         """
         page_id = self.page_of(node_offset)
         data = pageio.read_page(self.pfile, page_id, component="rtree")
         seen = self._decoded.get(page_id)
-        if seen is not None and seen[0] is data:
+        if seen is not None and seen[0] == data:
             decoded = seen[1]
         else:
             decoded = decode_node(data)

@@ -26,6 +26,9 @@ from repro.simplify.lod_chain import build_lod_chain
 BLOCK_SIZE = 100.0
 #: Width of the streets between blocks.
 STREET_WIDTH = 20.0
+#: Center-to-center distance of adjacent blocks: street center lines
+#: run at its multiples.
+STREET_PITCH = BLOCK_SIZE + STREET_WIDTH
 #: Most tiers per building (polygons = 12 * tiers).
 MAX_TIERS = 4
 #: LoD levels per object.
@@ -72,7 +75,7 @@ class CityParams:
     @property
     def pitch(self) -> float:
         """Center-to-center distance of adjacent blocks."""
-        return BLOCK_SIZE + STREET_WIDTH
+        return STREET_PITCH
 
     @property
     def width(self) -> float:

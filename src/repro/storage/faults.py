@@ -39,6 +39,7 @@ exceptions, because absorbing and transmuting failures is its job.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -97,9 +98,9 @@ class FaultRule:
             raise StorageError(f"fault rate must be in [0, 1]: {self.rate}")
         if self.after_ops < 0:
             raise StorageError(f"after_ops must be >= 0: {self.after_ops}")
-        if self.latency_ms < 0.0:
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0.0):
             raise StorageError(
-                f"latency_ms must be >= 0: {self.latency_ms}")
+                f"latency_ms must be finite and >= 0: {self.latency_ms}")
         if self.times is not None and self.times < 1:
             raise StorageError(f"times must be >= 1: {self.times}")
 

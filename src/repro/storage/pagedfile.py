@@ -13,6 +13,7 @@ layouts measurably cheaper.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import threading
@@ -77,9 +78,17 @@ class PagedFile:
     of the logical payload), so each physical page is ``page_size + 8``
     bytes while every API — including I/O accounting — stays in logical
     ``page_size`` units.  A mismatch on read raises
-    :class:`~repro.errors.PageCorruptError`.  The in-memory backend
-    keeps its checksums in a side dict and verifies them only while a
-    fault injector is installed, keeping the happy path allocation-free.
+    :class:`~repro.errors.PageCorruptError`.
+
+    The in-memory backend holds each page exactly as its writer handed
+    it in: a payload shorter than a page keeps no zero padding.  Reads
+    still return full ``page_size`` images — a short page is padded
+    with zeros per read, and a page never written *is* the file's one
+    immutable zero page.  Its checksums, always of the padded image,
+    live in a side dict and are verified only while a fault injector is
+    installed.  A write made while an injector is installed is stored
+    padded, as are disk pages and journal overlay images, so bit flips
+    and torn writes land in page coordinates.
     """
 
     def __init__(self, name: str, *, page_size: int = PAGE_SIZE,
@@ -118,7 +127,10 @@ class PagedFile:
         self._m_ms = registry.counter(
             names.PAGEDFILE_SIMULATED_MS, file=name)
         self._path = path
+        #: Memory backend: page id -> the payload as written (maybe
+        #: shorter than a page).  Absent pages read as ``_zero_page``.
         self._mem: Dict[int, bytes] = {}
+        self._zero_page = bytes(page_size)
         self._crcs: Dict[int, int] = {}
         self._faults: Optional["FaultInjector"] = None
         self._fh = None
@@ -274,8 +286,9 @@ class PagedFile:
         and the per-file metric — so ``repro profile`` reconciliation
         holds under fault injection too.
         """
-        if ms < 0:
-            raise StorageError(f"{self.name}: negative delay {ms}")
+        if not (math.isfinite(ms) and ms >= 0):
+            raise StorageError(
+                f"{self.name}: delay must be finite and >= 0, got {ms}")
         with self._io_lock:
             self.stats.simulated_ms += ms
             self._m_ms.inc(ms)
@@ -384,10 +397,10 @@ class PagedFile:
                 raise self._corrupt(page_id, "CRC mismatch")
             return data
         if self._fh is None:
-            stored = self._mem.get(page_id)
-            # Allocated but never written: lazily materialise zeros.
-            data = (stored if stored is not None
-                    else bytes(self.page_size))
+            # Allocated but never written: the shared zero page.
+            data = self._mem.get(page_id, self._zero_page)
+            if len(data) < self.page_size:
+                data = data.ljust(self.page_size, b"\0")
             if self._faults is not None:
                 data = self._faults.filter_read(self, page_id, data)
                 self._verify_mem(page_id, data)
@@ -434,23 +447,28 @@ class PagedFile:
             raise self._corrupt(page_id, "CRC mismatch")
 
     def write_page(self, page_id: int, data: bytes) -> None:
-        """Write one full page, charging the disk model.
+        """Write one page, charging the disk model.
 
-        The integrity trailer is computed from the payload the *caller*
-        handed in, while fault filters may tear the bytes that actually
-        reach the backend — which is exactly how a torn write becomes a
-        detectable CRC mismatch on the next read.
+        A payload shorter than a page is the page with a zero tail.  The
+        integrity trailer is the CRC of that padded image, computed from
+        the payload the *caller* handed in, while fault filters may tear
+        the bytes that actually reach the backend — which is exactly how
+        a torn write becomes a detectable CRC mismatch on the next read.
+        The memory backend holds a short payload unpadded unless an
+        injector is installed (see the class notes).
         """
         with self._io_lock:
             self._check_open()
             self._validate(page_id)
-            if len(data) > self.page_size:
+            size = len(data)
+            if size > self.page_size:
                 raise StorageError(
-                    f"{self.name}: payload {len(data)} exceeds page size")
-            if len(data) < self.page_size:
-                data = data + bytes(self.page_size - len(data))
+                    f"{self.name}: payload {size} exceeds page size")
+            tail = self._zero_page[size:]
+            crc = zlib.crc32(tail, zlib.crc32(data))
+            if tail and (self._fh is not None or self._faults is not None):
+                data = data + tail
             self._charge(page_id, write=True)
-            crc = zlib.crc32(data)
             if self._faults is not None:
                 self._faults.before_write(self, page_id)
                 data = self._faults.filter_write(self, page_id, data)

@@ -6,11 +6,12 @@ turns left and right; session 3 moves back and forward frequently.  These
 generators produce the equivalent deterministic viewpoint paths at eye
 height.
 
-Paths follow the city's *street lines* when a ``street_pitch`` is given:
-in the procedural city, building blocks are centered at half-pitch
-offsets, so the lines ``x = k * pitch`` / ``y = k * pitch`` run down the
-middle of streets.  A viewpoint inside a building would see nothing (its
-bounding box occludes the whole sphere), which no real walkthrough does.
+Paths follow the city's *street lines*: in the procedural city, building
+blocks are centered at half-pitch offsets of the constant
+:data:`~repro.scene.city.STREET_PITCH` (120 m), so the lines
+``x = k * pitch`` / ``y = k * pitch`` run down the middle of streets.  A
+viewpoint inside a building would see nothing (its bounding box
+occludes the whole sphere), which no real walkthrough does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.errors import WalkthroughError
 from repro.geometry.aabb import AABB
+from repro.scene.city import STREET_PITCH
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,11 @@ def street_viewpoints(bounds: AABB, pitch: Optional[float], count: int,
 
 
 def normal_walkthrough(bounds: AABB, *, num_frames: int = 120,
-                       eye_height: float = 1.7,
-                       street_pitch: Optional[float] = None) -> Session:
+                       eye_height: float = 1.7) -> Session:
     """Session 1: a steady walk down a long street, with one turn onto a
     cross street halfway."""
-    ys = street_lines(bounds, street_pitch, axis=1)
-    xs = street_lines(bounds, street_pitch, axis=0)
+    ys = street_lines(bounds, STREET_PITCH, axis=1)
+    xs = street_lines(bounds, STREET_PITCH, axis=0)
     y_street = ys[len(ys) // 2]
     x_turn = xs[len(xs) // 2]
     margin = 0.06 * (bounds.hi[0] - bounds.lo[0])
@@ -139,14 +140,13 @@ def normal_walkthrough(bounds: AABB, *, num_frames: int = 120,
 
 
 def turning_walkthrough(bounds: AABB, *, num_frames: int = 120,
-                        eye_height: float = 1.7,
-                        street_pitch: Optional[float] = None) -> Session:
+                        eye_height: float = 1.7) -> Session:
     """Session 2: slow forward motion with the view sweeping left-right.
 
     View-direction changes are what punish spatial methods, so the
     position moves little while the direction oscillates widely.
     """
-    ys = street_lines(bounds, street_pitch, axis=1)
+    ys = street_lines(bounds, STREET_PITCH, axis=1)
     y_street = ys[len(ys) // 2]
     span = (bounds.hi[0] - bounds.lo[0]) * 0.3
     x_start = float(bounds.center[0]) - span / 2
@@ -161,10 +161,9 @@ def turning_walkthrough(bounds: AABB, *, num_frames: int = 120,
 
 
 def back_forward_walkthrough(bounds: AABB, *, num_frames: int = 120,
-                             eye_height: float = 1.7,
-                             street_pitch: Optional[float] = None) -> Session:
+                             eye_height: float = 1.7) -> Session:
     """Session 3: moving back and forward frequently along one street."""
-    ys = street_lines(bounds, street_pitch, axis=1)
+    ys = street_lines(bounds, STREET_PITCH, axis=1)
     y_street = ys[len(ys) // 2]
     span = (bounds.hi[0] - bounds.lo[0]) * 0.25
     center_x = float(bounds.center[0])
@@ -180,8 +179,7 @@ def back_forward_walkthrough(bounds: AABB, *, num_frames: int = 120,
 
 
 def loop_walkthrough(bounds: AABB, *, num_frames: int = 120,
-                     eye_height: float = 1.7,
-                     street_pitch: Optional[float] = None) -> Session:
+                     eye_height: float = 1.7) -> Session:
     """Session 4: one lap of a rectangular street circuit.
 
     The loop traverses each leg once per lap — +x along a low y-street,
@@ -193,8 +191,8 @@ def loop_walkthrough(bounds: AABB, *, num_frames: int = 120,
     in the V-page file — which is why the V-page compression bench
     replays it.
     """
-    ys = street_lines(bounds, street_pitch, axis=1)
-    xs = street_lines(bounds, street_pitch, axis=0)
+    ys = street_lines(bounds, STREET_PITCH, axis=1)
+    xs = street_lines(bounds, STREET_PITCH, axis=0)
     # Corner streets: ~1/4 and ~3/4 through the interior lines, kept
     # distinct whenever at least two lines exist on the axis.
     y_lo = ys[len(ys) // 4]
@@ -238,8 +236,7 @@ SESSION_BUILDERS = {
 
 
 def make_session(session_number: int, bounds: AABB, *,
-                 num_frames: int = 120, eye_height: float = 1.7,
-                 street_pitch: Optional[float] = None) -> Session:
+                 num_frames: int = 120, eye_height: float = 1.7) -> Session:
     """Build session 1, 2, 3 or 4 over the given environment bounds."""
     builder = SESSION_BUILDERS.get(session_number)
     if builder is None:
@@ -248,5 +245,4 @@ def make_session(session_number: int, bounds: AABB, *,
     if num_frames < 1:
         raise WalkthroughError(
             f"num_frames must be >= 1, got {num_frames}")
-    return builder(bounds, num_frames=num_frames, eye_height=eye_height,
-                   street_pitch=street_pitch)
+    return builder(bounds, num_frames=num_frames, eye_height=eye_height)

@@ -50,8 +50,7 @@ def test_format_table(comparison):
 
 
 def test_driver_produces_frames(env):
-    session = make_session(1, env.scene.bounds(), num_frames=20,
-                           street_pitch=120.0)
+    session = make_session(1, env.scene.bounds(), num_frames=20)
     driver = LodRTreeWalkthrough(env, depth=300.0)
     report = driver.run(session)
     assert len(report.frames) == 20

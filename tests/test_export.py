@@ -81,8 +81,7 @@ def test_export_table3(tmp_path):
 def test_export_frame_trace(env, tmp_path):
     from repro.walkthrough.session import make_session
     from repro.walkthrough.visual import VisualSystem
-    session = make_session(1, env.scene.bounds(), num_frames=10,
-                           street_pitch=120.0)
+    session = make_session(1, env.scene.bounds(), num_frames=10)
     report = VisualSystem(env, eta=0.001,
                           evaluate_fidelity=False).run(session)
     path = str(tmp_path / "trace.csv")

@@ -17,8 +17,7 @@ from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 def test_make_session_builds_all_three(small_scene):
     bounds = small_scene.bounds()
     for number in (1, 2, 3):
-        session = make_session(number, bounds, num_frames=25,
-                               street_pitch=120.0)
+        session = make_session(number, bounds, num_frames=25)
         assert session.num_frames == 25
         for wp in session:
             assert bounds.inflated(1.0).contains_point(wp.position)
@@ -32,8 +31,8 @@ def test_make_session_unknown_number(small_scene):
 
 def test_sessions_differ(small_scene):
     bounds = small_scene.bounds()
-    s1 = make_session(1, bounds, num_frames=30, street_pitch=120.0)
-    s3 = make_session(3, bounds, num_frames=30, street_pitch=120.0)
+    s1 = make_session(1, bounds, num_frames=30)
+    s3 = make_session(3, bounds, num_frames=30)
     p1 = [wp.position for wp in s1]
     p3 = [wp.position for wp in s3]
     assert p1 != p3
@@ -41,8 +40,7 @@ def test_sessions_differ(small_scene):
 
 def test_session_3_revisits_positions(small_scene):
     """Back-and-forward motion passes through the same area repeatedly."""
-    session = make_session(3, small_scene.bounds(), num_frames=80,
-                           street_pitch=120.0)
+    session = make_session(3, small_scene.bounds(), num_frames=80)
     xs = [wp.position[0] for wp in session]
     increasing = sum(1 for a, b in zip(xs, xs[1:]) if b > a)
     decreasing = sum(1 for a, b in zip(xs, xs[1:]) if b < a)
@@ -158,8 +156,7 @@ def test_fidelity_internal_lod_below_full(env):
 
 @pytest.fixture(scope="module")
 def session1(small_env):
-    return make_session(1, small_env.scene.bounds(), num_frames=30,
-                        street_pitch=120.0)
+    return make_session(1, small_env.scene.bounds(), num_frames=30)
 
 
 def test_visual_replay_produces_frames(env, session1):
