@@ -295,13 +295,8 @@ class SegmentScheme(StorageScheme):
         self.num_cells = 0
         #: The current cell's loaded segment: node offset -> pointer.
         self._segment: Dict[int, int] = {}
-        #: cell id -> N_vnode, the cell's live ``(offset, pointer)``
-        #: pairs.  :meth:`write_cell`, the only segment writer, keeps
-        #: it, so the Table 2 figures follow incremental updates.
+        #: cell id -> N_vnode, the cell's ``(offset, pointer)`` pairs.
         self._cell_vnodes: Dict[int, int] = {}
-        #: While :meth:`build` runs: index page -> its bytes so far, so
-        #: each page is written once, whole, when the build ends.
-        self._staged: Optional[Dict[int, bytearray]] = None
 
     # -- what a concrete scheme supplies --------------------------------------
 
@@ -331,6 +326,9 @@ class SegmentScheme(StorageScheme):
     # -- write ----------------------------------------------------------------
 
     def build(self, num_nodes: int, cells: List[CellVPages]) -> None:
+        """Write every cell, then each index page once, whole: segments
+        share pages, so the pages are staged until the last cell is in
+        and none is ever read back to be rewritten."""
         if self._cell_vnodes:
             raise SchemeError(f"{self.name} scheme already built")
         if self.index_file is None:
@@ -339,28 +337,19 @@ class SegmentScheme(StorageScheme):
             raise SchemeError("no cells to build")
         self.num_nodes = num_nodes
         self.num_cells = len(cells)
-        self._staged = {}
-        try:
-            for cell in cells:
-                self.write_cell(cell)
-            staged = self._staged
-        finally:
-            self._staged = None
+        staged: Dict[int, bytearray] = {}
+        for cell in cells:
+            self._write_cell(cell, staged)
         for page_id in sorted(staged):
             pageio.write_page(self.index_file, page_id,
                               bytes(staged[page_id]), component="schemes")
         self.codec.finish(self.vpage_file)
 
-    def write_cell(self, cell: CellVPages) -> None:
+    def _write_cell(self, cell: CellVPages,
+                    staged: Dict[int, bytearray]) -> None:
         """Append the cell's V-pages in DFS order — one contiguous
-        ascending run — and write the segment pointing at them.
-
-        The only segment writer: the build calls it per cell (staging
-        the index pages, each written once when the build ends), an
-        incremental update per re-instantiated cell (read-modify-writing
-        the index pages the segment shares; the superseded V-pages and
-        segment bytes become garbage, nothing reclaims them).
-        """
+        ascending run — and stage the segment pointing at them on its
+        index pages (index page -> its bytes so far)."""
         assert self.index_file is not None
         self.codec.begin_cell(cell.cell_id)
         pairs = [(offset, self.codec.append(self.vpage_file, cell.cell_id,
@@ -372,27 +361,12 @@ class SegmentScheme(StorageScheme):
         page_size = self.index_file.page_size
         while True:
             chunk = data[:page_size - offset]
-            self._write_index_bytes(page_id, offset, chunk)
+            page = staged.setdefault(page_id, bytearray(page_size))
+            page[offset:offset + len(chunk)] = chunk
             data = data[len(chunk):]
             if not data:
                 break
             page_id, offset = page_id + 1, 0
-
-    def _write_index_bytes(self, page_id: int, offset: int,
-                           chunk: bytes) -> None:
-        """Put ``chunk`` at ``offset`` of one index page, keeping the
-        bytes of the other segments on it."""
-        assert self.index_file is not None
-        if self._staged is not None:
-            page = self._staged.setdefault(
-                page_id, bytearray(self.index_file.page_size))
-            page[offset:offset + len(chunk)] = chunk
-            return
-        page = bytearray(pageio.read_page(self.index_file, page_id,
-                                          component="schemes"))
-        page[offset:offset + len(chunk)] = chunk
-        pageio.write_page(self.index_file, page_id, bytes(page),
-                          component="schemes")
 
     # -- read -----------------------------------------------------------------
 

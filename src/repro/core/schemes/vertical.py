@@ -35,8 +35,7 @@ class VerticalScheme(SegmentScheme):
         super().__init__(vpage_file, index_file, codec=codec)
         #: ``(first page of the segment array, slot bytes)``, allocated
         #: whole when the first segment is placed.  The slot is the
-        #: build's ``size_pointer * N_node``: a later, smaller ``N_node``
-        #: still fits it, so every cell keeps its formula address.
+        #: build's ``size_pointer * N_node``.
         self._array: Optional[Tuple[int, int]] = None
 
     def _segment_span(self, cell_id: int

@@ -154,9 +154,10 @@ class NodeStore:
 
         The read is always made and charged; the decode is skipped when
         the read hands back an image equal to the one decoded last time
-        for this page (a 4 KiB compare, not a decode).  A rewrite or a
-        flipped bit yields a different image, so that page is decoded
-        and validated again.
+        for this page (a 4 KiB compare, not a decode).  No file of a
+        built environment is written after the build, but a flipped bit
+        yields a different image, so that page is decoded and validated
+        again.
         """
         page_id = self.page_of(node_offset)
         data = pageio.read_page(self.pfile, page_id, component="rtree")

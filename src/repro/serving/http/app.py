@@ -65,14 +65,16 @@ def _check_frames(frames: int) -> None:
 
 
 class HttpRequest:
-    """One request: method, path, optional JSON body, headers."""
+    """One request: method, path, optional JSON body, headers.  The
+    body is any decoded JSON value; a route that reads one refuses a
+    body that is not an object."""
 
     def __init__(self, method: str, path: str,
-                 body: Optional[Dict[str, object]] = None,
+                 body: object = None,
                  headers: Optional[Dict[str, str]] = None) -> None:
         self.method = method.upper()
         self.path = path
-        self.body = body or {}
+        self.body: object = {} if body is None else body
         self.headers = headers or {}
 
     def __repr__(self) -> str:
@@ -318,6 +320,10 @@ class WalkthroughApp:
             -> Tuple[str, HttpResponse]:
         route = "POST /sessions"
         body = request.body
+        if not isinstance(body, dict):
+            return route, HttpResponse(
+                400, {"error": f"body must be a JSON object, "
+                               f"got {type(body).__name__}"})
         pattern = body.get("pattern", 1)
         frames = body.get("frames")
         if not isinstance(pattern, int) or isinstance(pattern, bool):

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.storage.buffer import BufferPool
-from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.session import Session
 from repro.walkthrough.visual import VisualSystem
 
@@ -57,11 +56,9 @@ class ServingSession(VisualSystem):
                  env: HDoVEnvironment, *, eta: float,
                  scheme: Optional[str] = None,
                  pool: Optional[BufferPool] = None,
-                 frame_model: Optional[FrameModel] = None,
                  cache_budget_bytes: Optional[int] = None,
                  evaluate_fidelity: bool = True) -> None:
         super().__init__(env, eta=eta, scheme=scheme,
-                         frame_model=frame_model,
                          evaluate_fidelity=evaluate_fidelity,
                          cache_budget_bytes=cache_budget_bytes)
         self.session_id = session_id

@@ -3,9 +3,9 @@
 The walkthrough systems cache tree nodes and V-pages; the buffer pool
 makes cache hits free and tracks hit/miss counts.  It is a *read* cache:
 nothing writes through it and nothing pins a frame, so a frame is the
-bytes one read returned, unchanged until the policy evicts it.  A pooled
-file is therefore immutable while a pool fronts it — whoever rewrites
-one (e.g. ``core/update``) clears the pool.
+bytes one read returned, unchanged until the policy evicts it.  That is
+sound because no file of a built environment is written after the
+build.
 
 Replacement is pluggable (see :mod:`repro.storage.replacement`): the
 pool owns frames and locking, while a
@@ -30,7 +30,7 @@ with the frame.
 
 Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
 DESIGN.md §10): the pool keeps a query's page keys and answer until
-``clear`` — the one event after which a pooled file may have changed.
+``clear``; a pooled file never changes, so a plan never goes stale.
 Recalling a plan re-issues its page reads in one lock round: a resident
 page is a hit, a missing one takes ``get``'s miss path (read, but not
 decoded), so every counter, the eviction order and both I/O ledgers move

@@ -418,12 +418,9 @@ class PackedDeltaVPageCodec(VPageCodec):
         self.stream_length = len(self._stream)
         pages = max((self.stream_length + self.page_size - 1)
                     // self.page_size, 1)
-        # The stream owns the file from page 0: schemes give the packed
-        # codec a dedicated V-page file.  A rewrite reuses the existing
-        # pages and only grows the file if the new stream needs more.
-        if vpage_file.num_pages < pages:
-            vpage_file.allocate_many(pages - vpage_file.num_pages)
-        self.first_page = 0
+        # Schemes give the packed codec a dedicated V-page file, so the
+        # stream owns it from page 0.
+        self.first_page = vpage_file.allocate_many(pages)
         for index in range(pages):
             chunk = bytes(self._stream[index * self.page_size:
                                        (index + 1) * self.page_size])

@@ -8,6 +8,7 @@ on the ground plane, which matches the paper's walkthrough sessions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -57,8 +58,12 @@ class CellGrid:
         return iter(range(self.num_cells))
 
     def cell_of_point(self, point: PointLike) -> int:
-        """Cell id containing ``point`` (clamped to the grid edge)."""
+        """Cell id containing ``point`` (clamped to the grid edge).  A
+        NaN or infinite x or y lies in no cell."""
         p = np.asarray(point, dtype=np.float64)
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise VisibilityError(
+                f"viewpoint x and y must be finite, got ({p[0]}, {p[1]})")
         ix = int((p[0] - self.origin[0]) / self.cell_size)
         iy = int((p[1] - self.origin[1]) / self.cell_size)
         ix = min(max(ix, 0), self.cells_x - 1)

@@ -105,14 +105,13 @@ class VisualSystem:
 
     def __init__(self, env: HDoVEnvironment, *, eta: float,
                  scheme: Optional[str] = None,
-                 frame_model: Optional[FrameModel] = None,
                  evaluate_fidelity: bool = True,
                  cache_budget_bytes: Optional[int] = None) -> None:
         if not eta >= 0:                        # NaN is refused too
             raise WalkthroughError(f"eta must be >= 0, got {eta}")
         self.env = env
         self.eta = eta
-        self.frame_model = frame_model or FrameModel()
+        self.frame_model = FrameModel()
         self.evaluate_fidelity = evaluate_fidelity
         searcher = HDoVSearch(env, scheme, fetch_models=False)
         self.delta = DeltaSearch(searcher,

@@ -274,35 +274,6 @@ class TestSegmentContract:
             scheme.cell_pointers(unknown)
         assert scheme.current_cell is None
 
-    def test_write_cell_again_reproduces_the_pairs(self, name, packed):
-        """``write_cell`` is the build's writer and the update's: writing
-        an unchanged cell again appends fresh V-pages and a segment that
-        reads back the same — or, on a packed stream (closed once per
-        build), refuses before anything is written."""
-        scheme, _stats, cells = build_scheme(name, layout_cells(),
-                                             packed=packed)
-        cell = cells[1]
-        before = scheme.cell_pointers(cell.cell_id)
-        if packed:
-            with pytest.raises(SchemeError):
-                scheme.write_cell(cell)
-            assert scheme.cell_pointers(cell.cell_id) == before
-            return
-        scheme.flip_to_cell(cell.cell_id)
-        scheme.write_cell(cell)
-        after = scheme.cell_pointers(cell.cell_id)
-        assert_pairs_match_cell(scheme, cell, after)
-        assert not {p for _, p in before} & {p for _, p in after}
-        assert scheme.total_vnodes == sum(c.num_visible_nodes
-                                          for c in cells)
-        for other in cells:                    # every cell still reads
-            scheme.reset_runtime_state()
-            scheme.flip_to_cell(other.cell_id)
-            for offset in other.visible_offsets_dfs():
-                assert scheme.ventries(offset) is not None
-            assert_pairs_match_cell(scheme, other,
-                                    scheme.cell_pointers(other.cell_id))
-
 
 def segment_bytes(scheme, cell):
     """Encoded length of the cell's segment under the scheme."""
@@ -310,54 +281,24 @@ def segment_bytes(scheme, cell):
         [(offset, 0) for offset in cell.visible_offsets_dfs()]))
 
 
-def test_rewrites_on_shared_pages_keep_every_neighbour():
-    """An update read-modify-writes the one shared page it lands on:
-    rewriting every cell, in turn and at a smaller ``N_node`` for the
-    vertical array, leaves every cell's pairs readable — its own and
-    its page neighbours'."""
-    for name in ("vertical", "indexed-vertical"):
-        scheme, stats, cells = build_scheme(name, layout_cells())
-        shrunk = NUM_NODES - 3
-        cells = [CellVPages(cell_id=cell.cell_id,
-                            pages={offset: cell.pages[offset]
-                                   for offset in cell.pages
-                                   if offset < shrunk})
-                 for cell in cells]
-        scheme.num_nodes = shrunk
-        pages_before = scheme.index_file.num_pages
-        for cell in cells:
-            stats.reset()
-            scheme.write_cell(cell)
-            first, count, _offset = scheme._segment_span(cell.cell_id)
-            assert count == 1
-            assert stats.writes - cell.num_visible_nodes == 1
-        for cell in cells:
-            assert_pairs_match_cell(scheme, cell,
-                                    scheme.cell_pointers(cell.cell_id))
-        if name == "vertical":                  # formula addresses stay
-            assert scheme.index_file.num_pages == pages_before
-        assert scheme.total_vnodes == sum(c.num_visible_nodes
-                                          for c in cells)
-
-
 @pytest.mark.parametrize("name", ["vertical", "indexed-vertical"])
 def test_segment_larger_than_its_vertical_slot_is_refused(name):
-    """Only the vertical array has fixed slots: a segment for a larger
-    ``N_node`` than the build's is refused without an index byte
-    written (the V-pages it appended become garbage, as any superseded
-    ones do); indexed-vertical places it afresh."""
-    scheme, stats, cells = build_scheme(name, layout_cells())
-    grown = CellVPages(cell_id=0, pages={NUM_NODES: [(0.5, 1)],
-                                         **cells[0].pages})
-    scheme.num_nodes = NUM_NODES + 1
-    stats.reset()
+    """Only the vertical array has fixed slots, each the size of the
+    build's segments: a larger segment is refused before an index page
+    is taken, and the cell keeps its pairs; indexed-vertical places any
+    length afresh."""
+    scheme, _stats, cells = build_scheme(name, layout_cells())
+    nbytes = segment_bytes(scheme, cells[0]) + SIZE_POINTER
+    pages = scheme.index_file.num_pages
     if name == "vertical":
         with pytest.raises(SchemeError):
-            scheme.write_cell(grown)
-        assert stats.writes == len(grown.pages)   # V-pages only
+            scheme._place_segment(0, nbytes)
+        assert scheme.index_file.num_pages == pages
+        assert_pairs_match_cell(scheme, cells[0], scheme.cell_pointers(0))
         return
-    scheme.write_cell(grown)
-    assert_pairs_match_cell(scheme, grown, scheme.cell_pointers(0))
+    first, offset = scheme._place_segment(0, nbytes)
+    span_first, _count, span_offset = scheme._segment_span(0)
+    assert (span_first, span_offset) == (first, offset)
 
 
 def test_horizontal_vpage_access_is_one_page():

@@ -1,5 +1,7 @@
 """Figure-3 traversal semantics over the shared small environment."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from repro.baselines.naive import NaiveCellList
 from repro.constants import MAXDOV
 from repro.core.search import HDoVSearch, SearchResult
-from repro.errors import HDoVError
+from repro.errors import HDoVError, VisibilityError
 
 
 def interesting_cells(env, limit=6):
@@ -138,6 +140,21 @@ def test_query_point_resolves_cell(env):
     point = env.grid.cell_center(interesting_cells(env)[0])
     result = search.query_point(point, 0.0)
     assert result.cell_id == env.grid.cell_of_point(point)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_non_finite_viewpoint_is_a_visibility_error(env, axis, value):
+    """A NaN or infinite x or y lies in no cell: a typed refusal, not
+    the ``ValueError`` / ``OverflowError`` of ``int()``, and no flip."""
+    search = HDoVSearch(env, "indexed-vertical")
+    before = search.scheme.current_cell
+    point = [0.0, 0.0, 1.7]
+    point[axis] = value
+    with pytest.raises(VisibilityError, match="must be finite"):
+        search.query_point(point, 0.0)
+    assert search.scheme.current_cell == before
 
 
 def test_flip_flag(env):

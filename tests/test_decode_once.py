@@ -15,8 +15,8 @@ the pool sends the next query down the traversal again.
 Last, the unpooled node store (DESIGN.md §10 "Decoded payloads"): every
 read is made and charged, but a page whose stored image comes back as
 the very object decoded last time is not decoded again — over a cold
-stream, one decode per distinct tree page, with a rewrite, a bit flip
-and a rebuilt store each decoded afresh.
+stream, one decode per distinct tree page, with a rewritten page and a
+bit flip each decoded afresh.
 """
 
 from collections import Counter
@@ -27,16 +27,12 @@ import pytest
 import repro.rtree.persist as persist_module
 import repro.serving.pooled as pooled_module
 import repro.storage.vpagecodec as vpagecodec_module
-from repro.core.hdov_tree import HDoVConfig, build_environment
 from repro.core.search import HDoVSearch
-from repro.core.update import remove_object
 from repro.errors import PageCorruptError, SchemeError
 from repro.geometry.aabb import AABB
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import cold_queries
 from repro.rtree.persist import NodeStore
-from repro.scene.city import CityParams, generate_city
-from repro.scene.objects import Scene
 from repro.serving.pooled import PooledNodeStore
 from repro.serving.service import run_serve, session_env
 from repro.serving.session import ServingSession
@@ -45,7 +41,6 @@ from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.serializer import encode_node
 from repro.storage.vpagecodec import RawVPageCodec
-from repro.visibility.cells import CellGrid
 
 
 def test_serving_decodes_each_page_once_per_residency(monkeypatch):
@@ -533,37 +528,3 @@ def test_a_bit_flip_on_the_tree_file_is_never_hidden_by_the_memo(env):
     for offset in offsets:
         assert store.read_node(offset).targets == clean[offset]
 
-
-def test_a_removal_rebuilds_the_store_and_selects_as_a_fresh_build():
-    """``remove_object`` writes a new tree file through a new store; a
-    memo warmed on the old one must not leak into what the new one
-    answers, which is what a build without the object answers."""
-    params = CityParams(blocks_x=3, blocks_y=3, seed=23,
-                        bunnies_per_block=3, building_fraction=0.5,
-                        bunny_subdivisions=2)
-    config = HDoVConfig(dov_resolution=12, schemes=("indexed-vertical",))
-
-    def build(keep):
-        scene = generate_city(params)
-        grid = CellGrid.covering(scene.bounds(), cell_size=120.0)
-        return build_environment(
-            Scene([obj for obj in scene if keep(obj.object_id)]), grid,
-            config)
-
-    def selections(env):
-        # At η = 0 the answer is the exact visible set, which does not
-        # depend on the tree's shape; the two trees differ.
-        search = HDoVSearch(env)
-        return [search.query_cell(cell, 0.0).object_ids()
-                for cell in env.grid.cell_ids()]
-
-    env = build(lambda oid: True)
-    old_store = env.node_store
-    selections(env)                 # warm the old store's memo
-    assert old_store._decoded
-    counts = Counter(oid for cell in env.grid.cell_ids()
-                     for oid in env.visibility.cell(cell).visible_ids())
-    gone = max(counts, key=counts.get)
-    remove_object(env, gone)
-    assert env.node_store is not old_store
-    assert selections(env) == selections(build(lambda oid: oid != gone))

@@ -84,6 +84,22 @@ def test_error_status_ladder(app):
     assert dispatch(app, "GET", "/nope").status == 404
 
 
+@pytest.mark.parametrize("body", [[], 0, "", False, "x", [1]],
+                         ids=["empty-list", "zero", "empty-string", "false",
+                              "string", "list"])
+def test_a_body_that_is_not_an_object_is_refused(app, body):
+    """A JSON body that is not an object is a 400 that allocates no
+    session — a falsy one is not read as ``{}``, and no other one
+    reaches ``.get``."""
+    created = app.service.sessions_created
+    live = dict(app.service.sessions)
+    response = dispatch(app, "POST", "/sessions", body)
+    assert response.status == 400
+    assert "body must be a JSON object" in response.body["error"]
+    assert app.service.sessions_created == created
+    assert app.service.sessions == live
+
+
 def test_frames_are_capped_at_the_edge(app):
     """A create builds all its waypoints before it answers, so one
     request could exhaust the server: over the cap is a 400 that

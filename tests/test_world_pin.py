@@ -11,8 +11,14 @@ entry, and fails here.
 from __future__ import annotations
 
 from repro.core.hdov_tree import HDoVEnvironment
-from repro.obs.replay import build_world, load_scale
+from repro.core.search import HDoVSearch
+from repro.obs.replay import build_world, cold_queries, load_scale, replay
+from repro.serving.scheduler import SessionScheduler
+from repro.serving.service import session_env
+from repro.serving.session import ServingSession
+from repro.storage.buffer import BufferPool
 from repro.visibility.dov import visibility_digest
+from repro.walkthrough.session import make_session
 
 
 def fingerprint(env: HDoVEnvironment) -> dict:
@@ -63,3 +69,39 @@ def test_conftest_world_is_pinned(small_env):
 
 def test_small_scale_world_is_pinned():
     assert fingerprint(build_world(load_scale("small"))) == SMALL_SCALE
+
+
+def test_the_environment_is_written_once(env):
+    """After the build no file of an environment is written: a replay,
+    a pooled served round of four sessions and a cold query stream on
+    every scheme book no write on either ledger nor in any file's
+    ``pagedfile_writes_total`` series."""
+    files = env.files()
+    written = {f.name: f._m_writes.value for f in files}
+    bounds = env.scene.bounds()
+    experiment = load_scale("small")
+    cells = list(env.grid.cell_ids())[::7]
+
+    def assert_no_write():
+        assert env.light_stats.reads > 0
+        assert env.light_stats.writes == env.heavy_stats.writes == 0
+        assert {f.name: f._m_writes.value for f in files} == written
+
+    for name in sorted(env.schemes):
+        replay(experiment, env, make_session(1, bounds, num_frames=12),
+               eta=0.001, scheme=name)
+        assert_no_write()
+        env.reset_stats()
+        pool = BufferPool(64, name="written-once")
+        SessionScheduler([
+            ServingSession(sid, make_session(1 + sid % 3, bounds,
+                                             num_frames=8),
+                           session_env(env, pool), eta=0.001,
+                           scheme=name, pool=pool)
+            for sid in range(4)]).run()
+        assert_no_write()
+        search = HDoVSearch(env, name)
+        cold_queries(env, cells,
+                     lambda cell, search=search: search.query_cell(cell,
+                                                                   0.0))
+        assert_no_write()
