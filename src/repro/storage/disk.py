@@ -114,7 +114,7 @@ class IOStats:
 
 @dataclass
 class DiskModel:
-    """Cost model for one page access.
+    """Cost model for one page access (``PagedFile._charge`` prices it).
 
     Defaults approximate a circa-2003 consumer disk: ~8 ms average seek,
     ~40 MB/s sequential transfer (0.1 ms per 4 KiB page).  Absolute values
@@ -129,39 +129,6 @@ class DiskModel:
     #: window).  This is what makes the DFS-ordered V-page and model
     #: layouts pay off even when pruned branches skip pages in the scan.
     readahead_pages: int = 32
-
-    def access_cost(self, sequential: bool) -> float:
-        """Simulated milliseconds for one page access."""
-        if sequential:
-            return self.transfer_ms
-        return self.seek_ms + self.transfer_ms
-
-    def charge(self, stats: IOStats, *, write: bool, sequential: bool,
-               nbytes: int, backward: bool = False) -> float:
-        """Record one page access in ``stats``; returns its cost in ms.
-
-        ``backward`` only picks the seek counter and is meaningful only
-        when ``sequential`` is false; the caller (``PagedFile._charge``)
-        classifies the direction against the file's previous head
-        position.
-        """
-        if write:
-            stats.writes += 1
-            stats.bytes_written += nbytes
-        else:
-            stats.reads += 1
-            stats.bytes_read += nbytes
-        if sequential:
-            stats.sequential_reads += 1
-        elif backward:
-            stats.seeks += 1
-            stats.back_seeks += 1
-        else:
-            stats.seeks += 1
-            stats.forward_seeks += 1
-        cost = self.access_cost(sequential)
-        stats.simulated_ms += cost
-        return cost
 
 
 #: Disk model with zero cost, for tests that only care about counts.

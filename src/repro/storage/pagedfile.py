@@ -4,7 +4,7 @@ A :class:`PagedFile` is a growable array of fixed-size pages, addressed by
 integer page id.  It can live purely in memory (the default for tests and
 benchmarks, which keeps experiments fast and hermetic) or be backed by a
 real file on disk.  Every access is charged to a shared
-:class:`~repro.storage.disk.IOStats` through a
+:class:`~repro.storage.disk.IOStats` at the prices of a
 :class:`~repro.storage.disk.DiskModel`, and sequentiality is detected from
 the previously accessed page id, which is what makes DFS-ordered V-page
 layouts measurably cheaper.
@@ -331,35 +331,45 @@ class PagedFile:
     # -- access ------------------------------------------------------------
 
     def _charge(self, page_id: int, *, write: bool) -> None:
+        """Classify and price one access from the disk model's constants;
+        book it with plain adds into ``IOStats`` and the file's series."""
+        stats = self.stats
+        disk = self.disk
         last = self._last_accessed
-        # A zero delta is a repeat access to the page under the head: no
-        # repositioning happens, so it must not be charged as a seek.
-        sequential = (last is not None and 0 <= page_id - last
-                      <= max(self.disk.readahead_pages, 1))
-        # Direction is classified against *this file's* head only: each
-        # PagedFile models its own spindle, so interleaved access to
-        # another file never perturbs the classification here, and a
-        # cold head (first access, or after reset_head) is a forward
-        # seek — the arm starts parked at the outer edge.
-        backward = not sequential and last is not None and page_id < last
-        cost = self.disk.charge(self.stats, write=write,
-                                sequential=sequential,
-                                nbytes=self.page_size, backward=backward)
-        # Plain adds: the amounts are the ones IOStats was just charged.
         if write:
+            stats.writes += 1
+            stats.bytes_written += self.page_size
             self._m_writes.value += 1
             self._m_bytes_written.value += self.page_size
         else:
+            stats.reads += 1
+            stats.bytes_read += self.page_size
             self._m_reads.value += 1
             self._m_bytes_read.value += self.page_size
-        if sequential:
+        # A zero delta is a repeat access to the page under the head: no
+        # repositioning happens, so it must not be charged as a seek.
+        if last is not None and 0 <= page_id - last <= max(
+                disk.readahead_pages, 1):
+            stats.sequential_reads += 1
             self._m_sequential.value += 1
+            cost = disk.transfer_ms
         else:
+            stats.seeks += 1
             self._m_seeks.value += 1
-            if backward:
+            # Direction is classified against *this file's* head only:
+            # each PagedFile models its own spindle, so interleaved
+            # access to another file never perturbs the classification
+            # here, and a cold head (first access, or after reset_head)
+            # is a forward seek — the arm starts parked at the outer
+            # edge.
+            if last is not None and page_id < last:
+                stats.back_seeks += 1
                 self._m_back_seeks.value += 1
             else:
+                stats.forward_seeks += 1
                 self._m_forward_seeks.value += 1
+            cost = disk.seek_ms + disk.transfer_ms
+        stats.simulated_ms += cost
         self._m_ms.value += cost
         self._last_accessed = page_id
 
@@ -377,11 +387,47 @@ class PagedFile:
         """
         with self._io_lock:
             self._check_open()
+            if (self._fh is None and self._faults is None
+                    and 0 <= page_id < self._num_pages):
+                return self._read_mem(page_id, 1)
             return self._read_locked(page_id)
 
+    def _read_mem(self, first_page: int, count: int) -> bytes:
+        """``count >= 1`` pages below ``num_pages`` of an open memory file
+        with no injector, under ``_io_lock``: the first page charged as
+        :meth:`_read_locked` would, then ``count - 1`` sequential reads
+        with ``transfer_ms`` added per page, in order, as it would."""
+        self._charge(first_page, write=False)
+        tail = count - 1
+        if tail:
+            stats = self.stats
+            nbytes = tail * self.page_size
+            stats.reads += tail
+            stats.bytes_read += nbytes
+            stats.sequential_reads += tail
+            self._m_reads.value += tail
+            self._m_bytes_read.value += nbytes
+            self._m_sequential.value += tail
+            transfer = self.disk.transfer_ms
+            for _ in range(tail):
+                stats.simulated_ms += transfer
+                self._m_ms.value += transfer
+            self._last_accessed = first_page + tail
+        mem = self._mem
+        zero = self._zero_page
+        size = self.page_size
+        if not tail:
+            return mem.get(first_page, zero).ljust(size, b"\0")
+        if not mem:
+            return bytes(count * size)     # stores no page: the models file
+        return b"".join([mem.get(page_id, zero).ljust(size, b"\0")
+                         for page_id in range(first_page,
+                                              first_page + count)])
+
     def _read_locked(self, page_id: int) -> bytes:
-        """The body :meth:`read_page` and :meth:`read_run` share.  Callers
-        hold ``_io_lock`` and have checked the file is open."""
+        """The per-page body of :meth:`read_page` and :meth:`read_run` on
+        disk, journaled and faulted files and for a page past the end.
+        Callers hold ``_io_lock`` and have checked the file is open."""
         self._validate(page_id)
         self._charge(page_id, write=False)
         if self._faults is not None:
@@ -588,14 +634,20 @@ class PagedFile:
     def read_run(self, first_page: int, count: int) -> bytes:
         """Read ``count`` consecutive pages as one buffer.
 
-        The first access may seek; the rest are charged as sequential.
-        Page by page under one lock round: a run that crosses
-        ``num_pages`` charges its valid prefix before raising.
+        The first access may seek; the rest are charged as sequential,
+        so the ledgers equal ``count`` calls of :meth:`read_page`, float
+        for float.  A run inside a memory file with no injector is booked
+        in one step; any other goes page by page under one lock round,
+        so one that crosses ``num_pages`` charges its valid prefix first.
         """
         if count < 0:
             raise StorageError(f"count must be >= 0, got {count}")
         with self._io_lock:
             self._check_open()
+            if (count and self._fh is None and self._faults is None
+                    and 0 <= first_page
+                    and first_page + count <= self._num_pages):
+                return self._read_mem(first_page, count)
             return b"".join([self._read_locked(page_id) for page_id
                              in range(first_page, first_page + count)])
 

@@ -134,7 +134,7 @@ class VPageCodec(abc.ABC):
              ) -> Tuple[int, Sequence[VEntry]]:
         """Decode the V-page at ``pointer``; returns
         ``(node_offset, ventries)``.  Callers must not mutate the
-        V-entries: a raw page's are shared with other sessions."""
+        V-entries: they are shared with other reads and sessions."""
 
     @abc.abstractmethod
     def storage_vpage_bytes(self, page_size: int, total_vpages: int) -> int:
@@ -246,7 +246,7 @@ class _StreamCursor:
     """
 
     def __init__(self, codec: "PackedDeltaVPageCodec", pointer: int,
-                 reader: PageReader) -> None:
+                 reader: "_Fetches") -> None:
         self._codec = codec
         self._reader = reader
         self._base = pointer
@@ -307,6 +307,30 @@ class _StreamCursor:
             raise PageCorruptError("packed V-page record CRC mismatch")
 
 
+class _Fetches:
+    """The page source of one parse: it hands out ``replay``'s images
+    first, then reads on from ``reader``, keeping every
+    ``(page id, image)`` in fetch order.  ``replay`` holds the pages a
+    memo check fetched; a parse asks for them again in the same order,
+    because which page it asks for next depends only on the bytes before
+    it."""
+
+    def __init__(self, reader: PageReader,
+                 replay: List[Tuple[int, bytes]]) -> None:
+        self._reader = reader
+        self.fetched = replay
+        self._next = 0
+
+    def vpage_page(self, page_id: int) -> bytes:
+        index = self._next
+        self._next = index + 1
+        if index < len(self.fetched):
+            return self.fetched[index][1]
+        image = self._reader.vpage_page(page_id)
+        self.fetched.append((page_id, image))
+        return image
+
+
 class PackedDeltaVPageCodec(VPageCodec):
     """Packed, delta-compressed V-page stream (record layout above).
 
@@ -347,6 +371,10 @@ class PackedDeltaVPageCodec(VPageCodec):
         self.delta_records = 0
         self.records = 0
         self.pages_used = 0
+        #: pointer -> (the ``(page id, image)`` pairs its parse fetched,
+        #: in order; node offset; entries).  At most one entry a record.
+        self._decoded: Dict[int, Tuple[Tuple[Tuple[int, bytes], ...], int,
+                                       Tuple[VEntry, ...]]] = {}
 
     # -- write -------------------------------------------------------------
 
@@ -431,11 +459,33 @@ class PackedDeltaVPageCodec(VPageCodec):
     # -- read --------------------------------------------------------------
 
     def read(self, pointer: int, reader: PageReader
-             ) -> Tuple[int, List[VEntry]]:
-        return self._read_record(pointer, reader, depth=0)
+             ) -> Tuple[int, Tuple[VEntry, ...]]:
+        """Decode the record at ``pointer``, parsed once per stored image:
+        a known record re-issues ``reader.vpage_page`` for each page its
+        parse fetched, in order, and returns the stored answer when each
+        image is equal by value, so every charge, fault draw and cache
+        move is the parse's.  At the first unequal image it parses over
+        the images already fetched, then reads on, never fetching a page
+        twice.  A parse that raises stores nothing."""
+        fetched: List[Tuple[int, bytes]] = []
+        seen = self._decoded.get(pointer)
+        if seen is not None:
+            pages, node_offset, entries = seen
+            for index, (page_id, image) in enumerate(pages):
+                page = reader.vpage_page(page_id)
+                if page != image:
+                    fetched = [*pages[:index], (page_id, page)]
+                    break
+            else:
+                return node_offset, entries
+        source = _Fetches(reader, fetched)
+        node_offset, entries = self._read_record(pointer, source, depth=0)
+        self._decoded[pointer] = (tuple(source.fetched), node_offset,
+                                  entries)
+        return node_offset, entries
 
-    def _read_record(self, pointer: int, reader: PageReader, *,
-                     depth: int) -> Tuple[int, List[VEntry]]:
+    def _read_record(self, pointer: int, reader: _Fetches, *,
+                     depth: int) -> Tuple[int, Tuple[VEntry, ...]]:
         if not 0 <= pointer < self.stream_length:
             raise PageCorruptError(
                 f"packed V-page pointer {pointer} outside stream "
@@ -478,11 +528,12 @@ class PackedDeltaVPageCodec(VPageCodec):
                     nvo = cursor.varint()
                     diffs.append((index, (dov, nvo)))
                 cursor.check_crc()
-                base_offset, entries = self._read_record(
+                base_offset, base = self._read_record(
                     ref_pointer, reader, depth=depth + 1)
-                if base_offset != node_offset or len(entries) != count:
+                if base_offset != node_offset or len(base) != count:
                     raise PageCorruptError(
                         "packed V-page reference record mismatch")
+                entries = list(base)
                 for index, entry in diffs:
                     entries[index] = entry
             else:
@@ -500,7 +551,7 @@ class PackedDeltaVPageCodec(VPageCodec):
                 raise PageCorruptError(
                     f"packed V-page decoded invalid V-entry "
                     f"({dov}, {nvo})")
-        return node_offset, entries
+        return node_offset, tuple(entries)
 
     # -- reporting ----------------------------------------------------------
 

@@ -16,7 +16,9 @@ Last, the unpooled node store (DESIGN.md §10 "Decoded payloads"): every
 read is made and charged, but a page whose stored image comes back as
 the very object decoded last time is not decoded again — over a cold
 stream, one decode per distinct tree page, with a rewritten page and a
-bit flip each decoded afresh.
+bit flip each decoded afresh.  The packed V-page codec the same way: one
+parse per distinct record over a cold stream, equal to a twin that
+parses every read, with and without faults on its V-page file.
 """
 
 from collections import Counter
@@ -28,7 +30,7 @@ import repro.rtree.persist as persist_module
 import repro.serving.pooled as pooled_module
 import repro.storage.vpagecodec as vpagecodec_module
 from repro.core.search import HDoVSearch
-from repro.errors import PageCorruptError, SchemeError
+from repro.errors import PageCorruptError, SchemeError, StorageError
 from repro.geometry.aabb import AABB
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import cold_queries
@@ -40,7 +42,7 @@ from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.serializer import encode_node
-from repro.storage.vpagecodec import RawVPageCodec
+from repro.storage.vpagecodec import PackedDeltaVPageCodec, RawVPageCodec
 
 
 def test_serving_decodes_each_page_once_per_residency(monkeypatch):
@@ -528,3 +530,124 @@ def test_a_bit_flip_on_the_tree_file_is_never_hidden_by_the_memo(env):
     for offset in offsets:
         assert store.read_node(offset).targets == clean[offset]
 
+
+# -- the packed codec: one parse per stored record ----------------------------
+
+PACKED = ("vertical", "indexed-vertical")
+
+
+def fresh_memo(monkeypatch, env, scheme):
+    """An empty record memo on ``scheme``'s codec for the test, whatever
+    the shared environment parsed before."""
+    monkeypatch.setattr(env.scheme(scheme).codec, "_decoded", {})
+
+
+def twin_reads(monkeypatch):
+    """Make every packed read parse: the memo is emptied first."""
+    real_read = PackedDeltaVPageCodec.read
+
+    def read(codec, pointer, reader):
+        codec._decoded.clear()
+        return real_read(codec, pointer, reader)
+
+    monkeypatch.setattr(PackedDeltaVPageCodec, "read", read)
+
+
+@pytest.mark.parametrize("scheme", PACKED)
+def test_packed_codec_parses_each_record_once(env_packed, monkeypatch,
+                                              scheme):
+    """Count guard: over a cold stream, ``_read_record`` parses once per
+    distinct pointer read, however often each record is read."""
+    fresh_memo(monkeypatch, env_packed, scheme)
+    parses = Counter()
+    reads = Counter()
+    real_parse = PackedDeltaVPageCodec._read_record
+    real_read = PackedDeltaVPageCodec.read
+
+    def _read_record(codec, pointer, reader, *, depth):
+        if depth == 0:
+            parses[pointer] += 1
+        return real_parse(codec, pointer, reader, depth=depth)
+
+    def read(codec, pointer, reader):
+        reads[pointer] += 1
+        return real_read(codec, pointer, reader)
+
+    monkeypatch.setattr(PackedDeltaVPageCodec, "_read_record", _read_record)
+    monkeypatch.setattr(PackedDeltaVPageCodec, "read", read)
+    answer_cold(env_packed, scheme)
+    assert sum(parses.values()) == len(reads) > 0
+    # Every read is still made: the stream reads each record many times.
+    assert sum(reads.values()) > 2 * len(reads)
+
+
+@pytest.mark.parametrize("scheme", PACKED)
+def test_packed_codec_equals_its_twin_that_parses_every_read(
+        env_packed, monkeypatch, scheme):
+    """Whole results, both I/O ledgers and every registry series the
+    stream moves: the same with the memo as with a codec whose memo is
+    emptied before every read."""
+    fresh_memo(monkeypatch, env_packed, scheme)
+    env_packed.reset_stats()
+    memoised = answer_cold(env_packed, scheme)
+    twin_reads(monkeypatch)
+    env_packed.reset_stats()
+    twin = answer_cold(env_packed, scheme)
+    assert memoised[0] == twin[0]
+    assert memoised[1:] == twin[1:]
+
+
+PACKED_READ = PackedDeltaVPageCodec.read
+PACKED_FAULTS = (
+    FaultPlan("rot", (FaultRule("bit-flip", rate=0.05),)),
+    FaultPlan("flaky", (FaultRule("read-error", rate=0.3),)),
+)
+
+
+def faulted_stream(env, scheme_name, plan, monkeypatch, *, twin):
+    """The cold stream with ``plan`` on the scheme's V-page file only,
+    and every codec read's outcome in order: ``(pointer, answer)`` or
+    ``(pointer, error type, message)``.  ``twin``: every read parses."""
+    reads = []
+    real_read = PACKED_READ
+
+    def read(codec, pointer, reader):
+        if twin:
+            codec._decoded.clear()
+        try:
+            answer = real_read(codec, pointer, reader)
+        except StorageError as exc:
+            reads.append((pointer, type(exc).__name__, str(exc)))
+            raise
+        reads.append((pointer, answer))
+        return answer
+
+    monkeypatch.setattr(PackedDeltaVPageCodec, "read", read)
+    injector = FaultInjector(plan, seed=11)
+    injector.install(env.scheme(scheme_name).vpage_file)
+    try:
+        env.reset_stats()
+        stream = answer_cold(env, scheme_name)
+    finally:
+        injector.uninstall()
+    return reads, stream, dict(injector.injected)
+
+
+@pytest.mark.parametrize("plan", PACKED_FAULTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("scheme", PACKED)
+def test_packed_codec_under_faults_equals_its_twin(env_packed, monkeypatch,
+                                                   scheme, plan):
+    """With a bit-flip or a transient-error plan on the packed V-page
+    file, over a warm memo: the same outcome read for read — errors,
+    answers, degraded subtrees, both ledgers and every registry series —
+    as the twin that parses every read."""
+    fresh_memo(monkeypatch, env_packed, scheme)
+    answer_cold(env_packed, scheme)
+    memoised = faulted_stream(env_packed, scheme, plan, monkeypatch,
+                              twin=False)
+    twin = faulted_stream(env_packed, scheme, plan, monkeypatch, twin=True)
+    assert memoised[2] == twin[2] and sum(twin[2].values()) > 0
+    assert memoised[0] == twin[0]
+    assert any(len(outcome) == 3 for outcome in twin[0])
+    assert memoised[1] == twin[1]
+    assert sum(result.degraded for result in twin[1][0]) > 0

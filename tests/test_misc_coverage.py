@@ -17,8 +17,11 @@ def test_city_params_geometry():
 
 def test_free_disk_charges_nothing():
     from repro.storage.disk import IOStats
+    from repro.storage.pagedfile import PagedFile
     stats = IOStats()
-    FREE_DISK.charge(stats, write=False, sequential=False, nbytes=100)
+    pf = PagedFile("free", page_size=100, disk=FREE_DISK, stats=stats)
+    pf.allocate()
+    pf.read_page(0)                    # a seek
     assert stats.simulated_ms == 0.0
     assert stats.reads == 1
 

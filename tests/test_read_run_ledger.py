@@ -6,7 +6,9 @@ as a run and one page by page, must therefore agree with ``==`` — no
 tolerance on ``simulated_ms`` — on the returned bytes (or the error),
 the shared ``IOStats`` and every registry series, whatever the head
 position, read-ahead window and back-seek cost, on in-memory,
-disk-backed, journaled-with-overlay and fault-injected files.
+disk-backed, journaled-with-overlay and fault-injected files, and on
+in-memory files that store no page or only short payloads — the kinds a
+run over a memory file without an injector books in one step.
 """
 
 import tempfile
@@ -24,7 +26,9 @@ from repro.storage.pagedfile import PagedFile
 
 PAGE = 64
 NUM_PAGES = 20
-KINDS = ("memory", "disk", "journal-overlay", "faulted")
+KINDS = ("memory", "disk", "journal-overlay", "faulted", "unwritten",
+         "short")
+MEMORY_KINDS = ("memory", "faulted", "unwritten", "short")
 
 FAULTS = FaultPlan("ledger", (
     FaultRule("read-error", rate=0.12),
@@ -41,14 +45,16 @@ PER_FILE_SERIES = (
 
 def build(kind, disk, workdir, fault_seed):
     """One file of ``NUM_PAGES`` pages (page 7 allocated, never
-    written), under the current registry."""
-    path = None if kind in ("memory", "faulted") else f"{workdir}/ledger"
+    written; ``unwritten``: none written; ``short``: payloads of 1 to 5
+    bytes), under the current registry."""
+    path = None if kind in MEMORY_KINDS else f"{workdir}/ledger"
     pfile = PagedFile("ledger", page_size=PAGE, disk=disk, stats=IOStats(),
                       path=path, journal=kind == "journal-overlay")
     pfile.allocate_many(NUM_PAGES)
     for page_id in range(NUM_PAGES):
-        if page_id != 7:
-            pfile.write_page(page_id, bytes([page_id + 1]) * PAGE)
+        size = page_id % 5 + 1 if kind == "short" else PAGE
+        if page_id != 7 and kind != "unwritten":
+            pfile.write_page(page_id, bytes([page_id + 1]) * size)
     if kind == "journal-overlay":
         # Half the pages in the data file, the rest (rewritten) only in
         # the overlay, committed or not.

@@ -216,19 +216,25 @@ def test_heavy_no_models_page_is_read_twice_without_a_budget(monkeypatch):
     server's shared table only grows: over 8 sessions and every round of
     a served run, no page of the models file is read twice."""
     pages = []
-    read = PagedFile._read_locked
+    read_page, read_run = PagedFile.read_page, PagedFile.read_run
 
-    def spy(pfile, page_id):
+    def spy_page(pfile, page_id):
         if pfile.name == "models":
             pages.append(page_id)
-        return read(pfile, page_id)
+        return read_page(pfile, page_id)
+
+    def spy_run(pfile, first, count):
+        if pfile.name == "models":
+            pages.extend(range(first, first + count))
+        return read_run(pfile, first, count)
 
     experiment = get_scale("small")
     with use_registry(MetricsRegistry()):
         env = build_world(experiment)
         pool = BufferPool(256, name="heavy-once")
         sessions = _served(experiment, env, pool, 8, 12)
-        monkeypatch.setattr(PagedFile, "_read_locked", spy)
+        monkeypatch.setattr(PagedFile, "read_page", spy_page)
+        monkeypatch.setattr(PagedFile, "read_run", spy_run)
         SessionScheduler(sessions).run()
     assert pages and len(pages) == len(set(pages))
     assert sum(s.heavy_total.reads for s in sessions) == len(pages)

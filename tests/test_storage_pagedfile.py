@@ -342,9 +342,11 @@ def test_back_seek_default_matches_seed_costing():
 def test_iostats_delta():
     stats = IOStats()
     disk = DiskModel()
-    disk.charge(stats, write=False, sequential=False, nbytes=100)
+    pf = PagedFile("delta", page_size=50, disk=disk, stats=stats)
+    pf.allocate_many(2)
+    pf.read_page(0)                    # a seek
     snap = stats.snapshot()
-    disk.charge(stats, write=True, sequential=True, nbytes=50)
+    pf.write_page(1, b"x")             # sequential
     delta = stats.delta(snap)
     assert delta.reads == 0
     assert delta.writes == 1

@@ -61,7 +61,7 @@ def test_self_record_roundtrip():
     codec, pf, pointers = build_stream(cells)
     offset, got = codec.read(pointers[0], FileReader(pf))
     assert offset == 0
-    assert got == [(pytest.approx(d), n) for d, n in cells[0]]
+    assert got == tuple((pytest.approx(d), n) for d, n in cells[0])
     assert codec.self_records == 1
     assert codec.delta_records == 0
 
@@ -271,7 +271,7 @@ def test_reference_chain_deeper_than_one_raises():
                + _encode_varint(0))
     codec, pf, pointers = hand_stream([self_body, delta_b, delta_c])
     reader = FileReader(pf)
-    assert codec.read(pointers[1], reader) == (0, [(0.5, 1)])
+    assert codec.read(pointers[1], reader) == (0, ((0.5, 1),))
     with pytest.raises(PageCorruptError):
         codec.read(pointers[2], reader)
     del rec_b
@@ -471,7 +471,11 @@ def read_with(cursor, codec, pf, pointer, monkeypatch):
 
 
 def same_as_copying(codec, pf, pointer, monkeypatch):
+    # Each read parses from an empty memo: a hit would replay the first
+    # parse instead of running the second cursor.
+    codec._decoded.clear()
     expected = read_with(CopyingCursor, codec, pf, pointer, monkeypatch)
+    codec._decoded.clear()
     got = read_with(IN_PLACE_CURSOR, codec, pf, pointer, monkeypatch)
     assert got == expected, pointer
     return got
@@ -540,3 +544,78 @@ def test_single_byte_flips_in_a_delta_and_its_base_are_corrupt(monkeypatch):
     pf.write_page(0, original)
     assert read_with(IN_PLACE_CURSOR, codec, pf, pointers[1],
                      monkeypatch)[0] == clean
+
+
+# -- a memo hit fetches what the parse fetched --------------------------------
+
+
+class NoCursor:
+    """Installed for a read that must be a memo hit: a parse fails."""
+
+    def __init__(self, *args):
+        raise AssertionError("a memo hit parsed the record")
+
+
+@pytest.mark.parametrize("scheme_name", ["vertical", "indexed-vertical"])
+def test_a_memo_hit_fetches_what_the_parse_fetched(env_packed, monkeypatch,
+                                                  scheme_name):
+    """Every record of the packed build, parsed from an empty memo and
+    then read again: the second read parses nothing, returns the parse's
+    answer and asks ``vpage_page`` for the parse's page ids in the
+    parse's order — and the parse is still the copying cursor's."""
+    scheme = env_packed.scheme(scheme_name)
+    codec = scheme.codec
+    monkeypatch.setattr(codec, "_decoded", {})
+    records = 0
+    for cell_id in env_packed.grid.cell_ids():
+        for offset, pointer in scheme.cell_pointers(cell_id):
+            codec._decoded.clear()
+            copied = read_with(CopyingCursor, codec, scheme.vpage_file,
+                               pointer, monkeypatch)
+            codec._decoded.clear()
+            parsed = read_with(IN_PLACE_CURSOR, codec, scheme.vpage_file,
+                               pointer, monkeypatch)
+            hit = read_with(NoCursor, codec, scheme.vpage_file, pointer,
+                            monkeypatch)
+            assert parsed == copied == hit, pointer
+            assert parsed[0][0] == offset
+            assert [page for page, _image in codec._decoded[pointer][0]] \
+                == parsed[1]
+            records += 1
+    assert records == codec.records
+
+
+def test_a_rewritten_record_is_parsed_again_without_refetching(monkeypatch):
+    """Records that straddle small pages, each parsed once; then every
+    page but the first is rewritten from a stream of the same layout and
+    other values.  A read now parses again — over the pages its memo
+    check fetched, then on from the reader — and equals a parse of the
+    same bytes from an empty memo, in its answer or error and in the
+    page ids it asked for."""
+    def cells_with(dov):
+        cells = {c: entries_for(c, count=20) for c in range(12)}
+        for c in range(1, 12, 2):
+            cells[c] = list(cells[c - 1])
+            cells[c][c] = (dov, 9)
+        return cells
+
+    neighbors = {c: [c - 1] for c in range(1, 12)}
+    codec, pf, pointers = build_stream(cells_with(0.75), neighbors)
+    _fresh, new_pf, new_pointers = build_stream(cells_with(0.5), neighbors)
+    assert new_pointers == pointers and pf.num_pages == new_pf.num_pages
+    for pointer in pointers.values():
+        read_with(IN_PLACE_CURSOR, codec, pf, pointer, monkeypatch)
+    for page_id in range(1, pf.num_pages):
+        pf.write_page(page_id, new_pf.read_page(page_id))
+    memo = dict(codec._decoded)
+    moved = 0
+    for pointer in pointers.values():
+        codec._decoded.clear()
+        expected = read_with(IN_PLACE_CURSOR, codec, pf, pointer,
+                             monkeypatch)
+        codec._decoded.clear()
+        codec._decoded.update(memo)
+        got = read_with(IN_PLACE_CURSOR, codec, pf, pointer, monkeypatch)
+        assert got == expected, pointer
+        moved += got[0] != memo[pointer][1:]
+    assert moved > 0
