@@ -94,6 +94,12 @@ class InternalRecord:
                 * BYTES_PER_POLYGON)
 
 
+#: One cell's fidelity ground truth (``walkthrough.metrics``): visible
+#: ``(object, DoV)`` pairs in the visibility table's order, the eq.-6
+#: polygons each requires, and the summed DoV.
+CellTruth = Tuple[Tuple[Tuple[int, float], ...], Dict[int, int], float]
+
+
 @dataclass
 class HDoVEnvironment:
     """Everything built by :func:`build_environment`."""
@@ -119,6 +125,10 @@ class HDoVEnvironment:
     #: (``repro.serving.service.session_env`` sets it when a pool is
     #: given); ``None``: a viewer's models are read for it alone.
     shared_models: Optional[SharedModels] = None
+    #: cell id -> its :data:`CellTruth`, filled on a cell's first score
+    #: and shared by every view (``dataclasses.replace`` passes it on).
+    #: Derived from build-time data only, so never cleared.
+    fidelity_truth: Dict[int, CellTruth] = field(default_factory=dict)
 
     def models_table(self) -> SharedModels:
         """Where a viewer built on this environment reads its models:

@@ -15,11 +15,14 @@ profile`` command (and tests) enable a recorder via :func:`use_tracer`.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, Iterator, List, Optional
 
 from repro.errors import ObservabilityError
+
+#: What every span of a disabled recorder is: one shared null context.
+_NULL_SPAN: ContextManager[None] = nullcontext()
 
 
 @dataclass
@@ -81,14 +84,18 @@ class TraceRecorder:
     def _now_ms(self) -> float:
         return (time.perf_counter() - self._epoch) * 1000.0
 
-    @contextmanager
     def span(self, name: str,
-             **attrs: object) -> Iterator[Optional[SpanRecord]]:
+             **attrs: object) -> ContextManager[Optional[SpanRecord]]:
         """Record a named interval; yields the record (or ``None`` when
-        disabled or over the cap) so callers can attach attributes."""
+        disabled or over the cap) so callers can attach attributes.  A
+        disabled recorder hands out one shared null context."""
         if not self.enabled:
-            yield None
-            return
+            return _NULL_SPAN
+        return self._span(name, attrs)
+
+    @contextmanager
+    def _span(self, name: str, attrs: Dict[str, object]
+              ) -> Iterator[Optional[SpanRecord]]:
         if len(self.records) >= self.max_spans:
             self.dropped += 1
             start = self._now_ms()
@@ -106,7 +113,7 @@ class TraceRecorder:
             name=name,
             depth=len(self._stack),
             start_ms=self._now_ms(),
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         self.records.append(record)
         self._stack.append(record.index)
@@ -175,7 +182,8 @@ def set_tracer(tracer: TraceRecorder) -> TraceRecorder:
 def span(name: str,
          **attrs: object) -> ContextManager[Optional[SpanRecord]]:
     """Record a span on the default recorder (no-op when disabled)."""
-    return _default_tracer.span(name, **attrs)
+    tracer = _default_tracer
+    return tracer._span(name, attrs) if tracer.enabled else _NULL_SPAN
 
 
 @contextmanager

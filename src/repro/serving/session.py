@@ -86,7 +86,7 @@ class ServingSession(VisualSystem):
         waypoints = self.path.waypoints
         if self.next_frame >= len(waypoints):
             return None
-        position = waypoints[self.next_frame].position_array()
+        position = waypoints[self.next_frame].position
         pool = self.pool
         if pool is not None:
             hits0, misses0 = pool.hits, pool.misses

@@ -60,12 +60,12 @@ class CellGrid:
     def cell_of_point(self, point: PointLike) -> int:
         """Cell id containing ``point`` (clamped to the grid edge).  A
         NaN or infinite x or y lies in no cell."""
-        p = np.asarray(point, dtype=np.float64)
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        x, y = float(point[0]), float(point[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise VisibilityError(
-                f"viewpoint x and y must be finite, got ({p[0]}, {p[1]})")
-        ix = int((p[0] - self.origin[0]) / self.cell_size)
-        iy = int((p[1] - self.origin[1]) / self.cell_size)
+                f"viewpoint x and y must be finite, got ({x}, {y})")
+        ix = int((x - self.origin[0]) / self.cell_size)
+        iy = int((y - self.origin[1]) / self.cell_size)
         ix = min(max(ix, 0), self.cells_x - 1)
         iy = min(max(iy, 0), self.cells_y - 1)
         return ix * self.cells_y + iy

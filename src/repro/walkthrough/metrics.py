@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.hdov_tree import HDoVEnvironment
+from repro.core.hdov_tree import CellTruth, HDoVEnvironment
 from repro.core.search import SearchResult
 from repro.errors import WalkthroughError
 from repro.lod.selection import leaf_lod_fraction
@@ -56,7 +56,16 @@ def frame_time_stats(frame_times_ms: Sequence[float]) -> FrameTimeStats:
 
 
 class FidelityMetric:
-    """Fidelity of rendered frames against the per-cell ground truth."""
+    """Fidelity of rendered frames against the per-cell ground truth.
+
+    A cell's ground truth — its visible ``(object, DoV)`` pairs in the
+    visibility table's order, the eq.-6 polygons each requires and the
+    summed DoV — is derived from build-time data alone, so it is worked
+    out on a cell's first score and kept in the environment's
+    ``fidelity_truth`` table, which every ``session_env`` view shares
+    and nothing clears.  Scores are the same floats as deriving it per
+    call: the sums run in the same order.
+    """
 
     def __init__(self, env: HDoVEnvironment) -> None:
         self.env = env
@@ -72,33 +81,44 @@ class FidelityMetric:
         chain = self.env.objects[object_id].chain
         return max(chain.interpolated_polygons(leaf_lod_fraction(dov)), 1)
 
+    def _truth(self, cell_id: int) -> CellTruth:
+        """The cell's entry of the environment's ground-truth table."""
+        truth = self.env.fidelity_truth.get(cell_id)
+        if truth is None:
+            visible = tuple(self.env.visibility.cell(cell_id).dov.items())
+            required = {oid: self.required_polygons(oid, dov)
+                        for oid, dov in visible}
+            truth = (visible, required, sum(dov for _, dov in visible))
+            self.env.fidelity_truth[cell_id] = truth
+        return truth
+
     # -- scoring -----------------------------------------------------------
 
     def score_hdov(self, result: SearchResult) -> float:
         """Fidelity of an HDoV search result.
 
         Directly retrieved objects are rendered at exactly the required
-        eq.-6 LoD, so they score 1; internal LoDs score the ratio of
-        their polygons to the covered objects' summed requirement.
+        eq.-6 LoD, so they score 1 (an object outside the truth is
+        priced at DoV 0); internal LoDs score the ratio of their
+        polygons to the covered objects' summed requirement.
         """
-        truth = self.ground_truth(result.cell_id)
-        if not truth:
+        visible, required, total = self._truth(result.cell_id)
+        if not visible:
             return 1.0
-        rendered: Dict[int, int] = {o.object_id: o.polygons
-                                    for o in result.objects}
         detail: Dict[int, float] = {}
-        for oid, polygons in rendered.items():
-            dov = truth.get(oid, 0.0)
-            required = self.required_polygons(oid, dov)
-            detail[oid] = min(polygons / required, 1.0)
+        for obj in result.objects:
+            need = required.get(obj.object_id)
+            if need is None:
+                need = self.required_polygons(obj.object_id, 0.0)
+            detail[obj.object_id] = min(obj.polygons / need, 1.0)
         for internal in result.internals:
-            covered = [oid for oid in internal.covered_objects if oid in truth]
-            required = sum(self.required_polygons(oid, truth[oid])
-                           for oid in covered)
-            frac = min(internal.polygons / required, 1.0) if required else 1.0
+            covered = [oid for oid in internal.covered_objects
+                       if oid in required]
+            need = sum(required[oid] for oid in covered)
+            frac = min(internal.polygons / need, 1.0) if need else 1.0
             for oid in covered:
                 detail[oid] = max(detail.get(oid, 0.0), frac)
-        return self._weighted(truth, detail)
+        return self._weighted(visible, total, detail)
 
     def score_rendered(self, cell_id: int,
                        rendered_polygons: Dict[int, int]) -> float:
@@ -108,14 +128,13 @@ class FidelityMetric:
         rendered.  Visible objects absent from the mapping score zero —
         the missed-object penalty of Figure 11.
         """
-        truth = self.ground_truth(cell_id)
-        if not truth:
+        visible, required, total = self._truth(cell_id)
+        if not visible:
             return 1.0
-        detail = {
-            oid: min(polys / self.required_polygons(oid, truth[oid]), 1.0)
-            for oid, polys in rendered_polygons.items() if oid in truth
-        }
-        return self._weighted(truth, detail)
+        detail = {oid: min(polys / required[oid], 1.0)
+                  for oid, polys in rendered_polygons.items()
+                  if oid in required}
+        return self._weighted(visible, total, detail)
 
     def missed_objects(self, cell_id: int,
                        rendered_ids: Iterable[int]) -> List[int]:
@@ -126,11 +145,10 @@ class FidelityMetric:
         return sorted(oid for oid in truth if oid not in rendered)
 
     @staticmethod
-    def _weighted(truth: Dict[int, float],
+    def _weighted(visible: Tuple[Tuple[int, float], ...], total: float,
                   detail: Dict[int, float]) -> float:
-        total = sum(truth.values())
         if total == 0.0:
             return 1.0
         achieved = sum(dov * min(max(detail.get(oid, 0.0), 0.0), 1.0)
-                       for oid, dov in truth.items())
+                       for oid, dov in visible)
         return achieved / total

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.delta import DeltaSearch
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.search import HDoVSearch, SearchResult
 from repro.baselines.lod_rtree import LodRTreeSystem
 from repro.baselines.review import ReviewSystem, WindowQuerySystem
 from repro.errors import WalkthroughError
+from repro.geometry.vec import PointLike
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord, span
@@ -38,6 +37,9 @@ from repro.storage.disk import IOStats
 from repro.walkthrough.frame import FrameModel, FrameRecord
 from repro.walkthrough.metrics import FidelityMetric
 from repro.walkthrough.session import Session
+
+#: Both I/O deltas of a frame that runs no query; never mutated.
+_NO_IO = IOStats()
 
 
 @dataclass
@@ -143,11 +145,11 @@ class VisualSystem:
         self._begin_replay()
         for index, waypoint in enumerate(session):
             with span("frame", index=index) as sp:
-                self._frame(index, waypoint.position_array(), sp=sp)
+                self._frame(index, waypoint.position, sp=sp)
         return WalkthroughReport(system=f"VISUAL(eta={self.eta})",
                                  session=session.name, frames=self.frames)
 
-    def _frame(self, index: int, position: np.ndarray, *,
+    def _frame(self, index: int, position: PointLike, *,
                shed_load: bool = False, defer_scoring: bool = False,
                sp: Optional[SpanRecord] = None
                ) -> Optional[Callable[[], float]]:
@@ -157,9 +159,11 @@ class VisualSystem:
         ``run`` above and :class:`~repro.serving.session.ServingSession`
         both execute exactly this, which is what makes a single
         unpooled served session equal the sequential replay.  All I/O
-        happens inside the ``env.snapshot()``/``env.delta()`` window,
-        so ``light_total``/``heavy_total`` attribute every charge of
-        the frame to this replay.
+        is a query's (a shed one included) and happens inside its
+        ``env.snapshot()``/``env.delta()`` window, so ``light_total``/
+        ``heavy_total`` attribute every charge of the frame to this
+        replay; a frame that reuses the previous answer opens no window
+        and records the shared all-zero ``_NO_IO`` as both deltas.
 
         ``shed_load`` answers a frame that would query from the root's
         internal LoD instead and forces a full re-query next frame
@@ -170,10 +174,11 @@ class VisualSystem:
         record carries the previous score until it is installed.
         """
         cell_id = self.env.grid.cell_of_point(position)
-        snap = self.env.snapshot()
         queried = cell_id != self._last_cell or self._last_result is None
         thunk: Optional[Callable[[], float]] = None
+        light = heavy = _NO_IO
         if queried:
+            snap = self.env.snapshot()
             self.queries += 1
             if shed_load and self._last_result is not None:
                 result = self.delta.query_cell_degraded(cell_id, self.eta)
@@ -192,9 +197,9 @@ class VisualSystem:
                     thunk = partial(self._fidelity.score_hdov, result)
                 else:
                     self._last_fidelity = self._fidelity.score_hdov(result)
-        light, heavy = self.env.delta(snap)
-        self.light_total += light
-        self.heavy_total += heavy
+            light, heavy = self.env.delta(snap)
+            self.light_total += light
+            self.heavy_total += heavy
         if sp is not None:
             sp.attrs.update({"cell": cell_id, "queried": queried,
                              "light_ios": light.total_ios,
