@@ -41,7 +41,7 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_precompute.json", "speedup_batched_workers2",
      "precompute: batched+2 workers speedup over unculled reference"),
     ("BENCH_precompute.json", "benchmark_scene.speedup_culled",
-     "precompute: octant-cull speedup, 12x12 benchmark scene"),
+     "precompute: octant + distance-band cull speedup, 12x12 benchmark scene"),
     ("BENCH_serving.json", "sessions.1.sim_frames_per_s",
      "serving: sim frames/s, 1 session"),
     ("BENCH_serving.json", "sessions.8.sim_frames_per_s",

@@ -31,10 +31,28 @@ box is one the kernel itself reports as a miss: its far bound on that
 axis lies strictly behind every origin of the block, so
 ``inv * (far - o)`` is strictly negative (``|inv| >= 1`` for unit
 directions: no underflow to ``-0.0``), or ``_fix_parallel`` writes
-``t_far = -inf``; hence ``tmax < 0 <= tmin``.  Kept rows stay in order,
-so ``argmin``'s lowest-row tie-break survives.  DESIGN.md section 6 has
-the full argument; :func:`slab_entry_matrix` keeps the every-ray-every-
-box contract and is the unculled reference the tests compare against.
+``t_far = -inf``; hence ``tmax < 0 <= tmin``.
+
+The distance cull: the kept rows are ordered by ``D``, the length of
+the per-axis gap between the block's bounds and the box less a
+``_MARGIN`` share, and intersected in bands (``_BAND_ENDS``), nearest
+band first and each band in ascending row order; bands combine by the
+lexicographic minimum of ``(t, row)``, so ``argmin``'s lowest-row
+tie-break holds across them.  An edge that falls among rows at distance
+0 from the block is skipped: no ray could leave there, and on a small
+scene of large cells the extra kernel call was all the bands cost.
+Before the next band a ray leaves once,
+from every origin of the block, its best ``t`` is strictly below that
+band's nearest ``D / ||d||`` (less the dtype's smallest subnormal) —
+any box there is entered later, since a ray must cross each axis' gap —
+or once its *reach* is: the ray parameter at which it leaves the
+bounding box of all boxes, per axis from the block's extreme that
+maximises it, computed with the kernel's own ``inv * (face - o)``, so
+that it bounds every far time the kernel can produce.  The margin covers the kernel's
+rounding (three roundings, ~2e-7 in float32, against 1e-3).  DESIGN.md
+section 6 has both arguments in full; :func:`slab_entry_matrix` keeps
+the every-ray-every-box contract and is the unculled reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -46,17 +64,33 @@ import numpy as np
 #: Value used for "no hit" in entry-distance arrays.
 NO_HIT = np.inf
 
-#: Target element count for one ``(v, g, b)`` intermediate, counted
-#: before the octant cull (which typically leaves a quarter of it);
-#: origins are chunked so a batch never materialises more than roughly
-#: this many floats per temporary.  The kernel makes ~10 passes over
-#: each intermediate, so a small one stays cache-resident, and a short
-#: block of consecutive origins keeps the cull's bounds tight.
-#: Re-measured with the cull against an 8x larger target: 1.14 s vs
-#: 1.29 s on the 609-box benchmark scene, 0.11 s vs 0.15 s on the
-#: precompute bench's small scene; half or double is within 10 %.
-#: Chunking never changes a result bit (elementwise per origin).
+#: Smallest origin block, and target element count for one ``(v, g, b)``
+#: intermediate counted before any cull: a block holds at least
+#: ``_BLOCK_ORIGINS`` consecutive origins, more when a scene is so small
+#: that ``_CHUNK_ELEMENTS`` allows it.  A short block keeps the culls'
+#: bounds tight (consecutive viewpoints are neighbouring cells, and a
+#: block that wraps to the next row of cells culls little); small
+#: scenes gain more from fewer, larger kernel calls.  Precompute time,
+#: best of 5 (3 at `medium`) on a 2-core x86 container, block 4 / 8 /
+#: 2: `medium` (821 boxes, 3,456 rays) 1.44 / 2.45 / 1.73 s; the
+#: benchmark scene (609 boxes, 1,536 rays) 0.60 / 0.56 / 0.84 s.  The
+#: bench's small scene (117 boxes, 16 samples a cell) takes 0.14 s with
+#: the element rule (blocks of 23) and 0.23 s without it.  Blocking
+#: never changes a result bit (elementwise per origin).
+_BLOCK_ORIGINS = 4
 _CHUNK_ELEMENTS = 131_072
+
+#: Where the distance bands end, in kept rows nearest first; the last
+#: band runs to the end, and an edge among rows at distance 0 is
+#: skipped.  At street level 90 % of the rays that hit anything hit one
+#: of the 8 nearest boxes, so the first band is small; 16 / 64 / 256
+#: was within noise of 12 / 48 / 192, of 24 / 96 / 384 and of two or
+#: five bands on the benchmark scene.
+_BAND_ENDS = (16, 64, 256)
+
+#: Relative shrink of ``D``: the kernel's near time is at most three
+#: roundings (relative 2^-24 each in float32) below ``gap / |d|``.
+_MARGIN = 1e-3
 
 #: One octant group: (original ray indices, their direction rows).
 OctantGroups = List[Tuple[np.ndarray, np.ndarray]]
@@ -208,10 +242,10 @@ def slab_nearest(origins: np.ndarray, directions: np.ndarray,
     (ids, ts):
         ``(v, r)`` int64 nearest box rows (``-1`` for a miss) and the
         matching entry distances (``NO_HIT`` for a miss).  Origins are
-        chunked internally to bound the ``(v, g, b)`` intermediates,
-        and each (chunk, octant) is intersected only with the boxes the
-        octant cull (module docstring) cannot rule out; neither changes
-        any result bit.
+        taken ``_BLOCK_ORIGINS`` at a time, and each (block, octant) is
+        intersected band by band only with the boxes the octant and
+        distance culls (module docstring) cannot rule out; none of this
+        changes any result bit.
     """
     origins = np.atleast_2d(origins)
     num_vps = len(origins)
@@ -224,33 +258,92 @@ def slab_nearest(origins: np.ndarray, directions: np.ndarray,
     if groups is None:
         groups = group_rays_by_octant(directions)
     largest = max(len(idx) for idx, _dirs in groups)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, largest * num_boxes))
-    scratch = np.empty(4 * min(chunk, num_vps) * largest * num_boxes,
+    block_size = max(_BLOCK_ORIGINS,
+                     _CHUNK_ELEMENTS // (largest * num_boxes))
+    scratch = np.empty(4 * min(block_size, num_vps) * largest * num_boxes,
                        dtype=np.result_type(origins, directions,
                                             boxes_lo, boxes_hi))
-    for start in range(0, num_vps, chunk):
-        stop = min(start + chunk, num_vps)
-        block = origins[start:stop]
-        # Octant cull (module docstring): per axis, the boxes not wholly
-        # behind the block for a positive / a non-positive direction.
-        ahead_pos = (boxes_hi >= block.min(axis=0)).T   # (3, b)
-        ahead_neg = (boxes_lo <= block.max(axis=0)).T
-        rows = np.arange(stop - start)[:, None]
-        for idx, dirs in groups:
-            ahead = [ahead_pos[axis] if dirs[0, axis] > 0.0
-                     else ahead_neg[axis] for axis in range(3)]
-            kept = np.nonzero(ahead[0] & ahead[1] & ahead[2])[0]
-            if not len(kept):
-                continue
-            tmin, tmax = slab_entry_exit_group(block, dirs,
-                                               boxes_lo[kept],
-                                               boxes_hi[kept], scratch)
-            hit = tmax >= tmin
-            tmin[~hit] = np.inf
-            best = np.argmin(tmin, axis=2)              # (v, g)
-            cols = np.arange(len(dirs))[None, :]
-            best_t = tmin[rows, cols, best]
-            found = np.isfinite(best_t)
-            ids[start:stop, idx] = np.where(found, kept[best], -1)
-            ts[start:stop, idx] = np.where(found, best_t, NO_HIT)
+    lo64 = boxes_lo.astype(np.float64)
+    hi64 = boxes_hi.astype(np.float64)
+    dirs64 = directions.astype(np.float64)
+    norms = np.hypot(np.hypot(dirs64[:, 0], dirs64[:, 1]), dirs64[:, 2])
+    positive = directions > 0.0                         # (r, 3)
+    exit_faces = np.where(positive, boxes_hi.max(axis=0),
+                          boxes_lo.min(axis=0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = directions.dtype.type(1.0) / directions
+        for start in range(0, num_vps, block_size):
+            stop = min(start + block_size, num_vps)
+            block = origins[start:stop]
+            o_min = block.min(axis=0)
+            o_max = block.max(axis=0)
+            # Octant cull (module docstring): per axis, the boxes not
+            # wholly behind the block for a positive / a non-positive
+            # direction.
+            ahead_pos = (boxes_hi >= o_min).T           # (3, b)
+            ahead_neg = (boxes_lo <= o_max).T
+            # Distance cull: D(box), at most the distance from any block
+            # origin to the box, less the rounding margin; nearest first.
+            gap = np.maximum(np.maximum(lo64 - o_max, o_min - hi64), 0.0)
+            dist = np.sqrt((gap * gap).sum(axis=1)) * (1.0 - _MARGIN)
+            nearest = np.argsort(dist, kind="stable")
+            # Reach: where each ray leaves the box of all boxes, per axis
+            # from the block's extreme that maximises it, in the kernel's
+            # arithmetic.
+            exits = inv * (exit_faces - np.where(positive, o_min, o_max))
+            reach = np.where(directions == 0.0, np.inf, exits).min(axis=1)
+            for idx, dirs in groups:
+                ahead = [ahead_pos[axis] if dirs[0, axis] > 0.0
+                         else ahead_neg[axis] for axis in range(3)]
+                order = nearest[(ahead[0] & ahead[1] & ahead[2])[nearest]]
+                if not len(order):
+                    continue
+                best_t, best_row = _nearest_by_band(
+                    block, dirs, boxes_lo, boxes_hi, order, dist,
+                    norms[idx], reach[idx], scratch)
+                found = np.isfinite(best_t)
+                ids[start:stop, idx] = np.where(found, best_row, -1)
+                ts[start:stop, idx] = np.where(found, best_t, NO_HIT)
     return ids, ts
+
+
+def _nearest_by_band(block: np.ndarray, dirs: np.ndarray,
+                     boxes_lo: np.ndarray, boxes_hi: np.ndarray,
+                     order: np.ndarray, dist: np.ndarray,
+                     norms: np.ndarray, reach: np.ndarray,
+                     scratch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lexicographic minimum of ``(t, row)`` over the rows of ``order``
+    (nearest first) for one origin block and one octant group; a miss
+    has ``t = inf``.  A ray leaves before the next band once its best
+    ``t`` from every origin, or its ``reach``, is strictly below that
+    band's ``D / ||d||`` (module docstring)."""
+    slack = np.finfo(scratch.dtype).smallest_subnormal
+    rows = np.arange(len(block))[:, None]
+    live = np.arange(len(dirs))
+    first = 0
+    for end in _BAND_ENDS + (None,):
+        if end is not None and end < len(order) and dist[order[end]] == 0.0:
+            continue            # an edge among rows the block touches
+        band = np.sort(order[first:end])
+        tmin, tmax = slab_entry_exit_group(block, dirs[live], boxes_lo[band],
+                                           boxes_hi[band], scratch)
+        tmin[~(tmax >= tmin)] = np.inf
+        pick = np.argmin(tmin, axis=2)                  # (v, live)
+        t = tmin[rows, np.arange(len(live)), pick]
+        row = band[pick]
+        if first == 0:
+            best_t, best_row = t, row
+        else:
+            old_t, old_row = best_t[:, live], best_row[:, live]
+            take = (t < old_t) | ((t == old_t) & (row < old_row))
+            best_t[:, live] = np.where(take, t, old_t)
+            best_row[:, live] = np.where(take, row, old_row)
+        if end is None or end >= len(order):
+            break
+        first = end
+        bound = dist[order[end]] / norms[live] - slack
+        live = live[~((best_t[:, live] < bound).all(axis=0)
+                      | (reach[live] < bound))]
+        if not len(live):
+            break
+    return best_t, best_row

@@ -24,10 +24,16 @@ layers, either of which can be used alone:
 What is *not* computed: the nearest-hit kernel
 (:func:`repro.geometry.slab.slab_nearest`) skips, per block of
 consecutive viewpoints and per direction-sign octant, the boxes wholly
-behind the block along some axis — pairs the slab arithmetic itself
-reports as misses (that module's docstring).  Ray count, resolution and
-samples are untouched.  Batches are consecutive cell ids, i.e.
-neighbouring cells, which keeps a block's bounds, and the cull, tight.
+behind the block along some axis, and it stops each ray once no box
+farther away can be hit first: its best hit is closer than the next
+distance band of boxes, or it has left the box of all boxes before
+reaching that band.  Skipped pairs are ones the slab arithmetic itself
+reports as misses or as strictly later hits (that module's docstring),
+so no owner changes.  On the benchmark scene about 5 % of rays x boxes
+are evaluated (26 % with the octant cull alone).  Ray count,
+resolution and samples are untouched.  Batches are consecutive cell
+ids, i.e. neighbouring cells, which keeps a block's bounds, and the
+culls, tight.
 
 Determinism contract: for a given scene, grid and estimator
 configuration, the resulting :class:`~repro.visibility.dov.VisibilityTable`

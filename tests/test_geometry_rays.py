@@ -203,10 +203,45 @@ flat_box_strategy = st.tuples(
 ).map(lambda t: (np.asarray(t[0]), np.asarray(t[0]) + np.asarray(t[1])))
 
 
+# Components the kernel turns into an infinite reciprocal: float32 and
+# float64 subnormals (``inf * 0`` on a box face is the kernel's NaN).
+subnormal_dirs = st.tuples(
+    st.sampled_from([1e-40, -1e-40, 5e-324, -5e-324]),
+    st.sampled_from([-1.0, -0.3, 0.0, 0.3, 1.0]),
+    st.sampled_from([-1.0, -0.3, 1.0]),
+).flatmap(st.permutations).map(np.asarray)
+
+
+@st.composite
+def graded_boxes(draw):
+    """17-300 boxes at steadily growing distance from the origin region,
+    enough that rays cross the distance cull's band edges (16 / 64 / 256
+    rows).  City-like (a shared z range, plan-view rings) or scattered
+    over a sphere, with walls up to 32 long that a ray can meet far
+    from where they are nearest; corners on a 0.25 grid, exact in
+    float32, so equal entry distances do occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.sampled_from([17, 40, 70, 300]))
+    step = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    flat = draw(st.booleans())
+    heading = rng.normal(size=(count, 3))
+    if flat:
+        heading[:, 2] = 0.0
+    heading /= np.maximum(np.linalg.norm(heading, axis=1), 1e-9)[:, None]
+    centre = np.round(4.0 * step * np.arange(1, count + 1)[:, None]
+                      * heading) / 4.0
+    half = rng.choice([0.0, 0.25, 0.5, 1.0, 4.0, 16.0], size=(count, 3),
+                      p=[0.2, 0.25, 0.25, 0.15, 0.1, 0.05])
+    lo, hi = centre - half, centre + half
+    if flat:
+        lo[:, 2], hi[:, 2] = 0.0, rng.choice([2.0, 10.0, 30.0], size=count)
+    return list(zip(lo, hi))
+
+
 @st.composite
 def slab_nearest_cases(draw):
     """(lo, hi, origins, dirs) in float64 or float32 (the estimator's
-    dtype), aimed at the boundary of the octant cull."""
+    dtype), aimed at the boundaries of the octant and distance culls."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     boxes = draw(st.lists(box_strategy | flat_box_strategy,
                           min_size=1, max_size=5))
@@ -216,24 +251,46 @@ def slab_nearest_cases(draw):
         inset = draw(st.sampled_from([0.0, 0.25])) * (boxes[row][1]
                                                       - boxes[row][0])
         boxes.append((boxes[row][0] + inset, boxes[row][1] - inset))
+    graded = draw(st.booleans())
+    if graded:
+        at = draw(st.integers(0, len(boxes)))   # graded rows, any place
+        boxes[at:at] = draw(graded_boxes())
     lo = np.array([b[0] for b in boxes], dtype=dtype)
     hi = np.array([b[1] for b in boxes], dtype=dtype)
     # Origins: free points, or — per axis — exactly on the lo / hi face
     # of some box (o == lo, o == hi after the cast: the cull predicate's
     # boundary).  Several origins on different boxes make the block
-    # bounds a strict superset of each origin's own.
+    # bounds a strict superset of each origin's own; a z below, inside
+    # or above every box makes a block straddle the boxes' z range.  A
+    # compact block (free points within 1 of the graded boxes' centre)
+    # is what lets the distance cull stop rays early.
+    z_levels = [lo[:, 2].min() - 1.0, lo[:, 2].min(), hi[:, 2].max(),
+                hi[:, 2].max() + 1.0]
+    compact = graded and draw(st.booleans())
+    faces = ["free"] if compact else ["free", "free", "lo", "hi"]
     origins = []
     for _ in range(draw(st.integers(1, 6))):
         point = np.array(draw(st.tuples(finite_coords, finite_coords,
                                         finite_coords)), dtype=dtype)
+        point *= dtype(0.02 if compact else 1.0)
         row = draw(st.integers(0, len(boxes) - 1))
         for axis in range(3):
-            face = draw(st.sampled_from(["free", "free", "lo", "hi"]))
+            face = draw(st.sampled_from(faces))
             if face != "free":
                 point[axis] = (lo if face == "lo" else hi)[row, axis]
+        if draw(st.booleans()):
+            point[2] = draw(st.sampled_from(z_levels))
         origins.append(point)
-    dirs = draw(st.lists(raw_dirs, min_size=1, max_size=6)
+    dirs = draw(st.lists(raw_dirs | subnormal_dirs, min_size=1, max_size=6)
                 | st.lists(axis_dirs, min_size=1, max_size=6))
+    # Rays aimed from the first origin at box centres, scaled to a
+    # largest component of 1 (norm 1 to sqrt 3): they pass through
+    # several boxes, often in different bands.
+    for row in draw(st.lists(st.integers(0, len(boxes) - 1),
+                             max_size=12 if graded else 4)):
+        aim = (lo[row] + hi[row]) / 2.0 - origins[0]
+        if np.abs(aim).max() > 0.0:
+            dirs.append(aim / np.abs(aim).max())
     return lo, hi, np.array(origins), np.asarray(dirs, dtype=dtype)
 
 
@@ -257,6 +314,101 @@ def test_slab_nearest_matches_per_origin_matrix(case):
             else:
                 assert ids[v, r] == int(np.argmin(hits))
                 assert ts[v, r] == hits.min()
+
+
+def aimed_graded_scene(rng, dtype):
+    """A compact block of up to 8 origins inside 20-300 small boxes at
+    graded distances, and 16 rays aimed from the first origin at box
+    centres (largest component 1, norm 1 to sqrt 3): most rays hit
+    boxes in several bands, from every origin."""
+    count = int(rng.choice([20, 70, 300]))
+    heading = rng.normal(size=(count, 3))
+    flat = bool(rng.integers(2))
+    if flat:
+        heading[:, 2] = 0.0
+    heading /= np.maximum(np.linalg.norm(heading, axis=1), 1e-9)[:, None]
+    centre = np.round(4.0 * rng.choice([0.25, 0.5, 1.0])
+                      * np.arange(1, count + 1)[:, None] * heading) / 4.0
+    half = rng.choice([0.0, 0.25, 0.5, 1.0, 4.0], size=(count, 3),
+                      p=[0.2, 0.3, 0.3, 0.15, 0.05])
+    lo, hi = centre - half, centre + half
+    origins = np.round(rng.uniform(-1.0, 1.0, size=(rng.integers(1, 9), 3))
+                       * 4.0) / 4.0
+    if flat:
+        lo[:, 2], hi[:, 2] = 0.0, rng.choice([2.0, 10.0, 30.0], size=count)
+        origins[:, 2] = rng.choice([-1.0, 0.0, 1.5, 30.0, 31.0],
+                                   size=len(origins))
+    rows = rng.integers(0, count, size=16)
+    aim = (lo[rows] + hi[rows]) / 2.0 - origins[0]
+    aim = aim[np.abs(aim).max(axis=1) > 0.0]
+    dirs = aim / np.abs(aim).max(axis=1)[:, None]
+    return (lo.astype(dtype), hi.astype(dtype), origins.astype(dtype),
+            dirs.astype(dtype))
+
+
+def test_slab_nearest_matches_matrix_on_aimed_graded_scenes():
+    """A seeded scan beside the property: 400 scenes where the distance
+    cull does most of the work.  A bound not divided by ``||d||`` fails
+    about one scene in 25 here, a reach taken at the wrong origin
+    extreme one in 6."""
+    rng = np.random.default_rng(36)
+    for scene in range(400):
+        dtype = (np.float32, np.float64)[scene % 2]
+        lo, hi, origins, dirs = aimed_graded_scene(rng, dtype)
+        ids, ts = slab_nearest(origins, dirs, lo, hi)
+        for v, origin in enumerate(origins):
+            t = slab_entry_matrix(origin, dirs, lo, hi)
+            best = t.min(axis=1)
+            assert np.array_equal(ids[v], np.where(best < NO_HIT,
+                                                   t.argmin(axis=1), -1))
+            assert np.array_equal(ts[v], best)
+
+
+def tie_across_bands(ray, reach, fillers, flip, dtype):
+    """Two boxes the ray from the origin enters at exactly the same
+    ``t``, in different distance bands.  The far one is row 0: its
+    nearest corner ``p = reach * ray`` lies on the ray, so its ``D /
+    ||d||`` is the tie's ``t`` itself.  The near one is the last row: a
+    slab whose x face the ray crosses at ``p``.  ``fillers`` boxes lie
+    between them in distance, ahead of the ray but off its path, so
+    more than 15 put the two a band edge apart.  ``flip`` mirrors axes
+    (another octant)."""
+    ray = np.asarray(ray, dtype=dtype)
+    p = (ray * dtype(reach)).astype(np.float64)
+    near, far = p[0], np.linalg.norm(p)
+    boxes = [(p, p + 1.0)]                                      # row 0
+    for i in range(fillers):
+        y = near + (far - near) * (i + 1) / (fillers + 2)
+        boxes.append(((0.5, y, -50.0), (1.0, y + 0.25, 50.0)))
+    boxes.append(((p[0], -50.0, -50.0),
+                  (p[0] + 20.0, p[1] + 0.5, p[2] + 0.5)))       # last
+    lo = np.array([b[0] for b in boxes]) * flip
+    hi = np.array([b[1] for b in boxes]) * flip
+    return (np.minimum(lo, hi).astype(dtype), np.maximum(lo, hi).astype(dtype),
+            np.zeros((1, 3), dtype=dtype), (ray * flip).astype(dtype)[None])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("flip", [(1, 1, 1), (-1, 1, 1), (-1, -1, -1)])
+@pytest.mark.parametrize("fillers", [15, 20, 70])
+@pytest.mark.parametrize("ray, reach", [
+    ((1.0, 1.0, 0.0), 10.0),
+    ((0.75, 0.75, 0.25), 8.0),
+    # float32's 1 / 0.7 etc. round so that the kernel's t (10) is below
+    # the exact ||p|| / ||d||: without the cull's margin the far box is
+    # skipped.
+    ((0.7, 0.2, 0.9), 10.0)])
+def test_slab_nearest_tie_across_bands_keeps_lowest_row(ray, reach, fillers,
+                                                        flip, dtype):
+    """The lower row wins an equal entry ``t`` even when it lies in a
+    later distance band than the first box found at that ``t``."""
+    lo, hi, origins, dirs = tie_across_bands(ray, reach, fillers,
+                                             np.array(flip), dtype)
+    ids, ts = slab_nearest(origins, dirs, lo, hi)
+    t = slab_entry_matrix(origins[0], dirs, lo, hi)[0]
+    assert t[0] == t[-1] < NO_HIT                       # the tie is exact
+    assert np.all(t[1:-1] == NO_HIT)
+    assert (ids[0, 0], ts[0, 0]) == (0, t[0])
 
 
 def test_octant_groups_partition_all_rays():
