@@ -243,6 +243,12 @@ def slab_nearest_cases(draw):
     """(lo, hi, origins, dirs) in float64 or float32 (the estimator's
     dtype), aimed at the boundaries of the octant and distance culls."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
+    if draw(st.integers(0, 7)) == 0:    # an exact tie across a band edge
+        ray, reach = draw(st.sampled_from(TIE_RAYS))
+        return tie_across_bands(ray, reach,
+                                draw(st.sampled_from(TIE_FILLERS)),
+                                np.array(draw(st.sampled_from(TIE_FLIPS))),
+                                dtype)
     boxes = draw(st.lists(box_strategy | flat_box_strategy,
                           min_size=1, max_size=5))
     # Coincident (shrink 0) and nested copies of earlier rows: argmin's
@@ -388,16 +394,20 @@ def tie_across_bands(ray, reach, fillers, flip, dtype):
             np.zeros((1, 3), dtype=dtype), (ray * flip).astype(dtype)[None])
 
 
+TIE_RAYS = [((1.0, 1.0, 0.0), 10.0),
+            ((0.75, 0.75, 0.25), 8.0),
+            # float32's 1 / 0.7 etc. round so that the kernel's t (10) is
+            # below the exact ||p|| / ||d||: without the cull's margin the
+            # far box is skipped.
+            ((0.7, 0.2, 0.9), 10.0)]
+TIE_FILLERS = [15, 20, 70]
+TIE_FLIPS = [(1, 1, 1), (-1, 1, 1), (-1, -1, -1)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("flip", [(1, 1, 1), (-1, 1, 1), (-1, -1, -1)])
-@pytest.mark.parametrize("fillers", [15, 20, 70])
-@pytest.mark.parametrize("ray, reach", [
-    ((1.0, 1.0, 0.0), 10.0),
-    ((0.75, 0.75, 0.25), 8.0),
-    # float32's 1 / 0.7 etc. round so that the kernel's t (10) is below
-    # the exact ||p|| / ||d||: without the cull's margin the far box is
-    # skipped.
-    ((0.7, 0.2, 0.9), 10.0)])
+@pytest.mark.parametrize("flip", TIE_FLIPS)
+@pytest.mark.parametrize("fillers", TIE_FILLERS)
+@pytest.mark.parametrize("ray, reach", TIE_RAYS)
 def test_slab_nearest_tie_across_bands_keeps_lowest_row(ray, reach, fillers,
                                                         flip, dtype):
     """The lower row wins an equal entry ``t`` even when it lies in a
