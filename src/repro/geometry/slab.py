@@ -38,21 +38,21 @@ the per-axis gap between the block's bounds and the box less a
 ``_MARGIN`` share, and intersected in bands (``_BAND_ENDS``), nearest
 band first and each band in ascending row order; bands combine by the
 lexicographic minimum of ``(t, row)``, so ``argmin``'s lowest-row
-tie-break holds across them.  An edge that falls among rows at distance
-0 from the block is skipped: no ray could leave there, and on a small
-scene of large cells the extra kernel call was all the bands cost.
-Before the next band a ray leaves once,
+tie-break holds across them.  Before the next band a ray leaves once,
 from every origin of the block, its best ``t`` is strictly below that
 band's nearest ``D / ||d||`` (less the dtype's smallest subnormal) —
 any box there is entered later, since a ray must cross each axis' gap —
 or once its *reach* is: the ray parameter at which it leaves the
 bounding box of all boxes, per axis from the block's extreme that
 maximises it, computed with the kernel's own ``inv * (face - o)``, so
-that it bounds every far time the kernel can produce.  The margin covers the kernel's
-rounding (three roundings, ~2e-7 in float32, against 1e-3).  DESIGN.md
-section 6 has both arguments in full; :func:`slab_entry_matrix` keeps
-the every-ray-every-box contract and is the unculled reference the
-tests compare against.
+that it bounds every far time the kernel can produce.  The margin
+covers the kernel's rounding (three roundings, ~2e-7 in float32,
+against 1e-3).  An edge that falls among rows at distance 0 is
+skipped: its bound is below 0, so no best hit can stop there, and on a
+small scene of large cells the extra kernel call was all the bands
+cost.  DESIGN.md section 6 has both arguments in full;
+:func:`slab_entry_matrix` keeps the every-ray-every-box contract and is
+the unculled reference the tests compare against.
 """
 
 from __future__ import annotations
