@@ -430,6 +430,6 @@ class SegmentScheme(StorageScheme):
         return sum(self._cell_vnodes.values())
 
 
-def scheme_reader(pfile: PagedFile, page_id: int) -> bytes:
+def scheme_reader(pfile: PagedFile, first_page: int, count: int) -> bytes:
     """Buffer-pool miss reader: the sanctioned scheme-component read."""
-    return pageio.read_page(pfile, page_id, component="schemes")
+    return pageio.read_run(pfile, first_page, count, component="schemes")

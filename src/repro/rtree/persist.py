@@ -83,10 +83,10 @@ def persisted_node(page_id: int, node_offset: int,
     return PersistedNode(page_id, kind, level, node_offset, entries)
 
 
-def rtree_reader(pfile: PagedFile, page_id: int) -> bytes:
+def rtree_reader(pfile: PagedFile, first_page: int, count: int) -> bytes:
     """Buffer-pool miss reader of the pool-fronted node stores: the
-    sanctioned rtree-component read."""
-    return pageio.read_page(pfile, page_id, component="rtree")
+    sanctioned rtree-component read of ``count`` pages."""
+    return pageio.read_run(pfile, first_page, count, component="rtree")
 
 
 class NodeStore:

@@ -32,16 +32,16 @@ Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
 DESIGN.md §10): the pool keeps a query's page keys and answer until
 ``clear``; a pooled file never changes, so a plan never goes stale.
 Recalling a plan re-issues its page reads in one lock round: a resident
-page is a hit, a missing one takes ``get``'s miss path (read, but not
-decoded), so every counter, the eviction order and both I/O ledgers move
-exactly as the query's own ``get`` calls would have moved them.
+page is a hit, a missing one a miss whose bytes (not decoded) come with
+its run's one read, so every counter, the eviction order and both I/O
+ledgers move exactly as the query's own ``get`` calls would move them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (Any, Callable, Dict, Hashable, Optional, Sequence, Tuple,
-                    TypeVar, Union, overload)
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, TypeVar, Union, overload)
 
 from repro.errors import BufferPoolError
 from repro.obs import names
@@ -50,11 +50,12 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.replacement import (DEFAULT_POLICY, ReplacementPolicy,
                                       make_policy)
 
-#: Signature for a pluggable miss reader: ``reader(pfile, page_id) -> bytes``.
-#: The serving layer injects a reader that routes through the
+#: Signature for a pluggable miss reader: ``reader(pfile, first_page,
+#: count) -> bytes``, ``count`` pages as one buffer (1 for ``get``).  The
+#: serving layer injects readers that route through the
 #: ``repro.storage.pageio`` facade so pool misses are retried and counted
 #: like every other sanctioned page access.
-PageReader = Callable[[PagedFile, int], bytes]
+PageReader = Callable[[PagedFile, int, int], bytes]
 
 #: Result type of a ``get`` decoder.
 T = TypeVar("T")
@@ -152,22 +153,21 @@ class BufferPool:
         del self._frames[key]
         self._policy.on_evict(key)
         self.evictions += 1
-        self._m_evictions.inc()
 
-    def _read_in(self, key: Tuple[int, int], pfile: PagedFile,
-                 reader: Optional[PageReader]) -> _Frame:
-        """The miss path of ``get`` and ``recall``: count the miss, free
-        a frame, read, install.  Caller holds lock."""
-        self.misses += 1
-        self._m_misses.inc()
-        if len(self._frames) >= self.capacity:
-            self._evict_one()
-        frame = _Frame(reader(pfile, key[1]) if reader is not None
-                       else pfile.read_page(key[1]))
-        self._frames[key] = frame
-        self._policy.on_insert(key)
-        self._m_resident.set(len(self._frames))
-        return frame
+    def _read_run(self, run: List[_Frame], first: Tuple[int, int],
+                  readers: Dict[int, Tuple[PagedFile, Optional[PageReader]]]
+                  ) -> None:
+        """Give ``run``, a recall's frames for the pages from ``first`` on,
+        their bytes with one read (none if empty); a frame evicted since
+        it was installed drops its bytes.  Caller holds lock."""
+        if not run:
+            return
+        pfile, reader = readers[first[0]]
+        data = (reader(pfile, first[1], len(run)) if reader is not None
+                else pfile.read_run(first[1], len(run)))
+        size = pfile.page_size
+        for i, frame in enumerate(run):
+            frame.data = data[i * size:(i + 1) * size]
 
     # -- public API -------------------------------------------------------------
 
@@ -186,8 +186,8 @@ class BufferPool:
         """Return page contents, reading through the file on a miss.
 
         ``reader`` overrides how a miss fetches bytes (default
-        ``pfile.read_page``); the serving layer passes a
-        ``pageio``-routed reader so misses get retry + component
+        ``pfile.read_page``), with ``count=1``; the serving layer passes
+        a ``pageio``-routed reader so misses get retry + component
         accounting.  The whole call is one critical section: of N threads
         faulting one page the first reads it and the others hit.  A miss
         is counted, then a frame is freed, then the page is read (the
@@ -212,7 +212,16 @@ class BufferPool:
                 self._m_hits.inc()
                 self._policy.on_access(key)
             else:
-                frame = self._read_in(key, pfile, reader)
+                self.misses += 1
+                self._m_misses.inc()
+                if len(self._frames) >= self.capacity:
+                    self._evict_one()
+                    self._m_evictions.inc()
+                frame = self._frames[key] = _Frame(
+                    reader(pfile, page_id, 1) if reader is not None
+                    else pfile.read_page(page_id))
+                self._policy.on_insert(key)
+                self._m_resident.set(len(self._frames))
             if decoder is None:
                 return frame.data
             if frame.payload is None:
@@ -241,17 +250,19 @@ class BufferPool:
         in one lock round, so that every counter, the policy order, the
         file heads and both I/O ledgers end where the query's own
         ``get`` calls would have left them: a resident key is a hit and
-        ``on_access``; a missing one takes ``get``'s miss path through
-        its file's ``(file, reader)`` entry of ``files`` — the reader
-        those ``get`` calls pass — and installs the bytes undecoded (the
-        next ``get`` with a decoder decodes them).  Once a recall has
-        evicted nothing, every key is resident until the next eviction,
-        and the recalls in between book hits only.
+        ``on_access``; a missing one frees a frame and is installed at
+        once, bytes to follow.  Misses on one file whose page ids rise
+        by exactly 1 form a run (hits do not break it), read by one call
+        of the file's reader in ``files`` — the one those ``get`` calls
+        pass — once the next miss is elsewhere or the plan ends, so each
+        file sees the ``get`` calls' reads in order.  A frame evicted
+        before its run is read drops its bytes; the rest stay undecoded.
+        Once a recall has evicted nothing, every key is resident until
+        the next eviction, and the recalls in between book hits only.
 
-        A read can fail only under a fault injector, and a recall issues
-        no read that could fail: if any of ``files`` has one installed
-        and a key is missing, nothing is booked and the answer is
-        ``None`` — the query reads for itself.
+        No frame is left without bytes: if any of ``files`` has
+        :attr:`PagedFile.reads_can_fail` and a key is missing, nothing
+        is booked and the answer is ``None`` — the query reads itself.
         """
         with self._lock:
             plan = self._plans.get(token)
@@ -266,21 +277,35 @@ class BufferPool:
                     on_access(key)
                 return plan.answer, 0
             frames = self._frames
-            if (any(pfile.faults is not None for pfile, _reader in files)
+            if (any(pfile.reads_can_fail for pfile, _reader in files)
                     and not all(key in frames for key in keys)):
                 return None
             readers = {pfile.file_id: (pfile, reader)
                        for pfile, reader in files}
             evictions, misses = self.evictions, self.misses
             hits = 0
+            run: List[_Frame] = []      # installed, awaiting one read
+            first = (-1, 0)             # the run's first key (no file's)
             for key in keys:
                 if key in frames:
                     hits += 1
                     on_access(key)
-                else:
-                    self._read_in(key, *readers[key[0]])
+                    continue
+                if key != (first[0], first[1] + len(run)):
+                    self._read_run(run, first, readers)
+                    run, first = [], key
+                self.misses += 1
+                if len(frames) >= self.capacity:
+                    self._evict_one()
+                frames[key] = frame = _Frame(b"")
+                self._policy.on_insert(key)
+                run.append(frame)
+            self._read_run(run, first, readers)
             self.hits += hits
             self._m_hits.inc(hits)
+            self._m_misses.inc(self.misses - misses)
+            self._m_evictions.inc(self.evictions - evictions)
+            self._m_resident.set(len(frames))
             if self.evictions == evictions:
                 # A recall that evicted may have evicted its own earlier
                 # keys (a plan larger than the pool): no stamp then.

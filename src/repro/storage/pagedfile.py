@@ -261,6 +261,13 @@ class PagedFile:
         return self._faults
 
     @property
+    def reads_can_fail(self) -> bool:
+        """Whether a read of an allocated page can raise: the file is on
+        disk (I/O, CRC), closed, or has an injector installed."""
+        return (self._path is not None or self._closed
+                or self._faults is not None)
+
+    @property
     def journal(self) -> Optional[WriteAheadJournal]:
         """The write-ahead journal, or None (journaling disabled)."""
         return self._journal

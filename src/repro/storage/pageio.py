@@ -32,6 +32,7 @@ injector is installed the retry wrapper short-circuits to a bare call.
 
 from __future__ import annotations
 
+from repro.errors import StorageError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
@@ -69,8 +70,11 @@ def read_run(pfile: PagedFile, first_page: int, count: int, *,
 
     Retried as a unit: a transient failure mid-run re-reads the whole
     run (charging each page again), which keeps the facade's contract —
-    the caller either gets the full buffer or the final error.
+    the caller either gets the full buffer or the final error.  A
+    negative ``count`` is refused before anything is counted.
     """
+    if count < 0:
+        raise StorageError(f"count must be >= 0, got {count}")
     get_registry().counter(names.PAGEIO_READS,
                            component=component).inc(count)
     return run_with_retry(pfile.read_run, pfile, first_page, count)

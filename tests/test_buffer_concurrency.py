@@ -163,7 +163,8 @@ def test_single_flight_coalesces_concurrent_misses():
     started = threading.Event()
     reads = []
 
-    def slow_reader(pf: PagedFile, page_id: int) -> bytes:
+    def slow_reader(pf: PagedFile, page_id: int, count: int) -> bytes:
+        assert count == 1
         started.set()
         assert release.wait(timeout=5.0)
         reads.append(page_id)
@@ -268,7 +269,7 @@ def test_failed_read_raises_in_its_caller_then_recovers():
     pool = BufferPool(capacity=8)
     attempts = []
 
-    def failing_reader(pf: PagedFile, page_id: int) -> bytes:
+    def failing_reader(pf: PagedFile, page_id: int, count: int) -> bytes:
         attempts.append(page_id)
         raise StorageError("injected read failure")
 

@@ -150,7 +150,8 @@ def test_concurrent_callers_share_one_decode(pfile):
     release = threading.Event()
     started = threading.Event()
 
-    def slow_reader(pf, page_id):
+    def slow_reader(pf, page_id, count):
+        assert count == 1
         started.set()
         assert release.wait(timeout=5.0)
         return pf.read_page(page_id)

@@ -66,14 +66,15 @@ def test_serving_decodes_each_page_once_per_residency(monkeypatch):
     monkeypatch.setattr(AABB, "__post_init__",
                         counted("aabb", AABB.__post_init__))
 
-    real_read_page = pageio.read_page
+    real_read_run = pageio.read_run
 
-    def read_page(pfile, page_id, **kwargs):
-        # With a pool and no faults, a physical page read *is* a miss.
-        reads[pfile.name] += 1
-        return real_read_page(pfile, page_id, **kwargs)
+    def read_run(pfile, first_page, count, **kwargs):
+        # With a pool and no faults, a physical page read *is* a miss
+        # (a recall reads a run of misses in one call).
+        reads[pfile.name] += count
+        return real_read_run(pfile, first_page, count, **kwargs)
 
-    monkeypatch.setattr(pageio, "read_page", read_page)
+    monkeypatch.setattr(pageio, "read_run", read_run)
 
     aabbs_at_step = []
     real_step = ServingSession.step

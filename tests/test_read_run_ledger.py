@@ -21,6 +21,7 @@ from repro.errors import PageNotFoundError, StorageError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage.disk import DiskModel, IOStats
+from repro.storage import pageio
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
 
@@ -138,3 +139,15 @@ def test_negative_count_is_rejected_before_any_charge():
         pfile.close()
         with pytest.raises(StorageError):
             pfile.read_run(0, 1)
+
+
+def test_facade_rejects_a_negative_count_before_counting():
+    """``pageio.read_run`` refuses a negative ``count`` with the storage
+    layer's typed error, before its component counter moves."""
+    with use_registry(MetricsRegistry()) as registry:
+        pfile = PagedFile("ledger", page_size=PAGE, stats=IOStats())
+        pfile.allocate_many(2)
+        with pytest.raises(StorageError, match="count must be >= 0"):
+            pageio.read_run(pfile, 0, -2, component="ledger")
+        assert registry.value(names.PAGEIO_READS, component="ledger") == 0
+        assert pfile.stats.total_ios == 0
