@@ -4,8 +4,8 @@ Each rule encodes an invariant that a past bug (PR 1's I/O-accounting
 fixes) or a structural decision (the observability layer) established,
 so the next change cannot silently reintroduce the bug class.  DESIGN.md
 §8 holds the audit behind every rule — what it has caught, the seeded
-defects only it catches; this module, :mod:`~repro.analysis.boundary`
-and :mod:`~repro.analysis.concurrency` are the executable form.
+defects only it catches; this module and :mod:`~repro.analysis.boundary`
+are the executable form.
 
 All rules are heuristic AST checks, not type-resolved analyses: they
 name-match methods and identifiers.  When a rule misfires on legitimate
@@ -16,12 +16,10 @@ the adjacent comment — the pragma is part of the audit trail.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.boundary import BOUNDARIES
-from repro.analysis.concurrency import (DeterminismHygieneRule,
-                                        GuardedStateRule)
-from repro.analysis.context import ModuleContext, Rule, unquoted
+from repro.analysis.context import ModuleContext, Rule, dotted, unquoted
 from repro.analysis.diagnostics import Diagnostic
 
 #: Packages held to the strict typing bar: RPR006 here, the strict
@@ -48,6 +46,25 @@ FAULT_BOUNDARY_MODULES = frozenset({
     "repro.storage.faults",
     "repro.storage.retry",
 })
+
+#: Modules whose reports promise byte-determinism (RPR013).  A module
+#: outside this set can opt in with a top-level ``DETERMINISTIC_REPORT =
+#: True`` marker.
+DETERMINISTIC_MODULES = frozenset({
+    "repro.obs.chaos",
+    "repro.obs.profile",
+    "repro.serving.http.stats",
+    "repro.serving.loadgen",
+    "repro.serving.service",
+    "repro.visibility.dov",
+})
+
+#: Marker name for per-module RPR013 opt-in.
+DETERMINISTIC_MARKER = "DETERMINISTIC_REPORT"
+
+#: Filesystem enumerators whose order is OS-dependent (RPR013).
+_FS_ENUMERATORS = frozenset({"os.listdir", "os.scandir", "glob.glob",
+                             "glob.iglob"})
 
 #: Registry methods that take a metric name as first argument.
 METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "value",
@@ -357,11 +374,147 @@ class TypingRatchetRule(Rule):
                 yield node
 
 
+def _annotation_names(annotation: ast.expr) -> Set[str]:
+    """Every identifier mentioned in an annotation (``Dict[int, PagedFile]``
+    yields ``{"Dict", "int", "PagedFile"}``), string annotations included."""
+    names: Set[str] = set()
+    spelled = unquoted(annotation)
+    for node in ast.walk(spelled) if spelled is not None else ():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+class DeterminismHygieneRule(Rule):
+    """RPR013: no unordered iteration feeding byte-deterministic reports.
+
+    The repo's reports are diffed byte-for-byte in CI (chaos, serve,
+    traffic, precompute), which a single unsorted ``set`` iteration or
+    ``os.listdir`` breaks only *sometimes* — the worst kind of flake.
+    In modules declared byte-deterministic (``DETERMINISTIC_MODULES`` or
+    a ``DETERMINISTIC_REPORT = True`` marker), iterating a set-typed
+    value or an OS directory enumeration without ``sorted()`` is a
+    violation.  Plain dict iteration is allowed: insertion order is a
+    language guarantee the reports already rely on.
+    """
+
+    code = "RPR013"
+    name = "determinism-hygiene"
+    summary = ("in byte-deterministic modules, set iteration and "
+               "filesystem enumeration (os.listdir/glob/scandir/iterdir) "
+               "must go through sorted()")
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        if not self._applies(ctx):
+            return
+        set_names = self._set_names(ctx)
+        for node in ctx.nodes:
+            iters: List[ast.expr] = []
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                iters.append(node.iter)
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):
+                iters.extend(gen.iter for gen in node.generators)
+            elif isinstance(node, ast.Call):
+                iters.extend(self._consumed_iterables(node))
+            for candidate in iters:
+                reason = self._unordered(ctx, candidate, set_names)
+                if reason is not None:
+                    yield ctx.diagnostic(
+                        self, candidate,
+                        f"iteration over {reason} in a byte-deterministic "
+                        f"module; wrap it in sorted(...) so report bytes "
+                        f"cannot depend on hash or filesystem order")
+
+    @staticmethod
+    def _applies(ctx: ModuleContext) -> bool:
+        if ctx.module in DETERMINISTIC_MODULES:
+            return True
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name) and \
+                            target.id == DETERMINISTIC_MARKER:
+                        return True
+        return False
+
+    @staticmethod
+    def _is_set_expr(node: ast.expr) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None)
+            return name in ("set", "frozenset")
+        return False
+
+    def _set_names(self, ctx: ModuleContext) -> Set[str]:
+        """Names and attribute chains (``seen``, ``self.routes``) bound to
+        a set expression or annotated as sets, module wide
+        (flow-insensitive on purpose: cheap and good enough).  A set
+        annotated in a class body is a field: it is read as ``self.x``."""
+        names: Set[str] = set()
+        set_markers = {"Set", "FrozenSet", "set", "frozenset",
+                       "MutableSet", "AbstractSet"}
+        for node in ctx.nodes:
+            if isinstance(node, ast.Assign) and self._is_set_expr(node.value):
+                names.update(filter(None, map(dotted, node.targets)))
+            elif isinstance(node, ast.AnnAssign):
+                written = dotted(node.target)
+                if written is not None and \
+                        _annotation_names(node.annotation) & set_markers:
+                    names.add(written)
+                    if isinstance(ctx.parents.get(node), ast.ClassDef):
+                        names.add("self." + written)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in (list(node.args.posonlyargs)
+                            + list(node.args.args)
+                            + list(node.args.kwonlyargs)):
+                    if arg.annotation is not None and \
+                            _annotation_names(arg.annotation) & set_markers:
+                        names.add(arg.arg)
+        return names
+
+    def _consumed_iterables(self, call: ast.Call) -> List[ast.expr]:
+        """Arguments whose iteration order flows into the output:
+        ``list(x)``, ``tuple(x)``, ``sep.join(x)``."""
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in ("list", "tuple") \
+                and call.args:
+            return [call.args[0]]
+        if isinstance(func, ast.Attribute) and func.attr == "join" and \
+                call.args:
+            return [call.args[0]]
+        return []
+
+    def _unordered(self, ctx: ModuleContext, node: ast.expr,
+                   set_names: Set[str]) -> Optional[str]:
+        if self._is_set_expr(node):
+            return "a set expression"
+        written = dotted(node)
+        if written in set_names:
+            return f"set-typed name {written!r}"
+        if isinstance(node, ast.Call):
+            origin = ctx.imports.resolve(node.func)
+            if origin in _FS_ENUMERATORS:
+                return f"{origin}() (filesystem order)"
+            if isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "iterdir":
+                return "Path.iterdir() (filesystem order)"
+            if isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "scandir":
+                return "os.scandir() (filesystem order)"
+        return None
+
+
 #: Every rule ``repro lint`` runs, sorted by code.  Adding one is a row
 #: in ``BOUNDARIES`` or a class here, plus three seeds in
 #: ``tests/test_analysis_rules.py`` that only it catches.
 RULES: Tuple[Rule, ...] = tuple(sorted(
     (*BOUNDARIES, MetricHygieneRule(), FloatEqualityRule(),
      TypingRatchetRule(), UnusedMetricNameRule(), SilentExceptionRule(),
-     GuardedStateRule(), DeterminismHygieneRule()),
+     DeterminismHygieneRule()),
     key=lambda rule: rule.code))

@@ -258,9 +258,9 @@ def slab_nearest(origins: np.ndarray, directions: np.ndarray,
     if groups is None:
         groups = group_rays_by_octant(directions)
     largest = max(len(idx) for idx, _dirs in groups)
-    block_size = max(_BLOCK_ORIGINS,
-                     _CHUNK_ELEMENTS // (largest * num_boxes))
-    scratch = np.empty(4 * min(block_size, num_vps) * largest * num_boxes,
+    per_block = max(_BLOCK_ORIGINS,
+                    _CHUNK_ELEMENTS // (largest * num_boxes))
+    scratch = np.empty(4 * min(per_block, num_vps) * largest * num_boxes,
                        dtype=np.result_type(origins, directions,
                                             boxes_lo, boxes_hi))
     lo64 = boxes_lo.astype(np.float64)
@@ -272,8 +272,8 @@ def slab_nearest(origins: np.ndarray, directions: np.ndarray,
                           boxes_lo.min(axis=0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = directions.dtype.type(1.0) / directions
-        for start in range(0, num_vps, block_size):
-            stop = min(start + block_size, num_vps)
+        for start in range(0, num_vps, per_block):
+            stop = min(start + per_block, num_vps)
             block = origins[start:stop]
             o_min = block.min(axis=0)
             o_max = block.max(axis=0)

@@ -7,7 +7,7 @@ through every call site.  Instruments are cheap handle objects bumped
 with a plain attribute add.  Long-lived objects fetch their handles once
 at construction (``reg.counter(name, **labels)``); code that must follow
 a registry swap (``repro.storage.pageio``) fetches on every call, which
-after a series' first use is one lock-free lookup in the alias dict.
+after a series' first use is one lookup in the alias dict.
 
 Two access patterns are supported:
 
@@ -24,7 +24,6 @@ for the duration of a profiling run so its counters start from zero.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -143,14 +142,11 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        #: A leaf (DESIGN.md §10): instrument creation may happen under any
-        #: other lock and nothing is acquired while this one is held.  The
-        #: instrument hot path (``.inc()``) is lockless and does not touch it.
-        self._lock = threading.RLock()
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kind_of: Dict[str, str] = {}
-        #: ``(kind, name, *labels.items())`` -> instrument: read lock-free,
-        #: written locked, all-``str`` labels only (``1 == True``: two series).
+        #: ``(kind, name, *labels.items())`` -> instrument, so a repeat
+        #: lookup builds no label key; all-``str`` labels only (``1 ==
+        #: True``: two series).
         self._aliases: Dict[Tuple[object, ...], object] = {}
 
     # -- instrument access -------------------------------------------------
@@ -164,19 +160,18 @@ class MetricsRegistry:
             key = (name, _label_key(labels))
         if not name:
             raise ObservabilityError("metric name must be non-empty")
-        with self._lock:
-            existing_kind = self._kind_of.get(name)
-            if existing_kind is not None and existing_kind != kind:
-                raise ObservabilityError(
-                    f"metric {name!r} is a {existing_kind}, not a {kind}")
-            instrument = self._metrics.get(key)
-            if instrument is None:
-                instrument = _KINDS[kind]()
-                self._metrics[key] = instrument
-                self._kind_of[name] = kind
-            if all(type(v) is str for v in labels.values()):
-                self._aliases[alias] = instrument
-            return instrument
+        existing_kind = self._kind_of.get(name)
+        if existing_kind is not None and existing_kind != kind:
+            raise ObservabilityError(
+                f"metric {name!r} is a {existing_kind}, not a {kind}")
+        instrument = self._metrics.get(key)
+        if instrument is None:
+            instrument = _KINDS[kind]()
+            self._metrics[key] = instrument
+            self._kind_of[name] = kind
+        if all(type(v) is str for v in labels.values()):
+            self._aliases[alias] = instrument
+        return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self._instrument("counter", name, labels)
@@ -239,9 +234,8 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every instrument, keeping cached handles valid."""
-        with self._lock:
-            for instrument in self._metrics.values():
-                instrument._reset()
+        for instrument in self._metrics.values():
+            instrument._reset()
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -2,7 +2,7 @@
 
 The ROADMAP north star is a production-scale service answering many
 viewers' walkthroughs against one HDoV-tree.  This package provides the
-first rungs: N recorded sessions served through one shared, thread-safe
+first rungs: N recorded sessions served through one shared
 :class:`~repro.storage.buffer.BufferPool`, scheduled in deterministic
 rounds with frame-budget admission control (PR 5), plus a network edge
 (:mod:`repro.serving.http`) exposing session create/step/close over

@@ -1,4 +1,4 @@
-"""Thread-safe buffer pool over :class:`~repro.storage.pagedfile.PagedFile`.
+"""Buffer pool over :class:`~repro.storage.pagedfile.PagedFile`.
 
 The walkthrough systems cache tree nodes and V-pages; the buffer pool
 makes cache hits free and tracks hit/miss counts.  It is a *read* cache:
@@ -8,18 +8,16 @@ sound because no file of a built environment is written after the
 build.
 
 Replacement is pluggable (see :mod:`repro.storage.replacement`): the
-pool owns frames and locking, while a
+pool owns frames and counters, while a
 :class:`~repro.storage.replacement.ReplacementPolicy` owns only the
 eviction order.  The default, ``"2q"``, is scan-resistant: one walk's
 single-use pages cannot flush the pages every walk re-reads out of an
 undersized pool; ``"lru"`` reproduces the historical LRU pool
 bit-for-bit and stays as the control.
 
-Concurrency model (DESIGN.md §10): one pool-wide
-:class:`threading.RLock` guards all state and every public operation is
-one critical section on it — ``get`` included, miss read and decode and
-all.  The pool calls into a :class:`PagedFile` with its lock held, for
-exactly one thing: the miss read, one read on one file; a file never
+One thread (DESIGN.md §10): nothing in the package starts a second
+one, so the pool takes no lock.  It calls into a :class:`PagedFile` for
+exactly one thing, the miss read (one read on one file); a file never
 calls a pool.
 
 Decoded payloads (:meth:`BufferPool.get` with a ``decoder``): a frame
@@ -31,7 +29,7 @@ with the frame.
 Query plans (:meth:`BufferPool.remember` / :meth:`BufferPool.recall`,
 DESIGN.md §10): the pool keeps a query's page keys and answer until
 ``clear``; a pooled file never changes, so a plan never goes stale.
-Recalling a plan re-issues its page reads in one lock round: a resident
+Recalling a plan re-issues its page reads in one call: a resident
 page is a hit, a missing one a miss whose bytes (not decoded) come with
 its run's one read, so every counter, the eviction order and both I/O
 ledgers move exactly as the query's own ``get`` calls would move them.
@@ -39,7 +37,6 @@ ledgers move exactly as the query's own ``get`` calls would move them.
 
 from __future__ import annotations
 
-import threading
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, TypeVar, Union, overload)
 
@@ -85,7 +82,7 @@ class _Plan:
 
 
 class BufferPool:
-    """Fixed-capacity page cache with pluggable replacement, thread-safe.
+    """Fixed-capacity page cache with pluggable replacement.
 
     Keys are ``(file, page_id)`` pairs, so one pool can front several
     files (tree file, V-page file, object store) with a single memory
@@ -123,7 +120,6 @@ class BufferPool:
         self.capacity = capacity
         self.name = name
         self._policy = make_policy(policy, capacity, name)
-        self._lock = threading.RLock()
         self._frames: Dict[Tuple[int, int], _Frame] = {}
         #: token -> the page keys a query read, in order, and its answer;
         #: kept until ``clear``.
@@ -147,8 +143,8 @@ class BufferPool:
     # -- internals ------------------------------------------------------------
 
     def _evict_one(self) -> None:
-        """Evict the policy's first victim.  Caller holds lock, and the
-        table is full, so the policy has one."""
+        """Evict the policy's first victim.  The table is full, so the
+        policy has one."""
         key = next(self._policy.victims())
         del self._frames[key]
         self._policy.on_evict(key)
@@ -159,7 +155,7 @@ class BufferPool:
                   ) -> None:
         """Give ``run``, a recall's frames for the pages from ``first`` on,
         their bytes with one read (none if empty); a frame evicted since
-        it was installed drops its bytes.  Caller holds lock."""
+        it was installed drops its bytes."""
         if not run:
             return
         pfile, reader = readers[first[0]]
@@ -188,12 +184,10 @@ class BufferPool:
         ``reader`` overrides how a miss fetches bytes (default
         ``pfile.read_page``), with ``count=1``; the serving layer passes
         a ``pageio``-routed reader so misses get retry + component
-        accounting.  The whole call is one critical section: of N threads
-        faulting one page the first reads it and the others hit.  A miss
-        is counted, then a frame is freed, then the page is read (the
-        order the byte-diffed reports are pinned to: a read that fails
-        has already evicted) — the call's one read, on ``pfile`` and no
-        other file.  A reader that raises installs nothing, so the next
+        accounting.  A miss is counted, then a frame is freed, then the
+        page is read (the order the byte-diffed reports are pinned to: a
+        read that fails has already evicted) — the call's one read, on
+        ``pfile`` and no other file.  A reader that raises installs nothing, so the next
         ``get`` reads again.
 
         With a ``decoder`` the call returns ``decoder(page bytes)``
@@ -204,29 +198,28 @@ class BufferPool:
         A decoder that raises caches nothing and the error propagates
         (the bytes stay resident).
         """
-        with self._lock:
-            key = (pfile.file_id, page_id)
-            frame = self._frames.get(key)
-            if frame is not None:
-                self.hits += 1
-                self._m_hits.inc()
-                self._policy.on_access(key)
-            else:
-                self.misses += 1
-                self._m_misses.inc()
-                if len(self._frames) >= self.capacity:
-                    self._evict_one()
-                    self._m_evictions.inc()
-                frame = self._frames[key] = _Frame(
-                    reader(pfile, page_id, 1) if reader is not None
-                    else pfile.read_page(page_id))
-                self._policy.on_insert(key)
-                self._m_resident.set(len(self._frames))
-            if decoder is None:
-                return frame.data
-            if frame.payload is None:
-                frame.payload = decoder(frame.data)
-            return frame.payload
+        key = (pfile.file_id, page_id)
+        frame = self._frames.get(key)
+        if frame is not None:
+            self.hits += 1
+            self._m_hits.inc()
+            self._policy.on_access(key)
+        else:
+            self.misses += 1
+            self._m_misses.inc()
+            if len(self._frames) >= self.capacity:
+                self._evict_one()
+                self._m_evictions.inc()
+            frame = self._frames[key] = _Frame(
+                reader(pfile, page_id, 1) if reader is not None
+                else pfile.read_page(page_id))
+            self._policy.on_insert(key)
+            self._m_resident.set(len(self._frames))
+        if decoder is None:
+            return frame.data
+        if frame.payload is None:
+            frame.payload = decoder(frame.data)
+        return frame.payload
 
     def remember(self, token: Hashable, keys: Sequence[Tuple[int, int]],
                  answer: Any) -> None:
@@ -237,8 +230,7 @@ class BufferPool:
         neither does the answer; ``answer`` is shared with every later
         caller: immutable.  A token names one query, so the table holds
         at most one plan per query asked."""
-        with self._lock:
-            self._plans[token] = _Plan(tuple(keys), answer)
+        self._plans[token] = _Plan(tuple(keys), answer)
 
     def recall(self, token: Hashable,
                files: Sequence[Tuple[PagedFile, Optional[PageReader]]]
@@ -247,7 +239,7 @@ class BufferPool:
         ``token``, or ``None``.
 
         Recalling re-issues the plan's page reads in the recorded order,
-        in one lock round, so that every counter, the policy order, the
+        so that every counter, the policy order, the
         file heads and both I/O ledgers end where the query's own
         ``get`` calls would have left them: a resident key is a hit and
         ``on_access``; a missing one frees a frame and is installed at
@@ -264,86 +256,80 @@ class BufferPool:
         :attr:`PagedFile.reads_can_fail` and a key is missing, nothing
         is booked and the answer is ``None`` — the query reads itself.
         """
-        with self._lock:
-            plan = self._plans.get(token)
-            if plan is None:
-                return None
-            keys = plan.keys
-            on_access = self._policy.on_access
-            if plan.stamp == self.evictions:
-                self.hits += len(keys)
-                self._m_hits.inc(len(keys))
-                for key in keys:
-                    on_access(key)
-                return plan.answer, 0
-            frames = self._frames
-            if (any(pfile.reads_can_fail for pfile, _reader in files)
-                    and not all(key in frames for key in keys)):
-                return None
-            readers = {pfile.file_id: (pfile, reader)
-                       for pfile, reader in files}
-            evictions, misses = self.evictions, self.misses
-            hits = 0
-            run: List[_Frame] = []      # installed, awaiting one read
-            first = (-1, 0)             # the run's first key (no file's)
+        plan = self._plans.get(token)
+        if plan is None:
+            return None
+        keys = plan.keys
+        on_access = self._policy.on_access
+        if plan.stamp == self.evictions:
+            self.hits += len(keys)
+            self._m_hits.inc(len(keys))
             for key in keys:
-                if key in frames:
-                    hits += 1
-                    on_access(key)
-                    continue
-                if key != (first[0], first[1] + len(run)):
-                    self._read_run(run, first, readers)
-                    run, first = [], key
-                self.misses += 1
-                if len(frames) >= self.capacity:
-                    self._evict_one()
-                frames[key] = frame = _Frame(b"")
-                self._policy.on_insert(key)
-                run.append(frame)
-            self._read_run(run, first, readers)
-            self.hits += hits
-            self._m_hits.inc(hits)
-            self._m_misses.inc(self.misses - misses)
-            self._m_evictions.inc(self.evictions - evictions)
-            self._m_resident.set(len(frames))
-            if self.evictions == evictions:
-                # A recall that evicted may have evicted its own earlier
-                # keys (a plan larger than the pool): no stamp then.
-                plan.stamp = evictions
-            return plan.answer, self.misses - misses
+                on_access(key)
+            return plan.answer, 0
+        frames = self._frames
+        if (any(pfile.reads_can_fail for pfile, _reader in files)
+                and not all(key in frames for key in keys)):
+            return None
+        readers = {pfile.file_id: (pfile, reader)
+                   for pfile, reader in files}
+        evictions, misses = self.evictions, self.misses
+        hits = 0
+        run: List[_Frame] = []      # installed, awaiting one read
+        first = (-1, 0)             # the run's first key (no file's)
+        for key in keys:
+            if key in frames:
+                hits += 1
+                on_access(key)
+                continue
+            if key != (first[0], first[1] + len(run)):
+                self._read_run(run, first, readers)
+                run, first = [], key
+            self.misses += 1
+            if len(frames) >= self.capacity:
+                self._evict_one()
+            frames[key] = frame = _Frame(b"")
+            self._policy.on_insert(key)
+            run.append(frame)
+        self._read_run(run, first, readers)
+        self.hits += hits
+        self._m_hits.inc(hits)
+        self._m_misses.inc(self.misses - misses)
+        self._m_evictions.inc(self.evictions - evictions)
+        self._m_resident.set(len(frames))
+        if self.evictions == evictions:
+            # A recall that evicted may have evicted its own earlier
+            # keys (a plan larger than the pool): no stamp then.
+            plan.stamp = evictions
+        return plan.answer, self.misses - misses
 
     def contains(self, pfile: PagedFile, page_id: int) -> bool:
-        with self._lock:
-            return (pfile.file_id, page_id) in self._frames
+        return (pfile.file_id, page_id) in self._frames
 
     def clear(self) -> None:
         """Drop every frame, payload and plan; the counters stand."""
-        with self._lock:
-            self._plans.clear()
-            self._frames.clear()
-            self._policy.clear()
-            self._m_resident.set(0)
+        self._plans.clear()
+        self._frames.clear()
+        self._policy.clear()
+        self._m_resident.set(0)
 
     @property
     def resident_pages(self) -> int:
-        with self._lock:
-            return len(self._frames)
+        return len(self._frames)
 
     @property
     def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, object]:
         """Demand-read counters (stable key order: the reports that
         embed this block are byte-diffed)."""
-        with self._lock:
-            return {"capacity": self.capacity,
-                    "hits": self.hits,
-                    "misses": self.misses,
-                    "evictions": self.evictions,
-                    "hit_rate": self.hit_rate}
+        return {"capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": self.hit_rate}
 
     def __repr__(self) -> str:
         return (f"BufferPool(capacity={self.capacity}, "

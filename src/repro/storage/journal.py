@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import zlib
 from typing import TYPE_CHECKING, BinaryIO, Optional
 
@@ -81,9 +80,7 @@ class WriteAheadJournal:
 
     The journal never *reads* its own records — recovery
     (:mod:`repro.storage.recovery`) scans the file independently — so
-    this class is a pure appender: records, commit markers, fsync,
-    reset.  All methods serialize on one lock, acquired while the owner
-    holds its per-file I/O lock (pool → file → journal, DESIGN.md §10).
+    this class is a pure appender: records, commit markers, fsync, reset.
     """
 
     def __init__(self, path: str, *, page_size: int, name: str) -> None:
@@ -103,7 +100,6 @@ class WriteAheadJournal:
         self._closed = False
         self._next_seqno = 1
         self._uncommitted = 0
-        self._lock = threading.RLock()
         # Unbuffered on purpose: the written/durable split below is the
         # whole crash model, and a Python-level buffer would add a third
         # nondeterministic state between them.
@@ -154,26 +150,22 @@ class WriteAheadJournal:
     @property
     def written_length(self) -> int:
         """Bytes written so far (header included), durable or not."""
-        with self._lock:
-            return self._written
+        return self._written
 
     @property
     def durable_length(self) -> int:
         """Bytes guaranteed to survive :meth:`simulate_power_loss`."""
-        with self._lock:
-            return self._durable
+        return self._durable
 
     @property
     def has_entries(self) -> bool:
         """Whether any record bytes follow the header."""
-        with self._lock:
-            return self._written > HEADER.size
+        return self._written > HEADER.size
 
     @property
     def uncommitted_records(self) -> int:
         """Page images appended since the last commit marker."""
-        with self._lock:
-            return self._uncommitted
+        return self._uncommitted
 
     def _check_open(self) -> None:
         if self._closed or self._fh is None:
@@ -207,15 +199,13 @@ class WriteAheadJournal:
             raise StorageError(
                 f"{self.name}: page image must be exactly "
                 f"{self.page_size} bytes, got {len(data)}")
-        with self._lock:
-            self._check_open()
-            payload = PAGE_IMAGE.pack(KIND_PAGE_IMAGE, page_id,
-                                      page_crc) + data
-            frame_crc = zlib.crc32(payload)
-            if faults is not None:
-                payload = faults.filter_journal(self.name, payload)
-            self._append(payload, frame_crc)
-            self._uncommitted += 1
+        self._check_open()
+        payload = PAGE_IMAGE.pack(KIND_PAGE_IMAGE, page_id, page_crc) + data
+        frame_crc = zlib.crc32(payload)
+        if faults is not None:
+            payload = faults.filter_journal(self.name, payload)
+        self._append(payload, frame_crc)
+        self._uncommitted += 1
 
     def append_commit_marker(self) -> int:
         """Append a commit marker covering every image since the last.
@@ -224,34 +214,31 @@ class WriteAheadJournal:
         durable until :meth:`sync` — callers split the two so a crash
         point can land between them.
         """
-        with self._lock:
-            self._check_open()
-            seqno = self._next_seqno
-            payload = COMMIT.pack(KIND_COMMIT, seqno, self._uncommitted)
-            self._append(payload, zlib.crc32(payload))
-            self._next_seqno += 1
-            self._uncommitted = 0
-            self._m_commits.inc()
-            return seqno
+        self._check_open()
+        seqno = self._next_seqno
+        payload = COMMIT.pack(KIND_COMMIT, seqno, self._uncommitted)
+        self._append(payload, zlib.crc32(payload))
+        self._next_seqno += 1
+        self._uncommitted = 0
+        self._m_commits.inc()
+        return seqno
 
     def sync(self) -> None:
         """fsync the journal; everything written becomes durable."""
-        with self._lock:
-            self._check_open()
-            assert self._fh is not None
-            os.fsync(self._fh.fileno())
-            self._durable = self._written
+        self._check_open()
+        assert self._fh is not None
+        os.fsync(self._fh.fileno())
+        self._durable = self._written
 
     def reset(self) -> None:
         """Truncate back to an empty header (checkpoint completed)."""
-        with self._lock:
-            self._check_open()
-            assert self._fh is not None
-            self._fh.truncate(HEADER.size)
-            os.fsync(self._fh.fileno())
-            self._written = HEADER.size
-            self._durable = HEADER.size
-            self._uncommitted = 0
+        self._check_open()
+        assert self._fh is not None
+        self._fh.truncate(HEADER.size)
+        os.fsync(self._fh.fileno())
+        self._written = HEADER.size
+        self._durable = HEADER.size
+        self._uncommitted = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -263,25 +250,23 @@ class WriteAheadJournal:
         part (a torn tail), or not at all — the three shapes a real
         power loss produces, made deterministic.
         """
-        with self._lock:
-            if self._closed or self._fh is None:
-                return
-            keep = self._durable + (self._written - self._durable) // 2
-            self._fh.truncate(keep)
-            self._fh.close()
-            self._fh = None
-            self._closed = True
+        if self._closed or self._fh is None:
+            return
+        keep = self._durable + (self._written - self._durable) // 2
+        self._fh.truncate(keep)
+        self._fh.close()
+        self._fh = None
+        self._closed = True
 
     def close(self) -> None:
         """Close the handle; safe to call twice.  No implicit sync —
         the owner checkpoints (which resets) before closing."""
-        with self._lock:
-            if self._closed:
-                return
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            self._closed = True
+        if self._closed:
+            return
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+        self._closed = True
 
     def __repr__(self) -> str:
         return (f"WriteAheadJournal({self.name!r}, "

@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 import zlib
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -141,14 +140,6 @@ class PagedFile:
                                     else page_size + _TRAILER.size)
         self._last_accessed: Optional[int] = None
         self._closed = False
-        #: Serializes page access per file: charge + fault hooks + backend
-        #: read/write become one atomic step, so concurrent readers cannot
-        #: interleave head tracking with the seek they are charged for.
-        #: Lock order is pool lock → file lock (see DESIGN.md §10); a file
-        #: never calls back into a pool.  Sharing one IOStats between files
-        #: accessed from different threads still needs external
-        #: serialization — the serving scheduler provides it.
-        self._io_lock = threading.RLock()
         if path is not None:
             # "r+b" keeps seek+write semantics; append mode would force
             # every write to the end of the file regardless of seeks.
@@ -163,8 +154,8 @@ class PagedFile:
                     f"physical page size {self._physical_page_size}")
             self._num_pages = size // self._physical_page_size
         #: WAL-before-data: journaled writes park page images here until
-        #: checkpoint copies them into the data file.  Guarded by
-        #: ``_io_lock``; maps page id to ``(payload, intended CRC)``.
+        #: checkpoint copies them into the data file.  Maps page id to
+        #: ``(payload, intended CRC)``.
         self._overlay: Dict[int, Tuple[bytes, int]] = {}
         self._journal: Optional[WriteAheadJournal] = None
         self._last_recovery: Optional["RecoveryReport"] = None
@@ -203,18 +194,17 @@ class PagedFile:
         ``close()``) is a no-op rather than an error — the common
         ``with``-block-plus-cleanup pattern must not raise.
         """
-        with self._io_lock:
-            if self._closed:
-                return
-            if self._journal is not None:
-                self.checkpoint()
-                self._journal.close()
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-                self._fh = None
-            self._closed = True
+        if self._closed:
+            return
+        if self._journal is not None:
+            self.checkpoint()
+            self._journal.close()
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._fh = None
+        self._closed = True
 
     def crash(self) -> None:
         """Simulate a power loss: abandon state without flush paths.
@@ -229,19 +219,18 @@ class PagedFile:
         reach it (they live in the overlay until checkpoint).  See
         DESIGN.md §12.
         """
-        with self._io_lock:
-            if self._closed:
-                return
-            if self._journal is not None:
-                self._journal.simulate_power_loss()
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-            self._overlay.clear()
-            self._mem.clear()
-            self._crcs.clear()
-            self._closed = True
+        if self._closed:
+            return
+        if self._journal is not None:
+            self._journal.simulate_power_loss()
+        if self._fh is not None:
+            self._fh.flush()
+            self._fh.close()
+            self._fh = None
+        self._overlay.clear()
+        self._mem.clear()
+        self._crcs.clear()
+        self._closed = True
 
     def __enter__(self) -> "PagedFile":
         return self
@@ -283,8 +272,7 @@ class PagedFile:
         Prefer :meth:`FaultInjector.install`, which also tracks the file
         for a later bulk ``uninstall``.
         """
-        with self._io_lock:
-            self._faults = injector
+        self._faults = injector
 
     def charge_delay_ms(self, ms: float) -> None:
         """Charge extra simulated latency (fault spikes, retry backoff).
@@ -296,9 +284,8 @@ class PagedFile:
         if not (math.isfinite(ms) and ms >= 0):
             raise StorageError(
                 f"{self.name}: delay must be finite and >= 0, got {ms}")
-        with self._io_lock:
-            self.stats.simulated_ms += ms
-            self._m_ms.inc(ms)
+        self.stats.simulated_ms += ms
+        self._m_ms.inc(ms)
 
     # -- allocation ------------------------------------------------------------
 
@@ -326,14 +313,12 @@ class PagedFile:
         """Allocate ``count`` consecutive pages; returns the first id."""
         if count < 1:
             raise StorageError(f"count must be >= 1, got {count}")
-        with self._io_lock:
-            self._check_open()
-            first = self._num_pages
-            self._num_pages += count
-            if self._fh is not None:
-                self._fh.truncate(
-                    self._num_pages * self._physical_page_size)
-            return first
+        self._check_open()
+        first = self._num_pages
+        self._num_pages += count
+        if self._fh is not None:
+            self._fh.truncate(self._num_pages * self._physical_page_size)
+        return first
 
     # -- access ------------------------------------------------------------
 
@@ -392,18 +377,17 @@ class PagedFile:
         real I/O still pays the seek, and both ledgers must count every
         attempt or the retry layer would make I/O look free.
         """
-        with self._io_lock:
-            self._check_open()
-            if (self._fh is None and self._faults is None
-                    and 0 <= page_id < self._num_pages):
-                return self._read_mem(page_id, 1)
-            return self._read_locked(page_id)
+        self._check_open()
+        if (self._fh is None and self._faults is None
+                and 0 <= page_id < self._num_pages):
+            return self._read_mem(page_id, 1)
+        return self._read_one(page_id)
 
     def _read_mem(self, first_page: int, count: int) -> bytes:
         """``count >= 1`` pages below ``num_pages`` of an open memory file
-        with no injector, under ``_io_lock``: the first page charged as
-        :meth:`_read_locked` would, then ``count - 1`` sequential reads
-        with ``transfer_ms`` added per page, in order, as it would."""
+        with no injector: the first page charged as :meth:`_read_one`
+        would, then ``count - 1`` sequential reads with ``transfer_ms``
+        added per page, in order, as it would."""
         self._charge(first_page, write=False)
         tail = count - 1
         if tail:
@@ -431,10 +415,10 @@ class PagedFile:
                          for page_id in range(first_page,
                                               first_page + count)])
 
-    def _read_locked(self, page_id: int) -> bytes:
+    def _read_one(self, page_id: int) -> bytes:
         """The per-page body of :meth:`read_page` and :meth:`read_run` on
         disk, journaled and faulted files and for a page past the end.
-        Callers hold ``_io_lock`` and have checked the file is open."""
+        Callers have checked the file is open."""
         self._validate(page_id)
         self._charge(page_id, write=False)
         if self._faults is not None:
@@ -510,38 +494,37 @@ class PagedFile:
         The memory backend holds a short payload unpadded unless an
         injector is installed (see the class notes).
         """
-        with self._io_lock:
-            self._check_open()
-            self._validate(page_id)
-            size = len(data)
-            if size > self.page_size:
-                raise StorageError(
-                    f"{self.name}: payload {size} exceeds page size")
-            tail = self._zero_page[size:]
-            crc = zlib.crc32(tail, zlib.crc32(data))
-            if tail and (self._fh is not None or self._faults is not None):
-                data = data + tail
-            self._charge(page_id, write=True)
-            if self._faults is not None:
-                self._faults.before_write(self, page_id)
-                data = self._faults.filter_write(self, page_id, data)
-            if self._journal is not None:
-                # WAL-before-data: the image reaches the journal now and
-                # the data file only at checkpoint, after a commit
-                # marker proved it durable — so every data page is
-                # always either its pre-crash or post-commit image.
-                self._journal.append_page_image(page_id, data, crc,
-                                                faults=self._faults)
-                self._overlay[page_id] = (bytes(data), crc)
-                return
-            self._backend_write(page_id, data, crc)
+        self._check_open()
+        self._validate(page_id)
+        size = len(data)
+        if size > self.page_size:
+            raise StorageError(
+                f"{self.name}: payload {size} exceeds page size")
+        tail = self._zero_page[size:]
+        crc = zlib.crc32(tail, zlib.crc32(data))
+        if tail and (self._fh is not None or self._faults is not None):
+            data = data + tail
+        self._charge(page_id, write=True)
+        if self._faults is not None:
+            self._faults.before_write(self, page_id)
+            data = self._faults.filter_write(self, page_id, data)
+        if self._journal is not None:
+            # WAL-before-data: the image reaches the journal now and
+            # the data file only at checkpoint, after a commit
+            # marker proved it durable — so every data page is
+            # always either its pre-crash or post-commit image.
+            self._journal.append_page_image(page_id, data, crc,
+                                            faults=self._faults)
+            self._overlay[page_id] = (bytes(data), crc)
+            return
+        self._backend_write(page_id, data, crc)
 
     def _backend_write(self, page_id: int, data: bytes, crc: int) -> None:
         """Raw backend write: no charging, no faults, no journal.
 
         Extends the file when replay targets a page past the current
         end (an allocation whose pages were journaled but whose extent
-        was lost).  Callers hold ``_io_lock``.
+        was lost).
         """
         if page_id >= self._num_pages:
             self._num_pages = page_id + 1
@@ -572,17 +555,16 @@ class PagedFile:
         empty markers, no wasted fsync).  The data file is untouched —
         durability lives in the journal until :meth:`checkpoint`.
         """
-        with self._io_lock:
-            self._check_open()
-            journal = self._require_journal()
-            if journal.uncommitted_records == 0:
-                return
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-commit:{self.name}")
-            journal.append_commit_marker()
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-sync:{self.name}")
-            journal.sync()
+        self._check_open()
+        journal = self._require_journal()
+        if journal.uncommitted_records == 0:
+            return
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-commit:{self.name}")
+        journal.append_commit_marker()
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-sync:{self.name}")
+        journal.sync()
 
     def checkpoint(self) -> None:
         """Commit, copy overlay images into the data file, reset the WAL.
@@ -594,43 +576,40 @@ class PagedFile:
         model — they are the WAL's write amplification, and hiding them
         would skew ``repro profile``'s reconciliation.
         """
-        with self._io_lock:
-            self._check_open()
-            journal = self._require_journal()
-            self.commit()
-            if not self._overlay and not journal.has_entries:
-                return
-            for page_id in sorted(self._overlay):
-                data, crc = self._overlay[page_id]
-                self._charge(page_id, write=True)
-                if self._faults is not None:
-                    self._faults.crash_point(
-                        f"checkpoint-write:{self.name}:{page_id}")
-                self._backend_write(page_id, data, crc)
+        self._check_open()
+        journal = self._require_journal()
+        self.commit()
+        if not self._overlay and not journal.has_entries:
+            return
+        for page_id in sorted(self._overlay):
+            data, crc = self._overlay[page_id]
+            self._charge(page_id, write=True)
             if self._faults is not None:
-                self._faults.crash_point(f"data-sync:{self.name}")
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            if self._faults is not None:
-                self._faults.crash_point(f"journal-reset:{self.name}")
-            journal.reset()
-            self._overlay.clear()
+                self._faults.crash_point(
+                    f"checkpoint-write:{self.name}:{page_id}")
+            self._backend_write(page_id, data, crc)
+        if self._faults is not None:
+            self._faults.crash_point(f"data-sync:{self.name}")
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        if self._faults is not None:
+            self._faults.crash_point(f"journal-reset:{self.name}")
+        journal.reset()
+        self._overlay.clear()
 
     def replay_page(self, page_id: int, data: bytes, crc: int) -> None:
         """Apply one committed journal image (recovery only; charged)."""
-        with self._io_lock:
-            self._check_open()
-            self._charge(page_id, write=True)
-            self._backend_write(page_id, data, crc)
+        self._check_open()
+        self._charge(page_id, write=True)
+        self._backend_write(page_id, data, crc)
 
     def sync_data(self) -> None:
         """Flush and fsync the data file (recovery's durability barrier)."""
-        with self._io_lock:
-            self._check_open()
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
+        self._check_open()
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def append_page(self, data: bytes) -> int:
         """Allocate and write in one step; returns the new page id."""
@@ -644,19 +623,18 @@ class PagedFile:
         The first access may seek; the rest are charged as sequential,
         so the ledgers equal ``count`` calls of :meth:`read_page`, float
         for float.  A run inside a memory file with no injector is booked
-        in one step; any other goes page by page under one lock round,
-        so one that crosses ``num_pages`` charges its valid prefix first.
+        in one step; any other goes page by page, so one that crosses
+        ``num_pages`` charges its valid prefix first.
         """
         if count < 0:
             raise StorageError(f"count must be >= 0, got {count}")
-        with self._io_lock:
-            self._check_open()
-            if (count and self._fh is None and self._faults is None
-                    and 0 <= first_page
-                    and first_page + count <= self._num_pages):
-                return self._read_mem(first_page, count)
-            return b"".join([self._read_locked(page_id) for page_id
-                             in range(first_page, first_page + count)])
+        self._check_open()
+        if (count and self._fh is None and self._faults is None
+                and 0 <= first_page
+                and first_page + count <= self._num_pages):
+            return self._read_mem(first_page, count)
+        return b"".join([self._read_one(page_id) for page_id
+                         in range(first_page, first_page + count)])
 
     def reset_head(self) -> None:
         """Forget the last accessed page (forces the next access to seek).
@@ -664,10 +642,7 @@ class PagedFile:
         Experiments call this between queries so each query pays a cold
         first seek, matching the paper's uncached measurement setup.
         """
-        # _last_accessed is _io_lock-guarded state (_charge mutates it on
-        # every access); resetting it unlocked raced concurrent reads.
-        with self._io_lock:
-            self._last_accessed = None
+        self._last_accessed = None
 
     def __repr__(self) -> str:
         kind = "file" if self._fh is not None else "mem"

@@ -21,7 +21,7 @@ registry on every call rather than caching handles: callers like
 cached handle would keep writing to the retired registry — the same
 stale-identity bug class as the ``id()``-keyed buffer frames PR 1 fixed.
 The per-call fetch is cheap because each registry answers a repeated
-``counter(name, component=...)`` from its own lock-free alias dict.
+``counter(name, component=...)`` from its own alias dict.
 
 The facade is also where resilience attaches (PR 3): every operation
 runs under :func:`repro.storage.retry.run_with_retry`, so a transient

@@ -1,10 +1,9 @@
 """Pluggable page-replacement policies for the buffer pool.
 
-The pool owns the frame table and all locking; a policy owns only
+The pool owns the frame table and the counters; a policy owns only
 the *ordering* decision — which resident key should be evicted next.
-The split keeps policies lock-free: a policy is called exclusively with
-the pool lock held, holds no lock of its own, and never calls back into
-the pool or a file.
+A policy is called only by its pool and never calls back into the pool
+or a file.
 
 Two policies ship:
 
@@ -56,7 +55,7 @@ KOUT_FRACTION = 0.5
 
 
 class ReplacementPolicy:
-    """Eviction-order strategy; all methods run under the pool lock."""
+    """Eviction-order strategy; only its pool calls it."""
 
     #: Human-readable policy name (echoed into serve reports).
     name: str = "base"

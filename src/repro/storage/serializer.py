@@ -70,7 +70,7 @@ class NodeEntries:
     the MBRs.  ``mbrs`` is a read-only float64 ``(n, 6)`` array of
     ``lo.xyz, hi.xyz`` rows; ``targets`` and ``lod_ptrs`` are tuples of
     ``int``.  Immutable, so one instance can be shared between sessions
-    and threads (it rides on buffer-pool frames).
+    (it rides on buffer-pool frames).
 
     Iterating or indexing yields ``(mbr row, target, lod pointer)``.
     """

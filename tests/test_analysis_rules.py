@@ -26,8 +26,7 @@ from repro.cli import main as cli_main
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODES = {"RPR001", "RPR002", "RPR004", "RPR005", "RPR006",
-             "RPR007", "RPR008", "RPR009", "RPR011", "RPR013",
-             "RPR014"}
+             "RPR007", "RPR008", "RPR009", "RPR013", "RPR014"}
 
 
 def write_module(root: Path, relpath: str, source: str) -> Path:
@@ -225,40 +224,6 @@ FIXTURES = {
                     return perf_counter() - started
                 """),
         ],
-    },
-    "RPR011": {
-        # The seed bug shape: reset() clears lock-guarded state bare.
-        "bad": [("tracker.py", """
-            import threading
-
-            class Tracker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self._count += 1
-
-                def reset(self):
-                    self._count = 0
-            """)],
-        "good": [("tracker.py", """
-            import threading
-
-            class Tracker:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self._count += 1
-
-                def reset(self):
-                    with self._lock:
-                        self._count = 0
-            """)],
     },
     "RPR013": {
         "bad": [("reporter.py", """
@@ -480,37 +445,6 @@ def test_rpr009_ignores_non_clock_time_attrs(tmp_path):
     assert "RPR009" not in codes
 
 
-def test_rpr011_init_is_exempt(tmp_path):
-    # Construction happens before the object is shared; only the
-    # post-construction bare write is the race.
-    codes = lint_codes(tmp_path, FIXTURES["RPR011"]["good"])
-    assert "RPR011" not in codes
-
-
-def test_rpr011_locked_helper_counts_as_guarded(tmp_path):
-    # _apply only ever runs under the lock (its sole caller holds it),
-    # so its writes are guarded — and the bare write in reset() is not.
-    codes = lint_codes(tmp_path, [("tracker.py", """
-        import threading
-
-        class Tracker:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._count = 0
-
-            def bump(self):
-                with self._lock:
-                    self._apply()
-
-            def _apply(self):
-                self._count += 1
-
-            def reset(self):
-                self._count = 0
-        """)])
-    assert codes.count("RPR011") == 1
-
-
 def test_rpr013_unmarked_module_exempt(tmp_path):
     # The same unordered iteration outside a byte-deterministic module
     # is nobody's business.
@@ -708,31 +642,6 @@ SEEDS = {
          "        return response\n",
          "import asyncio\n", "import asyncio\nimport time as clock\n"),
     ],
-    "RPR011": [
-        # missed: only assignments and ``del`` counted as mutations.
-        ("storage/buffer.py",
-         "    def clear(self) -> None:\n",
-         "    def invalidate(self, pfile: PagedFile, page_id: int) -> None:\n"
-         '        """Forget one page (its file was rewritten)."""\n'
-         "        self._frames.pop((pfile.file_id, page_id), None)\n"
-         "        self._plans.clear()\n\n"
-         "    def clear(self) -> None:\n"),
-        # The defect the rule landed on: ``reset_head`` without the lock.
-        ("storage/pagedfile.py",
-         "        with self._io_lock:\n"
-         "            self._last_accessed = None\n",
-         "        self._last_accessed = None\n"),
-        ("storage/journal.py",
-         "        with self._lock:\n"
-         "            self._check_open()\n"
-         "            assert self._fh is not None\n"
-         "            os.fsync(self._fh.fileno())\n"
-         "            self._durable = self._written\n",
-         "        self._check_open()\n"
-         "        assert self._fh is not None\n"
-         "        os.fsync(self._fh.fileno())\n"
-         "        self._durable = self._written\n"),
-    ],
     "RPR013": [
         # missed: only bare names were tracked as set-typed.
         ("serving/http/stats.py",
@@ -888,10 +797,10 @@ def test_pragma_for_other_code_does_not_suppress(tmp_path):
 def test_rule_configuration_names_real_modules():
     """A module or package a rule's configuration names must exist: a
     typo (or a module deleted since) silently exempts or un-checks it."""
-    from repro.analysis import boundary, concurrency, rules
+    from repro.analysis import boundary, rules
 
     configured = {
-        *concurrency.DETERMINISTIC_MODULES, *rules.STRICT_PACKAGES,
+        *rules.DETERMINISTIC_MODULES, *rules.STRICT_PACKAGES,
         *rules.FAULT_BOUNDARY_MODULES, rules.NAMES_MODULE,
         rules.REGISTRY_MODULE,
         *(name for row in boundary.BOUNDARIES

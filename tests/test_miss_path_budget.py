@@ -2,13 +2,9 @@
 
 Not a timing test: each check counts something a miss must *not* do, so
 that a refactor which quietly brings one of them back fails here rather
-than in a benchmark run.  A single-threaded replay of 1,000 evicting
-misses through the ``pageio`` facade
+than in a benchmark run.  A replay of 1,000 evicting misses through
+the ``pageio`` facade
 
-* constructs no ``threading.Event`` (nothing in the pool waits on
-  another thread);
-* takes the pool lock exactly once per ``get``, hit or miss (the whole
-  call is one critical section);
 * calls into exactly one ``PagedFile`` per miss, once — the ``read_run``
   of one page of the file it was handed — and into none on a hit (an
   eviction does no I/O: there is no other file to write a victim back
@@ -20,10 +16,9 @@ misses through the ``pageio`` facade
 
 And a recall whose missing keys form ``r`` runs (consecutive page ids of
 one file, hits in between allowed) makes exactly ``r`` ``pageio`` calls
-and ``r`` ``PagedFile`` calls, in one lock round.
+and ``r`` ``PagedFile`` calls.
 """
 
-import threading
 from collections import OrderedDict
 
 import pytest
@@ -36,22 +31,6 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.replacement import make_policy
 
 MISSES = 1000
-
-
-class CountingLock:
-    """Stands in for a lock (the pool's here, the registry's in
-    ``test_obs_metrics``); counts acquisitions."""
-
-    def __init__(self, lock):
-        self._lock = lock
-        self.acquisitions = 0
-
-    def __enter__(self):
-        self.acquisitions += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
 
 
 class CountingOrder(OrderedDict):
@@ -114,19 +93,12 @@ def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
         fault(page_id)
     assert pool.resident_pages == capacity and pool.evictions == 0
 
-    events = []
-    real_init = threading.Event.__init__
-    # On the class itself: counts however the pool spells the constructor.
-    monkeypatch.setattr(threading.Event, "__init__",
-                        lambda self: events.append(1) or real_init(self))
     label_keys = []
     real_label_key = metrics._label_key
     monkeypatch.setattr(
         metrics, "_label_key",
         lambda labels: label_keys.append(1) or real_label_key(labels))
     monkeypatch.setattr(CountingOrder, "pulled", 0)
-    lock = CountingLock(pool._lock)
-    monkeypatch.setattr(pool, "_lock", lock)
     file_calls = count_file_calls(monkeypatch)
 
     for page_id in range(capacity, capacity + MISSES):
@@ -139,8 +111,6 @@ def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
     assert (pool.misses, pool.evictions) == (capacity + MISSES, MISSES)
     assert pool.hits == MISSES
     assert sum(pfile.stats.reads for pfile in files) == capacity + MISSES
-    assert events == []
-    assert lock.acquisitions == 2 * MISSES      # one per get
     assert CountingOrder.pulled == MISSES       # one per eviction
     assert label_keys == []
 
@@ -183,15 +153,12 @@ def test_a_recall_reads_each_run_of_misses_in_one_call(monkeypatch,
             pageio, name,
             lambda *args, _name=name, _real=real, **kwargs:
             facade_calls.append(_name) or _real(*args, **kwargs))
-    lock = CountingLock(pool._lock)
-    monkeypatch.setattr(pool, "_lock", lock)
     file_calls = count_file_calls(monkeypatch)
 
     readers = [(pfile, pool_reader) for pfile in files.values()]
     assert pool.recall("plan", readers) == ("answer", misses)
     assert facade_calls == ["read_run"] * runs
     assert [call for _file, call in file_calls] == ["read_run"] * runs
-    assert lock.acquisitions == 1
     assert sum(pfile.stats.reads for pfile in files.values()) \
         == reads + misses
     monkeypatch.undo()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs import metrics
 from repro.obs.metrics import (MetricsRegistry, format_series, get_registry,
                                use_registry)
 
@@ -115,9 +116,9 @@ def test_use_registry_scoping():
 
 
 # -- the alias-dict fast path ------------------------------------------------
-# A repeated ``counter(name, **labels)`` is answered from a lock-free dict
-# in front of the locked path; everything the locked path guaranteed holds
-# on a fast hit too.
+# A repeated ``counter(name, **labels)`` is answered from an alias dict
+# in front of the label-keyed path; everything the keyed path guarantees
+# holds on a fast hit too.
 
 
 def test_per_call_fetch_follows_a_registry_swap():
@@ -175,15 +176,17 @@ def test_unhashable_label_values_take_the_locked_path():
     assert len(reg) == 1
 
 
-def test_fast_path_takes_no_lock():
-    """A first use takes the registry lock; a repeat lookup of an
-    existing series takes no lock at all."""
-    from tests.test_miss_path_budget import CountingLock
-
+def test_a_repeat_lookup_builds_no_label_key(monkeypatch):
+    """A first use builds the series' label key; a repeat lookup of an
+    existing series is one alias-dict hit and builds none."""
+    label_keys = []
+    real_label_key = metrics._label_key
+    monkeypatch.setattr(
+        metrics, "_label_key",
+        lambda labels: label_keys.append(1) or real_label_key(labels))
     reg = MetricsRegistry()
-    lock = reg._lock = CountingLock(reg._lock)
     handle = reg.counter("c", file="f")
-    assert lock.acquisitions == 1
+    assert label_keys == [1]
     for _ in range(5):
         assert reg.counter("c", file="f") is handle
-    assert lock.acquisitions == 1
+    assert label_keys == [1]

@@ -1,7 +1,6 @@
 """``read_run`` and ``count`` x ``read_page`` leave identical ledgers.
 
-``PagedFile.read_run`` takes the file lock once and runs the same
-per-page body as ``read_page``.  Two files built the same way, one read
+``PagedFile.read_run`` runs the same per-page body as ``read_page``.  Two files built the same way, one read
 as a run and one page by page, must therefore agree with ``==`` — no
 tolerance on ``simulated_ms`` — on the returned bytes (or the error),
 the shared ``IOStats`` and every registry series, whatever the head

@@ -4,7 +4,7 @@ The PR 5 acceptance bar: ``repro serve`` run twice with the same seed
 yields byte-identical reports; a single unpooled session matches the
 sequential ``VisualSystem`` path exactly; the shared pool's hit rate
 grows with the session count; overload/admission/fault pressure
-degrades service instead of deadlocking it; and no serving path starts
+degrades service instead of deadlocking it; and no product verb starts
 a thread.
 """
 
@@ -42,15 +42,25 @@ def test_serve_same_seed_byte_identical(serve_report):
         == json.dumps(again, sort_keys=False)
 
 
-def test_no_serving_path_starts_a_thread(monkeypatch):
-    """The premise of DESIGN.md §10, pinned: ``repro serve``, one
-    in-process ``repro traffic`` and a scored scheduler run all complete
-    on the calling thread and their books balance.  A change that starts
-    a thread has to say so here and bring its own evidence."""
+def test_no_product_verb_starts_a_thread(monkeypatch, tmp_path):
+    """The premise of DESIGN.md §10, pinned, and its one guard: ``repro
+    serve``, one in-process ``repro traffic``, a scored scheduler run,
+    ``profile``, ``chaos``, a serial ``precompute`` and one ``run``
+    experiment all complete on the calling thread and their books
+    balance.  That is why no lock guards the pool, the files, the
+    journal or the registry; a change that starts a thread has to say so
+    here and bring its locks and its evidence."""
     def refuse(self):
         raise AssertionError(f"{self.name} was started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    small = ["--scale", "small", "--frames", "4"]
+    for verb in (["profile", *small], ["chaos", *small],
+                 ["precompute", "--scale", "small", "--resolution", "8",
+                  "--samples", "2", "--quiet"]):
+        assert main([*verb, "--output", str(tmp_path / "report.json")]) == 0
+    assert main(["run", "fig7", "--scale", "small"]) == 0
 
     served = run_serve(sessions=4, frames=6)
     assert served["outcome"]["completed"] is True

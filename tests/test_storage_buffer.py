@@ -1,11 +1,11 @@
-"""Buffer pool tests: LRU order, counters, file identity."""
+"""Buffer pool tests: LRU order, counters, file identity, a failed read."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.pagedfile import PagedFile
@@ -143,3 +143,23 @@ def test_pool_metrics_mirror_counters(pfile):
     assert delta['bufferpool_misses_total{pool="test-mirror"}'] == 3
     assert delta['bufferpool_evictions_total{pool="test-mirror"}'] == 1
     assert delta['bufferpool_resident_pages{pool="test-mirror"}'] == 2
+
+
+def test_failed_read_raises_in_its_caller_then_recovers(pfile):
+    """A failing read raises in its caller, counts one miss and installs
+    nothing, so the next get reads again."""
+    pool = BufferPool(capacity=8)
+    attempts = []
+
+    def failing_reader(pf: PagedFile, page_id: int, count: int) -> bytes:
+        attempts.append(page_id)
+        raise StorageError("injected read failure")
+
+    with pytest.raises(StorageError):
+        pool.get(pfile, 5, reader=failing_reader)
+    assert attempts == [5]
+    assert (pool.misses, pool.hits) == (1, 0)
+    assert not pool.contains(pfile, 5)
+    assert pool.get(pfile, 5) == (bytes([5]) * 8).ljust(64, b"\x00")
+    assert pool.misses == 2      # the failed read and the retry
+    assert pfile.stats.reads == 1
