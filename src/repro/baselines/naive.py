@@ -116,6 +116,7 @@ class NaiveCellList:
         data = pageio.read_run(self.list_file, first, num_pages,
                                component="baselines")
         result = NaiveResult(cell_id=cell_id, list_pages_read=num_pages)
+        wanted: List[Tuple[int, int]] = []
         page_size = self.list_file.page_size
         for page_index in range(num_pages):
             base = page_index * page_size
@@ -131,8 +132,9 @@ class NaiveCellList:
                 nbytes = polygons * BYTES_PER_POLYGON
                 result.total_polygons += polygons
                 result.total_model_bytes += nbytes
-                if self.fetch_models:
-                    self.env.object_store.fetch_prefix(record.blob_id, nbytes)
+                wanted.append((record.blob_id, nbytes))
+        if self.fetch_models:
+            self.env.object_store.fetch_prefixes(wanted)
         return result
 
     def reset_io_head(self) -> None:

@@ -11,7 +11,8 @@ For each entry of each visited node:
 
 I/O is charged as the traversal goes: one page per node read, one per
 V-page read (through the storage scheme), and the model-data pages for
-every retrieved LoD (through the object store).
+every retrieved LoD (through the object store) — a leaf's objects in
+one batch, after its entries have been read.
 
 Degradation (PR 3): a V-page that is still unreadable after the pageio
 retry budget — corrupt media or an exhausted transient fault — does not
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import BYTES_PER_POLYGON, DEFAULT_LOD_RATIO
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.schemes.base import StorageScheme, scheme_reader
+from repro.core.vpage import VEntry
 from repro.errors import HDoVError, PageCorruptError, TransientIOError
 from repro.geometry.vec import PointLike
 from repro.lod.selection import internal_lod_fraction, leaf_lod_fraction
@@ -321,12 +323,12 @@ class HDoVSearch:
         result.vpages_read += 1
         if len(ventries) != len(node.targets):
             raise HDoVError("V-page does not match node entry count")
+        if node.is_leaf:                                   # lines 3-5
+            self._retrieve_objects(node.targets, ventries, result)
+            return
         for target, (dov, nvo) in zip(node.targets, ventries):
             if dov == 0.0:
-                result.pruned += 1
-                continue                                   # line 3: prune
-            if node.is_leaf:
-                self._retrieve_object(target, dov, result)  # lines 4-5
+                result.pruned += 1                         # line 3: prune
             elif dov <= eta and self._should_terminate(target, nvo):
                 result.terminated += 1
                 self._retrieve_internal(target, dov, eta, result)  # line 8
@@ -356,19 +358,43 @@ class HDoVSearch:
 
     # -- retrieval ------------------------------------------------------------
 
+    def _retrieve_objects(self, object_ids: Sequence[int],
+                          ventries: Sequence[VEntry],
+                          result: SearchResult) -> None:
+        """Figure 3 over a leaf's entries: prune (line 3) or retrieve
+        (lines 4-5).  The retrieved objects' model prefixes are fetched
+        after the pass, in entry order, with one
+        :meth:`ObjectStore.fetch_prefixes` (none if nothing is
+        retrieved)."""
+        wanted: List[Tuple[int, int]] = []
+        for object_id, (dov, _nvo) in zip(object_ids, ventries):
+            if dov == 0.0:
+                result.pruned += 1
+                continue                                   # line 3: prune
+            blob_id, retrieved = self._object_lod(object_id, dov)
+            result.objects.append(retrieved)
+            wanted.append((blob_id, retrieved.bytes))
+        if wanted and self.fetch_models:
+            self.env.object_store.fetch_prefixes(wanted)
+
     def _retrieve_object(self, object_id: int, dov: float,
                          result: SearchResult) -> None:
+        blob_id, retrieved = self._object_lod(object_id, dov)
+        if self.fetch_models:
+            self.env.object_store.fetch_prefix(blob_id, retrieved.bytes)
+        result.objects.append(retrieved)
+
+    def _object_lod(self, object_id: int,
+                    dov: float) -> Tuple[int, RetrievedObject]:
+        """An object's blob id and its answer at the eq.-6 LoD."""
         record = self.env.objects.get(object_id)
         if record is None:
             raise HDoVError(f"no object record for id {object_id}")
         k = leaf_lod_fraction(dov)
         polygons = record.chain.interpolated_polygons(k)
-        nbytes = polygons * BYTES_PER_POLYGON
-        if self.fetch_models:
-            self.env.object_store.fetch_prefix(record.blob_id, nbytes)
-        result.objects.append(RetrievedObject(
+        return record.blob_id, RetrievedObject(
             object_id=object_id, dov=dov, fraction=k, polygons=polygons,
-            bytes=nbytes))
+            bytes=polygons * BYTES_PER_POLYGON)
 
     def _retrieve_internal(self, node_offset: int, dov: float, eta: float,
                            result: SearchResult) -> None:

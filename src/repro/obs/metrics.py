@@ -6,8 +6,10 @@ simulated milliseconds and page I/Os go without threading stats objects
 through every call site.  Instruments are cheap handle objects bumped
 with a plain attribute add.  Long-lived objects fetch their handles once
 at construction (``reg.counter(name, **labels)``); code that must follow
-a registry swap (``repro.storage.pageio``) fetches on every call, which
-after a series' first use is one lookup in the alias dict.
+a registry swap (``repro.storage.pageio``) keeps its handles in a table
+tied to the registry they came from and refills it when
+:func:`get_registry` answers another one.  A repeated lookup is one hit
+in the registry's alias dict.
 
 Two access patterns are supported:
 

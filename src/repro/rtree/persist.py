@@ -98,9 +98,8 @@ class NodeStore:
         self.num_nodes = 0
         #: node offset -> page id, filled at write time.
         self.offset_to_page: Dict[int, int] = {}
-        #: page id -> (the stored image last read, its decode).
-        self._decoded: Dict[int, Tuple[bytes,
-                                       Tuple[int, int, int, NodeEntries]]] = {}
+        #: page id -> (the stored image last read, the node it holds).
+        self._decoded: Dict[int, Tuple[bytes, PersistedNode]] = {}
 
     def write_tree(self, tree: RTree,
                    lod_pointers: Optional[Dict[int, int]] = None) -> int:
@@ -152,9 +151,11 @@ class NodeStore:
     def read_node(self, node_offset: int) -> PersistedNode:
         """Fetch and decode the node at ``node_offset`` (one page read).
 
-        The read is always made and charged; the decode is skipped when
-        the read hands back an image equal to the one decoded last time
-        for this page (a 4 KiB compare, not a decode).  No file of a
+        The read is always made and charged; when it hands back an image
+        equal to the one decoded last time for this page (a 4 KiB
+        compare, not a decode), the node built then is handed out again
+        — if it is the node asked for; otherwise the page is decoded
+        again, and :func:`persisted_node`'s check raises.  No file of a
         built environment is written after the build, but a flipped bit
         yields a different image, so that page is decoded and validated
         again.
@@ -162,12 +163,12 @@ class NodeStore:
         page_id = self.page_of(node_offset)
         data = pageio.read_page(self.pfile, page_id, component="rtree")
         seen = self._decoded.get(page_id)
-        if seen is not None and seen[0] == data:
-            decoded = seen[1]
-        else:
-            decoded = decode_node(data)
-            self._decoded[page_id] = (data, decoded)
-        return persisted_node(page_id, node_offset, decoded)
+        if (seen is not None and seen[0] == data
+                and seen[1].node_offset == node_offset):
+            return seen[1]
+        node = persisted_node(page_id, node_offset, decode_node(data))
+        self._decoded[page_id] = (data, node)
+        return node
 
     def read_root(self) -> PersistedNode:
         if self.root_page is None:

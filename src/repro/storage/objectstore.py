@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.storage.pagedfile import PagedFile
@@ -111,6 +111,20 @@ class ObjectStore:
             return 0
         self.pfile.read_run(blob.first_page + held, pages - held)
         return pages - held
+
+    def fetch_prefixes(self, wanted: Sequence[Tuple[int, int]]) -> int:
+        """Read the prefix of each ``(blob_id, logical_bytes)`` in
+        ``wanted``, in order, as one :meth:`fetch_prefix` per pair with
+        nothing held would — charged through one
+        :meth:`PagedFile.read_runs`.  Every id and size is checked before
+        the first page is read.  Returns the number of pages read."""
+        runs: List[Tuple[int, int]] = []
+        for blob_id, logical_bytes in wanted:
+            blob = self.ref(blob_id)
+            runs.append((blob.first_page,
+                         self._prefix_pages(blob, logical_bytes)))
+        self.pfile.read_runs(runs)
+        return sum(count for _first, count in runs)
 
     def shared_by(self, server: object) -> SharedModels:
         """What ``server``'s sessions hold of this store's blobs: one

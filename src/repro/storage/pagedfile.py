@@ -17,7 +17,7 @@ import math
 import os
 import struct
 import zlib
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.constants import PAGE_SIZE
 from repro.errors import PageCorruptError, PageNotFoundError, StorageError
@@ -322,9 +322,13 @@ class PagedFile:
 
     # -- access ------------------------------------------------------------
 
-    def _charge(self, page_id: int, *, write: bool) -> None:
+    def _charge(self, page_id: int, *, write: bool, count: int = 1) -> None:
         """Classify and price one access from the disk model's constants;
-        book it with plain adds into ``IOStats`` and the file's series."""
+        book it with plain adds into ``IOStats`` and the file's series.
+        A read of ``count > 1`` pages is a run: its first page is the
+        access, then ``count - 1`` sequential reads follow, with
+        ``transfer_ms`` added per page, in order, as that many one-page
+        reads would book them."""
         stats = self.stats
         disk = self.disk
         last = self._last_accessed
@@ -363,6 +367,20 @@ class PagedFile:
             cost = disk.seek_ms + disk.transfer_ms
         stats.simulated_ms += cost
         self._m_ms.value += cost
+        tail = count - 1
+        if tail:
+            nbytes = tail * self.page_size
+            stats.reads += tail
+            stats.bytes_read += nbytes
+            stats.sequential_reads += tail
+            self._m_reads.value += tail
+            self._m_bytes_read.value += nbytes
+            self._m_sequential.value += tail
+            transfer = disk.transfer_ms
+            for _ in range(tail):
+                stats.simulated_ms += transfer
+                self._m_ms.value += transfer
+            page_id += tail
         self._last_accessed = page_id
 
     def _validate(self, page_id: int) -> None:
@@ -385,29 +403,12 @@ class PagedFile:
 
     def _read_mem(self, first_page: int, count: int) -> bytes:
         """``count >= 1`` pages below ``num_pages`` of an open memory file
-        with no injector: the first page charged as :meth:`_read_one`
-        would, then ``count - 1`` sequential reads with ``transfer_ms``
-        added per page, in order, as it would."""
-        self._charge(first_page, write=False)
-        tail = count - 1
-        if tail:
-            stats = self.stats
-            nbytes = tail * self.page_size
-            stats.reads += tail
-            stats.bytes_read += nbytes
-            stats.sequential_reads += tail
-            self._m_reads.value += tail
-            self._m_bytes_read.value += nbytes
-            self._m_sequential.value += tail
-            transfer = self.disk.transfer_ms
-            for _ in range(tail):
-                stats.simulated_ms += transfer
-                self._m_ms.value += transfer
-            self._last_accessed = first_page + tail
+        with no injector, booked in one step."""
+        self._charge(first_page, write=False, count=count)
         mem = self._mem
         zero = self._zero_page
         size = self.page_size
-        if not tail:
+        if count == 1:
             return mem.get(first_page, zero).ljust(size, b"\0")
         if not mem:
             return bytes(count * size)     # stores no page: the models file
@@ -635,6 +636,37 @@ class PagedFile:
             return self._read_mem(first_page, count)
         return b"".join([self._read_one(page_id) for page_id
                          in range(first_page, first_page + count)])
+
+    def read_runs(self, runs: Sequence[Tuple[int, int]]) -> None:
+        """Read each ``(first_page, count)`` run, in order, and drop the
+        bytes: for a reader that needs a read's cost, not its content
+        (model blobs hold none).  The ledgers move as one
+        :meth:`read_run` per run would move them, float for float.
+
+        Every count is checked before anything is charged.  A memory
+        file with no injector and no stored page books runs that lie
+        inside ``num_pages`` in one loop; any other file or run goes
+        through :meth:`read_run` per run, so a run that crosses
+        ``num_pages`` charges the runs before it and its own valid
+        prefix, then raises.
+        """
+        self._check_open()
+        last = self._num_pages
+        in_one_loop = (self._fh is None and self._faults is None
+                       and not self._mem)
+        for first_page, count in runs:
+            if count < 0:
+                raise StorageError(f"count must be >= 0, got {count}")
+            if count and not 0 <= first_page <= last - count:
+                in_one_loop = False
+        if not in_one_loop:
+            for first_page, count in runs:
+                self.read_run(first_page, count)
+            return
+        charge = self._charge
+        for first_page, count in runs:
+            if count:
+                charge(first_page, write=False, count=count)
 
     def reset_head(self) -> None:
         """Forget the last accessed page (forces the next access to seek).

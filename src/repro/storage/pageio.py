@@ -15,41 +15,83 @@ invariant the storage layer enforces next.  This module is therefore the
   so reports can answer *which layer* issued the I/O, not just which
   file received it.
 
-The wrappers deliberately fetch their counters from the *current*
-registry on every call rather than caching handles: callers like
-``repro profile`` swap registries mid-process (``use_registry``), and a
-cached handle would keep writing to the retired registry — the same
-stale-identity bug class as the ``id()``-keyed buffer frames PR 1 fixed.
-The per-call fetch is cheap because each registry answers a repeated
-``counter(name, component=...)`` from its own alias dict.
+The counters are bumped through a ``{component: Counter}`` table that
+belongs to the registry it was filled from: every call compares that
+registry with the *current* one (``get_registry()``) and refills the
+table from the current one when they differ.  Callers like ``repro
+profile`` swap registries mid-process (``use_registry``), and a handle
+kept past the swap would keep writing to the retired registry — the
+same stale-identity bug class as the ``id()``-keyed buffer frames PR 1
+fixed.  The table holds its registry, so a retired registry cannot be
+collected and its identity reused while the table still answers for
+it; ``registry.reset()`` keeps handles valid, so it needs no refill.
 
-The facade is also where resilience attaches (PR 3): every operation
-runs under :func:`repro.storage.retry.run_with_retry`, so a transient
-fault injected below is absorbed here — with bounded, simulated-clock
-backoff — before any scheme or search code ever sees it.  When no fault
-injector is installed the retry wrapper short-circuits to a bare call.
+The facade is also where resilience attaches (PR 3): an operation on a
+file with a fault injector runs under
+:func:`repro.storage.retry.run_with_retry`, so a transient fault
+injected below is absorbed here — with bounded, simulated-clock backoff
+— before any scheme or search code ever sees it.  A file without an
+injector cannot fail transiently, and its operation is one direct call.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.errors import StorageError
 from repro.obs import names
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricsRegistry, get_registry
 from repro.storage.pagedfile import PagedFile
 from repro.storage.retry import run_with_retry
+
+#: ``(registry, {component: reads counter}, {component: writes
+#: counter})``: handles of the registry they came from.
+_handles: Tuple[MetricsRegistry, Dict[str, Counter], Dict[str, Counter]] = (
+    get_registry(), {}, {})
+
+
+def _counter(component: str, *, write: bool) -> Counter:
+    """A component's first access in the current registry, or the first
+    access after a swap: fetch its handle, refilling the table from the
+    current registry if it came from another."""
+    global _handles
+    registry = get_registry()
+    if _handles[0] is not registry:
+        _handles = (registry, {}, {})
+    if write:
+        table = _handles[2]
+        handle = registry.counter(names.PAGEIO_WRITES, component=component)
+    else:
+        table = _handles[1]
+        handle = registry.counter(names.PAGEIO_READS, component=component)
+    table[component] = handle
+    return handle
 
 
 def read_page(pfile: PagedFile, page_id: int, *, component: str) -> bytes:
     """Read one page, attributing it to ``component``."""
-    get_registry().counter(names.PAGEIO_READS, component=component).inc()
+    registry, reads, _ = _handles
+    handle = reads.get(component)
+    if handle is None or registry is not get_registry():
+        handle = _counter(component, write=False)
+    handle.value += 1
+    if pfile.faults is None:
+        return pfile.read_page(page_id)
     return run_with_retry(pfile.read_page, pfile, page_id)
 
 
 def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
                component: str) -> None:
     """Write one page, attributing it to ``component``."""
-    get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
-    run_with_retry(pfile.write_page, pfile, page_id, data)
+    registry, _, writes = _handles
+    handle = writes.get(component)
+    if handle is None or registry is not get_registry():
+        handle = _counter(component, write=True)
+    handle.value += 1
+    if pfile.faults is None:
+        pfile.write_page(page_id, data)
+    else:
+        run_with_retry(pfile.write_page, pfile, page_id, data)
 
 
 def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
@@ -58,9 +100,8 @@ def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
     The allocation is not retried (it cannot fail transiently); only
     the write is, so a retry never allocates a second page.
     """
-    get_registry().counter(names.PAGEIO_WRITES, component=component).inc()
     page_id = pfile.allocate()
-    run_with_retry(pfile.write_page, pfile, page_id, data)
+    write_page(pfile, page_id, data, component=component)
     return page_id
 
 
@@ -71,10 +112,16 @@ def read_run(pfile: PagedFile, first_page: int, count: int, *,
     Retried as a unit: a transient failure mid-run re-reads the whole
     run (charging each page again), which keeps the facade's contract —
     the caller either gets the full buffer or the final error.  A
-    negative ``count`` is refused before anything is counted.
+    negative ``count`` is refused before anything is counted; a zero
+    one still creates its series.
     """
     if count < 0:
         raise StorageError(f"count must be >= 0, got {count}")
-    get_registry().counter(names.PAGEIO_READS,
-                           component=component).inc(count)
+    registry, reads, _ = _handles
+    handle = reads.get(component)
+    if handle is None or registry is not get_registry():
+        handle = _counter(component, write=False)
+    handle.value += count
+    if pfile.faults is None:
+        return pfile.read_run(first_page, count)
     return run_with_retry(pfile.read_run, pfile, first_page, count)

@@ -43,12 +43,10 @@ BACKOFF_MULTIPLIER = 2.0
 def run_with_retry(op: Callable[..., T], pfile: PagedFile, *args: Any) -> T:
     """Run ``op(*args)`` retrying transient failures against ``pfile``.
 
-    Fast path first: when no fault injector is installed on the file,
-    transient errors cannot occur, so the operation runs bare — zero
-    overhead and zero new metric series on the happy path.
+    Only a file with a fault injector can fail transiently, so
+    :mod:`repro.storage.pageio` calls this for those files alone; on any
+    other file ``op`` runs once, and no metric series is created.
     """
-    if pfile.faults is None:
-        return op(*args)
     attempt = 1
     while True:
         try:

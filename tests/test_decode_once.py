@@ -30,7 +30,8 @@ import repro.rtree.persist as persist_module
 import repro.serving.pooled as pooled_module
 import repro.storage.vpagecodec as vpagecodec_module
 from repro.core.search import HDoVSearch
-from repro.errors import PageCorruptError, SchemeError, StorageError
+from repro.errors import (PageCorruptError, RTreeError, SchemeError,
+                          StorageError)
 from repro.geometry.aabb import AABB
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import cold_queries
@@ -504,6 +505,19 @@ def test_a_rewritten_tree_page_is_decoded_again(env, monkeypatch):
                           component="rtree")
     assert store.read_root().targets == root.targets
     assert decodes["calls"] == 3
+
+
+def test_a_memo_hit_still_checks_the_node_offset(env, monkeypatch):
+    """The memo keeps the node a page held; a read that reaches that
+    page for another offset is refused, warm memo or not."""
+    store = fresh_store(monkeypatch, env)
+    root = store.read_root()
+    assert store.read_root() is root
+    store.offset_to_page = dict(store.offset_to_page)
+    store.offset_to_page[1] = store.page_of(0)
+    with pytest.raises(RTreeError, match="page says 0, asked for 1"):
+        store.read_node(1)
+    assert store.read_root() is root
 
 
 def test_a_bit_flip_on_the_tree_file_is_never_hidden_by_the_memo(env):

@@ -1,11 +1,15 @@
 """Metrics registry: instruments, labels, snapshot/delta, scoping."""
 
+import gc
+
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import metrics
+from repro.obs import metrics, names
 from repro.obs.metrics import (MetricsRegistry, format_series, get_registry,
                                use_registry)
+from repro.storage import pageio
+from repro.storage.pagedfile import PagedFile
 
 
 def test_counter_basics():
@@ -122,8 +126,9 @@ def test_use_registry_scoping():
 
 
 def test_per_call_fetch_follows_a_registry_swap():
-    """``pageio`` fetches its counter on every call: after a swap the
-    counts land in the *current* registry, never in a remembered one."""
+    """``pageio`` checks its handle table's registry on every call:
+    after a swap the counts land in the *current* registry, never in a
+    remembered one."""
     from repro.obs import names
     from repro.storage import pageio
     from repro.storage.pagedfile import PagedFile
@@ -168,7 +173,7 @@ def test_label_values_alias_by_their_string_form():
     assert reg.counter("d", a="x", b="y") is reg.counter("d", b="y", a="x")
 
 
-def test_unhashable_label_values_take_the_locked_path():
+def test_unhashable_label_values_take_the_label_key_path():
     reg = MetricsRegistry()
     first = reg.counter("c", component=["a", "b"])
     assert reg.counter("c", component=["a", "b"]) is first
@@ -190,3 +195,91 @@ def test_a_repeat_lookup_builds_no_label_key(monkeypatch):
     for _ in range(5):
         assert reg.counter("c", file="f") is handle
     assert label_keys == [1]
+
+
+# -- pageio's handle table ------------------------------------------------------
+# ``pageio`` bumps handles from a table filled from one registry and
+# refilled when ``get_registry()`` answers another; each case below must
+# land every read and write in the active registry and nowhere else.
+
+
+#: One access of each kind, and the (reads, writes) it counts.
+ACCESSES = {
+    "read_page": (lambda pfile, component: pageio.read_page(
+        pfile, 0, component=component), (1, 0)),
+    "read_run": (lambda pfile, component: pageio.read_run(
+        pfile, 0, 1, component=component), (1, 0)),
+    "write_page": (lambda pfile, component: pageio.write_page(
+        pfile, 0, b"w", component=component), (0, 1)),
+    "append_page": (lambda pfile, component: pageio.append_page(
+        pfile, b"a", component=component), (0, 1)),
+}
+
+
+def pageio_traffic(pfile, component):
+    """Every kind of access once: two pages read, two written."""
+    for access, _counts in ACCESSES.values():
+        access(pfile, component)
+
+
+def pageio_counts(registry, component):
+    return (registry.value(names.PAGEIO_READS, component=component),
+            registry.value(names.PAGEIO_WRITES, component=component))
+
+
+@pytest.mark.parametrize("name", sorted(ACCESSES))
+def test_pageio_handles_follow_a_swap_there_and_back(name):
+    """``name`` is the first access after each swap, so its handle for
+    the component is the one the table holds from the other registry."""
+    access, (reads, writes) = ACCESSES[name]
+    pfile = PagedFile("table", page_size=64)
+    pfile.append_page(b"x")
+    a, b = MetricsRegistry(), MetricsRegistry()
+    with use_registry(a):
+        pageio_traffic(pfile, "table-test")
+        with use_registry(b):
+            access(pfile, "table-test")
+            assert pageio_counts(b, "table-test") == (reads, writes)
+            pageio_traffic(pfile, "table-test")
+        assert pageio_counts(a, "table-test") == (2, 2)
+        access(pfile, "table-test")
+        assert pageio_counts(a, "table-test") == (2 + reads, 2 + writes)
+    assert pageio_counts(b, "table-test") == (2 + reads, 2 + writes)
+    assert pageio_counts(get_registry(), "table-test") == (0, 0)
+
+
+def test_pageio_handles_survive_a_reset():
+    pfile = PagedFile("table", page_size=64)
+    pfile.append_page(b"x")
+    with use_registry() as registry:
+        pageio_traffic(pfile, "table-test")
+        registry.reset()
+        assert pageio_counts(registry, "table-test") == (0, 0)
+        pageio_traffic(pfile, "table-test")
+        assert pageio_counts(registry, "table-test") == (2, 2)
+
+
+def test_pageio_handles_never_outlive_a_collected_registry():
+    """A scoped registry that is dropped and collected, then a new one
+    (which may be allocated where the old one was): the new one gets
+    every count, from zero."""
+    pfile = PagedFile("table", page_size=64)
+    pfile.append_page(b"x")
+    for _ in range(3):
+        with use_registry():
+            pageio_traffic(pfile, "table-test")
+        gc.collect()
+        with use_registry() as fresh:
+            pageio_traffic(pfile, "table-test")
+            assert pageio_counts(fresh, "table-test") == (2, 2)
+            assert len(fresh.series(names.PAGEIO_READS)) == 1
+
+
+def test_an_empty_read_run_still_creates_its_series():
+    pfile = PagedFile("table", page_size=64)
+    with use_registry() as registry:
+        assert pageio.read_run(pfile, 0, 0, component="table-empty") == b""
+        assert 'pageio_reads_total{component="table-empty"}' \
+            in registry.collect()
+        assert registry.value(names.PAGEIO_READS,
+                              component="table-empty") == 0
