@@ -29,7 +29,7 @@ Experiments (one driver per paper table/figure) live in
 from repro.constants import ETA_GRID, ETA_RANGE, MAXDOV
 from repro.core import (DeltaSearch, HDoVConfig, HDoVEnvironment, HDoVSearch,
                         SearchResult, build_environment)
-from repro.geometry import AABB, Camera, Frustum, TriangleMesh
+from repro.geometry import AABB, TriangleMesh
 from repro.scene import CityParams, Scene, SceneObject, generate_city
 from repro.visibility import CellGrid, RayCastDoVEstimator, VisibilityTable
 
@@ -37,13 +37,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AABB",
-    "Camera",
     "CellGrid",
     "CityParams",
     "DeltaSearch",
     "ETA_GRID",
     "ETA_RANGE",
-    "Frustum",
     "HDoVConfig",
     "HDoVEnvironment",
     "HDoVSearch",

@@ -92,14 +92,12 @@ class NaiveCellList:
                 if len(payload) > self.list_file.page_size:
                     raise HDoVError("naive leaf page overflow")
                 pages.append(payload)
-            first = self.list_file.allocate_many(max(len(pages), 1))
+            count = max(len(pages), 1)
+            first = self.list_file.allocate_many(count)
             for i, payload in enumerate(pages):
                 pageio.write_page(self.list_file, first + i, payload,
                                   component="baselines")
-            self._directory[cell.cell_id] = (first, max(len(pages), 1)
-                                             if pages else 1)
-            if not pages:
-                self._directory[cell.cell_id] = (first, 1)
+            self._directory[cell.cell_id] = (first, count)
         # Building is preprocessing; do not let it pollute measurements.
         self.env.reset_stats()
 

@@ -51,8 +51,6 @@ from repro.experiments import (run_figure7, run_figure8, run_figure9,
 from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
                                          run_split_ablation)
 from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.extensions import (run_node_cache_sweep,
-                                          run_priority_extension)
 from repro.errors import (HDoVError, ReproError, StorageError,
                           VisibilityError)
 from repro.experiments.config import get_scale
@@ -81,9 +79,6 @@ EXPERIMENTS: Dict[str, tuple] = {
                       lambda scale: run_flip_scaling()),
     "baselines": ("VISUAL vs REVIEW vs LoD-R-tree across sessions",
                   run_baseline_comparison),
-    "ext-priority": ("frustum-prioritized traversal response time",
-                     run_priority_extension),
-    "ext-nodecache": ("tree-node cache-size sweep", run_node_cache_sweep),
 }
 
 

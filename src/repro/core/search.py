@@ -377,13 +377,6 @@ class HDoVSearch:
         if wanted and self.fetch_models:
             self.env.object_store.fetch_prefixes(wanted)
 
-    def _retrieve_object(self, object_id: int, dov: float,
-                         result: SearchResult) -> None:
-        blob_id, retrieved = self._object_lod(object_id, dov)
-        if self.fetch_models:
-            self.env.object_store.fetch_prefix(blob_id, retrieved.bytes)
-        result.objects.append(retrieved)
-
     def _object_lod(self, object_id: int,
                     dov: float) -> Tuple[int, RetrievedObject]:
         """An object's blob id and its answer at the eq.-6 LoD."""

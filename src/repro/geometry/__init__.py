@@ -1,4 +1,4 @@
-"""Geometry substrate: vectors, bounding boxes, meshes, rays, frusta.
+"""Geometry substrate: vectors, bounding boxes, meshes, rays.
 
 This package replaces the graphics/OpenGL substrate of the paper's
 prototype.  Everything is numpy-backed and deterministic.
@@ -6,7 +6,6 @@ prototype.  Everything is numpy-backed and deterministic.
 
 from repro.geometry.aabb import AABB, union_aabbs
 from repro.geometry.mesh import TriangleMesh
-from repro.geometry.frustum import Camera, Frustum
 from repro.geometry.rays import (
     ray_aabb_intersect,
     rays_vs_aabbs,
@@ -17,8 +16,6 @@ __all__ = [
     "AABB",
     "union_aabbs",
     "TriangleMesh",
-    "Camera",
-    "Frustum",
     "ray_aabb_intersect",
     "rays_vs_aabbs",
     "sphere_direction_grid",

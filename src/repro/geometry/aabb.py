@@ -81,15 +81,6 @@ class AABB:
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.extent))
 
-    def corners(self) -> np.ndarray:
-        """The 8 corner points, shape ``(8, 3)``."""
-        lo, hi = self.lo, self.hi
-        xs = (lo[0], hi[0])
-        ys = (lo[1], hi[1])
-        zs = (lo[2], hi[2])
-        return np.array([(x, y, z) for x in xs for y in ys for z in zs],
-                        dtype=np.float64)
-
     # -- predicates ---------------------------------------------------------
 
     def contains_point(self, point) -> bool:

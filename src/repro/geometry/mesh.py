@@ -106,27 +106,6 @@ class TriangleMesh:
     def surface_area(self) -> float:
         return float(self.face_areas().sum())
 
-    def translated(self, offset) -> "TriangleMesh":
-        off = np.asarray(offset, dtype=np.float64)
-        return TriangleMesh(self.vertices + off, self.faces)
-
-    def scaled(self, factor) -> "TriangleMesh":
-        """Uniform or per-axis scale about the origin."""
-        return TriangleMesh(self.vertices * np.asarray(factor, dtype=np.float64),
-                            self.faces)
-
-    def drop_degenerate_faces(self, area_eps: float = 1e-12) -> "TriangleMesh":
-        """Remove faces with ~zero area or repeated vertex indices."""
-        if self.num_faces == 0:
-            return self
-        distinct = (
-            (self.faces[:, 0] != self.faces[:, 1])
-            & (self.faces[:, 1] != self.faces[:, 2])
-            & (self.faces[:, 0] != self.faces[:, 2])
-        )
-        keep = distinct & (self.face_areas() > area_eps)
-        return TriangleMesh(self.vertices, self.faces[keep])
-
     def compacted(self) -> "TriangleMesh":
         """Drop vertices not referenced by any face, remapping indices."""
         if self.num_faces == 0:

@@ -155,14 +155,3 @@ def tower_mesh(center, footprint, height: float, tiers: int = 1) -> TriangleMesh
         tier_center = (cx, cy, cz + tier_height * (i + 0.5))
         parts.append(box_mesh(tier_center, extent))
     return TriangleMesh.merge(parts)
-
-
-def ground_plane(lo, hi, z: float = 0.0) -> TriangleMesh:
-    """Two triangles covering the rectangle ``[lo, hi]`` at height ``z``."""
-    (x0, y0), (x1, y1) = lo, hi
-    if x0 >= x1 or y0 >= y1:
-        raise GeometryError("ground plane rectangle is degenerate")
-    verts = np.array([(x0, y0, z), (x1, y0, z), (x1, y1, z), (x0, y1, z)],
-                     dtype=np.float64)
-    faces = np.array([(0, 1, 2), (0, 2, 3)], dtype=np.int64)
-    return TriangleMesh(verts, faces)

@@ -1,9 +1,9 @@
 """Solid-angle utilities.
 
 DoV is defined as the solid angle of the visible part of a point set
-divided by ``4 * pi`` (paper, Section 3.1).  These helpers give closed-form
-or bounded estimates used for analytic checks and for cheap upper bounds
-in the visibility pipeline.
+divided by ``4 * pi`` (paper, Section 3.1).  These helpers give
+closed-form solid angles, the analytic references the DoV estimators
+are checked against.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.aabb import AABB
 from repro.geometry.vec import as_vec3
 
 FULL_SPHERE = 4.0 * np.pi
@@ -29,27 +28,6 @@ def sphere_solid_angle(distance: float, radius: float) -> float:
         return FULL_SPHERE
     ratio = radius / distance
     return float(2.0 * np.pi * (1.0 - np.sqrt(1.0 - ratio * ratio)))
-
-
-def aabb_solid_angle_upper_bound(viewpoint, box: AABB) -> float:
-    """Upper bound on the solid angle subtended by ``box`` from ``viewpoint``.
-
-    Uses the bounding sphere of the box.  Returns ``4 * pi`` when the
-    viewpoint is inside the bounding sphere.
-    """
-    p = as_vec3(viewpoint)
-    radius = box.diagonal / 2.0
-    if radius == 0.0:
-        return 0.0
-    dist = float(np.linalg.norm(box.center - p))
-    if dist <= radius:
-        return FULL_SPHERE
-    return sphere_solid_angle(dist, radius)
-
-
-def dov_upper_bound(viewpoint, box: AABB) -> float:
-    """DoV (fraction of the sphere) upper bound for an AABB."""
-    return min(aabb_solid_angle_upper_bound(viewpoint, box) / FULL_SPHERE, 1.0)
 
 
 def triangle_solid_angle(viewpoint, a, b, c) -> float:

@@ -54,11 +54,6 @@ class PersistedNode:
     def is_leaf(self) -> bool:
         return self.kind == KIND_LEAF
 
-    def mbr(self, index: int) -> AABB:
-        """Entry ``index``'s MBR as an :class:`AABB`, built on request."""
-        row = self.mbrs[index]
-        return AABB(row[:3], row[3:])
-
     @property
     def entries(self) -> NodeEntries:
         """Row view ``(mbr row, target, lod pointer)`` over the columns."""

@@ -7,7 +7,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from repro.constants import DEFAULT_FANOUT, DEFAULT_MIN_FILL
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
-from repro.geometry.vec import PointLike
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.split import SplitFn, get_split_algorithm
@@ -113,11 +112,6 @@ class RTree:
                 else:
                     stack.append(entry.child)  # type: ignore[arg-type]
         return result
-
-    def point_query(self, point: PointLike) -> List[int]:
-        """Object ids whose MBR contains ``point``."""
-        box = AABB(point, point)
-        return self.window_query(box)
 
     # -- traversal / introspection ----------------------------------------------
 

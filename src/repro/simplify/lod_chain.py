@@ -52,20 +52,6 @@ class LODChain:
     def byte_sizes(self) -> List[int]:
         return [m.byte_size for m in self.levels]
 
-    def level_for_fraction(self, k: float) -> int:
-        """Index of the level selected by blending factor ``k`` in [0, 1].
-
-        ``k = 1`` selects the finest level, ``k = 0`` the coarsest —
-        matching equations 5 and 6, which interpolate between
-        ``LoD_highest`` and ``LoD_lowest``.
-        """
-        if not 0.0 <= k <= 1.0:
-            raise GeometryError(f"blend factor out of [0, 1]: {k}")
-        # Linear mapping onto level indices: k=1 -> 0 (finest),
-        # k=0 -> num_levels-1 (coarsest).
-        index = round((1.0 - k) * (self.num_levels - 1))
-        return int(index)
-
     def interpolated_polygons(self, k: float) -> int:
         """Polygon count of the blended LoD of equations 5/6.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -73,13 +73,6 @@ class CellVisibility:
 
     def total_dov(self) -> float:
         return sum(self.dov.values())
-
-    def merge_max(self, other: Mapping[int, float]) -> None:
-        """Combine with another viewpoint sample by per-object maximum
-        (the conservative region DoV of eq. 2)."""
-        for oid, value in other.items():
-            if value > self.get(oid):
-                self.set(oid, value)
 
     def __repr__(self) -> str:
         return (f"CellVisibility(cell={self.cell_id}, "

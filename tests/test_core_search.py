@@ -235,8 +235,7 @@ def test_retrieved_polygons_and_bytes_are_the_records_own(env, k, pick):
     search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
     result = SearchResult(cell_id=0, eta=1.0)
     record = env.objects[sorted(env.objects)[pick % len(env.objects)]]
-    search._retrieve_object(record.object_id, k * MAXDOV, result)
-    (obj,) = result.objects
+    _blob_id, obj = search._object_lod(record.object_id, k * MAXDOV)
     assert obj.fraction == min(k * MAXDOV / MAXDOV, 1.0)
     assert obj.polygons == record.chain.interpolated_polygons(obj.fraction)
     assert obj.bytes == record.bytes_for_fraction(obj.fraction)

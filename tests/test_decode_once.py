@@ -471,7 +471,8 @@ def test_unpooled_store_equals_its_twin_that_decodes_every_read(
 def reordered_page(store, node):
     """``node``'s page with its entries in reverse order: a valid page
     holding the same node offset, told apart by ``targets``."""
-    entries = [(node.mbr(i), node.targets[i], node.lod_ptrs[i])
+    entries = [(AABB(node.mbrs[i, :3], node.mbrs[i, 3:]), node.targets[i],
+                node.lod_ptrs[i])
                for i in reversed(range(len(node.targets)))]
     return encode_node(node.kind, node.level, node.node_offset, entries,
                        store.pfile.page_size)

@@ -76,15 +76,6 @@ def test_contains_point():
     assert not box.contains_point((1.01, 0.5, 0.5))
 
 
-def test_corners():
-    box = AABB((0, 0, 0), (1, 1, 1))
-    corners = box.corners()
-    assert corners.shape == (8, 3)
-    assert {tuple(c) for c in corners} == {
-        (x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0)
-        for z in (0.0, 1.0)}
-
-
 def test_enlargement_is_guttman_cost():
     box = AABB((0, 0, 0), (1, 1, 1))
     other = AABB((2, 0, 0), (3, 1, 1))

@@ -66,20 +66,6 @@ def test_merge_empty_list():
     assert TriangleMesh.merge([]).num_faces == 0
 
 
-def test_translated_scaled():
-    mesh = unit_triangle().translated((1, 1, 1))
-    assert np.allclose(mesh.vertices[0], (1, 1, 1))
-    scaled = unit_triangle().scaled(2.0)
-    assert scaled.surface_area() == pytest.approx(2.0)
-
-
-def test_drop_degenerate_faces():
-    verts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)])
-    faces = np.array([(0, 1, 2), (0, 1, 1), (0, 1, 3)])  # last is collinear
-    cleaned = TriangleMesh(verts, faces).drop_degenerate_faces()
-    assert cleaned.num_faces == 1
-
-
 def test_compacted_drops_orphans():
     verts = np.array([(0, 0, 0), (9, 9, 9), (1, 0, 0), (0, 1, 0)])
     faces = np.array([(0, 2, 3)])

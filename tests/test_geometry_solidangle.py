@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.aabb import AABB
-from repro.geometry.solidangle import (FULL_SPHERE, aabb_solid_angle_upper_bound,
-                                       dov_upper_bound, sphere_solid_angle,
-                                       triangle_solid_angle)
+from repro.geometry.solidangle import FULL_SPHERE, sphere_solid_angle, triangle_solid_angle
 
 
 def test_sphere_solid_angle_inside_is_full():
@@ -28,25 +25,6 @@ def test_sphere_solid_angle_monotone_in_distance():
 def test_sphere_solid_angle_invalid_radius():
     with pytest.raises(GeometryError):
         sphere_solid_angle(1.0, 0.0)
-
-
-def test_aabb_upper_bound_dominates_exact_projection():
-    box = AABB((10, -1, -1), (12, 1, 1))
-    bound = aabb_solid_angle_upper_bound((0, 0, 0), box)
-    # The box fits inside its bounding sphere, so the exact solid angle
-    # of any face is below the bound; check against the subtended face.
-    face_omega = 4 * (
-        triangle_solid_angle((0, 0, 0), (10, -1, -1), (10, 1, -1),
-                             (10, 1, 1)) / 2
-    )
-    assert bound >= face_omega * 0.99
-
-
-def test_dov_upper_bound_in_unit_range():
-    box = AABB((1, -1, -1), (2, 1, 1))
-    assert 0.0 < dov_upper_bound((0, 0, 0), box) <= 1.0
-    inside = dov_upper_bound((1.5, 0, 0), box)
-    assert inside == 1.0
 
 
 def test_triangle_solid_angle_octant():

@@ -47,11 +47,6 @@ def test_interpolated_polygons_midpoint(chain):
     assert mid == pytest.approx(expected, abs=1)
 
 
-def test_level_for_fraction(chain):
-    assert chain.level_for_fraction(1.0) == 0
-    assert chain.level_for_fraction(0.0) == chain.num_levels - 1
-
-
 def test_byte_sizes(chain):
     from repro.constants import BYTES_PER_POLYGON
     assert chain.byte_sizes() == [m.num_faces * BYTES_PER_POLYGON

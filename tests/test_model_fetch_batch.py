@@ -43,7 +43,10 @@ def one_fetch_per_object(search, object_ids, ventries, result):
         if dov == 0.0:
             result.pruned += 1
             continue
-        search._retrieve_object(object_id, dov, result)
+        blob_id, retrieved = search._object_lod(object_id, dov)
+        if search.fetch_models:
+            search.env.object_store.fetch_prefix(blob_id, retrieved.bytes)
+        result.objects.append(retrieved)
 
 
 def cold_stream(env, scheme):

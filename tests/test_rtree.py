@@ -107,14 +107,6 @@ def test_window_query_matches_brute_force():
         assert sorted(tree.window_query(window)) == brute_force(items, window)
 
 
-def test_point_query():
-    tree = RTree()
-    tree.insert(AABB((0, 0, 0), (10, 10, 10)), 1)
-    tree.insert(AABB((20, 20, 20), (30, 30, 30)), 2)
-    assert tree.point_query((5, 5, 5)) == [1]
-    assert tree.point_query((50, 50, 50)) == []
-
-
 def test_on_node_callback_counts_visits():
     tree = RTree(max_entries=4)
     for i, b in enumerate(random_boxes(50, seed=6)):

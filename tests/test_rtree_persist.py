@@ -122,9 +122,6 @@ def test_three_stores_return_equal_nodes(store_and_tree):
             assert np.array_equal(other.mbrs, plain.mbrs)
             assert other.is_leaf == plain.is_leaf
             assert all(isinstance(t, int) for t in other.targets)
-    root = stores["plain"].read_node(0)
-    assert np.array_equal(root.mbr(0).lo, root.mbrs[0, :3])
-    assert np.array_equal(root.mbr(0).hi, root.mbrs[0, 3:])
 
 
 @pytest.mark.parametrize("name", ["plain", "pooled"])

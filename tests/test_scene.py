@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError, GeometryError
-from repro.geometry.primitives import bunny_blob, ground_plane, tower_mesh
+from repro.geometry.primitives import bunny_blob, tower_mesh
 from repro.scene.city import (BLOCK_SIZE, LOD_LEVELS, CityParams,
                               generate_city)
 from repro.scene.datasets import DATASET_SERIES, build_dataset
@@ -37,14 +37,6 @@ def test_bunny_blob_deterministic_and_bounded():
     assert radii.min() >= 2.0 * 0.5
     with pytest.raises(GeometryError):
         bunny_blob(bumpiness=1.5)
-
-
-def test_ground_plane():
-    plane = ground_plane((0, 0), (10, 5), z=1.0)
-    assert plane.num_faces == 2
-    assert plane.surface_area() == pytest.approx(50.0)
-    with pytest.raises(GeometryError):
-        ground_plane((0, 0), (0, 5))
 
 
 # -- Scene --------------------------------------------------------------------

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.search import HDoVSearch
 from repro.errors import WalkthroughError
 from repro.experiments.config import get_scale
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import build_world, injected_faults, session_path
 from repro.serving import (ServingSession, SessionScheduler, run_serve,
                            run_traffic)
+from repro.serving.pooled import PooledNodeStore
 from repro.serving.service import reconcile_ios, session_env, session_report
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultPlan, FaultRule
@@ -448,3 +450,42 @@ def test_scheduler_zeroes_active_gauge_on_error():
         with pytest.raises(ReproError):
             scheduler.run()
         assert registry.value(names.SERVING_ACTIVE_SESSIONS) == 0.0
+
+
+# -- the node store behind a private pool -------------------------------------
+
+def test_cached_node_store_matches_plain(env):
+    cached = PooledNodeStore(env.node_store, BufferPool(16))
+    for offset in range(env.node_store.num_nodes):
+        plain = env.node_store.read_node(offset)
+        via_cache = cached.read_node(offset)
+        assert via_cache.node_offset == plain.node_offset
+        assert via_cache.level == plain.level
+        assert len(via_cache.entries) == len(plain.entries)
+
+
+def test_cached_node_store_saves_io(env):
+    cached = PooledNodeStore(env.node_store, BufferPool(64))
+    env.reset_stats()
+    cached.read_node(0)
+    first = env.light_stats.reads
+    cached.read_node(0)
+    assert env.light_stats.reads == first     # hit: no disk charge
+    assert cached.pool.hit_rate > 0
+
+
+def test_cached_search_equivalent(env):
+    plain = HDoVSearch(env, "indexed-vertical", fetch_models=False)
+    busiest = max(env.grid.cell_ids(),
+                  key=lambda c: env.visibility.cell(c).num_visible)
+    expected = plain.query_cell(busiest, 0.0)
+
+    original = env.node_store
+    try:
+        env.node_store = PooledNodeStore(original, BufferPool(64))
+        cached_search = HDoVSearch(env, "indexed-vertical",
+                                   fetch_models=False)
+        result = cached_search.query_cell(busiest, 0.0)
+    finally:
+        env.node_store = original
+    assert result.object_ids() == expected.object_ids()

@@ -49,10 +49,8 @@ def test_node_roundtrip_through_columns_and_aabb_accessor():
     assert node.targets == columns.targets
     assert node.lod_ptrs == columns.lod_ptrs
     for index, (mbr, _target, _ptr) in enumerate(entries):
-        got = node.mbr(index)
-        assert isinstance(got, AABB)
-        assert np.allclose(got.lo, mbr.lo, atol=1e-6)
-        assert np.allclose(got.hi, mbr.hi, atol=1e-6)
+        assert np.allclose(node.mbrs[index, :3], mbr.lo, atol=1e-6)
+        assert np.allclose(node.mbrs[index, 3:], mbr.hi, atol=1e-6)
         assert np.array_equal(node.entries[index][0], columns.mbrs[index])
 
 

@@ -87,14 +87,6 @@ def test_cell_visibility_rejects_out_of_range():
         CellVisibility(0, dov={1: -0.2})
 
 
-def test_merge_max_is_conservative():
-    cell = CellVisibility(0, dov={1: 0.3, 2: 0.1})
-    cell.merge_max({1: 0.2, 2: 0.5, 3: 0.05})
-    assert cell.get(1) == 0.3
-    assert cell.get(2) == 0.5
-    assert cell.get(3) == 0.05
-
-
 def test_aggregate_upward_clamps():
     assert aggregate_upward([0.2, 0.3]) == pytest.approx(0.5)
     assert aggregate_upward([0.8, 0.9]) == 1.0
