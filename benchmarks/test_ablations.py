@@ -1,13 +1,11 @@
 """Bench: ablations — design choices the paper fixes but never varies.
 
 * NVO-heuristic on/off (eq. 4);
-* Ang-Tan vs Guttman node splitting;
 * cell-flip I/O vs tree size (vertical O(N_node) vs indexed-vertical
   O(N_vnode), the Section 4.3 scalability argument).
 """
 
-from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
-                                         run_split_ablation)
+from repro.experiments.ablations import run_flip_scaling, run_nvo_ablation
 from repro.experiments.config import MEDIUM
 
 
@@ -21,15 +19,6 @@ def test_nvo_heuristic_report(benchmark, medium_env, capsys):
     # exists to bound the polygon load of what gets rendered, so the
     # gated variant never renders more.
     assert result.with_heuristic[1] <= result.without_heuristic[1] * 1.05
-
-
-def test_split_report(benchmark, capsys):
-    result = benchmark.pedantic(lambda: run_split_ablation(MEDIUM),
-                                rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print(result.format_table())
-    assert len(result.rows) == 2
 
 
 def test_flip_scaling_report(benchmark, capsys):

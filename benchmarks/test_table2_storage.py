@@ -6,7 +6,7 @@ build over the precomputed V-page data.
 """
 
 from repro.experiments.config import MEDIUM
-from repro.experiments.table2_storage import ALL_SCHEMES, run_table2
+from repro.experiments.table2_storage import run_table2
 
 
 def test_table2_report(benchmark, medium_env_all_schemes, capsys):

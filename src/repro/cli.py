@@ -48,8 +48,7 @@ from repro.experiments import (run_figure7, run_figure8, run_figure9,
                                run_figure10a, run_figure10b, run_figure11,
                                run_figure12, run_memory_comparison,
                                run_table2, run_table3)
-from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
-                                         run_split_ablation)
+from repro.experiments.ablations import run_flip_scaling, run_nvo_ablation
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.errors import (HDoVError, ReproError, StorageError,
                           VisibilityError)
@@ -73,8 +72,6 @@ EXPERIMENTS: Dict[str, tuple] = {
     "memory": ("peak memory: VISUAL vs REVIEW", run_memory_comparison),
     "ablation-nvo": ("eq.4 NVO termination heuristic on/off",
                      run_nvo_ablation),
-    "ablation-split": ("Ang-Tan vs Guttman node splitting",
-                       run_split_ablation),
     "ablation-flip": ("cell-flip I/O vs tree size",
                       lambda scale: run_flip_scaling()),
     "baselines": ("VISUAL vs REVIEW vs LoD-R-tree across sessions",

@@ -2,7 +2,7 @@
 
 Mirrors the paper's preprocessing (Section 5.1):
 
-1. build an R-tree over the object MBRs (linear splitting);
+1. build an R-tree over the object MBRs (STR packing);
 2. persist the tree to pages (assigning DFS node offsets);
 3. generate internal LoDs bottom-up and store them (plus the object LoD
    chains) in the blob object store;
@@ -46,8 +46,8 @@ from repro.visibility.precompute import precompute_visibility
 class HDoVConfig:
     """Build-time parameters of an HDoV environment.
 
-    The tree's fanout, fill and split policy, the internal-LoD ratio
-    ``s`` and the disk model are library constants (``repro.constants``,
+    The tree's fanout and fill, the internal-LoD ratio ``s`` and the
+    disk model are library constants (``repro.constants``,
     :class:`~repro.storage.disk.DiskModel`): the paper runs every
     experiment at one value of each, and so does this repository.
     """

@@ -3,7 +3,6 @@
 * **NVO heuristic on/off** (eq. 4): without it, any entry with
   ``DoV <= eta`` terminates, which can retrieve internal LoDs holding
   more polygons than the visible objects they replace.
-* **Split algorithm**: the paper's Ang–Tan linear split vs Guttman's.
 * **Scheme flip cost vs node count**: the vertical scheme flips in
   ``O(N_node)`` pages, the indexed-vertical in ``O(N_vnode)``; at small
   tree sizes both fit one page, so this micro-ablation scales synthetic
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
 
-from repro.constants import DEFAULT_FANOUT
 from repro.core.schemes.indexed_vertical import IndexedVerticalScheme
 from repro.core.schemes.vertical import VerticalScheme
 from repro.core.search import HDoVSearch
@@ -64,47 +62,6 @@ def run_nvo_ablation(scale: ExperimentScale = MEDIUM, *,
                         / len(viewpoints)))
     return NVOHeuristicResult(eta=eta, with_heuristic=results[0],
                               without_heuristic=results[1])
-
-
-@dataclass
-class SplitAblationResult:
-    rows: List[List[object]]
-
-    def format_table(self) -> str:
-        return format_table(
-            "Ablation: node-splitting algorithm (insertion build)",
-            ["split", "nodes", "height", "avg leaf overlap volume"],
-            self.rows)
-
-
-def run_split_ablation(scale: ExperimentScale = MEDIUM) -> SplitAblationResult:
-    """Build insertion-order trees under both splits and compare shape."""
-    from repro.rtree.tree import RTree
-    from repro.scene.city import generate_city
-    scene = generate_city(scale.city)
-    rows: List[List[object]] = []
-    for split in ("ang-tan", "guttman"):
-        tree = RTree(max_entries=DEFAULT_FANOUT, split=split)
-        for obj in scene:
-            tree.insert(obj.mbr, obj.object_id)
-        tree.check_invariants()
-        rows.append([split, tree.num_nodes, tree.height,
-                     round(_avg_leaf_overlap(tree), 1)])
-    return SplitAblationResult(rows=rows)
-
-
-def _avg_leaf_overlap(tree) -> float:
-    leaves = list(tree.iter_leaves())
-    total = 0.0
-    pairs = 0
-    for i, a in enumerate(leaves):
-        mbr_a = a.mbr()
-        for b in leaves[i + 1:]:
-            overlap = mbr_a.intersection(b.mbr())
-            if overlap is not None:
-                total += overlap.volume
-            pairs += 1
-    return total / pairs if pairs else 0.0
 
 
 @dataclass

@@ -8,7 +8,7 @@ used everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class AABB:
         return float(np.prod(self.extent))
 
     @property
-    def surface_area(self) -> float:
-        ex, ey, ez = self.extent
-        return float(2.0 * (ex * ey + ey * ez + ez * ex))
-
-    @property
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.extent))
 
@@ -97,17 +92,6 @@ class AABB:
 
     # -- combination ---------------------------------------------------------
 
-    def union(self, other: "AABB") -> "AABB":
-        return AABB(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def intersection(self, other: "AABB") -> Optional["AABB"]:
-        """The overlap box, or ``None`` when the boxes are disjoint."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return AABB(lo, hi)
-
     def inflated(self, margin: float) -> "AABB":
         """A copy grown by ``margin`` on every side (may be negative only
         down to a degenerate box)."""
@@ -118,13 +102,6 @@ class AABB:
         return AABB(lo, hi)
 
     # -- metrics --------------------------------------------------------------
-
-    def enlargement(self, other: "AABB") -> float:
-        """Volume increase of ``self`` needed to also cover ``other``.
-
-        This is the classic Guttman insertion cost.
-        """
-        return self.union(other).volume - self.volume
 
     def min_distance_to_point(self, point) -> float:
         """Distance from ``point`` to the nearest point of the box (0 if inside)."""

@@ -1,9 +1,9 @@
-"""R-tree substrate (Guttman 1984) with linear node splitting.
+"""R-tree substrate (Guttman 1984), built by STR packing.
 
 The HDoV-tree uses the R-tree as its spatial backbone (paper, Section 3.2),
 and the REVIEW baseline issues window queries against the same structure.
-The implementation here is an in-memory tree with insert, window query and
-STR bulk loading, plus a persistence layer that writes nodes to pages with
+The implementation here is an in-memory tree built by STR bulk loading,
+with window query, plus a persistence layer that writes nodes to pages with
 DFS ordering so downstream layers get on-page node offsets.
 """
 

@@ -1,10 +1,8 @@
 """Sort-Tile-Recursive (STR) bulk loading.
 
-The experiments build trees over thousands of objects; STR packing yields
-well-shaped trees deterministically and much faster than one-at-a-time
-insertion, while the insertion path (with the paper's Ang–Tan split)
-remains available and is what the build-pipeline ablation compares
-against.
+STR packing is the one tree builder.  It stands in for the paper's
+one-at-a-time insertion with Ang–Tan's linear split [3]: measured under
+both, more of the paper's result shapes hold under STR (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.constants import DEFAULT_FANOUT, DEFAULT_MIN_FILL
+from repro.constants import DEFAULT_FANOUT
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
 from repro.rtree.entry import Entry
@@ -42,8 +38,8 @@ def _tile(entries: List[Entry], capacity: int) -> List[List[Entry]]:
     """Partition entries into groups of ~``capacity`` with STR tiling.
 
     Groups are balanced within each slab (and slabs are balanced across
-    x) so no node ends up underfull — bulk-loaded trees then satisfy the
-    same fill invariants as insertion-built ones.
+    x) so no node ends up underfull: every non-root node holds at least
+    ``RTree.min_entries`` entries.
     """
     n = len(entries)
     num_nodes = max(int(math.ceil(n / capacity)), 1)
@@ -62,17 +58,11 @@ def _tile(entries: List[Entry], capacity: int) -> List[List[Entry]]:
 
 
 def str_bulk_load(items: Sequence[Tuple[AABB, int]],
-                  max_entries: int = DEFAULT_FANOUT,
-                  min_fill: float = DEFAULT_MIN_FILL,
-                  split: str = "ang-tan") -> RTree:
-    """Build an R-tree over ``(mbr, object_id)`` pairs with STR packing.
-
-    The returned tree is a normal :class:`RTree`; later inserts use the
-    configured split algorithm.
-    """
+                  max_entries: int = DEFAULT_FANOUT) -> RTree:
+    """Build an R-tree over ``(mbr, object_id)`` pairs with STR packing."""
     if not items:
         raise RTreeError("cannot bulk load zero items")
-    tree = RTree(max_entries=max_entries, min_fill=min_fill, split=split)
+    tree = RTree(max_entries=max_entries)
 
     level_nodes: List[Node] = []
     leaf_entries = [Entry(mbr=mbr, object_id=oid) for mbr, oid in items]

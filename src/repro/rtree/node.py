@@ -13,12 +13,11 @@ class Node:
     """An R-tree node holding up to ``max_entries`` entries.
 
     ``level`` is 0 for leaves and grows toward the root.  Nodes keep a
-    parent pointer so splits can propagate upward, and a ``node_offset``
-    assigned at persistence time (the DFS index used by the V-page storage
-    schemes to address visibility data).
+    ``node_offset`` assigned at persistence time (the DFS index used by the
+    V-page storage schemes to address visibility data).
     """
 
-    __slots__ = ("level", "entries", "parent", "node_offset")
+    __slots__ = ("level", "entries", "node_offset")
 
     def __init__(self, level: int = 0,
                  entries: Optional[List[Entry]] = None) -> None:
@@ -26,11 +25,7 @@ class Node:
             raise RTreeError(f"negative level: {level}")
         self.level = level
         self.entries: List[Entry] = entries if entries is not None else []
-        self.parent: Optional["Node"] = None
         self.node_offset: Optional[int] = None
-        for entry in self.entries:
-            if entry.child is not None:
-                entry.child.parent = self
 
     @property
     def is_leaf(self) -> bool:
@@ -45,22 +40,6 @@ class Node:
         if not self.entries:
             raise RTreeError("empty node has no MBR")
         return union_aabbs(e.mbr for e in self.entries)
-
-    def add(self, entry: Entry) -> None:
-        """Append an entry, wiring the child's parent pointer."""
-        if entry.is_leaf_entry != self.is_leaf:
-            raise RTreeError(
-                f"entry kind mismatch: leaf={self.is_leaf}, "
-                f"entry_is_leaf={entry.is_leaf_entry}")
-        self.entries.append(entry)
-        if entry.child is not None:
-            entry.child.parent = self
-
-    def entry_for_child(self, child: "Node") -> Entry:
-        for entry in self.entries:
-            if entry.child is child:
-                return entry
-        raise RTreeError("child not found in parent")
 
     def children(self) -> List["Node"]:
         if self.is_leaf:

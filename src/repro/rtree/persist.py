@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
-from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 from repro.storage import pageio
 from repro.storage.pagedfile import PagedFile

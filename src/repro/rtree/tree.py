@@ -1,92 +1,32 @@
-"""The R-tree proper: insertion, window query, traversal."""
+"""The R-tree proper: window query, traversal, invariant check."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 from repro.constants import DEFAULT_FANOUT, DEFAULT_MIN_FILL
 from repro.errors import RTreeError
 from repro.geometry.aabb import AABB
-from repro.rtree.entry import Entry
 from repro.rtree.node import Node
-from repro.rtree.split import SplitFn, get_split_algorithm
 
 
 class RTree:
-    """Guttman R-tree over 3-D AABBs.
+    """R-tree over 3-D AABBs, built by :func:`~repro.rtree.bulk.str_bulk_load`.
 
     Parameters
     ----------
     max_entries:
-        Fan-out ``M``.
-    min_fill:
-        Fraction of ``M`` that non-root nodes must hold (``m = ceil(M *
-        min_fill)``).
-    split:
-        Name of the node-splitting algorithm (``"ang-tan"`` by default,
-        matching the paper's builder; ``"guttman"`` is the ablation
-        alternative).
+        Fan-out ``M``.  Non-root nodes hold at least ``m = int(M *
+        DEFAULT_MIN_FILL)`` entries.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_FANOUT,
-                 min_fill: float = DEFAULT_MIN_FILL,
-                 split: str = "ang-tan") -> None:
+    def __init__(self, max_entries: int = DEFAULT_FANOUT) -> None:
         if max_entries < 4:
             raise RTreeError(f"max_entries must be >= 4, got {max_entries}")
-        if not 0.0 < min_fill <= 0.5:
-            raise RTreeError(f"min_fill must be in (0, 0.5], got {min_fill}")
         self.max_entries = max_entries
-        self.min_entries = max(1, int(max_entries * min_fill))
-        self.split_name = split
-        self._split: SplitFn = get_split_algorithm(split)
+        self.min_entries = max(1, int(max_entries * DEFAULT_MIN_FILL))
         self.root = Node(level=0)
         self.size = 0
-
-    # -- insertion ------------------------------------------------------------
-
-    def insert(self, mbr: AABB, object_id: int) -> None:
-        """Insert one object.  Duplicated ids are allowed (caller's choice)."""
-        leaf = self._choose_leaf(self.root, mbr)
-        leaf.add(Entry(mbr=mbr, object_id=object_id))
-        self.size += 1
-        self._handle_overflow(leaf)
-
-    def _choose_leaf(self, node: Node, mbr: AABB) -> Node:
-        while not node.is_leaf:
-            best = min(
-                node.entries,
-                key=lambda e: (e.mbr.enlargement(mbr), e.mbr.volume))
-            node = best.child  # type: ignore[assignment]
-        return node
-
-    def _handle_overflow(self, node: Node) -> None:
-        while node.num_entries > self.max_entries:
-            group_a, group_b = self._split(node.entries, self.min_entries)
-            parent = node.parent
-            node_b = Node(level=node.level, entries=group_b)
-            node.entries = group_a
-            for entry in node.entries:
-                if entry.child is not None:
-                    entry.child.parent = node
-            if parent is None:
-                new_root = Node(level=node.level + 1)
-                new_root.add(Entry(mbr=node.mbr(), child=node))
-                new_root.add(Entry(mbr=node_b.mbr(), child=node_b))
-                self.root = new_root
-                return
-            parent.entry_for_child(node).mbr = node.mbr()
-            parent.add(Entry(mbr=node_b.mbr(), child=node_b))
-            node = parent
-        self._tighten_upward(node)
-
-    def _tighten_upward(self, node: Node) -> None:
-        while node.parent is not None:
-            entry = node.parent.entry_for_child(node)
-            tight = node.mbr()
-            if entry.mbr == tight:
-                break
-            entry.mbr = tight
-            node = node.parent
 
     # -- queries -------------------------------------------------------------
 
@@ -152,38 +92,25 @@ class RTree:
     def check_invariants(self) -> None:
         """Raise :class:`RTreeError` if any structural invariant is broken.
 
-        Checked: parent MBRs contain child MBRs; fan-out bounds; uniform
-        leaf depth; parent pointers consistent.
+        Checked: parent MBRs contain child MBRs; fan-out bounds; every
+        child one level below its parent, so all leaves sit at level 0.
         """
-        expected_leaf_level = 0
-        for node, depth in self._iter_with_depth():
-            if not node.is_leaf and node.level != node.children()[0].level + 1:
-                raise RTreeError("level mismatch between parent and child")
-            if node is not self.root:
-                if node.num_entries < self.min_entries:
-                    raise RTreeError(
-                        f"underfull node: {node.num_entries} < {self.min_entries}")
+        for node in self.iter_nodes_dfs():
+            if node is not self.root and node.num_entries < self.min_entries:
+                raise RTreeError(
+                    f"underfull node: {node.num_entries} < {self.min_entries}")
             if node.num_entries > self.max_entries:
                 raise RTreeError("overfull node")
             for entry in node.entries:
-                if entry.child is not None:
-                    if entry.child.parent is not node:
-                        raise RTreeError("broken parent pointer")
-                    if not entry.mbr.contains(entry.child.mbr()):
-                        raise RTreeError("parent MBR does not contain child MBR")
-            if node.is_leaf:
-                if node.level != expected_leaf_level:
-                    raise RTreeError("leaf at nonzero level")
-
-    def _iter_with_depth(self) -> Iterator[Tuple[Node, int]]:
-        stack: List[Tuple[Node, int]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            for child in node.children():
-                stack.append((child, depth + 1))
+                if entry.is_leaf_entry != node.is_leaf:
+                    raise RTreeError("entry kind does not match node kind")
+                if entry.child is None:
+                    continue
+                if entry.child.level != node.level - 1:
+                    raise RTreeError("level mismatch between parent and child")
+                if not entry.mbr.contains(entry.child.mbr()):
+                    raise RTreeError("parent MBR does not contain child MBR")
 
     def __repr__(self) -> str:
         return (f"RTree(size={self.size}, height={self.height}, "
-                f"M={self.max_entries}, m={self.min_entries}, "
-                f"split={self.split_name!r})")
+                f"M={self.max_entries}, m={self.min_entries})")

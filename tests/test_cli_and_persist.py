@@ -226,10 +226,11 @@ def test_the_deleted_prefetcher_has_no_flag_and_no_experiment(argv, capsys):
 
 
 # Each id is spelled in two halves, for the same reason.
-@pytest.mark.parametrize("experiment", ["ext-" "priority", "ext-" "nodecache"],
-                         ids=["priority", "nodecache"])
+@pytest.mark.parametrize("experiment", ["ext-" "priority", "ext-" "nodecache",
+                                        "ablation-" "split"],
+                         ids=["priority", "nodecache", "split"])
 def test_the_deleted_extension_experiments_are_unknown(experiment, capsys):
-    """EXPERIMENTS.md "Extensions": both ids exit 2."""
+    """EXPERIMENTS.md "Extensions" and "Split algorithm": each id exits 2."""
     assert main(["run", experiment]) == 2
     assert f"unknown experiment(s): {experiment}" in capsys.readouterr().err
 

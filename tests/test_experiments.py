@@ -9,8 +9,7 @@ from repro.experiments import (figure7_search_time, run_figure7, run_figure8,
                                run_figure10a, run_figure10b, run_figure11,
                                run_figure12, run_memory_comparison, run_table2,
                                run_table3)
-from repro.experiments.ablations import (run_flip_scaling, run_nvo_ablation,
-                                         run_split_ablation)
+from repro.experiments.ablations import run_flip_scaling, run_nvo_ablation
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.config import (SMALL, build_experiment_environment,
                                       clear_environment_cache)
@@ -138,12 +137,6 @@ def test_nvo_ablation_runs():
     assert result.with_heuristic[0] > 0
     assert result.without_heuristic[0] > 0
     assert "NVO" in result.format_table()
-
-
-def test_split_ablation_valid_trees():
-    result = run_split_ablation(SMALL)
-    assert len(result.rows) == 2
-    assert {row[0] for row in result.rows} == {"ang-tan", "guttman"}
 
 
 def test_flip_scaling_asymptotics():

@@ -6,14 +6,12 @@ cross-cutting invariants that individual unit tests check in isolation.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.naive import NaiveCellList
 from repro.core.hdov_tree import HDoVConfig, build_environment
 from repro.core.search import HDoVSearch
 from repro.core.vpage import check_vpage_invariants
-from repro.geometry.aabb import AABB
 from repro.geometry.primitives import box_mesh
 from repro.scene.objects import Scene, SceneObject
 from repro.simplify.lod_chain import build_lod_chain

@@ -7,7 +7,6 @@ unit tests miss (eviction bookkeeping, allocation ordering).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.buffer import BufferPool

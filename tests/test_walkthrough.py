@@ -7,8 +7,8 @@ from repro.errors import WalkthroughError
 from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.memory import memory_report
 from repro.walkthrough.metrics import FidelityMetric, frame_time_stats
-from repro.walkthrough.session import (Session, Waypoint, make_session,
-                                       street_lines, street_viewpoints)
+from repro.walkthrough.session import (Session, make_session, street_lines,
+                                       street_viewpoints)
 from repro.walkthrough.visual import ReviewWalkthrough, VisualSystem
 
 
