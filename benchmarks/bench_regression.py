@@ -73,16 +73,12 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_compression.json",
      "schemes.vertical.compression_inverse_ratio",
      "compression: packed stream compression, vertical"),
-    # Replacement A/B grid (pool pressure, simulated and
-    # deterministic): per-policy hit rates and throughput.
-    ("BENCH_replacement.json", "grid.32.cells.lru.pool_hit_rate",
-     "replacement: LRU hit rate, 32 sessions"),
+    # Replacement grid (pool pressure, simulated and deterministic):
+    # 2Q hit rates and throughput.
     ("BENCH_replacement.json", "grid.32.cells.2q.pool_hit_rate",
      "replacement: 2Q hit rate, 32 sessions"),
     ("BENCH_replacement.json", "grid.64.cells.2q.pool_hit_rate",
      "replacement: 2Q hit rate, 64 sessions"),
-    ("BENCH_replacement.json", "grid.32.hit_rate_gain_2q",
-     "replacement: 2Q hit-rate gain over LRU, 32 sessions"),
     ("BENCH_replacement.json", "grid.64.cells.2q.sim_frames_per_s",
      "replacement: sim frames/s, 2Q, 64 sessions"),
 )

@@ -153,10 +153,6 @@ class WindowQuerySystem:
         return self.resident.fetches
 
     @property
-    def cache_hits(self) -> int:
-        return self.resident.skipped
-
-    @property
     def resident_bytes(self) -> int:
         return self.resident.bytes
 

@@ -53,7 +53,6 @@ from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.errors import (HDoVError, ReproError, StorageError,
                           VisibilityError)
 from repro.experiments.config import get_scale
-from repro.storage.replacement import DEFAULT_POLICY, POLICY_NAMES
 
 #: Experiment id -> (description, runner taking a scale).  The two
 #: lambdas adapt drivers that size their own dataset series.
@@ -280,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
              "buffer pool; emit a deterministic JSON report")
     _add_walk_options(serve)
     _add_serving_options(serve, sessions=8, seed=7, max_active=None)
-    serve.add_argument("--policy", choices=POLICY_NAMES,
-                       help=f"pool replacement policy (default: "
-                            f"{DEFAULT_POLICY}; needs --pool-pages > 0)")
 
     traffic = sub.add_parser(
         "traffic",
@@ -459,7 +455,7 @@ def cmd_precompute(args) -> int:
 def cmd_serve(args) -> int:
     from repro.serving import run_serve
 
-    report = run_serve(**_run_kwargs(args, serving=True), policy=args.policy)
+    report = run_serve(**_run_kwargs(args, serving=True))
     outcome = report["outcome"]
     return _emit(report, args.output,
                  f"completed={outcome['completed']}, "

@@ -28,10 +28,6 @@ SIZE_POINTER = 4
 #: Bytes of a serialized integer (node offset) in the storage schemes.
 SIZE_INTEGER = 4
 
-#: Bytes of one V-entry: DoV as float32 plus NVO as uint32 (Section 3.3
-#: extends VD to the pair ``(DoV, NVO)``).
-SIZE_VENTRY = 8
-
 #: Default R-tree fan-out (maximum entries per node).  The paper does not
 #: report its fan-out; 8 keeps trees of a few hundred to a few thousand
 #: objects 3-4 levels deep, matching the height range its formulas assume

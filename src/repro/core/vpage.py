@@ -38,10 +38,6 @@ class CellVPages:
     cell_id: int
     pages: Dict[int, List[VEntry]]
 
-    @property
-    def num_visible_nodes(self) -> int:
-        return len(self.pages)
-
     def ventries(self, node_offset: int) -> List[VEntry]:
         try:
             return self.pages[node_offset]

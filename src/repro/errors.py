@@ -63,8 +63,8 @@ class PageCorruptError(StorageError):
 
 
 class BufferPoolError(StorageError):
-    """Buffer-pool misuse (e.g. a capacity below one frame, an unknown
-    replacement policy)."""
+    """Buffer-pool misuse (e.g. a capacity below one frame, an eviction
+    of a key the replacement order never held)."""
 
 
 class SerializationError(StorageError):

@@ -49,7 +49,3 @@ def _fmt(value: object) -> str:
     if isinstance(value, int):
         return f"{value:,}"
     return str(value)
-
-
-def mb(num_bytes: float) -> float:
-    return num_bytes / (1024.0 * 1024.0)

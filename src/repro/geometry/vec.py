@@ -52,8 +52,3 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise GeometryError("cannot normalize zero-length rows")
     return arr / norms[:, None]
-
-
-def distance(a: PointLike, b: PointLike) -> float:
-    """Euclidean distance between two points."""
-    return float(np.linalg.norm(as_vec3(a) - as_vec3(b)))

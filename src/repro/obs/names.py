@@ -38,7 +38,7 @@ BUFFERPOOL_MISSES = "bufferpool_misses_total"
 BUFFERPOOL_EVICTIONS = "bufferpool_evictions_total"
 BUFFERPOOL_RESIDENT_PAGES = "bufferpool_resident_pages"
 
-# -- repro.storage.replacement: policy events, per pool + policy label ------
+# -- repro.storage.replacement: 2Q events, per pool + policy="2q" label -----
 
 REPLACEMENT_PROMOTIONS = "replacement_promotions_total"
 REPLACEMENT_GHOST_HITS = "replacement_ghost_hits_total"

@@ -163,8 +163,3 @@ class NodeStore:
         node = persisted_node(page_id, node_offset, decode_node(data))
         self._decoded[page_id] = (data, node)
         return node
-
-    def read_root(self) -> PersistedNode:
-        if self.root_page is None:
-            raise RTreeError("tree has not been written")
-        return self.read_node(0)

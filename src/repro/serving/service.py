@@ -32,7 +32,6 @@ from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import IOStats
 from repro.storage.faults import named_plan
-from repro.storage.replacement import DEFAULT_POLICY
 from repro.walkthrough.metrics import frame_time_stats
 
 
@@ -67,10 +66,8 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
               max_active: Optional[int] = None,
               frame_budget_ms: Optional[float] = None,
               pool_pages: int = 256,
-              policy: Optional[str] = None,
               plan: Optional[str] = None,
-              fault_seed: int = 0,
-              include_frame_times: bool = True) -> Dict[str, object]:
+              fault_seed: int = 0) -> Dict[str, object]:
     """Serve ``sessions`` concurrent walkthroughs; returns the report.
 
     Parameters
@@ -90,17 +87,12 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         Shared buffer-pool capacity in pages; 0 serves unpooled (every
         session reads straight through ``pageio``, the sequential
         path's exact I/O behaviour).
-    policy:
-        Pool replacement policy (``"lru"``/``"2q"``); ``None`` gives
-        the pool's default,
-        :data:`~repro.storage.replacement.DEFAULT_POLICY`.  Naming one
-        without a pool is an error.
     plan / fault_seed:
         Optional named fault plan installed beneath the storage layer,
         to prove the service degrades instead of deadlocking.
-    include_frame_times:
-        Emit the full per-session ``frame_ms`` series (the CI diff
-        wants maximum surface; benchmarks may turn it off).
+
+    Each session entry carries its full ``frame_times`` series (the CI
+    diff wants maximum surface).
     """
     if sessions < 1:
         raise WalkthroughError(f"sessions must be >= 1, got {sessions}")
@@ -111,14 +103,10 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
             f"pool_pages must be >= 0, got {pool_pages}")
     fault_plan = named_plan(plan) if plan is not None else None
     experiment = load_scale(scale)
-    if pool_pages == 0 and policy is not None:
-        raise WalkthroughError(
-            "replacement policy needs a pool (pool_pages > 0)")
     registry = MetricsRegistry()
     with use_registry(registry):
         env = build_world(experiment)
-        pool = (BufferPool(pool_pages, name="serving",
-                           policy=policy or DEFAULT_POLICY)
+        pool = (BufferPool(pool_pages, name="serving")
                 if pool_pages > 0 else None)
 
         # Motion patterns are drawn from the seed so a fleet of
@@ -147,7 +135,8 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 error = f"{type(exc).__name__}: {exc}"
 
         completed = error is None
-        entries = [session_report(s, include_frame_times) for s in served]
+        entries = [session_report(s, include_frame_times=True)
+                   for s in served]
         reconciliation = reconcile_ios(entries, env)
         if pool is not None:
             reconciliation["pool_balanced"] = (
@@ -164,7 +153,6 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "max_active": scheduler.max_active,
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
-                "policy": (pool.policy.name if pool is not None else None),
                 "plan": fault_plan.name if fault_plan is not None else None,
                 "fault_seed": fault_seed if fault_plan is not None else None,
             },
@@ -224,7 +212,6 @@ def _pool_report(pool: Optional[BufferPool]) -> Optional[Dict[str, object]]:
     stats = pool.stats()
     return {
         "capacity": stats.pop("capacity"),
-        "policy": pool.policy.name,
         "policy_stats": pool.policy.stats(),
         "resident_pages": pool.resident_pages,
         **stats,

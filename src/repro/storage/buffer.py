@@ -7,13 +7,11 @@ bytes one read returned, unchanged until the policy evicts it.  That is
 sound because no file of a built environment is written after the
 build.
 
-Replacement is pluggable (see :mod:`repro.storage.replacement`): the
-pool owns frames and counters, while a
-:class:`~repro.storage.replacement.ReplacementPolicy` owns only the
-eviction order.  The default, ``"2q"``, is scan-resistant: one walk's
-single-use pages cannot flush the pages every walk re-reads out of an
-undersized pool; ``"lru"`` reproduces the historical LRU pool
-bit-for-bit and stays as the control.
+Replacement is 2Q (see :mod:`repro.storage.replacement`): the pool
+owns frames and counters, while its
+:class:`~repro.storage.replacement.TwoQPolicy` owns only the eviction
+order.  2Q is scan-resistant: one walk's single-use pages cannot flush
+the pages every walk re-reads out of an undersized pool.
 
 One thread (DESIGN.md §10): nothing in the package starts a second
 one, so the pool takes no lock.  It calls into a :class:`PagedFile` for
@@ -38,14 +36,13 @@ ledgers move exactly as the query's own ``get`` calls would move them.
 from __future__ import annotations
 
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, TypeVar, Union, overload)
+                    Tuple, TypeVar, overload)
 
 from repro.errors import BufferPoolError
 from repro.obs import names
 from repro.obs.metrics import get_registry
 from repro.storage.pagedfile import PagedFile
-from repro.storage.replacement import (DEFAULT_POLICY, ReplacementPolicy,
-                                      make_policy)
+from repro.storage.replacement import TwoQPolicy
 
 #: Signature for a pluggable miss reader: ``reader(pfile, first_page,
 #: count) -> bytes``, ``count`` pages as one buffer (1 for ``get``).  The
@@ -82,7 +79,7 @@ class _Plan:
 
 
 class BufferPool:
-    """Fixed-capacity page cache with pluggable replacement.
+    """Fixed-capacity page cache with 2Q replacement.
 
     Keys are ``(file, page_id)`` pairs, so one pool can front several
     files (tree file, V-page file, object store) with a single memory
@@ -100,26 +97,20 @@ class BufferPool:
         Maximum resident frames.
     name:
         Label for this pool's metrics series (hits, misses, evictions,
-        resident pages) in the process metrics registry.
-    policy:
-        Replacement policy: ``"2q"`` (default,
-        :data:`~repro.storage.replacement.DEFAULT_POLICY`), ``"lru"``
-        (the historical behavior), or a ready
-        :class:`~repro.storage.replacement.ReplacementPolicy` instance.
+        resident pages) in the process metrics registry, and for its
+        2Q counters.
     """
 
     #: Always 0 (no read is ever shared between two callers); only
     #: benchmarks/perf/drivers.py and oracle.py (frozen) read it.
     coalesced = 0
 
-    def __init__(self, capacity: int, *, name: str = "default",
-                 policy: Union[str, ReplacementPolicy] = DEFAULT_POLICY
-                 ) -> None:
+    def __init__(self, capacity: int, *, name: str = "default") -> None:
         if capacity < 1:
             raise BufferPoolError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._policy = make_policy(policy, capacity, name)
+        self._policy = TwoQPolicy(capacity, pool_name=name)
         self._frames: Dict[Tuple[int, int], _Frame] = {}
         #: token -> the page keys a query read, in order, and its answer;
         #: kept until ``clear``.
@@ -137,7 +128,7 @@ class BufferPool:
                                           pool=name)
 
     @property
-    def policy(self) -> ReplacementPolicy:
+    def policy(self) -> TwoQPolicy:
         return self._policy
 
     # -- internals ------------------------------------------------------------
@@ -333,6 +324,5 @@ class BufferPool:
 
     def __repr__(self) -> str:
         return (f"BufferPool(capacity={self.capacity}, "
-                f"policy={self._policy.name}, "
                 f"resident={self.resident_pages}, hits={self.hits}, "
                 f"misses={self.misses})")

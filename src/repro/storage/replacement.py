@@ -1,36 +1,26 @@
-"""Pluggable page-replacement policies for the buffer pool.
+"""The buffer pool's page-replacement order: 2Q.
 
-The pool owns the frame table and the counters; a policy owns only
-the *ordering* decision — which resident key should be evicted next.
-A policy is called only by its pool and never calls back into the pool
-or a file.
+The pool owns the frame table and the counters; :class:`TwoQPolicy`
+owns only the *ordering* decision — which resident key should be
+evicted next.  It is called only by its pool and never calls back into
+the pool or a file.
 
-Two policies ship:
-
-* :class:`LRUPolicy` — the historical behavior, bit-for-bit: insertion
-  and access order reproduce the old ``OrderedDict.move_to_end`` pool
-  exactly, so ``policy="lru"`` reports are byte-identical to before the
-  interface existed.  It stays as the control.
-* :class:`TwoQPolicy` — the default (:data:`DEFAULT_POLICY`), the 2Q
-  algorithm (Johnson & Shasha, VLDB '94).
-  First-touch pages enter a small FIFO (``A1in``); only pages re-read
-  *after* falling out of the FIFO — proven re-reference, tracked by a
-  ghost list of evicted keys (``A1out``) — enter the protected LRU
-  (``Am``).  A burst of single-touch pages (one session scanning a cold
-  route) churns the FIFO but cannot flush another session's hot working
-  set out of ``Am``; that scan resistance is exactly what the
-  many-session undersized-pool regime needs.
-
-Victims come from the policy in preference order and the pool evicts
-the first: every resident frame is evictable, so the policy's order *is*
-the eviction order.
+2Q is the algorithm of Johnson & Shasha (VLDB '94).  First-touch pages
+enter a small FIFO (``A1in``); only pages re-read *after* falling out of
+the FIFO — proven re-reference, tracked by a ghost list of evicted keys
+(``A1out``) — enter the protected LRU (``Am``).  A burst of single-touch
+pages (one session scanning a cold route) churns the FIFO but cannot
+flush another session's hot working set out of ``Am``; that scan
+resistance is exactly what the many-session undersized-pool regime
+needs.  Plain LRU was measured against it on every pooled regime and
+never won (DESIGN.md, "2Q replacement").
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import chain
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import BufferPoolError
 from repro.obs import names
@@ -39,91 +29,13 @@ from repro.obs.metrics import get_registry
 #: Frame key: ``(file_id, page_id)`` — the pool's own key type.
 KeyT = Tuple[int, int]
 
-#: Names accepted by :func:`make_policy`.
-POLICY_NAMES: Tuple[str, ...] = ("lru", "2q")
-
-#: The policy every pool gets unless told otherwise — the pool, the
-#: serve loop, ``repro serve --policy`` and the HTTP app all read it
-#: here.  2Q keeps a walk's single-use V-pages from flushing the tree
-#: out of an undersized pool (DESIGN.md, "Replacement policy").
-DEFAULT_POLICY = "2q"
-
 #: 2Q's queue sizes as fractions of the pool capacity (the paper's
 #: defaults): the ``A1in`` FIFO target and the ``A1out`` ghost list.
 KIN_FRACTION = 0.25
 KOUT_FRACTION = 0.5
 
 
-class ReplacementPolicy:
-    """Eviction-order strategy; only its pool calls it."""
-
-    #: Human-readable policy name (echoed into serve reports).
-    name: str = "base"
-
-    def on_insert(self, key: KeyT) -> None:
-        """A frame for ``key`` became resident."""
-        raise NotImplementedError
-
-    def on_access(self, key: KeyT) -> None:
-        """A resident frame for ``key`` was hit."""
-        raise NotImplementedError
-
-    def on_evict(self, key: KeyT) -> None:
-        """The pool evicted ``key`` (always a key it was told about)."""
-        raise NotImplementedError
-
-    def victims(self) -> Iterator[KeyT]:
-        """Resident keys in eviction-preference order.
-
-        The pool evicts the first.  The iterator walks the policy's
-        order in place, so eviction is O(1), not the capacity: the pool
-        calls nothing else on the policy meanwhile and abandons the
-        iterator after its first key.
-        """
-        raise NotImplementedError
-
-    def keys(self) -> List[KeyT]:
-        """All resident keys, in eviction order."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Forget all resident keys (pool ``clear()``)."""
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, int]:
-        """Policy-specific counters for reports (stable key order)."""
-        return {}
-
-
-class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used — the pool's historical behavior, exactly."""
-
-    name = "lru"
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[KeyT, None]" = OrderedDict()
-
-    def on_insert(self, key: KeyT) -> None:
-        self._order[key] = None
-        self._order.move_to_end(key)
-
-    def on_access(self, key: KeyT) -> None:
-        self._order.move_to_end(key)
-
-    def on_evict(self, key: KeyT) -> None:
-        del self._order[key]
-
-    def victims(self) -> Iterator[KeyT]:
-        return iter(self._order)
-
-    def keys(self) -> List[KeyT]:
-        return list(self._order)
-
-    def clear(self) -> None:
-        self._order.clear()
-
-
-class TwoQPolicy(ReplacementPolicy):
+class TwoQPolicy:
     """Scan-resistant 2Q replacement.
 
     Parameters
@@ -133,10 +45,8 @@ class TwoQPolicy(ReplacementPolicy):
         (:data:`KIN_FRACTION`, :data:`KOUT_FRACTION`).
     pool_name:
         Metrics label; promotions and ghost hits are exported per
-        pool + policy.
+        pool (with the label ``policy="2q"``).
     """
-
-    name = "2q"
 
     def __init__(self, capacity: int, *, pool_name: str = "default") -> None:
         if capacity < 1:
@@ -154,11 +64,12 @@ class TwoQPolicy(ReplacementPolicy):
         self.ghost_hits = 0
         registry = get_registry()
         self._m_promotions = registry.counter(
-            names.REPLACEMENT_PROMOTIONS, pool=pool_name, policy=self.name)
+            names.REPLACEMENT_PROMOTIONS, pool=pool_name, policy="2q")
         self._m_ghost_hits = registry.counter(
-            names.REPLACEMENT_GHOST_HITS, pool=pool_name, policy=self.name)
+            names.REPLACEMENT_GHOST_HITS, pool=pool_name, policy="2q")
 
     def on_insert(self, key: KeyT) -> None:
+        """A frame for ``key`` became resident."""
         if key in self._ghosts:
             # Re-read after FIFO eviction: proven re-reference, so the
             # page skips A1in and enters the protected queue.
@@ -173,6 +84,7 @@ class TwoQPolicy(ReplacementPolicy):
             self._a1in[key] = None
 
     def on_access(self, key: KeyT) -> None:
+        """A resident frame for ``key`` was hit."""
         if key in self._am:
             self._am.move_to_end(key)
         # Hits inside A1in do not reorder the FIFO: a correlated burst
@@ -180,6 +92,7 @@ class TwoQPolicy(ReplacementPolicy):
         # (that is the scan-resistance core of 2Q).
 
     def on_evict(self, key: KeyT) -> None:
+        """The pool evicted ``key`` (always a key it was told about)."""
         if key in self._a1in:
             del self._a1in[key]
             self._ghosts[key] = None
@@ -191,33 +104,30 @@ class TwoQPolicy(ReplacementPolicy):
             raise BufferPoolError(f"evict of untracked key {key!r}")
 
     def victims(self) -> Iterator[KeyT]:
+        """Resident keys in eviction-preference order.
+
+        The pool evicts the first: every resident frame is evictable, so
+        this order *is* the eviction order.  The iterator walks the
+        queues in place, so eviction is O(1), not the capacity: the pool
+        calls nothing else on the policy meanwhile and abandons the
+        iterator after its first key.
+        """
         prefer_a1 = len(self._a1in) > self.kin_pages or not self._am
         first, second = ((self._a1in, self._am) if prefer_a1
                          else (self._am, self._a1in))
         return chain(first, second)
 
     def keys(self) -> List[KeyT]:
+        """All resident keys: the FIFO, then the protected queue."""
         return list(self._a1in) + list(self._am)
 
     def clear(self) -> None:
+        """Forget all resident keys and ghosts (pool ``clear()``)."""
         self._a1in.clear()
         self._am.clear()
         self._ghosts.clear()
 
     def stats(self) -> Dict[str, int]:
+        """Counters for reports (stable key order)."""
         return {"ghost_hits": self.ghost_hits,
                 "promotions": self.promotions}
-
-
-def make_policy(policy: Union[str, ReplacementPolicy], capacity: int,
-                pool_name: str) -> ReplacementPolicy:
-    """Resolve a policy spec (name or instance) for one pool."""
-    if isinstance(policy, ReplacementPolicy):
-        return policy
-    if policy == "lru":
-        return LRUPolicy()
-    if policy == "2q":
-        return TwoQPolicy(capacity, pool_name=pool_name)
-    raise BufferPoolError(
-        f"unknown replacement policy {policy!r}; "
-        f"choose from {sorted(POLICY_NAMES)}")

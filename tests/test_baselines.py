@@ -157,7 +157,7 @@ def test_review_complement_search_skips_cached(env):
     second = review.query(point + np.array([1.0, 0.0, 0.0]))
     # Nearly identical box: almost everything served from cache.
     assert len(second.fetched_ids) < len(second.object_ids) + 1
-    assert review.cache_hits > 0
+    assert review.resident.skipped > 0
 
 
 def test_review_frame_requery_hysteresis(env):

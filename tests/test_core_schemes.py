@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.constants import SIZE_INTEGER, SIZE_POINTER
-from repro.core.schemes import (SCHEME_CLASSES, HorizontalScheme,
-                                IndexedVerticalScheme, VerticalScheme)
+from repro.core.schemes import (SCHEME_CLASSES, IndexedVerticalScheme,
+                                VerticalScheme)
 from repro.core.vpage import CellVPages
 from repro.errors import PageCorruptError, SchemeError
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -145,7 +145,7 @@ class TestSegmentContract:
         for cell in cells:
             assert_pairs_match_cell(scheme, cell,
                                     scheme.cell_pointers(cell.cell_id))
-        assert scheme.total_vnodes == sum(c.num_visible_nodes
+        assert scheme.total_vnodes == sum(len(c.pages)
                                           for c in cells)
 
     def test_flip_charges_segment_span(self, name, packed):
@@ -319,7 +319,7 @@ def test_horizontal_storage_formula():
 def test_vertical_storage_formula():
     scheme, _stats, cells = build_scheme("vertical")
     breakdown = scheme.storage_breakdown()
-    n_vnode_total = sum(c.num_visible_nodes for c in cells)
+    n_vnode_total = sum(len(c.pages) for c in cells)
     assert breakdown.vpage_bytes == PAGE_SIZE * n_vnode_total
     assert breakdown.index_bytes == SIZE_POINTER * NUM_NODES * len(cells)
 
@@ -327,7 +327,7 @@ def test_vertical_storage_formula():
 def test_indexed_vertical_storage_formula():
     scheme, _stats, cells = build_scheme("indexed-vertical")
     breakdown = scheme.storage_breakdown()
-    n_vnode_total = sum(c.num_visible_nodes for c in cells)
+    n_vnode_total = sum(len(c.pages) for c in cells)
     assert breakdown.vpage_bytes == PAGE_SIZE * n_vnode_total
     assert breakdown.index_bytes == (
         (SIZE_POINTER + SIZE_INTEGER) * n_vnode_total)
@@ -382,7 +382,7 @@ def test_vertical_vpages_dfs_contiguous_per_cell():
     for offset in cells[2].visible_offsets_dfs():
         scheme.ventries(offset)
     # First access seeks; the rest are +1-sequential.
-    assert stats.sequential_reads == cells[2].num_visible_nodes - 1
+    assert stats.sequential_reads == len(cells[2].pages) - 1
 
 
 def test_resident_bytes_ordering():
@@ -395,7 +395,7 @@ def test_resident_bytes_ordering():
     horizontal.flip_to_cell(0)
     assert vertical.resident_bytes() == SIZE_POINTER * NUM_NODES
     assert indexed.resident_bytes() == (
-        (SIZE_POINTER + SIZE_INTEGER) * cells[0].num_visible_nodes)
+        (SIZE_POINTER + SIZE_INTEGER) * len(cells[0].pages))
     assert horizontal.resident_bytes() == 0
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.vpage import (CellVPages, check_vpage_invariants,
-                              instantiate_cell, instantiate_cells)
+from repro.core.vpage import (check_vpage_invariants, instantiate_cell,
+                              instantiate_cells)
 from repro.errors import HDoVError
 from repro.geometry.aabb import AABB
 from repro.rtree.bulk import str_bulk_load
@@ -62,7 +62,7 @@ def test_invisible_nodes_have_no_vpage():
 def test_all_hidden_cell_is_empty():
     tree = grid_tree(10)
     cell = instantiate_cell(tree, CellVisibility(0))
-    assert cell.num_visible_nodes == 0
+    assert len(cell.pages) == 0
 
 
 def test_dov_clamped_to_one():
@@ -169,4 +169,4 @@ def test_environment_eq7_bound(env):
     levels = env.tree.height
     for cell_vp, cid in zip(env.cell_vpages, range(env.grid.num_cells)):
         n_vobj = env.visibility.cell(cid).num_visible
-        assert cell_vp.num_visible_nodes <= max(n_vobj, 0) * levels + 1
+        assert len(cell_vp.pages) <= max(n_vobj, 0) * levels + 1

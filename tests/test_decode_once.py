@@ -488,23 +488,23 @@ def test_a_rewritten_tree_page_is_decoded_again(env, monkeypatch):
         return real_decode(data)
 
     monkeypatch.setattr(persist_module, "decode_node", decode_node)
-    root = store.read_root()
+    root = store.read_node(0)
     assert len(root.targets) > 1
-    assert store.read_root().targets == root.targets
+    assert store.read_node(0).targets == root.targets
     assert decodes["calls"] == 1
     page_id = store.page_of(0)
     original = pageio.read_page(store.pfile, page_id, component="rtree")
     pageio.write_page(store.pfile, page_id, reordered_page(store, root),
                       component="rtree")
     try:
-        rewritten = store.read_root()
+        rewritten = store.read_node(0)
         assert rewritten.targets == root.targets[::-1]
-        assert store.read_root().targets == rewritten.targets
+        assert store.read_node(0).targets == rewritten.targets
         assert decodes["calls"] == 2
     finally:
         pageio.write_page(store.pfile, page_id, original,
                           component="rtree")
-    assert store.read_root().targets == root.targets
+    assert store.read_node(0).targets == root.targets
     assert decodes["calls"] == 3
 
 
@@ -512,13 +512,13 @@ def test_a_memo_hit_still_checks_the_node_offset(env, monkeypatch):
     """The memo keeps the node a page held; a read that reaches that
     page for another offset is refused, warm memo or not."""
     store = fresh_store(monkeypatch, env)
-    root = store.read_root()
-    assert store.read_root() is root
+    root = store.read_node(0)
+    assert store.read_node(0) is root
     store.offset_to_page = dict(store.offset_to_page)
     store.offset_to_page[1] = store.page_of(0)
     with pytest.raises(RTreeError, match="page says 0, asked for 1"):
         store.read_node(1)
-    assert store.read_root() is root
+    assert store.read_node(0) is root
 
 
 def test_a_bit_flip_on_the_tree_file_is_never_hidden_by_the_memo(env):

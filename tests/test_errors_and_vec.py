@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.geometry.vec import (as_vec3, distance, normalize,
-                                normalize_rows)
+from repro.geometry.vec import as_vec3, normalize, normalize_rows
 
 
 # -- error hierarchy ----------------------------------------------------------
@@ -58,7 +57,3 @@ def test_normalize_rows():
     with pytest.raises(errors.GeometryError):
         normalize_rows(np.array([[0.0, 0, 0]]))
 
-
-def test_distance():
-    assert distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
-    assert distance((1, 1, 1), (1, 1, 1)) == 0.0

@@ -9,7 +9,7 @@ the ``pageio`` facade
   of one page of the file it was handed — and into none on a hit (an
   eviction does no I/O: there is no other file to write a victim back
   to);
-* pulls exactly one key out of the policy's queues per eviction, at
+* pulls exactly one key out of 2Q's queues per eviction, at
   capacity 128 and at 4,096 (``victims()`` copies nothing: eviction is
   not O(capacity));
 * never re-derives a registry label key once the series exist.
@@ -28,7 +28,6 @@ from repro.storage import pageio
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import FREE_DISK, IOStats
 from repro.storage.pagedfile import PagedFile
-from repro.storage.replacement import make_policy
 
 MISSES = 1000
 
@@ -66,7 +65,7 @@ def decode(data):
     return (data[0], len(data))
 
 
-@pytest.mark.parametrize("policy_name", ["lru", "2q"])
+@pytest.mark.parametrize("policy_name", ["2q"])
 @pytest.mark.parametrize("capacity", [128, 4096])
 def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
                                                      policy_name):
@@ -76,13 +75,12 @@ def test_thousand_evicting_misses_stay_within_budget(monkeypatch, capacity,
                        stats=IOStats()) for i in range(2)]
     for pfile in files:
         pfile.allocate_many(capacity + MISSES)
-    policy = make_policy(policy_name, capacity, "budget")
-    queues = [name for name, value in vars(policy).items()
+    pool = BufferPool(capacity, name=f"budget-{policy_name}")
+    queues = [name for name, value in vars(pool.policy).items()
               if isinstance(value, OrderedDict)]
     assert queues
     for name in queues:
-        setattr(policy, name, CountingOrder())
-    pool = BufferPool(capacity, policy=policy, name="budget")
+        setattr(pool.policy, name, CountingOrder())
 
     def fault(page_id):
         return pool.get(files[page_id % 2], page_id, reader=pool_reader,

@@ -1,8 +1,8 @@
-"""Replacement policies against list-based reference models.
+"""The pool's 2Q replacement order against a list-based reference model.
 
-``victims()`` iterates the policy's own order in place (the pool takes
-its first key and abandons the iterator), so the orders are checked
-here against models that copy nothing cleverly: plain lists, linear
+``victims()`` iterates the policy's own queues in place (the pool takes
+its first key and abandons the iterator), so the order is checked
+here against a model that copies nothing cleverly: plain lists, linear
 scans.  Random ``get`` / ``clear`` sequences must produce the same
 eviction sequence, victim order, resident order, ghost hits and
 promotions, step by step.
@@ -25,33 +25,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import FREE_DISK, DiskModel, IOStats
 from repro.storage.faults import FaultInjector
 from repro.storage.pagedfile import PagedFile
-from repro.storage.replacement import LRUPolicy, TwoQPolicy
 
 PAGES = 12
-
-
-class LRUModel:
-    def __init__(self, capacity):
-        self.order = []
-
-    def insert(self, key):
-        self.order.append(key)
-
-    def access(self, key):
-        self.order.remove(key)
-        self.order.append(key)
-
-    def candidates(self):
-        return list(self.order)
-
-    def evict(self, key):
-        self.order.remove(key)
-
-    def clear(self):
-        self.order = []
-
-    def stats(self):
-        return {}
 
 
 class TwoQModel:
@@ -119,27 +94,19 @@ class ModelPool:
         self.policy.insert(key)
 
 
-class Recording:
-    """Mixin: remember the pool's evictions in order."""
+def recording(pool):
+    """``pool``'s policy, made to list the keys it is told to evict, in
+    order, as ``evicted``."""
+    policy = pool.policy
+    policy.evicted = []
+    on_evict = policy.on_evict
 
-    def on_evict(self, key):
-        self.evicted.append(key)
-        super().on_evict(key)
+    def record(key):
+        policy.evicted.append(key)
+        on_evict(key)
 
-
-class RecordingLRU(Recording, LRUPolicy):
-    def __init__(self, capacity):
-        super().__init__()
-        self.evicted = []
-
-
-class RecordingTwoQ(Recording, TwoQPolicy):
-    def __init__(self, capacity):
-        super().__init__(capacity, pool_name="model")
-        self.evicted = []
-
-
-POLICIES = {"lru": (RecordingLRU, LRUModel), "2q": (RecordingTwoQ, TwoQModel)}
+    policy.on_evict = record
+    return policy
 
 
 def make_file(pages=PAGES, disk=FREE_DISK, *, name="model", stats=None,
@@ -156,15 +123,14 @@ OPS = st.lists(st.tuples(
     st.integers(0, PAGES - 1)), max_size=120)
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("policy_name", ["2q"])
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.integers(1, 6), ops=OPS)
 def test_pool_evicts_exactly_as_the_list_model(policy_name, capacity, ops):
-    real_cls, model_cls = POLICIES[policy_name]
     pfile = make_file()
-    policy = real_cls(capacity)
-    pool = BufferPool(capacity, policy=policy, name=f"model-{policy_name}")
-    model = ModelPool(model_cls(capacity), capacity)
+    pool = BufferPool(capacity, name=f"model-{policy_name}")
+    policy = recording(pool)
+    model = ModelPool(TwoQModel(capacity), capacity)
     fid = pfile.file_id
     for step, (op, page) in enumerate(ops):
         where = (step, op, page)
@@ -227,7 +193,7 @@ class PooledFiles:
     the component ``label``.  Page ``p`` of file ``f`` holds the same
     bytes in every ``PooledFiles``."""
 
-    def __init__(self, label, capacity, policy):
+    def __init__(self, label, capacity):
         self.label = label
         self.stats = IOStats()
         self.files = [make_file(PAGES + FRESH, disk=DiskModel(),
@@ -236,7 +202,8 @@ class PooledFiles:
                       for index in range(2)]
         self.index = {pfile.file_id: index
                       for index, pfile in enumerate(self.files)}
-        self.pool = BufferPool(capacity, policy=policy, name=label)
+        self.pool = BufferPool(capacity, name=label)
+        recording(self.pool)
         self.readers = [(pfile, self.reader) for pfile in self.files]
 
     def reader(self, pfile, first_page, count):
@@ -268,7 +235,7 @@ class PooledFiles:
                  for pfile in self.files for name in FILE_SERIES])
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("policy_name", ["2q"])
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 8), ops=PLAN_OPS)
 def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
@@ -282,9 +249,8 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
     simulated ms, float for float), ``pageio_reads_total`` and every
     per-file series; every resident frame of the planner holds its
     page's bytes; at the end they agree on the next ``FRESH`` victims."""
-    real_cls, _model = POLICIES[policy_name]
     with use_registry(MetricsRegistry()) as registry:
-        planner, twin = (PooledFiles(label, capacity, real_cls(capacity))
+        planner, twin = (PooledFiles(label, capacity)
                          for label in ("plan", "twin"))
         held = set()            # tokens remembered since the last clear
         for step, (op, arg) in enumerate(ops):
@@ -327,49 +293,53 @@ def test_recall_is_the_gets_it_stands_for(policy_name, capacity, ops):
         assert planner.state(registry) == twin.state(registry)
 
 
-def plan_pool(capacity=8):
+def plan_pool():
+    """Capacity 4 with plan ``"t"``, the reads of pages 0-2.  Each was
+    re-read after falling out of 2Q's FIFO, so they lead the protected
+    queue in that order, while page 4 alone fills the FIFO's target."""
     pfile = make_file()
-    pool = BufferPool(capacity, name="plan", policy="lru")
-    return pfile, pool, [(pfile.file_id, page) for page in range(3)]
-
-
-def read_and_remember(pool, pfile, keys, token="t"):
-    for _fid, page in keys:
+    pool = BufferPool(4, name="plan")
+    for page in (0, 1, 2, 3, 4, 0, 1, 2):
         pool.get(pfile, page)
-    pool.remember(token, keys, "answer")
+    keys = [(pfile.file_id, page) for page in range(3)]
+    assert pool.policy.keys() == [(pfile.file_id, 4)] + keys
+    pool.remember("t", keys, "answer")
+    return pfile, pool, keys
 
 
 def evict_page_zero(pool, pfile):
-    """Capacity 4, pages 0-2 resident: page 0 goes, 1 and 2 stay."""
-    for page in (7, 1, 2, 8):
-        pool.get(pfile, page)
-    assert pool.evictions == 1 and not pool.contains(pfile, 0)
+    """The FIFO is at its target, so one miss evicts the protected
+    queue's least recent page, 0; pages 1 and 2 stay."""
+    evictions = pool.evictions
+    pool.get(pfile, 5)
+    assert pool.evictions == evictions + 1
+    assert not pool.contains(pfile, 0)
 
 
 def test_recall_books_the_hits_and_moves_the_order():
     pfile, pool, keys = plan_pool()
-    read_and_remember(pool, pfile, keys)
-    pool.get(pfile, 5)
-    assert pool.policy.keys()[-1] == (pfile.file_id, 5)
+    pool.get(pfile, 1)
+    assert pool.policy.keys() == [(pfile.file_id, 4), keys[0], keys[2],
+                                  keys[1]]
     hits, misses = pool.hits, pool.misses
     assert pool.recall("t", [(pfile, None)]) == ("answer", 0)
     assert (pool.hits, pool.misses) == (hits + 3, misses)
-    assert pool.policy.keys() == [(pfile.file_id, 5)] + keys
+    assert pool.policy.keys() == [(pfile.file_id, 4)] + keys
     assert pool.recall("other", [(pfile, None)]) is None
     assert (pool.hits, pool.misses) == (hits + 3, misses)
 
 
 def test_a_clear_drops_a_plan_and_an_eviction_does_not():
-    pfile, pool, keys = plan_pool(capacity=4)
+    pfile, pool, keys = plan_pool()
     files = [(pfile, None)]
-    read_and_remember(pool, pfile, keys)
     evict_page_zero(pool, pfile)
     hits, misses, reads = pool.hits, pool.misses, pfile.stats.reads
     assert pool.recall("t", files) == ("answer", 1)
     assert (pool.hits, pool.misses) == (hits + 2, misses + 1)
     assert pfile.stats.reads == reads + 1
-    # Page 0 read back in place of 7, the least recently used.
-    assert pool.policy.keys() == [(pfile.file_id, 8)] + keys
+    # Page 0 read back in place of 4, the FIFO's head, and enters the
+    # FIFO (an eviction from the protected queue leaves no ghost).
+    assert pool.policy.keys() == [(pfile.file_id, 5)] + keys
     pool.clear()
     hits, misses = pool.hits, pool.misses
     assert pool.recall("t", files) is None
@@ -380,9 +350,8 @@ def test_a_plan_that_would_read_under_an_injector_books_nothing():
     """A read fails only under an injector; a recall never issues one
     that could fail, so a missing key sends the query to its own reads,
     while a plan whose pages are all resident is recalled as before."""
-    pfile, pool, keys = plan_pool(capacity=4)
+    pfile, pool, _keys = plan_pool()
     files = [(pfile, None)]
-    read_and_remember(pool, pfile, keys)
     injector = FaultInjector(seed=0)        # installed, injects nothing
     injector.install(pfile)
     try:
@@ -410,7 +379,7 @@ def test_a_plan_that_would_read_a_disk_backed_or_closed_file_books_nothing(
                      stats=IOStats(), path=str(tmp_path / "pages"))
     for page in range(PAGES):
         disk.append_page(bytes([page]) * 8)
-    pool = BufferPool(4, name="plan-disk", policy="lru")
+    pool = BufferPool(4, name="plan-disk")
     files = [(memory, None), (disk, None)]
     keys = [(disk.file_id, 0), (memory.file_id, 1), (disk.file_id, 2)]
     pool.get(disk, 0)
@@ -443,8 +412,12 @@ def test_a_plan_larger_than_the_pool_is_never_booked_as_all_hits():
     """Each recall of three pages through two frames evicts its own
     first pages: it must read all three again every time, never stamp
     the plan as resident."""
-    pfile, pool, keys = plan_pool(capacity=2)
-    read_and_remember(pool, pfile, keys)
+    pfile = make_file()
+    pool = BufferPool(2, name="plan")
+    keys = [(pfile.file_id, page) for page in range(3)]
+    for _fid, page in keys:
+        pool.get(pfile, page)
+    pool.remember("t", keys, "answer")
     for _ in range(3):
         hits, misses = pool.hits, pool.misses
         assert pool.recall("t", [(pfile, None)]) == ("answer", 3)

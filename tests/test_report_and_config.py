@@ -9,7 +9,7 @@ from repro.errors import ExperimentError
 from repro.experiments.config import (ETA_SWEEP, LARGE, MEDIUM, SMALL,
                                       build_experiment_environment,
                                       clear_environment_cache, get_scale)
-from repro.experiments.report import format_series, format_table, mb
+from repro.experiments.report import format_series, format_table
 
 
 # -- report formatting --------------------------------------------------------
@@ -40,10 +40,6 @@ def test_format_series():
     assert "4.00" in out
 
 
-def test_mb():
-    assert mb(1024 * 1024) == 1.0
-
-
 # -- constants ------------------------------------------------------------
 
 def test_paper_constants():
@@ -57,7 +53,6 @@ def test_paper_constants():
 def test_sizes_positive():
     assert constants.PAGE_SIZE > 0
     assert constants.BYTES_PER_POLYGON > 0
-    assert constants.SIZE_VENTRY == 8      # f32 DoV + u32 NVO
 
 
 # -- experiment config ----------------------------------------------------------

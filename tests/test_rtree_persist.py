@@ -68,8 +68,9 @@ def test_read_charges_one_page(store_and_tree):
 
 
 def test_read_root(store_and_tree):
+    """The root is written first: it is the node at offset 0."""
     store, tree = store_and_tree
-    root = store.read_root()
+    root = store.read_node(0)
     assert root.node_offset == 0
     assert root.kind == (KIND_LEAF if tree.root.is_leaf else KIND_INTERNAL)
 
@@ -83,7 +84,7 @@ def test_unknown_offset_rejected(store_and_tree):
 def test_unwritten_store_rejects_root():
     pf = PagedFile("empty", disk=DiskModel(), stats=IOStats())
     with pytest.raises(RTreeError):
-        NodeStore(pf).read_root()
+        NodeStore(pf).read_node(0)
 
 
 def test_children_reachable_by_offset(store_and_tree):

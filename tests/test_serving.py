@@ -28,7 +28,6 @@ from repro.serving.service import reconcile_ios, session_env, session_report
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
-from repro.storage.replacement import DEFAULT_POLICY, POLICY_NAMES
 from repro.walkthrough.visual import VisualSystem
 
 
@@ -94,10 +93,8 @@ PRESSURE = {"sessions": 32, "frames": 24, "pool_pages": 28}
 
 
 @pytest.mark.parametrize("config, reads", [
-    pytest.param({"policy": "lru"}, False, id="lru"),
-    pytest.param({"policy": "2q"}, False, id="2q"),
-    pytest.param({**PRESSURE, "policy": "lru"}, True, id="pressure-lru"),
-    pytest.param({**PRESSURE, "policy": "2q"}, True, id="pressure-2q"),
+    pytest.param({}, False, id="2q"),
+    pytest.param(PRESSURE, True, id="pressure-2q"),
     pytest.param({"plan": "aggressive", "fault_seed": 3}, False,
                  id="aggressive"),
 ])
@@ -125,7 +122,6 @@ def test_serve_report_is_the_same_with_recall_patched_out(monkeypatch,
     monkeypatch.setattr(BufferPool, "recall",
                         lambda pool, token, files: None)
     traversing = run_serve(**config)
-    assert replaying["pool"]["policy"] == config.get("policy", "2q")
     assert json.dumps(replaying, sort_keys=False) \
         == json.dumps(traversing, sort_keys=False)
 
@@ -253,10 +249,10 @@ def test_heavy_no_models_page_is_read_twice_without_a_budget(monkeypatch):
 
 
 def test_heavy_pooled_single_session_equals_the_sequential_replay():
-    """sessions=1 over a pool at the default policy (2Q): the shared
-    table has nobody to share with, so the served session equals a
-    sequential replay over a default pool whose view has no shared table
-    (its models read through a table of its own) — every frame, both
+    """sessions=1 over a pool: the shared table has nobody to share
+    with, so the served session equals a sequential replay over a pool
+    of the same size whose view has no shared table (its models read
+    through a table of its own) — every frame, both
     ledgers, the pool attribution and the fidelity."""
     frames = 12
     served = run_serve(sessions=1, seed=7, frames=frames)
@@ -271,7 +267,6 @@ def test_heavy_pooled_single_session_equals_the_sequential_replay():
             cache_budget_bytes=experiment.visual_cache_budget_bytes)
         report = visual.run(path)
 
-    assert served["serve"]["policy"] == pool.policy.name == DEFAULT_POLICY
     entry = served["sessions"][0]
     assert entry["path"] == path.name
     assert entry["frame_times"] == [f.frame_ms for f in report.frames]
@@ -386,22 +381,24 @@ def test_serve_cli_usage_error(capsys):
     assert "repro serve" in capsys.readouterr().err
 
 
-def test_serve_unpooled_at_the_default_policy(tmp_path, capsys):
-    """``--pool-pages 0`` serves unpooled when no policy is named; only
-    a policy named explicitly without a pool is refused."""
+def test_serve_unpooled(tmp_path):
+    """``--pool-pages 0`` serves unpooled: the report has no pool."""
     report = run_serve(sessions=1, seed=7, frames=2, pool_pages=0)
-    assert report["pool"] is None and report["serve"]["policy"] is None
-    for policy in POLICY_NAMES:
-        with pytest.raises(WalkthroughError):
-            run_serve(sessions=1, frames=2, pool_pages=0, policy=policy)
+    assert report["pool"] is None and report["serve"]["pool_pages"] == 0
     base = ["serve", "--sessions", "1", "--frames", "2", "--pool-pages", "0"]
     assert main(base + ["--output", str(tmp_path / "r.json")]) == 0
-    assert main(base + ["--policy", "lru"]) == 2
-    assert "needs a pool" in capsys.readouterr().err
+
+
+def test_serve_has_no_policy_option(capsys):
+    """The pool is 2Q, not a choice (DESIGN.md, "2Q replacement"):
+    ``--policy`` is an unknown option and exits 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--policy", "lru"])
+    assert exit_info.value.code == 2
+    assert "--policy" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["serve", "--help"])
-    assert f"(default: {DEFAULT_POLICY};" in " ".join(
-        capsys.readouterr().out.split())
+    assert "policy" not in capsys.readouterr().out
 
 
 class _StubSession:

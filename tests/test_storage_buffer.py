@@ -1,4 +1,4 @@
-"""Buffer pool tests: LRU order, counters, file identity, a failed read."""
+"""Buffer pool tests: counters, file identity, a failed read."""
 
 import gc
 import weakref
@@ -27,18 +27,6 @@ def test_hit_and_miss_counting(pfile):
     assert pool.hits == 1
     assert pool.misses == 1
     assert pfile.stats.reads == 1        # second access served from pool
-
-
-def test_lru_eviction_order(pfile):
-    pool = BufferPool(capacity=2, policy="lru")
-    pool.get(pfile, 0)
-    pool.get(pfile, 1)
-    pool.get(pfile, 0)      # page 0 is now most recent
-    pool.get(pfile, 2)      # evicts page 1 (least recent)
-    assert pool.contains(pfile, 0)
-    assert not pool.contains(pfile, 1)
-    assert pool.contains(pfile, 2)
-    assert pool.evictions == 1
 
 
 def test_capacity_validation():

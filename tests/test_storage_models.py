@@ -6,7 +6,6 @@ checks they agree.  This catches state-machine bugs that single-shot
 unit tests miss (eviction bookkeeping, allocation ordering).
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.buffer import BufferPool
@@ -114,21 +113,3 @@ def test_buffer_pool_capacity_never_exceeded(accesses, capacity):
     assert pool.hits + pool.misses == len(accesses)
 
 
-@given(st.lists(st.integers(0, 5), min_size=2, max_size=40))
-@settings(max_examples=40, deadline=None)
-def test_buffer_pool_lru_recency_model(accesses):
-    """The resident set always equals the most recent distinct pages."""
-    pfile = make_file()
-    for i in range(6):
-        pfile.write_page(pfile.allocate(), bytes([i]))
-    capacity = 3
-    pool = BufferPool(capacity, policy="lru")
-    recency = []
-    for page_id in accesses:
-        pool.get(pfile, page_id)
-        if page_id in recency:
-            recency.remove(page_id)
-        recency.append(page_id)
-        expected = set(recency[-capacity:])
-        resident = {pid for pid in range(6) if pool.contains(pfile, pid)}
-        assert resident == expected

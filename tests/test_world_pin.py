@@ -1,8 +1,8 @@
 """The built worlds, pinned.
 
-The fanout, fill factor, split policy, internal-LoD ratio and levels,
-street geometry, object-LoD chain and disk model are constants of the
-library, not settings.  These fingerprints were recorded when each was
+The fanout, fill factor, internal-LoD ratio and levels, street
+geometry, object-LoD chain and disk model are constants of the library,
+not settings.  These fingerprints were recorded when each was
 still a configurable default; a constant that drifts from the default it
 replaced moves an object, a polygon, a node, a page or a visibility
 entry, and fails here.
