@@ -8,7 +8,7 @@ Usage::
     python -m repro run all --scale small
     python -m repro profile [--scale small] [--session 1] [--eta 0.001]
     python -m repro chaos [--plan aggressive] [--seed 0] [--list-plans]
-    python -m repro crash [--seed 0] [--txns 5] [--output FILE]
+    python -m repro crash [--seed 0] [--output FILE]
     python -m repro precompute [--workers 4] [--samples 2]
     python -m repro serve [--sessions 8] [--seed 7] [--pool-pages 256]
     python -m repro traffic [--sessions 200] [--seed 0] [--arrival-rate 50]
@@ -103,15 +103,6 @@ def _positive(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _min_dov(text: str) -> float:
-    """``--min-dov``: a finite floor >= 0 (``inf`` would hide everything)."""
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"min-dov must be finite and >= 0, got {text}")
     return value
 
 
@@ -213,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_walk_options(profile, session=1)
     profile.add_argument("--compress", action="store_true",
                          help="build with the packed delta V-page codec")
-    profile.add_argument("--spans", action="store_true",
-                         help="embed the full span list in the report")
 
     chaos = sub.add_parser(
         "chaos",
@@ -239,15 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--seed", type=int, default=0,
                        help="workload/injector seed (default: 0); the "
                             "same seed reproduces the report bytes")
-    crash.add_argument("--pages", type=int, default=8,
-                       help="pages in the journaled file (default: 8)")
-    crash.add_argument("--page-size", type=int, default=128,
-                       help="bytes per page (default: 128)")
-    crash.add_argument("--txns", type=int, default=5,
-                       help="write transactions (default: 5; every "
-                            "second one checkpoints)")
-    crash.add_argument("--writes", type=int, default=3,
-                       help="page writes per transaction (default: 3)")
     _add_output(crash)
 
     precompute = sub.add_parser(
@@ -260,15 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scale's)")
     precompute.add_argument("--samples", type=int, default=1,
                             help="viewpoint samples per cell (default: 1)")
-    precompute.add_argument("--min-dov", type=_min_dov, default=0.0,
-                            help="DoV floor below which an object is "
-                                 "treated as hidden (default: 0)")
     precompute.add_argument("--workers", type=int, default=1,
                             help="worker processes (default: 1; any "
                                  "count yields a bit-identical table)")
-    precompute.add_argument("--batch-cells", type=int, default=None,
-                            help="cells per vectorized kernel call "
-                                 "(default: 16)")
     _add_output(precompute)
     precompute.add_argument("--quiet", action="store_true",
                             help="suppress the progress line on stderr")
@@ -291,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--arrival-rate", type=_positive, default=50.0,
                          help="offered load in sessions per virtual "
                               "second (default: 50)")
-    traffic.add_argument("--hot-fraction", type=float, default=0.5,
-                         help="fraction of arrivals replaying the hot "
-                              "path, pattern 1 (default: 0.5)")
     traffic.add_argument("--deterministic-only", action="store_true",
                          help="emit only the machine-independent "
                               "sections (what the CI job diffs)")
@@ -303,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's static-analysis rule suite (RPR codes)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: src)")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json"],
-                      help="diagnostic output format (default: text)")
     lint.add_argument("--rules", action="store_true",
                       help="list the registered rules and exit")
     return parser
@@ -360,8 +328,7 @@ def cmd_run(args) -> int:
 def cmd_profile(args) -> int:
     from repro.obs.profile import run_profile
 
-    report = run_profile(**_run_kwargs(args), compress=args.compress,
-                         include_spans=args.spans)
+    report = run_profile(**_run_kwargs(args), compress=args.compress)
     reconciled = report["io"]["reconciled"]
     return _emit(report, args.output, f"reconciled={reconciled}",
                  reconciled)
@@ -392,9 +359,7 @@ def cmd_chaos(args) -> int:
 def cmd_crash(args) -> int:
     from repro.obs.crash import run_crash_sweep
 
-    report = run_crash_sweep(seed=args.seed, pages=args.pages,
-                             page_size=args.page_size, txns=args.txns,
-                             writes_per_txn=args.writes)
+    report = run_crash_sweep(seed=args.seed)
     summary = report["summary"]
     return _emit(report, args.output,
                  f"points={summary['points']}, "
@@ -406,14 +371,12 @@ def cmd_precompute(args) -> int:
     from repro.obs.metrics import use_registry
     from repro.obs.replay import build_scene
     from repro.visibility.dov import visibility_digest
-    from repro.visibility.precompute import (DEFAULT_BATCH_CELLS,
+    from repro.visibility.precompute import (BATCH_CELLS,
                                              precompute_visibility)
 
     scale = get_scale(args.scale)
     resolution = (args.resolution if args.resolution is not None
                   else scale.hdov.dov_resolution)
-    batch_cells = (args.batch_cells if args.batch_cells is not None
-                   else DEFAULT_BATCH_CELLS)
     scene, grid = build_scene(scale)
 
     def progress(done: int, total: int) -> None:
@@ -426,8 +389,7 @@ def cmd_precompute(args) -> int:
         with use_registry() as registry:
             table = precompute_visibility(
                 scene, grid, resolution=resolution,
-                samples_per_cell=args.samples, min_dov=args.min_dov,
-                workers=args.workers, batch_cells=batch_cells,
+                samples_per_cell=args.samples, workers=args.workers,
                 progress=progress)
             counters = registry.collect()
     finally:
@@ -439,9 +401,9 @@ def cmd_precompute(args) -> int:
         "scale": args.scale,
         "resolution": resolution,
         "samples_per_cell": args.samples,
-        "min_dov": args.min_dov,
+        "min_dov": 0.0,
         "workers": args.workers,
-        "batch_cells": batch_cells,
+        "batch_cells": BATCH_CELLS,
         "cells_total": int(counters.get("precompute_cells_total", 0.0)),
         "rays_cast": int(counters.get("precompute_rays_total", 0.0)),
         "avg_visible": round(table.average_visible(), 3),
@@ -467,8 +429,7 @@ def cmd_traffic(args) -> int:
     from repro.serving.loadgen import run_traffic
 
     report = run_traffic(**_run_kwargs(args, serving=True),
-                         arrival_rate=args.arrival_rate,
-                         hot_fraction=args.hot_fraction)
+                         arrival_rate=args.arrival_rate)
     if args.deterministic_only:
         report = {key: report[key] for key in ("traffic", "deterministic")}
     det = report["deterministic"]
@@ -493,20 +454,13 @@ def cmd_lint(args) -> int:
             print(f"  {rule.code:<{width}}  {rule.name}: {rule.summary}")
         return 0
     result = lint_paths(_default_paths(args.paths))
-    if args.format == "json":
-        print(json.dumps({
-            "files_checked": result.files_checked,
-            "pragma_suppressed": result.pragma_suppressed,
-            "violations": [vars(d) for d in result.diagnostics],
-        }, indent=2))
-    else:
-        for diagnostic in result.diagnostics:
-            print(diagnostic.format())
-        suppressed = ""
-        if result.pragma_suppressed:
-            suppressed = f" ({result.pragma_suppressed} pragma-suppressed)"
-        print(f"repro lint: {len(result.diagnostics)} violation(s) in "
-              f"{result.files_checked} file(s){suppressed}")
+    for diagnostic in result.diagnostics:
+        print(diagnostic.format())
+    suppressed = ""
+    if result.pragma_suppressed:
+        suppressed = f" ({result.pragma_suppressed} pragma-suppressed)"
+    print(f"repro lint: {len(result.diagnostics)} violation(s) in "
+          f"{result.files_checked} file(s){suppressed}")
     return 0 if result.ok else 1
 
 
@@ -518,7 +472,7 @@ COMMANDS: Dict[str, Tuple[Callable[..., int], Tuple[type, ...]]] = {
     "run": (cmd_run, ()),
     "profile": (cmd_profile, (HDoVError,)),
     "chaos": (cmd_chaos, (StorageError, HDoVError)),
-    "crash": (cmd_crash, (ReproError,)),
+    "crash": (cmd_crash, ()),
     "precompute": (cmd_precompute, (VisibilityError,)),
     "serve": (cmd_serve, (ReproError,)),
     "traffic": (cmd_traffic, (ReproError,)),

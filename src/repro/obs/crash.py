@@ -24,9 +24,9 @@ power loss), recovers, and checks three invariants:
   reference recovery that was never interrupted.
 
 The report is plain dict/list/scalar data, a pure function of the
-keyword arguments: two calls with the same arguments must produce
-byte-identical JSON, which the CI crash-matrix job diffs.  No paths,
-timestamps or environment details appear in it.
+seed: two calls with the same seed must produce byte-identical JSON,
+which the CI crash-matrix job diffs.  No paths, timestamps or
+environment details appear in it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import shutil
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SimulatedCrash, StorageError
+from repro.errors import SimulatedCrash
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage import pageio
@@ -51,6 +51,14 @@ DETERMINISTIC_REPORT = True
 _DATA_FILE = "crash.pages"
 _COMPONENT = "crash"
 
+#: Shape of the journaled file and of the workload: each transaction
+#: writes ``WRITES_PER_TXN`` pages, reads one back and commits, and
+#: every second one checkpoints.
+PAGES = 8
+PAGE_SIZE = 128
+TXNS = 5
+WRITES_PER_TXN = 3
+
 
 # -- the seeded workload -----------------------------------------------------
 #
@@ -60,66 +68,61 @@ _COMPONENT = "crash"
 # never contain the journal's non-consecutive record magic b"RWAL" and
 # recovery's torn-tail resync scan cannot false-positive inside a page.
 
-def _page_for(txn: int, w: int, pages: int) -> int:
-    return (7 * txn + 3 * w) % pages
+def _page_for(txn: int, w: int) -> int:
+    return (7 * txn + 3 * w) % PAGES
 
 
-def _payload(seed: int, txn: int, w: int, pid: int,
-             page_size: int) -> bytes:
+def _payload(seed: int, txn: int, w: int, pid: int) -> bytes:
     base = seed + 31 * txn + 7 * w + 13 * pid
-    return bytes((base + i) % 251 for i in range(page_size))
+    return bytes((base + i) % 251 for i in range(PAGE_SIZE))
 
 
-def _expected_states(*, seed: int, pages: int, page_size: int, txns: int,
-                     writes_per_txn: int) -> List[Dict[int, bytes]]:
-    """``S_0 .. S_txns``: page images after 0, 1, ... committed txns."""
-    current = {pid: bytes(page_size) for pid in range(pages)}
+def _expected_states(seed: int) -> List[Dict[int, bytes]]:
+    """``S_0 .. S_TXNS``: page images after 0, 1, ... committed txns."""
+    current = {pid: bytes(PAGE_SIZE) for pid in range(PAGES)}
     states = [dict(current)]
-    for txn in range(txns):
-        for w in range(writes_per_txn):
-            pid = _page_for(txn, w, pages)
-            current[pid] = _payload(seed, txn, w, pid, page_size)
+    for txn in range(TXNS):
+        for w in range(WRITES_PER_TXN):
+            pid = _page_for(txn, w)
+            current[pid] = _payload(seed, txn, w, pid)
         states.append(dict(current))
     return states
 
 
-def _run_workload(datadir: str, *, seed: int, pages: int, page_size: int,
-                  txns: int, writes_per_txn: int,
+def _run_workload(datadir: str, seed: int,
                   injector: Optional[FaultInjector],
                   holder: List[PagedFile]) -> None:
     """Run the seeded workload; ``holder`` receives the file as soon as
     it exists so a caller catching :class:`SimulatedCrash` can call
     :meth:`~PagedFile.crash` on it."""
     path = os.path.join(datadir, _DATA_FILE)
-    pfile = PagedFile("crashdata", page_size=page_size, path=path,
+    pfile = PagedFile("crashdata", page_size=PAGE_SIZE, path=path,
                       journal=True, faults=injector)
     holder.append(pfile)
-    if pfile.num_pages < pages:
-        pfile.allocate_many(pages - pfile.num_pages)
-    for txn in range(txns):
-        for w in range(writes_per_txn):
-            pid = _page_for(txn, w, pages)
-            pageio.write_page(
-                pfile, pid, _payload(seed, txn, w, pid, page_size),
-                component=_COMPONENT)
+    if pfile.num_pages < PAGES:
+        pfile.allocate_many(PAGES - pfile.num_pages)
+    for txn in range(TXNS):
+        for w in range(WRITES_PER_TXN):
+            pid = _page_for(txn, w)
+            pageio.write_page(pfile, pid, _payload(seed, txn, w, pid),
+                              component=_COMPONENT)
         # A read inside the txn keeps read boundaries in the matrix
         # (and exercises the overlay-serving path under faults).
-        pageio.read_page(pfile, _page_for(txn, 0, pages),
-                         component=_COMPONENT)
+        pageio.read_page(pfile, _page_for(txn, 0), component=_COMPONENT)
         pfile.commit()
         if txn % 2 == 1:
             pfile.checkpoint()
     pfile.close()
 
 
-def _probe_boundaries(workdir: str, **cfg: int) -> List[str]:
+def _probe_boundaries(workdir: str, seed: int) -> List[str]:
     """Run the workload once with an armed-but-unreachable crash counter
     to learn the full ordered list of crash-point labels."""
     datadir = os.path.join(workdir, "probe")
     os.makedirs(datadir)
-    injector = FaultInjector(seed=int(cfg["seed"]))
+    injector = FaultInjector(seed=seed)
     injector.crash_after_ops(10 ** 9)
-    _run_workload(datadir, injector=injector, holder=[], **cfg)
+    _run_workload(datadir, seed, injector, holder=[])
     return list(injector.crash_trace)
 
 
@@ -144,21 +147,19 @@ def _restore(src: Tuple[bytes, bytes], datadir: str) -> str:
     return path
 
 
-def _observe_pages(datadir: str, *, pages: int,
-                   page_size: int) -> Tuple[PagedFile, Dict[int, bytes]]:
+def _observe_pages(datadir: str) -> Tuple[PagedFile, Dict[int, bytes]]:
     """Clean reopen (recovery runs) and read back every page."""
-    pfile = PagedFile("crashdata", page_size=page_size,
+    pfile = PagedFile("crashdata", page_size=PAGE_SIZE,
                       path=os.path.join(datadir, _DATA_FILE), journal=True)
     observed = {pid: pageio.read_page(pfile, pid, component=_COMPONENT)
-                for pid in range(min(pages, pfile.num_pages))}
-    for pid in range(pfile.num_pages, pages):
-        observed[pid] = bytes(page_size)   # extent lost with the crash
+                for pid in range(min(PAGES, pfile.num_pages))}
+    for pid in range(pfile.num_pages, PAGES):
+        observed[pid] = bytes(PAGE_SIZE)   # extent lost with the crash
     return pfile, observed
 
 
 def _recovery_crash_sweep(crashed: Tuple[bytes, bytes], workdir: str,
                           reference: Tuple[bytes, bytes], *, seed: int,
-                          page_size: int,
                           violations: List[str],
                           point: int) -> Dict[str, object]:
     """Kill recovery of ``crashed`` at each of its own boundaries, then
@@ -167,7 +168,7 @@ def _recovery_crash_sweep(crashed: Tuple[bytes, bytes], workdir: str,
     path = _restore(crashed, probe_dir)
     injector = FaultInjector(seed=seed)
     injector.crash_after_ops(10 ** 9)
-    pfile = PagedFile("crashdata", page_size=page_size, path=path,
+    pfile = PagedFile("crashdata", page_size=PAGE_SIZE, path=path,
                       journal=True, faults=injector)
     pfile.close()
     boundaries = len(injector.crash_trace)
@@ -179,7 +180,7 @@ def _recovery_crash_sweep(crashed: Tuple[bytes, bytes], workdir: str,
         rinj.crash_after_ops(r)
         crashed_as_armed = False
         try:
-            PagedFile("crashdata", page_size=page_size, path=rpath,
+            PagedFile("crashdata", page_size=PAGE_SIZE, path=rpath,
                       journal=True, faults=rinj)
         except SimulatedCrash:
             crashed_as_armed = True
@@ -189,7 +190,7 @@ def _recovery_crash_sweep(crashed: Tuple[bytes, bytes], workdir: str,
                 f"point {point}: recovery boundary {r} did not crash")
             continue
         # Second-chance recovery must converge to the reference bytes.
-        clean = PagedFile("crashdata", page_size=page_size, path=rpath,
+        clean = PagedFile("crashdata", page_size=PAGE_SIZE, path=rpath,
                           journal=True)
         clean.close()
         if _file_state(rdir) != reference:
@@ -204,16 +205,16 @@ def _recovery_crash_sweep(crashed: Tuple[bytes, bytes], workdir: str,
 def _sweep_point(c: int, label: str, workdir: str,
                  states: List[Dict[int, bytes]], durable: int,
                  appended: int, violations: List[str],
-                 **cfg: int) -> Dict[str, object]:
+                 seed: int) -> Dict[str, object]:
     """Crash the workload at boundary ``c``, recover, check invariants."""
     datadir = os.path.join(workdir, f"point-{c:03d}")
     os.makedirs(datadir)
-    injector = FaultInjector(seed=int(cfg["seed"]))
+    injector = FaultInjector(seed=seed)
     injector.crash_after_ops(c)
     holder: List[PagedFile] = []
     crashed_as_armed = False
     try:
-        _run_workload(datadir, injector=injector, holder=holder, **cfg)
+        _run_workload(datadir, seed, injector, holder)
     except SimulatedCrash:
         crashed_as_armed = True
     if not crashed_as_armed:
@@ -222,9 +223,7 @@ def _sweep_point(c: int, label: str, workdir: str,
         holder[0].crash()
     crashed = _file_state(datadir)
 
-    pages, page_size = int(cfg["pages"]), int(cfg["page_size"])
-    pfile, observed = _observe_pages(datadir, pages=pages,
-                                     page_size=page_size)
+    pfile, observed = _observe_pages(datadir)
     recovery = pfile.last_recovery
     matches = [j for j, state in enumerate(states) if state == observed]
     recovered = max(matches) if matches else -1
@@ -239,7 +238,7 @@ def _sweep_point(c: int, label: str, workdir: str,
     # no-op that leaves every byte alone.
     pfile.close()
     once = _file_state(datadir)
-    again = PagedFile("crashdata", page_size=page_size,
+    again = PagedFile("crashdata", page_size=PAGE_SIZE,
                       path=os.path.join(datadir, _DATA_FILE), journal=True)
     rerun = again.last_recovery
     again.close()
@@ -250,8 +249,8 @@ def _sweep_point(c: int, label: str, workdir: str,
             f"point {c} ({label}): recovery was not idempotent")
 
     recovery_crash = _recovery_crash_sweep(
-        crashed, datadir, once, seed=int(cfg["seed"]),
-        page_size=page_size, violations=violations, point=c)
+        crashed, datadir, once, seed=seed, violations=violations,
+        point=c)
     return {
         "boundary": c,
         "label": label,
@@ -284,8 +283,7 @@ def _metric_totals(registry: MetricsRegistry) -> Dict[str, float]:
     }
 
 
-def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
-                    txns: int = 5, writes_per_txn: int = 3,
+def run_crash_sweep(*, seed: int = 0,
                     workdir: Optional[str] = None) -> Dict[str, object]:
     """Run the full crash matrix; returns the JSON-ready report.
 
@@ -293,30 +291,18 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
     ----------
     seed:
         Seeds both the page payloads and the fault injectors.
-    pages, page_size:
-        Shape of the journaled file under test.
-    txns, writes_per_txn:
-        Workload size: each transaction writes, reads one page back,
-        commits, and every second transaction checkpoints.
     workdir:
         Scratch directory (a temp dir by default, removed afterwards).
         Never appears in the report.
     """
-    cfg = {"seed": seed, "pages": pages, "page_size": page_size,
-           "txns": txns, "writes_per_txn": writes_per_txn}
-    for name, value in cfg.items():
-        if name != "seed" and value < 1:
-            # An empty sweep passes on nothing; an empty transaction
-            # commits nothing, so every snapshot is one image.
-            raise StorageError(f"{name} must be >= 1, got {value}")
     cleanup = workdir is None
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-crash-")
     registry = MetricsRegistry()
     try:
         with use_registry(registry):
-            labels = _probe_boundaries(workdir, **cfg)
-            states = _expected_states(**cfg)
+            labels = _probe_boundaries(workdir, seed)
+            states = _expected_states(seed)
             violations: List[str] = []
             sweep: List[Dict[str, object]] = []
             for c in range(1, len(labels) + 1):
@@ -332,9 +318,12 @@ def run_crash_sweep(*, seed: int = 0, pages: int = 8, page_size: int = 128,
                     if lbl.startswith("journal-commit:"))
                 sweep.append(_sweep_point(
                     c, labels[c - 1], workdir, states, durable, appended,
-                    violations, **cfg))
+                    violations, seed))
             report: Dict[str, object] = {
-                "crash": dict(cfg, boundaries=len(labels), labels=labels),
+                "crash": {"seed": seed, "pages": PAGES,
+                          "page_size": PAGE_SIZE, "txns": TXNS,
+                          "writes_per_txn": WRITES_PER_TXN,
+                          "boundaries": len(labels), "labels": labels},
                 "sweep": sweep,
                 "metrics": _metric_totals(registry),
                 "violations": violations,

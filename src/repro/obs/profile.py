@@ -10,9 +10,11 @@ milliseconds go":
 * per-file I/O counters (reads, writes, seeks, sequential, bytes,
   simulated ms) straight from the metrics registry;
 * a **reconciliation** of those per-file counters against the
-  environment's :class:`~repro.storage.disk.IOStats` totals — the two
-  accounting paths are independent, so agreement is evidence neither is
-  miscounting (the check benchmarks and the regression suite assert on);
+  environment's :class:`~repro.storage.disk.IOStats` totals.  The two
+  are not independent: ``PagedFile._charge`` books both in one call.
+  What agreement proves is narrower: each file's series sum to the
+  group ledger the file is attached to (a file attached to the wrong
+  group, or a ledger reset mid-run, shows as a mismatch);
 * cache behaviour (delta-search fetch/skip, scheme flips) and
   traversal decision counts (pruned / terminated / recursed).
 
@@ -86,8 +88,7 @@ def reconcile(per_file: Dict[str, Dict[str, float]],
 def run_profile(*, scale: str = "small", session: int = 1,
                 eta: float = 0.001, frames: Optional[int] = None,
                 scheme: Optional[str] = None,
-                compress: bool = False,
-                include_spans: bool = False) -> Dict[str, object]:
+                compress: bool = False) -> Dict[str, object]:
     """Run one instrumented walkthrough; returns the JSON-ready report.
 
     Parameters
@@ -107,9 +108,6 @@ def run_profile(*, scale: str = "small", session: int = 1,
         Build with the packed delta V-page codec (``repro profile
         --compress``); the ``layout`` section then shows a real
         compression ratio instead of 1.0.
-    include_spans:
-        Also embed the full span list (one record per frame/query) in
-        the report, not just the per-name summary.
     """
     experiment = load_scale(scale)
     registry = MetricsRegistry()
@@ -142,7 +140,7 @@ def run_profile(*, scale: str = "small", session: int = 1,
         active_scheme = system.delta.search.scheme
         summary = tracer.summarize()
 
-        result: Dict[str, object] = {
+        return {
             "profile": {
                 "scale": scale,
                 "session": path.name,
@@ -253,6 +251,3 @@ def run_profile(*, scale: str = "small", session: int = 1,
             },
             "metrics": registry.delta(baseline),
         }
-        if include_spans:
-            result["spans"] = tracer.to_dicts()
-        return result

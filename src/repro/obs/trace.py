@@ -44,17 +44,6 @@ class SpanRecord:
     def self_ms(self) -> float:
         return self.duration_ms - self.child_ms
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "depth": self.depth,
-            "parent": self.parent,
-            "start_ms": round(self.start_ms, 3),
-            "duration_ms": round(self.duration_ms, 3),
-            "self_ms": round(self.self_ms, 3),
-            "attrs": dict(self.attrs),
-        }
-
 
 class TraceRecorder:
     """Collects nested spans; disabled recorders cost one branch per span.
@@ -146,9 +135,6 @@ class TraceRecorder:
         for agg in out.values():
             agg["mean_ms"] = agg["total_ms"] / agg["count"]
         return out
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [r.to_dict() for r in self.records]
 
     def clear(self) -> None:
         if self._stack:

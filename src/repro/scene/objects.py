@@ -7,7 +7,7 @@ visibility pipeline consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np

@@ -8,7 +8,7 @@ generator, the tests) is the transport.  Routes:
 method   path                          effect
 =======  ============================  =========================================
 POST     ``/sessions``                 create a session (``{"pattern": 1..3}``;
-                                       ``"frames"`` capped, 400 beyond);
+                                       the service's ``frames`` long);
                                        503 when the service is at capacity
 POST     ``/sessions/{id}/step``       advance one frame; returns the frame
 GET      ``/sessions``                 list live sessions
@@ -52,9 +52,9 @@ from repro.storage.buffer import BufferPool
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentScale
 
-#: Most frames one session may ask for.  A session's waypoints are built
-#: before the create is answered (2,000,000 frames: 7.3 s and 679 MB for
-#: one request); the longest shipped session is 500 frames.
+#: Most frames a service's sessions may have.  A session's waypoints are
+#: built before the create is answered (2,000,000 frames: 7.3 s and
+#: 679 MB for one request); the longest shipped session is 500 frames.
 MAX_SESSION_FRAMES = 50_000
 
 
@@ -149,19 +149,16 @@ class WalkthroughService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def create_session(self, pattern: int = 1,
-                       frames: Optional[int] = None) -> Dict[str, object]:
+    def create_session(self, pattern: int = 1) -> Dict[str, object]:
         if pattern not in (1, 2, 3):
             raise WalkthroughError(
                 f"pattern must be 1, 2 or 3, got {pattern}")
-        num_frames = frames if frames is not None else self.frames
-        _check_frames(num_frames)
         if self.max_active is not None and \
                 len(self.sessions) >= self.max_active:
             self.sessions_shed += 1
             raise ServiceOverloadedError(
                 f"at capacity ({self.max_active} active sessions)")
-        path = session_path(self.experiment, self.env, pattern, num_frames)
+        path = session_path(self.experiment, self.env, pattern, self.frames)
         view = session_env(self.env, self.pool)
         session_id = self._next_id
         self._next_id += 1
@@ -173,7 +170,7 @@ class WalkthroughService:
         self.sessions_created += 1
         get_registry().counter(names.SERVING_SESSIONS).inc()
         return {"id": session_id, "pattern": pattern,
-                "path": path.name, "frames": num_frames}
+                "path": path.name, "frames": self.frames}
 
     def step_session(self, session_id: int) -> Dict[str, object]:
         session = self._get(session_id)
@@ -325,21 +322,13 @@ class WalkthroughApp:
                 400, {"error": f"body must be a JSON object, "
                                f"got {type(body).__name__}"})
         pattern = body.get("pattern", 1)
-        frames = body.get("frames")
         if not isinstance(pattern, int) or isinstance(pattern, bool):
             return route, HttpResponse(
                 400, {"error": f"pattern must be an integer, "
                                f"got {pattern!r}"})
-        if frames is not None and (not isinstance(frames, int)
-                                   or isinstance(frames, bool)):
-            return route, HttpResponse(
-                400, {"error": f"frames must be an integer, "
-                               f"got {frames!r}"})
         async with self._lock:
             return route, self._guard(
-                lambda: self.service.create_session(pattern,
-                                                    frames=frames),
-                created=True)
+                lambda: self.service.create_session(pattern), created=True)
 
     async def _step(self, session_id: int) -> Tuple[str, HttpResponse]:
         async with self._lock:

@@ -11,7 +11,7 @@ arrivals on a **virtual clock**:
   ``frame_ms`` is the frame's own simulated render+I/O time — so a
   slow frame delays that session's next request, exactly like a real
   client rendering at its achievable rate;
-* a ``hot_fraction`` of arrivals replay motion pattern 1 (the same
+* a ``HOT_FRACTION`` of arrivals replay motion pattern 1 (the same
   recorded path, hence the same cell sequence — the hot cells); the
   rest split evenly between patterns 2 and 3.
 
@@ -49,6 +49,9 @@ from repro.storage.faults import named_plan
 #: the same timestamp of nothing — it just needs to be positive.
 MIN_STEP_GAP_MS = 1.0
 
+#: Share of arrivals that replay the hot path (pattern 1).
+HOT_FRACTION = 0.5
+
 #: Event kinds, ordered: at equal virtual time, arrivals admit before
 #: already-running sessions step — the deterministic tiebreak.
 _ARRIVE = 0
@@ -58,8 +61,7 @@ _STEP = 1
 def run_traffic(*, sessions: int = 200, seed: int = 0,
                 scale: str = "small", eta: float = 0.001,
                 frames: int = 30, scheme: Optional[str] = None,
-                arrival_rate: float = 50.0, hot_fraction: float = 0.5,
-                max_active: int = 32,
+                arrival_rate: float = 50.0, max_active: int = 32,
                 frame_budget_ms: Optional[float] = None,
                 pool_pages: int = 256, plan: Optional[str] = None,
                 fault_seed: int = 0) -> Dict[str, object]:
@@ -73,8 +75,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
         Seeds the arrival process and the hot/pattern draws.
     arrival_rate:
         Offered load in sessions per (virtual) second.
-    hot_fraction:
-        Fraction of arrivals replaying the hot path (pattern 1).
     max_active:
         Admission slots; an arrival past this is shed with a 503.
     frames / eta / scheme / scale / pool_pages:
@@ -94,9 +94,6 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
     if not arrival_rate > 0:                    # NaN is refused too
         raise WalkthroughError(
             f"arrival_rate must be > 0, got {arrival_rate}")
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise WalkthroughError(
-            f"hot_fraction must be in [0, 1], got {hot_fraction}")
     fault_plan = named_plan(plan) if plan is not None else None
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -110,8 +107,7 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
                              fault_seed) as injector:
             outcome = asyncio.run(_drive(app, sessions=sessions,
                                          seed=seed,
-                                         arrival_rate=arrival_rate,
-                                         hot_fraction=hot_fraction))
+                                         arrival_rate=arrival_rate))
         elapsed_s = time.perf_counter() - started
 
         report: Dict[str, object] = {
@@ -123,7 +119,7 @@ def run_traffic(*, sessions: int = 200, seed: int = 0,
                 "frames": frames,
                 "scheme": service.scheme,
                 "arrival_rate": arrival_rate,
-                "hot_fraction": hot_fraction,
+                "hot_fraction": HOT_FRACTION,
                 "max_active": max_active,
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
@@ -166,14 +162,14 @@ class _Outcome:
 
 
 async def _drive(app: WalkthroughApp, *, sessions: int, seed: int,
-                 arrival_rate: float, hot_fraction: float) -> _Outcome:
+                 arrival_rate: float) -> _Outcome:
     """The event loop: arrivals and self-paced steps in virtual time."""
     rng = np.random.default_rng(seed)
     # All randomness is drawn up front, in one fixed order, so the
     # event loop below is purely mechanical.
     gaps_ms = rng.exponential(1000.0 / arrival_rate, size=sessions)
     arrive_ms = np.cumsum(gaps_ms)
-    hot = rng.random(size=sessions) < hot_fraction
+    hot = rng.random(size=sessions) < HOT_FRACTION
     cold_patterns = rng.integers(2, 4, size=sessions)
 
     m_sessions = get_registry().counter(names.TRAFFIC_SESSIONS)

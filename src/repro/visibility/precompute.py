@@ -9,7 +9,7 @@ per-cell max over sample viewpoints (eq. 2).
 This is the slowest path in the system, so it is engineered in two
 layers, either of which can be used alone:
 
-* **Batching** — cells are processed ``batch_cells`` at a time: all of a
+* **Batching** — cells are processed ``BATCH_CELLS`` at a time: all of a
   batch's sample viewpoints go through one call to the estimator's
   vectorized :meth:`~repro.visibility.raycast.RayCastDoVEstimator.dov_sums`,
   replacing the per-viewpoint Python loop and dict merge of the seed
@@ -37,9 +37,9 @@ culls, tight.
 
 Determinism contract: for a given scene, grid and estimator
 configuration, the resulting :class:`~repro.visibility.dov.VisibilityTable`
-is **bit-identical** across every combination of ``batch_cells`` and
-``workers``, identical to the seed serial per-viewpoint path and to
-the unculled full-matrix reference
+is **bit-identical** across every batch size and every ``workers``,
+identical to the seed serial per-viewpoint path and to the unculled
+full-matrix reference
 (``slab_entry_matrix`` -> ``argmin`` -> ``bincount``).  The slab kernel
 performs the same per-element float32 operations regardless of batch
 shape or of which other boxes share the call, and all reductions run in
@@ -69,11 +69,12 @@ CellResult = Tuple[int, Dict[int, float]]
 #: Optional progress hook: ``callback(cells_done, cells_total)``.
 ProgressFn = Callable[[int, int], None]
 
-#: Default number of cells whose samples share one kernel invocation.
-#: 16 cells x a few samples keeps the (viewpoints, rays/8, boxes)
-#: intermediates well inside cache-friendly territory while amortising
-#: the per-call dispatch overhead that dominates small scenes.
-DEFAULT_BATCH_CELLS = 16
+#: Cells whose samples share one kernel invocation (and, under
+#: ``workers``, the unit of work sent to the pool).  16 cells x a few
+#: samples keeps the (viewpoints, rays/8, boxes) intermediates well
+#: inside cache-friendly territory while amortising the per-call
+#: dispatch overhead that dominates small scenes.
+BATCH_CELLS = 16
 
 # Worker-process state, created once per worker by _worker_init so the
 # estimator's packed boxes and ray grid are never pickled per task.
@@ -88,23 +89,23 @@ def _worker_init(boxes: np.ndarray, object_ids: np.ndarray,
 
 
 def _worker_compute(grid: CellGrid, cell_ids: Sequence[int],
-                    samples_per_cell: int,
-                    min_dov: float) -> List[CellResult]:
+                    samples_per_cell: int) -> List[CellResult]:
     if _worker_estimator is None:     # pragma: no cover - executor misuse
         raise VisibilityError("worker estimator was not initialised")
     return compute_cell_batch(_worker_estimator, grid, cell_ids,
-                              samples_per_cell, min_dov)
+                              samples_per_cell)
 
 
 def compute_cell_batch(estimator: RayCastDoVEstimator, grid: CellGrid,
-                       cell_ids: Sequence[int], samples_per_cell: int,
-                       min_dov: float) -> List[CellResult]:
+                       cell_ids: Sequence[int],
+                       samples_per_cell: int) -> List[CellResult]:
     """DoV tables for a batch of cells via one vectorized kernel call.
 
     All of the batch's sample viewpoints are cast together; the
     ``(viewpoints, boxes)`` solid-angle sums are then sliced back into
     per-cell blocks and reduced with eq. 2's max.  Bit-identical to
-    calling :meth:`dov_from_region` per cell.
+    calling :meth:`dov_from_region` per cell.  As in the paper, every
+    object with a DoV > 0 is kept.
     """
     viewpoints: List[np.ndarray] = []
     for cell_id in cell_ids:
@@ -116,39 +117,36 @@ def compute_cell_batch(estimator: RayCastDoVEstimator, grid: CellGrid,
         block = sums[index * samples_per_cell:(index + 1) * samples_per_cell]
         region = estimator.region_dov_from_sums(block)
         kept = {oid: value for oid, value in region.items()
-                if value > min_dov}
+                if value > 0.0}
         results.append((cell_id, kept))
     return results
 
 
-def _batches(cell_ids: Sequence[int],
-             batch_cells: int) -> List[List[int]]:
-    return [list(cell_ids[start:start + batch_cells])
-            for start in range(0, len(cell_ids), batch_cells)]
+def _batches(cell_ids: Sequence[int]) -> List[List[int]]:
+    return [list(cell_ids[start:start + BATCH_CELLS])
+            for start in range(0, len(cell_ids), BATCH_CELLS)]
 
 
 def _compute_serial(estimator: RayCastDoVEstimator, grid: CellGrid,
                     cell_ids: Sequence[int], samples_per_cell: int,
-                    min_dov: float, batch_cells: int,
                     on_batch: Callable[[List[CellResult]], None]) -> None:
-    for batch in _batches(cell_ids, batch_cells):
+    for batch in _batches(cell_ids):
         with span("precompute_batch", cells=len(batch)):
             on_batch(compute_cell_batch(estimator, grid, batch,
-                                        samples_per_cell, min_dov))
+                                        samples_per_cell))
 
 
 def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
                       cell_ids: Sequence[int], samples_per_cell: int,
-                      min_dov: float, batch_cells: int, workers: int,
+                      workers: int,
                       on_batch: Callable[[List[CellResult]], None]) -> None:
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init,
             initargs=(estimator.boxes, estimator.object_ids,
                       estimator.resolution)) as executor:
         futures: List[Future[List[CellResult]]] = [
-            executor.submit(_worker_compute, grid, batch,
-                            samples_per_cell, min_dov)
-            for batch in _batches(cell_ids, batch_cells)]
+            executor.submit(_worker_compute, grid, batch, samples_per_cell)
+            for batch in _batches(cell_ids)]
         # Collect in submission order: results land in the table keyed
         # by cell id anyway, but ordered collection also keeps the
         # progress output reproducible.
@@ -160,9 +158,7 @@ def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
 def precompute_visibility(scene: Scene, grid: CellGrid, *,
                           resolution: int = 32,
                           samples_per_cell: int = 1,
-                          min_dov: float = 0.0,
                           workers: Optional[int] = None,
-                          batch_cells: int = DEFAULT_BATCH_CELLS,
                           progress: Optional[ProgressFn] = None
                           ) -> VisibilityTable:
     """Compute the per-cell DoV table for ``scene`` over ``grid``.
@@ -175,33 +171,20 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
         Viewpoint samples per cell; 1 uses the cell center only.  More
         samples make the region DoV more conservative (eq. 2 is a max
         over all cell points) at linear precomputation cost.
-    min_dov:
-        Optional floor below which an object is treated as hidden.  The
-        paper keeps every DoV > 0; experiments leave this at 0.
     workers:
         Process count for data-parallel sharding; ``None`` or 1 runs in
         this process.  Any worker count yields a bit-identical table.
-    batch_cells:
-        Cells whose sample viewpoints share one vectorized kernel call
-        (and, under ``workers``, the unit of work sent to the pool).
     progress:
         Optional ``callback(cells_done, cells_total)`` invoked once
         before the first batch and after every finished batch.
     """
     if len(scene) == 0:
         raise VisibilityError("cannot precompute visibility of empty scene")
-    # NaN and inf pass ``min_dov < 0``, and then no DoV passes ``> min_dov``.
-    if not 0.0 <= min_dov < float("inf"):
-        raise VisibilityError(
-            f"min_dov must be finite and >= 0, got {min_dov}")
     if resolution < 1:
         raise VisibilityError(f"resolution must be >= 1, got {resolution}")
     if samples_per_cell < 1:
         raise VisibilityError(
             f"samples_per_cell must be >= 1, got {samples_per_cell}")
-    if batch_cells < 1:
-        raise VisibilityError(
-            f"batch_cells must be >= 1, got {batch_cells}")
     if workers is not None and workers < 1:
         raise VisibilityError(f"workers must be >= 1, got {workers}")
     estimator = RayCastDoVEstimator(scene.packed_mbrs(),
@@ -230,11 +213,11 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
 
     cell_ids = list(grid.cell_ids())
     with span("precompute", cells=total, workers=workers or 1,
-              batch_cells=batch_cells):
+              batch_cells=BATCH_CELLS):
         if workers is not None and workers > 1:
             _compute_parallel(estimator, grid, cell_ids, samples_per_cell,
-                              min_dov, batch_cells, workers, on_batch)
+                              workers, on_batch)
         else:
             _compute_serial(estimator, grid, cell_ids, samples_per_cell,
-                            min_dov, batch_cells, on_batch)
+                            on_batch)
     return table

@@ -13,7 +13,6 @@ shipped with before PR 2 fixed it.
 
 from __future__ import annotations
 
-import json
 import shutil
 import textwrap
 from pathlib import Path
@@ -863,11 +862,12 @@ def test_cli_has_no_baseline_flags(flag, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_json_format(tmp_path, capsys):
+def test_cli_text_report(tmp_path, capsys):
+    """Text is the one output format: a line per diagnostic, then the
+    count summary."""
     write_module(tmp_path, "timer.py",
                  "import time\n\n\ndef f():\n    return time.time()\n")
-    assert cli_main(["lint", str(tmp_path), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert sorted(payload) == ["files_checked", "pragma_suppressed",
-                               "violations"]
-    assert payload["violations"][0]["code"] == "RPR004"
+    assert cli_main(["lint", str(tmp_path)]) == 1
+    *diagnostics, summary = capsys.readouterr().out.splitlines()
+    assert any("RPR004" in line for line in diagnostics)
+    assert summary == "repro lint: 1 violation(s) in 1 file(s)"

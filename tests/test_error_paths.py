@@ -15,14 +15,12 @@ from repro.core.schemes import SCHEME_CLASSES
 from repro.core.search import HDoVSearch
 from repro.core.vpage import CellVPages
 from repro.errors import (HDoVError, PageNotFoundError, SchemeError,
-                          StorageError, TransientIOError, VisibilityError,
-                          WalkthroughError)
+                          StorageError, TransientIOError, WalkthroughError)
 from repro.experiments.config import SMALL
 from repro.serving import SessionScheduler, run_traffic
 from repro.serving.http.app import WalkthroughService
 from repro.storage.faults import FaultInjector, FaultPlan, FaultRule
 from repro.storage.pagedfile import PagedFile
-from repro.visibility.precompute import precompute_visibility
 from repro.walkthrough.session import make_session
 from repro.walkthrough.visual import VisualSystem
 
@@ -201,16 +199,6 @@ def test_infinite_frame_budget_stays_legal(env):
     assert SessionScheduler(
         [], frame_budget_ms=float("inf")).frame_budget_ms == float("inf")
     WalkthroughService(env, SMALL, frame_budget_ms=float("inf"))
-
-
-@pytest.mark.parametrize("min_dov", [float("nan"), float("inf"), -0.001])
-def test_nan_infinite_and_negative_min_dov_are_refused(small_scene,
-                                                       small_grid, min_dov):
-    """NaN and ``inf`` pass ``min_dov < 0`` and then nothing passes
-    ``dov > min_dov``: the table would be silently empty."""
-    with pytest.raises(VisibilityError, match="min_dov must be finite"):
-        precompute_visibility(small_scene, small_grid, resolution=4,
-                              min_dov=min_dov)
 
 
 @pytest.mark.parametrize("num_frames", [0, -1])

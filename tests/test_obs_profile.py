@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.obs.profile import run_profile
+from repro.obs.replay import build_world, load_scale, replay, session_path
+from repro.obs.trace import TraceRecorder, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -50,15 +52,18 @@ def test_report_is_json_serialisable(report):
     assert "reconciled" in text
 
 
-def test_include_spans_embeds_records():
-    report = run_profile(scale="small", session=2, frames=6,
-                         include_spans=True)
-    names = {s["name"] for s in report["spans"]}
-    assert {"build", "walkthrough", "frame"} <= names
-    frame_spans = [s for s in report["spans"] if s["name"] == "frame"]
-    assert len(frame_spans) == 6
-    # Frames that queried carry the light/heavy I/O split.
-    queried = [s for s in frame_spans if s["attrs"].get("queried")]
+def test_queried_frame_spans_carry_the_io_split():
+    """The report summarises spans by name; a frame's light/heavy I/O
+    split is read from the recorder's ``frame`` records."""
+    experiment = load_scale("small")
+    env = build_world(experiment)
+    tracer = TraceRecorder()
+    with use_tracer(tracer):
+        replay(experiment, env, session_path(experiment, env, 2, 6),
+               eta=0.001)
+    frames = tracer.by_name("frame")
+    assert len(frames) == 6
+    queried = [r for r in frames if r.attrs["queried"]]
     assert queried
-    assert all("light_ios" in s["attrs"] and "heavy_ios" in s["attrs"]
-               for s in queried)
+    assert all("light_ios" in r.attrs and "heavy_ios" in r.attrs
+               for r in queried)

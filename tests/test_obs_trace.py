@@ -89,13 +89,3 @@ def test_clear_rejects_open_spans():
             tracer.clear()
     tracer.clear()
     assert tracer.records == []
-
-
-def test_to_dicts_roundtrips_json_fields():
-    tracer = TraceRecorder()
-    with tracer.span("a", cell=1):
-        pass
-    (record,) = tracer.to_dicts()
-    assert record["name"] == "a"
-    assert record["attrs"] == {"cell": 1}
-    assert record["duration_ms"] >= 0.0

@@ -16,6 +16,7 @@ from repro.geometry import slab
 from repro.geometry.slab import NO_HIT, slab_entry_matrix
 from repro.obs.metrics import use_registry
 from repro.scene.city import CityParams, generate_city
+from repro.visibility import precompute
 from repro.visibility.cells import CellGrid
 from repro.visibility.dov import (CellVisibility, VisibilityTable,
                                   visibility_digest)
@@ -26,8 +27,7 @@ RESOLUTION = 8
 SAMPLES = 3
 
 
-def seed_path_table(scene, grid, *, resolution=RESOLUTION, samples=SAMPLES,
-                    min_dov=0.0):
+def seed_path_table(scene, grid, *, resolution=RESOLUTION, samples=SAMPLES):
     """The seed implementation: per-viewpoint casts merged through dicts."""
     estimator = RayCastDoVEstimator(scene.packed_mbrs(),
                                     object_ids=scene.object_ids(),
@@ -43,8 +43,7 @@ def seed_path_table(scene, grid, *, resolution=RESOLUTION, samples=SAMPLES,
                     merged[oid] = value
         cell = CellVisibility(cell_id)
         for oid, value in merged.items():
-            if value > min_dov:
-                cell.set(oid, value)
+            cell.set(oid, value)
         table.put(cell)
     return table
 
@@ -55,22 +54,26 @@ def seed_digest(small_scene, small_grid):
 
 
 def test_batched_matches_seed_path_to_the_bit(small_scene, small_grid,
-                                              seed_digest):
-    for batch_cells in (1, 4, 64):
+                                              seed_digest, monkeypatch):
+    for size in (1, 4, 64):
+        monkeypatch.setattr(precompute, "BATCH_CELLS", size)
         table = precompute_visibility(small_scene, small_grid,
                                       resolution=RESOLUTION,
-                                      samples_per_cell=SAMPLES,
-                                      batch_cells=batch_cells)
+                                      samples_per_cell=SAMPLES)
         assert visibility_digest(table) == seed_digest
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_parallel_matches_seed_path_to_the_bit(small_scene, small_grid,
-                                               seed_digest, workers):
+                                               seed_digest, workers,
+                                               monkeypatch):
+    """Batches are cut in the calling process, so patching the batch
+    size reaches the worker path too."""
+    monkeypatch.setattr(precompute, "BATCH_CELLS", 4)
     table = precompute_visibility(small_scene, small_grid,
                                   resolution=RESOLUTION,
                                   samples_per_cell=SAMPLES,
-                                  workers=workers, batch_cells=4)
+                                  workers=workers)
     assert visibility_digest(table) == seed_digest
 
 
@@ -104,20 +107,19 @@ def unculled_reference_table(scene, grid, *, resolution, samples):
 
 @pytest.mark.parametrize("samples", [1, 4])
 def test_pipeline_matches_unculled_reference(small_scene, small_grid,
-                                             samples):
+                                             samples, monkeypatch):
     """Independent-reference parity: every other parity test compares
     the nearest-hit kernel with itself."""
     expected = visibility_digest(unculled_reference_table(
         small_scene, small_grid, resolution=RESOLUTION, samples=samples))
-    for batch_cells in (1, 3, 16):
+    for size in (1, 3, 16):
+        monkeypatch.setattr(precompute, "BATCH_CELLS", size)
         for workers in (1, 2):
             table = precompute_visibility(small_scene, small_grid,
                                           resolution=RESOLUTION,
                                           samples_per_cell=samples,
-                                          batch_cells=batch_cells,
                                           workers=workers)
-            assert visibility_digest(table) == expected, (batch_cells,
-                                                          workers)
+            assert visibility_digest(table) == expected, (size, workers)
 
 
 def test_octant_cull_skips_most_slab_tests(monkeypatch):
@@ -207,20 +209,11 @@ def test_duplicate_object_ids_take_pointwise_path():
     assert region == estimator._dov_from_region_pointwise([(0.0, 0.0, 0.0)])
 
 
-def test_min_dov_filter_parity(small_scene, small_grid):
-    floor = 0.01
-    expected = visibility_digest(seed_path_table(small_scene, small_grid,
-                                                 min_dov=floor))
-    table = precompute_visibility(small_scene, small_grid,
-                                  resolution=RESOLUTION,
-                                  samples_per_cell=SAMPLES, min_dov=floor)
-    assert visibility_digest(table) == expected
-
-
-def test_progress_callback_reaches_total(small_scene, small_grid):
+def test_progress_callback_reaches_total(small_scene, small_grid,
+                                        monkeypatch):
+    monkeypatch.setattr(precompute, "BATCH_CELLS", 2)
     seen = []
     precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
-                          batch_cells=2,
                           progress=lambda done, total: seen.append(
                               (done, total)))
     assert seen[0][0] == 0

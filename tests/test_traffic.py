@@ -88,16 +88,6 @@ def test_shed_rate_monotone_in_offered_load():
     assert rates[0] < rates[1]
 
 
-def test_hot_fraction_extremes():
-    all_hot = run_traffic(**{**ARGS, "sessions": 10, "hot_fraction": 1.0})
-    none_hot = run_traffic(**{**ARGS, "sessions": 10,
-                              "hot_fraction": 0.0})
-    hot_sessions = all_hot["deterministic"]["sessions"]
-    cold_sessions = none_hot["deterministic"]["sessions"]
-    assert hot_sessions["hot"] == hot_sessions["admitted"]
-    assert cold_sessions["hot"] == 0
-
-
 def test_self_pacing_gap_floor():
     # A zero-cost frame still advances the virtual clock.
     assert MIN_STEP_GAP_MS > 0.0
@@ -108,8 +98,6 @@ def test_bad_arguments_rejected():
         run_traffic(sessions=0)
     with pytest.raises(WalkthroughError):
         run_traffic(arrival_rate=0.0)
-    with pytest.raises(WalkthroughError):
-        run_traffic(hot_fraction=1.5)
     with pytest.raises(WalkthroughError, match="seed must be >= 0"):
         run_traffic(seed=-1)
 

@@ -200,13 +200,17 @@ def test_precompute_produces_table(small_scene, small_grid):
 
 
 def test_precompute_min_dov_filters(small_scene, small_grid):
-    loose = precompute_visibility(small_scene, small_grid, resolution=8)
-    strict = precompute_visibility(small_scene, small_grid, resolution=8,
-                                   min_dov=0.01)
+    """The floor is the paper's, fixed: a cell keeps every object whose
+    region DoV (eq. 2) is > 0, and nothing else."""
+    table = precompute_visibility(small_scene, small_grid, resolution=8)
+    estimator = RayCastDoVEstimator(small_scene.packed_mbrs(),
+                                    object_ids=small_scene.object_ids(),
+                                    resolution=8)
     for cid in small_grid.cell_ids():
-        assert strict.cell(cid).num_visible <= loose.cell(cid).num_visible
-        for oid, dov in strict.cell(cid).dov.items():
-            assert dov > 0.01
+        region = estimator.dov_from_region(
+            small_grid.sample_viewpoints(cid, samples=1))
+        assert table.cell(cid).dov == {
+            oid: dov for oid, dov in region.items() if dov > 0.0}
 
 
 def test_precompute_empty_scene_rejected(small_grid):
@@ -221,12 +225,6 @@ def test_precompute_rejects_bad_parameters(small_scene, small_grid):
     with pytest.raises(VisibilityError):
         precompute_visibility(small_scene, small_grid, resolution=8,
                               samples_per_cell=0)
-    with pytest.raises(VisibilityError):
-        precompute_visibility(small_scene, small_grid, resolution=8,
-                              min_dov=-0.1)
-    with pytest.raises(VisibilityError):
-        precompute_visibility(small_scene, small_grid, resolution=8,
-                              batch_cells=0)
     with pytest.raises(VisibilityError):
         precompute_visibility(small_scene, small_grid, resolution=8,
                               workers=0)
