@@ -50,18 +50,6 @@ TRACKED: Tuple[Tuple[str, str, str], ...] = (
      "serving: pool hit rate, 1 session"),
     ("BENCH_serving.json", "sessions.8.pool_hit_rate",
      "serving: pool hit rate, 8 sessions"),
-    # Traffic metrics are virtual-clock deterministic; serve_rate is
-    # 1 - shed_rate so that lower shedding reads higher-is-better.
-    ("BENCH_traffic.json", "loads.25.serve_rate",
-     "traffic: serve rate at 25 sessions/s"),
-    ("BENCH_traffic.json", "loads.200.serve_rate",
-     "traffic: serve rate at 200 sessions/s"),
-    ("BENCH_traffic.json", "loads.25.frames",
-     "traffic: frames served at 25 sessions/s"),
-    ("BENCH_traffic.json", "loads.200.frames",
-     "traffic: frames served at 200 sessions/s"),
-    ("BENCH_traffic.json", "loads.25.requests",
-     "traffic: requests handled at 25 sessions/s"),
     # Compression metrics are pure functions of (scale, session, eta):
     # the V-page byte ratio of the packed delta codec over the raw
     # one, and the stream's own ratio, both higher-is-better.

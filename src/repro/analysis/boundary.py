@@ -1,6 +1,6 @@
 """The "only module M may use name X" rules, as rows of one table.
 
-RPR001, RPR004, RPR009 and RPR014 are the same check over different
+RPR001, RPR004 and RPR014 are the same check over different
 names: a *use* of a confined name — a call, a bound method handed on
 as a value, an attribute read, an import — outside the modules that own
 it.  Each is one :class:`Boundary` row of :data:`BOUNDARIES`; one
@@ -27,12 +27,6 @@ from typing import FrozenSet, Iterator, Optional, Tuple
 from repro.analysis.context import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
 
-#: Clock-reading callables in the ``time`` module (RPR009).
-_TIME_CLOCKS = ("time", "time_ns", "perf_counter", "perf_counter_ns",
-                "monotonic", "monotonic_ns", "process_time",
-                "process_time_ns")
-
-
 @dataclass(frozen=True)
 class Boundary(Rule):
     """One confined set of names and the modules allowed to use them."""
@@ -44,16 +38,12 @@ class Boundary(Rule):
     names: FrozenSet[str]
     #: Modules or packages in which the names are free to use.
     homes: Tuple[str, ...]
-    #: The package the rule is confined to; ``None`` means everywhere.
-    confine: Optional[str]
     #: Receivers (final dotted segment) that sanction a ``*.`` name.
     receivers: Tuple[str, ...]
     #: Diagnostic text; ``{name}`` is the matched name as resolved.
     message: str
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        if self.confine is not None and not ctx.in_package(self.confine):
-            return
         if any(ctx.in_package(home) for home in self.homes):
             return
         for node, receiver, name in ctx.uses:
@@ -87,8 +77,7 @@ BOUNDARIES: Tuple[Boundary, ...] = (
         names=frozenset({"*.read_page", "*.write_page", "*.append_page",
                          "*.read_run", "*.read_runs", "*._fh", "*._mem",
                          "*._charge", "*._last_accessed"}),
-        homes=("repro.storage",), confine=None,
-        receivers=("pageio", "self"),
+        homes=("repro.storage",), receivers=("pageio", "self"),
         message=("use of PagedFile primitive {name} outside "
                  "repro.storage; route page access through "
                  "repro.storage.pageio so it stays accounted and "
@@ -102,32 +91,9 @@ BOUNDARIES: Tuple[Boundary, ...] = (
                  "time.perf_counter() (pragma a line that genuinely "
                  "needs wall-clock timestamps)"),
         names=frozenset({"time.time"}),
-        homes=(), confine=None, receivers=(),
+        homes=(), receivers=(),
         message=("{name}() measures wall-clock, which can jump; use "
                  "time.perf_counter() for elapsed time")),
-    # The traffic harness promises that everything in a report except
-    # wall-clock latency is a pure function of the request sequence.
-    # One stray clock read folded into a response body poisons that, so
-    # all timing lives in the middleware, which measures each request
-    # once and hands finished durations to the clock-free collector.
-    Boundary(
-        code="RPR009", name="http-timing-boundary",
-        summary=("clock reads (time.time/perf_counter/monotonic/..., "
-                 "datetime.now/utcnow/today) are forbidden under "
-                 "repro.serving.http outside the timing middleware; "
-                 "measure once in the middleware and pass durations "
-                 "down"),
-        names=frozenset({f"time.{clock}" for clock in _TIME_CLOCKS}
-                        | {"datetime.datetime.now",
-                           "datetime.datetime.utcnow",
-                           "datetime.datetime.today",
-                           "datetime.date.today"}),
-        homes=("repro.serving.http.middleware",),
-        confine="repro.serving.http", receivers=(),
-        message=("{name}() inside repro.serving.http but outside the "
-                 "timing middleware; the front-end's deterministic-"
-                 "report promise requires all clock reads to live in "
-                 "repro.serving.http.middleware")),
     # PR 9 made the V-page byte layout *versioned* (raw pages vs the
     # packed delta stream).  A direct raw call elsewhere reads garbage
     # the moment the environment is built packed, and bypasses the
@@ -139,7 +105,7 @@ BOUNDARIES: Tuple[Boundary, ...] = (
                  "repro.storage.serializer; go through a VPageCodec"),
         names=frozenset({"*.encode_vpage", "*.decode_vpage"}),
         homes=("repro.storage.vpagecodec", "repro.storage.serializer"),
-        confine=None, receivers=(),
+        receivers=(),
         message=("use of {name} outside the V-page codec module; "
                  "V-page bytes are versioned — read and write them "
                  "through the scheme's VPageCodec so the packed layout "

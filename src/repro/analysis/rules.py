@@ -53,8 +53,6 @@ FAULT_BOUNDARY_MODULES = frozenset({
 DETERMINISTIC_MODULES = frozenset({
     "repro.obs.chaos",
     "repro.obs.profile",
-    "repro.serving.http.stats",
-    "repro.serving.loadgen",
     "repro.serving.service",
     "repro.visibility.dov",
 })
@@ -391,7 +389,7 @@ class DeterminismHygieneRule(Rule):
     """RPR013: no unordered iteration feeding byte-deterministic reports.
 
     The repo's reports are diffed byte-for-byte in CI (chaos, serve,
-    traffic, precompute), which a single unsorted ``set`` iteration or
+    precompute), which a single unsorted ``set`` iteration or
     ``os.listdir`` breaks only *sometimes* — the worst kind of flake.
     In modules declared byte-deterministic (``DETERMINISTIC_MODULES`` or
     a ``DETERMINISTIC_REPORT = True`` marker), iterating a set-typed

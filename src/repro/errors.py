@@ -91,15 +91,6 @@ class WalkthroughError(ReproError):
     """Walkthrough-session or frame-simulation failure."""
 
 
-class ServiceOverloadedError(WalkthroughError):
-    """The serving front-end is at capacity and shed the request.
-
-    The HTTP layer maps this to ``503 Service Unavailable``; load
-    generators count it toward the shed rate instead of treating it as
-    a failure.
-    """
-
-
 class ExperimentError(ReproError):
     """Experiment driver misconfiguration."""
 

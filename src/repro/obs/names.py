@@ -94,21 +94,7 @@ SERVING_SESSIONS = "serving_sessions_total"
 SERVING_FRAMES = "serving_frames_total"
 SERVING_ROUNDS = "serving_rounds_total"
 SERVING_OVERLOAD_DEGRADED = "serving_overload_degraded_total"
-SERVING_ADMISSION_WAITS = "serving_admission_waits_total"
 SERVING_ACTIVE_SESSIONS = "serving_active_sessions"
-
-# -- repro.serving.http: network front-end, one series set per route --------
-
-HTTP_REQUESTS = "http_requests_total"
-HTTP_ERRORS = "http_errors_total"
-HTTP_LATENCY_MS = "http_request_latency_ms"
-
-# -- repro.serving.loadgen: synthetic walkthrough traffic -------------------
-
-TRAFFIC_SESSIONS = "traffic_sessions_total"
-TRAFFIC_SESSIONS_SHED = "traffic_sessions_shed_total"
-TRAFFIC_FRAMES = "traffic_frames_total"
-TRAFFIC_REQUESTS = "traffic_requests_total"
 
 # -- repro.visibility.precompute: offline DoV pipeline ----------------------
 

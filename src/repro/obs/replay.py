@@ -2,9 +2,9 @@
 
 Every number of the paper's Section 5 comes out of one loop — build the
 HDoV-tree for a dataset, replay a recorded session against it, read the
-I/O counters.  ``repro profile``, ``chaos``, ``serve`` and ``traffic``
-(and the experiment drivers' environment cache) are configurations of
-the pieces here rather than copies of them:
+I/O counters.  ``repro profile``, ``chaos`` and ``serve`` (and the
+experiment drivers' environment cache) are configurations of the
+pieces here rather than copies of them:
 
 * :func:`build_world` — scale → city → cell grid → environment, with
   the scheme / V-page codec overrides;

@@ -1,18 +1,13 @@
-"""Concurrent multi-session walkthrough serving (PRs 5-6).
+"""Concurrent multi-session walkthrough serving.
 
-The ROADMAP north star is a production-scale service answering many
-viewers' walkthroughs against one HDoV-tree.  This package provides the
-first rungs: N recorded sessions served through one shared
-:class:`~repro.storage.buffer.BufferPool`, scheduled in deterministic
-rounds with frame-budget admission control (PR 5), plus a network edge
-(:mod:`repro.serving.http`) exposing session create/step/close over
-HTTP and a Poisson traffic harness (:mod:`repro.serving.loadgen`)
-driving it at configurable offered load (PR 6).  Both runners report
-JSON whose machine-independent sections are pure functions of the
-configuration, so CI can diff two runs byte-for-byte.
+N recorded sessions served through one shared
+:class:`~repro.storage.buffer.BufferPool`, stepped in deterministic
+rounds on one thread, with a simulated per-frame budget that sheds an
+over-budget session's next query to the root LoD.  ``run_serve``
+reports JSON that is a pure function of its arguments, so CI can diff
+two runs byte-for-byte.
 """
 
-from repro.serving.loadgen import run_traffic
 from repro.serving.pooled import PooledNodeStore
 from repro.serving.scheduler import SessionScheduler
 from repro.serving.service import run_serve
@@ -23,5 +18,4 @@ __all__ = [
     "ServingSession",
     "SessionScheduler",
     "run_serve",
-    "run_traffic",
 ]

@@ -63,7 +63,6 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
               scale: str = "small", eta: float = 0.001,
               frames: Optional[int] = None,
               scheme: Optional[str] = None,
-              max_active: Optional[int] = None,
               frame_budget_ms: Optional[float] = None,
               pool_pages: int = 256,
               plan: Optional[str] = None,
@@ -78,8 +77,6 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         Draws each session's motion pattern; same seed, same report.
     scale / eta / frames / scheme:
         As in ``repro run`` / ``repro chaos``.
-    max_active:
-        Admission-control slot count (default: no limit).
     frame_budget_ms:
         Simulated per-frame deadline; a session whose previous frame
         exceeded it degrades its next query to the root internal LoD.
@@ -123,7 +120,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 cache_budget_bytes=experiment.visual_cache_budget_bytes))
             m_sessions.inc()
 
-        scheduler = SessionScheduler(served, max_active=max_active,
+        scheduler = SessionScheduler(served,
                                      frame_budget_ms=frame_budget_ms)
         error: Optional[str] = None
         with injected_faults(env, fault_plan, fault_seed) as injector:
@@ -135,8 +132,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 error = f"{type(exc).__name__}: {exc}"
 
         completed = error is None
-        entries = [session_report(s, include_frame_times=True)
-                   for s in served]
+        entries = [session_report(s) for s in served]
         reconciliation = reconcile_ios(entries, env)
         if pool is not None:
             reconciliation["pool_balanced"] = (
@@ -150,7 +146,6 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
                 "eta": eta,
                 "scheme": served[0].delta.search.scheme.name,
                 "frames": served[0].path.num_frames,
-                "max_active": scheduler.max_active,
                 "frame_budget_ms": frame_budget_ms,
                 "pool_pages": pool_pages,
                 "plan": fault_plan.name if fault_plan is not None else None,
@@ -176,8 +171,7 @@ def run_serve(*, sessions: int = 8, seed: int = 7,
         return report
 
 
-def session_report(session: ServingSession,
-                    include_frame_times: bool) -> Dict[str, object]:
+def session_report(session: ServingSession) -> Dict[str, object]:
     entry: Dict[str, object] = {
         "id": session.session_id,
         "path": session.path.name,
@@ -185,7 +179,6 @@ def session_report(session: ServingSession,
         "queries": session.queries,
         "degraded_frames": session.degraded_frames(),
         "overload_degraded": session.overload_degraded,
-        "admission_wait_rounds": session.admission_wait_rounds,
         "light": session.light_total.to_dict(),
         "heavy": session.heavy_total.to_dict(),
         "pool": {
@@ -201,8 +194,7 @@ def session_report(session: ServingSession,
             "variance": stats.variance,
             "max": stats.maximum_ms,
         }
-    if include_frame_times:
-        entry["frame_times"] = [f.frame_ms for f in session.frames]
+    entry["frame_times"] = [f.frame_ms for f in session.frames]
     return entry
 
 

@@ -65,7 +65,6 @@ class ServingSession(VisualSystem):
         self.path = path
         self.pool = pool
         self.next_frame = 0
-        self.admission_wait_rounds = 0
         self.pool_hits = 0
         self.pool_misses = 0
 

@@ -25,7 +25,7 @@ from repro.cli import main as cli_main
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODES = {"RPR001", "RPR002", "RPR004", "RPR005", "RPR006",
-             "RPR007", "RPR008", "RPR009", "RPR013", "RPR014"}
+             "RPR007", "RPR008", "RPR013", "RPR014"}
 
 
 def write_module(root: Path, relpath: str, source: str) -> Path:
@@ -185,42 +185,6 @@ FIXTURES = {
                     except IOError:
                         pass
                     return None
-                """),
-        ],
-    },
-    "RPR009": {
-        "bad": [("repro/serving/http/handlers.py", """
-            from time import perf_counter
-
-            def stamp_response(body):
-                body["answered_at"] = perf_counter()
-                return body
-            """)],
-        "good": [
-            # The middleware is the sanctioned timing boundary.
-            ("repro/serving/http/middleware.py", """
-                from time import perf_counter
-
-                def measure(op):
-                    started = perf_counter()
-                    result = op()
-                    return result, perf_counter() - started
-                """),
-            # Clock-free handlers in the package are the point.
-            ("repro/serving/http/handlers.py", """
-                def stamp_response(body, elapsed_ms):
-                    body["elapsed_ms"] = elapsed_ms
-                    return body
-                """),
-            # The same clock call *outside* the package is RPR004's
-            # business (perf_counter is fine there), not RPR009's.
-            ("repro/serving/loadgen.py", """
-                from time import perf_counter
-
-                def elapsed(op):
-                    started = perf_counter()
-                    op()
-                    return perf_counter() - started
                 """),
         ],
     },
@@ -424,26 +388,6 @@ def test_rpr008_retry_module_is_exempt(tmp_path):
     assert "RPR008" not in codes
 
 
-def test_rpr009_catches_aliased_module_clocks(tmp_path):
-    codes = lint_codes(tmp_path, [("repro/serving/http/stats.py", """
-        import time as clock
-
-        def now_ms():
-            return clock.monotonic() * 1000.0
-        """)])
-    assert "RPR009" in codes
-
-
-def test_rpr009_ignores_non_clock_time_attrs(tmp_path):
-    codes = lint_codes(tmp_path, [("repro/serving/http/app.py", """
-        import time
-
-        def backoff():
-            time.sleep(0.01)
-        """)])
-    assert "RPR009" not in codes
-
-
 def test_rpr013_unmarked_module_exempt(tmp_path):
     # The same unordered iteration outside a byte-deterministic module
     # is nobody's business.
@@ -516,9 +460,9 @@ SEEDS = {
     ],
     "RPR002": [
         # missed: total() arrived after the rule's method list was written.
-        ("serving/http/app.py",
-         "registry.total(names.PAGEIO_GIVEUPS)",
-         'registry.total("pageio_giveups_totl")'),
+        ("obs/profile.py",
+         '"records": registry.total(names.JOURNAL_RECORDS)',
+         '"records": registry.total("journal_records_total")'),
         ("storage/pagedfile.py",
          "get_registry().counter(names.PAGES_CORRUPT, file=self.name)",
          'get_registry().counter("pages_corrupt_total", file=self.name)'),
@@ -535,9 +479,9 @@ SEEDS = {
          "started = time.time()\n        result = runner(scale)\n"
          "        elapsed = time.time() - started"),
         # A wall clock aliased, then called through the alias.
-        ("serving/loadgen.py",
-         "        started = time.perf_counter()\n",
-         "        clock = time.time\n        started = clock()\n"),
+        ("cli.py",
+         "    started = time.perf_counter()\n    try:\n",
+         "    clock = time.time\n    started = clock()\n    try:\n"),
         ("obs/trace.py",
          "    def _now_ms(self) -> float:\n"
          "        return (time.perf_counter() - self._epoch) * 1000.0",
@@ -580,10 +524,9 @@ SEEDS = {
          'BUFFERPOOL_EVICTIONS = "bufferpool_evictions_total"\n'
          'BUFFERPOOL_PREFETCHES = "bufferpool_prefetches_total"\n'),
         # The instrument removed, its constant left behind.
-        ("serving/http/middleware.py",
-         "        if response.status >= 500:\n"
-         "            registry.counter(names.HTTP_ERRORS, "
-         "route=route).inc()\n",
+        ("walkthrough/visual.py",
+         "                get_registry().counter(\n"
+         "                    names.SERVING_OVERLOAD_DEGRADED).inc()\n",
          ""),
         # A copy-pasted constant: the right series is never created.
         ("core/search.py", "names.SEARCH_REPLAYS", "names.SEARCH_RESULTS"),
@@ -619,40 +562,18 @@ SEEDS = {
          "            return self.offset_to_page[node_offset]\n"
          "        except:\n"),
     ],
-    "RPR009": [
-        # missed: the rule's clocks were ``time.*`` only.
-        ("serving/http/stats.py",
-         "        stats.wall_ms.append(wall_ms)\n",
-         "        stats.wall_ms.append(wall_ms)\n"
-         "        stats.last_seen = datetime.datetime.now().isoformat()\n",
-         "import math\n", "import datetime\nimport math\n"),
-        ("serving/http/app.py",
-         "        frame = session.frames[-1]\n        return {\n",
-         "        frame = session.frames[-1]\n        return {\n"
-         '            "served_at": perf_counter(),\n',
-         "import re\n", "import re\nfrom time import perf_counter\n"),
-        # A second timing site beside the middleware.
-        ("serving/http/app.py",
-         "        return await self._middleware(request)\n",
-         "        started = clock.monotonic()\n"
-         "        response = await self._middleware(request)\n"
-         '        response.headers["x-elapsed-ms"] = str(\n'
-         "            (clock.monotonic() - started) * 1000.0)\n"
-         "        return response\n",
-         "import asyncio\n", "import asyncio\nimport time as clock\n"),
-    ],
     "RPR013": [
         # missed: only bare names were tracked as set-typed.
-        ("serving/http/stats.py",
-         "        self._routes: Dict[str, RouteStats] = {}\n",
-         "        self._routes: Dict[str, RouteStats] = {}\n"
-         "        self._statuses: Set[int] = set()\n",
-         "    def wall_latency(self)",
-         "    def statuses_seen(self) -> List[str]:\n"
-         "        return [str(code) for code in self._statuses]\n\n"
-         "    def wall_latency(self)",
-         "from typing import Dict, List, Sequence\n",
-         "from typing import Dict, List, Sequence, Set\n"),
+        ("visibility/dov.py",
+         "        self._cells: Dict[int, CellVisibility] = {}\n",
+         "        self._cells: Dict[int, CellVisibility] = {}\n"
+         "        self._seen: Set[int] = set()\n",
+         "    def cells(self) -> Iterator[CellVisibility]:\n",
+         "    def seen_cells(self) -> List[int]:\n"
+         "        return [cell_id for cell_id in self._seen]\n\n"
+         "    def cells(self) -> Iterator[CellVisibility]:\n",
+         "from typing import Dict, Iterator, List, Tuple\n",
+         "from typing import Dict, Iterator, List, Set, Tuple\n"),
         ("serving/service.py",
          '        "simulated_ms_balanced":\n',
          '        "unbalanced_fields": list(set(light_off + heavy_off)),\n'
@@ -802,8 +723,7 @@ def test_rule_configuration_names_real_modules():
         *rules.DETERMINISTIC_MODULES, *rules.STRICT_PACKAGES,
         *rules.FAULT_BOUNDARY_MODULES, rules.NAMES_MODULE,
         rules.REGISTRY_MODULE,
-        *(name for row in boundary.BOUNDARIES
-          for name in (*row.homes, row.confine) if name is not None)}
+        *(home for row in boundary.BOUNDARIES for home in row.homes)}
     missing = sorted(
         name for name in configured
         if not (REPO_SRC / (name.replace(".", "/") + ".py")).is_file()

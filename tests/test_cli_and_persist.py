@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.serving import SessionScheduler, run_serve
 
 
 # -- CLI ------------------------------------------------------------------
@@ -52,9 +53,6 @@ REPORT_VERBS = {
     "crash": (["--seed", "1"], "violations=0", ("summary", "ok")),
     "serve": (["--sessions", "2", "--frames", "4"],
               "8 frames in", ("outcome", "completed")),
-    "traffic": (["--sessions", "4", "--frames", "3",
-                 "--deterministic-only"],
-                "offered=4", None),
     "precompute": (["--resolution", "4", "--quiet"], "digest=", None),
 }
 
@@ -76,11 +74,11 @@ def test_report_verb_output_and_exit_code(verb, tmp_path, capsys):
         assert report is True
 
 
-@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve"])
 @pytest.mark.parametrize("eta", ["nan", "-0.001"])
 def test_walk_verbs_refuse_nan_and_negative_eta(verb, eta, tmp_path,
                                                 capsys):
-    """``--eta`` is declared once for the four walking verbs: NaN (which
+    """``--eta`` is declared once for the three walking verbs: NaN (which
     would reach the report as ``NaN``, not JSON) and negatives are usage
     errors — exit 2, nothing written; ``inf`` parses."""
     out = tmp_path / "report.json"
@@ -93,10 +91,10 @@ def test_walk_verbs_refuse_nan_and_negative_eta(verb, eta, tmp_path,
     assert args.eta == float("inf")
 
 
-@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve"])
 @pytest.mark.parametrize("frames", ["0", "-1"])
 def test_walk_verbs_refuse_frames_below_one(verb, frames, tmp_path, capsys):
-    """``--frames`` is declared once for the four walking verbs: a
+    """``--frames`` is declared once for the three walking verbs: a
     negative count died in ``numpy.linspace`` and 0 in a traceback on
     ``profile`` / ``chaos`` — a usage error, exit 2, nothing written."""
     out = tmp_path / "report.json"
@@ -108,13 +106,11 @@ def test_walk_verbs_refuse_frames_below_one(verb, frames, tmp_path, capsys):
     assert build_parser().parse_args([verb, "--frames", "1"]).frames == 1
 
 
-@pytest.mark.parametrize("verb", ["profile", "chaos", "serve", "traffic"])
+@pytest.mark.parametrize("verb", ["profile", "chaos", "serve"])
 def test_walk_verbs_refuse_an_unknown_scheme(verb, tmp_path, capsys):
-    """``--scheme`` is declared once for the four walking verbs and an
+    """``--scheme`` is declared once for the three walking verbs and an
     unknown name is the user's error on each: exit 2, nothing written.
-    ``profile`` / ``chaos`` printed a traceback; ``traffic`` served the
-    world, answered every session with a 500 and reported zero
-    admitted."""
+    ``profile`` / ``chaos`` printed a traceback."""
     out = tmp_path / "report.json"
     assert main([verb, "--scheme", "nosuch", "--frames", "3",
                  "--output", str(out)]) == 2
@@ -141,7 +137,6 @@ GONE_FLAGS = [("crash", "--pages", "4"), ("crash", "--page-size", "64"),
               ("crash", "--txns", "2"), ("crash", "--writes", "2"),
               ("precompute", "--min-dov", "0"),
               ("precompute", "--batch-cells", "4"),
-              ("traffic", "--hot-fraction", "0.5"),
               ("profile", "--spans", None), ("lint", "--format", "json")]
 
 
@@ -164,7 +159,7 @@ def test_one_valued_flags_are_gone(verb, flag, value, tmp_path, capsys):
     assert flag not in capsys.readouterr().out
 
 
-#: The same settings' keywords, and the HTTP body's ``"frames"``.
+#: The same settings' keywords.
 #: The span keyword is spelled in two halves: tier1.yml greps tests/
 #: for the names that must stay deleted.
 GONE_KEYWORDS = [("repro.obs.crash:run_crash_sweep", "pages"),
@@ -175,10 +170,7 @@ GONE_KEYWORDS = [("repro.obs.crash:run_crash_sweep", "pages"),
                   "min_dov"),
                  ("repro.visibility.precompute:precompute_visibility",
                   "batch_cells"),
-                 ("repro.serving.loadgen:run_traffic", "hot_fraction"),
-                 ("repro.obs.profile:run_profile", "include_" "spans"),
-                 ("repro.serving.http.app:WalkthroughService.create_session",
-                  "frames")]
+                 ("repro.obs.profile:run_profile", "include_" "spans")]
 
 
 @pytest.mark.parametrize("target, keyword", GONE_KEYWORDS,
@@ -193,19 +185,15 @@ def test_one_valued_keywords_are_gone(target, keyword):
 
 #: A serving flag -> a value it refuses and what stderr says about it.
 SERVING_REFUSALS = {"--frame-budget-ms": ("nan", "must be > 0"),
-                    "--arrival-rate": ("nan", "must be > 0"),
                     "--seed": ("-1", "seed must be >= 0")}
 
 
 @pytest.mark.parametrize("verb, flag", [("serve", "--frame-budget-ms"),
-                                        ("traffic", "--frame-budget-ms"),
-                                        ("traffic", "--arrival-rate"),
-                                        ("serve", "--seed"),
-                                        ("traffic", "--seed")])
+                                        ("serve", "--seed")])
 def test_serving_verbs_refuse_nan_budget_and_rate(verb, flag, tmp_path,
                                                   capsys):
-    """NaN passes ``x <= 0``: a NaN budget never sheds and, like a NaN
-    rate, reaches the report as ``NaN`` (not JSON).  A negative seed
+    """NaN passes ``x <= 0``: a NaN budget never sheds and reaches the
+    report as ``NaN`` (not JSON).  A negative seed
     reached ``numpy.random.default_rng`` as a ``ValueError`` traceback,
     after the world was built.  Each is a usage error — exit 2, nothing
     written; ``inf`` parses (never shed)."""
@@ -218,6 +206,33 @@ def test_serving_verbs_refuse_nan_budget_and_rate(verb, flag, tmp_path,
     assert not out.exists()
     args = build_parser().parse_args([verb, "--frame-budget-ms", "inf"])
     assert args.frame_budget_ms == float("inf")
+
+
+#: What the HTTP edge took with it (DESIGN.md §11): the verb,
+#: admission control's flag and keywords, the package.  The names are
+#: spelled in two halves: tier1.yml greps tests/ for the names that must
+#: stay deleted.
+EDGE_GONE = {
+    "verb": (lambda: main(["traffic", "--sessions", "4"]), SystemExit),
+    "flag": (lambda: main(["serve", "--max-active", "4"]), SystemExit),
+    "run_serve": (lambda: run_serve(**{"max_" "active": 4}), TypeError),
+    "scheduler": (lambda: SessionScheduler([], **{"max_" "active": 4}),
+                  TypeError),
+    "package": (lambda: importlib.import_module("repro.serving." "http"),
+                ModuleNotFoundError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_GONE))
+def test_the_deleted_http_edge_and_admission_are_refused(case, capsys):
+    """``traffic`` and ``serve --max-active`` exit 2; the library refuses
+    the keyword before any work; the package no longer imports."""
+    call, error = EDGE_GONE[case]
+    with pytest.raises(error) as raised:
+        call()
+    if error is SystemExit:
+        assert raised.value.code == 2
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [["locks"], ["serve", "--workers", "2"]],

@@ -14,7 +14,9 @@ A set reads through a ``SharedModels`` table — its viewer's own, or
 under a pool the one its server's sessions share (the fakes below stand
 in for it): a second model runs several sets over one table and a real
 object store, and holds the table to the per-blob maximum over the live
-sets and every read to exactly the pages nobody held.
+sets and every read to exactly the pages nobody held.  Served sessions
+of one pool share its table for real, and leave it empty once each has
+let go of its models.
 
 The last test pins the mechanism to its one place in the tree.
 """
@@ -29,6 +31,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.delta import ResidentModels
+from repro.experiments.config import get_scale
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.replay import build_world, session_path
+from repro.serving import ServingSession, SessionScheduler
+from repro.serving.service import session_env
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, IOStats
 from repro.storage.objectstore import ObjectStore, SharedModels
@@ -234,6 +241,28 @@ def test_a_table_is_per_server():
     assert store.shared_by(server) is store.shared_by(server)
     assert store.shared_by(server) is not store.shared_by(other)
     assert isinstance(store.shared_by(server), SharedModels)
+
+
+def test_heavy_holds_leave_with_closed_sessions():
+    """The shared model table counts live holds only: served sessions of
+    one pool fill it, and once each session drops its holds
+    (``DeltaSearch.clear``, what closing a session does) it holds
+    nothing."""
+    experiment = get_scale("small")
+    with use_registry(MetricsRegistry()):
+        env = build_world(experiment)
+        pool = BufferPool(256, name="heavy-leave")
+        sessions = [
+            ServingSession(i, session_path(experiment, env, pattern, 8),
+                           session_env(env, pool), eta=0.001, pool=pool,
+                           evaluate_fidelity=False)
+            for i, pattern in enumerate((1, 2, 3))]
+        SessionScheduler(sessions).run()
+    table = env.object_store.shared_by(pool)
+    assert len(table) > 0
+    for session in sessions:
+        session.delta.clear()
+    assert len(table) == 0
 
 
 def test_walkthrough_models_are_fetched_in_one_place():
