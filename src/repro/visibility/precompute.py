@@ -115,10 +115,7 @@ def compute_cell_batch(estimator: RayCastDoVEstimator, grid: CellGrid,
     results: List[CellResult] = []
     for index, cell_id in enumerate(cell_ids):
         block = sums[index * samples_per_cell:(index + 1) * samples_per_cell]
-        region = estimator.region_dov_from_sums(block)
-        kept = {oid: value for oid, value in region.items()
-                if value > 0.0}
-        results.append((cell_id, kept))
+        results.append((cell_id, estimator.region_dov_from_sums(block)))
     return results
 
 
