@@ -3,9 +3,9 @@
 The paper's evaluation runs against one default dataset (plus a size
 series for Figure 9).  We define three scales:
 
-* ``SMALL``  — seconds to build; CI and unit-test sized.
-* ``MEDIUM`` — the default for benchmarks (~30 s build on one core).
-* ``LARGE``  — closer to the paper's proportions; minutes to build.
+* ``SMALL``  — under a second to build; CI and unit-test sized.
+* ``MEDIUM`` — the default for benchmarks (≈ 3–4 s build on one core).
+* ``LARGE``  — closer to the paper's proportions (≈ 8 s build).
 
 Environments are memoized per scale so a benchmark session builds each
 one exactly once.

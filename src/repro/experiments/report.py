@@ -6,6 +6,8 @@ pytest-benchmark timings in ``bench_output.txt``.
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from typing import List, Sequence
 
 
@@ -30,13 +32,24 @@ def format_series(title: str, x_label: str, xs: Sequence[float],
                   series: Sequence[tuple]) -> str:
     """Render one or more y-series against a shared x axis.
 
-    ``series`` is a sequence of ``(label, values)`` pairs.
+    ``series`` is a sequence of ``(label, values)`` pairs.  The x values
+    print exactly (η = 0.016 is "0.016", not "0.02"); the y values
+    round as every other cell does.
     """
     headers = [x_label] + [label for label, _values in series]
     rows = []
     for i, x in enumerate(xs):
-        rows.append([x] + [values[i] for _label, values in series])
+        rows.append([_exact(x)] + [values[i] for _label, values in series])
     return format_table(title, headers, rows)
+
+
+def _exact(value: object) -> str:
+    """A finite float as the shortest decimal that reads back as it,
+    without an exponent; anything else as :func:`_fmt` prints it."""
+    if not isinstance(value, float) or not math.isfinite(value):
+        return _fmt(value)
+    text = format(Decimal(repr(value)), ",f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def _fmt(value: object) -> str:

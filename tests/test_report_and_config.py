@@ -40,6 +40,16 @@ def test_format_series():
     assert "4.00" in out
 
 
+def test_format_series_prints_the_x_axis_exactly():
+    """Every η of the sweep prints as the value it ran (0.016, not
+    "0.02"); the y cells keep their two decimals."""
+    out = format_series("S", "eta", list(ETA_SWEEP),
+                        [("y", [0.016] * len(ETA_SWEEP))])
+    rows = [line.split() for line in out.splitlines()[4:]]
+    assert [float(x) for x, _y in rows] == list(ETA_SWEEP)
+    assert {y for _x, y in rows} == {"0.02"}
+
+
 # -- constants ------------------------------------------------------------
 
 def test_paper_constants():
