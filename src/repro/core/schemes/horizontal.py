@@ -58,14 +58,19 @@ class HorizontalScheme(StorageScheme):
                 self._entry_counts[offset] = len(ventries)
         self._first_page = self.vpage_file.allocate_many(
             self.num_nodes * self.num_cells)
+        page_size = self.vpage_file.page_size
+        # A node's page in a cell that does not see it is one all-zero
+        # image, the same in every such cell: encode it once.
+        invisible = [self._raw_codec.encode_page(
+            offset, [(0.0, 0)] * self._entry_counts.get(offset, 0), page_size)
+            for offset in range(num_nodes)]
         for cell in cells:
             for offset in range(num_nodes):
                 ventries = cell.pages.get(offset)
-                if ventries is None:
-                    count = self._entry_counts.get(offset, 0)
-                    ventries = [(0.0, 0)] * count
-                payload = self._raw_codec.encode_page(
-                    offset, ventries, self.vpage_file.page_size)
+                payload = invisible[offset]
+                if ventries is not None:
+                    payload = self._raw_codec.encode_page(
+                        offset, ventries, page_size)
                 pageio.write_page(self.vpage_file,
                                   self._page_id(offset, cell.cell_id),
                                   payload, component="schemes")

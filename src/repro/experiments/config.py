@@ -4,8 +4,8 @@ The paper's evaluation runs against one default dataset (plus a size
 series for Figure 9).  We define three scales:
 
 * ``SMALL``  — under a second to build; CI and unit-test sized.
-* ``MEDIUM`` — the default for benchmarks (≈ 3–4 s build on one core).
-* ``LARGE``  — closer to the paper's proportions (≈ 8 s build).
+* ``MEDIUM`` — the default for benchmarks (≈ 2.5–4 s build on one core).
+* ``LARGE``  — closer to the paper's proportions (≈ 7.5–9 s build).
 
 Environments are memoized per scale so a benchmark session builds each
 one exactly once.

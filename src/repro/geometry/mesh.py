@@ -106,12 +106,5 @@ class TriangleMesh:
     def surface_area(self) -> float:
         return float(self.face_areas().sum())
 
-    def compacted(self) -> "TriangleMesh":
-        """Drop vertices not referenced by any face, remapping indices."""
-        if self.num_faces == 0:
-            return TriangleMesh.empty()
-        used, inverse = np.unique(self.faces.ravel(), return_inverse=True)
-        return TriangleMesh(self.vertices[used], inverse.reshape(-1, 3))
-
     def __repr__(self) -> str:
         return f"TriangleMesh(vertices={self.num_vertices}, faces={self.num_faces})"

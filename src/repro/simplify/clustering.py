@@ -10,6 +10,7 @@ occupying the same space, and clustering delivers that at O(n).
 from __future__ import annotations
 
 import math
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -17,8 +18,15 @@ from repro.errors import GeometryError
 from repro.geometry.mesh import TriangleMesh
 
 
-def simplify_clustering(mesh: TriangleMesh, target_faces: int,
-                        max_iterations: int = 8) -> TriangleMesh:
+#: Grid resolutions the search tries before the single-triangle proxy.
+MAX_ITERATIONS = 8
+#: Grids of at most this many cells per vertex rank the vertex keys by a
+#: dense table (a bool per cell and its cumsum), finer ones by np.unique.
+_DENSE_PER_VERTEX = 8
+
+
+def simplify_clustering(mesh: TriangleMesh,
+                        target_faces: int) -> TriangleMesh:
     """Cluster vertices until the face count is at most ``target_faces``.
 
     The grid resolution is searched geometrically: start from a resolution
@@ -35,67 +43,82 @@ def simplify_clustering(mesh: TriangleMesh, target_faces: int,
     # Faces scale ~ resolution^2 for surface meshes.
     ratio = target_faces / mesh.num_faces
     resolution = max(int(math.sqrt(ratio) * math.sqrt(mesh.num_faces)), 1)
+    for resolution in _resolutions(resolution):
+        clustered = _cluster(mesh, box, resolution, target_faces)
+        if clustered is not None:
+            return clustered
+    return _triangle_proxy(mesh)
 
-    best = None
-    for _ in range(max_iterations):
-        candidate = _cluster_once(mesh, box, resolution)
-        if candidate.num_faces <= target_faces and candidate.num_faces > 0:
-            best = candidate
-            break
-        resolution = max(resolution // 2, 1)
-        best = candidate
+
+def _resolutions(resolution: int) -> Iterator[int]:
+    """Halve for ``MAX_ITERATIONS`` tries; try 1 once halving reaches it."""
+    for _ in range(MAX_ITERATIONS):
+        yield resolution
         if resolution == 1:
-            best = _cluster_once(mesh, box, 1)
-            break
-    assert best is not None
-    if best.num_faces > target_faces or best.num_faces == 0:
-        return _triangle_proxy(mesh)
-    return best
+            return
+        resolution //= 2
+    if resolution == 1:
+        yield 1
 
 
-def _cluster_once(mesh: TriangleMesh, box, resolution: int) -> TriangleMesh:
-    extent = np.maximum(box.extent, 1e-12)
-    cell = extent / resolution
-    idx = np.floor((mesh.vertices - box.lo) / cell).astype(np.int64)
-    idx = np.clip(idx, 0, resolution - 1)
+def _cluster(mesh: TriangleMesh, box, resolution: int,
+             target_faces: int) -> Optional[TriangleMesh]:
+    """The mesh clustered on a ``resolution``-cubed grid over ``box``, or
+    ``None`` if it keeps no face or more than ``target_faces``: a
+    rejected grid costs only its face count."""
+    cell = np.maximum(box.extent, 1e-12) / resolution
+    # Truncation is floor here: no vertex lies below ``box.lo``.
+    idx = ((mesh.vertices - box.lo) / cell).astype(np.int64)
+    np.minimum(idx, resolution - 1, out=idx)
     keys = idx[:, 0] * resolution * resolution + idx[:, 1] * resolution + idx[:, 2]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-
-    # Representative position: mean of the vertices in each cluster.
-    sums = np.zeros((len(unique_keys), 3))
-    counts = np.zeros(len(unique_keys))
-    np.add.at(sums, inverse, mesh.vertices)
-    np.add.at(counts, inverse, 1.0)
-    new_verts = sums / counts[:, None]
-
-    new_faces = inverse[mesh.faces]
-    keep = ((new_faces[:, 0] != new_faces[:, 1])
-            & (new_faces[:, 1] != new_faces[:, 2])
-            & (new_faces[:, 0] != new_faces[:, 2]))
-    new_faces = new_faces[keep]
-    # Deduplicate faces that collapsed onto each other (ignore winding).
-    if len(new_faces):
-        new_faces = new_faces[_first_occurrences(np.sort(new_faces, axis=1),
-                                                 len(unique_keys))]
-    return TriangleMesh(new_verts, new_faces).compacted()
-
-
-def _first_occurrences(sorted_faces: np.ndarray, n: int) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row of
-    ``sorted_faces`` (vertex ids in ``[0, n)``, each row ascending).
-
-    A row is folded into one int64 key, ``(a * n + b) * n + c``, so the
-    dedup is a 1-D ``np.unique`` instead of the structured-dtype argsort
-    ``axis=0`` does; the keys are injective, hence the same first
-    occurrences.  Meshes with ``n**3 >= 2**63`` clusters keep ``axis=0``.
-    """
-    if n ** 3 >= 2 ** 63:
-        _, first_idx = np.unique(sorted_faces, axis=0, return_index=True)
+    # A vertex's cluster is its cell's rank among the occupied cells.
+    if resolution ** 3 <= _DENSE_PER_VERTEX * len(keys):
+        occupied = np.zeros(resolution ** 3, dtype=bool)
+        occupied[keys] = True
+        ranks = np.cumsum(occupied)
+        inverse, count = ranks[keys] - 1, int(ranks[-1])
     else:
-        keys = ((sorted_faces[:, 0] * n + sorted_faces[:, 1]) * n
-                + sorted_faces[:, 2])
-        _, first_idx = np.unique(keys, return_index=True)
-    return np.sort(first_idx)
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        count = len(unique_keys)
+
+    corners = inverse[mesh.faces.T]
+    first, second, third = corners
+    low = np.minimum(np.minimum(first, second), third)
+    high = np.maximum(np.maximum(first, second), third)
+    middle = first + second + third - low - high
+    kept = np.flatnonzero((low < middle) & (middle < high))
+    # Faces that collapsed onto each other count once (winding ignored).
+    rows = _row_keys(low[kept], middle[kept], high[kept], count)
+    ordered = np.sort(rows)
+    num_faces = np.count_nonzero(ordered[1:] != ordered[:-1]) + (len(rows) > 0)
+    if not 0 < num_faces <= target_faces:
+        return None
+    _, first_idx = np.unique(rows, return_index=True)
+    faces = corners[:, kept[np.sort(first_idx)]].T
+
+    # Each used cluster at the mean of its vertices, renumbered in order.
+    # ``np.bincount`` adds a cluster's vertices in index order: the sums
+    # are the same floats as adding them one vertex at a time.
+    sums = np.stack([np.bincount(inverse, weights=column, minlength=count)
+                     for column in mesh.vertices.T], axis=1)
+    sizes = np.bincount(inverse, minlength=count)
+    used = np.zeros(count, dtype=bool)
+    used[faces] = True
+    renumber = np.cumsum(used) - 1
+    return TriangleMesh(sums[used] / sizes[used, None], renumber[faces])
+
+
+def _row_keys(low: np.ndarray, middle: np.ndarray, high: np.ndarray,
+              n: int) -> np.ndarray:
+    """One key per ascending row ``(low, middle, high)`` of ids in ``[0,
+    n)``, equal exactly where the rows are: the int64 ``(a * n + b) * n +
+    c``, or with ``n**3 >= 2**63`` the row itself as a structured scalar
+    (what ``np.unique(..., axis=0)`` sorts)."""
+    if n ** 3 < 2 ** 63:
+        return (low * n + middle) * n + high
+    rows = np.stack((low, middle, high), axis=1)
+    return rows.view([("low", rows.dtype), ("middle", rows.dtype),
+                      ("high", rows.dtype)]).ravel()
 
 
 def _triangle_proxy(mesh: TriangleMesh) -> TriangleMesh:

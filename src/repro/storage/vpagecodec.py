@@ -59,7 +59,7 @@ from __future__ import annotations
 import abc
 import struct
 import zlib
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, TypeVar)
 
 from repro.errors import PageCorruptError, SchemeError
@@ -180,7 +180,12 @@ class RawVPageCodec(VPageCodec):
                 "ratio": 1.0}
 
 
+_SMALL_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+
 def _encode_varint(value: int) -> bytes:
+    if 0 <= value < 0x80:
+        return _SMALL_VARINTS[value]
     if value < 0:
         raise SchemeError(f"varint cannot encode negative value {value}")
     out = bytearray()
@@ -371,6 +376,9 @@ class PackedDeltaVPageCodec(VPageCodec):
         self.delta_records = 0
         self.records = 0
         self.pages_used = 0
+        #: ``_tally``'s registry and its self-record, delta-record (each
+        #: made at its kind's first record), raw- and encoded-byte handles.
+        self._handles: List[Any] = [None]
         #: pointer -> (the ``(page id, image)`` pairs its parse fetched,
         #: in order; node offset; entries).  At most one entry a record.
         self._decoded: Dict[int, Tuple[Tuple[Tuple[int, bytes], ...], int,
@@ -422,22 +430,33 @@ class PackedDeltaVPageCodec(VPageCodec):
         self._stream.extend(body)
         self._stream.extend(_CRC.pack(zlib.crc32(body)))
         self.records += 1
-        registry = get_registry()
         if delta:
             self.delta_records += 1
-            registry.counter(names.VPAGE_RECORDS_DELTA,
-                             scheme=self.scheme).inc()
         else:
             self.self_records += 1
             self._base_entries[(cell_id, node_offset)] = quantized
             self._base_pointers[(cell_id, node_offset)] = pointer
-            registry.counter(names.VPAGE_RECORDS_SELF,
-                             scheme=self.scheme).inc()
-        registry.counter(names.VPAGE_RAW_BYTES,
-                         scheme=self.scheme).inc(self.page_size)
-        registry.counter(names.VPAGE_ENCODED_BYTES,
-                         scheme=self.scheme).inc(len(body) + _CRC.size)
+        self._tally(delta, len(body) + _CRC.size)
         return pointer
+
+    def _tally(self, delta: bool, encoded: int) -> None:
+        """Count one record into ``_handles``, refilled per registry."""
+        registry = get_registry()
+        handles = self._handles
+        if handles[0] is not registry:
+            handles = self._handles = [registry, None, None, registry.counter(
+                names.VPAGE_RAW_BYTES, scheme=self.scheme), registry.counter(
+                names.VPAGE_ENCODED_BYTES, scheme=self.scheme)]
+        records = handles[1 + delta]
+        if records is None:
+            records = handles[1 + delta] = (
+                registry.counter(names.VPAGE_RECORDS_DELTA,
+                                 scheme=self.scheme) if delta
+                else registry.counter(names.VPAGE_RECORDS_SELF,
+                                      scheme=self.scheme))
+        records.value += 1
+        handles[3].value += self.page_size
+        handles[4].value += encoded
 
     def finish(self, vpage_file: PagedFile) -> None:
         if self._finished:

@@ -66,15 +66,6 @@ def test_merge_empty_list():
     assert TriangleMesh.merge([]).num_faces == 0
 
 
-def test_compacted_drops_orphans():
-    verts = np.array([(0, 0, 0), (9, 9, 9), (1, 0, 0), (0, 1, 0)])
-    faces = np.array([(0, 2, 3)])
-    compact = TriangleMesh(verts, faces).compacted()
-    assert compact.num_vertices == 3
-    assert compact.num_faces == 1
-    assert compact.surface_area() == pytest.approx(0.5)
-
-
 def test_icosphere_face_count_and_radius():
     for sub in (0, 1, 2):
         sphere = icosphere(radius=2.0, subdivisions=sub)

@@ -1,5 +1,8 @@
 """Mesh simplification: vertex clustering."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,11 +71,178 @@ def test_clustering_target_property(sub, ratio):
     assert 1 <= out.num_faces <= target
 
 
-def _first_occurrences_axis0(sorted_faces, n):
-    """The structured-row dedup ``_cluster_once`` used before the scalar
-    keys: the reference the keyed version must reproduce."""
+# -- the search before it counted candidates: the oracle -------------------
+
+def reference_simplify_clustering(mesh, target_faces, max_iterations=8):
+    """``simplify_clustering`` as it was when every candidate resolution
+    built its mesh: the reference the counting search must reproduce."""
+    if mesh.num_faces <= target_faces:
+        return mesh
+
+    box = mesh.aabb()
+    ratio = target_faces / mesh.num_faces
+    resolution = max(int(math.sqrt(ratio) * math.sqrt(mesh.num_faces)), 1)
+
+    best = None
+    for _ in range(max_iterations):
+        candidate = reference_cluster_once(mesh, box, resolution)
+        if candidate.num_faces <= target_faces and candidate.num_faces > 0:
+            best = candidate
+            break
+        resolution = max(resolution // 2, 1)
+        best = candidate
+        if resolution == 1:
+            best = reference_cluster_once(mesh, box, 1)
+            break
+    assert best is not None
+    if best.num_faces > target_faces or best.num_faces == 0:
+        return clustering._triangle_proxy(mesh)
+    return best
+
+
+def reference_cluster_once(mesh, box, resolution):
+    extent = np.maximum(box.extent, 1e-12)
+    cell = extent / resolution
+    idx = np.floor((mesh.vertices - box.lo) / cell).astype(np.int64)
+    idx = np.clip(idx, 0, resolution - 1)
+    keys = idx[:, 0] * resolution * resolution + idx[:, 1] * resolution + idx[:, 2]
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+
+    sums = np.zeros((len(unique_keys), 3))
+    counts = np.zeros(len(unique_keys))
+    np.add.at(sums, inverse, mesh.vertices)
+    np.add.at(counts, inverse, 1.0)
+    new_verts = sums / counts[:, None]
+
+    new_faces = inverse[mesh.faces]
+    keep = ((new_faces[:, 0] != new_faces[:, 1])
+            & (new_faces[:, 1] != new_faces[:, 2])
+            & (new_faces[:, 0] != new_faces[:, 2]))
+    new_faces = new_faces[keep]
+    if len(new_faces):
+        new_faces = new_faces[_first_occurrences_axis0(
+            np.sort(new_faces, axis=1))]
+    return reference_compacted(TriangleMesh(new_verts, new_faces))
+
+
+def reference_compacted(mesh):
+    """``TriangleMesh.compacted``: drop unreferenced vertices."""
+    if mesh.num_faces == 0:
+        return TriangleMesh.empty()
+    used, inverse = np.unique(mesh.faces.ravel(), return_inverse=True)
+    return TriangleMesh(mesh.vertices[used], inverse.reshape(-1, 3))
+
+
+def _first_occurrences_axis0(sorted_faces):
+    """The structured-row dedup used before the scalar keys."""
     _, first_idx = np.unique(sorted_faces, axis=0, return_index=True)
     return np.sort(first_idx)
+
+
+def assert_same_mesh(got, want):
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tobytes() == want.faces.tobytes()
+    assert got.vertices.shape == want.vertices.shape
+    assert got.faces.shape == want.faces.shape
+    assert got.faces.dtype == want.faces.dtype
+
+
+def soup(rng, num_vertices, num_faces, *, flat=False):
+    """Random faces over few vertices, each also with its winding
+    reversed, some repeated and some degenerate."""
+    vertices = rng.uniform(-5, 5, (num_vertices, 3))
+    if flat:
+        vertices[:, 2] = 1.5                # a zero extent: 1e-12 cell
+    faces = rng.integers(0, num_vertices, (num_faces, 3))
+    faces = np.concatenate([faces, faces[:, ::-1], faces[: num_faces // 3]])
+    return TriangleMesh(vertices, faces)
+
+
+@st.composite
+def meshes(draw):
+    kind = draw(st.sampled_from(["sphere", "blob", "soup", "flat", "box"]))
+    if kind == "sphere":
+        return icosphere(radius=draw(st.floats(0.1, 50.0)),
+                         subdivisions=draw(st.integers(0, 3)),
+                         center=(draw(st.floats(-100, 100)), 0.0, 7.0))
+    if kind == "blob":
+        return bunny_blob(subdivisions=draw(st.integers(1, 3)),
+                          seed=draw(st.integers(0, 50)))
+    if kind == "box":
+        return box_mesh((0.0, 1.0, 2.0), (draw(st.floats(0.5, 9.0)), 1.0,
+                                          draw(st.floats(0.5, 9.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return soup(rng, draw(st.integers(3, 60)), draw(st.integers(1, 200)),
+                flat=kind == "flat")
+
+
+@pytest.mark.parametrize("dense_per_vertex", [0, 10 ** 9],
+                         ids=["unique-ranks", "dense-ranks"])
+@given(mesh=meshes(), fraction=st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_search_equals_the_building_search(dense_per_vertex, mesh,
+                                            fraction):
+    target = max(int(mesh.num_faces * fraction), 1)
+    with mock.patch.object(clustering, "_DENSE_PER_VERTEX",
+                           dense_per_vertex):
+        got = simplify_clustering(mesh, target)
+    assert_same_mesh(got, reference_simplify_clustering(mesh, target))
+
+
+@pytest.mark.parametrize("dense_per_vertex", [0, 10 ** 9],
+                         ids=["unique-ranks", "dense-ranks"])
+@given(mesh=meshes(), resolution=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_each_candidate_equals_the_built_one(dense_per_vertex, mesh,
+                                             resolution):
+    """Every resolution, accepted or not: a candidate is rejected exactly
+    when the built one has no face or too many, else equal to it."""
+    want = reference_cluster_once(mesh, mesh.aabb(), resolution)
+    with mock.patch.object(clustering, "_DENSE_PER_VERTEX",
+                           dense_per_vertex):
+        for target in (want.num_faces, max(want.num_faces - 1, 1)):
+            got = clustering._cluster(mesh, mesh.aabb(), resolution, target)
+            if 0 < want.num_faces <= target:
+                assert_same_mesh(got, want)
+            else:
+                assert got is None
+
+
+def test_search_tries_resolution_one_then_the_proxy(monkeypatch):
+    """A target below any clustered face count walks the search down to
+    resolution 1 (which keeps no face) and returns the proxy."""
+    sphere = icosphere(subdivisions=2)
+    tried = []
+    real = clustering._cluster
+    monkeypatch.setattr(
+        clustering, "_cluster",
+        lambda mesh, box, resolution, target:
+        tried.append(resolution) or real(mesh, box, resolution, target))
+    for target in (1, 2, 5):
+        tried.clear()
+        got = simplify_clustering(sphere, target)
+        assert tried[-1] == 1
+        assert_same_mesh(got, reference_simplify_clustering(sphere, target))
+        assert_same_mesh(got, clustering._triangle_proxy(sphere))
+
+
+def test_search_order_is_the_building_search_order():
+    """Halving for eight tries, then resolution 1 only if halving got
+    there: 511 ends at 1, 512 at 2 (both with nine or eight tries)."""
+    assert list(clustering._resolutions(1)) == [1]
+    assert list(clustering._resolutions(2)) == [2, 1]
+    assert list(clustering._resolutions(300)) == [300, 150, 75, 37, 18, 9,
+                                                  4, 2, 1]
+    assert list(clustering._resolutions(511))[-2:] == [3, 1]
+    assert list(clustering._resolutions(512)) == [512 >> i
+                                                  for i in range(8)]
+
+
+def row_keys_structured(low, middle, high, n):
+    """``_row_keys``' fallback for every ``n``: the rows themselves."""
+    rows = np.stack((low, middle, high), axis=1)
+    return rows.view([("a", rows.dtype), ("b", rows.dtype),
+                      ("c", rows.dtype)]).ravel()
 
 
 def test_cluster_dedup_scalar_keys_match_row_unique(monkeypatch):
@@ -88,25 +258,31 @@ def test_cluster_dedup_scalar_keys_match_row_unique(monkeypatch):
                       & (faces[:, 0] != faces[:, 2])]
         meshes.append(TriangleMesh(rng.uniform(-5, 5, (num_vertices, 3)),
                                    np.concatenate([faces, faces[:, ::-1]])))
+    compared = 0
     for mesh in meshes:
         # Resolution 1 collapses every vertex into one cluster (no face
         # survives); the finer grids leave duplicates to remove.
         for resolution in (1, 2, 3, 7, 64):
-            keyed = clustering._cluster_once(mesh, mesh.aabb(), resolution)
+            box = mesh.aabb()
+            keyed = clustering._cluster(mesh, box, resolution, 10 ** 9)
             with monkeypatch.context() as patch:
-                patch.setattr(clustering, "_first_occurrences",
-                              _first_occurrences_axis0)
-                rows = clustering._cluster_once(mesh, mesh.aabb(),
-                                                resolution)
-            assert np.array_equal(keyed.vertices, rows.vertices)
-            assert np.array_equal(keyed.faces, rows.faces)
-            assert keyed.faces.dtype == rows.faces.dtype
+                patch.setattr(clustering, "_row_keys", row_keys_structured)
+                rows = clustering._cluster(mesh, box, resolution, 10 ** 9)
+            assert resolution > 1 or keyed is None
+            if keyed is None or rows is None:
+                assert keyed is rows
+                continue
+            compared += 1
+            assert_same_mesh(keyed, rows)
+    assert compared > 3 * len(meshes)
 
 
 def test_cluster_dedup_falls_back_when_keys_would_overflow():
     faces = np.array([[0, 1, 2], [0, 1, 5], [0, 1, 2], [3, 4, 5],
                       [0, 1, 5]])
-    expected = _first_occurrences_axis0(faces, None)
+    expected = _first_occurrences_axis0(faces)
     for n in (6, 2 ** 21, 2 ** 21 + 1, 2 ** 40):     # 2**21 cubed = 2**63
-        assert np.array_equal(clustering._first_occurrences(faces, n),
-                              expected)
+        keys = clustering._row_keys(*faces.T, n)
+        assert (keys.dtype == np.int64) == (n < 2 ** 21)
+        _, first_idx = np.unique(keys, return_index=True)
+        assert np.array_equal(np.sort(first_idx), expected)

@@ -1,9 +1,12 @@
 """Walkthrough layer: sessions, frame model, metrics, replay drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import WalkthroughError
+from repro.visibility.dov import VisibilityTable
 from repro.walkthrough.frame import FrameModel
 from repro.walkthrough.memory import memory_report
 from repro.walkthrough.metrics import FidelityMetric, frame_time_stats
@@ -130,12 +133,24 @@ def test_fidelity_penalises_missing_objects(env):
 
 
 def test_fidelity_empty_cell_is_one(env):
-    metric = FidelityMetric(env)
-    empty = [c for c in env.grid.cell_ids()
-             if env.visibility.cell(c).num_visible == 0]
-    if not empty:
-        pytest.skip("no empty cell")
-    assert metric.score_rendered(empty[0], {}) == 1.0
+    """Every cell of the city sees something, so the view scored here
+    has one cell's visible set removed from its table: whatever is
+    rendered there, or nothing, is full fidelity."""
+    busiest = max(env.grid.cell_ids(),
+                  key=lambda c: env.visibility.cell(c).num_visible)
+    table = VisibilityTable(env.visibility.num_cells)
+    for cell in env.visibility.cells():
+        if cell.cell_id != busiest:
+            table.put(cell)
+    view = dataclasses.replace(env, visibility=table, fidelity_truth={})
+    metric = FidelityMetric(view)
+    assert not metric.ground_truth(busiest)
+    rendered = {oid: env.objects[oid].chain.finest.num_faces
+                for oid in env.visibility.cell(busiest).dov}
+    assert metric.score_rendered(busiest, {}) == 1.0
+    assert metric.score_rendered(busiest, rendered) == 1.0
+    unchanged = dataclasses.replace(env, fidelity_truth={})
+    assert FidelityMetric(unchanged).score_rendered(busiest, {}) == 0.0
 
 
 def test_fidelity_internal_lod_below_full(env):

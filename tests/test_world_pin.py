@@ -10,6 +10,8 @@ entry, and fails here.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.core.hdov_tree import HDoVEnvironment
 from repro.core.search import HDoVSearch
 from repro.obs.replay import build_world, cold_queries, load_scale, replay
@@ -19,6 +21,28 @@ from repro.serving.session import ServingSession
 from repro.storage.buffer import BufferPool
 from repro.visibility.dov import visibility_digest
 from repro.walkthrough.session import make_session
+
+
+def built_bytes_digest(env: HDoVEnvironment) -> str:
+    """sha256 over what the build made: every file's stored page images
+    (with the zero tail a read gives a short payload) and their CRCs,
+    then the vertex and face bytes of every object LoD and every
+    internal LoD.  Counts can hold while a byte moves; this cannot."""
+    digest = hashlib.sha256()
+    for pfile in env.files():
+        digest.update(f"{pfile.name}:{pfile.num_pages}".encode())
+        for page_id in sorted(pfile._mem):
+            digest.update(f"{page_id}:{pfile._crcs[page_id]}:".encode())
+            digest.update(pfile._mem[page_id].ljust(pfile.page_size,
+                                                    b"\0"))
+    chains = [obj.lods for obj in env.scene]
+    chains += [env.internals[offset].lod.chain
+               for offset in sorted(env.internals)]
+    for chain in chains:
+        for mesh in chain.levels:
+            digest.update(mesh.vertices.tobytes())
+            digest.update(mesh.faces.tobytes())
+    return digest.hexdigest()
 
 
 def fingerprint(env: HDoVEnvironment) -> dict:
@@ -32,6 +56,7 @@ def fingerprint(env: HDoVEnvironment) -> dict:
         "height": env.tree.height,
         "pages": {f.name: f.num_pages for f in env.files()},
         "visibility": visibility_digest(env.visibility),
+        "bytes": built_bytes_digest(env),
     }
 
 
@@ -47,6 +72,8 @@ SMALL_ENV = {
               "vpages-indexed-vertical": 154, "vindex-indexed-vertical": 1},
     "visibility": ("24c961c9309f8b9797bfef2656863ff9"
                    "d8da51599ccc323519e6de2c07652eed"),
+    "bytes": ("5f0251d2a65366f8c880f8ff256b7ea7"
+              "337a2cbd9df5495857ced44e0b5842a1"),
 }
 
 SMALL_SCALE = {
@@ -60,6 +87,8 @@ SMALL_SCALE = {
               "vindex-indexed-vertical": 1},
     "visibility": ("a19ae6c6bde32359c80645f6f9468d3c"
                    "01740c9c145df8db993b77bf6cade4cf"),
+    "bytes": ("69a54389140a5442c6e74f90bbe702ec"
+              "19f3497b564a663d629006c6c342bc03"),
 }
 
 
