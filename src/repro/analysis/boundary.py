@@ -75,8 +75,9 @@ BOUNDARIES: Tuple[Boundary, ...] = (
                  "may only be used inside repro.storage; use "
                  "repro.storage.pageio elsewhere"),
         names=frozenset({"*.read_page", "*.write_page", "*.append_page",
-                         "*.read_run", "*.read_runs", "*._fh", "*._mem",
-                         "*._charge", "*._last_accessed"}),
+                         "*.read_run", "*.read_runs", "*.write_run",
+                         "*._fh", "*._mem", "*._charge",
+                         "*._last_accessed"}),
         homes=("repro.storage",), receivers=("pageio", "self"),
         message=("use of PagedFile primitive {name} outside "
                  "repro.storage; route page access through "

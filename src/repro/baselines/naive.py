@@ -94,9 +94,8 @@ class NaiveCellList:
                 pages.append(payload)
             count = max(len(pages), 1)
             first = self.list_file.allocate_many(count)
-            for i, payload in enumerate(pages):
-                pageio.write_page(self.list_file, first + i, payload,
-                                  component="baselines")
+            pageio.write_run(self.list_file, first, pages,
+                             component="baselines")
             self._directory[cell.cell_id] = (first, count)
         # Building is preprocessing; do not let it pollute measurements.
         self.env.reset_stats()

@@ -19,6 +19,7 @@ baseline, or experiment needs, with I/O accounting split into
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -195,6 +196,25 @@ class HDoVEnvironment:
         return (self.light_stats.delta(light), self.heavy_stats.delta(heavy))
 
 
+@dataclass(frozen=True)
+class _SharedProducts:
+    """What a build derives from its scene and visibility table alone,
+    whatever its config: the tree and internal LoDs do not depend on
+    the viewer, and the schemes are layouts of one set of V-pages."""
+
+    scene: Scene
+    tree: RTree
+    internal_lods: Dict[int, InternalLOD]
+    cell_vpages: List[CellVPages]
+    descendants: Dict[int, List[int]]
+
+
+#: Caller-supplied visibility table -> the products of the last build
+#: over it; an entry lives exactly as long as its table.
+_SHARED: "weakref.WeakKeyDictionary[VisibilityTable, _SharedProducts]" = (
+    weakref.WeakKeyDictionary())
+
+
 def build_environment(scene: Scene, grid: CellGrid,
                       config: HDoVConfig = HDoVConfig(),
                       visibility: Optional[VisibilityTable] = None
@@ -202,16 +222,28 @@ def build_environment(scene: Scene, grid: CellGrid,
     """Run the full preprocessing pipeline; see the module docstring.
 
     ``visibility`` may be supplied to reuse an already-computed table
-    (the experiments share one across eta sweeps).
+    (the experiments share one across eta sweeps).  Builds over one
+    supplied table and the same scene object then share its
+    view-invariant products — the STR tree, the internal LoDs, the
+    per-cell V-pages (with their raw images) and the descendants map —
+    so a second build derives none of them again; it still writes its
+    own tree file, blob store and scheme files.  A build that computes
+    its own table shares nothing.  The shared products are read-only
+    once built, and mutating a scene or table after a build over it is
+    unsupported (the environment holds both).
     """
     if len(scene) == 0:
         raise HDoVError("cannot build an environment over an empty scene")
     disk = DiskModel()
     light_stats = IOStats()
     heavy_stats = IOStats()
+    shared = None if visibility is None else _SHARED.get(visibility)
+    if shared is not None and shared.scene is not scene:
+        shared = None
 
     # 1. Spatial backbone.
-    tree = str_bulk_load([(obj.mbr, obj.object_id) for obj in scene])
+    tree = (shared.tree if shared is not None else
+            str_bulk_load([(obj.mbr, obj.object_id) for obj in scene]))
 
     # 2. Persist nodes (assigns offsets).  Build I/O is not part of any
     # experiment measurement, so it runs against the shared stats and the
@@ -238,13 +270,15 @@ def build_environment(scene: Scene, grid: CellGrid,
     node_store.write_tree(tree, lod_pointers)
 
     # 4. Internal LoDs, bottom-up.
-    internal_lods = build_internal_lods(tree, scene)
+    internal_lods = (shared.internal_lods if shared is not None
+                     else build_internal_lods(tree, scene))
     internals: Dict[int, InternalRecord] = {}
     for offset, lod in internal_lods.items():
         blob = object_store.put(lod.chain.finest.byte_size)
         internals[offset] = InternalRecord(offset, blob.blob_id, lod)
 
     # 5. Visibility per cell.
+    supplied = visibility
     if visibility is None:
         visibility = precompute_visibility(
             scene, grid, resolution=config.dov_resolution,
@@ -253,8 +287,14 @@ def build_environment(scene: Scene, grid: CellGrid,
         raise HDoVError("visibility table does not match the cell grid")
 
     # 6. V-pages + storage schemes.
-    cell_vpages = instantiate_cells(
-        tree, (visibility.cell(cid) for cid in grid.cell_ids()))
+    if shared is None:
+        shared = _SharedProducts(
+            scene, tree, internal_lods, instantiate_cells(
+                tree, (visibility.cell(cid) for cid in grid.cell_ids())),
+            _collect_descendants(tree))
+        if supplied is not None:
+            _SHARED[supplied] = shared
+    cell_vpages = shared.cell_vpages
     schemes: Dict[str, StorageScheme] = {}
     num_nodes = node_store.num_nodes
     for name in config.schemes:
@@ -279,14 +319,12 @@ def build_environment(scene: Scene, grid: CellGrid,
         scheme.build(num_nodes, cell_vpages)
         schemes[name] = scheme
 
-    descendants = _collect_descendants(tree)
-
     env = HDoVEnvironment(
         scene=scene, grid=grid, config=config, tree=tree,
         node_store=node_store, object_store=object_store, objects=objects,
         internals=internals, visibility=visibility, cell_vpages=cell_vpages,
         schemes=schemes, light_stats=light_stats, heavy_stats=heavy_stats,
-        descendants=descendants,
+        descendants=shared.descendants,
     )
     # Build I/O is preprocessing, not measurement — neither its charges
     # nor where its last write left each file's head.

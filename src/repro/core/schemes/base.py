@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -340,9 +341,14 @@ class SegmentScheme(StorageScheme):
         staged: Dict[int, bytearray] = {}
         for cell in cells:
             self._write_cell(cell, staged)
-        for page_id in sorted(staged):
-            pageio.write_page(self.index_file, page_id,
-                              bytes(staged[page_id]), component="schemes")
+        # One run per stretch of consecutive staged pages: segments are
+        # placed back to back, so the index file is one run.
+        for _, stretch in itertools.groupby(
+                enumerate(sorted(staged)), lambda item: item[1] - item[0]):
+            page_ids = [page_id for _, page_id in stretch]
+            pageio.write_run(self.index_file, page_ids[0],
+                             [bytes(staged[page_id]) for page_id in page_ids],
+                             component="schemes")
         self.codec.finish(self.vpage_file)
 
     def _write_cell(self, cell: CellVPages,
@@ -351,10 +357,20 @@ class SegmentScheme(StorageScheme):
         ascending run — and stage the segment pointing at them on its
         index pages (index page -> its bytes so far)."""
         assert self.index_file is not None
-        self.codec.begin_cell(cell.cell_id)
-        pairs = [(offset, self.codec.append(self.vpage_file, cell.cell_id,
-                                            offset, cell.ventries(offset)))
-                 for offset in cell.visible_offsets_dfs()]
+        codec = self.codec
+        vpage_file = self.vpage_file
+        codec.begin_cell(cell.cell_id)
+        if isinstance(codec, RawVPageCodec):
+            # The cell keeps each raw image, so the dataset's raw
+            # builds encode it once between them.
+            page_size = vpage_file.page_size
+            pairs = [(offset, codec.append_image(
+                vpage_file, cell.raw_image(offset, codec, page_size)))
+                for offset in cell.visible_offsets_dfs()]
+        else:
+            pairs = [(offset, codec.append(vpage_file, cell.cell_id, offset,
+                                           cell.ventries(offset)))
+                     for offset in cell.visible_offsets_dfs()]
         data = self._encode_segment(pairs)
         page_id, offset = self._place_segment(cell.cell_id, len(data))
         self._cell_vnodes[cell.cell_id] = len(pairs)

@@ -58,22 +58,22 @@ class HorizontalScheme(StorageScheme):
                 self._entry_counts[offset] = len(ventries)
         self._first_page = self.vpage_file.allocate_many(
             self.num_nodes * self.num_cells)
+        codec = self._raw_codec
         page_size = self.vpage_file.page_size
         # A node's page in a cell that does not see it is one all-zero
-        # image, the same in every such cell: encode it once.
-        invisible = [self._raw_codec.encode_page(
+        # image, the same in every such cell: encode it once.  The
+        # pages go out as one run in page-id order, node by node.
+        invisible = [codec.encode_page(
             offset, [(0.0, 0)] * self._entry_counts.get(offset, 0), page_size)
             for offset in range(num_nodes)]
+        images = [image for image in invisible
+                  for _ in range(self.num_cells)]
         for cell in cells:
-            for offset in range(num_nodes):
-                ventries = cell.pages.get(offset)
-                payload = invisible[offset]
-                if ventries is not None:
-                    payload = self._raw_codec.encode_page(
-                        offset, ventries, page_size)
-                pageio.write_page(self.vpage_file,
-                                  self._page_id(offset, cell.cell_id),
-                                  payload, component="schemes")
+            for offset in cell.pages:
+                images[offset * self.num_cells + cell.cell_id] = \
+                    cell.raw_image(offset, codec, page_size)
+        pageio.write_run(self.vpage_file, self._first_page, images,
+                         component="schemes")
 
     def _page_id(self, node_offset: int, cell_id: int) -> int:
         assert self._first_page is not None

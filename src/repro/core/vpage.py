@@ -16,12 +16,13 @@ per-object DoVs, applying the aggregation rules of Section 3.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import HDoVError
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
+from repro.storage.vpagecodec import RawVPageCodec
 from repro.visibility.dov import CellVisibility, aggregate_upward
 
 #: One V-entry: (DoV, NVO).
@@ -37,6 +38,22 @@ class CellVPages:
 
     cell_id: int
     pages: Dict[int, List[VEntry]]
+    #: node offset -> its raw V-page image, kept by :meth:`raw_image`.
+    raw_images: Dict[int, bytes] = field(default_factory=dict, repr=False,
+                                         compare=False)
+
+    def raw_image(self, node_offset: int, codec: RawVPageCodec,
+                  page_size: int) -> bytes:
+        """The node's raw V-page image, encoded by ``codec`` the first
+        time one is asked for: every raw build of the dataset stores
+        that same ``bytes`` object.  The image does not depend on the
+        page size, which only bounds it, so a page too small for a kept
+        image is encoded again to raise the serializer's error."""
+        image = self.raw_images.get(node_offset)
+        if image is None or len(image) > page_size:
+            image = self.raw_images[node_offset] = codec.encode_page(
+                node_offset, self.ventries(node_offset), page_size)
+        return image
 
     def ventries(self, node_offset: int) -> List[VEntry]:
         try:

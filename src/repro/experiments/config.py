@@ -7,8 +7,9 @@ series for Figure 9).  We define three scales:
 * ``MEDIUM`` — the default for benchmarks (≈ 2.5–4 s build on one core).
 * ``LARGE``  — closer to the paper's proportions (≈ 7.5–9 s build).
 
-Environments are memoized per scale so a benchmark session builds each
-one exactly once.
+Environments are memoized per scale and scheme set, so a benchmark
+session builds each one exactly once, and a scale's city and visibility
+table once for all its scheme sets.
 """
 
 from __future__ import annotations
@@ -108,7 +109,12 @@ def build_experiment_environment(scale: ExperimentScale,
                              else scale.hdov.schemes))
     env = _ENV_CACHE.get(key)
     if env is None:
-        env = _ENV_CACHE[key] = build_world(scale, schemes=key[1])
+        # Another scheme set of the scale lends its city and table, so
+        # a scale's dataset is built once.
+        like = next((world for (name, _), world in _ENV_CACHE.items()
+                     if name == scale.name), None)
+        env = _ENV_CACHE[key] = build_world(scale, schemes=key[1],
+                                            like=like)
     return env
 
 

@@ -111,11 +111,13 @@ class NodeStore:
             node.node_offset = offset
         self.num_nodes = len(nodes)
 
-        # Pre-allocate pages in DFS order so offsets map to contiguous pages.
-        pages = [self.pfile.allocate() for _ in nodes]
-        self.offset_to_page = {i: pages[i] for i in range(len(nodes))}
-
-        for node, page_id in zip(nodes, pages):
+        # Pages in DFS order, so offsets map to contiguous pages, written
+        # as one run.
+        first = self.pfile.allocate_many(len(nodes))
+        self.offset_to_page = {offset: first + offset
+                               for offset in range(len(nodes))}
+        payloads: List[bytes] = []
+        for node in nodes:
             entries: List[Tuple[AABB, int, int]] = []
             for entry in node.entries:
                 if entry.is_leaf_entry:
@@ -128,11 +130,10 @@ class NodeStore:
                         raise RTreeError("child offset unassigned")
                     entries.append((entry.mbr, child_offset, NIL))
             kind = KIND_LEAF if node.is_leaf else KIND_INTERNAL
-            payload = encode_node(kind, node.level, node.node_offset, entries,
-                                  self.pfile.page_size)
-            pageio.write_page(self.pfile, page_id, payload,
-                              component="rtree")
-        self.root_page = pages[0]
+            payloads.append(encode_node(kind, node.level, node.node_offset,
+                                        entries, self.pfile.page_size))
+        pageio.write_run(self.pfile, first, payloads, component="rtree")
+        self.root_page = first
         return self.root_page
 
     def page_of(self, node_offset: int) -> int:

@@ -325,10 +325,10 @@ class PagedFile:
     def _charge(self, page_id: int, *, write: bool, count: int = 1) -> None:
         """Classify and price one access from the disk model's constants;
         book it with plain adds into ``IOStats`` and the file's series.
-        A read of ``count > 1`` pages is a run: its first page is the
-        access, then ``count - 1`` sequential reads follow, with
-        ``transfer_ms`` added per page, in order, as that many one-page
-        reads would book them."""
+        An access of ``count > 1`` pages is a run: its first page is the
+        access, then ``count - 1`` sequential reads (or writes) follow,
+        with ``transfer_ms`` added per page, in order, as that many
+        one-page accesses would book them."""
         stats = self.stats
         disk = self.disk
         last = self._last_accessed
@@ -370,11 +370,17 @@ class PagedFile:
         tail = count - 1
         if tail:
             nbytes = tail * self.page_size
-            stats.reads += tail
-            stats.bytes_read += nbytes
+            if write:
+                stats.writes += tail
+                stats.bytes_written += nbytes
+                self._m_writes.value += tail
+                self._m_bytes_written.value += nbytes
+            else:
+                stats.reads += tail
+                stats.bytes_read += nbytes
+                self._m_reads.value += tail
+                self._m_bytes_read.value += nbytes
             stats.sequential_reads += tail
-            self._m_reads.value += tail
-            self._m_bytes_read.value += nbytes
             self._m_sequential.value += tail
             transfer = disk.transfer_ms
             for _ in range(tail):
@@ -499,8 +505,7 @@ class PagedFile:
         self._validate(page_id)
         size = len(data)
         if size > self.page_size:
-            raise StorageError(
-                f"{self.name}: payload {size} exceeds page size")
+            raise self._oversized(size)
         tail = self._zero_page[size:]
         crc = zlib.crc32(tail, zlib.crc32(data))
         if tail and (self._fh is not None or self._faults is not None):
@@ -519,6 +524,51 @@ class PagedFile:
             self._overlay[page_id] = (bytes(data), crc)
             return
         self._backend_write(page_id, data, crc)
+
+    def _oversized(self, size: int) -> StorageError:
+        return StorageError(f"{self.name}: payload {size} exceeds page size")
+
+    def check_payloads(self, images: Sequence[bytes]) -> None:
+        """Raise :class:`StorageError` unless every payload fits a page."""
+        size = max(map(len, images), default=0)
+        if size > self.page_size:
+            raise self._oversized(size)
+
+    def write_run(self, first_page: int, images: Sequence[bytes]) -> None:
+        """Write ``images`` to the consecutive pages from ``first_page``.
+
+        The twin of :meth:`read_run`: the ledgers equal ``len(images)``
+        calls of :meth:`write_page`, float for float, and each page
+        holds what that call would store, CRC included.  Every payload
+        is checked against the page size before anything is charged.  A
+        run inside a memory file with no injector is booked in one step,
+        and each distinct image object in it gets its CRC once; any
+        other goes page by page through :meth:`write_page`, so one that
+        crosses ``num_pages`` writes its valid prefix first.
+        """
+        self._check_open()
+        self.check_payloads(images)
+        count = len(images)
+        if not (count and self._fh is None and self._faults is None
+                and 0 <= first_page
+                and first_page + count <= self._num_pages):
+            for page_id, data in enumerate(images, first_page):
+                self.write_page(page_id, data)
+            return
+        self._charge(first_page, write=True, count=count)
+        mem = self._mem
+        crcs = self._crcs
+        zero = self._zero_page
+        # id(image) -> its CRC; ``images`` keeps every image alive, so
+        # no id is reused within the run.
+        seen: Dict[int, int] = {}
+        for page_id, data in enumerate(images, first_page):
+            crc = seen.get(id(data))
+            if crc is None:
+                crc = seen[id(data)] = zlib.crc32(zero[len(data):],
+                                                  zlib.crc32(data))
+            mem[page_id] = bytes(data)
+            crcs[page_id] = crc
 
     def _backend_write(self, page_id: int, data: bytes, crc: int) -> None:
         """Raw backend write: no charging, no faults, no journal.

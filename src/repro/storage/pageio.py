@@ -36,7 +36,7 @@ injector cannot fail transiently, and its operation is one direct call.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.obs import names
@@ -94,15 +94,27 @@ def write_page(pfile: PagedFile, page_id: int, data: bytes, *,
         run_with_retry(pfile.write_page, pfile, page_id, data)
 
 
-def append_page(pfile: PagedFile, data: bytes, *, component: str) -> int:
-    """Allocate and write one page; returns the new page id.
+def write_run(pfile: PagedFile, first_page: int, images: Sequence[bytes],
+              *, component: str) -> None:
+    """Write ``images`` to consecutive pages from ``first_page``, as one
+    :meth:`PagedFile.write_run`.
 
-    The allocation is not retried (it cannot fail transiently); only
-    the write is, so a retry never allocates a second page.
+    An oversized payload is refused before anything is counted.  On a
+    file with an injector each page is written and retried on its own,
+    as :func:`write_page` retries it, so a transient failure never
+    rewrites the pages before it.
     """
-    page_id = pfile.allocate()
-    write_page(pfile, page_id, data, component=component)
-    return page_id
+    pfile.check_payloads(images)
+    registry, _, writes = _handles
+    handle = writes.get(component)
+    if handle is None or registry is not get_registry():
+        handle = _counter(component, write=True)
+    handle.value += len(images)
+    if pfile.faults is None:
+        pfile.write_run(first_page, images)
+        return
+    for page_id, data in enumerate(images, first_page):
+        run_with_retry(pfile.write_page, pfile, page_id, data)
 
 
 def read_run(pfile: PagedFile, first_page: int, count: int, *,

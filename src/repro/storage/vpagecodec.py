@@ -146,16 +146,44 @@ class VPageCodec(abc.ABC):
 
 
 class RawVPageCodec(VPageCodec):
-    """Seed layout: one fixed-width V-page record per disk page."""
+    """Seed layout: one fixed-width V-page record per disk page.
+
+    The writer allocates each record's page when it is appended, so the
+    pointer it returns is final, and stages the image; ``finish`` writes
+    the staged pages as one run.
+    """
 
     kind = "raw"
     packed = False
 
+    def __init__(self) -> None:
+        #: Staged, unwritten pages: ``(file, first page id, images)``.
+        self._run: Optional[Tuple[PagedFile, int, List[bytes]]] = None
+
     def append(self, vpage_file: PagedFile, cell_id: int, node_offset: int,
                ventries: Sequence[VEntry]) -> int:
-        payload = self.encode_page(node_offset, ventries,
-                                   vpage_file.page_size)
-        return pageio.append_page(vpage_file, payload, component="schemes")
+        return self.append_image(vpage_file, self.encode_page(
+            node_offset, ventries, vpage_file.page_size))
+
+    def append_image(self, vpage_file: PagedFile, image: bytes) -> int:
+        """Stage one encoded V-page; returns its page id.  A page that
+        does not extend the staged run first writes that run."""
+        page_id = vpage_file.allocate()
+        run = self._run
+        if (run is None or run[0] is not vpage_file
+                or run[1] + len(run[2]) != page_id):
+            self._flush()
+            run = self._run = (vpage_file, page_id, [])
+        run[2].append(image)
+        return page_id
+
+    def finish(self, vpage_file: PagedFile) -> None:
+        self._flush()
+
+    def _flush(self) -> None:
+        run, self._run = self._run, None
+        if run is not None:
+            pageio.write_run(run[0], run[1], run[2], component="schemes")
 
     def read(self, pointer: int, reader: PageReader
              ) -> Tuple[int, Tuple[VEntry, ...]]:
@@ -342,7 +370,7 @@ class PackedDeltaVPageCodec(VPageCodec):
     ``neighbors`` maps each cell id to its grid-adjacent cell ids (the
     4-neighbourhood from :meth:`CellGrid.neighbors`); it drives the
     reference-cell designation.  The writer buffers the stream in memory
-    during build and flushes it page-by-page in ``finish`` — appends
+    during build and flushes it as one page run in ``finish`` — appends
     return final pointers immediately, and every page is written exactly
     once, deterministically.
     """
@@ -468,11 +496,12 @@ class PackedDeltaVPageCodec(VPageCodec):
         # Schemes give the packed codec a dedicated V-page file, so the
         # stream owns it from page 0.
         self.first_page = vpage_file.allocate_many(pages)
-        for index in range(pages):
-            chunk = bytes(self._stream[index * self.page_size:
-                                       (index + 1) * self.page_size])
-            pageio.write_page(vpage_file, self.first_page + index, chunk,
-                              component="schemes")
+        stream = bytes(self._stream)
+        pageio.write_run(vpage_file, self.first_page,
+                         [stream[index:index + self.page_size] for index
+                          in range(0, pages * self.page_size,
+                                   self.page_size)],
+                         component="schemes")
         self.pages_used = pages
 
     # -- read --------------------------------------------------------------

@@ -268,6 +268,14 @@ def test_rpr001_allows_storage_package(tmp_path):
     assert "RPR001" not in codes
 
 
+def test_rpr001_flags_a_direct_write_run(tmp_path):
+    codes = lint_codes(tmp_path, [("writer.py", """
+        def store(pf, first, images):
+            pf.write_run(first, images)
+        """)])
+    assert "RPR001" in codes
+
+
 def test_rpr001_flags_private_attr_access(tmp_path):
     codes = lint_codes(tmp_path, [("poker.py", """
         def poke(pf):
@@ -592,8 +600,8 @@ SEEDS = {
          "        stored_offset, ventries = decode_vpage(\n"
          "            self._read_vpage(pointer))\n"),
         ("core/schemes/horizontal.py",
-         "payload = self._raw_codec.encode_page(",
-         "payload = serializer.encode_vpage(",
+         "invisible = [codec.encode_page(",
+         "invisible = [serializer.encode_vpage(",
          "from repro.storage import pageio\n",
          "from repro.storage import pageio, serializer\n"),
         # missed: the raw decoder handed on as a value, not called.

@@ -211,12 +211,16 @@ class TestSegmentContract:
         """The build stages the shared pages and writes each once, whole,
         without reading any back."""
         log = []
-        for op in ("read_page", "read_run", "write_page"):
+        for op in ("read_page", "read_run", "write_page", "write_run"):
             original = getattr(PagedFile, op)
 
             def recorded(self, page_id, *args, _op=op, _original=original):
                 if self.name.endswith("-i"):
-                    log.append((_op, page_id))
+                    if _op == "write_run":
+                        log.extend(("write_page", page_id + index)
+                                   for index in range(len(args[0])))
+                    else:
+                        log.append((_op, page_id))
                 return _original(self, page_id, *args)
             monkeypatch.setattr(PagedFile, op, recorded)
         for index_page_size in INDEX_PAGE_SIZES:

@@ -149,6 +149,7 @@ def test_vpage_of_another_node_is_refused(env, scheme_name):
     else:
         offset, pointer = scheme.cell_pointers(cell)[0]
     original = pageio.read_page(vfile, pointer, component="schemes")
+    as_written = vfile._mem[pointer]        # the payload as stored
     codec = RawVPageCodec()
     stored, ventries = codec.decode_page(original)
     assert stored == offset
@@ -163,10 +164,12 @@ def test_vpage_of_another_node_is_refused(env, scheme_name):
                                    match="node-offset mismatch"):
                     view.ventries(offset)
     finally:
-        pageio.write_page(vfile, pointer, original, component="schemes")
+        pageio.write_page(vfile, pointer, as_written, component="schemes")
     scheme.reset_runtime_state()
     scheme.flip_to_cell(cell)
     assert scheme.ventries(offset) == ventries
+    # The session world's page is back as it was stored, unpadded.
+    assert len(vfile._mem[pointer]) == len(as_written) < vfile.page_size
 
 
 # -- query plans: replay == traversal ----------------------------------------
@@ -493,7 +496,7 @@ def test_a_rewritten_tree_page_is_decoded_again(env, monkeypatch):
     assert store.read_node(0).targets == root.targets
     assert decodes["calls"] == 1
     page_id = store.page_of(0)
-    original = pageio.read_page(store.pfile, page_id, component="rtree")
+    as_written = store.pfile._mem[page_id]  # the payload as stored
     pageio.write_page(store.pfile, page_id, reordered_page(store, root),
                       component="rtree")
     try:
@@ -502,10 +505,13 @@ def test_a_rewritten_tree_page_is_decoded_again(env, monkeypatch):
         assert store.read_node(0).targets == rewritten.targets
         assert decodes["calls"] == 2
     finally:
-        pageio.write_page(store.pfile, page_id, original,
+        pageio.write_page(store.pfile, page_id, as_written,
                           component="rtree")
     assert store.read_node(0).targets == root.targets
     assert decodes["calls"] == 3
+    # The session world's page is back as it was stored, unpadded.
+    assert len(store.pfile._mem[page_id]) == len(as_written) \
+        < store.pfile.page_size
 
 
 def test_a_memo_hit_still_checks_the_node_offset(env, monkeypatch):

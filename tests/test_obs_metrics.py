@@ -211,8 +211,8 @@ ACCESSES = {
         pfile, 0, 1, component=component), (1, 0)),
     "write_page": (lambda pfile, component: pageio.write_page(
         pfile, 0, b"w", component=component), (0, 1)),
-    "append_page": (lambda pfile, component: pageio.append_page(
-        pfile, b"a", component=component), (0, 1)),
+    "write_run": (lambda pfile, component: pageio.write_run(
+        pfile, 0, [b"a"], component=component), (0, 1)),
 }
 
 

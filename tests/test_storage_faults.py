@@ -90,21 +90,30 @@ def test_retry_backoff_charged_to_simulated_clock():
                 retry.BACKOFF_MULTIPLIER) == (3, 4.0, 2.0)
 
 
-def test_append_page_retry_never_allocates_twice():
-    """Regression guard for the facade contract: the allocation happens
-    outside the retry loop, so a write that fails every attempt still
-    leaves exactly one (unwritten) page behind."""
-    with use_registry(MetricsRegistry()):
+def test_write_run_retries_each_page_never_the_run():
+    """Regression guard for the facade contract: a faulted run is
+    written and retried page by page, so a page that fails every attempt
+    leaves the pages before it written once, allocates nothing and
+    writes nothing after it."""
+    with use_registry(MetricsRegistry()) as registry:
         pf = make_file()
+        pf.allocate_many(4)
         injector = FaultInjector(
-            plan(FaultRule("write-error", rate=1.0)), seed=0)
+            plan(FaultRule("fail-after", after_ops=2)), seed=0)
         injector.install(pf)
         try:
             with pytest.raises(TransientIOError):
-                pageio.append_page(pf, b"doomed", component="test")
+                pageio.write_run(pf, 0, [b"p%d" % i for i in range(4)],
+                                 component="test")
         finally:
             injector.uninstall()
-        assert pf.num_pages == 1
+        assert pf.num_pages == 4
+        assert pf.stats.writes == 2 + retry.MAX_ATTEMPTS
+        assert registry.value(names.PAGEIO_RETRIES, file=pf.name) \
+            == retry.MAX_ATTEMPTS - 1
+        assert registry.value(names.PAGEIO_WRITES, component="test") == 4
+        assert [pf.read_page(i)[:2] for i in range(4)] == [
+            b"p0", b"p1", b"\0\0", b"\0\0"]
 
 
 # -- integrity rung ----------------------------------------------------------
