@@ -99,7 +99,7 @@ def measure(scene, grid, resolution, samples, workers):
             scene, grid, resolution=resolution, samples_per_cell=samples,
             workers=count))
         assert visibility_digest(table) == digest, count
-        rows["batched" if count is None
+        rows["batched" if count == 1
              else f"batched_workers{count}"] = row(elapsed)
         speedups.append(round(reference_s / elapsed, 2))
     return {"resolution": resolution, "samples_per_cell": samples,
@@ -111,7 +111,7 @@ def test_precompute_speed(capsys):
     scene = generate_city(SMALL.city)
     grid = CellGrid.covering(scene.bounds(), SMALL.cell_size)
     report, (batched, parallel) = measure(scene, grid, RESOLUTION, SAMPLES,
-                                          workers=(None, 2))
+                                          workers=(1, 2))
     report.update({"scale": "small", "cpu_count": os.cpu_count(),
                    "speedup_batched": batched,
                    "speedup_batched_workers2": parallel})
@@ -119,7 +119,7 @@ def test_precompute_speed(capsys):
     scene = generate_city(LARGE_CITY)
     grid = CellGrid.covering(scene.bounds(), LARGE_CELL_SIZE)
     large, (culled,) = measure(scene, grid, LARGE_RESOLUTION, 1,
-                               workers=(None,))
+                               workers=(1,))
     large["speedup_culled"] = culled
     report["benchmark_scene"] = large
 

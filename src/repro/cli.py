@@ -9,7 +9,7 @@ Usage::
     python -m repro profile [--scale small] [--session 1] [--eta 0.001]
     python -m repro chaos [--plan aggressive] [--seed 0] [--list-plans]
     python -m repro crash [--seed 0] [--output FILE]
-    python -m repro precompute [--workers 4] [--samples 2]
+    python -m repro precompute [--workers N] [--samples 2]
     python -m repro serve [--sessions 8] [--seed 7] [--pool-pages 256]
 
 ``run`` prints the same rows/series the paper reports (see
@@ -204,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "scale's)")
     precompute.add_argument("--samples", type=int, default=1,
                             help="viewpoint samples per cell (default: 1)")
-    precompute.add_argument("--workers", type=int, default=1,
-                            help="worker processes (default: 1; any "
-                                 "count yields a bit-identical table)")
+    precompute.add_argument("--workers", type=int, default=None,
+                            help="processes (default: one per usable CPU; "
+                                 "any count yields a bit-identical table)")
     _add_output(precompute)
     precompute.add_argument("--quiet", action="store_true",
                             help="suppress the progress line on stderr")
@@ -335,8 +335,8 @@ def cmd_precompute(args) -> int:
     from repro.obs.metrics import use_registry
     from repro.obs.replay import build_scene
     from repro.visibility.dov import visibility_digest
-    from repro.visibility.precompute import (BATCH_CELLS,
-                                             precompute_visibility)
+    from repro.visibility.precompute import (
+        BATCH_CELLS, precompute_visibility, worker_count)
 
     scale = get_scale(args.scale)
     resolution = (args.resolution if args.resolution is not None
@@ -366,7 +366,7 @@ def cmd_precompute(args) -> int:
         "resolution": resolution,
         "samples_per_cell": args.samples,
         "min_dov": 0.0,
-        "workers": args.workers,
+        "workers": worker_count(args.workers, grid.num_cells),
         "batch_cells": BATCH_CELLS,
         "cells_total": int(counters.get("precompute_cells_total", 0.0)),
         "rays_cast": int(counters.get("precompute_rays_total", 0.0)),

@@ -53,21 +53,14 @@ class ObjectStore:
 
     # -- write path ------------------------------------------------------------
 
-    def put(self, logical_bytes: int, payload: Optional[bytes] = None) -> BlobRef:
-        """Store a blob of modelled size ``logical_bytes``.
-
-        ``payload`` is optional real content; when omitted, zero pages are
-        written (the experiments only need sizes and I/O counts).
-        """
+    def put(self, logical_bytes: int) -> BlobRef:
+        """Store a blob of modelled size ``logical_bytes``: its pages are
+        allocated, not written (the experiments only need sizes and I/O
+        counts)."""
         if logical_bytes < 0:
             raise StorageError(f"negative blob size: {logical_bytes}")
         num_pages = self._pages(logical_bytes)
         first = self.pfile.allocate_many(num_pages)
-        if payload is not None:
-            for i in range(num_pages):
-                chunk = payload[i * self.pfile.page_size:
-                                (i + 1) * self.pfile.page_size]
-                self.pfile.write_page(first + i, chunk)
         ref = BlobRef(self._next_id, first, num_pages, logical_bytes)
         self._blobs[ref.blob_id] = ref
         self._next_id += 1

@@ -15,11 +15,12 @@ layers, either of which can be used alone:
   replacing the per-viewpoint Python loop and dict merge of the seed
   implementation with one slab-kernel invocation plus an offset
   ``bincount`` and a per-cell ``max`` reduction.
-* **Process parallelism** — ``workers=N`` shards cell batches across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker builds
-  its estimator once from an initializer (no large arrays pickled per
-  task), and results are keyed by cell id, so the table is independent
-  of scheduling order.
+* **Process parallelism** — batches are dealt round-robin over
+  ``workers`` shares, by default one per usable CPU.  This process
+  computes share 0; a forked child, inheriting the estimator, computes
+  each other share and pipes its results back once.  No thread starts
+  (DESIGN.md §10), no child outlives the call, and batches are booked
+  here in batch order: table, spans, counters and progress match.
 
 What is *not* computed: the nearest-hit kernel
 (:func:`repro.geometry.slab.slab_nearest`) skips, per block of
@@ -49,7 +50,11 @@ and by the CI determinism gate.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+import multiprocessing
+import os
+import traceback
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,31 +74,12 @@ CellResult = Tuple[int, Dict[int, float]]
 #: Optional progress hook: ``callback(cells_done, cells_total)``.
 ProgressFn = Callable[[int, int], None]
 
-#: Cells whose samples share one kernel invocation (and, under
-#: ``workers``, the unit of work sent to the pool).  16 cells x a few
-#: samples keeps the (viewpoints, rays/8, boxes) intermediates well
-#: inside cache-friendly territory while amortising the per-call
-#: dispatch overhead that dominates small scenes.
+#: Cells whose samples share one kernel invocation (and the unit dealt
+#: to the workers).  16 cells x a few samples keeps the (viewpoints,
+#: rays/8, boxes) intermediates well inside cache-friendly territory
+#: while amortising the per-call dispatch overhead that dominates small
+#: scenes.
 BATCH_CELLS = 16
-
-# Worker-process state, created once per worker by _worker_init so the
-# estimator's packed boxes and ray grid are never pickled per task.
-_worker_estimator: Optional[RayCastDoVEstimator] = None
-
-
-def _worker_init(boxes: np.ndarray, object_ids: np.ndarray,
-                 resolution: int) -> None:
-    global _worker_estimator
-    _worker_estimator = RayCastDoVEstimator(boxes, object_ids=list(object_ids),
-                                            resolution=resolution)
-
-
-def _worker_compute(grid: CellGrid, cell_ids: Sequence[int],
-                    samples_per_cell: int) -> List[CellResult]:
-    if _worker_estimator is None:     # pragma: no cover - executor misuse
-        raise VisibilityError("worker estimator was not initialised")
-    return compute_cell_batch(_worker_estimator, grid, cell_ids,
-                              samples_per_cell)
 
 
 def compute_cell_batch(estimator: RayCastDoVEstimator, grid: CellGrid,
@@ -119,37 +105,62 @@ def compute_cell_batch(estimator: RayCastDoVEstimator, grid: CellGrid,
     return results
 
 
-def _batches(cell_ids: Sequence[int]) -> List[List[int]]:
-    return [list(cell_ids[start:start + BATCH_CELLS])
-            for start in range(0, len(cell_ids), BATCH_CELLS)]
+def worker_count(workers: Optional[int], num_cells: int) -> int:
+    """The process count :func:`precompute_visibility` runs with:
+    ``workers``, or if ``None`` one per CPU this process may run on (1
+    without ``fork`` or a CPU set), capped at the batch count."""
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    if workers is not None and (workers < 1 or workers > 1 and not forkable):
+        raise VisibilityError(f"workers must be >= 1, and 1 without the "
+                              f"'fork' start method; got {workers}")
+    affinity = getattr(os, "sched_getaffinity", None)     # Linux only
+    count = workers or (len(affinity(0)) if forkable and affinity else 1)
+    return max(1, min(count, -(-num_cells // BATCH_CELLS)))
 
 
-def _compute_serial(estimator: RayCastDoVEstimator, grid: CellGrid,
-                    cell_ids: Sequence[int], samples_per_cell: int,
-                    on_batch: Callable[[List[CellResult]], None]) -> None:
-    for batch in _batches(cell_ids):
-        with span("precompute_batch", cells=len(batch)):
-            on_batch(compute_cell_batch(estimator, grid, batch,
-                                        samples_per_cell))
+def _compute(estimator: RayCastDoVEstimator, grid: CellGrid,
+             batches: List[List[int]], samples_per_cell: int,
+             workers: int) -> List[List[List[CellResult]]]:
+    """Each share's batch results (share k is ``batches[k::workers]``, a
+    forked child's for k > 0); a failed share raises VisibilityError."""
+    def compute(share: int) -> List[List[CellResult]]:
+        return [compute_cell_batch(estimator, grid, batch, samples_per_cell)
+                for batch in batches[share::workers]]
 
+    def send(writer: Connection, share: int) -> None:   # a child's body
+        try:
+            writer.send((True, compute(share)))
+        except Exception:
+            writer.send((False, traceback.format_exc()))
 
-def _compute_parallel(estimator: RayCastDoVEstimator, grid: CellGrid,
-                      cell_ids: Sequence[int], samples_per_cell: int,
-                      workers: int,
-                      on_batch: Callable[[List[CellResult]], None]) -> None:
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(estimator.boxes, estimator.object_ids,
-                      estimator.resolution)) as executor:
-        futures: List[Future[List[CellResult]]] = [
-            executor.submit(_worker_compute, grid, batch, samples_per_cell)
-            for batch in _batches(cell_ids)]
-        # Collect in submission order: results land in the table keyed
-        # by cell id anyway, but ordered collection also keeps the
-        # progress output reproducible.
-        for future in futures:
-            with span("precompute_batch_collect"):
-                on_batch(future.result())
+    children: List[Tuple[BaseProcess, Connection]] = []
+    try:
+        for share in range(1, workers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=send, args=(writer, share))
+            child.start()
+            writer.close()
+            children.append((child, reader))
+        try:
+            shares = [compute(0)]
+        except Exception as exc:
+            raise VisibilityError(f"precompute failed: {exc}") from exc
+        for share, (child, reader) in enumerate(children, start=1):
+            try:
+                ok, payload = reader.recv()
+            except EOFError:
+                ok, payload = False, "exited without its results"
+            if not ok:
+                raise VisibilityError(f"precompute worker {share}: {payload}")
+            shares.append(payload)
+            child.join()
+    finally:
+        for child, reader in children:
+            child.terminate()       # a no-op on a joined child
+            child.join()
+            reader.close()
+    return shares
 
 
 def precompute_visibility(scene: Scene, grid: CellGrid, *,
@@ -169,11 +180,12 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
         samples make the region DoV more conservative (eq. 2 is a max
         over all cell points) at linear precomputation cost.
     workers:
-        Process count for data-parallel sharding; ``None`` or 1 runs in
-        this process.  Any worker count yields a bit-identical table.
+        Process count; ``None`` means one per CPU this process may run
+        on (:func:`worker_count`).  Any count yields a bit-identical
+        table and the same spans, counters and progress calls.
     progress:
         Optional ``callback(cells_done, cells_total)`` invoked once
-        before the first batch and after every finished batch.
+        before the first batch and after every booked batch.
     """
     if len(scene) == 0:
         raise VisibilityError("cannot precompute visibility of empty scene")
@@ -182,8 +194,7 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     if samples_per_cell < 1:
         raise VisibilityError(
             f"samples_per_cell must be >= 1, got {samples_per_cell}")
-    if workers is not None and workers < 1:
-        raise VisibilityError(f"workers must be >= 1, got {workers}")
+    workers = worker_count(workers, grid.num_cells)
     estimator = RayCastDoVEstimator(scene.packed_mbrs(),
                                     object_ids=scene.object_ids(),
                                     resolution=resolution)
@@ -198,23 +209,19 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     if progress is not None:
         progress(done, total)
 
-    def on_batch(results: List[CellResult]) -> None:
-        nonlocal done
-        for cell_id, dov in results:
-            table.put(CellVisibility(cell_id, dov=dov))
-        m_cells.inc(len(results))
-        m_rays.inc(len(results) * samples_per_cell * estimator.num_rays)
-        done += len(results)
-        if progress is not None:
-            progress(done, total)
-
     cell_ids = list(grid.cell_ids())
-    with span("precompute", cells=total, workers=workers or 1,
+    batches = [cell_ids[start:start + BATCH_CELLS]
+               for start in range(0, total, BATCH_CELLS)]
+    with span("precompute", cells=total, workers=workers,
               batch_cells=BATCH_CELLS):
-        if workers is not None and workers > 1:
-            _compute_parallel(estimator, grid, cell_ids, samples_per_cell,
-                              workers, on_batch)
-        else:
-            _compute_serial(estimator, grid, cell_ids, samples_per_cell,
-                            on_batch)
+        shares = _compute(estimator, grid, batches, samples_per_cell, workers)
+        for index, batch in enumerate(batches):
+            with span("precompute_batch", cells=len(batch)):
+                for cell_id, dov in shares[index % workers][index // workers]:
+                    table.put(CellVisibility(cell_id, dov=dov))
+                m_cells.inc(len(batch))
+                m_rays.inc(len(batch) * samples_per_cell * estimator.num_rays)
+                done += len(batch)
+                if progress is not None:
+                    progress(done, total)
     return table

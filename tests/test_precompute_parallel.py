@@ -9,12 +9,17 @@ the CI determinism gate.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from repro.errors import VisibilityError
 from repro.geometry import slab
 from repro.geometry.slab import NO_HIT, slab_entry_matrix
 from repro.obs.metrics import use_registry
+from repro.obs.trace import use_tracer
 from repro.scene.city import CityParams, generate_city
 from repro.visibility import precompute
 from repro.visibility.cells import CellGrid
@@ -143,7 +148,8 @@ def test_octant_cull_skips_most_slab_tests(monkeypatch):
         return kernel(origins, dirs, lo, hi, scratch)
 
     monkeypatch.setattr(slab, "slab_entry_exit_group", counting)
-    precompute_visibility(scene, grid, resolution=resolution)
+    # One process: a forked worker's count never reaches this one.
+    precompute_visibility(scene, grid, resolution=resolution, workers=1)
     full = grid.num_cells * 6 * resolution ** 2 * len(scene)
     assert 0 < evaluated <= 0.4 * full
 
@@ -169,7 +175,8 @@ def test_distance_cull_skips_most_of_the_rest(monkeypatch):
         return kernel(origins, dirs, lo, hi, scratch)
 
     monkeypatch.setattr(slab, "slab_entry_exit_group", counting)
-    precompute_visibility(scene, grid, resolution=resolution)
+    # One process: a forked worker's count never reaches this one.
+    precompute_visibility(scene, grid, resolution=resolution, workers=1)
     full = grid.num_cells * 6 * resolution ** 2 * len(scene)
     assert 0 < evaluated <= 0.11 * full
 
@@ -183,12 +190,77 @@ LARGE_CITY = CityParams(blocks_x=12, blocks_y=12, seed=7,
 
 def test_benchmark_scene_table_is_pinned():
     """The benchmark scene's table (576 cells, 609 boxes, resolution 16,
-    one sample) is the one every cull so far has left unchanged."""
+    one sample) is the one every cull so far has left unchanged, at the
+    default worker count and in one process."""
     scene = generate_city(LARGE_CITY)
     grid = CellGrid.covering(scene.bounds(), cell_size=60.0)
-    table = precompute_visibility(scene, grid, resolution=16)
-    assert visibility_digest(table) == (
-        "8d3b4c87b33b660918c55c1145876555f54c3fd8e06f75120fc7ded010a6f5e0")
+    for workers in (None, 1):
+        table = precompute_visibility(scene, grid, resolution=16,
+                                      workers=workers)
+        assert visibility_digest(table) == (
+            "8d3b4c87b33b660918c55c1145876555"
+            "f54c3fd8e06f75120fc7ded010a6f5e0"), workers
+
+
+def test_worker_count_default_cap_and_no_fork(monkeypatch):
+    """One process per usable CPU, never more than there are batches;
+    without the ``fork`` start method the default is one process and an
+    explicit count above one is refused."""
+    assert precompute.worker_count(None, 576) == min(
+        len(os.sched_getaffinity(0)), 36)
+    assert precompute.worker_count(8, 33) == 3
+    assert precompute.worker_count(None, 1) == 1
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert precompute.worker_count(None, 576) == 1
+    with pytest.raises(VisibilityError):
+        precompute.worker_count(2, 576)
+
+
+@pytest.mark.parametrize("cell, fault, message", [
+    pytest.param(4, "raise", "cell 4 is cursed", id="child-raises"),
+    pytest.param(4, "exit", "without its results", id="child-dies"),
+    pytest.param(0, "raise", "cell 0 is cursed", id="parent-raises"),
+])
+def test_worker_failure_raises_and_leaves_no_child(small_scene, small_grid,
+                                                   cell, fault, message,
+                                                   monkeypatch):
+    """A batch that fails in share 1 (batches 1, 3, ... of 2 workers:
+    the fork inherits the patch) or in this process's share 0 fails the
+    call with a VisibilityError, and no child is left alive."""
+    monkeypatch.setattr(precompute, "BATCH_CELLS", 4)
+    compute = precompute.compute_cell_batch
+
+    def failing(estimator, grid, cell_ids, samples_per_cell):
+        if cell in cell_ids:
+            if fault == "exit":
+                os._exit(3)
+            raise ValueError(f"cell {cell} is cursed")
+        return compute(estimator, grid, cell_ids, samples_per_cell)
+
+    monkeypatch.setattr(precompute, "compute_cell_batch", failing)
+    with pytest.raises(VisibilityError, match=message):
+        precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
+                              workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_books_are_the_same_for_any_worker_count(small_scene, small_grid,
+                                                 workers, monkeypatch):
+    """Every batch is booked in this process: one ``precompute_batch``
+    span per batch and full counters, whichever process computed it."""
+    monkeypatch.setattr(precompute, "BATCH_CELLS", 4)
+    batches = -(-small_grid.num_cells // 4)
+    with use_registry() as registry, use_tracer() as tracer:
+        precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
+                              samples_per_cell=SAMPLES, workers=workers)
+        assert registry.value("precompute_cells_total") == \
+            small_grid.num_cells
+        assert registry.value("precompute_rays_total") == \
+            small_grid.num_cells * SAMPLES * 6 * RESOLUTION ** 2
+    assert tracer.summarize()["precompute_batch"]["count"] == batches
+    assert multiprocessing.active_children() == []
 
 
 def test_region_dov_batched_equals_pointwise(small_scene, small_grid):

@@ -44,12 +44,12 @@ def test_serve_same_seed_byte_identical(serve_report):
 
 def test_no_product_verb_starts_a_thread(monkeypatch, tmp_path):
     """The premise of DESIGN.md §10, pinned, and its one guard: ``repro
-    serve``, a scored scheduler run, ``profile``, ``chaos``, a serial
-    ``precompute`` and one ``run`` experiment all complete on the
-    calling thread and their books balance.  That is why no lock guards
-    the pool, the files, the journal or the registry; a change that
-    starts a thread has to say so here and bring its locks and its
-    evidence."""
+    serve``, a scored scheduler run, ``profile``, ``chaos``,
+    ``precompute`` (at the default worker count and with two forked
+    workers) and one ``run`` experiment all complete on the calling
+    thread and their books balance.  That is why no lock guards the
+    pool, the files, the journal or the registry; a change that starts a
+    thread has to say so here and bring its locks and its evidence."""
     def refuse(self):
         raise AssertionError(f"{self.name} was started")
 
@@ -58,7 +58,9 @@ def test_no_product_verb_starts_a_thread(monkeypatch, tmp_path):
     small = ["--scale", "small", "--frames", "4"]
     for verb in (["profile", *small], ["chaos", *small],
                  ["precompute", "--scale", "small", "--resolution", "8",
-                  "--samples", "2", "--quiet"]):
+                  "--samples", "2", "--quiet"],
+                 ["precompute", "--scale", "small", "--resolution", "8",
+                  "--samples", "2", "--workers", "2", "--quiet"]):
         assert main([*verb, "--output", str(tmp_path / "report.json")]) == 0
     assert main(["run", "fig7", "--scale", "small"]) == 0
 

@@ -99,14 +99,6 @@ def test_totals():
     assert store.logical_bytes_total == 400
 
 
-def test_payload_roundtrip():
-    store = make_store()
-    payload = bytes(range(200)) * 3
-    ref = store.put(len(payload), payload=payload)
-    data = store.pfile.read_run(ref.first_page, ref.num_pages)
-    assert data[:len(payload)] == payload
-
-
 def test_blobs_allocated_contiguously():
     store = make_store()
     a = store.put(256)
