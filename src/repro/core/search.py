@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.constants import BYTES_PER_POLYGON, DEFAULT_LOD_RATIO
 from repro.core.hdov_tree import HDoVEnvironment
@@ -48,9 +48,9 @@ from repro.rtree.persist import rtree_reader
 _DEGRADABLE = (PageCorruptError, TransientIOError)
 
 
-@dataclass(frozen=True)
-class RetrievedObject:
-    """One object in the answer set, at its eq.-6 LoD."""
+class RetrievedObject(NamedTuple):
+    """One object in the answer set, at its eq.-6 LoD.  Immutable:
+    recalled plans share answers across sessions (DESIGN.md §10)."""
 
     object_id: int
     dov: float
@@ -60,8 +60,7 @@ class RetrievedObject:
     bytes: int
 
 
-@dataclass(frozen=True)
-class RetrievedInternal:
+class RetrievedInternal(NamedTuple):
     """One internal LoD in the answer set, at its eq.-5 blend."""
 
     node_offset: int
@@ -362,32 +361,30 @@ class HDoVSearch:
                           ventries: Sequence[VEntry],
                           result: SearchResult) -> None:
         """Figure 3 over a leaf's entries: prune (line 3) or retrieve
-        (lines 4-5).  The retrieved objects' model prefixes are fetched
-        after the pass, in entry order, with one
-        :meth:`ObjectStore.fetch_prefixes` (none if nothing is
+        (lines 4-5) each object at its eq.-6 LoD.  The retrieved objects'
+        model prefixes are fetched after the pass, in entry order, with
+        one :meth:`ObjectStore.fetch_prefixes` (none if nothing is
         retrieved)."""
+        records = self.env.objects
+        answers = result.objects
         wanted: List[Tuple[int, int]] = []
+        pruned = 0
         for object_id, (dov, _nvo) in zip(object_ids, ventries):
             if dov == 0.0:
-                result.pruned += 1
+                pruned += 1
                 continue                                   # line 3: prune
-            blob_id, retrieved = self._object_lod(object_id, dov)
-            result.objects.append(retrieved)
-            wanted.append((blob_id, retrieved.bytes))
+            record = records.get(object_id)
+            if record is None:
+                raise HDoVError(f"no object record for id {object_id}")
+            k = leaf_lod_fraction(dov)
+            polygons = record.chain.interpolated_polygons(k)
+            nbytes = polygons * BYTES_PER_POLYGON
+            answers.append(RetrievedObject(object_id, dov, k, polygons,
+                                           nbytes))
+            wanted.append((record.blob_id, nbytes))
+        result.pruned += pruned
         if wanted and self.fetch_models:
             self.env.object_store.fetch_prefixes(wanted)
-
-    def _object_lod(self, object_id: int,
-                    dov: float) -> Tuple[int, RetrievedObject]:
-        """An object's blob id and its answer at the eq.-6 LoD."""
-        record = self.env.objects.get(object_id)
-        if record is None:
-            raise HDoVError(f"no object record for id {object_id}")
-        k = leaf_lod_fraction(dov)
-        polygons = record.chain.interpolated_polygons(k)
-        return record.blob_id, RetrievedObject(
-            object_id=object_id, dov=dov, fraction=k, polygons=polygons,
-            bytes=polygons * BYTES_PER_POLYGON)
 
     def _retrieve_internal(self, node_offset: int, dov: float, eta: float,
                            result: SearchResult) -> None:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveCellList
 from repro.constants import MAXDOV
-from repro.core.search import HDoVSearch, SearchResult
+from repro.core.search import (HDoVSearch, RetrievedInternal,
+                               RetrievedObject, SearchResult)
 from repro.errors import HDoVError, VisibilityError
 
 
@@ -235,10 +236,16 @@ def test_retrieved_polygons_and_bytes_are_the_records_own(env, k, pick):
     search = HDoVSearch(env, "indexed-vertical", fetch_models=False)
     result = SearchResult(cell_id=0, eta=1.0)
     record = env.objects[sorted(env.objects)[pick % len(env.objects)]]
-    _blob_id, obj = search._object_lod(record.object_id, k * MAXDOV)
-    assert obj.fraction == min(k * MAXDOV / MAXDOV, 1.0)
-    assert obj.polygons == record.chain.interpolated_polygons(obj.fraction)
-    assert obj.bytes == record.bytes_for_fraction(obj.fraction)
+    dov = k * MAXDOV
+    search._retrieve_objects([record.object_id], [(dov, 1)], result)
+    if dov > 0.0:
+        (obj,) = result.objects
+        assert obj.fraction == min(dov / MAXDOV, 1.0)
+        assert obj.polygons == \
+            record.chain.interpolated_polygons(obj.fraction)
+        assert obj.bytes == record.bytes_for_fraction(obj.fraction)
+    else:
+        assert (result.objects, result.pruned) == ([], 1)   # line 3
 
     internal = env.internals[sorted(env.internals)[pick % len(env.internals)]]
     if k > 0.0:
@@ -250,3 +257,20 @@ def test_retrieved_polygons_and_bytes_are_the_records_own(env, k, pick):
         assert got.bytes == internal.bytes_for_fraction(got.fraction)
     assert [i.fraction for i in result.internals] == \
         ([k, 1.0] if k > 0.0 else [1.0])
+
+
+@pytest.mark.parametrize("answer", [
+    RetrievedObject(object_id=4, dov=0.1, fraction=0.2, polygons=100,
+                    bytes=4000),
+    RetrievedInternal(node_offset=2, dov=0.005, fraction=0.5, polygons=50,
+                      bytes=2000, covered_objects=(7, 8))])
+def test_answers_are_immutable(answer):
+    """A recalled plan hands the same answer objects to every session
+    over its files (DESIGN.md §10 "Query plans"), so no field of one
+    can be assigned; an edited copy is a new answer."""
+    for name in answer._fields:
+        with pytest.raises(AttributeError):
+            setattr(answer, name, 0)
+    edited = answer._replace(dov=0.0)
+    assert edited.dov == 0.0 and answer.dov > 0.0
+    assert hash(answer) == hash(tuple(answer))

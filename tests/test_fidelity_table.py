@@ -104,7 +104,7 @@ def test_an_object_outside_the_truth_is_priced_at_dov_zero(env):
     result = search.query_cell(cell, eta=0.0)
     hidden = next(oid for oid in env.objects
                   if oid not in env.visibility.cell(cell).dov)
-    extra = replace(result.objects[0], object_id=hidden)
+    extra = result.objects[0]._replace(object_id=hidden)
     result = replace(result, objects=result.objects + [extra])
     assert metric.score_hdov(result) == reference_score_hdov(env, result)
 

@@ -10,19 +10,23 @@ float, every registry series and every file head.
 
 ``read_runs`` itself is held to one ``read_run`` per run, on the files
 where it books the runs in one loop and on those where it falls back
-(stored pages, a latency plan, a disk file), including a run that
-crosses ``num_pages``; ``fetch_prefixes`` checks every id and size
+(stored pages, a latency plan, a disk file), at read-ahead windows of
+0, 1 and 4 pages, on forward, backward and exactly-in-window runs and
+on a run that crosses ``num_pages`` — with a negative count after it,
+refused before any charge; ``fetch_prefixes`` checks every id and size
 before it charges anything.
 """
 
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import HDoVSearch
+from repro.constants import BYTES_PER_POLYGON
+from repro.core.search import HDoVSearch, RetrievedObject
 from repro.errors import StorageError
+from repro.lod.selection import leaf_lod_fraction
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.replay import cold_queries
 from repro.storage.disk import DiskModel, IOStats
@@ -43,10 +47,15 @@ def one_fetch_per_object(search, object_ids, ventries, result):
         if dov == 0.0:
             result.pruned += 1
             continue
-        blob_id, retrieved = search._object_lod(object_id, dov)
+        record = search.env.objects[object_id]
+        fraction = leaf_lod_fraction(dov)
+        polygons = record.chain.interpolated_polygons(fraction)
+        nbytes = polygons * BYTES_PER_POLYGON
         if search.fetch_models:
-            search.env.object_store.fetch_prefix(blob_id, retrieved.bytes)
-        result.objects.append(retrieved)
+            search.env.object_store.fetch_prefix(record.blob_id, nbytes)
+        result.objects.append(RetrievedObject(
+            object_id=object_id, dov=dov, fraction=fraction,
+            polygons=polygons, bytes=nbytes))
 
 
 def cold_stream(env, scheme):
@@ -96,11 +105,11 @@ FAULTS = FaultPlan("mixed", (FaultRule("read-error", rate=0.1),
                                        latency_ms=2.5)))
 
 
-def build(kind, workdir):
+def build(kind, workdir, disk=DISK):
     """``NUM_PAGES`` pages: none written (``unwritten``, the models
     file's shape, and ``latency``), or every page written, in memory,
     under a plan or on disk."""
-    pfile = PagedFile("runs", page_size=PAGE, disk=DISK, stats=IOStats(),
+    pfile = PagedFile("runs", page_size=PAGE, disk=disk, stats=IOStats(),
                       path=f"{workdir}/runs" if kind == "disk" else None)
     pfile.allocate_many(NUM_PAGES)
     if kind not in ("unwritten", "latency"):
@@ -114,16 +123,21 @@ def build(kind, workdir):
     return pfile, injector
 
 
-def read(kind, runs, batched):
-    """Read ``runs`` one way; everything that must agree between the
-    two ways."""
+def read(kind, runs, batched, disk=DISK):
+    """Read ``runs`` one way — ``read_runs``, or every count checked and
+    then one ``read_run`` per run; everything that must agree between
+    the two ways."""
     with tempfile.TemporaryDirectory() as workdir, \
             use_registry(MetricsRegistry()) as registry:
-        pfile, injector = build(kind, workdir)
+        pfile, injector = build(kind, workdir, disk)
         try:
             if batched:
                 pfile.read_runs(runs)
             else:
+                for _first_page, count in runs:
+                    if count < 0:
+                        raise StorageError(
+                            f"count must be >= 0, got {count}")
                 for first_page, count in runs:
                     pfile.read_run(first_page, count)
             outcome = "ok"
@@ -139,9 +153,24 @@ def read(kind, runs, batched):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None)
 @given(runs=st.lists(st.tuples(st.integers(-1, NUM_PAGES + 1),
-                               st.integers(0, 6)), max_size=6))
-def test_read_runs_equals_one_read_run_per_run(kind, runs):
-    assert read(kind, runs, batched=True) == read(kind, runs, batched=False)
+                               st.integers(0, 6)), max_size=6),
+       readahead=st.sampled_from([0, 1, 4]))
+# The head's delta to the next run: 0, exactly the window, one past it
+# (the window is one page when ``readahead_pages`` is 0).
+@example(runs=[(3, 2), (4, 1), (8, 3), (15, 2)], readahead=4)
+@example(runs=[(3, 2), (4, 1), (5, 3), (9, 2)], readahead=0)
+# Backward runs, a cold head after an empty run, a run ending at the end.
+@example(runs=[(12, 3), (2, 2), (0, 0), (1, 1), (15, 5)], readahead=4)
+# A negative count after a crossing run: refused before any charge.
+@example(runs=[(0, 2), (NUM_PAGES - 2, 5), (1, -1)], readahead=4)
+@example(runs=[(0, 2), (NUM_PAGES - 2, 5), (1, 3)], readahead=4)
+def test_read_runs_equals_one_read_run_per_run(kind, runs, readahead):
+    disk = DiskModel(seek_ms=8.0, transfer_ms=0.1,
+                     readahead_pages=readahead)
+    batched = read(kind, runs, batched=True, disk=disk)
+    assert batched == read(kind, runs, batched=False, disk=disk)
+    if any(count < 0 for _first_page, count in runs):
+        assert batched[1]["reads"] == 0
 
 
 def test_an_empty_run_list_reads_nothing():

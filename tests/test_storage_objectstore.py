@@ -1,5 +1,7 @@
 """Blob object store tests."""
 
+import math
+
 import pytest
 
 from repro.errors import StorageError
@@ -104,3 +106,41 @@ def test_blobs_allocated_contiguously():
     a = store.put(256)
     b = store.put(256)
     assert b.first_page == a.first_page + a.num_pages
+
+
+def float_prefix_pages(blob, logical_bytes, page_size):
+    """The float spelling the integer ceiling replaced."""
+    pages = math.ceil(max(min(logical_bytes, blob.logical_bytes), 1)
+                      / page_size)
+    return min(pages, blob.num_pages)
+
+
+@pytest.mark.parametrize("blob_size", [0, 1, 255, 256, 257, 1000, 2560])
+def test_prefix_pages_equal_the_float_formula(blob_size):
+    """Integer pages for 0, 1, a page ± 1, the blob's size and beyond —
+    what the float formula gave at every size it spells exactly."""
+    store = make_store(page_size=256)
+    blob = store.put(blob_size)
+    assert blob.num_pages == max(math.ceil(blob_size / 256), 1)
+    for size in (0, 1, 255, 256, 257, blob_size - 1, blob_size,
+                 blob_size + 1, 10 * blob_size + 1000):
+        if size < 0:                # blob_size - 1 of an empty blob
+            continue
+        pages = store._prefix_pages(blob, size)
+        assert type(pages) is int
+        assert pages == float_prefix_pages(blob, size, 256), size
+        assert store.fetch_prefixes([(blob.blob_id, size)]) == pages
+    with pytest.raises(StorageError, match="negative prefix size"):
+        store._prefix_pages(blob, -1)
+
+
+def test_prefix_pages_stay_exact_past_the_float_mantissa():
+    """``2**53 + 1`` bytes round to ``2**53`` as a float, so the float
+    spelling under-counts by one page; the integer one does not."""
+    store = make_store(page_size=4096)
+    size = 2 ** 53 + 1
+    blob = store.put(size)
+    assert blob.num_pages == 2 ** 41 + 1
+    assert store._prefix_pages(blob, size) == 2 ** 41 + 1
+    assert store._prefix_pages(blob, size - 1) == 2 ** 41     # 2**53
+    assert float_prefix_pages(blob, size, 4096) == 2 ** 41
