@@ -2,7 +2,7 @@
 
     python benchmarks/pairs.py --parent <rev> --workload <name> \\
         --pairs <n> [--seconds <s>] [--metric <name> [--claim]] \\
-        [--json <path>]
+        [--trace] [--json <path>]
 
 extracts revision ``<rev>`` into a temporary directory (``git archive``
 of the local repository: no network, and unlike a ``git worktree`` it
@@ -18,6 +18,9 @@ quartile distance, with ``--metric`` first (and labelled as the
 change's claim only under ``--claim``: a regression check of a metric
 is not a claim) — the verdict on the metrics that must be identical in
 every pair, and every run.
+``--trace`` then runs ``run.py --trace 1`` once per side at seed 1 and
+adds each layer's ``.calls`` and ``.self_ms`` side by side, and every
+other per-layer metric that differs between the sides.
 ``--json`` also writes the pairs and summaries as one JSON record.
 """
 
@@ -122,14 +125,14 @@ def extract(rev: str, into: str) -> str:
 
 
 def run_side(root: str, workload: str, seed: int,
-             seconds: float) -> Dict[str, object]:
+             seconds: float, trace: bool = False) -> Dict[str, object]:
     """One ``run.py`` run in ``root``: its exit code, verdict and
-    end-to-end metric values."""
+    metric values (end-to-end, or per-layer under ``trace``)."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=root, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -220,6 +223,43 @@ def report(rev: str, workload: str, seconds: float, metric: Optional[str],
                                      for name, s in summaries.items()}}}
 
 
+def traced(rev: str, workload: str, seconds: float,
+           runs: Dict[str, Dict[str, object]]) -> str:
+    """Markdown of one traced seed-1 run per side (``runs[side]``): each
+    layer's calls and self ms side by side, then every other per-layer
+    metric whose two values differ."""
+    metrics = {side: runs[side]["metrics"] for side in SIDES}
+    names = list(metrics["parent"])
+    layers = [name[:-len(".calls")] for name in names
+              if name.endswith(".calls")]
+    lines = [f"## Traced: `python3 {RUN} --workload {workload} --seed 1 "
+             f"--seconds {seconds:g} --trace 1`, parent `{rev}` and the "
+             f"working tree", "",
+             "| layer | calls parent | calls change | self_ms parent | "
+             "self_ms change |", "|---|---|---|---|---|"]
+    for layer in layers:
+        calls, self_ms = (
+            [metrics[side][f"{layer}.{part}"] for side in SIDES]
+            for part in ("calls", "self_ms"))
+        moved = " (moved)" if calls[0] != calls[1] else ""
+        lines.append(f"| `{layer}` | {calls[0]:.0f} | {calls[1]:.0f}{moved} "
+                     f"| {self_ms[0]:.1f} | {self_ms[1]:.1f} |")
+    shown = {f"{layer}.{part}" for layer in layers
+             for part in ("calls", "self_ms", "us_per_call")}
+    differ = [name for name in names if name not in shown
+              and metrics["parent"][name] != metrics["change"].get(name)]
+    lines += ["", "Every other per-layer metric that differs "
+              "(timings move from run to run; a count that moves is a "
+              "change):", "", "| metric | parent | change |", "|---|---|---|"]
+    lines += [f"| `{name}` | {_fmt(metrics['parent'][name])} | "
+              f"{_fmt(metrics['change'][name])} |" for name in differ]
+    failed = [side for side in SIDES
+              if runs[side]["exit"] != 0 or not runs[side]["correct"]]
+    lines += ["", "Traced runs that failed or answered wrongly: "
+              + (", ".join(failed) if failed else "none") + "."]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
@@ -231,6 +271,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="the metric listed first")
     parser.add_argument("--claim", action="store_true",
                         help="label --metric as the change's claim")
+    parser.add_argument("--trace", action="store_true",
+                        help="then one --trace 1 run per side at seed 1")
     parser.add_argument("--json", default=None,
                         help="also write the JSON record here")
     args = parser.parse_args(argv)
@@ -245,9 +287,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parent_root = extract(args.parent, workdir)
         records = run_pairs(parent_root, args.workload, args.pairs,
                             args.seconds)
+        runs = ({side: run_side(root, args.workload, 1, args.seconds,
+                                trace=True)
+                 for side, root in (("parent", parent_root),
+                                    ("change", REPO))}
+                if args.trace else None)
     out = report(args.parent, args.workload, args.seconds, args.metric,
                  records, args.claim)
     print(out["markdown"], end="")
+    if runs is not None:
+        print("\n" + traced(args.parent, args.workload, args.seconds, runs),
+              end="")
+        out["record"]["traced"] = runs
     if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(out["record"], fh, indent=1)

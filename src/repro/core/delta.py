@@ -164,16 +164,13 @@ class DeltaSearch:
 
     def _integrate(self, result: SearchResult) -> SearchResult:
         """Fetch the result's non-resident models, then fit the budget."""
-        env = self.search.env
         want = self._objects.want
         for obj in result.objects:
-            want(obj.object_id, env.objects[obj.object_id].blob_id,
-                 obj.fraction, obj.bytes)
+            want(obj.object_id, obj.blob_id, obj.fraction, obj.bytes)
         want = self._internals.want
         for internal in result.internals:
-            want(internal.node_offset,
-                 env.internals[internal.node_offset].blob_id,
-                 internal.fraction, internal.bytes)
+            want(internal.node_offset, internal.blob_id, internal.fraction,
+                 internal.bytes)
 
         budget = self.cache_budget_bytes
         if budget is None:

@@ -415,8 +415,33 @@ class SegmentScheme(StorageScheme):
                         for i in range(count))
 
     def _load_cell(self, cell_id: int) -> None:
-        """Flip: read the cell's whole segment sequentially."""
-        self._segment = dict(self.cell_pointers(cell_id))
+        """Flip: read the cell's whole segment sequentially.
+
+        Through a pool the decoded segment is a plan (DESIGN.md §10
+        "Query plans") under the token ``(index file id, cell)``: the
+        first flip to the cell reads and remembers it, a later one, from
+        any view over the pool, books the segment's page reads in one
+        :meth:`BufferPool.recall` and decodes nothing.  The mapping is
+        then shared by those views, so it is never changed in place.
+        """
+        pool = self.page_cache
+        if pool is None:
+            self._segment = dict(self.cell_pointers(cell_id))
+            return
+        index_file = self.index_file
+        assert index_file is not None
+        token = (index_file.file_id, cell_id)
+        recalled = pool.recall(token, ((index_file, scheme_reader),))
+        if recalled is not None:
+            self._segment = recalled[0]
+            return
+        segment = dict(self.cell_pointers(cell_id))
+        span = self._segment_span(cell_id)
+        assert span is not None         # cell_pointers has read it
+        first_page, count, _offset = span
+        pool.remember(token, [(index_file.file_id, first_page + i)
+                              for i in range(count)], segment)
+        self._segment = segment
 
     def _reset_cell_state(self) -> None:
         self._segment = {}

@@ -58,6 +58,8 @@ class RetrievedObject(NamedTuple):
     fraction: float
     polygons: int
     bytes: int
+    #: The object store blob its model is read from.
+    blob_id: int
 
 
 class RetrievedInternal(NamedTuple):
@@ -71,6 +73,37 @@ class RetrievedInternal(NamedTuple):
     bytes: int
     #: Leaf objects this internal LoD stands in for.
     covered_objects: Tuple[int, ...]
+    #: The object store blob its model is read from.
+    blob_id: int
+
+
+class PlanAnswer:
+    """What a remembered query plan answers with (DESIGN.md §10 "Query
+    plans"): the answer tuples, the five Figure-3 tallies and the
+    polygon total, built once by the query that remembers the plan and
+    shared by every session that recalls it, so none of it changes.
+
+    ``fidelity`` is the one slot written after construction: the
+    answer's fidelity score, derived from it and the environment's
+    ground truth by the first :meth:`FidelityMetric.score_hdov
+    <repro.walkthrough.metrics.FidelityMetric.score_hdov>` of it
+    (``None`` until then).  It lives and dies with the plan.
+    """
+
+    __slots__ = ("objects", "internals", "nodes_read", "vpages_read",
+                 "pruned", "terminated", "recursed", "total_polygons",
+                 "fidelity", "__weakref__")
+
+    def __init__(self, result: "SearchResult") -> None:
+        self.objects = tuple(result.objects)
+        self.internals = tuple(result.internals)
+        self.nodes_read = result.nodes_read
+        self.vpages_read = result.vpages_read
+        self.pruned = result.pruned
+        self.terminated = result.terminated
+        self.recursed = result.recursed
+        self.total_polygons = result.total_polygons
+        self.fidelity: Optional[float] = None
 
 
 @dataclass
@@ -94,9 +127,15 @@ class SearchResult:
     #: Subtrees degraded to their internal LoD after a V-page read
     #: failed beyond recovery (see the module docstring).
     degraded: int = 0
+    #: The plan this answer was remembered as or recalled from (``None``:
+    #: no plan); what it says, the fields above say too.
+    plan: Optional[PlanAnswer] = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def total_polygons(self) -> int:
+        if self.plan is not None:
+            return self.plan.total_polygons
         return (sum(o.polygons for o in self.objects)
                 + sum(i.polygons for i in self.internals))
 
@@ -271,16 +310,17 @@ class HDoVSearch:
             reads: List[Tuple[int, int]] = []
             self._search_node(0, eta, result, reads)
             if not result.degraded:
-                pool.remember(token, reads, (
-                    tuple(result.objects), tuple(result.internals),
-                    result.nodes_read, result.vpages_read, result.pruned,
-                    result.terminated, result.recursed))
+                result.plan = PlanAnswer(result)
+                pool.remember(token, reads, result.plan)
             return None
         plan, pages_read = recalled
-        (objects, internals, result.nodes_read, result.vpages_read,
-         result.pruned, result.terminated, result.recursed) = plan
-        result.objects.extend(objects)
-        result.internals.extend(internals)
+        result.plan = plan
+        result.objects.extend(plan.objects)
+        result.internals.extend(plan.internals)
+        result.nodes_read, result.vpages_read = (plan.nodes_read,
+                                                 plan.vpages_read)
+        result.pruned, result.terminated, result.recursed = (
+            plan.pruned, plan.terminated, plan.recursed)
         if self._m_replays is None:
             self._m_replays = get_registry().counter(
                 names.SEARCH_REPLAYS, scheme=scheme.name)
@@ -379,9 +419,10 @@ class HDoVSearch:
             k = leaf_lod_fraction(dov)
             polygons = record.chain.interpolated_polygons(k)
             nbytes = polygons * BYTES_PER_POLYGON
+            blob_id = record.blob_id
             answers.append(RetrievedObject(object_id, dov, k, polygons,
-                                           nbytes))
-            wanted.append((record.blob_id, nbytes))
+                                           nbytes, blob_id))
+            wanted.append((blob_id, nbytes))
         result.pruned += pruned
         if wanted and self.fetch_models:
             self.env.object_store.fetch_prefixes(wanted)
@@ -404,7 +445,8 @@ class HDoVSearch:
         covered = tuple(self.env.descendants.get(node_offset, ()))
         result.internals.append(RetrievedInternal(
             node_offset=node_offset, dov=dov, fraction=fraction,
-            polygons=polygons, bytes=nbytes, covered_objects=covered))
+            polygons=polygons, bytes=nbytes, covered_objects=covered,
+            blob_id=record.blob_id))
 
     # -- degradation ----------------------------------------------------------
 

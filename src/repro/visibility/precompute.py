@@ -18,9 +18,12 @@ layers, either of which can be used alone:
 * **Process parallelism** — batches are dealt round-robin over
   ``workers`` shares, by default one per usable CPU.  This process
   computes share 0; a forked child, inheriting the estimator, computes
-  each other share and pipes its results back once.  No thread starts
-  (DESIGN.md §10), no child outlives the call, and batches are booked
-  here in batch order: table, spans, counters and progress match.
+  each other share and pipes each batch's results back as it finishes
+  it.  No thread starts (DESIGN.md §10), no child outlives the call,
+  and batches are booked here in batch order, each as soon as it and
+  every batch before it are in: table, spans, counters and progress
+  match at any worker count, and progress moves while cells are
+  computed.
 
 What is *not* computed: the nearest-hit kernel
 (:func:`repro.geometry.slab.slab_nearest`) skips, per block of
@@ -119,21 +122,50 @@ def worker_count(workers: Optional[int], num_cells: int) -> int:
 
 
 def _compute(estimator: RayCastDoVEstimator, grid: CellGrid,
-             batches: List[List[int]], samples_per_cell: int,
-             workers: int) -> List[List[List[CellResult]]]:
-    """Each share's batch results (share k is ``batches[k::workers]``, a
-    forked child's for k > 0); a failed share raises VisibilityError."""
-    def compute(share: int) -> List[List[CellResult]]:
-        return [compute_cell_batch(estimator, grid, batch, samples_per_cell)
-                for batch in batches[share::workers]]
+             batches: List[List[int]], samples_per_cell: int, workers: int,
+             book: Callable[[int, List[CellResult]], None]) -> None:
+    """Compute every batch and ``book(index, results)`` each in batch
+    order, as soon as it and every batch before it are in.
+
+    Share k is ``batches[k::workers]``: this process computes share 0,
+    a forked child each other share, sending each batch's results over
+    its pipe as it finishes it.  Between its own batches this process
+    takes in what the children have sent, then waits for the rest.  A
+    failed share raises VisibilityError.
+    """
+    def compute(index: int) -> List[CellResult]:
+        return compute_cell_batch(estimator, grid, batches[index],
+                                  samples_per_cell)
 
     def send(writer: Connection, share: int) -> None:   # a child's body
         try:
-            writer.send((True, compute(share)))
+            for index in range(share, len(batches), workers):
+                writer.send((True, index, compute(index)))
         except Exception:
-            writer.send((False, traceback.format_exc()))
+            writer.send((False, share, traceback.format_exc()))
 
+    ready: Dict[int, List[CellResult]] = {}
+    booked = 0
+    #: Per child: its pipe and how many batches it has yet to send.
     children: List[Tuple[BaseProcess, Connection]] = []
+    owed: List[int] = []
+
+    def receive(share: int) -> None:
+        try:
+            ok, index, payload = children[share - 1][1].recv()
+        except EOFError:
+            ok, payload = False, "exited without its results"
+        if not ok:
+            raise VisibilityError(f"precompute worker {share}: {payload}")
+        ready[index] = payload
+        owed[share - 1] -= 1
+
+    def book_ready() -> None:
+        nonlocal booked
+        while booked in ready:
+            book(booked, ready.pop(booked))
+            booked += 1
+
     try:
         for share in range(1, workers):
             reader, writer = multiprocessing.Pipe(duplex=False)
@@ -142,25 +174,26 @@ def _compute(estimator: RayCastDoVEstimator, grid: CellGrid,
             child.start()
             writer.close()
             children.append((child, reader))
-        try:
-            shares = [compute(0)]
-        except Exception as exc:
-            raise VisibilityError(f"precompute failed: {exc}") from exc
-        for share, (child, reader) in enumerate(children, start=1):
+            owed.append(len(range(share, len(batches), workers)))
+        for index in range(0, len(batches), workers):
             try:
-                ok, payload = reader.recv()
-            except EOFError:
-                ok, payload = False, "exited without its results"
-            if not ok:
-                raise VisibilityError(f"precompute worker {share}: {payload}")
-            shares.append(payload)
+                ready[index] = compute(index)
+            except Exception as exc:
+                raise VisibilityError(f"precompute failed: {exc}") from exc
+            for share, (_child, reader) in enumerate(children, start=1):
+                while owed[share - 1] and reader.poll():
+                    receive(share)
+            book_ready()
+        while booked < len(batches):
+            receive(booked % workers)   # a child's batch: share 0 is in
+            book_ready()
+        for child, _reader in children:
             child.join()
     finally:
         for child, reader in children:
             child.terminate()       # a no-op on a joined child
             child.join()
             reader.close()
-    return shares
 
 
 def precompute_visibility(scene: Scene, grid: CellGrid, *,
@@ -212,16 +245,20 @@ def precompute_visibility(scene: Scene, grid: CellGrid, *,
     cell_ids = list(grid.cell_ids())
     batches = [cell_ids[start:start + BATCH_CELLS]
                for start in range(0, total, BATCH_CELLS)]
+
+    def book(index: int, results: List[CellResult]) -> None:
+        nonlocal done
+        batch = batches[index]
+        with span("precompute_batch", cells=len(batch)):
+            for cell_id, dov in results:
+                table.put(CellVisibility(cell_id, dov=dov))
+            m_cells.inc(len(batch))
+            m_rays.inc(len(batch) * samples_per_cell * estimator.num_rays)
+            done += len(batch)
+            if progress is not None:
+                progress(done, total)
+
     with span("precompute", cells=total, workers=workers,
               batch_cells=BATCH_CELLS):
-        shares = _compute(estimator, grid, batches, samples_per_cell, workers)
-        for index, batch in enumerate(batches):
-            with span("precompute_batch", cells=len(batch)):
-                for cell_id, dov in shares[index % workers][index // workers]:
-                    table.put(CellVisibility(cell_id, dov=dov))
-                m_cells.inc(len(batch))
-                m_rays.inc(len(batch) * samples_per_cell * estimator.num_rays)
-                done += len(batch)
-                if progress is not None:
-                    progress(done, total)
+        _compute(estimator, grid, batches, samples_per_cell, workers, book)
     return table

@@ -59,7 +59,8 @@ class FidelityMetric:
     out on a cell's first score and kept in the environment's
     ``fidelity_truth`` table, which every ``session_env`` view shares
     and nothing clears.  Scores are the same floats as deriving it per
-    call: the sums run in the same order.
+    call: the sums run in the same order.  A plan's answer is scored
+    once per plan (:meth:`score_hdov`).
     """
 
     def __init__(self, env: HDoVEnvironment) -> None:
@@ -96,7 +97,20 @@ class FidelityMetric:
         eq.-6 LoD, so they score 1 (an object outside the truth is
         priced at DoV 0); internal LoDs score the ratio of their
         polygons to the covered objects' summed requirement.
+
+        An answer remembered as a query plan is scored once: the score
+        rides on the plan (``PlanAnswer.fidelity``), and every session
+        that recalls the plan gets that float.
         """
+        plan = result.plan
+        if plan is None:
+            return self._score(result)
+        if plan.fidelity is None:
+            plan.fidelity = self._score(result)
+        return plan.fidelity
+
+    def _score(self, result: SearchResult) -> float:
+        """:meth:`score_hdov` worked out from the answer itself."""
         visible, required, total = self._truth(result.cell_id)
         if not visible:
             return 1.0

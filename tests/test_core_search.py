@@ -261,9 +261,9 @@ def test_retrieved_polygons_and_bytes_are_the_records_own(env, k, pick):
 
 @pytest.mark.parametrize("answer", [
     RetrievedObject(object_id=4, dov=0.1, fraction=0.2, polygons=100,
-                    bytes=4000),
+                    bytes=4000, blob_id=9),
     RetrievedInternal(node_offset=2, dov=0.005, fraction=0.5, polygons=50,
-                      bytes=2000, covered_objects=(7, 8))])
+                      bytes=2000, covered_objects=(7, 8), blob_id=3)])
 def test_answers_are_immutable(answer):
     """A recalled plan hands the same answer objects to every session
     over its files (DESIGN.md §10 "Query plans"), so no field of one

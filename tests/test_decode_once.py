@@ -189,17 +189,26 @@ REAL_GET, REAL_RECALL = BufferPool.get, BufferPool.recall
 REAL_REMEMBER = BufferPool.remember
 
 
+def plan_kind(token):
+    """A plan's kind by its token: a flip's decoded index segment is
+    remembered under ``(index file id, cell)``, a query's answer under
+    ``(tree file id, V-page file id, cell, eta, eq.-4 switch)``."""
+    return "segment" if len(token) == 2 else "search"
+
+
 class PoolSpy:
     """Counts ``BufferPool.get`` calls, what ``recall`` answered and the
-    pages its recalls read, from outside; ``replaying=False`` makes
-    ``recall`` answer nothing — the twin every replaying run is compared
-    with.  The latest spy of a test is the one installed."""
+    pages its recalls read, from outside, per plan kind; ``replaying=
+    False`` makes ``recall`` answer nothing — the twin every replaying
+    run is compared with.  The latest spy of a test is the one
+    installed."""
 
     def __init__(self, monkeypatch, replaying=True):
         self.gets = 0
-        self.replays = 0
-        self.recall_reads = 0
-        self.remembered = []            # (token, keys) of every remember
+        self.replays = Counter()        # kind -> recalls answered
+        self.recall_reads = Counter()   # kind -> pages those recalls read
+        #: kind -> (token, keys) of every remember
+        self.remembered = {"search": [], "segment": []}
         real_get, real_recall = REAL_GET, REAL_RECALL
         real_remember = REAL_REMEMBER
 
@@ -210,12 +219,12 @@ class PoolSpy:
         def recall(pool, token, files):
             recalled = real_recall(pool, token, files) if replaying else None
             if recalled is not None:
-                self.replays += 1
-                self.recall_reads += recalled[1]
+                self.replays[plan_kind(token)] += 1
+                self.recall_reads[plan_kind(token)] += recalled[1]
             return recalled
 
         def remember(pool, token, keys, answer):
-            self.remembered.append((token, list(keys)))
+            self.remembered[plan_kind(token)].append((token, list(keys)))
             return real_remember(pool, token, keys, answer)
 
         monkeypatch.setattr(BufferPool, "get", get)
@@ -251,7 +260,7 @@ def test_replayed_query_equals_the_traversal(request, monkeypatch, fixture,
                                              scheme, views):
     env = request.getfixturevalue(fixture)
     packed = fixture == "env_packed"
-    a, _b = busiest_cells(env)
+    a, b = busiest_cells(env)
     plain = HDoVSearch(env, scheme, fetch_models=False)
     env.reset_runtime_state()
     expected = plain.query_cell(a, ETA)
@@ -275,20 +284,26 @@ def test_replayed_query_equals_the_traversal(request, monkeypatch, fixture,
     for field in ("pool", "order", "resident", "light", "heavy"):
         assert seen[field] == twin[field], field
 
-    # Count guard.  Raw: the repeated query is its flip's index reads
-    # and one recall.  Packed: the view's read cache decides which pages
-    # a V-page read touches, so it is traversed — as many gets as the
-    # twin's (fewer than the first visit's: the read cache is warm).
+    # Count guard.  The repeated flip is one segment recall (the
+    # horizontal scheme has no segment): cells A and B were remembered,
+    # A is recalled and its index pages are no get.  Raw: the repeated
+    # query is one recall too, so it makes no get at all.  Packed: the
+    # view's read cache decides which pages a V-page read touches, so
+    # it is traversed — the twin's gets but the index pages (fewer than
+    # the first visit's: the read cache is warm).
     scheme_view = env.scheme(scheme)
-    index_pages = (scheme_view._segment_span(a)[1]
-                   if scheme != "horizontal" else 0)
+    segmented = scheme != "horizontal"
+    index_pages = scheme_view._segment_span(a)[1] if segmented else 0
+    assert spy.replays["segment"] == int(segmented)
+    assert [token[1] for token, _keys in spy.remembered["segment"]] == \
+        ([a, b] if segmented else [])
     if packed:
-        assert spy.replays == 0 and spy.remembered == []
-        assert seen["steps"][2]["gets"] == twin["steps"][2]["gets"] \
-            > index_pages
+        assert spy.replays["search"] == 0 and spy.remembered["search"] == []
+        assert seen["steps"][2]["gets"] == \
+            twin["steps"][2]["gets"] - index_pages > 0
     else:
-        assert spy.replays == 1
-        assert seen["steps"][2]["gets"] <= index_pages
+        assert spy.replays["search"] == 1
+        assert seen["steps"][2]["gets"] == 0
         assert twin["steps"][2]["gets"] > index_pages + 2
 
 
@@ -306,7 +321,8 @@ def test_replays_at_a_pool_one_frame_too_small_and_equals_the_twin(
     twin = serve_aba(env, scheme, needed - 1, PoolSpy(monkeypatch, False))
     spy = PoolSpy(monkeypatch)
     tight = serve_aba(env, scheme, needed - 1, spy)
-    assert spy.replays == 1 and spy.recall_reads > 0
+    assert spy.replays["search"] == 1 and spy.recall_reads["search"] > 0
+    assert spy.replays["segment"] == (scheme != "horizontal")
     assert tight["pool"]["evictions"] > 0
     for step, twin_step in zip(tight["steps"], twin["steps"]):
         assert step["result"] == twin_step["result"]
@@ -331,7 +347,7 @@ def planned(env, scheme, monkeypatch, capacity=4096):
     search = HDoVSearch(view, scheme, fetch_models=False)
     a = busiest_cells(env)[0]
     first = search.query_cell(a, ETA)
-    (_token, keys), = spy.remembered
+    (_token, keys), = spy.remembered["search"]
     assert len(keys) == first.nodes_read + first.vpages_read
     return spy, pool, view, search, a, first, keys
 
@@ -342,7 +358,7 @@ def test_a_clear_invalidates_the_plan(env, monkeypatch):
     pool.clear()
     gets = spy.gets
     assert same_answer(search.query_cell(a, ETA), first)
-    assert spy.replays == 0 and spy.gets - gets >= len(keys)
+    assert spy.replays == {} and spy.gets - gets >= len(keys)
 
 
 def test_a_degraded_answer_is_never_remembered(env, monkeypatch):
@@ -361,11 +377,15 @@ def test_a_degraded_answer_is_never_remembered(env, monkeypatch):
         degraded = search.query_cell(a, ETA)
     finally:
         injector.uninstall()
-    assert degraded.degraded > 0 and spy.remembered == []
+    # The flip read a clean index segment: that is remembered.
+    assert degraded.degraded > 0 and spy.remembered["search"] == []
+    assert len(spy.remembered["segment"]) == 1
     clean = search.query_cell(a, ETA)
-    assert clean.degraded == 0 and spy.replays == 0
-    assert len(spy.remembered) == 1
-    assert search.query_cell(a, ETA) == clean and spy.replays == 1
+    assert clean.degraded == 0 and spy.replays == {}
+    assert len(spy.remembered["search"]) == 1
+    assert search.query_cell(a, ETA) == clean
+    assert spy.replays == {"search": 1}
+    assert len(spy.remembered["segment"]) == 1
 
 
 def test_fetching_searches_and_split_pools_always_traverse(env, monkeypatch):
@@ -379,9 +399,13 @@ def test_fetching_searches_and_split_pools_always_traverse(env, monkeypatch):
         env.node_store, BufferPool(64, name="other"))), scheme,
         fetch_models=False)
     for search in (fetching, split, fetching, split):
-        gets, remembered = spy.gets, len(spy.remembered)
+        gets = spy.gets
+        remembered = {kind: len(plans)
+                      for kind, plans in spy.remembered.items()}
         assert same_answer(search.query_cell(a, ETA), first)
-        assert spy.replays == 0 and len(spy.remembered) == remembered
+        assert spy.replays == {}
+        assert {kind: len(plans) for kind, plans
+                in spy.remembered.items()} == remembered
         assert spy.gets - gets >= len(keys)
 
 

@@ -29,10 +29,11 @@ def test_free_disk_charges_nothing():
 def test_search_result_helpers():
     result = SearchResult(cell_id=0, eta=0.01)
     result.objects.append(RetrievedObject(
-        object_id=4, dov=0.1, fraction=0.2, polygons=100, bytes=4000))
+        object_id=4, dov=0.1, fraction=0.2, polygons=100, bytes=4000,
+        blob_id=9))
     result.internals.append(RetrievedInternal(
         node_offset=2, dov=0.005, fraction=0.5, polygons=50, bytes=2000,
-        covered_objects=(7, 8)))
+        covered_objects=(7, 8), blob_id=3))
     assert result.total_polygons == 150
     assert result.total_model_bytes == 6000
     assert result.num_results == 2

@@ -55,7 +55,7 @@ def one_fetch_per_object(search, object_ids, ventries, result):
             search.env.object_store.fetch_prefix(record.blob_id, nbytes)
         result.objects.append(RetrievedObject(
             object_id=object_id, dov=dov, fraction=fraction,
-            polygons=polygons, bytes=nbytes))
+            polygons=polygons, bytes=nbytes, blob_id=record.blob_id))
 
 
 def cold_stream(env, scheme):

@@ -4,12 +4,16 @@
 run log publishes can be re-derived from its table: fed ISSUE 49's 12
 ``walk_hot_pool`` ``setup_s`` pairs (docs/runs/ISSUE-49.md, four
 decimals), it must give that log's medians, quartiles, ratio, win count
-and gap against the parent's quartile distance.
+and gap against the parent's quartile distance.  The same for the
+claims of ISSUE 47 and 48 (``point_query_cold`` ``setup_s``, lower is
+better) and ISSUE 51 (``point_query_cold`` ``ops_per_s``, higher is
+better), each from its log's per-pair table.
 """
 
 import importlib.util
 import math
 import os
+import statistics
 
 import pytest
 
@@ -42,6 +46,93 @@ def test_issue_49_claim_is_rederived_from_its_pairs():
     assert round(s.ratio, 3) == 0.817
     assert (s.wins, s.pairs) == (12, 12)
     assert (round(s.gap, 2), round(s.parent_iqr, 2)) == (0.20, 0.19)
+    assert s.gap_exceeds_iqr
+
+
+#: docs/runs/ISSUE-47.md, "Claim: `point_query_cold` `setup_s`": ten
+#: pairs on seeds 1–3, then three on seed 7 (three decimals).
+ISSUE_47_PARENT = [2.341, 2.058, 2.441, 1.975, 1.929, 2.656, 2.632, 2.484,
+                   2.761, 3.107, 2.682, 2.868, 2.832]
+ISSUE_47_CHANGE = [1.772, 1.878, 1.603, 1.805, 1.364, 1.995, 1.844, 2.515,
+                   1.9, 1.91, 1.687, 1.678, 1.701]
+#: docs/runs/ISSUE-48.md, "`point_query_cold`, `--trace 0`": ten pairs
+#: on seeds 1–3, then three on seed 7 (three decimals).
+ISSUE_48_PARENT = [1.698, 1.928, 1.647, 1.724, 1.782, 1.837, 1.866, 1.704,
+                   1.889, 1.688, 2.053, 1.507, 1.597]
+ISSUE_48_CHANGE = [1.439, 1.413, 1.542, 1.453, 1.255, 1.242, 1.402, 1.507,
+                   1.455, 1.223, 1.414, 1.238, 1.300]
+#: docs/runs/ISSUE-51.md, section 1's `point_query_cold` table (one
+#: decimal).
+ISSUE_51_PARENT = [3778.3, 3779.5, 3752.8, 3906.5, 3781.9, 3668.7, 3810.7,
+                   3678.1, 3703.1, 3948.0]
+ISSUE_51_CHANGE = [4664.5, 4634.9, 4559.8, 4768.0, 4610.4, 4584.8, 4756.1,
+                   4668.2, 4561.4, 4702.5]
+
+
+def test_issue_47_claim_is_rederived_from_its_pairs():
+    """Medians, ratio, wins and gap as published.  The log predates
+    ``pairs.py`` and gave inclusive-method quartiles; under the
+    exclusive method ``summarize`` uses, the parent's quartile distance
+    over seeds 1–3 (0.645 s) exceeds the median gap (0.601 s)."""
+    s = pairs.summarize(ISSUE_47_PARENT[:10], ISSUE_47_CHANGE[:10], "lower")
+    assert (round(s.parent_median, 3), s.change_median) == (2.462, 1.861)
+    assert round(s.ratio, 3) == 0.756
+    assert (s.wins, s.pairs) == (9, 10)
+    assert round(s.gap, 3) == 0.601
+    inclusive = statistics.quantiles(ISSUE_47_PARENT[:10], n=4,
+                                     method="inclusive")
+    assert inclusive == pytest.approx([2.129, 2.462, 2.650], abs=6e-4)
+    assert round(inclusive[2] - inclusive[0], 3) == 0.521
+    # Taken before the table's values were rounded to three decimals.
+    assert statistics.quantiles(ISSUE_47_CHANGE[:10], n=4,
+                                method="inclusive") == pytest.approx(
+        [1.781, 1.861, 1.907], abs=1e-3)
+    assert round(s.parent_iqr, 3) == 0.645 and not s.gap_exceeds_iqr
+    held_out = pairs.summarize(ISSUE_47_PARENT[10:], ISSUE_47_CHANGE[10:],
+                               "lower")
+    assert (held_out.parent_median, held_out.change_median) == (2.832,
+                                                                1.687)
+    assert round(held_out.ratio, 3) == 0.596 and held_out.wins == 3
+    assert round(held_out.gap, 3) == 1.145 and held_out.gap_exceeds_iqr
+    every = pairs.summarize(ISSUE_47_PARENT, ISSUE_47_CHANGE, "lower")
+    assert (every.parent_median, every.change_median) == (2.632, 1.805)
+    assert round(every.ratio, 3) == 0.686
+    assert (every.wins, every.pairs) == (12, 13)
+    assert round(every.gap, 3) == 0.827
+
+
+def test_issue_48_claim_is_rederived_from_its_pairs():
+    s = pairs.summarize(ISSUE_48_PARENT[:10], ISSUE_48_CHANGE[:10], "lower")
+    assert (round(s.parent_median, 3), round(s.change_median, 3)) == (
+        1.753, 1.426)
+    # 1.6955 published as 1.696: rounded half up.
+    assert (s.parent_q1, s.parent_q3) == pytest.approx((1.696, 1.872),
+                                                       abs=6e-4)
+    assert (s.change_q1, s.change_q3) == pytest.approx((1.252, 1.468),
+                                                       abs=5e-4)
+    assert round(s.ratio, 3) == 0.813
+    assert (s.wins, s.pairs) == (10, 10)
+    assert (round(s.gap, 3), round(s.parent_iqr, 3)) == (0.327, 0.176)
+    assert s.gap_exceeds_iqr
+    held_out = pairs.summarize(ISSUE_48_PARENT[10:], ISSUE_48_CHANGE[10:],
+                               "lower")
+    assert (held_out.parent_median, held_out.change_median) == (1.597, 1.3)
+    assert round(held_out.ratio, 3) == 0.814 and held_out.wins == 3
+
+
+def test_issue_51_claim_is_rederived_from_its_pairs():
+    """Published from unrounded values; the table has one decimal."""
+    s = pairs.summarize(ISSUE_51_PARENT, ISSUE_51_CHANGE, "higher")
+    assert (s.parent_median, s.change_median) == pytest.approx(
+        (3778.9, 4649.7), abs=0.05)
+    assert (s.parent_q1, s.parent_q3) == pytest.approx((3696.8, 3834.6),
+                                                       abs=0.1)
+    assert (s.change_q1, s.change_q3) == pytest.approx((4578.9, 4715.9),
+                                                       abs=0.1)
+    assert round(s.ratio, 3) == 1.230
+    assert (s.wins, s.pairs) == (10, 10)
+    assert (s.gap, s.parent_iqr) == pytest.approx((870.7634, 137.8044),
+                                                  abs=0.1)
     assert s.gap_exceeds_iqr
 
 

@@ -293,6 +293,36 @@ def test_progress_callback_reaches_total(small_scene, small_grid,
     assert [d for d, _t in seen] == sorted(d for d, _t in seen)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_moves_before_the_last_batch_is_computed(
+        small_scene, small_grid, workers, monkeypatch):
+    """A batch is booked as soon as it and every batch before it are in,
+    so a progress call with ``0 < done < total`` comes before this
+    process computes its last batch — and the calls are the same at any
+    worker count."""
+    monkeypatch.setattr(precompute, "BATCH_CELLS", 4)
+    compute = precompute.compute_cell_batch
+    events = []
+
+    def counted(estimator, grid, cell_ids, samples_per_cell):
+        events.append(("compute", cell_ids[0]))
+        return compute(estimator, grid, cell_ids, samples_per_cell)
+
+    monkeypatch.setattr(precompute, "compute_cell_batch", counted)
+    total = small_grid.num_cells
+    precompute_visibility(small_scene, small_grid, resolution=RESOLUTION,
+                          workers=workers,
+                          progress=lambda done, total: events.append(
+                              ("progress", done)))
+    computed = [i for i, (kind, _) in enumerate(events) if kind == "compute"]
+    assert len(computed) == -(-total // 4 // workers) > 1
+    assert any(kind == "progress" and 0 < done < total
+               for kind, done in events[:computed[-1]])
+    assert [done for kind, done in events if kind == "progress"] == \
+        [min(4 * batch, total) for batch in range(-(-total // 4) + 1)]
+    assert multiprocessing.active_children() == []
+
+
 def test_precompute_counters(small_scene, small_grid):
     with use_registry() as registry:
         precompute_visibility(small_scene, small_grid,
